@@ -1,12 +1,21 @@
 """Recursive arc approximations threading a Cantor-set product.
 
 Each generation splits every cell of the product (base set times factor
-product) into 2^(n+1) sub-cells, orders them by distance from the origin,
+product) into q = 2^(n+1) sub-cells, orders them by distance from the origin,
 and joins consecutive sub-cells by connector polylines: far corner of one to
 the near corner of the next.  The parameter interval of a cell is split into
-2^(n+2)-1 equal parts, alternating used (mapped onto connectors) and
-neglected (recursing into the sub-cells), so the approximations converge to
-an injective curve through every point of the product.
+p = 2^(n+2)-1 = 2q-1 equal parts, alternating neglected (recursing into the
+sub-cells, in distance order) and used (mapped onto connectors), so the
+approximations converge to an injective curve through every point of the
+product.
+
+The rule fixes every index by arithmetic, so none is stored:
+
+* cell c has the sub-cells c*q+1 .. c*q+q, in rank order;
+* connector j of cell c (0-based, joining ranks j+1 and j+2) has id
+  c*(q-1)+j;
+* parameter piece i of cell c has id 1+c*p+i (the root interval is 0), and
+  a parameter t descends through the base-p digits of t.
 
 Connector legality is verified by exact rational geometry, never assumed:
 
@@ -26,7 +35,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Iterator, Optional, Sequence
@@ -37,15 +46,16 @@ from .cantor import (Address, GenerationBudgetError, ProductCantor,
                      RatioCantorSet)
 from .geometry import (Box, Point, box_corners, box_diameter_sq,
                        boxes_disjoint, chain_self_intersection, norm_sq,
-                       point_in_box, polyline_is_simple, polylines_disjoint,
-                       segment_box_clip)
+                       point_in_box, points_bbox, polyline_is_simple,
+                       polylines_disjoint, segment_box_clip)
 
 DEFAULT_CELL_BUDGET = 2 ** 18
 
 #: Waypoint offsets, as fractions of the inter-cell gap, tried in order when
-#: the straight segment fails its legality tests.  All lie within (-3/8, 3/8)
-#: so every waypoint stays strictly inside the open gap box.
-DEFAULT_CLEARANCE_OFFSETS = tuple(
+#: the straight segment fails its legality tests, first as single waypoints,
+#: then as axis detours.  All lie within (-3/8, 3/8) so every waypoint stays
+#: strictly inside the open gap box.
+CLEARANCE_OFFSETS = tuple(
     Fraction(n, d) for n, d in (
         (0, 1), (1, 8), (-1, 8), (1, 4), (-1, 4), (1, 16), (-1, 16),
         (3, 16), (-3, 16), (5, 16), (-5, 16), (1, 32), (-1, 32),
@@ -55,12 +65,6 @@ DEFAULT_CLEARANCE_OFFSETS = tuple(
 
 class RoutingFailed(RuntimeError):
     """No candidate path passed the exact legality tests."""
-
-
-@dataclass(frozen=True)
-class ClearancePolicy:
-    offsets: tuple[Fraction, ...] = DEFAULT_CLEARANCE_OFFSETS
-    axis_detours: bool = True
 
 
 @dataclass(frozen=True)
@@ -96,43 +100,72 @@ class Cell:
         return box_corners(self.box)
 
 
-@dataclass(frozen=True)
-class CellComplex:
-    """All cells of one generation, sorted by distance from the origin
-    (ties broken lexicographically by near-corner coordinates)."""
-
-    generation: int
-    ambient_dimension: int
-    cells: tuple[Cell, ...]
-
-    def __post_init__(self):
-        for a, b in zip(self.cells, self.cells[1:]):
-            if (a.distance_sq, a.near_corner) > (b.distance_sq, b.near_corner):
-                raise ValueError("cells are not in distance order")
+def cell_fields(depth: int, ambient_dimension: int) -> Iterator[dict]:
+    """Schema-v1 index fields of every cell of a depth-``depth`` arc, in id
+    order (see the module docstring)."""
+    q = 2 ** ambient_dimension
+    yield {"id": 0, "generation": 0, "rank": 1, "parent": None}
+    n = 1
+    for k in range(1, depth + 1):
+        for _ in range(q ** k):
+            yield {"id": n, "generation": k, "rank": (n - 1) % q + 1, "parent": (n - 1) // q}
+            n += 1
 
 
-@dataclass
-class ParamInterval:
-    """Node of the parametrisation tree over [0, 1].
+def connector_fields(depth: int, ambient_dimension: int) -> Iterator[dict]:
+    """Schema-v1 index fields of every connector of a depth-``depth`` arc, in
+    id order: connector j of cell c joins its sub-cells of ranks j+1 and j+2
+    and carries parameter piece 2j+1 of c."""
+    q = 2 ** ambient_dimension
+    p = 2 * q - 1
+    n = 0
+    for k in range(1, depth + 1):
+        for _ in range(q ** (k - 1) * (q - 1)):
+            c, j = divmod(n, q - 1)
+            yield {"id": n, "depth": k, "parent_cell": c, "source_cell": c * q + 1 + j,
+                   "target_cell": c * q + 2 + j, "interval": 1 + c * p + 2 * j + 1}
+            n += 1
 
-    Used intervals carry connectors; neglected intervals recurse into cells.
+
+def param_intervals(depth: int, ambient_dimension: int) -> Iterator[dict]:
+    """Schema-v1 rows of the parameter tree of a depth-``depth`` arc, in id
+    order, derived from the depth and the ambient dimension alone (see the
+    module docstring).
+
+    Rationals are "numerator/denominator" strings.
     """
+    q = 2 ** ambient_dimension
+    p = 2 * q - 1
 
-    id: int
-    depth: int
-    index: int  # position among siblings, 0-based
-    lo: Fraction
-    hi: Fraction
-    status: str  # "used" | "neglected"
-    link: int    # connector id if used, cell id if neglected
-    children: list["ParamInterval"] = field(default_factory=list)
+    def ratio(n: int, den: int) -> str:
+        g = math.gcd(n, den)
+        return f"{n // g}/{den // g}"
 
-    @property
-    def length(self) -> Fraction:
-        return self.hi - self.lo
+    def pieces(cell: int, generation: int) -> list[int]:
+        return list(range(1 + cell * p, 1 + (cell + 1) * p)) if generation < depth else []
 
-    def contains(self, t) -> bool:
-        return self.lo <= t <= self.hi
+    yield {"id": 0, "depth": 0, "index": 0, "lo": "0/1", "hi": "1/1",
+           "status": "neglected", "link": 0, "children": pieces(0, 0)}
+    first = 0   # id of the first cell of generation k-1
+    los = [0]   # their intervals' left ends, as numerators over p^(k-1)
+    for k in range(1, depth + 1):
+        den = p ** k
+        next_los = []
+        for c, lo in enumerate(los, start=first):
+            right = ratio(lo * p, den)
+            for index in range(p):
+                n = lo * p + index
+                left, right = right, ratio(n + 1, den)
+                row = {"id": 1 + c * p + index, "depth": k, "index": index,
+                       "lo": left, "hi": right}
+                if index % 2 == 0:
+                    sub = c * q + 1 + index // 2
+                    next_los.append(n)
+                    row.update(status="neglected", link=sub, children=pieces(sub, k))
+                else:
+                    row.update(status="used", link=c * (q - 1) + index // 2, children=[])
+                yield row
+        first, los = first * q + 1, next_los
 
 
 @dataclass
@@ -146,8 +179,7 @@ class Connector:
     parent_cell: int
     source_cell: int
     target_cell: int
-    interval_id: int = -1
-    param_length: Fraction = Fraction(0)
+    param_length: Fraction  # (2^(n+2)-1)^-depth, the length of its used interval
     _cumulative: Optional[list[float]] = None
 
     @property
@@ -174,8 +206,6 @@ class Connector:
     @property
     def lipschitz(self) -> float:
         """Path length over parameter length: the constant-speed rate."""
-        if self.param_length <= 0:
-            raise ValueError("connector is not linked to a parameter interval")
         return self.length / float(self.param_length)
 
     def point_at(self, frac: float) -> tuple[float, ...]:
@@ -188,26 +218,6 @@ class Connector:
         s = 0.0 if seg == 0.0 else (target - cum[i]) / seg
         a, b = self.vertices[i], self.vertices[i + 1]
         return tuple(float(x) + s * (float(y) - float(x)) for x, y in zip(a, b))
-
-
-def subdivide_param_interval(interval: ParamInterval, copies: int) -> list[ParamInterval]:
-    """Split a neglected interval into 2^(copies+2) - 1 equal children,
-    alternating neglected (even positions) and used (odd positions).
-
-    The neglected children, read left to right, pair with the cell's
-    sub-cells in distance order; ids and links are assigned by the builder.
-    """
-    if interval.status != "neglected":
-        raise ValueError("only neglected intervals subdivide")
-    parts = 2 ** (copies + 2) - 1
-    step = interval.length / parts
-    kids = []
-    for i in range(parts):
-        lo = interval.lo + i * step
-        hi = interval.lo + (i + 1) * step if i < parts - 1 else interval.hi
-        status = "neglected" if i % 2 == 0 else "used"
-        kids.append(ParamInterval(-1, interval.depth + 1, i, lo, hi, status, -1))
-    return kids
 
 
 def _subdivide_cell_boxes(parent_box: Box, child_lengths: Sequence[Fraction]
@@ -234,23 +244,21 @@ def _gap_box(parent_box: Box, child_lengths: Sequence[Fraction]) -> Box:
     return tuple(gaps)
 
 
-def _candidate_paths(src: Point, dst: Point, gap: Box,
-                     policy: ClearancePolicy) -> Iterator[tuple[Point, ...]]:
+def _candidate_paths(src: Point, dst: Point, gap: Box) -> Iterator[tuple[Point, ...]]:
     yield (src, dst)
     center = tuple((lo + hi) / 2 for lo, hi in gap)
     span = tuple(hi - lo for lo, hi in gap)
-    for off in policy.offsets:
+    for off in CLEARANCE_OFFSETS:
         w = tuple(c + off * s for c, s in zip(center, span))
         yield (src, w, dst)
-    if policy.axis_detours:
-        for off in policy.offsets:
-            base = [c + off * s for c, s in zip(center, span)]
-            for axis in range(len(center)):
-                w1 = list(base)
-                w2 = list(base)
-                w1[axis] = base[axis] - span[axis] / 8
-                w2[axis] = base[axis] + span[axis] / 8
-                yield (src, tuple(w1), tuple(w2), dst)
+    for off in CLEARANCE_OFFSETS:
+        base = [c + off * s for c, s in zip(center, span)]
+        for axis in range(len(center)):
+            w1 = list(base)
+            w2 = list(base)
+            w1[axis] = base[axis] - span[axis] / 8
+            w2[axis] = base[axis] + span[axis] / 8
+            yield (src, tuple(w1), tuple(w2), dst)
 
 
 def _path_legal(vertices: Sequence[Point], cells: Sequence[Cell], s: int,
@@ -280,8 +288,7 @@ def _path_legal(vertices: Sequence[Point], cells: Sequence[Cell], s: int,
     return True
 
 
-def route_connectors(ordered_cells: Sequence[Cell], parent_box: Box, gap: Box,
-                     policy: ClearancePolicy = ClearancePolicy()
+def route_connectors(ordered_cells: Sequence[Cell], parent_box: Box, gap: Box
                      ) -> list[list[Point]]:
     """Vertex paths joining consecutive cells in distance order.
 
@@ -294,7 +301,7 @@ def route_connectors(ordered_cells: Sequence[Cell], parent_box: Box, gap: Box,
         src = ordered_cells[s].far_corner
         dst = ordered_cells[s + 1].near_corner
         chosen = None
-        for cand in _candidate_paths(src, dst, gap, policy):
+        for cand in _candidate_paths(src, dst, gap):
             if not _path_legal(cand, ordered_cells, s, parent_box):
                 continue
             if all(polylines_disjoint(cand, p) for p in paths):
@@ -314,18 +321,15 @@ class ArcApproximation:
     of a ratio Cantor set with a self-similar product."""
 
     def __init__(self, base_set: RatioCantorSet, product: ProductCantor,
-                 policy: ClearancePolicy = ClearancePolicy(),
-                 cell_budget: int = DEFAULT_CELL_BUDGET,
-                 max_depth: Optional[int] = None):
+                 cell_budget: int = DEFAULT_CELL_BUDGET):
         if product.copies < 1:
             raise ValueError("product needs at least one factor axis")
         self.base_set = base_set
         self.product = product
-        self.policy = policy
         self.cell_budget = cell_budget
-        self.max_depth = max_depth
         self.copies = product.copies
         self.ambient_dimension = product.copies + 1
+        self.branching = 2 ** self.ambient_dimension  # q sub-cells per cell
         self.depth = 0
 
         root_box: Box = tuple((Fraction(0), Fraction(1))
@@ -333,11 +337,7 @@ class ArcApproximation:
         root = Cell(0, 0, 1, root_box, None, ("",) * self.ambient_dimension)
         self.cells: list[Cell] = [root]
         self.connectors: list[Connector] = []
-        self.intervals: list[ParamInterval] = [
-            ParamInterval(0, 0, 0, Fraction(0), Fraction(1), "neglected", 0)]
-        self.cells_by_generation: list[list[int]] = [[0]]
         self._cell_index: dict[tuple[str, ...], int] = {root.address: 0}
-        self._frontier: list[tuple[int, int]] = [(0, 0)]  # (interval id, cell id)
 
     # -- construction -----------------------------------------------------
 
@@ -348,8 +348,6 @@ class ArcApproximation:
 
     def build_to(self, depth: int) -> "ArcApproximation":
         # fail fast on the target depth before spending work on shallower ones
-        if self.max_depth is not None and depth > self.max_depth:
-            raise GenerationBudgetError(f"arc depth {depth} exceeds the cap {self.max_depth}")
         if 2 ** (depth * self.ambient_dimension) > self.cell_budget:
             raise GenerationBudgetError(
                 f"depth {depth} needs {2 ** (depth * self.ambient_dimension)} cells, "
@@ -360,44 +358,16 @@ class ArcApproximation:
 
     def _build_next(self) -> None:
         k = self.depth + 1
-        if self.max_depth is not None and k > self.max_depth:
-            raise GenerationBudgetError(f"arc depth {k} exceeds the cap {self.max_depth}")
-        if 2 ** (k * self.ambient_dimension) > self.cell_budget:
-            raise GenerationBudgetError(
-                f"generation {k} needs {2 ** (k * self.ambient_dimension)} cells, "
-                f"over the budget {self.cell_budget}")
         lengths = self._child_lengths(k)
-        gen_cells: list[int] = []
-        new_frontier: list[tuple[int, int]] = []
-        for interval_id, cell_id in self._frontier:
-            parent = self.cells[cell_id]
+        param_length = self.param_interval_length(k)
+        for parent in self.generation_cells(self.depth):
             sub_cells = self._make_sub_cells(parent, lengths)
             gap = _gap_box(parent.box, lengths)
-            paths = route_connectors(sub_cells, parent.box, gap, self.policy)
-            conns = []
+            paths = route_connectors(sub_cells, parent.box, gap)
             for s, path in enumerate(paths):
-                conn = Connector(len(self.connectors), k, path, parent.id,
-                                 sub_cells[s].id, sub_cells[s + 1].id)
-                self.connectors.append(conn)
-                conns.append(conn)
-            parent_interval = self.intervals[interval_id]
-            kids = subdivide_param_interval(parent_interval, self.copies)
-            for kid in kids:
-                kid.id = len(self.intervals)
-                self.intervals.append(kid)
-                if kid.status == "neglected":
-                    cell = sub_cells[kid.index // 2]
-                    kid.link = cell.id
-                    new_frontier.append((kid.id, cell.id))
-                else:
-                    conn = conns[(kid.index - 1) // 2]
-                    kid.link = conn.id
-                    conn.interval_id = kid.id
-                    conn.param_length = kid.length
-            parent_interval.children = kids
-            gen_cells.extend(c.id for c in sub_cells)
-        self.cells_by_generation.append(gen_cells)
-        self._frontier = new_frontier
+                self.connectors.append(Connector(
+                    len(self.connectors), k, path, parent.id, sub_cells[s].id,
+                    sub_cells[s + 1].id, param_length))
         self.depth = k
 
     def _make_sub_cells(self, parent: Cell, lengths: Sequence[Fraction]) -> list[Cell]:
@@ -425,22 +395,20 @@ class ArcApproximation:
     def generation_cells(self, k: int) -> list[Cell]:
         """Cells of generation k in parameter (traversal) order."""
         self._require_depth(k)
-        return [self.cells[i] for i in self.cells_by_generation[k]]
+        q = self.branching
+        return self.cells[(q ** k - 1) // (q - 1):(q ** (k + 1) - 1) // (q - 1)]
 
-    def cell_complex(self, k: int) -> CellComplex:
-        """Cells of generation k in global distance order."""
-        cells = sorted(self.generation_cells(k),
-                       key=lambda c: (c.distance_sq, c.near_corner))
-        return CellComplex(k, self.ambient_dimension, tuple(cells))
+    def sub_cells(self, cell_id: int) -> list[Cell]:
+        """The sub-cells of a built cell, in rank order."""
+        q = self.branching
+        return self.cells[cell_id * q + 1:cell_id * q + q + 1]
 
     def connectors_at(self, k: int) -> list[Connector]:
-        return [c for c in self.connectors if c.depth == k]
+        q = self.branching
+        return self.connectors[q ** (k - 1) - 1:q ** k - 1]
 
     def cumulative_connectors(self, k: int) -> list[Connector]:
-        return [c for c in self.connectors if c.depth <= k]
-
-    def children_of(self, cell_id: int) -> list[Cell]:
-        return [c for c in self.cells if c.parent_id == cell_id]
+        return self.connectors[:self.branching ** k - 1]
 
     def cell_at(self, address: Address | tuple[str, ...]) -> Cell:
         words = address.words if isinstance(address, Address) else tuple(address)
@@ -459,13 +427,7 @@ class ArcApproximation:
 
     def param_interval_length(self, depth: int) -> Fraction:
         """Common length of every depth-``depth`` parameter interval."""
-        return Fraction(1, (2 ** (self.copies + 2) - 1) ** depth)
-
-    def used_intervals(self, depth: int) -> list[ParamInterval]:
-        return [iv for iv in self.intervals if iv.depth == depth and iv.status == "used"]
-
-    def neglected_intervals(self, depth: int) -> list[ParamInterval]:
-        return [iv for iv in self.intervals if iv.depth == depth and iv.status == "neglected"]
+        return Fraction(1, (2 * self.branching - 1) ** depth)
 
     def _require_depth(self, k: int) -> None:
         if k < 0 or k > self.depth:
@@ -486,18 +448,21 @@ class ArcApproximation:
         if k < 1:
             raise ValueError("evaluation depth starts at 1")
         self._require_depth(k)
-        node = self.intervals[0]
-        while True:
-            if node.status == "used":
-                conn = self.connectors[node.link]
-                frac = float((Fraction(t) - node.lo) / node.length)
-                return conn.point_at(frac), 0.0
-            if node.depth == k:
-                cell = self.cells[node.link]
-                return (tuple(float(c) for c in cell.near_corner),
-                        self.cell_diameter(k))
-            matches = [c for c in node.children if c.contains(t)]
-            node = next((c for c in matches if c.status == "used"), matches[0])
+        q = self.branching
+        p = 2 * q - 1
+        x = Fraction(t)  # position inside the current cell's interval, scaled to [0, 1]
+        cell = 0
+        for _ in range(k):
+            x *= p
+            digit = min(math.floor(x), p - 1)
+            if digit == x and digit % 2 == 0 and digit > 0:
+                digit -= 1  # on the boundary of two pieces the used one wins
+            x -= digit
+            if digit % 2:
+                return self.connectors[cell * (q - 1) + digit // 2].point_at(float(x)), 0.0
+            cell = cell * q + 1 + digit // 2
+        return (tuple(float(c) for c in self.cells[cell].near_corner),
+                self.cell_diameter(k))
 
     def traversal_pieces(self, k: int) -> list[tuple[str, int, list[Point]]]:
         """Traversal of the depth-k model in parameter order: connectors for
@@ -505,21 +470,20 @@ class ArcApproximation:
         self._require_depth(k)
         if k < 1:
             raise ValueError("traversal depth starts at 1")
+        q = self.branching
         pieces: list[tuple[str, int, list[Point]]] = []
 
-        def walk(node: ParamInterval) -> None:
-            if node.status == "used":
-                conn = self.connectors[node.link]
-                pieces.append(("connector", conn.id, list(conn.vertices)))
-            elif node.depth == k:
-                cell = self.cells[node.link]
-                pieces.append(("cell", cell.id,
-                               [cell.near_corner, cell.far_corner]))
-            else:
-                for child in node.children:
-                    walk(child)
+        def walk(cell_id: int, generation: int) -> None:
+            for j, cell in enumerate(self.sub_cells(cell_id)):
+                if generation + 1 == k:
+                    pieces.append(("cell", cell.id, [cell.near_corner, cell.far_corner]))
+                else:
+                    walk(cell.id, generation + 1)
+                if j < q - 1:
+                    conn = self.connectors[cell_id * (q - 1) + j]
+                    pieces.append(("connector", conn.id, list(conn.vertices)))
 
-        walk(self.intervals[0])
+        walk(0, 0)
         return pieces
 
     def traversal_chain(self, k: int) -> list[Point]:
@@ -537,28 +501,17 @@ class ArcApproximation:
         cell corners: the finite stand-in for the depth-k curve."""
         self._require_depth(k)
         pts: list[tuple[float, ...]] = []
-        for conn in self.connectors:
-            if conn.depth <= k:
-                pts.extend(tuple(float(c) for c in v) for v in conn.vertices)
+        for conn in self.cumulative_connectors(k):
+            pts.extend(tuple(float(c) for c in v) for v in conn.vertices)
         for cell in self.generation_cells(k):
             pts.extend(tuple(float(c) for c in corner) for corner in cell.corners())
         return np.unique(np.array(pts, dtype=float), axis=0)
 
 
 def build_arc(base_set: RatioCantorSet, product: ProductCantor, depth: int,
-              policy: ClearancePolicy = ClearancePolicy(),
               cell_budget: int = DEFAULT_CELL_BUDGET) -> ArcApproximation:
-    arc = ArcApproximation(base_set, product, policy, cell_budget)
+    arc = ArcApproximation(base_set, product, cell_budget)
     return arc.build_to(depth)
-
-
-def build_first_generation(base_set: RatioCantorSet,
-                           product: ProductCantor) -> CellComplex:
-    """The 2^(n+1) first-generation cells, sorted by distance from the origin,
-    with exact corners."""
-    arc = ArcApproximation(base_set, product)
-    arc.build_to(1)
-    return arc.cell_complex(1)
 
 
 # -- verification -----------------------------------------------------------
@@ -571,29 +524,23 @@ class InjectivityReport:
     connector_violations: list[tuple[int, int]]
     clearance_violations: list[int]
     traversal_violation: Optional[tuple[int, int]]
-    cell_links_injective: bool
 
     @property
     def passed(self) -> bool:
         return (not self.connector_violations and not self.clearance_violations
-                and self.traversal_violation is None and self.cell_links_injective)
-
-
-def _connector_bbox(conn: Connector) -> Box:
-    return tuple((min(v[i] for v in conn.vertices), max(v[i] for v in conn.vertices))
-                 for i in range(len(conn.vertices[0])))
+                and self.traversal_violation is None)
 
 
 def verify_injectivity(arc: ArcApproximation, k: int) -> InjectivityReport:
     """Exact injectivity evidence for the depth-k model.
 
     (i) all cumulative connectors pairwise disjoint, (ii) the parameter-order
-    traversal is a simple polyline, (iii) distinct depth-k neglected intervals
-    map into distinct cells, and every connector passes its clearance tests
-    against the cells of its own generation.
+    traversal is a simple polyline, and (iii) every connector passes its
+    clearance tests against its sibling cells.  Distinct depth-k parameter
+    pieces land in distinct cells by the id arithmetic itself.
     """
     conns = arc.cumulative_connectors(k)
-    boxes = {c.id: _connector_bbox(c) for c in conns}
+    boxes = {c.id: points_bbox(c.vertices) for c in conns}
     violations: list[tuple[int, int]] = []
     pairs = 0
     for i in range(len(conns)):
@@ -608,14 +555,9 @@ def verify_injectivity(arc: ArcApproximation, k: int) -> InjectivityReport:
                 violations.append((ci.id, cj.id))
 
     clearance: list[int] = []
-    siblings: dict[int, list[Cell]] = {}
     for conn in conns:
-        sibs = siblings.get(conn.parent_cell)
-        if sibs is None:
-            sibs = arc.children_of(conn.parent_cell)
-            siblings[conn.parent_cell] = sibs
-        ranked = sorted(sibs, key=lambda c: c.rank)
-        s = next(i for i, c in enumerate(ranked) if c.id == conn.source_cell)
+        ranked = arc.sub_cells(conn.parent_cell)
+        s = conn.source_cell - ranked[0].id
         parent_box = arc.cells[conn.parent_cell].box
         if not _path_legal(conn.vertices, ranked, s, parent_box):
             clearance.append(conn.id)
@@ -627,12 +569,7 @@ def verify_injectivity(arc: ArcApproximation, k: int) -> InjectivityReport:
         # chain fails to glue or degenerates: report rather than crash
         traversal_violation = (-1, -1)
 
-    neglected = arc.neglected_intervals(k)
-    links = [iv.link for iv in neglected]
-    cell_links_injective = len(links) == len(set(links))
-
-    return InjectivityReport(k, pairs, violations, clearance,
-                             traversal_violation, cell_links_injective)
+    return InjectivityReport(k, pairs, violations, clearance, traversal_violation)
 
 
 @dataclass

@@ -502,17 +502,18 @@ def verify_uniform_perfectness(cantor_set: RatioCantorSet,
     return PerfectnessReport(constant, depth, results)
 
 
-def sample_perfectness_inputs(cantor_set: RatioCantorSet, count: int, depth: int,
-                              rng) -> list[tuple[Fraction, Fraction]]:
-    """Sampling policy: centers are random built endpoints, radii log-uniform
-    between the depth-(depth-1) interval length and 1."""
+def sample_ball_inputs(cantor_set: RatioCantorSet, count: int, depth: int,
+                       rng) -> list[tuple[Fraction, Fraction]]:
+    """Balls (center, radius) for the perfectness and mass certificates:
+    centers are random endpoints of generations 0..depth (provably in the
+    set), radii log-uniform in [L_{depth-1}, 1)."""
     cantor_set.build(depth)
-    log_lo = _log_fraction(cantor_set.generation_length(depth - 1))
+    log_lo = _log_fraction(cantor_set.generation_length(max(depth - 1, 0)))
     samples = []
     for _ in range(count):
         g = rng.randrange(0, depth + 1)
         eps = cantor_set.endpoints(g)
         x = eps[rng.randrange(len(eps))]
-        r = Fraction(math.exp(rng.uniform(log_lo, 0.0)))
+        r = Fraction(min(math.exp(rng.uniform(log_lo, 0.0)), 1.0 - 1e-12))
         samples.append((x, r))
     return samples

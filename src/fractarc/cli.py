@@ -22,6 +22,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,7 +31,7 @@ from . import dimension as dim_mod
 from . import measure as measure_mod
 from .cantor import (GenerationBudgetError, ProductCantor, RatioCantorSet,
                      RatioSequence, SelfSimilarCantor, product_for_dimension,
-                     sample_perfectness_inputs, verify_uniform_perfectness)
+                     sample_ball_inputs, verify_uniform_perfectness)
 from .metric import (VON_KOCH_EXPONENT, ArcFactor, RugSpace, SnowflakeMetric)
 
 SCHEMA_VERSION = 1
@@ -102,9 +103,13 @@ class RunConfig:
     def __post_init__(self):
         if self.target_dimension < 1.0:
             raise ConfigError(f"target dimension must be at least 1, got {self.target_dimension}")
+        if not all(isinstance(v, int) for v in (self.depth, self.seed, self.samples)):
+            raise ConfigError("depth, seed and samples must be integers")
         if self.depth < 1:
             raise ConfigError("depth must be at least 1")
-        if self.scales is not None and self.scales[0] > self.scales[1]:
+        if self.scales is not None and not (
+                len(self.scales) == 2 and all(isinstance(v, int) for v in self.scales)
+                and self.scales[0] <= self.scales[1]):
             raise ConfigError(f"bad scale window {self.scales}")
 
     def ratio_sequence(self) -> RatioSequence:
@@ -223,6 +228,7 @@ def model_to_dict(model, config: RunConfig) -> dict:
             "config": config.as_dict(),
         }
     arc = model
+    depth, axes = arc.depth, arc.ambient_dimension
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "arc",
@@ -234,41 +240,14 @@ def model_to_dict(model, config: RunConfig) -> dict:
             "copies": arc.product.copies,
         },
         "cells": [
-            {
-                "id": cell.id,
-                "generation": cell.generation,
-                "rank": cell.rank,
-                "parent": cell.parent_id,
-                "address": list(cell.address),
-                "box": _box_json(cell.box),
-            }
-            for cell in arc.cells
+            {**fields, "address": list(cell.address), "box": _box_json(cell.box)}
+            for fields, cell in zip(arc_mod.cell_fields(depth, axes), arc.cells)
         ],
         "connectors": [
-            {
-                "id": conn.id,
-                "depth": conn.depth,
-                "parent_cell": conn.parent_cell,
-                "source_cell": conn.source_cell,
-                "target_cell": conn.target_cell,
-                "interval": conn.interval_id,
-                "vertices": [_point_json(v) for v in conn.vertices],
-            }
-            for conn in arc.connectors
+            {**fields, "vertices": [_point_json(v) for v in conn.vertices]}
+            for fields, conn in zip(arc_mod.connector_fields(depth, axes), arc.connectors)
         ],
-        "param_intervals": [
-            {
-                "id": iv.id,
-                "depth": iv.depth,
-                "index": iv.index,
-                "lo": encode_rational(iv.lo),
-                "hi": encode_rational(iv.hi),
-                "status": iv.status,
-                "link": iv.link,
-                "children": [kid.id for kid in iv.children],
-            }
-            for iv in arc.intervals
-        ],
+        "param_intervals": list(arc_mod.param_intervals(depth, axes)),
     }
 
 
@@ -284,7 +263,65 @@ class UnitIntervalModel:
         return points, resolution
 
 
+def _check_fields(where: str, item, **expected) -> None:
+    """Raise ConfigError naming the first field of ``item`` that differs
+    from its derived value."""
+    if not isinstance(item, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    for key, want in expected.items():
+        if key not in item or item[key] != want:
+            raise ConfigError(f"{where}.{key} is {item.get(key)!r}, expected {want!r}")
+
+
+_MISSING = object()
+
+
+def _checked_rows(data: dict, section: str, expected):
+    """(index, file row, derived fields) of one section, each file row
+    checked against its derived index fields."""
+    if not isinstance(data[section], list):
+        raise ConfigError(f"{section} must be a list")
+    for n, (item, want) in enumerate(zip_longest(data[section], expected, fillvalue=_MISSING)):
+        if want is _MISSING:
+            raise ConfigError(f"{section} has more than the {n} rows its depth {data['depth']} allows")
+        if item is _MISSING:
+            raise ConfigError(f"{section} has {n} rows, fewer than its depth {data['depth']} needs")
+        if item != want:
+            _check_fields(f"{section}[{n}]", item, **want)
+        yield n, item, want
+
+
+def _rationals(where: str, items, count: int) -> tuple[Fraction, ...]:
+    if not isinstance(items, list) or len(items) != count:
+        raise ConfigError(f"{where} must list {count} rationals")
+    return tuple(decode_rational(c) for c in items)
+
+
+def _check_address(where: str, address, parent: Optional[arc_mod.Cell], axes: int) -> None:
+    """Each word extends the parent's word by one branch bit."""
+    if not (isinstance(address, list) and len(address) == axes
+            and all(isinstance(w, str) for w in address)):
+        raise ConfigError(f"{where}.address must list {axes} branch words")
+    if parent is None:
+        extends = not any(address)
+    else:
+        extends = all(w[:-1] == u and w[-1:] in ("0", "1")
+                      for w, u in zip(address, parent.address))
+    if not extends:
+        raise ConfigError(f"{where}.address {address!r} does not extend its parent's")
+
+
 def model_from_dict(data: dict, config: Optional[RunConfig] = None):
+    """Model from its JSON form.
+
+    Only the config, the cell boxes and addresses and the connector vertices
+    are read.  Every id and link and the whole parameter tree follow from the
+    depth and the ambient dimension, so they are compared with that derived
+    skeleton row by row, never trusted: the first mismatch raises ConfigError
+    naming the field.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError("a model must be a JSON object")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version {data.get('schema_version')!r}")
     if config is None:
@@ -301,49 +338,49 @@ def model_from_dict(data: dict, config: Optional[RunConfig] = None):
         })
     if data["kind"] == "unit_interval":
         return UnitIntervalModel(), config
+    if data["kind"] != "arc":
+        raise ConfigError(f"unknown model kind {data['kind']!r}")
 
+    copies, depth = data["factor"]["copies"], data["depth"]
+    # the 2^(depth*(copies+1)) deepest cells must fit in the file: checked
+    # before any power is taken, so a huge value cannot stall the loader
+    if not (isinstance(copies, int) and isinstance(depth, int) and copies >= 1
+            and 1 <= depth and depth * (copies + 1) < len(data["cells"]).bit_length()):
+        raise ConfigError(f"depth {depth!r} and factor.copies {copies!r} do not fit "
+                          f"the {len(data['cells'])} cells")
     base = RatioCantorSet(config.ratio_sequence())
     factor = SelfSimilarCantor(decode_rational(data["factor"]["ratio"]))
-    product = ProductCantor(factor, data["factor"]["copies"])
-    arc = arc_mod.ArcApproximation(base, product)
+    arc = arc_mod.ArcApproximation(base, ProductCantor(factor, copies))
+    axes = arc.ambient_dimension
+    _check_fields("model", data, ambient_dimension=axes)
 
-    cells = {}
-    for item in sorted(data["cells"], key=lambda c: c["id"]):
-        box = tuple((decode_rational(lo), decode_rational(hi)) for lo, hi in item["box"])
-        cell = arc_mod.Cell(item["id"], item["generation"], item["rank"], box,
-                            item["parent"], tuple(item["address"]))
-        cells[cell.id] = cell
-    arc.cells = [cells[i] for i in sorted(cells)]
-    arc._cell_index = {cell.address: cell.id for cell in arc.cells}
-    depth = data["depth"]
-    arc.cells_by_generation = [[] for _ in range(depth + 1)]
-    for cell in arc.cells:
-        arc.cells_by_generation[cell.generation].append(cell.id)
-
-    intervals = {}
-    children_ids = {}
-    for item in sorted(data["param_intervals"], key=lambda v: v["id"]):
-        iv = arc_mod.ParamInterval(item["id"], item["depth"], item["index"],
-                                   decode_rational(item["lo"]), decode_rational(item["hi"]),
-                                   item["status"], item["link"])
-        intervals[iv.id] = iv
-        children_ids[iv.id] = item["children"]
-    for iv_id, kid_ids in children_ids.items():
-        intervals[iv_id].children = [intervals[i] for i in kid_ids]
-    arc.intervals = [intervals[i] for i in sorted(intervals)]
-
-    conns = []
-    for item in sorted(data["connectors"], key=lambda c: c["id"]):
-        conn = arc_mod.Connector(
-            item["id"], item["depth"],
-            [tuple(decode_rational(c) for c in v) for v in item["vertices"]],
-            item["parent_cell"], item["source_cell"], item["target_cell"],
-            item["interval"])
-        conn.param_length = intervals[conn.interval_id].length
-        conns.append(conn)
-    arc.connectors = conns
+    arc.cells, arc._cell_index = [], {}
+    for n, item, want in _checked_rows(data, "cells", arc_mod.cell_fields(depth, axes)):
+        where = f"cells[{n}]"
+        parent = arc.cells[want["parent"]] if n else None
+        _check_address(where, item["address"], parent, axes)
+        address = tuple(item["address"])
+        if address in arc._cell_index:
+            raise ConfigError(f"{where}.address repeats cells[{arc._cell_index[address]}]")
+        box = item["box"]
+        if not isinstance(box, list) or len(box) != axes:
+            raise ConfigError(f"{where}.box must list {axes} [lo, hi] pairs")
+        box = tuple(_rationals(f"{where}.box", pair, 2) for pair in box)
+        arc.cells.append(arc_mod.Cell(n, want["generation"], want["rank"], box,
+                                      want["parent"], address))
+        arc._cell_index[address] = n
     arc.depth = depth
-    arc._frontier = []  # loaded models are read-only; rebuild to extend
+    for _ in _checked_rows(data, "param_intervals", arc_mod.param_intervals(depth, axes)):
+        pass
+    for n, item, want in _checked_rows(data, "connectors",
+                                       arc_mod.connector_fields(depth, axes)):
+        vertices = item["vertices"]
+        if not isinstance(vertices, list) or len(vertices) < 2:
+            raise ConfigError(f"connectors[{n}].vertices must list at least two points")
+        arc.connectors.append(arc_mod.Connector(
+            n, want["depth"], [_rationals(f"connectors[{n}].vertices", v, axes) for v in vertices],
+            want["parent_cell"], want["source_cell"], want["target_cell"],
+            arc.param_interval_length(want["depth"])))
     return arc, config
 
 
@@ -408,13 +445,16 @@ def counting_summary(model) -> dict:
     if isinstance(model, UnitIntervalModel):
         return {"kind": "unit_interval", "cells": 0, "connectors": 0,
                 "param_intervals": 1}
+    deepest = model.generation_cells(model.depth)
     return {
         "kind": "arc",
         "depth": model.depth,
         "ambient_dimension": model.ambient_dimension,
-        "cells_per_generation": [len(g) for g in model.cells_by_generation],
+        "cells_per_generation": [len(model.generation_cells(k))
+                                 for k in range(model.depth + 1)],
         "connectors": len(model.connectors),
-        "param_intervals": len(model.intervals),
+        # the root, plus 2q-1 pieces for every cell above the deepest generation
+        "param_intervals": 1 + (2 * model.branching - 1) * (len(model.cells) - len(deepest)),
     }
 
 
@@ -437,19 +477,14 @@ def run_verification(model, config: RunConfig) -> dict:
 
     counts_ok = True
     for k in range(1, arc.depth + 1):
-        cells = len(arc.cells_by_generation[k])
+        cells = len(arc.generation_cells(k))
         conns = len(arc.cumulative_connectors(k))
-        used = len(arc.used_intervals(k))
+        used = len(arc.connectors_at(k))
         if cells != 2 ** (k * (n + 1)) or conns != 2 ** (k * (n + 1)) - 1:
             counts_ok = False
         if used != 2 ** ((k - 1) * (n + 1)) * (2 ** (n + 1) - 1):
             counts_ok = False
     add("counting_invariants", counts_ok, depth=arc.depth)
-
-    alternation_ok = all(
-        kid.status == ("neglected" if kid.index % 2 == 0 else "used")
-        for iv in arc.intervals for kid in iv.children)
-    add("used_neglected_alternation", alternation_ok)
 
     report = arc_mod.verify_injectivity(arc, arc.depth)
     add("injectivity", report.passed,
@@ -469,17 +504,16 @@ def run_verification(model, config: RunConfig) -> dict:
         containment_ok = containment_ok and rep.passed
     add("containment", containment_ok, per_depth=details)
 
-    perf_depth = min(12, arc.base_set.max_generation)
-    samples = sample_perfectness_inputs(arc.base_set, config.samples, perf_depth, rng)
-    perf = verify_uniform_perfectness(arc.base_set, samples, perf_depth)
+    resolution = min(12, arc.base_set.max_generation)
+    samples = sample_ball_inputs(arc.base_set, config.samples, resolution, rng)
+    perf = verify_uniform_perfectness(arc.base_set, samples, resolution)
     add("uniform_perfectness", perf.conclusive,
         constant=float(perf.constant), witnesses=perf.witness_count,
         vacuous=perf.vacuous_count,
         inconclusive=len(perf.inconclusive_samples()))
 
-    resolution = min(12, arc.base_set.max_generation)
     meas = measure_mod.NaturalMeasure(arc.base_set, resolution)
-    mass_samples = measure_mod.sample_mass_inputs(meas, config.samples, rng)
+    mass_samples = sample_ball_inputs(arc.base_set, config.samples, resolution, rng)
     mass_ok = True
     mass_details = []
     for eps in measure_mod.DEFAULT_EXPONENT_GRID:
@@ -635,10 +669,10 @@ def _load_model(path) -> tuple[object, RunConfig]:
         raise ConfigError(f"model {path} is not valid JSON: {exc}") from exc
     try:
         return model_from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
         if isinstance(exc, ConfigError):
             raise
-        raise ConfigError(f"model {path} is malformed: {exc}") from exc
+        raise ConfigError(f"model {path} is malformed: {type(exc).__name__}: {exc}") from exc
 
 
 def cmd_verify(args) -> int:
@@ -653,6 +687,17 @@ def cmd_verify(args) -> int:
     for check in report["checks"]:
         print(f"{'PASS' if check['passed'] else 'FAIL'}  {check['name']}")
     return EXIT_OK if report["passed"] else EXIT_VERIFICATION
+
+
+def _estimate_or_refuse(preset: str, config: RunConfig, model, **kwargs):
+    """run_estimate; a refused window or sample budget prints why and gives None."""
+    try:
+        return run_estimate(preset, config, model, **kwargs)
+    except (ValueError, GenerationBudgetError) as exc:
+        if isinstance(exc, ConfigError):
+            raise
+        print(f"estimation failed: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_estimate(args) -> int:
@@ -670,13 +715,10 @@ def cmd_estimate(args) -> int:
         kwargs["copies"] = args.copies
     if args.generation:
         kwargs["generation"] = args.generation
-    try:
-        report, series = run_estimate(args.preset, config, model, **kwargs)
-    except (ValueError, GenerationBudgetError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        print(f"estimation failed: {exc}", file=sys.stderr)
+    result = _estimate_or_refuse(args.preset, config, model, **kwargs)
+    if result is None:
         return EXIT_CONSTRUCTION
+    report, series = result
     if args.out:
         write_atomic(Path(args.out), dump_json(report))
     if args.csv:
@@ -698,8 +740,10 @@ def cmd_export(args) -> int:
             raise ConfigError("svg export is only defined for planar (n=1) models")
         write_atomic(out, render_svg(model))
     elif args.format == "csv":
-        report, series = run_estimate("arc", config, model)
-        write_atomic(out, series_csv(series))
+        result = _estimate_or_refuse("arc", config, model)
+        if result is None:
+            return EXIT_CONSTRUCTION
+        write_atomic(out, series_csv(result[1]))
     else:
         raise ConfigError(f"unknown export format {args.format!r}")
     print(f"wrote {out}")

@@ -1,25 +1,19 @@
 """Exact rational geometry for axis-aligned boxes and polylines.
 
 Coordinates are ``fractions.Fraction``; every predicate is decided by integer
-arithmetic.  Floating point appears only in the ``float_*`` helpers, which are
-for reporting, never for decisions.
+arithmetic, never by floating point.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 Point = tuple[Fraction, ...]
 Box = tuple[tuple[Fraction, Fraction], ...]  # per-axis (lo, hi) with lo < hi
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def as_point(coords: Iterable) -> Point:
-    return tuple(Fraction(c) for c in coords)
 
 
 def vsub(p: Point, q: Point) -> Point:
@@ -32,22 +26,6 @@ def vlerp(p: Point, q: Point, t: Fraction) -> Point:
 
 def norm_sq(p: Point) -> Fraction:
     return sum((c * c for c in p), ZERO)
-
-
-def dist_sq(p: Point, q: Point) -> Fraction:
-    return norm_sq(vsub(p, q))
-
-
-def float_dist(p: Sequence, q: Sequence) -> float:
-    return math.sqrt(sum((float(a) - float(b)) ** 2 for a, b in zip(p, q)))
-
-
-def box_min_corner(box: Box) -> Point:
-    return tuple(lo for lo, _ in box)
-
-
-def box_max_corner(box: Box) -> Point:
-    return tuple(hi for _, hi in box)
 
 
 def box_corners(box: Box) -> list[Point]:
@@ -63,10 +41,6 @@ def box_diameter_sq(box: Box) -> Fraction:
 
 def point_in_box(p: Point, box: Box) -> bool:
     return all(lo <= c <= hi for c, (lo, hi) in zip(p, box))
-
-
-def point_in_box_interior(p: Point, box: Box) -> bool:
-    return all(lo < c < hi for c, (lo, hi) in zip(p, box))
 
 
 def boxes_disjoint(a: Box, b: Box) -> bool:
@@ -199,7 +173,7 @@ def polyline_segments(vertices: Sequence[Point]) -> list[tuple[Point, Point]]:
 
 def polylines_disjoint(v1: Sequence[Point], v2: Sequence[Point]) -> bool:
     """No shared point at all between the two polylines."""
-    if boxes_disjoint(_points_bbox(v1), _points_bbox(v2)):
+    if boxes_disjoint(points_bbox(v1), points_bbox(v2)):
         return True
     for a, b in polyline_segments(v1):
         bb1 = _segment_bbox(a, b)
@@ -211,7 +185,7 @@ def polylines_disjoint(v1: Sequence[Point], v2: Sequence[Point]) -> bool:
     return True
 
 
-def _points_bbox(pts: Sequence[Point]) -> Box:
+def points_bbox(pts: Sequence[Point]) -> Box:
     return tuple((min(p[i] for p in pts), max(p[i] for p in pts))
                  for i in range(len(pts[0])))
 
@@ -219,26 +193,17 @@ def _points_bbox(pts: Sequence[Point]) -> Box:
 def polyline_is_simple(vertices: Sequence[Point]) -> bool:
     """Non-self-intersecting: consecutive segments meet only at the shared
     vertex, all other segment pairs are disjoint, no zero-length segments."""
-    segs = polyline_segments(vertices)
-    for a, b in segs:
-        if a == b:
-            return False
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            kind, data = segment_intersection(*segs[i], *segs[j])
-            if j == i + 1:
-                if kind != "point" or data != vertices[j]:
-                    return False
-            elif kind != "empty":
-                return False
-    return True
+    if any(a == b for a, b in zip(vertices, vertices[1:])):
+        return False
+    return chain_self_intersection(vertices) is None
 
 
 def chain_self_intersection(vertices: Sequence[Point]) -> Optional[tuple[int, int]]:
-    """First offending segment-index pair in a long vertex chain, or None.
+    """First offending segment-index pair of a vertex chain, or None.
 
-    Same rule as polyline_is_simple but with bounding-box pruning so chains of
-    several hundred segments stay fast.
+    Consecutive segments may share only their common vertex, all others
+    nothing; bounding-box pruning keeps chains of several hundred segments
+    fast.  A zero-length segment raises ValueError.
     """
     segs = polyline_segments(vertices)
     boxes = [_segment_bbox(a, b) for a, b in segs]

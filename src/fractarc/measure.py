@@ -15,9 +15,9 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .cantor import RatioCantorSet, _log_fraction
+from .cantor import RatioCantorSet
 
 #: Exponents certified by default; the bounds hold for every exponent in
 #: (0, 1) but a certificate fixes finitely many.
@@ -226,21 +226,3 @@ def verify_radius_generation_chain(measure: NaturalMeasure,
         if k >= 1 and 2 ** (k - 1) * r > 1:
             return False
     return True
-
-
-def sample_mass_inputs(measure: NaturalMeasure, count: int, rng,
-                       resolution: Optional[int] = None) -> list[tuple[Fraction, Fraction]]:
-    """Sampling policy: centers are built generation endpoints (provably in
-    the set), radii log-uniform in [L_{resolution-1}, 1)."""
-    resolution = measure.depth if resolution is None else resolution
-    base = measure.base
-    base.build(resolution)
-    log_lo = _log_fraction(base.generation_length(max(resolution - 1, 0)))
-    samples = []
-    for _ in range(count):
-        g = rng.randrange(0, resolution + 1)
-        eps = base.endpoints(g)
-        x = eps[rng.randrange(len(eps))]
-        r = Fraction(min(math.exp(rng.uniform(log_lo, 0.0)), 1.0 - 1e-12))
-        samples.append((x, r))
-    return samples

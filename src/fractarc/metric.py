@@ -50,10 +50,6 @@ class SnowflakeMetric:
         return np.linspace(0.0, 1.0, 2 ** resolution).reshape(-1, 1)
 
 
-def snowflake_distance(exponent: float, x, y) -> float:
-    return SnowflakeMetric(exponent).distance(x, y)
-
-
 @dataclass(frozen=True)
 class EuclideanMetric:
     """Plain Euclidean metric on points in R^m."""
@@ -126,12 +122,3 @@ class RugSpace:
         reps = np.repeat(first, second.shape[0], axis=0)
         tile = np.tile(second, first.shape[0]).reshape(-1, 1)
         return np.hstack([reps, tile])
-
-
-def rug_distance(space: RugSpace, p, q) -> float:
-    return space.distance(p, q)
-
-
-def sample_rug(space: RugSpace, resolution: int,
-               budget: int = DEFAULT_SAMPLE_BUDGET) -> np.ndarray:
-    return space.sample(resolution, budget)

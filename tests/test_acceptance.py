@@ -13,16 +13,17 @@ from fractions import Fraction as F
 import pytest
 
 from fractarc.arc import (build_arc, continuity_violations,
-                          modulus_of_continuity, sample_addresses,
-                          verify_containment, verify_injectivity)
+                          modulus_of_continuity, param_intervals,
+                          sample_addresses, verify_containment,
+                          verify_injectivity)
 from fractarc.cantor import (ProductCantor, RatioCantorSet, RatioSequence,
-                             SelfSimilarCantor, sample_perfectness_inputs,
+                             SelfSimilarCantor, sample_ball_inputs,
                              uniform_perfectness_constant,
                              verify_uniform_perfectness)
 from fractarc.cli import RunConfig, arc_estimate, main, run_estimate
 from fractarc.dimension import estimate_dimension
 from fractarc.measure import (NaturalMeasure, mass_bound_sequence,
-                              sample_mass_inputs, verify_mass_bounds)
+                              verify_mass_bounds)
 from fractarc.metric import VON_KOCH_EXPONENT
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
@@ -72,8 +73,7 @@ def test_criterion_2_uniform_perfectness():
         cantor = RatioCantorSet(RatioSequence.dyadic())
         constant = uniform_perfectness_constant(cantor)
         ok = constant == F(2) / (1 - F(1, 2))
-        samples = sample_perfectness_inputs(cantor, 1000, depth=16,
-                                            rng=random.Random(2024))
+        samples = sample_ball_inputs(cantor, 1000, depth=16, rng=random.Random(2024))
         rep = verify_uniform_perfectness(cantor, samples, depth=16)
         ok = ok and rep.conclusive
         for res in rep.results:
@@ -86,7 +86,7 @@ def test_criterion_3_mass_bounds():
     with _Timer() as t:
         cantor = RatioCantorSet(RatioSequence.dyadic())
         measure = NaturalMeasure(cantor, depth=16)
-        samples = sample_mass_inputs(measure, 1000, random.Random(7), resolution=16)
+        samples = sample_ball_inputs(cantor, 1000, 16, random.Random(7))
         ok = True
         for eps in (0.5, 0.25, 0.1):
             cert = verify_mass_bounds(measure, eps, samples, resolution=16)
@@ -102,14 +102,15 @@ def test_criterion_4_counting_invariants(figure_arc):
         arc = figure_arc
         ok = True
         for k in range(1, 5):
-            ok = ok and len(arc.cells_by_generation[k]) == 2 ** (2 * k)
+            ok = ok and len(arc.generation_cells(k)) == 2 ** (2 * k)
             ok = ok and len(arc.cumulative_connectors(k)) == 2 ** (2 * k) - 1
-        for iv in arc.intervals:
-            if iv.children:
-                ok = ok and len(iv.children) == 7
+        rows = list(param_intervals(arc.depth, arc.ambient_dimension))
+        for iv in rows:
+            if iv["children"]:
+                ok = ok and len(iv["children"]) == 7
                 ok = ok and all(
-                    kid.status == ("neglected" if kid.index % 2 == 0 else "used")
-                    for kid in iv.children)
+                    rows[i]["status"] == ("neglected" if rows[i]["index"] % 2 == 0 else "used")
+                    for i in iv["children"])
     report(4, "counting-invariants", ok, t.elapsed, 5.0)
 
 

@@ -3,18 +3,18 @@
 import math
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
 from fractarc.cantor import (Address, GenerationBudgetError, ProductCantor,
                              RatioCantorSet, RatioSequence, SelfSimilarCantor,
                              product_for_dimension)
-from fractarc.arc import (ArcApproximation, Connector, ParamInterval,
-                          RoutingFailed, build_arc, build_first_generation,
-                          continuity_violations, modulus_of_continuity,
+from fractarc.arc import (ArcApproximation, Connector, RoutingFailed,
+                          build_arc, continuity_violations,
+                          modulus_of_continuity, param_intervals,
                           route_connectors, sample_addresses,
-                          subdivide_param_interval, verify_containment,
-                          verify_injectivity, _gap_box)
+                          verify_containment, verify_injectivity, _gap_box)
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
@@ -25,6 +25,21 @@ def planar_sets():
     return base, product
 
 
+def first_generation(base, product):
+    return build_arc(base, product, 1).generation_cells(1)
+
+
+def rows_of(depth, ambient_dimension):
+    """The derived parameter rows, with lo and hi as Fractions."""
+    return [SimpleNamespace(**{**row, "lo": F(row["lo"]), "hi": F(row["hi"])})
+            for row in param_intervals(depth, ambient_dimension)]
+
+
+def tree(arc):
+    """The arc's parameter tree as a dict from row id to row."""
+    return {row.id: row for row in rows_of(arc.depth, arc.ambient_dimension)}
+
+
 @pytest.fixture(scope="module")
 def figure_arc():
     base, product = planar_sets()
@@ -33,9 +48,9 @@ def figure_arc():
 
 class TestFirstGeneration:
     def test_four_cells_in_distance_order(self):
-        cx = build_first_generation(*planar_sets())
-        assert cx.generation == 1 and len(cx.cells) == 4
-        boxes = [cell.box for cell in cx.cells]
+        cells = first_generation(*planar_sets())
+        assert [cell.generation for cell in cells] == [1] * 4
+        boxes = [cell.box for cell in cells]
         assert boxes == [
             ((F(0), F(1, 4)), (F(0), F(1, 3))),
             ((F(0), F(1, 4)), (F(2, 3), F(1))),
@@ -46,41 +61,42 @@ class TestFirstGeneration:
     def test_cell_count_scales_with_axes(self):
         base = RatioCantorSet(RatioSequence.dyadic())
         product = ProductCantor(SelfSimilarCantor(F(1, 4)), 2)
-        cx = build_first_generation(base, product)
-        assert len(cx.cells) == 8  # 2^(n+1) with n = 2
+        assert len(first_generation(base, product)) == 8  # 2^(n+1) with n = 2
 
     def test_first_cell_touches_origin(self):
-        cx = build_first_generation(*planar_sets())
-        assert cx.cells[0].near_corner == (F(0), F(0))
-        assert cx.cells[0].distance_sq == 0
+        cells = first_generation(*planar_sets())
+        assert cells[0].near_corner == (F(0), F(0))
+        assert cells[0].distance_sq == 0
 
 
 class TestParamSubdivision:
     def test_planar_subdivision_counts(self):
-        root = ParamInterval(0, 0, 0, F(0), F(1), "neglected", 0)
-        kids = subdivide_param_interval(root, copies=1)
+        root, *kids = rows_of(1, 2)
+        assert root.children == [kid.id for kid in kids]
         assert len(kids) == 7
-        assert all(kid.length == F(1, 7) for kid in kids)
+        assert all(kid.hi - kid.lo == F(1, 7) for kid in kids)
         statuses = [kid.status for kid in kids]
         assert statuses == ["neglected", "used", "neglected", "used",
                             "neglected", "used", "neglected"]
 
     def test_two_axis_subdivision(self):
-        root = ParamInterval(0, 0, 0, F(0), F(1), "neglected", 0)
-        kids = subdivide_param_interval(root, copies=2)
-        assert len(kids) == 15
+        root, *kids = rows_of(1, 3)
+        assert len(kids) == len(root.children) == 15
         assert sum(1 for kid in kids if kid.status == "neglected") == 8
 
     def test_used_interval_does_not_subdivide(self):
-        used = ParamInterval(0, 1, 1, F(0), F(1, 7), "used", 0)
-        with pytest.raises(ValueError):
-            subdivide_param_interval(used, copies=1)
+        rows = rows_of(3, 2)
+        assert all(row.children == [] for row in rows if row.status == "used")
+        assert all(len(row.children) == 7 for row in rows
+                   if row.status == "neglected" and row.depth < 3)
 
     def test_children_tile_parent(self):
-        root = ParamInterval(0, 0, 0, F(1, 3), F(2, 3), "neglected", 0)
-        kids = subdivide_param_interval(root, copies=1)
-        assert kids[0].lo == root.lo and kids[-1].hi == root.hi
-        assert all(a.hi == b.lo for a, b in zip(kids, kids[1:]))
+        rows = {row.id: row for row in rows_of(3, 2)}
+        for row in rows.values():
+            kids = [rows[i] for i in row.children]
+            if kids:
+                assert kids[0].lo == row.lo and kids[-1].hi == row.hi
+                assert all(a.hi == b.lo for a, b in zip(kids, kids[1:]))
 
 
 class TestRouting:
@@ -88,12 +104,11 @@ class TestRouting:
         assert len(figure_arc.connectors_at(1)) == 3
 
     def test_single_cell_needs_no_connector(self):
-        cx = build_first_generation(*planar_sets())
         base, product = planar_sets()
         arc = ArcApproximation(base, product)
         arc.build_to(1)
         gap = _gap_box(arc.cells[0].box, arc._child_lengths(1))
-        assert route_connectors(list(cx.cells)[:1], arc.cells[0].box, gap) == []
+        assert route_connectors(arc.generation_cells(1)[:1], arc.cells[0].box, gap) == []
 
     def test_figure_connector_geometry(self, figure_arc):
         first = figure_arc.connectors_at(1)
@@ -118,30 +133,36 @@ class TestRouting:
 
 class TestCountingInvariants:
     def test_cells_connectors_per_depth(self, figure_arc):
+        rows = tree(figure_arc).values()
         for k in range(1, 5):
-            assert len(figure_arc.cells_by_generation[k]) == 4 ** k
+            assert len(figure_arc.generation_cells(k)) == 4 ** k
             assert len(figure_arc.cumulative_connectors(k)) == 4 ** k - 1
-            assert len(figure_arc.used_intervals(k)) == 4 ** (k - 1) * 3
+            used = [row for row in rows if row.depth == k and row.status == "used"]
+            assert len(used) == len(figure_arc.connectors_at(k)) == 4 ** (k - 1) * 3
 
     def test_param_partition_tiles_unit_interval(self, figure_arc):
+        rows = tree(figure_arc).values()
         for depth in range(1, 5):
-            used = figure_arc.used_intervals(depth)
-            neglected = figure_arc.neglected_intervals(depth)
+            used = [row for row in rows if row.depth == depth and row.status == "used"]
+            neglected = [row for row in rows
+                         if row.depth == depth and row.status == "neglected"]
             # total neglected length shrinks by 4/7 per depth
-            assert sum((iv.length for iv in neglected), F(0)) == F(4, 7) ** depth
-            covered = sum((iv.length for iv in used), F(0))
+            assert sum((iv.hi - iv.lo for iv in neglected), F(0)) == F(4, 7) ** depth
+            covered = sum((iv.hi - iv.lo for iv in used), F(0))
             assert covered == F(4, 7) ** (depth - 1) - F(4, 7) ** depth
 
     def test_order_coherence(self, figure_arc):
         # neglected children in parameter order match cells in distance order
-        for iv in figure_arc.intervals:
-            kids = [kid for kid in iv.children if kid.status == "neglected"]
+        rows = tree(figure_arc)
+        for iv in rows.values():
+            kids = [rows[i] for i in iv.children if rows[i].status == "neglected"]
             ranks = [figure_arc.cells[kid.link].rank for kid in kids]
             assert ranks == sorted(ranks)
 
     def test_refinement_consistency(self, figure_arc):
-        for iv in figure_arc.intervals:
-            for kid in iv.children:
+        rows = tree(figure_arc)
+        for iv in rows.values():
+            for kid in (rows[i] for i in iv.children):
                 assert iv.lo <= kid.lo and kid.hi <= iv.hi
         for cell in figure_arc.cells[1:]:
             parent = figure_arc.cells[cell.parent_id]
@@ -158,7 +179,7 @@ class TestCountingInvariants:
 
 class TestEvaluate:
     def test_midpoint_of_first_used_interval(self, figure_arc):
-        iv = figure_arc.used_intervals(1)[0]
+        iv = next(row for row in rows_of(1, 2) if row.status == "used")
         point, err = figure_arc.evaluate(float((iv.lo + iv.hi) / 2), 1)
         assert err == 0.0
         # straight connector: constant speed hits the segment midpoint
@@ -208,8 +229,7 @@ class TestInjectivity:
         crossing = [victim.source, detour_through_other, victim.target]
         arc.connectors[victim.id] = Connector(
             victim.id, victim.depth, crossing, victim.parent_cell,
-            victim.source_cell, victim.target_cell, victim.interval_id,
-            victim.param_length)
+            victim.source_cell, victim.target_cell, victim.param_length)
         report = verify_injectivity(arc, 2)
         assert not report.passed
         offenders = {victim.id, other.id}
@@ -281,8 +301,10 @@ class TestGeometryExactness:
         for conn in figure_arc.connectors:
             for vertex in conn.vertices:
                 assert all(type(c) is Fraction for c in vertex)
-        for iv in figure_arc.intervals:
-            assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
+        for row in param_intervals(figure_arc.depth, figure_arc.ambient_dimension):
+            for text in (row["lo"], row["hi"]):
+                x = Fraction(text)
+                assert f"{x.numerator}/{x.denominator}" == text
 
 
 class TestOtherConfigurations:

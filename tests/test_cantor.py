@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fractarc.cantor import (Address, GenerationBudgetError, ProductCantor,
                              RatioCantorSet, RatioSequence, SelfSimilarCantor,
-                             product_for_dimension, sample_perfectness_inputs,
+                             product_for_dimension, sample_ball_inputs,
                              scaling_for_dimension, uniform_perfectness_constant,
                              verify_uniform_perfectness)
 
@@ -267,7 +267,7 @@ class TestUniformPerfectness:
     def test_sampled_batch_is_conclusive(self):
         import random
         s = dyadic_set()
-        samples = sample_perfectness_inputs(s, 200, depth=10, rng=random.Random(7))
+        samples = sample_ball_inputs(s, 200, depth=10, rng=random.Random(7))
         report = verify_uniform_perfectness(s, samples, depth=10)
         assert report.conclusive
         for res in report.results:

@@ -140,3 +140,32 @@ class TestPolylines:
         chain = [P(0, 0), P(2, 0), P(2, 2), P(1, -1)]
         assert chain_self_intersection(chain) == (0, 2)
         assert chain_self_intersection([P(0, 0), P(1, 0), P(1, 1), P(0, 1)]) is None
+
+
+def nested_loop_is_simple(vertices):
+    """The unpruned all-pairs scan polyline_is_simple used to run: the oracle."""
+    segs = list(zip(vertices, vertices[1:]))
+    for a, b in segs:
+        if a == b:
+            return False
+    for i in range(len(segs)):
+        for j in range(i + 1, len(segs)):
+            kind, data = segment_intersection(*segs[i], *segs[j])
+            if j == i + 1:
+                if kind != "point" or data != vertices[j]:
+                    return False
+            elif kind != "empty":
+                return False
+    return True
+
+
+def polylines(dim):
+    coord = st.integers(-3, 3).map(F) | st.fractions(-3, 3, max_denominator=4)
+    return st.lists(st.tuples(*[coord] * dim), min_size=2, max_size=7)
+
+
+class TestSimplicityOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(polylines(2), polylines(3)))
+    def test_matches_nested_loop(self, vertices):
+        assert polyline_is_simple(vertices) == nested_loop_is_simple(vertices)

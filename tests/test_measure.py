@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractarc.cantor import RatioCantorSet, RatioSequence
+from fractarc.cantor import RatioCantorSet, RatioSequence, sample_ball_inputs
 from fractarc.measure import (DEFAULT_EXPONENT_GRID, NaturalMeasure,
-                              mass_bound_sequence, sample_mass_inputs,
-                              verify_mass_bounds,
+                              mass_bound_sequence, verify_mass_bounds,
                               verify_radius_generation_chain)
 
 
@@ -125,7 +124,7 @@ class TestMassBoundCertificate:
 
     def test_sampled_certificates_hold(self, measure):
         rng = random.Random(11)
-        samples = sample_mass_inputs(measure, 300, rng)
+        samples = sample_ball_inputs(measure.base, 300, measure.depth, rng)
         for eps in DEFAULT_EXPONENT_GRID:
             cert = verify_mass_bounds(measure, eps, samples, resolution=12)
             assert cert.valid, (cert.violations, cert.inconclusive)
@@ -135,11 +134,11 @@ class TestMassBoundCertificate:
 
     def test_radius_generation_chain(self, measure):
         rng = random.Random(13)
-        samples = sample_mass_inputs(measure, 200, rng)
+        samples = sample_ball_inputs(measure.base, 200, measure.depth, rng)
         assert verify_radius_generation_chain(measure, samples)
 
     def test_harmonic_family_also_certifies(self):
         m = NaturalMeasure(RatioCantorSet(RatioSequence.harmonic()), depth=10)
-        samples = sample_mass_inputs(m, 100, random.Random(3))
+        samples = sample_ball_inputs(m.base, 100, m.depth, random.Random(3))
         cert = verify_mass_bounds(m, 0.25, samples, resolution=10)
         assert cert.valid

@@ -10,22 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractarc.metric import (VON_KOCH_EXPONENT, EuclideanMetric, RugSpace,
-                             SnowflakeMetric, rug_distance, sample_rug,
-                             snowflake_distance)
+                             SnowflakeMetric)
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
 
 class TestSnowflake:
     def test_identity_exponent(self):
-        assert snowflake_distance(1.0, 0.0, 1.0) == 1.0
+        assert SnowflakeMetric(1.0).distance(0.0, 1.0) == 1.0
 
     def test_von_koch_value(self):
         # (1/4)^(ln3/ln4) = 1/3
-        assert snowflake_distance(VON_KOCH_EXPONENT, 0.0, 0.25) == pytest.approx(1 / 3)
+        assert SnowflakeMetric(VON_KOCH_EXPONENT).distance(0.0, 0.25) == pytest.approx(1 / 3)
 
     def test_square_root_case(self):
-        assert snowflake_distance(0.5, 0.0, 0.25) == pytest.approx(0.5)
+        assert SnowflakeMetric(0.5).distance(0.0, 0.25) == pytest.approx(0.5)
 
     def test_rejects_bad_exponent(self):
         for bad in (0.0, -0.5, 1.5):
@@ -53,15 +52,15 @@ class TestSnowflake:
 class TestRug:
     def test_zero_distance(self):
         space = RugSpace(SnowflakeMetric(0.5))
-        assert rug_distance(space, (0.3, 0.4), (0.3, 0.4)) == 0.0
+        assert space.distance((0.3, 0.4), (0.3, 0.4)) == 0.0
 
     def test_corner_to_corner(self):
         space = RugSpace(SnowflakeMetric(0.5))
-        assert rug_distance(space, (0.0, 0.0), (1.0, 1.0)) == 1.0
+        assert space.distance((0.0, 0.0), (1.0, 1.0)) == 1.0
 
     def test_von_koch_mixed_point(self):
         space = RugSpace(SnowflakeMetric(VON_KOCH_EXPONENT))
-        assert rug_distance(space, (0.0, 0.0), (0.25, 1 / 3)) == pytest.approx(1 / 3)
+        assert space.distance((0.0, 0.0), (0.25, 1 / 3)) == pytest.approx(1 / 3)
 
     def test_projections_are_bounded_by_rug_distance(self):
         space = RugSpace(SnowflakeMetric(0.6))
@@ -69,7 +68,7 @@ class TestRug:
         for _ in range(100):
             p = (rng.random(), rng.random())
             q = (rng.random(), rng.random())
-            d = rug_distance(space, p, q)
+            d = space.distance(p, q)
             assert space.first.distance(p[0], q[0]) <= d + 1e-15
             assert abs(p[1] - q[1]) <= d + 1e-15
 
@@ -82,21 +81,21 @@ class TestRug:
 
 class TestSampling:
     def test_resolution_one_is_corner_grid(self):
-        pts = sample_rug(RugSpace(SnowflakeMetric(0.5)), 1)
+        pts = RugSpace(SnowflakeMetric(0.5)).sample(1)
         assert sorted(map(tuple, pts.tolist())) == [
             (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
 
     def test_sample_counts(self):
-        pts = sample_rug(RugSpace(SnowflakeMetric(0.5)), 4)
+        pts = RugSpace(SnowflakeMetric(0.5)).sample(4)
         assert pts.shape == (16 * 16, 2)
 
     def test_budget(self):
         with pytest.raises(ValueError):
-            sample_rug(RugSpace(SnowflakeMetric(0.5)), 14)
+            RugSpace(SnowflakeMetric(0.5)).sample(14)
 
     def test_distance_multiset_symmetric_under_endpoint_swap(self):
         space = RugSpace(SnowflakeMetric(0.5))
-        pts = sample_rug(space, 2)
+        pts = space.sample(2)
         flipped = pts.copy()
         flipped[:, 1] = 1.0 - flipped[:, 1]
 
@@ -109,7 +108,7 @@ class TestSampling:
 
     def test_within_mask_matches_distance(self):
         space = RugSpace(SnowflakeMetric(VON_KOCH_EXPONENT))
-        pts = sample_rug(space, 3)
+        pts = space.sample(3)
         center = pts[17]
         mask = space.within(pts, center, 0.3)
         for point, hit in zip(pts, mask):
