@@ -100,18 +100,6 @@ class Cell:
         return box_corners(self.box)
 
 
-def cell_fields(depth: int, ambient_dimension: int) -> Iterator[dict]:
-    """Schema-v1 index fields of every cell of a depth-``depth`` arc, in id
-    order (see the module docstring)."""
-    q = 2 ** ambient_dimension
-    yield {"id": 0, "generation": 0, "rank": 1, "parent": None}
-    n = 1
-    for k in range(1, depth + 1):
-        for _ in range(q ** k):
-            yield {"id": n, "generation": k, "rank": (n - 1) % q + 1, "parent": (n - 1) // q}
-            n += 1
-
-
 def connector_fields(depth: int, ambient_dimension: int) -> Iterator[dict]:
     """Schema-v1 index fields of every connector of a depth-``depth`` arc, in
     id order: connector j of cell c joins its sub-cells of ranks j+1 and j+2
@@ -218,18 +206,6 @@ class Connector:
         s = 0.0 if seg == 0.0 else (target - cum[i]) / seg
         a, b = self.vertices[i], self.vertices[i + 1]
         return tuple(float(x) + s * (float(y) - float(x)) for x, y in zip(a, b))
-
-
-def _subdivide_cell_boxes(parent_box: Box, child_lengths: Sequence[Fraction]
-                          ) -> dict[tuple[int, ...], Box]:
-    """All 2^m outer-children boxes of a cell, keyed by branch vector."""
-    out = {}
-    for bits in iter_product((0, 1), repeat=len(parent_box)):
-        axes = []
-        for bit, (lo, hi), h in zip(bits, parent_box, child_lengths):
-            axes.append((lo, lo + h) if bit == 0 else (hi - h, hi))
-        out[bits] = tuple(axes)
-    return out
 
 
 def _gap_box(parent_box: Box, child_lengths: Sequence[Fraction]) -> Box:
@@ -346,34 +322,56 @@ class ArcApproximation:
         factor = self.product.factor.generation_length(k)
         return [base] + [factor] * self.copies
 
-    def build_to(self, depth: int) -> "ArcApproximation":
-        # fail fast on the target depth before spending work on shallower ones
-        if 2 ** (depth * self.ambient_dimension) > self.cell_budget:
+    def grow_cells(self, depth: int) -> "ArcApproximation":
+        """Cells of every generation up to ``depth``, without connectors.
+
+        A generation-k cell is the product of the axes' generation-k Cantor
+        intervals at its address, so each axis's intervals are read once per
+        generation.
+        """
+        # fail fast on the target depth before spending work on shallower
+        # ones; 2^e > budget exactly when e reaches the budget's bit length
+        if depth * self.ambient_dimension >= self.cell_budget.bit_length():
             raise GenerationBudgetError(
-                f"depth {depth} needs {2 ** (depth * self.ambient_dimension)} cells, "
+                f"depth {depth} needs 2^{depth * self.ambient_dimension} cells, "
                 f"over the budget {self.cell_budget}")
-        while self.depth < depth:
-            self._build_next()
+        for k in range(self.depth + 1, depth + 1):
+            base, factor = ([(iv.lower, iv.upper) for iv in s.generation_intervals(k)]
+                            for s in (self.base_set, self.product.factor))
+            intervals = [base] + [factor] * self.copies
+            for parent in self.generation_cells(k - 1):
+                self._make_sub_cells(parent, intervals)
+            self.depth = k
         return self
 
-    def _build_next(self) -> None:
-        k = self.depth + 1
-        lengths = self._child_lengths(k)
-        param_length = self.param_interval_length(k)
-        for parent in self.generation_cells(self.depth):
-            sub_cells = self._make_sub_cells(parent, lengths)
-            gap = _gap_box(parent.box, lengths)
-            paths = route_connectors(sub_cells, parent.box, gap)
-            for s, path in enumerate(paths):
-                self.connectors.append(Connector(
-                    len(self.connectors), k, path, parent.id, sub_cells[s].id,
-                    sub_cells[s + 1].id, param_length))
-        self.depth = k
+    def route(self) -> "ArcApproximation":
+        """Connectors of every grown generation not routed yet, in id order."""
+        for k in range(1, self.depth + 1):
+            if len(self.connectors) >= self.branching ** k - 1:
+                continue  # routed already
+            lengths = self._child_lengths(k)
+            param_length = self.param_interval_length(k)
+            for parent in self.generation_cells(k - 1):
+                sub_cells = self.sub_cells(parent.id)
+                gap = _gap_box(parent.box, lengths)
+                paths = route_connectors(sub_cells, parent.box, gap)
+                for s, path in enumerate(paths):
+                    self.connectors.append(Connector(
+                        len(self.connectors), k, path, parent.id, sub_cells[s].id,
+                        sub_cells[s + 1].id, param_length))
+        return self
 
-    def _make_sub_cells(self, parent: Cell, lengths: Sequence[Fraction]) -> list[Cell]:
-        boxes = _subdivide_cell_boxes(parent.box, lengths)
+    def build_to(self, depth: int) -> "ArcApproximation":
+        return self.grow_cells(depth).route()
+
+    def _make_sub_cells(self, parent: Cell, intervals: Sequence[Sequence[tuple]]) -> None:
+        """Append the sub-cells of ``parent`` in rank order; ``intervals``
+        holds each axis's generation intervals as (lo, hi) pairs, indexed by
+        branch word."""
+        first = [2 * int(w, 2) if w else 0 for w in parent.address]
         keyed = []
-        for bits, box in boxes.items():
+        for bits in iter_product((0, 1), repeat=len(first)):
+            box = tuple(axis[i + b] for axis, i, b in zip(intervals, first, bits))
             near = tuple(lo for lo, _ in box)
             keyed.append((norm_sq(near), near, bits, box))
         keyed.sort(key=lambda item: (item[0], item[1]))
@@ -388,7 +386,6 @@ class ArcApproximation:
         # structural invariants of the distance order
         assert cells[0].near_corner == parent.near_corner
         assert cells[-1].far_corner == parent.far_corner
-        return cells
 
     # -- queries ------------------------------------------------------------
 

@@ -126,9 +126,6 @@ class CantorInterval:
     def midpoint(self) -> Fraction:
         return (self.lower + self.upper) / 2
 
-    def contains(self, x) -> bool:
-        return self.lower <= x <= self.upper
-
 
 class _BinaryCantorBase:
     """Shared engine: at each generation every interval [a, b] is replaced by
@@ -385,12 +382,6 @@ class ProductCantor:
 
     def cell_count(self, k: int) -> int:
         return 2 ** (k * self.copies)
-
-    def cell_box(self, address: Address):
-        """Axis intervals of the cell named by a per-axis address."""
-        if address.axes != self.copies:
-            raise ValueError(f"address has {address.axes} words, product has {self.copies}")
-        return tuple(self.factor.interval_at(w) for w in address.words)
 
     def min_corners(self, k: int, limit: int = 2 ** 22) -> list[tuple[Fraction, ...]]:
         """Lower-left corners of every generation-k cell (the cells' provable

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import arc as arc_mod
 from . import dimension as dim_mod
@@ -216,8 +216,21 @@ def _point_json(point) -> list[str]:
     return [encode_rational(Fraction(c)) for c in point]
 
 
-def _box_json(box) -> list[list[str]]:
-    return [[encode_rational(lo), encode_rational(hi)] for lo, hi in box]
+def _arc_header(arc) -> dict:
+    """Schema-v1 fields of an arc model that follow from its config, besides
+    the rows."""
+    return {"kind": "arc", "ambient_dimension": arc.ambient_dimension, "depth": arc.depth,
+            "factor": {"ratio": encode_rational(arc.product.factor.ratio),
+                       "copies": arc.product.copies}}
+
+
+def _cell_rows(arc) -> Iterator[dict]:
+    """Schema-v1 rows of every cell of ``arc``, in id order: the index fields,
+    the branch address and the box."""
+    for cell in arc.cells:
+        yield {"id": cell.id, "generation": cell.generation, "rank": cell.rank,
+               "parent": cell.parent_id, "address": list(cell.address),
+               "box": [[encode_rational(lo), encode_rational(hi)] for lo, hi in cell.box]}
 
 
 def model_to_dict(model, config: RunConfig) -> dict:
@@ -231,18 +244,9 @@ def model_to_dict(model, config: RunConfig) -> dict:
     depth, axes = arc.depth, arc.ambient_dimension
     return {
         "schema_version": SCHEMA_VERSION,
-        "kind": "arc",
         "config": config.as_dict(),
-        "ambient_dimension": arc.ambient_dimension,
-        "depth": arc.depth,
-        "factor": {
-            "ratio": encode_rational(arc.product.factor.ratio),
-            "copies": arc.product.copies,
-        },
-        "cells": [
-            {**fields, "address": list(cell.address), "box": _box_json(cell.box)}
-            for fields, cell in zip(arc_mod.cell_fields(depth, axes), arc.cells)
-        ],
+        **_arc_header(arc),
+        "cells": list(_cell_rows(arc)),
         "connectors": [
             {**fields, "vertices": [_point_json(v) for v in conn.vertices]}
             for fields, conn in zip(arc_mod.connector_fields(depth, axes), arc.connectors)
@@ -277,8 +281,8 @@ _MISSING = object()
 
 
 def _checked_rows(data: dict, section: str, expected):
-    """(index, file row, derived fields) of one section, each file row
-    checked against its derived index fields."""
+    """(index, file row, derived row) of one section, each file row checked
+    against its derived row."""
     if not isinstance(data[section], list):
         raise ConfigError(f"{section} must be a list")
     for n, (item, want) in enumerate(zip_longest(data[section], expected, fillvalue=_MISSING)):
@@ -297,79 +301,40 @@ def _rationals(where: str, items, count: int) -> tuple[Fraction, ...]:
     return tuple(decode_rational(c) for c in items)
 
 
-def _check_address(where: str, address, parent: Optional[arc_mod.Cell], axes: int) -> None:
-    """Each word extends the parent's word by one branch bit."""
-    if not (isinstance(address, list) and len(address) == axes
-            and all(isinstance(w, str) for w in address)):
-        raise ConfigError(f"{where}.address must list {axes} branch words")
-    if parent is None:
-        extends = not any(address)
-    else:
-        extends = all(w[:-1] == u and w[-1:] in ("0", "1")
-                      for w, u in zip(address, parent.address))
-    if not extends:
-        raise ConfigError(f"{where}.address {address!r} does not extend its parent's")
-
-
-def model_from_dict(data: dict, config: Optional[RunConfig] = None):
+def model_from_dict(data: dict):
     """Model from its JSON form.
 
-    Only the config, the cell boxes and addresses and the connector vertices
-    are read.  Every id and link and the whole parameter tree follow from the
-    depth and the ambient dimension, so they are compared with that derived
-    skeleton row by row, never trusted: the first mismatch raises ConfigError
-    naming the field.
+    Only the config and the connector vertices are read.  The kind, the
+    header, every cell and every id and link follow from the config, so they
+    are derived and compared with the file row by row, never trusted: the
+    first mismatch raises ConfigError naming the field.
     """
     if not isinstance(data, dict):
         raise ConfigError("a model must be a JSON object")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version {data.get('schema_version')!r}")
-    if config is None:
-        scales = data["config"]["scales"]
-        config = RunConfig(**{
-            "target_dimension": data["config"]["target_dimension"],
-            "ratio_family": data["config"]["ratio_family"],
-            "ratio_params": {k: decode_rational(v)
-                             for k, v in data["config"]["ratio_params"].items()},
-            "depth": data["config"]["depth"],
-            "seed": data["config"]["seed"],
-            "scales": tuple(scales) if scales else None,
-            "samples": data["config"]["samples"],
-        })
-    if data["kind"] == "unit_interval":
+    scales = data["config"]["scales"]
+    config = RunConfig(**{
+        "target_dimension": data["config"]["target_dimension"],
+        "ratio_family": data["config"]["ratio_family"],
+        "ratio_params": {k: decode_rational(v)
+                         for k, v in data["config"]["ratio_params"].items()},
+        "depth": data["config"]["depth"],
+        "seed": data["config"]["seed"],
+        "scales": tuple(scales) if scales else None,
+        "samples": data["config"]["samples"],
+    })
+    if config.target_dimension == 1.0:
+        _check_fields("model", data, kind="unit_interval")
         return UnitIntervalModel(), config
-    if data["kind"] != "arc":
-        raise ConfigError(f"unknown model kind {data['kind']!r}")
-
-    copies, depth = data["factor"]["copies"], data["depth"]
-    # the 2^(depth*(copies+1)) deepest cells must fit in the file: checked
-    # before any power is taken, so a huge value cannot stall the loader
-    if not (isinstance(copies, int) and isinstance(depth, int) and copies >= 1
-            and 1 <= depth and depth * (copies + 1) < len(data["cells"]).bit_length()):
-        raise ConfigError(f"depth {depth!r} and factor.copies {copies!r} do not fit "
-                          f"the {len(data['cells'])} cells")
-    base = RatioCantorSet(config.ratio_sequence())
-    factor = SelfSimilarCantor(decode_rational(data["factor"]["ratio"]))
-    arc = arc_mod.ArcApproximation(base, ProductCantor(factor, copies))
-    axes = arc.ambient_dimension
-    _check_fields("model", data, ambient_dimension=axes)
-
-    arc.cells, arc._cell_index = [], {}
-    for n, item, want in _checked_rows(data, "cells", arc_mod.cell_fields(depth, axes)):
-        where = f"cells[{n}]"
-        parent = arc.cells[want["parent"]] if n else None
-        _check_address(where, item["address"], parent, axes)
-        address = tuple(item["address"])
-        if address in arc._cell_index:
-            raise ConfigError(f"{where}.address repeats cells[{arc._cell_index[address]}]")
-        box = item["box"]
-        if not isinstance(box, list) or len(box) != axes:
-            raise ConfigError(f"{where}.box must list {axes} [lo, hi] pairs")
-        box = tuple(_rationals(f"{where}.box", pair, 2) for pair in box)
-        arc.cells.append(arc_mod.Cell(n, want["generation"], want["rank"], box,
-                                      want["parent"], address))
-        arc._cell_index[address] = n
-    arc.depth = depth
+    try:
+        arc = _unrouted_arc(config)
+    except GenerationBudgetError as exc:
+        raise ConfigError(f"the model's config cannot be rebuilt: {exc}") from exc
+    depth, axes = arc.depth, arc.ambient_dimension
+    _check_fields("model", data, **_arc_header(arc))
+    for _ in _checked_rows(data, "cells", _cell_rows(arc)):
+        pass
     for _ in _checked_rows(data, "param_intervals", arc_mod.param_intervals(depth, axes)):
         pass
     for n, item, want in _checked_rows(data, "connectors",
@@ -433,12 +398,17 @@ def series_csv(series: dim_mod.BoxCountSeries) -> str:
 # -- model construction and verification ---------------------------------------
 
 
+def _unrouted_arc(config: RunConfig) -> arc_mod.ArcApproximation:
+    """Every cell of the arc ``config`` describes, without connectors."""
+    base = RatioCantorSet(config.ratio_sequence())
+    product = product_for_dimension(config.target_dimension - 1.0)
+    return arc_mod.ArcApproximation(base, product).grow_cells(config.depth)
+
+
 def build_model(config: RunConfig):
     if config.target_dimension == 1.0:
         return UnitIntervalModel()
-    base = RatioCantorSet(config.ratio_sequence())
-    product = product_for_dimension(config.target_dimension - 1.0)
-    return arc_mod.build_arc(base, product, config.depth)
+    return _unrouted_arc(config).route()
 
 
 def counting_summary(model) -> dict:
@@ -473,18 +443,6 @@ def run_verification(model, config: RunConfig) -> dict:
 
     arc = model
     rng = random.Random(config.seed)
-    n = arc.copies
-
-    counts_ok = True
-    for k in range(1, arc.depth + 1):
-        cells = len(arc.generation_cells(k))
-        conns = len(arc.cumulative_connectors(k))
-        used = len(arc.connectors_at(k))
-        if cells != 2 ** (k * (n + 1)) or conns != 2 ** (k * (n + 1)) - 1:
-            counts_ok = False
-        if used != 2 ** ((k - 1) * (n + 1)) * (2 ** (n + 1) - 1):
-            counts_ok = False
-    add("counting_invariants", counts_ok, depth=arc.depth)
 
     report = arc_mod.verify_injectivity(arc, arc.depth)
     add("injectivity", report.passed,

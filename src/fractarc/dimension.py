@@ -126,8 +126,8 @@ def box_count_series(points: Sequence, scales: Sequence,
         finest = min(scales)
         if finest < Fraction(sample_resolution):
             raise ValueError(
-                f"scale {float(finest):g} is finer than the sample resolution "
-                f"{float(sample_resolution):g}; deepen the sample instead")
+                f"scale {float(finest)!r} is finer than the sample resolution "
+                f"{float(sample_resolution)!r}; deepen the sample instead")
     counts = tuple(box_count(points, d) for d in scales)
     return BoxCountSeries(tuple(scales), counts, scale_family)
 

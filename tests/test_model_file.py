@@ -16,11 +16,13 @@ from fractarc.cli import EXIT_CONFIG, decode_rational, main, model_from_dict
 PLANAR = ["--c", "1.6309297535714574"]
 SPATIAL = ["--c", "2.5"]
 
-#: sha256 of ``build`` output, recorded before the parameter tree became
-#: derived; planar depth 4 is also perfbench/digests.json's planar-4.json.
+#: sha256 of ``build`` output, recorded before the parameter tree and the
+#: cells became derived; planar depth 4 and spatial depth 3 are also
+#: perfbench/digests.json's planar-4.json and spatial-3.json.
 DIGESTS = {
     ("planar", 4): "9ebf4f8a663ab9b0933f62e4f29f440f81d6a2ec6d2500fae6f4065c0e9d4621",
     ("spatial", 2): "6e06db6374c9fa09f6df052141e500aba465c2673ecd6bac0277e27a8cead371",
+    ("spatial", 3): "52dadab18d3e11accc47a4d879cebae6d25ff248d5339c3faf2b4981e82296cb",
 }
 
 
@@ -35,7 +37,7 @@ def models(tmp_path_factory):
     root = tmp_path_factory.mktemp("models")
     out = {}
     for family, flags, depth in (("planar", PLANAR, 2), ("planar", PLANAR, 4),
-                                 ("spatial", SPATIAL, 2)):
+                                 ("spatial", SPATIAL, 2), ("spatial", SPATIAL, 3)):
         path = root / f"{family}-{depth}.json"
         assert run("build", *flags, "--depth", str(depth), "--out", str(path)) == 0
         out[family, depth] = path
@@ -128,11 +130,29 @@ def tamper_parent(data):
     return "cells[7].parent"
 
 
+def tamper_box(data):
+    data["cells"][-1]["box"][0][1] = "99/100"
+    return f"cells[{len(data['cells']) - 1}].box"
+
+
+def tamper_address(data):
+    first, second = data["cells"][1:3]
+    first["address"], second["address"] = second["address"], first["address"]
+    return "cells[1].address"
+
+
+def tamper_factor(data):
+    data["factor"]["ratio"] = "1/4"
+    return "model.factor"
+
+
 class TestSkeletonCheck:
-    """Every index field is checked against the derived skeleton on load."""
+    """Every cell, index field and header field is checked against the one
+    derived from the config on load."""
 
     @pytest.mark.parametrize("tamper", [tamper_hi, tamper_lo, tamper_status,
-                                        tamper_interval, tamper_parent])
+                                        tamper_interval, tamper_parent, tamper_box,
+                                        tamper_address, tamper_factor])
     def test_tampered_index_field_exits_2_naming_it(self, models, tmp_path, capsys, tamper):
         data = json.loads(models["planar", 2].read_text())
         field = tamper(data)
