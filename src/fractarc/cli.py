@@ -14,13 +14,15 @@ and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import random
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import zip_longest
 from pathlib import Path
@@ -107,6 +109,8 @@ class RunConfig:
             raise ConfigError("depth, seed and samples must be integers")
         if self.depth < 1:
             raise ConfigError("depth must be at least 1")
+        if self.samples < 1:
+            raise ConfigError(f"samples must be at least 1, got {self.samples}")
         if self.scales is not None and not (
                 len(self.scales) == 2 and all(isinstance(v, int) for v in self.scales)
                 and self.scales[0] <= self.scales[1]):
@@ -447,7 +451,6 @@ def run_verification(model, config: RunConfig) -> dict:
     report = arc_mod.verify_injectivity(arc, arc.depth)
     add("injectivity", report.passed,
         connector_pairs=report.connector_pairs_checked,
-        violations=[list(v) for v in report.connector_violations],
         clearance_violations=report.clearance_violations,
         traversal_violation=(list(report.traversal_violation)
                              if report.traversal_violation else None))
@@ -635,11 +638,9 @@ def _load_model(path) -> tuple[object, RunConfig]:
 
 def cmd_verify(args) -> int:
     model, config = _load_model(args.model)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.samples is not None:
-        config.samples = args.samples
-    report = run_verification(model, config)
+    overrides = {key: getattr(args, key) for key in ("seed", "samples")
+                 if getattr(args, key) is not None}
+    report = run_verification(model, replace(config, **overrides))
     if args.out:
         write_atomic(Path(args.out), dump_json(report))
     for check in report["checks"]:
@@ -664,15 +665,17 @@ def cmd_estimate(args) -> int:
     if args.model:
         model, _ = _load_model(args.model)
     kwargs = {}
-    if args.ratio:
+    if args.ratio is not None:
         kwargs["ratio"] = parse_fraction(args.ratio)
-    if args.eps:
+    if args.eps is not None:
         kwargs["exponent"] = (VON_KOCH_EXPONENT if args.eps == "koch"
                               else float(parse_fraction(args.eps)))
-    if args.copies:
-        kwargs["copies"] = args.copies
-    if args.generation:
-        kwargs["generation"] = args.generation
+    for key in ("copies", "generation"):
+        value = getattr(args, key)
+        if value is not None:
+            if value < 1:
+                raise ConfigError(f"--{key} must be at least 1, got {value}")
+            kwargs[key] = value
     result = _estimate_or_refuse(args.preset, config, model, **kwargs)
     if result is None:
         return EXIT_CONSTRUCTION
@@ -763,16 +766,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # stdout is held until the command returns, so a reader that has gone
+    # away cannot cut the command short or change its exit code
+    out = io.StringIO()
     try:
-        return args.func(args)
+        with contextlib.redirect_stdout(out):
+            args = build_parser().parse_args(argv)
+            return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (arc_mod.RoutingFailed, GenerationBudgetError) as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
+    finally:
+        try:
+            sys.stdout.write(out.getvalue())
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the interpreter flushes stdout again at exit; send that to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

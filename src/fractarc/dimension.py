@@ -150,34 +150,26 @@ def estimate_dimension(series: BoxCountSeries, kind: str = "box") -> DimensionEs
                              kind)
 
 
-def ball_net_count(space, points, r: float) -> int:
-    """Size of the greedy maximal r-separated subset, in sample order.
+def ball_net_count(space, points: np.ndarray, r: float) -> int:
+    """Size of the greedy maximal r-separated subset of a float array of
+    points, one per row, in sample order.
 
     The net size is sandwiched between covering numbers at radii r and r/2,
     so its log-log slope estimates the same exponent.
     """
     if r <= 0:
         raise ValueError(f"net radius must be positive, got {r}")
-    if isinstance(points, np.ndarray) and hasattr(space, "within"):
-        if len(points) == 0:
-            raise ValueError("cannot net-count an empty sample")
-        covered = np.zeros(len(points), dtype=bool)
-        count = 0
-        for i in range(len(points)):
-            if covered[i]:
-                continue
-            count += 1
-            covered |= space.within(points, points[i], r)
-        return count
-
-    pts = list(points)
-    if not pts:
+    points = np.asarray(points, dtype=float)
+    if len(points) == 0:
         raise ValueError("cannot net-count an empty sample")
-    net: list = []
-    for p in pts:
-        if all(space.distance(p, q) >= r for q in net):
-            net.append(p)
-    return len(net)
+    covered = np.zeros(len(points), dtype=bool)
+    count = 0
+    for i in range(len(points)):
+        if covered[i]:
+            continue
+        count += 1
+        covered |= space.within(points, points[i], r)
+    return count
 
 
 def net_count_series(space, points, radii: Sequence[float]) -> BoxCountSeries:

@@ -1,11 +1,15 @@
 """Arc approximations: cell complexes, routing, parametrisation, verification."""
 
+import copy
+import functools
 import math
 import random
 from fractions import Fraction as F
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractarc.cantor import (Address, GenerationBudgetError, ProductCantor,
                              RatioCantorSet, RatioSequence, SelfSimilarCantor,
@@ -15,6 +19,8 @@ from fractarc.arc import (ArcApproximation, Connector, RoutingFailed,
                           modulus_of_continuity, param_intervals,
                           route_connectors, sample_addresses,
                           verify_containment, verify_injectivity, _gap_box)
+from fractarc.geometry import (boxes_disjoint, points_bbox, polylines_disjoint,
+                               vlerp)
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
@@ -38,6 +44,35 @@ def rows_of(depth, ambient_dimension):
 def tree(arc):
     """The arc's parameter tree as a dict from row id to row."""
     return {row.id: row for row in rows_of(arc.depth, arc.ambient_dimension)}
+
+
+#: Arcs small enough for the all-pairs connector scan.
+SUBSUMPTION_ARCS = (("planar", 1), ("planar", 2), ("planar", 3), ("spatial", 2))
+
+
+@functools.lru_cache(maxsize=None)
+def reference_arc(kind, depth):
+    """A built arc shared by the property tests; never mutated."""
+    base = RatioCantorSet(RatioSequence.dyadic())
+    product = planar_sets()[1] if kind == "planar" else product_for_dimension(1.5)
+    return build_arc(base, product, depth)
+
+
+def pair_scan_violations(arc, k):
+    """Every pair of cumulative connectors that shares a point, by scanning
+    all pairs: the oracle of the traversal check."""
+    conns = arc.cumulative_connectors(k)
+    boxes = {c.id: points_bbox(c.vertices) for c in conns}
+    violations = []
+    for i in range(len(conns)):
+        ci = conns[i]
+        for j in range(i + 1, len(conns)):
+            cj = conns[j]
+            if boxes_disjoint(boxes[ci.id], boxes[cj.id]):
+                continue
+            if not polylines_disjoint(ci.vertices, cj.vertices):
+                violations.append((ci.id, cj.id))
+    return violations
 
 
 @pytest.fixture(scope="module")
@@ -232,9 +267,35 @@ class TestInjectivity:
             victim.source_cell, victim.target_cell, victim.param_length)
         report = verify_injectivity(arc, 2)
         assert not report.passed
-        offenders = {victim.id, other.id}
-        assert any(offenders >= set(pair) or set(pair) & offenders
-                   for pair in report.connector_violations) or report.clearance_violations
+        assert report.traversal_violation is not None or report.clearance_violations
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_traversal_check_subsumes_pair_scan(self, data):
+        # one connector rerouted through a waypoint on another connector or
+        # at a lattice point; every pair the all-pairs scan flags must also
+        # break the traversal chain
+        kind, depth = data.draw(st.sampled_from(SUBSUMPTION_ARCS))
+        arc = reference_arc(kind, depth)
+        conns = arc.connectors
+        victim = conns[data.draw(st.integers(0, len(conns) - 1))]
+        if data.draw(st.booleans()):
+            index = data.draw(st.integers(0, len(conns) - 2))
+            other = conns[index + (index >= victim.id)]
+            seg = data.draw(st.integers(0, len(other.vertices) - 2))
+            t = F(data.draw(st.integers(0, 16)), 16)
+            waypoint = vlerp(other.vertices[seg], other.vertices[seg + 1], t)
+        else:
+            waypoint = tuple(F(data.draw(st.integers(0, 64)), 64)
+                             for _ in range(arc.ambient_dimension))
+        tampered = copy.copy(arc)
+        tampered.connectors = list(conns)
+        tampered.connectors[victim.id] = Connector(
+            victim.id, victim.depth, [victim.source, waypoint, victim.target],
+            victim.parent_cell, victim.source_cell, victim.target_cell,
+            victim.param_length)
+        if pair_scan_violations(tampered, depth):
+            assert verify_injectivity(tampered, depth).traversal_violation is not None
 
     def test_traversal_chain_glues(self, figure_arc):
         chain = figure_arc.traversal_chain(3)

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import fractarc
 from fractarc.cli import (EXIT_CONFIG, EXIT_CONSTRUCTION, EXIT_OK,
                           EXIT_VERIFICATION, ConfigError, RunConfig,
                           UnitIntervalModel, build_model, decode_rational,
@@ -135,6 +140,46 @@ class TestVerifyCommand:
     def test_missing_model_is_config_error(self, tmp_path):
         rc = main(["verify", "--model", str(tmp_path / "absent.json")])
         assert rc == EXIT_CONFIG
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--model", "{model}", "--samples", "0"],
+        ["verify", "--model", "{model}", "--samples", "-5"],
+        ["estimate", "--preset", "product", "--copies", "0"],
+        ["estimate", "--preset", "cantor", "--generation", "0"],
+    ])
+    def test_non_positive_count_is_config_error(self, argv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        main(["build", "--c", repr(1 + LOG2_3), "--depth", "1", "--out", str(model)])
+        capsys.readouterr()
+        assert main([arg.format(model=model) for arg in argv]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "must be at least 1" in captured.err
+        assert "PASS" not in captured.out
+
+
+class TestClosedStdout:
+    def test_build_and_verify_keep_their_exit_code(self, tmp_path):
+        # stdout on a pipe whose reader has gone: no traceback, and the exit
+        # code a reader would have seen, buffered or not
+        model = tmp_path / "model.json"
+        commands = (["build", "--c", repr(1 + LOG2_3), "--depth", "2", "--out", str(model)],
+                    ["verify", "--model", str(model), "--samples", "20"])
+        env = {**os.environ, "PYTHONPATH": str(Path(fractarc.__file__).parents[1])}
+        for unbuffered in ("1", ""):
+            for argv in commands:
+                read_end, write_end = os.pipe()
+                os.close(read_end)
+                try:
+                    run = subprocess.run(
+                        [sys.executable, "-m", "fractarc.cli", *argv], stdout=write_end,
+                        stderr=subprocess.PIPE, env={**env, "PYTHONUNBUFFERED": unbuffered},
+                        timeout=300)
+                finally:
+                    os.close(write_end)
+                assert run.returncode == EXIT_OK, run.stderr.decode()
+                assert run.stderr == b""
 
 
 class TestEstimateCommand:

@@ -173,11 +173,13 @@ class TestNetCount:
         assert ball_net_count(space, pts, 1.5) == 1
 
     def test_agrees_with_oracle(self):
-        space = SnowflakeMetric(VON_KOCH := math.log(3) / math.log(4))
-        pts = space.sample(7)
-        listed = [tuple(p) for p in pts.tolist()]
-        for r in (0.5, 0.25, 0.125):
-            assert ball_net_count(space, pts, r) == brute_force_net(space, listed, r)
+        koch = SnowflakeMetric(VON_KOCH := math.log(3) / math.log(4))
+        # the rug compares its max-metric within with its distance
+        rug = RugSpace(SnowflakeMetric(0.5))
+        for space, pts in ((koch, koch.sample(7)), (rug, rug.sample(4))):
+            listed = [tuple(p) for p in pts.tolist()]
+            for r in (0.5, 0.25, 0.125):
+                assert ball_net_count(space, pts, r) == brute_force_net(space, listed, r)
 
     def test_snowflake_count_tracks_power_law(self):
         space = SnowflakeMetric(0.5)
