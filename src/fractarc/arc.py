@@ -336,12 +336,19 @@ class ArcApproximation:
             raise GenerationBudgetError(
                 f"depth {depth} needs 2^{depth * self.ambient_dimension} cells, "
                 f"over the budget {self.cell_budget}")
+        axes = (self.base_set, self.product.factor)
         for k in range(self.depth + 1, depth + 1):
             base, factor = ([(iv.lower, iv.upper) for iv in s.generation_intervals(k)]
-                            for s in (self.base_set, self.product.factor))
+                            for s in axes)
             intervals = [base] + [factor] * self.copies
+            # lower ends over one common denominator: integer sort keys
+            (base_lows, _, base_den), (factor_lows, _, factor_den) = (
+                s.interval_numerators(k) for s in axes)
+            den = math.lcm(base_den, factor_den)
+            lows = ([[a * (den // base_den) for a in base_lows]]
+                    + [[a * (den // factor_den) for a in factor_lows]] * self.copies)
             for parent in self.generation_cells(k - 1):
-                self._make_sub_cells(parent, intervals)
+                self._make_sub_cells(parent, intervals, lows)
             self.depth = k
         return self
 
@@ -365,19 +372,22 @@ class ArcApproximation:
     def build_to(self, depth: int) -> "ArcApproximation":
         return self.grow_cells(depth).route()
 
-    def _make_sub_cells(self, parent: Cell, intervals: Sequence[Sequence[tuple]]) -> None:
+    def _make_sub_cells(self, parent: Cell, intervals: Sequence[Sequence[tuple]],
+                        lows: Sequence[Sequence[int]]) -> None:
         """Append the sub-cells of ``parent`` in rank order; ``intervals``
-        holds each axis's generation intervals as (lo, hi) pairs, indexed by
-        branch word."""
+        holds each axis's generation intervals as (lo, hi) pairs and ``lows``
+        their lower ends as integers over one denominator, both indexed by
+        branch word.  Ranks follow (|near corner|^2, near corner), compared
+        on those integers."""
         first = [2 * int(w, 2) if w else 0 for w in parent.address]
         keyed = []
         for bits in iter_product((0, 1), repeat=len(first)):
-            box = tuple(axis[i + b] for axis, i, b in zip(intervals, first, bits))
-            near = tuple(lo for lo, _ in box)
-            keyed.append((norm_sq(near), near, bits, box))
-        keyed.sort(key=lambda item: (item[0], item[1]))
+            near = tuple(axis[i + b] for axis, i, b in zip(lows, first, bits))
+            keyed.append((sum(c * c for c in near), near, bits))
+        keyed.sort(key=lambda item: item[:2])
         cells = []
-        for rank, (_, _, bits, box) in enumerate(keyed, start=1):
+        for rank, (_, _, bits) in enumerate(keyed, start=1):
+            box = tuple(axis[i + b] for axis, i, b in zip(intervals, first, bits))
             address = tuple(w + str(b) for w, b in zip(parent.address, bits))
             cell = Cell(len(self.cells), parent.generation + 1, rank, box,
                         parent.id, address)

@@ -518,7 +518,7 @@ def run_estimate(preset: str, config: RunConfig, model=None,
     window = config.scales
     if preset == "cantor":
         g = generation or 12
-        cantor = SelfSimilarCantor(ratio, max_generation=max(20, g))
+        cantor = SelfSimilarCantor(ratio)
         points, resolution = dim_mod.cantor_sample(cantor, g)
         lo, hi = window or (2, g - 2)
         # scales matched to the construction's own hierarchy (powers of r)

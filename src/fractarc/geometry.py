@@ -6,6 +6,7 @@ arithmetic, never by floating point.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -202,23 +203,56 @@ def chain_self_intersection(vertices: Sequence[Point]) -> Optional[tuple[int, in
     """First offending segment-index pair of a vertex chain, or None.
 
     Consecutive segments may share only their common vertex, all others
-    nothing; bounding-box pruning keeps chains of several hundred segments
-    fast.  A zero-length segment raises ValueError.
+    nothing.  A zero-length segment raises ValueError.
+
+    Only segments whose closed bounding boxes meet can share a point.  Those
+    candidate pairs are found by a sweep over integer boxes (every vertex
+    put over the lcm of the coordinate denominators): segments in order of
+    their axis-0 low end, an active list that drops a segment once its
+    axis-0 high end falls below the sweep position, and integer comparisons
+    on the other axes.  Boxes that merely touch count as meeting.  The
+    candidates are then decided by the exact ``Fraction``
+    ``segment_intersection`` in increasing (i, j) order, so the pair returned
+    is the first in i-major, then j order, as an all-pairs scan would
+    report.  The cost is O(n log n) plus the axis-0 overlaps plus one exact
+    test per candidate pair.
     """
     segs = polyline_segments(vertices)
-    boxes = [_segment_bbox(a, b) for a, b in segs]
     for a, b in segs:
         if a == b:
             raise ValueError("zero-length segment in chain")
-    for i in range(len(segs)):
-        bi = boxes[i]
-        for j in range(i + 1, len(segs)):
-            if boxes_disjoint(bi, boxes[j]):
-                continue
-            kind, data = segment_intersection(*segs[i], *segs[j])
-            if j == i + 1:
-                if kind != "point" or data != vertices[j]:
-                    return (i, j)
-            elif kind != "empty":
+    for i, j in _meeting_box_pairs(vertices):
+        kind, data = segment_intersection(*segs[i], *segs[j])
+        if j == i + 1:
+            if kind != "point" or data != vertices[j]:
                 return (i, j)
+        elif kind != "empty":
+            return (i, j)
     return None
+
+
+def _meeting_box_pairs(vertices: Sequence[Point]) -> list[tuple[int, int]]:
+    """Sorted (i, j), i < j, of the chain's segments whose closed bounding
+    boxes share a point, found by an axis-0 sweep on integer coordinates."""
+    n = len(vertices) - 1
+    if n < 2:
+        return []
+    den = math.lcm(*(c.denominator for v in vertices for c in v))
+    pts = [tuple(c.numerator * (den // c.denominator) for c in v) for v in vertices]
+    axes = list(zip(*pts))  # one coordinate column per axis
+    los = [list(map(min, c[:-1], c[1:])) for c in axes]
+    his = [list(map(max, c[:-1], c[1:])) for c in axes]
+    lo0, hi0 = los[0], his[0]
+    pairs = []
+    active: list[int] = []
+    for s in sorted(range(n), key=lo0.__getitem__):
+        x = lo0[s]
+        active = [t for t in active if hi0[t] >= x]
+        hits = active
+        for lo, hi in zip(los[1:], his[1:]):
+            a, b = lo[s], hi[s]
+            hits = [t for t in hits if lo[t] <= b and a <= hi[t]]
+        pairs.extend((t, s) if t < s else (s, t) for t in hits)
+        active.append(s)
+    pairs.sort()
+    return pairs

@@ -211,6 +211,14 @@ class TestEstimateCommand:
                    "--scales", "2:9"])
         assert rc == EXIT_CONSTRUCTION
 
+    def test_cantor_generation_over_the_cap_is_refused(self, capsys):
+        # the cap is checked before any interval is built
+        rc = main(["estimate", "--preset", "cantor", "--generation", "30"])
+        assert rc == EXIT_CONSTRUCTION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "exceeds the build cap 20" in err
+        assert "Traceback" not in err
+
     def test_three_copy_product_scales_its_window(self, tmp_path):
         est = tmp_path / "est.json"
         rc = main(["estimate", "--preset", "product", "--copies", "3",

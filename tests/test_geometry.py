@@ -1,16 +1,21 @@
 """Exact-geometry predicates: segment intersection, box clipping, polylines."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractarc import geometry
+from fractarc.arc import build_arc
+from fractarc.cantor import (ProductCantor, RatioCantorSet, RatioSequence,
+                             SelfSimilarCantor, product_for_dimension)
 from fractarc.geometry import (box_contains_box, box_corners, box_diameter_sq,
                                boxes_disjoint, chain_self_intersection,
                                point_in_box, point_on_segment,
                                polyline_is_simple, polylines_disjoint,
-                               segment_box_clip, segment_intersection)
+                               segment_box_clip, segment_intersection, vlerp)
 
 
 def P(*coords):
@@ -169,3 +174,89 @@ class TestSimplicityOracle:
     @given(st.one_of(polylines(2), polylines(3)))
     def test_matches_nested_loop(self, vertices):
         assert polyline_is_simple(vertices) == nested_loop_is_simple(vertices)
+
+
+def brute_chain_self_intersection(vertices):
+    """The all-pairs scan chain_self_intersection used to run: the oracle."""
+    segs = list(zip(vertices, vertices[1:]))
+    boxes = [tuple((min(a, b), max(a, b)) for a, b in zip(p, q)) for p, q in segs]
+    for a, b in segs:
+        if a == b:
+            raise ValueError("zero-length segment in chain")
+    for i in range(len(segs)):
+        bi = boxes[i]
+        for j in range(i + 1, len(segs)):
+            if boxes_disjoint(bi, boxes[j]):
+                continue
+            kind, data = segment_intersection(*segs[i], *segs[j])
+            if j == i + 1:
+                if kind != "point" or data != vertices[j]:
+                    return (i, j)
+            elif kind != "empty":
+                return (i, j)
+    return None
+
+
+def outcome(check, vertices):
+    """The pair a chain check returns, or the ValueError it raises."""
+    try:
+        return check(vertices)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def grid_chains(dim):
+    # few distinct coordinates, so repeated coordinates, collinear overlaps,
+    # doubling back and boxes touching on a face or a corner are common
+    coord = st.sampled_from([F(0), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2)])
+    return st.lists(st.tuples(*[coord] * dim), min_size=2, max_size=12)
+
+
+def traversal_chain(kind, depth):
+    base = RatioCantorSet(RatioSequence.dyadic())
+    product = (ProductCantor(SelfSimilarCantor(F(1, 3)), 1) if kind == "planar"
+               else product_for_dimension(1.5))
+    return build_arc(base, product, depth).traversal_chain(depth)
+
+
+class TestChainSelfIntersection:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(grid_chains(2), grid_chains(3)))
+    def test_matches_all_pairs_scan(self, vertices):
+        assert (outcome(chain_self_intersection, vertices)
+                == outcome(brute_chain_self_intersection, vertices))
+
+    @pytest.mark.parametrize("kind,depth", [("planar", 1), ("planar", 2), ("planar", 3),
+                                            ("planar", 4), ("spatial", 2)])
+    def test_tampered_traversal_chains(self, kind, depth):
+        chain = traversal_chain(kind, depth)
+        assert chain_self_intersection(chain) is None
+        rng = random.Random(depth)
+        for _ in range(8):
+            # move one vertex onto a segment it does not end
+            v = rng.randrange(1, len(chain) - 1)
+            j = rng.choice([j for j in range(len(chain) - 1) if j not in (v - 1, v)])
+            tampered = list(chain)
+            tampered[v] = vlerp(chain[j], chain[j + 1], F(rng.randrange(5), 4))
+            expected = outcome(brute_chain_self_intersection, tampered)
+            assert expected is not None
+            assert outcome(chain_self_intersection, tampered) == expected
+
+    def test_long_simple_chain_tests_linearly_many_pairs(self, monkeypatch):
+        n = 2000
+        staircase = [P(k // 2 + k % 2, k // 2) for k in range(n + 1)]
+        calls = {"segment_intersection": 0, "boxes_disjoint": 0}
+
+        def counting(name):
+            inner = getattr(geometry, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(geometry, name, wrapper)
+
+        counting("segment_intersection")
+        counting("boxes_disjoint")
+        assert chain_self_intersection(staircase) is None
+        assert n - 1 <= calls["segment_intersection"] <= 2 * n
+        assert calls["boxes_disjoint"] <= n
