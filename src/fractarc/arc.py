@@ -2,7 +2,7 @@
 
 Each generation splits every cell of the product (base set times factor
 product) into q = 2^(n+1) sub-cells, orders them by distance from the origin,
-and joins consecutive sub-cells by connector polylines: far corner of one to
+and joins consecutive sub-cells by straight connectors: far corner of one to
 the near corner of the next.  The parameter interval of a cell is split into
 p = 2^(n+2)-1 = 2q-1 equal parts, alternating neglected (recursing into the
 sub-cells, in distance order) and used (mapped onto connectors), so the
@@ -17,12 +17,23 @@ The rule fixes every index by arithmetic, so none is stored:
 * parameter piece i of cell c has id 1+c*p+i (the root interval is 0), and
   a parameter t descends through the base-p digits of t.
 
-Connector legality is verified by exact rational geometry, never assumed:
+Connector legality is checked by exact rational geometry, not proved for
+the distance order in general:
 
 * a connector stays inside its parent cell,
 * it meets each closed sibling cell only at its own endpoint corner on that
   cell (no grazing, no face-sliding),
-* it is disjoint from every other connector routed in that parent.
+* it is disjoint from every other connector of that parent.
+
+The checks run on one representative parent per (generation, order) class,
+where the order is the sub-cells' last branch bits in rank order.  Every
+generation-(k-1) cell has one size per axis, and each of its sub-cells is an
+outer child of uniform generation-k size on every axis, so a parent's
+sub-cell boxes and connectors, minus the parent's near corner, depend only on
+(k, order).  The predicates (``point_in_box``, ``segment_box_clip``,
+``segment_intersection``) are exact and unchanged under translation, so the
+representative's verdict holds for its whole class.  An illegal connector
+raises RoutingFailed.
 
 Those three checks, plus the disjointness of closed cells within one
 generation, force all connectors of all generations to be pairwise disjoint:
@@ -52,20 +63,8 @@ from .geometry import (Box, Point, box_corners, box_diameter_sq,
 
 DEFAULT_CELL_BUDGET = 2 ** 18
 
-#: Waypoint offsets, as fractions of the inter-cell gap, tried in order when
-#: the straight segment fails its legality tests, first as single waypoints,
-#: then as axis detours.  All lie within (-3/8, 3/8) so every waypoint stays
-#: strictly inside the open gap box.
-CLEARANCE_OFFSETS = tuple(
-    Fraction(n, d) for n, d in (
-        (0, 1), (1, 8), (-1, 8), (1, 4), (-1, 4), (1, 16), (-1, 16),
-        (3, 16), (-3, 16), (5, 16), (-5, 16), (1, 32), (-1, 32),
-        (3, 32), (-3, 32), (5, 32), (-5, 32), (7, 32), (-7, 32),
-    ))
-
-
 class RoutingFailed(RuntimeError):
-    """No candidate path passed the exact legality tests."""
+    """A straight connector failed the exact legality tests."""
 
 
 @dataclass(frozen=True)
@@ -159,8 +158,9 @@ def param_intervals(depth: int, ambient_dimension: int) -> Iterator[dict]:
 
 @dataclass
 class Connector:
-    """Simple polyline from one cell's far corner to the next cell's near
-    corner, parametrised at constant speed over its used interval."""
+    """Path from one cell's far corner to the next cell's near corner,
+    parametrised at constant speed over its used interval.  Built arcs hold
+    the straight segment; ``verify_injectivity`` judges any polyline."""
 
     id: int
     depth: int
@@ -209,40 +209,17 @@ class Connector:
         return tuple(float(x) + s * (float(y) - float(x)) for x, y in zip(a, b))
 
 
-def _gap_box(parent_box: Box, child_lengths: Sequence[Fraction]) -> Box:
-    """Open middle gap per axis; no sub-cell meets a point whose every
-    coordinate lies in its gap."""
-    gaps = []
-    for (lo, hi), h in zip(parent_box, child_lengths):
-        g_lo, g_hi = lo + h, hi - h
-        if not g_lo < g_hi:
-            raise ValueError("child intervals leave no middle gap")
-        gaps.append((g_lo, g_hi))
-    return tuple(gaps)
-
-
-def _candidate_paths(src: Point, dst: Point, gap: Box) -> Iterator[tuple[Point, ...]]:
-    yield (src, dst)
-    center = tuple((lo + hi) / 2 for lo, hi in gap)
-    span = tuple(hi - lo for lo, hi in gap)
-    for off in CLEARANCE_OFFSETS:
-        w = tuple(c + off * s for c, s in zip(center, span))
-        yield (src, w, dst)
-    for off in CLEARANCE_OFFSETS:
-        base = [c + off * s for c, s in zip(center, span)]
-        for axis in range(len(center)):
-            w1 = list(base)
-            w2 = list(base)
-            w1[axis] = base[axis] - span[axis] / 8
-            w2[axis] = base[axis] + span[axis] / 8
-            yield (src, tuple(w1), tuple(w2), dst)
+def _segment(ordered_cells: Sequence[Cell], s: int) -> list[Point]:
+    """The connector joining ranks s+1 and s+2: far corner to near corner."""
+    return [ordered_cells[s].far_corner, ordered_cells[s + 1].near_corner]
 
 
 def _path_legal(vertices: Sequence[Point], cells: Sequence[Cell], s: int,
                 parent_box: Box) -> bool:
-    """Exact legality of one candidate path joining cells[s] to cells[s+1]:
+    """Exact legality of one connector path joining cells[s] to cells[s+1]:
     stays in the parent, is simple, and touches each closed sub-cell at most
-    in its own endpoint corner."""
+    in its own endpoint corner.  Also the per-connector clearance check of
+    ``verify_injectivity``."""
     if any(not point_in_box(v, parent_box) for v in vertices):
         return False
     if not polyline_is_simple(vertices):
@@ -265,31 +242,24 @@ def _path_legal(vertices: Sequence[Point], cells: Sequence[Cell], s: int,
     return True
 
 
-def route_connectors(ordered_cells: Sequence[Cell], parent_box: Box, gap: Box
+def route_connectors(ordered_cells: Sequence[Cell], parent_box: Box
                      ) -> list[list[Point]]:
-    """Vertex paths joining consecutive cells in distance order.
+    """Straight connectors joining consecutive cells in distance order.
 
-    Tries the straight segment first, then gap-waypoint detours from the
-    clearance schedule.  Every accepted path passed the exact tests; running
-    out of candidates raises RoutingFailed naming the offending pair.
+    Each segment must pass ``_path_legal`` and miss every earlier connector
+    of the parent; the first that fails raises RoutingFailed naming the
+    generation, the parent and the ranks.
     """
     paths: list[list[Point]] = []
     for s in range(len(ordered_cells) - 1):
-        src = ordered_cells[s].far_corner
-        dst = ordered_cells[s + 1].near_corner
-        chosen = None
-        for cand in _candidate_paths(src, dst, gap):
-            if not _path_legal(cand, ordered_cells, s, parent_box):
-                continue
-            if all(polylines_disjoint(cand, p) for p in paths):
-                chosen = list(cand)
-                break
-        if chosen is None:
+        path = _segment(ordered_cells, s)
+        if not (_path_legal(path, ordered_cells, s, parent_box)
+                and all(polylines_disjoint(path, p) for p in paths)):
             raise RoutingFailed(
-                f"no legal path between cells ranked {s + 1} and {s + 2} of "
-                f"generation {ordered_cells[s].generation} "
-                f"(parent {ordered_cells[s].parent_id}); clearance schedule exhausted")
-        paths.append(chosen)
+                f"the straight connector of generation {ordered_cells[s].generation} "
+                f"(parent {ordered_cells[s].parent_id}) between cells ranked {s + 1} "
+                f"and {s + 2} is not legal")
+        paths.append(path)
     return paths
 
 
@@ -353,20 +323,27 @@ class ArcApproximation:
         return self
 
     def route(self) -> "ArcApproximation":
-        """Connectors of every grown generation not routed yet, in id order."""
+        """Connectors of every grown generation not routed yet, in id order.
+
+        ``route_connectors`` checks the first parent of each (generation,
+        order) class; the other parents of the class get the same segments
+        translated, unchecked (see the module docstring).
+        """
         for k in range(1, self.depth + 1):
             if len(self.connectors) >= self.branching ** k - 1:
                 continue  # routed already
-            lengths = self._child_lengths(k)
             param_length = self.param_interval_length(k)
+            checked = set()
             for parent in self.generation_cells(k - 1):
                 sub_cells = self.sub_cells(parent.id)
-                gap = _gap_box(parent.box, lengths)
-                paths = route_connectors(sub_cells, parent.box, gap)
-                for s, path in enumerate(paths):
+                order = tuple(tuple(w[-1] for w in cell.address) for cell in sub_cells)
+                if order not in checked:
+                    route_connectors(sub_cells, parent.box)
+                    checked.add(order)
+                for s in range(len(sub_cells) - 1):
                     self.connectors.append(Connector(
-                        len(self.connectors), k, path, parent.id, sub_cells[s].id,
-                        sub_cells[s + 1].id, param_length))
+                        len(self.connectors), k, _segment(sub_cells, s), parent.id,
+                        sub_cells[s].id, sub_cells[s + 1].id, param_length))
         return self
 
     def build_to(self, depth: int) -> "ArcApproximation":

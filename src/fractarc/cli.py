@@ -237,6 +237,14 @@ def _cell_rows(arc) -> Iterator[dict]:
                "box": [[encode_rational(lo), encode_rational(hi)] for lo, hi in cell.box]}
 
 
+def _connector_rows(arc) -> Iterator[dict]:
+    """Schema-v1 rows of every connector of ``arc``, in id order: the index
+    fields and the vertices."""
+    for fields, conn in zip(arc_mod.connector_fields(arc.depth, arc.ambient_dimension),
+                            arc.connectors):
+        yield {**fields, "vertices": [_point_json(v) for v in conn.vertices]}
+
+
 def model_to_dict(model, config: RunConfig) -> dict:
     if isinstance(model, UnitIntervalModel):
         return {
@@ -245,17 +253,13 @@ def model_to_dict(model, config: RunConfig) -> dict:
             "config": config.as_dict(),
         }
     arc = model
-    depth, axes = arc.depth, arc.ambient_dimension
     return {
         "schema_version": SCHEMA_VERSION,
         "config": config.as_dict(),
         **_arc_header(arc),
         "cells": list(_cell_rows(arc)),
-        "connectors": [
-            {**fields, "vertices": [_point_json(v) for v in conn.vertices]}
-            for fields, conn in zip(arc_mod.connector_fields(depth, axes), arc.connectors)
-        ],
-        "param_intervals": list(arc_mod.param_intervals(depth, axes)),
+        "connectors": list(_connector_rows(arc)),
+        "param_intervals": list(arc_mod.param_intervals(arc.depth, arc.ambient_dimension)),
     }
 
 
@@ -284,9 +288,8 @@ def _check_fields(where: str, item, **expected) -> None:
 _MISSING = object()
 
 
-def _checked_rows(data: dict, section: str, expected):
-    """(index, file row, derived row) of one section, each file row checked
-    against its derived row."""
+def _check_rows(data: dict, section: str, expected) -> None:
+    """Check every file row of one section against its derived row."""
     if not isinstance(data[section], list):
         raise ConfigError(f"{section} must be a list")
     for n, (item, want) in enumerate(zip_longest(data[section], expected, fillvalue=_MISSING)):
@@ -296,22 +299,16 @@ def _checked_rows(data: dict, section: str, expected):
             raise ConfigError(f"{section} has {n} rows, fewer than its depth {data['depth']} needs")
         if item != want:
             _check_fields(f"{section}[{n}]", item, **want)
-        yield n, item, want
-
-
-def _rationals(where: str, items, count: int) -> tuple[Fraction, ...]:
-    if not isinstance(items, list) or len(items) != count:
-        raise ConfigError(f"{where} must list {count} rationals")
-    return tuple(decode_rational(c) for c in items)
 
 
 def model_from_dict(data: dict):
     """Model from its JSON form.
 
-    Only the config and the connector vertices are read.  The kind, the
-    header, every cell and every id and link follow from the config, so they
-    are derived and compared with the file row by row, never trusted: the
-    first mismatch raises ConfigError naming the field.
+    Only the config is read.  The kind, the header, every cell, every
+    connector (its vertices included) and every id and link follow from the
+    config, so the model is rebuilt by ``build_model`` and compared with the
+    file row by row, never trusted: the first mismatch raises ConfigError
+    naming the field.
     """
     if not isinstance(data, dict):
         raise ConfigError("a model must be a JSON object")
@@ -328,29 +325,18 @@ def model_from_dict(data: dict):
         "scales": tuple(scales) if scales else None,
         "samples": data["config"]["samples"],
     })
-    if config.target_dimension == 1.0:
-        _check_fields("model", data, kind="unit_interval")
-        return UnitIntervalModel(), config
     try:
-        arc = _unrouted_arc(config)
+        model = build_model(config)
     except GenerationBudgetError as exc:
         raise ConfigError(f"the model's config cannot be rebuilt: {exc}") from exc
-    depth, axes = arc.depth, arc.ambient_dimension
-    _check_fields("model", data, **_arc_header(arc))
-    for _ in _checked_rows(data, "cells", _cell_rows(arc)):
-        pass
-    for _ in _checked_rows(data, "param_intervals", arc_mod.param_intervals(depth, axes)):
-        pass
-    for n, item, want in _checked_rows(data, "connectors",
-                                       arc_mod.connector_fields(depth, axes)):
-        vertices = item["vertices"]
-        if not isinstance(vertices, list) or len(vertices) < 2:
-            raise ConfigError(f"connectors[{n}].vertices must list at least two points")
-        arc.connectors.append(arc_mod.Connector(
-            n, want["depth"], [_rationals(f"connectors[{n}].vertices", v, axes) for v in vertices],
-            want["parent_cell"], want["source_cell"], want["target_cell"],
-            arc.param_interval_length(want["depth"])))
-    return arc, config
+    if isinstance(model, UnitIntervalModel):
+        _check_fields("model", data, kind="unit_interval")
+        return model, config
+    _check_fields("model", data, **_arc_header(model))
+    _check_rows(data, "cells", _cell_rows(model))
+    _check_rows(data, "param_intervals", arc_mod.param_intervals(model.depth, model.ambient_dimension))
+    _check_rows(data, "connectors", _connector_rows(model))
+    return model, config
 
 
 # -- svg / csv -----------------------------------------------------------------
@@ -498,15 +484,21 @@ def arc_estimate(model, window: Optional[tuple[int, int]] = None,
                  depth: Optional[int] = None) -> dim_mod.BoxCountSeries:
     """Box counts of an arc model's vertex cloud.
 
-    Defaults to the finest three admissible dyadic scales (depth-1 .. depth+1):
-    the construction's active scales, where the depth trend of the estimate is
-    visible instead of being averaged into the coarse-scale plateau.
+    Defaults to the finest three admissible dyadic scales, depth-1 .. depth+1
+    where the sample resolution allows: the construction's active scales,
+    where the depth trend of the estimate is visible instead of being
+    averaged into the coarse-scale plateau.  The finest admissible scale 2^-i
+    is found from the exact resolution.
     """
     depth = model.depth if depth is None else depth
     cloud = model.vertex_cloud(depth)
-    resolution = max(float(model.base_set.generation_length(depth)),
-                     float(model.product.factor.generation_length(depth)))
-    lo, hi = window if window is not None else (max(depth - 1, 1), depth + 1)
+    resolution = max(model.base_set.generation_length(depth),
+                     model.product.factor.generation_length(depth))
+    if window is None:
+        # largest i with 2^-i >= resolution
+        hi = min(depth + 1, (resolution.denominator // resolution.numerator).bit_length() - 1)
+        window = (max(min(depth - 1, hi - 2), 1), hi)
+    lo, hi = window
     return dim_mod.box_count_series(cloud, dim_mod.dyadic_scales(lo, hi),
                                     sample_resolution=resolution)
 

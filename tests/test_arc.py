@@ -18,9 +18,10 @@ from fractarc.arc import (ArcApproximation, Connector, RoutingFailed,
                           build_arc, continuity_violations,
                           modulus_of_continuity, param_intervals,
                           route_connectors, sample_addresses,
-                          verify_containment, verify_injectivity, _gap_box)
+                          verify_containment, verify_injectivity, _path_legal)
+from fractarc.cli import RunConfig, build_model
 from fractarc.geometry import (boxes_disjoint, points_bbox, polylines_disjoint,
-                               vlerp)
+                               vlerp, vsub)
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
@@ -73,6 +74,99 @@ def pair_scan_violations(arc, k):
             if not polylines_disjoint(ci.vertices, cj.vertices):
                 violations.append((ci.id, cj.id))
     return violations
+
+
+# -- the waypoint router, kept as the oracle of the straight connectors ------
+
+#: Waypoint offsets, as fractions of the inter-cell gap, tried in order when
+#: the straight segment fails its legality tests, first as single waypoints,
+#: then as axis detours.  All lie within (-3/8, 3/8) so every waypoint stays
+#: strictly inside the open gap box.
+CLEARANCE_OFFSETS = tuple(
+    F(n, d) for n, d in (
+        (0, 1), (1, 8), (-1, 8), (1, 4), (-1, 4), (1, 16), (-1, 16),
+        (3, 16), (-3, 16), (5, 16), (-5, 16), (1, 32), (-1, 32),
+        (3, 32), (-3, 32), (5, 32), (-5, 32), (7, 32), (-7, 32),
+    ))
+
+
+def _gap_box(parent_box, child_lengths):
+    """Open middle gap per axis; no sub-cell meets a point whose every
+    coordinate lies in its gap."""
+    gaps = []
+    for (lo, hi), h in zip(parent_box, child_lengths):
+        g_lo, g_hi = lo + h, hi - h
+        if not g_lo < g_hi:
+            raise ValueError("child intervals leave no middle gap")
+        gaps.append((g_lo, g_hi))
+    return tuple(gaps)
+
+
+def _candidate_paths(src, dst, gap):
+    yield (src, dst)
+    center = tuple((lo + hi) / 2 for lo, hi in gap)
+    span = tuple(hi - lo for lo, hi in gap)
+    for off in CLEARANCE_OFFSETS:
+        w = tuple(c + off * s for c, s in zip(center, span))
+        yield (src, w, dst)
+    for off in CLEARANCE_OFFSETS:
+        base = [c + off * s for c, s in zip(center, span)]
+        for axis in range(len(center)):
+            w1 = list(base)
+            w2 = list(base)
+            w1[axis] = base[axis] - span[axis] / 8
+            w2[axis] = base[axis] + span[axis] / 8
+            yield (src, tuple(w1), tuple(w2), dst)
+
+
+def search_route_connectors(ordered_cells, parent_box, gap):
+    """Vertex paths joining consecutive cells in distance order: the straight
+    segment first, then gap-waypoint detours from the clearance schedule."""
+    paths = []
+    for s in range(len(ordered_cells) - 1):
+        src = ordered_cells[s].far_corner
+        dst = ordered_cells[s + 1].near_corner
+        chosen = None
+        for cand in _candidate_paths(src, dst, gap):
+            if not _path_legal(cand, ordered_cells, s, parent_box):
+                continue
+            if all(polylines_disjoint(cand, p) for p in paths):
+                chosen = list(cand)
+                break
+        if chosen is None:
+            raise RoutingFailed(
+                f"no legal path between cells ranked {s + 1} and {s + 2} of "
+                f"generation {ordered_cells[s].generation} "
+                f"(parent {ordered_cells[s].parent_id}); clearance schedule exhausted")
+        paths.append(chosen)
+    return paths
+
+
+@st.composite
+def run_configs(draw):
+    """A RunConfig with its depth inside the oracle's budget: planar depth
+    <= 3, spatial <= 2, ambient dimension 4 at depth 1."""
+    family = draw(st.sampled_from(["dyadic", "harmonic", "geometric"]))
+    params = {}
+    if family == "geometric":
+        params["q"] = draw(st.sampled_from([F(1, 2), F(1, 3), F(3, 4), F(2, 5),
+                                            F(1, 10), F(9, 10)]))
+    c = draw(st.floats(1.05, 3.9))
+    max_depth = {2: 3, 3: 2}.get(int(c - 1) + 2, 1)
+    return RunConfig(target_dimension=c, ratio_family=family, ratio_params=params,
+                     depth=draw(st.integers(1, max_depth)))
+
+
+def parents_with_connectors(arc):
+    """(generation, order, parent, its sub-cells, its connectors) for every
+    parent; the order is the sub-cells' last branch bits in rank order."""
+    q = arc.branching
+    for k in range(1, arc.depth + 1):
+        for parent in arc.generation_cells(k - 1):
+            sub_cells = arc.sub_cells(parent.id)
+            order = tuple(tuple(w[-1] for w in cell.address) for cell in sub_cells)
+            conns = arc.connectors[parent.id * (q - 1):(parent.id + 1) * (q - 1)]
+            yield k, order, parent, sub_cells, conns
 
 
 @pytest.fixture(scope="module")
@@ -142,8 +236,64 @@ class TestRouting:
         base, product = planar_sets()
         arc = ArcApproximation(base, product)
         arc.build_to(1)
-        gap = _gap_box(arc.cells[0].box, arc._child_lengths(1))
-        assert route_connectors(arc.generation_cells(1)[:1], arc.cells[0].box, gap) == []
+        assert route_connectors(arc.generation_cells(1)[:1], arc.cells[0].box) == []
+
+    def test_illegal_segment_names_generation_parent_and_ranks(self):
+        base, product = planar_sets()
+        arc = ArcApproximation(base, product).build_to(1)
+        cells = arc.generation_cells(1)
+        # rank order 1, 4, 2, 3: the segment from the fourth cell's far corner
+        # to the second cell's near corner runs through both cells
+        with pytest.raises(RoutingFailed, match=r"generation 1 \(parent 0\) between "
+                                                r"cells ranked 2 and 3"):
+            route_connectors([cells[0], cells[3], cells[1], cells[2]], arc.cells[0].box)
+
+    def test_crossing_segments_are_refused(self):
+        arc = reference_arc("spatial", 1)
+        cells = arc.generation_cells(1)
+        # each segment alone is legal among these four cells, but the third
+        # crosses the first
+        with pytest.raises(RoutingFailed, match="ranked 3 and 4"):
+            route_connectors([cells[1], cells[6], cells[4], cells[3]], arc.cells[0].box)
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=run_configs())
+    def test_search_router_picks_the_straight_segments(self, config):
+        arc = build_model(config)
+        for k, _, parent, sub_cells, conns in parents_with_connectors(arc):
+            gap = _gap_box(parent.box, arc._child_lengths(k))
+            assert (search_route_connectors(sub_cells, parent.box, gap)
+                    == [c.vertices for c in conns]), (k, parent.id)
+
+    def test_route_checks_the_first_parent_of_each_class(self, monkeypatch):
+        import fractarc.arc as arc_module
+        real, checked = arc_module.route_connectors, []
+
+        def record(ordered_cells, parent_box):
+            checked.append(ordered_cells[0].parent_id)
+            return real(ordered_cells, parent_box)
+
+        monkeypatch.setattr(arc_module, "route_connectors", record)
+        arc = build_model(RunConfig(depth=5))
+        firsts = {}
+        for k, order, parent, _, _ in parents_with_connectors(arc):
+            firsts.setdefault((k, order), parent.id)
+        assert checked == list(firsts.values())
+        assert len(checked) == 9  # of 341 parents
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=run_configs())
+    def test_connectors_are_translates_within_each_class(self, config):
+        # the class check's premise: sub-cell boxes and connectors, minus the
+        # parent's near corner, depend only on (generation, order)
+        arc = build_model(config)
+        shapes = {}
+        for k, order, parent, sub_cells, conns in parents_with_connectors(arc):
+            origin = parent.near_corner
+            shape = (tuple(tuple(zip(vsub(cell.near_corner, origin),
+                                     vsub(cell.far_corner, origin))) for cell in sub_cells),
+                     tuple(tuple(vsub(v, origin) for v in c.vertices) for c in conns))
+            assert shapes.setdefault((k, order), shape) == shape, (k, parent.id)
 
     def test_figure_connector_geometry(self, figure_arc):
         first = figure_arc.connectors_at(1)

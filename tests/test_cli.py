@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -11,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import fractarc
+from fractarc import arc as arc_mod
 from fractarc.cli import (EXIT_CONFIG, EXIT_CONSTRUCTION, EXIT_OK,
-                          EXIT_VERIFICATION, ConfigError, RunConfig,
+                          ConfigError, RunConfig,
                           UnitIntervalModel, build_model, decode_rational,
                           dump_json, encode_rational, load_config_file, main,
                           model_from_dict, model_to_dict, parse_ratio_spec,
@@ -108,6 +110,18 @@ class TestBuildCommand:
             assert f"needs 2^{depth * 3} cells" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_illegal_connector_exit_code(self, tmp_path, capsys, monkeypatch):
+        def refuse(ordered_cells, parent_box):
+            raise arc_mod.RoutingFailed("the straight connector is not legal")
+
+        # route() looks the checker up in the module, so the patch reaches it
+        monkeypatch.setattr(arc_mod, "route_connectors", refuse)
+        out = tmp_path / "model.json"
+        rc = main(["build", "--c", repr(1 + LOG2_3), "--depth", "2", "--out", str(out)])
+        assert rc == EXIT_CONSTRUCTION
+        assert "construction failed: the straight connector" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_fresh_build_passes(self, tmp_path):
@@ -130,7 +144,7 @@ class TestVerifyCommand:
         data["connectors"][3]["vertices"][0] = ["1/2", "1/2"]
         out.write_text(json.dumps(data))
         rc = main(["verify", "--model", str(out), "--samples", "20"])
-        assert rc == EXIT_VERIFICATION
+        assert rc == EXIT_CONFIG
 
     def test_unit_interval_vacuous(self, tmp_path):
         out = tmp_path / "unit.json"
@@ -218,6 +232,28 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "exceeds the build cap 20" in err
         assert "Traceback" not in err
+
+    def test_default_arc_window_follows_the_exact_resolution(self, tmp_path):
+        # spatial depth 3: r^3 for r = 362027637/912252481 ~ 2^(-4/3) lies just
+        # above 1/16, so the finest admissible scale is 1/8 and the window (1, 3)
+        model = tmp_path / "spatial-3.json"
+        assert main(["build", "--c", "2.5", "--depth", "3", "--out", str(model)]) == EXIT_OK
+        default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
+        assert main(["estimate", "--preset", "arc", "--model", str(model),
+                     "--out", str(default)]) == EXIT_OK
+        assert main(["estimate", "--preset", "arc", "--model", str(model),
+                     "--scales", "1:3", "--out", str(explicit)]) == EXIT_OK
+        assert default.read_bytes() == explicit.read_bytes()
+        # sha256 of the explicit 1:3 report, pinned from the float-resolution code
+        assert hashlib.sha256(default.read_bytes()).hexdigest() == (
+            "2359c5de2a8f8c2fd094a5edd0e355dc4ac61df29cca427cbb650ee5bdbb8ccb")
+
+    def test_default_arc_window_with_two_scales_is_refused(self, tmp_path, capsys):
+        model = tmp_path / "spatial-2.json"
+        assert main(["build", "--c", "2.5", "--depth", "2", "--out", str(model)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["estimate", "--preset", "arc", "--model", str(model)]) == EXIT_CONSTRUCTION
+        assert "need at least 3 scales" in capsys.readouterr().err
 
     def test_three_copy_product_scales_its_window(self, tmp_path):
         est = tmp_path / "est.json"

@@ -146,13 +146,18 @@ def tamper_factor(data):
     return "model.factor"
 
 
+def tamper_vertex(data):
+    data["connectors"][3]["vertices"][0] = ["1/2", "1/2"]
+    return "connectors[3].vertices"
+
+
 class TestSkeletonCheck:
-    """Every cell, index field and header field is checked against the one
-    derived from the config on load."""
+    """Every cell, connector, index field and header field is checked
+    against the one derived from the config on load."""
 
     @pytest.mark.parametrize("tamper", [tamper_hi, tamper_lo, tamper_status,
                                         tamper_interval, tamper_parent, tamper_box,
-                                        tamper_address, tamper_factor])
+                                        tamper_address, tamper_factor, tamper_vertex])
     def test_tampered_index_field_exits_2_naming_it(self, models, tmp_path, capsys, tamper):
         data = json.loads(models["planar", 2].read_text())
         field = tamper(data)
