@@ -1,0 +1,115 @@
+"""Per-layer timings of the two counting kernels, with the work they do.
+
+Times ``box_count_series`` on exact Cantor and product samples and
+``net_count_series`` on snowflake and snowflake-rug samples, each at three
+generations, in one process, best of five ``perf_counter`` runs.  Sampling
+is timed apart from counting (a fresh Cantor engine per run, so its
+generation cache does not hide the build).  Each row keeps the point count
+and the counts per scale, so work and time are read together.
+
+    PYTHONPATH=src python bench/run.py BENCH.json
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import sys
+from fractions import Fraction
+from time import perf_counter
+
+import numpy as np
+
+from fractarc.cantor import ProductCantor, SelfSimilarCantor
+from fractarc.dimension import (box_count_series, cantor_sample, net_count_series,
+                                power_scales, product_sample)
+from fractarc.metric import VON_KOCH_EXPONENT, RugSpace, SnowflakeMetric
+
+REPEATS = 5
+THIRD = Fraction(1, 3)
+
+
+def best_of(fn):
+    """(best wall time, last result) over REPEATS calls."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = perf_counter()
+        result = fn()
+        best = min(best, perf_counter() - start)
+    return best, result
+
+
+def box_row(case: str, generation: int, sample, scales) -> dict:
+    sample_s, (points, resolution) = best_of(sample)
+    count_s, series = best_of(lambda: box_count_series(points, scales, resolution))
+    return {"layer": "box_count_series", "case": case, "generation": generation,
+            "points": len(points), "scales": [str(s) for s in series.scales],
+            "counts": list(series.counts), "sample_s": sample_s, "count_s": count_s}
+
+
+def net_row(case: str, generation: int, space, lo: int, hi: int) -> dict:
+    sample_s, points = best_of(lambda: space.sample(generation))
+    radii = [0.5 ** i for i in range(lo, hi + 1)]
+    count_s, series = best_of(lambda: net_count_series(space, points, radii))
+    return {"layer": "net_count_series", "case": case, "generation": generation,
+            "points": len(points), "scales": radii, "counts": list(series.counts),
+            "sample_s": sample_s, "count_s": count_s}
+
+
+def rows() -> list[dict]:
+    out = []
+    for g in (10, 12, 14):  # the cantor preset's window
+        out.append(box_row("cantor 1/3", g,
+                           lambda g=g: cantor_sample(SelfSimilarCantor(THIRD), g),
+                           power_scales(THIRD, 2, g - 2)))
+    for g in (6, 7, 8):  # the product preset's window for two copies
+        hi = min(6, g - 2)
+        out.append(box_row("product 1/3 x2", g,
+                           lambda g=g: product_sample(
+                               ProductCantor(SelfSimilarCantor(THIRD), 2), g),
+                           power_scales(THIRD, max(1, min(2, hi - 2)), hi)))
+    koch = SnowflakeMetric(VON_KOCH_EXPONENT)
+    for g in (12, 14, 16):
+        out.append(net_row("snowflake koch", g, koch, 2, 7))
+    for g in (7, 8, 9):
+        out.append(net_row("rug koch", g, RugSpace(koch), 2, 5))
+    return out
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def machine() -> dict:
+    return {"platform": platform.platform(), "machine": platform.machine(),
+            "cpu": cpu_model(), "cpu_count": os.cpu_count(),
+            "python": sys.version.split()[0],
+            "implementation": platform.python_implementation(),
+            "numpy": np.__version__, "repeats": REPEATS}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.rsplit("\n\n", 1)[-1].strip(), file=sys.stderr)
+        return 2
+    report = {"machine": machine(), "layers": rows()}
+    with open(argv[0], "w") as handle:
+        json.dump(report, handle, indent=2)
+        handle.write("\n")
+    for row in report["layers"]:
+        print(f"{row['layer']:17s} {row['case']:15s} g={row['generation']:<3d} "
+              f"points={row['points']:<8d} sample {row['sample_s']:.4f} s  "
+              f"count {row['count_s']:.4f} s  counts {row['counts']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -23,6 +23,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 DEFAULT_GENERATION_BUDGET = 20
 GENERATION_BUDGET_ENV = "FRACTARC_GENERATION_BUDGET"
 
@@ -209,6 +211,12 @@ class _BinaryCantorBase:
             self._numerator_cache[k] = cached
         return cached
 
+    def lower_lattice(self, k: int) -> tuple[np.ndarray, int]:
+        """Generation-k lower numerators as an array, with their denominator:
+        int64 when the denominator fits in 63 bits, Python ints otherwise."""
+        lows, _, den = self.interval_numerators(k)
+        return np.array(lows, dtype=np.int64 if den < 2 ** 63 else object), den
+
     def endpoints(self, k: int) -> list[Fraction]:
         """All 2^(k+1) generation-k interval endpoints, sorted increasing."""
         self.build(k)
@@ -386,14 +394,23 @@ class ProductCantor:
     def min_corners(self, k: int, limit: int = 2 ** 22) -> list[tuple[Fraction, ...]]:
         """Lower-left corners of every generation-k cell (the cells' provable
         member points), in lexicographic order."""
+        corners, den = self.min_corner_lattice(k, limit)
+        return [tuple(Fraction(v, den) for v in row) for row in corners.tolist()]
+
+    def min_corner_lattice(self, k: int, limit: int = 2 ** 22) -> tuple[np.ndarray, int]:
+        """``min_corners`` as a (cells, copies) array of integer numerators
+        over one denominator, typed as in ``lower_lattice``."""
         if self.cell_count(k) > limit:
             raise GenerationBudgetError(
                 f"{self.cell_count(k)} cells at generation {k} exceed the sample cap {limit}")
-        lows = [iv.lower for iv in self.factor.generation_intervals(k)]
-        corners: list[tuple[Fraction, ...]] = [()]
-        for _ in range(self.copies):
-            corners = [c + (v,) for c in corners for v in lows]
-        return corners
+        lows, den = self.factor.lower_lattice(k)
+        n, copies = len(lows), self.copies
+        corners = np.empty((n ** copies, copies), dtype=lows.dtype)
+        grid = corners.reshape((n,) * copies + (copies,))
+        for axis in range(copies):
+            # axis 0 varies slowest: lexicographic order
+            grid[..., axis] = lows.reshape([n if a == axis else 1 for a in range(copies)])
+        return corners, den
 
 
 def product_for_dimension(a: float) -> ProductCantor:

@@ -540,7 +540,9 @@ def run_estimate(preset: str, config: RunConfig, model=None,
         points = space.sample(g)
         lo, hi = window or (2, 7)
         radii = [0.5 ** i for i in range(lo, hi + 1)]
-        series = dim_mod.net_count_series(space, points, radii)
+        # the grid's generation length 2^-g, in the metric
+        series = dim_mod.net_count_series(space, points, radii,
+                                          sample_resolution=(2.0 ** -g) ** exponent)
         expected = dim_mod.expected_dimensions("snowflake", exponent=exponent)
     elif preset == "rug":
         if model is not None and not isinstance(model, UnitIntervalModel):
@@ -548,16 +550,21 @@ def run_estimate(preset: str, config: RunConfig, model=None,
             space = RugSpace(ArcFactor(model))
             g = generation or min(6, model.depth + 3)
             lo, hi = window or (2, 4)
+            # the second factor's generation length; the arc factor's own
+            # resolution is not checked
+            resolution = 2.0 ** -g
             expected = dim_mod.expected_dimensions(
                 "arc_rug", arc_dimension=1.0 + model.product.dimension)
         else:
             space = RugSpace(SnowflakeMetric(exponent))
             g = generation or 9
             lo, hi = window or (2, 5)
+            resolution = (2.0 ** -g) ** exponent  # the coarser axis: eps <= 1
             expected = dim_mod.expected_dimensions("rug", exponent=exponent)
         points = space.sample(g)
         radii = [0.5 ** i for i in range(lo, hi + 1)]
-        series = dim_mod.net_count_series(space, points, radii)
+        series = dim_mod.net_count_series(space, points, radii,
+                                          sample_resolution=resolution)
     elif preset == "arc":
         if model is None:
             raise ConfigError("arc estimation needs a model file")

@@ -6,13 +6,28 @@ coefficient of determination.  For non-Euclidean metrics (snowflake, rug) the
 counter is a greedy maximal r-separated net, whose size scales like a covering
 number.
 
-Exact-point samples (tuples of Fractions) are counted with integer floor
-division so scale grids aligned with the construction (for example powers of
-1/3 against a middle-thirds set) are decided exactly, never by float rounding.
+Exact samples live on an integer lattice: a ``LatticeSample`` holds integer
+numerators over one common denominator, straight from the Cantor engine for
+the cantor and product samples, converted once per series for any other list
+of rationals.  A box index is ``(num * dd) // (den * dn)`` for the scale
+``dn/dd``, so scale grids aligned with the construction (for example powers
+of 1/3 against a middle-thirds set) are decided exactly, never by float
+rounding: in numpy int64 when ``den * max(dd, dn)`` fits in 63 bits, in
+Python ints otherwise.
+
+The greedy net visits the points in sample order, as a full rescan would, but
+looks only where a point can be near.  Each metric's ``reach(r)`` bounds
+``|p_k - c_k|`` on every axis for points ``within`` radius r, so the points
+are bucketed once per radius on a grid a hair wider than the reach, and a
+net point's ball is looked for in the 3^d buckets around its own.  The
+bucketing only narrows the candidates: ``within`` still decides every
+covered point, with the same float comparison as before, so the counts are
+those of the full scan.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,12 +79,61 @@ class DimensionEstimate:
     kind: str = "box"
 
 
+class LatticeSample(Sequence):
+    """Exact points as integer numerators over one common denominator.
+
+    ``numerators`` is an (n, d) array, int64 when the denominator fits in 63
+    bits and Python ints (dtype object) otherwise.  Indexing and iteration
+    give the exact points: a ``Fraction`` each when ``scalar``, a tuple of
+    them otherwise.
+    """
+
+    def __init__(self, numerators: np.ndarray, denominator: int, scalar: bool = False):
+        self.numerators = numerators
+        self.denominator = denominator
+        self.scalar = scalar
+
+    @classmethod
+    def from_points(cls, points: Sequence) -> "LatticeSample":
+        """Lift rational points (numbers, or tuples of them) onto one lattice."""
+        points = list(points)
+        rows = [tuple(map(Fraction, p)) if isinstance(p, tuple) else (Fraction(p),)
+                for p in points]
+        if not rows:
+            raise ValueError("cannot box-count an empty sample")
+        if len({len(row) for row in rows}) > 1:
+            raise ValueError("points must share one dimension")
+        if any(c < 0 or c > 1 for row in rows for c in row):
+            raise ValueError("points must lie in the unit cube")
+        den = math.lcm(*{c.denominator for row in rows for c in row})
+        nums = [[c.numerator * (den // c.denominator) for c in row] for row in rows]
+        dtype = np.int64 if den < 2 ** 63 else object
+        return cls(np.array(nums, dtype=dtype),
+                   den, not any(isinstance(p, tuple) for p in points))
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def _point(self, row):
+        coords = tuple(Fraction(v, self.denominator) for v in row)
+        return coords[0] if self.scalar else coords
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return self._point(self.numerators[index].tolist())
+
+    def __iter__(self):
+        return map(self._point, self.numerators.tolist())
+
+
 def box_count(points: Sequence, delta) -> int:
     """Number of grid boxes of side delta meeting the point sample.
 
     Boxes are [i*delta, (i+1)*delta) per axis, with points at the upper domain
-    boundary assigned to the last box.  Deterministic; exact for Fraction
-    points with a rational delta.
+    boundary assigned to the last box.  Deterministic; exact for rational
+    points (a ``LatticeSample``, or a list lifted onto one) with a rational
+    delta.
     """
     delta = Fraction(delta) if not isinstance(delta, Fraction) else delta
     if delta <= 0 or delta > 1:
@@ -85,22 +149,25 @@ def box_count(points: Sequence, delta) -> int:
         np.clip(idx, 0, n_boxes - 1, out=idx)
         return len(np.unique(idx, axis=0))
 
+    if not isinstance(points, LatticeSample):
+        points = LatticeSample.from_points(points)
     if len(points) == 0:
         raise ValueError("cannot box-count an empty sample")
     dn, dd = delta.numerator, delta.denominator
     n_boxes = -((-dd) // dn)  # ceil(1/delta)
-    occupied = set()
-    for p in points:
-        coords = p if isinstance(p, tuple) else (p,)
-        key = []
-        for c in coords:
-            c = Fraction(c)
-            if c < 0 or c > 1:
-                raise ValueError("points must lie in the unit cube")
-            i = (c.numerator * dd) // (c.denominator * dn)
-            key.append(min(i, n_boxes - 1))
-        occupied.add(tuple(key))
-    return len(occupied)
+    nums, den = points.numerators, points.denominator
+    if nums.dtype == np.int64 and den * max(dd, dn) < 2 ** 63:
+        idx = nums * dd
+        idx //= den * dn
+    else:
+        idx = nums.astype(object) * dd // (den * dn)
+    np.minimum(idx, n_boxes - 1, out=idx)
+    if idx.dtype == object or n_boxes ** idx.shape[1] >= 2 ** 63:
+        return len(set(map(tuple, idx.tolist())))
+    key = idx[:, 0]  # the box's row-major rank among n_boxes^d
+    for k in range(1, idx.shape[1]):
+        key = key * n_boxes + idx[:, k]
+    return len(np.unique(key))
 
 
 def dyadic_scales(coarse: int, fine: int) -> list[Fraction]:
@@ -123,13 +190,18 @@ def box_count_series(points: Sequence, scales: Sequence,
     a spurious dimension-zero tail."""
     scales = [Fraction(s) for s in scales]
     if sample_resolution is not None:
-        finest = min(scales)
-        if finest < Fraction(sample_resolution):
-            raise ValueError(
-                f"scale {float(finest)!r} is finer than the sample resolution "
-                f"{float(sample_resolution)!r}; deepen the sample instead")
+        _refuse_finer(min(scales), Fraction(sample_resolution))
+    if not isinstance(points, (np.ndarray, LatticeSample)):
+        points = LatticeSample.from_points(points)
     counts = tuple(box_count(points, d) for d in scales)
     return BoxCountSeries(tuple(scales), counts, scale_family)
+
+
+def _refuse_finer(finest, resolution) -> None:
+    if finest < resolution:
+        raise ValueError(
+            f"scale {float(finest)!r} is finer than the sample resolution "
+            f"{float(resolution)!r}; deepen the sample instead")
 
 
 def estimate_dimension(series: BoxCountSeries, kind: str = "box") -> DimensionEstimate:
@@ -150,44 +222,125 @@ def estimate_dimension(series: BoxCountSeries, kind: str = "box") -> DimensionEs
                              kind)
 
 
+#: Bucket sides exceed the reach by this factor, so float rounding in
+#: floor(x / side) cannot put a point within reach two buckets away.
+_SIDE_MARGIN = 1.0 + 2.0 ** -20
+
+
+class _BucketGrid:
+    """The points' buckets for one radius: an integer key per point (int32
+    when every key fits), the last axis varying fastest, sorted, beside the
+    point order that sorts them.
+
+    Axis k is cut into buckets of side ``reach[k] * _SIDE_MARGIN``, widened
+    where needed to at most 2^bits buckets per unit of ``max |x_k|``, with
+    bits chosen so that the keys of up to 62 axes fit in int64 and
+    ``x / side`` stays below 2^30, where its rounding error is far below the
+    margin.
+    """
+
+    def __init__(self, points: np.ndarray, reach):
+        n, d = points.shape
+        bits = min(30, 62 // d - 2)
+        self.sides, self.lows, self.spans = [], [], []
+        for k in range(d):
+            low, high = float(points[:, k].min()), float(points[:, k].max())
+            side = max(reach[k] * _SIDE_MARGIN, math.ldexp(max(-low, high), -bits)) or 1.0
+            # floor(x / side) is monotone in x, so the extreme cells are known
+            self.sides.append(side)
+            self.lows.append(math.floor(low / side))
+            self.spans.append(math.floor(high / side) - self.lows[-1] + 1)
+        self.strides = [math.prod(self.spans[k + 1:]) for k in range(d)]
+        dtype = np.int32 if math.prod(self.spans) < 2 ** 31 else np.int64
+        keys = np.zeros(n, dtype=dtype)
+        cells = np.empty(n)
+        for k in range(d):
+            np.divide(points[:, k], self.sides[k], out=cells)
+            np.floor(cells, out=cells)
+            cells -= self.lows[k]
+            keys *= self.spans[k]
+            np.add(keys, cells, out=keys, dtype=dtype, casting="unsafe")
+        del cells
+        self.order = np.argsort(keys).astype(np.int32)
+        keys.sort()
+        self.keys = keys
+        # neighbour offsets on every axis but the last; the last axis's three
+        # buckets are adjacent keys, so each offset gives one sorted range
+        self.ring = list(itertools.product((-1, 0, 1), repeat=d - 1))
+
+    def near(self, point: np.ndarray) -> np.ndarray:
+        """Indices of the points in the 3^d buckets around ``point``'s own."""
+        cell = [math.floor(x / side) - low
+                for x, side, low in zip(point.tolist(), self.sides, self.lows)]
+        key = sum(c * stride for c, stride in zip(cell, self.strides))
+        bases = np.array([key + sum(o * stride for o, stride in zip(offset, self.strides))
+                          for offset in self.ring
+                          if all(0 <= c + o < span
+                                 for c, o, span in zip(cell, offset, self.spans))],
+                         dtype=self.keys.dtype)
+        last = cell[-1]
+        starts = self.keys.searchsorted(bases - (last > 0), "left").tolist()
+        ends = self.keys.searchsorted(bases + (last < self.spans[-1] - 1), "right").tolist()
+        if len(starts) == 1:
+            return self.order[starts[0]:ends[0]]
+        return np.concatenate([self.order[a:b] for a, b in zip(starts, ends)])
+
+
 def ball_net_count(space, points: np.ndarray, r: float) -> int:
     """Size of the greedy maximal r-separated subset of a float array of
     points, one per row, in sample order.
 
     The net size is sandwiched between covering numbers at radii r and r/2,
-    so its log-log slope estimates the same exponent.
+    so its log-log slope estimates the same exponent.  Candidates come from
+    the bucket grid of the module docstring; ``space.within`` decides them,
+    once per net point.
     """
-    if r <= 0:
+    if not r > 0:
         raise ValueError(f"net radius must be positive, got {r}")
     points = np.asarray(points, dtype=float)
-    if len(points) == 0:
+    n = len(points)
+    if n == 0:
         raise ValueError("cannot net-count an empty sample")
-    covered = np.zeros(len(points), dtype=bool)
+    points = points.reshape(n, -1)
+    grid = _BucketGrid(points, space.reach(r))
+    covered = np.zeros(n, dtype=bool)
     count = 0
-    for i in range(len(points)):
+    i = 0
+    while i < n:
+        i += int(covered[i:].argmin())  # first uncovered point at or after i
         if covered[i]:
-            continue
+            break
         count += 1
-        covered |= space.within(points, points[i], r)
+        near = grid.near(points[i])
+        near = near[~covered[near]]
+        covered[near[space.within(points[near], points[i], r)]] = True
+        i += 1
     return count
 
 
-def net_count_series(space, points, radii: Sequence[float]) -> BoxCountSeries:
+def net_count_series(space, points, radii: Sequence[float],
+                     sample_resolution=None) -> BoxCountSeries:
+    """Net counts at every radius.  When the sample's resolution (its point
+    spacing, in the metric) is known, radii finer than it are refused, as in
+    ``box_count_series``."""
+    if sample_resolution is not None:
+        _refuse_finer(min(float(r) for r in radii), float(sample_resolution))
     counts = tuple(ball_net_count(space, points, float(r)) for r in radii)
     return BoxCountSeries(tuple(Fraction(r) for r in radii), counts, "net")
 
 
-def cantor_sample(cantor_set: _BinaryCantorBase, generation: int) -> tuple[list[Fraction], Fraction]:
+def cantor_sample(cantor_set: _BinaryCantorBase, generation: int) -> tuple[LatticeSample, Fraction]:
     """Left endpoints of the generation intervals (all provably in the set;
     right endpoints sit on aligned grid lines and would leak into gap boxes).
     Returns (points, sample resolution)."""
-    pts = [iv.lower for iv in cantor_set.generation_intervals(generation)]
-    return pts, cantor_set.generation_length(generation)
+    lows, den = cantor_set.lower_lattice(generation)
+    return (LatticeSample(lows.reshape(-1, 1), den, scalar=True),
+            cantor_set.generation_length(generation))
 
 
-def product_sample(product: ProductCantor, generation: int) -> tuple[list[tuple[Fraction, ...]], Fraction]:
+def product_sample(product: ProductCantor, generation: int) -> tuple[LatticeSample, Fraction]:
     """Cell min-corners of the product at one generation."""
-    return (product.min_corners(generation),
+    return (LatticeSample(*product.min_corner_lattice(generation)),
             product.factor.generation_length(generation))
 
 

@@ -4,6 +4,11 @@ A snowflake metric raises Euclidean distance on [0, 1] to a power in (0, 1],
 which raises the space's dimension to the reciprocal of that power.  A rug is
 a product of a first factor (snowflaked interval, or a curve model carrying
 its ambient Euclidean metric) with [0, 1], under the max metric.
+
+Every space gives ``within`` (the ball test the net counter decides with)
+and ``reach`` (per-axis bounds on where that ball can reach, which the net
+counter buckets on).  Grid samples hold 2^resolution values per axis and are
+refused before allocation when that exceeds ``DEFAULT_SAMPLE_BUDGET``.
 """
 
 from __future__ import annotations
@@ -17,6 +22,12 @@ import numpy as np
 VON_KOCH_EXPONENT = math.log(3.0) / math.log(4.0)
 
 DEFAULT_SAMPLE_BUDGET = 2 ** 21
+
+
+def _check_budget(kind: str, resolution: int, budget: int) -> None:
+    """Refuse a 2^resolution-point grid over the budget before allocating it."""
+    if resolution >= budget.bit_length():  # 2^resolution > budget
+        raise ValueError(f"{kind} sample of 2^{resolution} points exceeds the budget {budget}")
 
 
 @dataclass(frozen=True)
@@ -43,10 +54,17 @@ class SnowflakeMetric:
 
     def within(self, points: np.ndarray, center: np.ndarray, r: float) -> np.ndarray:
         # |x-y|^eps < r  iff  |x-y| < r^(1/eps); avoids a pow per point
-        cutoff = r ** (1.0 / self.exponent)
+        cutoff = self.reach(r)[0]
         return np.abs(points[:, 0] - center[0]) < cutoff
 
+    def reach(self, r: float) -> list[float]:
+        """Per-axis half-widths: ``within(p, c, r)`` implies
+        ``|p_k - c_k| < reach(r)[k]`` on every axis."""
+        return [r ** (1.0 / self.exponent)]
+
     def sample(self, resolution: int) -> np.ndarray:
+        """2^resolution evenly spaced points of [0, 1], ends included."""
+        _check_budget("snowflake", resolution, DEFAULT_SAMPLE_BUDGET)
         return np.linspace(0.0, 1.0, 2 ** resolution).reshape(-1, 1)
 
 
@@ -62,6 +80,9 @@ class EuclideanMetric:
     def within(self, points: np.ndarray, center: np.ndarray, r: float) -> np.ndarray:
         diff = points - center
         return np.einsum("ij,ij->i", diff, diff) < r * r
+
+    def reach(self, r: float) -> list[float]:
+        return [r] * self.point_dimension
 
 
 class ArcFactor:
@@ -81,6 +102,9 @@ class ArcFactor:
 
     def within(self, points, center, r):
         return self.metric.within(points, center, r)
+
+    def reach(self, r: float) -> list[float]:
+        return self.metric.reach(r)
 
     def sample(self, resolution: int) -> np.ndarray:
         k = min(resolution, self.arc.depth)
@@ -108,12 +132,16 @@ class RugSpace:
         first_near = self.first.within(points[:, :m], center[:m], r)
         return first_near & (np.abs(points[:, m] - center[m]) < r)
 
+    def reach(self, r: float) -> list[float]:
+        return self.first.reach(r) + [r]
+
     def sample(self, resolution: int,
                budget: int = DEFAULT_SAMPLE_BUDGET) -> np.ndarray:
         """Deterministic product sample: factor sample times a uniform grid of
         2^resolution second-factor values."""
         if resolution < 1:
             raise ValueError("resolution must be at least 1")
+        _check_budget("rug", resolution, budget)
         first = np.asarray(self.first.sample(resolution), dtype=float)
         second = np.linspace(0.0, 1.0, 2 ** resolution)
         total = first.shape[0] * second.shape[0]

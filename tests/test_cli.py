@@ -233,6 +233,22 @@ class TestEstimateCommand:
         assert err.count("\n") == 1 and "exceeds the build cap 20" in err
         assert "Traceback" not in err
 
+    def test_sample_over_the_budget_is_refused(self, capsys):
+        # 2^resolution is checked against the budget before any allocation
+        for argv in (["--preset", "snowflake", "--generation", "26"],
+                     ["--preset", "rug", "--generation", "40"]):
+            assert main(["estimate", *argv]) == EXIT_CONSTRUCTION
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "exceeds the budget 2097152" in err
+            assert "Traceback" not in err
+
+    def test_net_window_finer_than_the_sample_is_refused(self, capsys):
+        # 2^-40 lies far below the generation-14 grid's 2^(-14 eps)
+        for preset in ("snowflake", "rug"):
+            assert main(["estimate", "--preset", preset, "--scales", "2:40"]) == EXIT_CONSTRUCTION
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "finer than the sample resolution" in err
+
     def test_default_arc_window_follows_the_exact_resolution(self, tmp_path):
         # spatial depth 3: r^3 for r = 362027637/912252481 ~ 2^(-4/3) lies just
         # above 1/16, so the finest admissible scale is 1/8 and the window (1, 3)

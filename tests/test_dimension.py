@@ -1,5 +1,7 @@
 """Box and net counting, regression diagnostics, expected-value metadata."""
 
+import functools
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -8,13 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractarc.cantor import ProductCantor, SelfSimilarCantor
-from fractarc.dimension import (BoxCountSeries, ball_net_count, box_count,
-                                box_count_series, cantor_sample, dyadic_scales,
-                                estimate_dimension, expected_dimensions,
-                                interval_sample, net_count_series, power_scales,
-                                product_sample)
-from fractarc.metric import EuclideanMetric, RugSpace, SnowflakeMetric
+from fractarc.arc import build_arc
+from fractarc.cantor import (ProductCantor, RatioCantorSet, RatioSequence,
+                             SelfSimilarCantor)
+from fractarc.dimension import (BoxCountSeries, LatticeSample, ball_net_count,
+                                box_count, box_count_series, cantor_sample,
+                                dyadic_scales, estimate_dimension,
+                                expected_dimensions, interval_sample,
+                                net_count_series, power_scales, product_sample)
+from fractarc.metric import (VON_KOCH_EXPONENT, ArcFactor, EuclideanMetric,
+                             RugSpace, SnowflakeMetric)
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
@@ -209,6 +214,235 @@ class TestNetCount:
             est = estimate_dimension(series, "ball-net")
             assert est.slope == pytest.approx(1 / eps, abs=0.1)
             assert est.kind == "ball-net"
+
+
+def full_scan_net_count(space, points, r):
+    """Oracle: the greedy net with every net point rescanning the whole
+    sample, as ``ball_net_count`` was first written."""
+    points = np.asarray(points, dtype=float)
+    covered = np.zeros(len(points), dtype=bool)
+    count = 0
+    for i in range(len(points)):
+        if covered[i]:
+            continue
+        count += 1
+        covered |= space.within(points, points[i], r)
+    return count
+
+
+@functools.lru_cache(maxsize=None)
+def depth_two_arc():
+    product = ProductCantor(SelfSimilarCantor(F(1, 3)), 1)
+    return build_arc(RatioCantorSet(RatioSequence.dyadic()), product, 2)
+
+
+NET_SPACES = st.one_of(
+    st.floats(0.3, 1.0).map(SnowflakeMetric),
+    st.integers(1, 3).map(EuclideanMetric),
+    st.floats(0.3, 1.0).map(lambda eps: RugSpace(SnowflakeMetric(eps))),
+    st.builds(lambda: RugSpace(ArcFactor(depth_two_arc()))),
+)
+
+
+@st.composite
+def net_cases(draw):
+    """(space, points, r): the space's own sample or a k/8 lattice sample,
+    rows shuffled, with lattice radii, a radius beyond the diameter, or any."""
+    space = draw(NET_SPACES)
+    if hasattr(space, "sample") and draw(st.booleans()):
+        points = space.sample(draw(st.integers(1, 3)))
+    else:
+        axis = st.integers(0, 8)
+        rows = draw(st.lists(st.tuples(*[axis] * space.point_dimension),
+                             min_size=1, max_size=80))
+        points = np.array(rows, dtype=float) / 8
+    points = points[draw(st.permutations(range(len(points))))]
+    r = draw(st.one_of(st.sampled_from([1 / 8, 1 / 4, 1 / 2, 4.0]), st.floats(0.01, 1.0)))
+    return space, points, r
+
+
+@st.composite
+def reach_boundary_cases(draw):
+    """(space, points, r): pairs straddling bucket boundaries, a few ulps
+    inside and outside the reach along one axis."""
+    space = draw(NET_SPACES)
+    r = draw(st.floats(0.05, 0.5))
+    reach = space.reach(r)
+    axis = draw(st.integers(0, space.point_dimension - 1))
+    step = reach[axis]
+    base = np.array(draw(st.tuples(*[st.integers(0, 8)] * space.point_dimension)),
+                    dtype=float) / 8
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        low = draw(st.integers(0, max(1, int(1 / step)))) * step
+        low = low + draw(st.integers(-3, 3)) * math.ulp(low or step)
+        high = low + step + draw(st.integers(-3, 3)) * math.ulp(low + step)
+        for value in (low, high):
+            row = base.copy()
+            row[axis] = value
+            rows.append(row)
+    points = np.array(rows)
+    return space, points[draw(st.permutations(range(len(points))))], r
+
+
+class TestBucketedNet:
+    @given(net_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_full_scan(self, case):
+        space, points, r = case
+        assert ball_net_count(space, points, r) == full_scan_net_count(space, points, r)
+
+    @given(reach_boundary_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_full_scan_at_the_reach(self, case):
+        space, points, r = case
+        assert ball_net_count(space, points, r) == full_scan_net_count(space, points, r)
+
+    def test_reach_bounds_within(self):
+        rng = np.random.default_rng(0)
+        for space in (SnowflakeMetric(0.4), EuclideanMetric(3),
+                      RugSpace(SnowflakeMetric(VON_KOCH_EXPONENT)),
+                      RugSpace(ArcFactor(depth_two_arc()))):
+            points = rng.random((400, space.point_dimension))
+            for r in (0.05, 0.2, 0.7):
+                reach = np.array(space.reach(r))
+                assert len(reach) == space.point_dimension
+                for center in points[:20]:
+                    near = points[space.within(points, center, r)]
+                    assert (np.abs(near - center) < reach).all()
+
+    def test_tiny_radius_keys_fit(self):
+        # 2^-40 on a 5-axis cloud: per-axis cells far beyond 2^12 would
+        # overflow a dense int64 key
+        space = EuclideanMetric(5)
+        points = np.random.default_rng(1).random((300, 5))
+        for r in (2.0 ** -40, 1e-300):
+            assert ball_net_count(space, points, r) == 300
+        assert ball_net_count(space, points, 10.0) == 1
+
+    def test_within_sees_a_bounded_number_of_rows(self):
+        # counters, not timings: the full scan hands within n rows per net point
+        space = RugSpace(SnowflakeMetric(VON_KOCH_EXPONENT))
+        points = space.sample(8)
+        rows = []
+        space.within = lambda p, c, r: (rows.append(len(p)),
+                                        RugSpace.within(space, p, c, r))[1]
+        count = ball_net_count(space, points, 2.0 ** -5)
+        assert len(points) == 2 ** 16 and len(rows) == count
+        bound = 8 * len(points)
+        assert sum(rows) < bound
+        assert count * len(points) >= 10 * bound
+
+    def test_series_refuses_radii_finer_than_the_sample(self):
+        space = SnowflakeMetric(0.5)
+        points = space.sample(8)
+        resolution = (1 / 255) ** 0.5  # just above 2^-4
+        with pytest.raises(ValueError, match="finer than the sample"):
+            net_count_series(space, points, [0.5 ** i for i in range(2, 5)],
+                             sample_resolution=resolution)
+        series = net_count_series(space, points, [0.5 ** i for i in range(1, 4)],
+                                  sample_resolution=resolution)
+        assert series.counts == tuple(full_scan_net_count(space, points, 0.5 ** i)
+                                      for i in range(1, 4))
+
+
+def fraction_box_count(points, delta):
+    """Oracle: one Fraction per coordinate, as the exact ``box_count`` was
+    first written."""
+    delta = F(delta)
+    dn, dd = delta.numerator, delta.denominator
+    n_boxes = -((-dd) // dn)
+    occupied = set()
+    for p in points:
+        coords = p if isinstance(p, tuple) else (p,)
+        key = []
+        for c in coords:
+            c = F(c)
+            assert 0 <= c <= 1
+            i = (c.numerator * dd) // (c.denominator * dn)
+            key.append(min(i, n_boxes - 1))
+        occupied.add(tuple(key))
+    return len(occupied)
+
+
+#: Scale denominators coprime to every sample denominator drawn below.
+SCALE_PRIMES = (13, 17, 19, 23, 29)
+
+
+@st.composite
+def box_cases(draw):
+    """(points, delta): mixed-denominator points with 0, 1 and the scale's
+    own box boundaries, as bare numbers or tuples of 1-3 coordinates."""
+    q = draw(st.sampled_from(SCALE_PRIMES)) ** draw(st.integers(1, 2))
+    delta = F(draw(st.integers(1, q)), q)
+    boundaries = [min(i * delta, F(1)) for i in range(math.ceil(1 / delta) + 1)]
+    coord = st.one_of(st.sampled_from([F(0), F(1)]), st.sampled_from(boundaries),
+                      st.fractions(0, 1, max_denominator=12))
+    dim = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=40))
+    if dim == 1 and draw(st.booleans()):
+        return [row[0] for row in rows], delta
+    return rows, delta
+
+
+def cantor_low(word):
+    """Generation-len(word) lower end of the ratio-1/10 set, by its digits."""
+    return sum((F(9, 10 ** (k + 1)) for k, bit in enumerate(word) if bit), F(0))
+
+
+class TestIntegerBoxCount:
+    @given(box_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_fraction_loop(self, case):
+        points, delta = case
+        assert box_count(points, delta) == fraction_box_count(points, delta)
+        series = box_count_series(points, [delta, F(1)])
+        assert series.counts[0] == fraction_box_count(points, delta)
+
+    @given(st.lists(st.lists(st.booleans(), min_size=20, max_size=20), min_size=1,
+                    max_size=30),
+           st.sampled_from(SCALE_PRIMES), st.integers(1, 14))
+    @settings(max_examples=100, deadline=None)
+    def test_deep_denominator_takes_python_ints(self, words, q, k):
+        # generation 20 of the ratio-1/10 set lives over 10^20 > 2^63
+        points = [cantor_low(w) for w in words] + [cantor_low([True] * 20)]
+        sample = LatticeSample.from_points(points)
+        assert sample.denominator == 10 ** 20 and sample.numerators.dtype == object
+        assert list(sample) == points
+        for delta in (F(1, q ** k), F(q - 1, q), F(1, 10 ** k), F(1)):
+            assert box_count(sample, delta) == fraction_box_count(points, delta)
+
+    @given(st.integers(1, 8), st.integers(1, 30), st.sampled_from(SCALE_PRIMES))
+    @settings(max_examples=60, deadline=None)
+    def test_engine_samples_on_every_branch(self, g, k, q):
+        # int64, int64 numerators with an overflowing product, Python ints
+        for ratio, copies in ((F(1, 3), 1), (F(2, 5), 2), (F(1, 1000), 1),
+                              (F(1, 10 ** 7), 2)):
+            product = ProductCantor(SelfSimilarCantor(ratio), copies)
+            sample, _ = (cantor_sample(product.factor, g) if copies == 1
+                         else product_sample(product, min(g, 4)))
+            points = list(sample)
+            for delta in (F(1, 3 ** k), F(1, q ** min(k, 14)), ratio ** min(k, g)):
+                assert box_count(sample, delta) == fraction_box_count(points, delta)
+
+    def test_engine_samples_are_the_exact_points(self):
+        cantor = SelfSimilarCantor(F(1, 3))
+        sample, _ = cantor_sample(cantor, 6)
+        lows = [iv.lower for iv in cantor.generation_intervals(6)]
+        assert len(sample) == 64 and list(sample) == lows
+        assert sample[5] == lows[5] and sample[-1] == lows[-1] and sample[2:4] == lows[2:4]
+        # the Cartesian product of the factor's lows, first axis slowest
+        product = ProductCantor(cantor, 3)
+        corners, _ = product_sample(product, 3)
+        lows = [iv.lower for iv in cantor.generation_intervals(3)]
+        expected = list(itertools.product(lows, repeat=3))
+        assert corners[7] == (lows[0], lows[0], lows[7])
+        assert list(corners) == expected == product.min_corners(3)
+
+    def test_product_cap_is_kept(self):
+        from fractarc.cantor import GenerationBudgetError
+        with pytest.raises(GenerationBudgetError, match="sample cap"):
+            product_sample(ProductCantor(SelfSimilarCantor(F(1, 3)), 2), 12)
 
 
 class TestExpectedDimensions:
