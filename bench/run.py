@@ -1,11 +1,14 @@
-"""Per-layer timings of the two counting kernels, with the work they do.
+"""Per-layer timings of the Cantor lattice and the two counting kernels,
+with the work they do.
 
-Times ``box_count_series`` on exact Cantor and product samples and
-``net_count_series`` on snowflake and snowflake-rug samples, each at three
-generations, in one process, best of five ``perf_counter`` runs.  Sampling
-is timed apart from counting (a fresh Cantor engine per run, so its
-generation cache does not hide the build).  Each row keeps the point count
-and the counts per scale, so work and time are read together.
+Times ``lattice`` of fresh self-similar Cantor engines (r = 1/3 and 1/10,
+the second past the int64 denominators), ``box_count_series`` on exact
+Cantor and product samples and ``net_count_series`` on snowflake and
+snowflake-rug samples, each at three generations, in one process, best of
+five ``perf_counter`` runs.  Sampling is timed apart from counting (a fresh
+Cantor engine per run, so its stored generations do not hide the build).
+Each row keeps the point count beside the lattice's dtype and bytes or the
+counts per scale, so work and time are read together.
 
     PYTHONPATH=src python bench/run.py BENCH.json
 """
@@ -40,6 +43,13 @@ def best_of(fn):
     return best, result
 
 
+def lattice_row(case: str, ratio: Fraction, generation: int) -> dict:
+    build_s, (lows, _, _) = best_of(lambda: SelfSimilarCantor(ratio).lattice(generation))
+    return {"layer": "cantor_lattice", "case": case, "generation": generation,
+            "points": len(lows), "dtype": str(lows.dtype), "nbytes": lows.nbytes,
+            "build_s": build_s}
+
+
 def box_row(case: str, generation: int, sample, scales) -> dict:
     sample_s, (points, resolution) = best_of(sample)
     count_s, series = best_of(lambda: box_count_series(points, scales, resolution))
@@ -59,6 +69,9 @@ def net_row(case: str, generation: int, space, lo: int, hi: int) -> dict:
 
 def rows() -> list[dict]:
     out = []
+    for case, ratio in (("cantor 1/3", THIRD), ("cantor 1/10", Fraction(1, 10))):
+        for g in (16, 18, 20):
+            out.append(lattice_row(case, ratio, g))
     for g in (10, 12, 14):  # the cantor preset's window
         out.append(box_row("cantor 1/3", g,
                            lambda g=g: cantor_sample(SelfSimilarCantor(THIRD), g),
@@ -105,9 +118,13 @@ def main(argv: list[str]) -> int:
         json.dump(report, handle, indent=2)
         handle.write("\n")
     for row in report["layers"]:
-        print(f"{row['layer']:17s} {row['case']:15s} g={row['generation']:<3d} "
-              f"points={row['points']:<8d} sample {row['sample_s']:.4f} s  "
-              f"count {row['count_s']:.4f} s  counts {row['counts']}")
+        head = (f"{row['layer']:17s} {row['case']:15s} g={row['generation']:<3d} "
+                f"points={row['points']:<8d}")
+        if row["layer"] == "cantor_lattice":
+            print(f"{head} build {row['build_s']:.4f} s  {row['dtype']} {row['nbytes']} bytes")
+        else:
+            print(f"{head} sample {row['sample_s']:.4f} s  "
+                  f"count {row['count_s']:.4f} s  counts {row['counts']}")
     return 0
 
 

@@ -56,10 +56,9 @@ import numpy as np
 from .cantor import (Address, GenerationBudgetError, ProductCantor,
                      RatioCantorSet)
 # boxes_disjoint is unused here, but perfbench/tracing.py wraps arc.boxes_disjoint
-from .geometry import (Box, Point, box_corners, box_diameter_sq,
-                       boxes_disjoint, chain_self_intersection, norm_sq,
-                       point_in_box, polyline_is_simple, polylines_disjoint,
-                       segment_box_clip)
+from .geometry import (Box, Point, box_corners, boxes_disjoint,
+                       chain_self_intersection, norm_sq, point_in_box,
+                       polyline_is_simple, polylines_disjoint, segment_box_clip)
 
 DEFAULT_CELL_BUDGET = 2 ** 18
 
@@ -91,10 +90,6 @@ class Cell:
     @property
     def distance_sq(self) -> Fraction:
         return norm_sq(self.near_corner)
-
-    @property
-    def diameter_sq(self) -> Fraction:
-        return box_diameter_sq(self.box)
 
     def corners(self) -> list[Point]:
         return box_corners(self.box)
@@ -308,15 +303,17 @@ class ArcApproximation:
                 f"over the budget {self.cell_budget}")
         axes = (self.base_set, self.product.factor)
         for k in range(self.depth + 1, depth + 1):
-            base, factor = ([(iv.lower, iv.upper) for iv in s.generation_intervals(k)]
-                            for s in axes)
-            intervals = [base] + [factor] * self.copies
-            # lower ends over one common denominator: integer sort keys
-            (base_lows, _, base_den), (factor_lows, _, factor_den) = (
-                s.interval_numerators(k) for s in axes)
-            den = math.lcm(base_den, factor_den)
-            lows = ([[a * (den // base_den) for a in base_lows]]
-                    + [[a * (den // factor_den) for a in factor_lows]] * self.copies)
+            lattices = [s.lattice(k) for s in axes]
+            den = math.lcm(*(axis_den for _, _, axis_den in lattices))
+            intervals, lows = [], []
+            for axis_lows, ln, axis_den in lattices:
+                axis_lows = axis_lows.tolist()
+                intervals.append([(Fraction(a, axis_den), Fraction(a + ln, axis_den))
+                                  for a in axis_lows])
+                # lower ends over one common denominator: integer sort keys
+                lows.append([a * (den // axis_den) for a in axis_lows])
+            intervals = intervals[:1] + intervals[1:] * self.copies
+            lows = lows[:1] + lows[1:] * self.copies
             for parent in self.generation_cells(k - 1):
                 self._make_sub_cells(parent, intervals, lows)
             self.depth = k

@@ -9,9 +9,13 @@ Two constructions share one engine:
   r in (0, 1/2); generation-k intervals have length r^k and the set has
   similarity dimension ln 2 / ln(1/r).
 
-All endpoints are exact rationals.  Internally a generation is stored as
-integer numerators over one common denominator, so building and checking
-deep generations stays cheap; ``Fraction`` views are materialised on demand.
+All endpoints are exact rationals.  Every generation-k interval has the one
+length L_k, so a generation is stored as one read-only integer lattice: the
+intervals' lower ends as numerators over a common denominator, beside the
+numerator of L_k (``lattice``).  The array is int64 while the denominator
+fits in 63 bits and holds Python ints beyond; generation k is built from
+generation k-1 in one vectorised step.  Intervals, endpoints and addresses
+are ``Fraction`` views derived from the lattice on each call.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -138,13 +141,9 @@ class _BinaryCantorBase:
         self._max_generation = generation_budget() if max_generation is None else max_generation
         if self._max_generation < 1:
             raise ValueError("generation budget must be at least 1")
-        # integer lattice per generation: endpoint numerators over _den[k]
-        self._den: list[int] = [1]
-        self._len_num: list[int] = [1]
-        self._pairs: list[list[tuple[int, int]]] = [[(0, 1)]]
-        self._interval_cache: dict[int, list[CantorInterval]] = {}
-        self._endpoint_cache: dict[int, list[Fraction]] = {}
-        self._numerator_cache: dict[int, tuple[list[int], list[int], int]] = {}
+        # one (lower-end numerators, length numerator, denominator) per generation
+        self._lattices: list[tuple[np.ndarray, int, int]] = [
+            (_read_only(np.zeros(1, np.int64)), 1, 1)]
 
     # subclasses supply the exact generation length
     def generation_length(self, k: int) -> Fraction:
@@ -156,10 +155,10 @@ class _BinaryCantorBase:
 
     @property
     def max_built_generation(self) -> int:
-        return len(self._pairs) - 1
+        return len(self._lattices) - 1
 
     def build(self, k: int) -> None:
-        """Build (and cache) all generations up to k."""
+        """Build (and keep) the lattices of all generations up to k."""
         if k < 0:
             raise ValueError("generation must be non-negative")
         if k > self._max_generation:
@@ -171,85 +170,71 @@ class _BinaryCantorBase:
             length = self.generation_length(g)
             if not 0 < length < self.generation_length(g - 1) / 2:
                 raise ValueError(f"generation {g} length {length} leaves no middle gap")
-            prev_den = self._den[g - 1]
-            den = prev_den * length.denominator // gcd(prev_den, length.denominator)
+            lows, prev_ln, prev_den = self._lattices[g - 1]
+            den = math.lcm(prev_den, length.denominator)
             lift = den // prev_den
             ln = length.numerator * (den // length.denominator)
-            pairs: list[tuple[int, int]] = []
-            append = pairs.append
-            for a, b in self._pairs[g - 1]:
-                a *= lift
-                b *= lift
-                append((a, a + ln))
-                append((b - ln, b))
-            self._den.append(den)
-            self._len_num.append(ln)
-            self._pairs.append(pairs)
+            if den >= 2 ** 63:
+                lows = lows.astype(object, copy=False)
+            lows = lows * lift
+            children = np.stack([lows, lows + (prev_ln * lift - ln)], axis=1).ravel()
+            self._lattices.append((_read_only(children), ln, den))
+
+    def lattice(self, k: int) -> tuple[np.ndarray, int, int]:
+        """(lower ends, length, denominator) of generation k, as integer
+        numerators over the denominator; the lower ends are a read-only array
+        in increasing order, int64 while the denominator fits in 63 bits and
+        Python ints (dtype object) beyond."""
+        self.build(k)
+        return self._lattices[k]
 
     def generation_intervals(self, k: int) -> list[CantorInterval]:
-        """The 2^k generation-k intervals in increasing order (cached)."""
-        self.build(k)
-        cached = self._interval_cache.get(k)
-        if cached is None:
-            den = self._den[k]
-            cached = [CantorInterval(k, j + 1, Fraction(a, den), Fraction(b, den))
-                      for j, (a, b) in enumerate(self._pairs[k])]
-            self._interval_cache[k] = cached
-        return cached
-
-    def interval_numerators(self, k: int) -> tuple[list[int], list[int], int]:
-        """(lower numerators, upper numerators, denominator) for generation k.
-
-        The raw lattice view; intended for exact bisection queries (cached).
-        """
-        cached = self._numerator_cache.get(k)
-        if cached is None:
-            self.build(k)
-            lows = [a for a, _ in self._pairs[k]]
-            highs = [b for _, b in self._pairs[k]]
-            cached = (lows, highs, self._den[k])
-            self._numerator_cache[k] = cached
-        return cached
-
-    def lower_lattice(self, k: int) -> tuple[np.ndarray, int]:
-        """Generation-k lower numerators as an array, with their denominator:
-        int64 when the denominator fits in 63 bits, Python ints otherwise."""
-        lows, _, den = self.interval_numerators(k)
-        return np.array(lows, dtype=np.int64 if den < 2 ** 63 else object), den
+        """The 2^k generation-k intervals in increasing order."""
+        lows, ln, den = self.lattice(k)
+        return [CantorInterval(k, j + 1, Fraction(a, den), Fraction(a + ln, den))
+                for j, a in enumerate(lows.tolist())]
 
     def endpoints(self, k: int) -> list[Fraction]:
         """All 2^(k+1) generation-k interval endpoints, sorted increasing."""
-        self.build(k)
-        cached = self._endpoint_cache.get(k)
-        if cached is None:
-            den = self._den[k]
-            cached = [Fraction(v, den) for pair in self._pairs[k] for v in pair]
-            self._endpoint_cache[k] = cached
-        return cached
+        lows, ln, den = self.lattice(k)
+        return [Fraction(v, den) for a in lows.tolist() for v in (a, a + ln)]
 
     def interval_at(self, word: str) -> CantorInterval:
         """Interval addressed by a branch word over {0, 1} (0 = left child)."""
         if any(ch not in "01" for ch in word):
             raise ValueError(f"branch word must be over {{0,1}}, got {word!r}")
         k = len(word)
-        self.build(k)
-        idx = int(word, 2) if word else 0
-        return self.generation_intervals(k)[idx]
+        lows, ln, den = self.lattice(k)
+        j = int(word, 2) if word else 0
+        a = int(lows[j])
+        return CantorInterval(k, j + 1, Fraction(a, den), Fraction(a + ln, den))
 
     def verify_generation_lengths(self, up_to: int) -> bool:
-        """Every built interval length equals the generation length exactly.
+        """Every stored generation has the exact generation length, and each
+        of its intervals is an outer child of its parent: even children start
+        at the parent's lower end, odd children end at its upper end.
 
         Runs on the integer lattice, so deep generations check in milliseconds.
         """
         self.build(up_to)
         for k in range(up_to + 1):
-            ln = self._len_num[k]
-            if any(b - a != ln for a, b in self._pairs[k]):
+            lows, ln, den = self._lattices[k]
+            if Fraction(ln, den) != self.generation_length(k):
                 return False
-            expected = self.generation_length(k)
-            if Fraction(ln, self._den[k]) != expected:
+            if k == 0:
+                continue
+            parents, prev_ln, prev_den = self._lattices[k - 1]
+            lift = den // prev_den
+            parents = parents.astype(lows.dtype) * lift
+            if not (np.array_equal(lows[0::2], parents)
+                    and np.array_equal(lows[1::2] + ln, parents + prev_ln * lift)):
                 return False
         return True
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 class RatioCantorSet(_BinaryCantorBase):
@@ -399,11 +384,11 @@ class ProductCantor:
 
     def min_corner_lattice(self, k: int, limit: int = 2 ** 22) -> tuple[np.ndarray, int]:
         """``min_corners`` as a (cells, copies) array of integer numerators
-        over one denominator, typed as in ``lower_lattice``."""
+        over one denominator, typed as in ``lattice``."""
         if self.cell_count(k) > limit:
             raise GenerationBudgetError(
                 f"{self.cell_count(k)} cells at generation {k} exceed the sample cap {limit}")
-        lows, den = self.factor.lower_lattice(k)
+        lows, _, den = self.factor.lattice(k)
         n, copies = len(lows), self.copies
         corners = np.empty((n ** copies, copies), dtype=lows.dtype)
         grid = corners.reshape((n,) * copies + (copies,))
@@ -520,8 +505,9 @@ def sample_ball_inputs(cantor_set: RatioCantorSet, count: int, depth: int,
     samples = []
     for _ in range(count):
         g = rng.randrange(0, depth + 1)
-        eps = cantor_set.endpoints(g)
-        x = eps[rng.randrange(len(eps))]
+        lows, ln, den = cantor_set.lattice(g)
+        i = rng.randrange(2 ** (g + 1))  # endpoint i: an end of interval i // 2
+        x = Fraction(int(lows[i // 2]) + i % 2 * ln, den)
         r = Fraction(min(math.exp(rng.uniform(log_lo, 0.0)), 1.0 - 1e-12))
         samples.append((x, r))
     return samples

@@ -331,15 +331,17 @@ def net_count_series(space, points, radii: Sequence[float],
 
 def cantor_sample(cantor_set: _BinaryCantorBase, generation: int) -> tuple[LatticeSample, Fraction]:
     """Left endpoints of the generation intervals (all provably in the set;
-    right endpoints sit on aligned grid lines and would leak into gap boxes).
+    right endpoints sit on aligned grid lines and would leak into gap boxes),
+    as the engine's own read-only lattice of lower ends.
     Returns (points, sample resolution)."""
-    lows, den = cantor_set.lower_lattice(generation)
+    lows, _, den = cantor_set.lattice(generation)
     return (LatticeSample(lows.reshape(-1, 1), den, scalar=True),
             cantor_set.generation_length(generation))
 
 
 def product_sample(product: ProductCantor, generation: int) -> tuple[LatticeSample, Fraction]:
-    """Cell min-corners of the product at one generation."""
+    """Cell min-corners of the product at one generation, laid out from the
+    factor's lattice of lower ends."""
     return (LatticeSample(*product.min_corner_lattice(generation)),
             product.factor.generation_length(generation))
 

@@ -11,11 +11,12 @@ contiguous run, the bracket width is at most two intervals' mass.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .cantor import RatioCantorSet
 
@@ -69,17 +70,14 @@ class NaturalMeasure:
         r = Fraction(r)
         if r <= 0:
             raise ValueError(f"radius must be positive, got {r}")
-        lows, highs, den = self.base.interval_numerators(resolution)
+        lows, ln, den = self.base.lattice(resolution)
         key_lo = (x - r) * den
         key_hi = (x + r) * den
+        # an upper end a + ln is <= key (< key) exactly when a <= key - ln
         # run of intervals meeting the open ball: upper > x-r and lower < x+r
-        first_meet = bisect.bisect_right(highs, key_lo)
-        last_meet = bisect.bisect_left(lows, key_hi)
-        meet = max(0, last_meet - first_meet)
+        meet = max(0, _rank(lows, den, key_hi, True) - _rank(lows, den, key_lo - ln, False))
         # fully inside the open ball: lower > x-r and upper < x+r
-        first_in = bisect.bisect_right(lows, key_lo)
-        last_in = bisect.bisect_left(highs, key_hi)
-        inside = max(0, last_in - first_in)
+        inside = max(0, _rank(lows, den, key_hi - ln, True) - _rank(lows, den, key_lo, False))
         unit = Fraction(1, 2 ** resolution)
         return BallMassBracket(x, r, inside * unit, meet * unit, resolution)
 
@@ -104,10 +102,18 @@ class NaturalMeasure:
         r = Fraction(r)
         k = self.radius_generation(r)
         coarse = max(k - 1, 0)
-        lows, highs, den = self.base.interval_numerators(coarse)
-        first = bisect.bisect_right(highs, (x - r) * den)
-        last = bisect.bisect_left(lows, (x + r) * den)
+        lows, ln, den = self.base.lattice(coarse)
+        first = _rank(lows, den, (x - r) * den - ln, False)
+        last = _rank(lows, den, (x + r) * den, True)
         return coarse, max(0, last - first)
+
+
+def _rank(lows: np.ndarray, den: int, key: Fraction, strict: bool) -> int:
+    """How many lattice numerators (sorted, in [0, den]) are < key when
+    ``strict``, <= key otherwise: a < key iff a < ceil(key), and a <= key iff
+    a <= floor(key).  The bound is clamped to [-1, den] so it fits the dtype."""
+    bound = min(max(math.ceil(key) if strict else math.floor(key), -1), den)
+    return int(np.searchsorted(lows, bound, side="left" if strict else "right"))
 
 
 @dataclass

@@ -3,14 +3,16 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractarc.cantor import (Address, GenerationBudgetError, ProductCantor,
-                             RatioCantorSet, RatioSequence, SelfSimilarCantor,
-                             product_for_dimension, sample_ball_inputs,
-                             scaling_for_dimension, uniform_perfectness_constant,
+from fractarc.cantor import (Address, CantorInterval, GenerationBudgetError,
+                             ProductCantor, RatioCantorSet, RatioSequence,
+                             SelfSimilarCantor, product_for_dimension,
+                             sample_ball_inputs, scaling_for_dimension,
+                             uniform_perfectness_constant,
                              verify_uniform_perfectness)
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
@@ -68,9 +70,11 @@ class TestGenerationIntervals:
         assert len(ivs) == 64
         assert all(a.upper < b.lower for a, b in zip(ivs, ivs[1:]))
 
-    def test_caching_is_idempotent(self):
-        s = dyadic_set()
-        assert s.generation_intervals(3) is s.generation_intervals(3)
+    @pytest.mark.parametrize("k", [3, 11])  # int64 and Python-int lattices
+    def test_stored_lattice_is_read_only(self, k):
+        lows, _, _ = dyadic_set().lattice(k)
+        with pytest.raises(ValueError):
+            lows[0] = 1
 
     def test_budget_exceeded(self):
         with pytest.raises(GenerationBudgetError):
@@ -100,6 +104,84 @@ def ratio_sets(draw):
         return RatioCantorSet(RatioSequence.harmonic())
     q = F(draw(st.integers(1, 5)), draw(st.integers(8, 12)))
     return RatioCantorSet(RatioSequence.geometric(q))
+
+
+def oracle_pairs(s, k):
+    """The engine's former build loop, kept as the oracle: generation k as
+    (a, b) numerator pairs over one denominator, grown pair by pair."""
+    den, pairs = 1, [(0, 1)]
+    for g in range(1, k + 1):
+        length = s.generation_length(g)
+        new_den = math.lcm(den, length.denominator)
+        lift = new_den // den
+        ln = length.numerator * (new_den // length.denominator)
+        grown = []
+        for a, b in pairs:
+            a *= lift
+            b *= lift
+            grown.append((a, a + ln))
+            grown.append((b - ln, b))
+        den, pairs = new_den, grown
+    return pairs, den
+
+
+engines = st.one_of(
+    ratio_sets(),
+    st.sampled_from([F(1, 3), F(2, 5), F(1, 10)]).map(SelfSimilarCantor),
+    st.builds(scaling_for_dimension, st.just(0.75)))
+
+
+class TestLatticeMatchesPairOracle:
+    # generations 0-12 cross the int64 -> Python-int switch (dyadic: g = 10)
+    @given(engines, st.integers(0, 12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_views_match_oracle(self, s, k, data):
+        pairs, den = oracle_pairs(s, k)
+        lows, ln, lattice_den = s.lattice(k)
+        assert lattice_den == den
+        assert lows.dtype == (np.int64 if den < 2 ** 63 else object)
+        assert lows.tolist() == [a for a, _ in pairs]
+        assert all(b - a == ln for a, b in pairs)
+        expected = [CantorInterval(k, j + 1, F(a, den), F(b, den))
+                    for j, (a, b) in enumerate(pairs)]
+        assert s.generation_intervals(k) == expected
+        assert s.endpoints(k) == [F(v, den) for pair in pairs for v in pair]
+        j = data.draw(st.integers(0, 2 ** k - 1))
+        assert s.interval_at(format(j, f"0{k}b") if k else "") == expected[j]
+
+    def test_dyadic_lattice_switches_to_python_ints_at_generation_ten(self):
+        s = dyadic_set()
+        assert s.lattice(9)[0].dtype == np.int64
+        assert s.lattice(10)[0].dtype == object
+
+
+def _shift_odd_child(lows, ln, den):
+    lows = lows.copy()
+    lows[3] += 1
+    return lows, ln, den
+
+
+def _shift_even_child(lows, ln, den):
+    lows = lows.copy()
+    lows[2] -= 1
+    return lows, ln, den
+
+
+def _stretch_length(lows, ln, den):
+    return lows, ln + 1, den
+
+
+class TestTamperedLattice:
+    @pytest.mark.parametrize("k", [4, 11])  # int64 and Python-int lattices
+    @pytest.mark.parametrize("tamper", [_shift_odd_child, _shift_even_child,
+                                        _stretch_length])
+    def test_verify_generation_lengths_rejects_a_tampered_generation(self, k, tamper):
+        # the tampered generation is the last one checked, so its own
+        # children cannot give it away
+        s = dyadic_set()
+        assert s.verify_generation_lengths(k)
+        s._lattices[k] = tamper(*s._lattices[k])
+        assert not s.verify_generation_lengths(k)
 
 
 class TestStructuralInvariants:

@@ -13,9 +13,11 @@ import pytest
 
 import fractarc
 from fractarc import arc as arc_mod
+from fractarc.dimension import LatticeSample, box_count
 from fractarc.cli import (EXIT_CONFIG, EXIT_CONSTRUCTION, EXIT_OK,
                           ConfigError, RunConfig,
-                          UnitIntervalModel, build_model, decode_rational,
+                          UnitIntervalModel, arc_estimate, build_model,
+                          decode_rational,
                           dump_json, encode_rational, load_config_file, main,
                           model_from_dict, model_to_dict, parse_ratio_spec,
                           run_verification)
@@ -263,6 +265,20 @@ class TestEstimateCommand:
         # sha256 of the explicit 1:3 report, pinned from the float-resolution code
         assert hashlib.sha256(default.read_bytes()).hexdigest() == (
             "2359c5de2a8f8c2fd094a5edd0e355dc4ac61df29cca427cbb650ee5bdbb8ccb")
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "arc_estimate box-counts the float vertex cloud: on spatial-4 one "
+        "coordinate 15/16 - eps rounds to 15/16, so delta = 1/32 counts 7935 "
+        "boxes where the exact points meet 8640"))
+    def test_arc_estimate_counts_the_exact_vertex_cloud(self):
+        model = build_model(RunConfig(target_dimension=2.5, depth=4))
+        points = {v for conn in model.cumulative_connectors(4) for v in conn.vertices}
+        points.update(p for cell in model.generation_cells(4) for p in cell.corners())
+        exact = LatticeSample.from_points(sorted(points))
+        series = arc_estimate(model)
+        assert series.scales[-1] == F(1, 32)
+        assert box_count(exact, F(1, 32)) == 8640
+        assert series.counts[-1] == 8640
 
     def test_default_arc_window_with_two_scales_is_refused(self, tmp_path, capsys):
         model = tmp_path / "spatial-2.json"

@@ -81,6 +81,34 @@ class TestBallMass:
 _SHARED = NaturalMeasure(RatioCantorSet(RatioSequence.dyadic()), depth=12)
 
 
+def _scan_counts(ivs, x, r):
+    """Oracle: (intervals inside the open ball, intervals meeting it), by a
+    scan over the exact intervals."""
+    inside = sum(1 for iv in ivs if x - r < iv.lower and iv.upper < x + r)
+    meet = sum(1 for iv in ivs if iv.upper > x - r and iv.lower < x + r)
+    return inside, meet
+
+
+class TestLatticeSearchMatchesScan:
+    # generations 10-12 of the dyadic set hold Python ints, 0-9 int64; centers
+    # and radii drawn from the endpoints put the ball's ends on interval ends
+    @given(st.integers(0, 12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_ball_mass_and_boundary_count(self, k, data):
+        base = _SHARED.base
+        ends = base.endpoints(k)
+        fractions = st.fractions(F(-1, 2), F(3, 2), max_denominator=10 ** 6)
+        x = data.draw(st.sampled_from(ends) | fractions)
+        r = data.draw(st.sampled_from([abs(e - x) for e in ends if e != x])
+                      | fractions.filter(lambda v: v > 0))
+        inside, meet = _scan_counts(base.generation_intervals(k), x, r)
+        bracket = _SHARED.ball_mass(x, r, k)
+        assert (bracket.lower, bracket.upper) == (inside * F(1, 2 ** k), meet * F(1, 2 ** k))
+        if r > base.generation_length(_SHARED.depth):
+            coarse, count = _SHARED.boundary_interval_count(x, r)
+            assert count == _scan_counts(base.generation_intervals(coarse), x, r)[1]
+
+
 class TestMassBoundSequence:
     def test_initial_value(self):
         seq = mass_bound_sequence(_SHARED.base, 0.3, 10)
