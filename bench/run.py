@@ -1,5 +1,5 @@
-"""Per-layer timings of the Cantor lattice and the two counting kernels,
-with the work they do.
+"""Per-layer timings of the Cantor lattice, the two counting kernels and
+the arc's verify layers, with the work they do.
 
 Times ``lattice`` of fresh self-similar Cantor engines (r = 1/3 and 1/10,
 the second past the int64 denominators), ``box_count_series`` on exact
@@ -10,6 +10,13 @@ Cantor engine per run, so its stored generations do not hide the build).
 Each row keeps the point count beside the lattice's dtype and bytes or the
 counts per scale, so work and time are read together.
 
+The verify layers, best of three: the two halves of ``verify_injectivity``
+on the planar (n = 1) arcs of depth 4/5/6 and the spatial (n = 2) arcs of
+depth 3/4, the models ``perfbench`` builds.  The clearance check is timed
+with its exact ``_path_legal`` runs and the connector count, the traversal
+chain check with its segment count and candidate pairs.  ``evaluate`` is
+timed over 20,000 seeded parameters on planar-5.
+
     PYTHONPATH=src python bench/run.py BENCH.json
 """
 
@@ -18,25 +25,33 @@ from __future__ import annotations
 import json
 import os
 import platform
+import random
 import sys
 from fractions import Fraction
 from time import perf_counter
 
 import numpy as np
 
+from fractarc import arc as arc_module
 from fractarc.cantor import ProductCantor, SelfSimilarCantor
+from fractarc.cli import RunConfig, build_model
 from fractarc.dimension import (box_count_series, cantor_sample, net_count_series,
                                 power_scales, product_sample)
+from fractarc.geometry import _meeting_box_pairs, chain_self_intersection, lift
 from fractarc.metric import VON_KOCH_EXPONENT, RugSpace, SnowflakeMetric
 
 REPEATS = 5
+VERIFY_REPEATS = 3
+EVALUATE_CALLS = 20_000
 THIRD = Fraction(1, 3)
+ARCS = {"planar-4": (1.6309297535714574, 4), "planar-5": (1.6309297535714574, 5),
+        "planar-6": (1.6309297535714574, 6), "spatial-3": (2.5, 3), "spatial-4": (2.5, 4)}
 
 
-def best_of(fn):
-    """(best wall time, last result) over REPEATS calls."""
+def best_of(fn, repeats=REPEATS):
+    """(best wall time, last result) over ``repeats`` calls."""
     best = float("inf")
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         start = perf_counter()
         result = fn()
         best = min(best, perf_counter() - start)
@@ -67,6 +82,46 @@ def net_row(case: str, generation: int, space, lo: int, hi: int) -> dict:
             "sample_s": sample_s, "count_s": count_s}
 
 
+def counting_path_legal(calls: list[int]):
+    """``arc._path_legal``, counting its runs into ``calls[0]``."""
+    inner = arc_module._path_legal
+
+    def wrapper(*args):
+        calls[0] += 1
+        return inner(*args)
+    return wrapper
+
+
+def verify_rows(case: str) -> list[dict]:
+    c, depth = ARCS[case]
+    arc = build_model(RunConfig(target_dimension=c, depth=depth))
+    conns = arc.cumulative_connectors(depth)
+    calls = [0]
+    arc_module._path_legal, real = counting_path_legal(calls), arc_module._path_legal
+    try:
+        clearance_s, _ = best_of(lambda: arc_module._clearance_violations(arc, conns),
+                                 VERIFY_REPEATS)
+    finally:
+        arc_module._path_legal = real
+    chain = arc.traversal_chain(depth)
+    chain_s, _ = best_of(lambda: chain_self_intersection(chain), VERIFY_REPEATS)
+    return [{"layer": "clearance", "case": case, "depth": depth, "connectors": len(conns),
+             "path_legal_runs": calls[0] // VERIFY_REPEATS, "time_s": clearance_s},
+            {"layer": "traversal_chain", "case": case, "depth": depth,
+             "segments": len(chain) - 1,
+             "candidate_pairs": len(_meeting_box_pairs(lift(chain)[1])), "time_s": chain_s}]
+
+
+def evaluate_row(case: str) -> dict:
+    c, depth = ARCS[case]
+    arc = build_model(RunConfig(target_dimension=c, depth=depth))
+    rng = random.Random(0)
+    params = [rng.random() for _ in range(EVALUATE_CALLS)]
+    time_s, _ = best_of(lambda: [arc.evaluate(t, depth) for t in params], VERIFY_REPEATS)
+    return {"layer": "evaluate", "case": case, "depth": depth, "calls": len(params),
+            "time_s": time_s}
+
+
 def rows() -> list[dict]:
     out = []
     for case, ratio in (("cantor 1/3", THIRD), ("cantor 1/10", Fraction(1, 10))):
@@ -87,6 +142,9 @@ def rows() -> list[dict]:
         out.append(net_row("snowflake koch", g, koch, 2, 7))
     for g in (7, 8, 9):
         out.append(net_row("rug koch", g, RugSpace(koch), 2, 5))
+    for case in ARCS:
+        out.extend(verify_rows(case))
+    out.append(evaluate_row("planar-5"))
     return out
 
 
@@ -106,7 +164,8 @@ def machine() -> dict:
             "cpu": cpu_model(), "cpu_count": os.cpu_count(),
             "python": sys.version.split()[0],
             "implementation": platform.python_implementation(),
-            "numpy": np.__version__, "repeats": REPEATS}
+            "numpy": np.__version__, "repeats": REPEATS,
+            "verify_repeats": VERIFY_REPEATS}
 
 
 def main(argv: list[str]) -> int:
@@ -118,6 +177,12 @@ def main(argv: list[str]) -> int:
         json.dump(report, handle, indent=2)
         handle.write("\n")
     for row in report["layers"]:
+        if "depth" in row:
+            work = {k: v for k, v in row.items()
+                    if k not in ("layer", "case", "depth", "time_s")}
+            print(f"{row['layer']:17s} {row['case']:15s} d={row['depth']:<3d} "
+                  f"{row['time_s']:.4f} s  {work}")
+            continue
         head = (f"{row['layer']:17s} {row['case']:15s} g={row['generation']:<3d} "
                 f"points={row['points']:<8d}")
         if row["layer"] == "cantor_lattice":

@@ -15,7 +15,8 @@ The rule fixes every index by arithmetic, so none is stored:
 * connector j of cell c (0-based, joining ranks j+1 and j+2) has id
   c*(q-1)+j;
 * parameter piece i of cell c has id 1+c*p+i (the root interval is 0), and
-  a parameter t descends through the base-p digits of t.
+  a parameter t descends through the base-p digits of t, computed on the
+  integer numerator and denominator of t.
 
 Connector legality is checked by exact rational geometry, not proved for
 the distance order in general:
@@ -31,9 +32,18 @@ generation-(k-1) cell has one size per axis, and each of its sub-cells is an
 outer child of uniform generation-k size on every axis, so a parent's
 sub-cell boxes and connectors, minus the parent's near corner, depend only on
 (k, order).  The predicates (``point_in_box``, ``segment_box_clip``,
-``segment_intersection``) are exact and unchanged under translation, so the
-representative's verdict holds for its whole class.  An illegal connector
-raises RoutingFailed.
+``polyline_is_simple``, ``polylines_disjoint``) are exact and unchanged under
+translation, so the representative's verdict holds for its whole class.  An
+illegal connector raises RoutingFailed.
+
+``verify_injectivity`` uses the same translation argument without trusting
+the construction.  It puts every cell corner and connector vertex over one
+common denominator and keys each connector by its rank, its vertices, its
+sibling boxes and its parent's far corner, the last three minus the parent's
+near corner, as integer tuples.  Equal keys mean the same geometry up to a
+translation, so the clearance check runs once per distinct key and its
+verdict is exact for every connector with that key; a tampered connector or
+cell gets a key of its own.
 
 Those three checks, plus the disjointness of closed cells within one
 generation, force all connectors of all generations to be pairwise disjoint:
@@ -57,7 +67,7 @@ from .cantor import (Address, GenerationBudgetError, ProductCantor,
                      RatioCantorSet)
 # boxes_disjoint is unused here, but perfbench/tracing.py wraps arc.boxes_disjoint
 from .geometry import (Box, Point, box_corners, boxes_disjoint,
-                       chain_self_intersection, norm_sq, point_in_box,
+                       chain_self_intersection, lift, norm_sq, point_in_box,
                        polyline_is_simple, polylines_disjoint, segment_box_clip)
 
 DEFAULT_CELL_BUDGET = 2 ** 18
@@ -165,6 +175,7 @@ class Connector:
     target_cell: int
     param_length: Fraction  # (2^(n+2)-1)^-depth, the length of its used interval
     _cumulative: Optional[list[float]] = None
+    _float_vertices: Optional[list[tuple[float, ...]]] = None
 
     @property
     def source(self) -> Point:
@@ -176,11 +187,11 @@ class Connector:
 
     def _cum_lengths(self) -> list[float]:
         if self._cumulative is None:
+            floats = [tuple(map(float, v)) for v in self.vertices]
             acc = [0.0]
-            for a, b in zip(self.vertices, self.vertices[1:]):
-                acc.append(acc[-1] + math.sqrt(sum((float(x) - float(y)) ** 2
-                                                   for x, y in zip(a, b))))
-            self._cumulative = acc
+            for a, b in zip(floats, floats[1:]):
+                acc.append(acc[-1] + math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b))))
+            self._cumulative, self._float_vertices = acc, floats
         return self._cumulative
 
     @property
@@ -200,8 +211,8 @@ class Connector:
         i = min(bisect.bisect_right(cum, target), len(cum) - 1) - 1
         seg = cum[i + 1] - cum[i]
         s = 0.0 if seg == 0.0 else (target - cum[i]) / seg
-        a, b = self.vertices[i], self.vertices[i + 1]
-        return tuple(float(x) + s * (float(y) - float(x)) for x, y in zip(a, b))
+        a, b = self._float_vertices[i], self._float_vertices[i + 1]
+        return tuple(x + s * (y - x) for x, y in zip(a, b))
 
 
 def _segment(ordered_cells: Sequence[Cell], s: int) -> list[Point]:
@@ -432,16 +443,18 @@ class ArcApproximation:
         self._require_depth(k)
         q = self.branching
         p = 2 * q - 1
-        x = Fraction(t)  # position inside the current cell's interval, scaled to [0, 1]
+        # num / den: position inside the current cell's interval, scaled to [0, 1]
+        num, den = Fraction(t).as_integer_ratio()
         cell = 0
         for _ in range(k):
-            x *= p
-            digit = min(math.floor(x), p - 1)
-            if digit == x and digit % 2 == 0 and digit > 0:
+            num *= p
+            digit = min(num // den, p - 1)
+            if digit * den == num and digit % 2 == 0 and digit > 0:
                 digit -= 1  # on the boundary of two pieces the used one wins
-            x -= digit
+            num -= digit * den
             if digit % 2:
-                return self.connectors[cell * (q - 1) + digit // 2].point_at(float(x)), 0.0
+                # int / int is correctly rounded, as float(Fraction) is
+                return self.connectors[cell * (q - 1) + digit // 2].point_at(num / den), 0.0
             cell = cell * q + 1 + digit // 2
         return (tuple(float(c) for c in self.cells[cell].near_corner),
                 self.cell_diameter(k))
@@ -522,16 +535,14 @@ def verify_injectivity(arc: ArcApproximation, k: int) -> InjectivityReport:
     shared point: it also decides that the connectors are pairwise
     disjoint.  Distinct depth-k parameter pieces land in distinct cells by
     the id arithmetic itself.
+
+    (i) runs ``_path_legal`` once per translation key: the check is exact
+    and unchanged under translation, so one verdict holds for every
+    connector whose rank and geometry relative to its parent are the same
+    (see the module docstring).  Planar-5 has 1023 connectors but 27 keys.
     """
     conns = arc.cumulative_connectors(k)
-    clearance: list[int] = []
-    for conn in conns:
-        ranked = arc.sub_cells(conn.parent_cell)
-        s = conn.source_cell - ranked[0].id
-        parent_box = arc.cells[conn.parent_cell].box
-        if not _path_legal(conn.vertices, ranked, s, parent_box):
-            clearance.append(conn.id)
-
+    clearance = _clearance_violations(arc, conns)
     try:
         chain = arc.traversal_chain(k)
         traversal_violation = chain_self_intersection(chain)
@@ -541,6 +552,39 @@ def verify_injectivity(arc: ArcApproximation, k: int) -> InjectivityReport:
 
     pairs = len(conns) * (len(conns) - 1) // 2
     return InjectivityReport(k, pairs, clearance, traversal_violation)
+
+
+def _clearance_violations(arc: ArcApproximation, conns: Sequence[Connector]) -> list[int]:
+    """Ids of the connectors that fail ``_path_legal``, run once per
+    translation key (see ``verify_injectivity``)."""
+    parents = sorted({conn.parent_cell for conn in conns})
+    corners = [corner for c in parents for cell in (arc.cells[c], *arc.sub_cells(c))
+               for corner in (cell.near_corner, cell.far_corner)]
+    _, lifted = lift(corners + [v for conn in conns for v in conn.vertices])
+    points = iter(lifted)
+
+    def offsets(count: int, near: tuple[int, ...]) -> tuple:
+        """The next ``count`` lifted points, minus ``near``."""
+        return tuple(tuple(a - b for a, b in zip(next(points), near)) for _ in range(count))
+
+    frames, shapes = {}, {}  # parent -> (near corner, shape id); shape -> id
+    for c in parents:
+        near = next(points)
+        shape = offsets(2 * len(arc.sub_cells(c)) + 1, near)
+        frames[c] = near, shapes.setdefault(shape, len(shapes))
+    verdicts: dict[tuple, bool] = {}
+    violations: list[int] = []
+    for conn in conns:
+        near, shape = frames[conn.parent_cell]
+        ranked = arc.sub_cells(conn.parent_cell)
+        s = conn.source_cell - ranked[0].id
+        key = (shape, s, offsets(len(conn.vertices), near))
+        if key not in verdicts:
+            verdicts[key] = _path_legal(conn.vertices, ranked, s,
+                                        arc.cells[conn.parent_cell].box)
+        if not verdicts[key]:
+            violations.append(conn.id)
+    return violations
 
 
 @dataclass

@@ -1,7 +1,12 @@
 """Exact rational geometry for axis-aligned boxes and polylines.
 
 Coordinates are ``fractions.Fraction``; every predicate is decided by integer
-arithmetic, never by floating point.
+arithmetic, never by floating point.  The polyline predicates
+(``polylines_disjoint``, ``chain_self_intersection``) first put all their
+vertices over one common denominator (``lift``) and then decide every
+segment pair with ``segments_meet``, on integers, with no gcd per operation.
+``segment_intersection`` computes the intersection itself in ``Fraction``
+arithmetic; the tests hold it as the reference for ``segments_meet``.
 """
 
 from __future__ import annotations
@@ -159,9 +164,55 @@ def _parallel_intersection(p1, q1, p2, q2, d1, d2):
     return ("overlap", (vlerp(p1, q1, lo), vlerp(p1, q1, hi)))
 
 
-def segments_disjoint(p1: Point, q1: Point, p2: Point, q2: Point) -> bool:
-    kind, _ = segment_intersection(p1, q1, p2, q2)
-    return kind == "empty"
+def lift(points: Sequence[Point]) -> tuple[int, list[tuple[int, ...]]]:
+    """(den, integer points): every coordinate put over den, the lcm of all
+    the coordinate denominators.  Integer points keep the order, the
+    equalities and the segment incidences of the rational ones."""
+    den = math.lcm(*{c.denominator for v in points for c in v})
+    return den, [tuple(c.numerator * (den // c.denominator) for c in v) for v in points]
+
+
+def segments_meet(p1: Sequence[int], q1: Sequence[int], p2: Sequence[int],
+                  q2: Sequence[int], adjacent: bool = False) -> bool:
+    """Whether the closed segments p1q1 and p2q2 with integer coordinates
+    share a point; for ``adjacent`` chain segments (q1 == p2), a point other
+    than q1.
+
+    Decided on integers with no division: p1 + t*d1 = p2 + u*d2 is solved on
+    the first axis pair (i, j) whose determinant det is non-zero, as the
+    numerators t*det and u*det with det > 0, which must satisfy every axis
+    and lie in [0, det].  Parallel segments meet only if collinear (every
+    minor of (p2 - p1, d1) is zero); they are then compared as intervals on
+    the first axis where d1 is non-zero, scaled by d1 there.
+    """
+    d1 = [b - a for a, b in zip(p1, q1)]
+    d2 = [b - a for a, b in zip(p2, q2)]
+    w = [b - a for a, b in zip(p1, p2)]
+    m = len(w)
+    for i in range(m):
+        for j in range(i + 1, m):
+            det = d2[i] * d1[j] - d1[i] * d2[j]
+            if det:
+                if adjacent:
+                    return False  # two lines through q1 meet only there
+                tn = d2[i] * w[j] - w[i] * d2[j]
+                un = d1[i] * w[j] - w[i] * d1[j]
+                if det < 0:
+                    det, tn, un = -det, -tn, -un
+                return (0 <= tn <= det and 0 <= un <= det
+                        and all(tn * a - un * b == c * det for a, b, c in zip(d1, d2, w)))
+    if not any(d1):
+        d1, d2, w = d2, d1, [-c for c in w]
+        if not any(d1):
+            return not any(w)  # two points
+    if any(w[i] * d1[j] != d1[i] * w[j] for i in range(m) for j in range(i + 1, m)):
+        return False  # parallel lines, not one line
+    axis = next(i for i, c in enumerate(d1) if c)
+    a, b, scale = w[axis], w[axis] + d2[axis], d1[axis]
+    if scale < 0:
+        a, b, scale = -a, -b, -scale
+    lo, hi = max(min(a, b), 0), min(max(a, b), scale)
+    return lo < hi if adjacent else lo <= hi
 
 
 def _segment_bbox(p: Point, q: Point) -> Box:
@@ -174,6 +225,8 @@ def polyline_segments(vertices: Sequence[Point]) -> list[tuple[Point, Point]]:
 
 def polylines_disjoint(v1: Sequence[Point], v2: Sequence[Point]) -> bool:
     """No shared point at all between the two polylines."""
+    _, pts = lift([*v1, *v2])
+    v1, v2 = pts[:len(v1)], pts[len(v1):]
     if boxes_disjoint(points_bbox(v1), points_bbox(v2)):
         return True
     for a, b in polyline_segments(v1):
@@ -181,7 +234,7 @@ def polylines_disjoint(v1: Sequence[Point], v2: Sequence[Point]) -> bool:
         for c, d in polyline_segments(v2):
             if boxes_disjoint(bb1, _segment_bbox(c, d)):
                 continue
-            if not segments_disjoint(a, b, c, d):
+            if segments_meet(a, b, c, d):
                 return False
     return True
 
@@ -205,40 +258,34 @@ def chain_self_intersection(vertices: Sequence[Point]) -> Optional[tuple[int, in
     Consecutive segments may share only their common vertex, all others
     nothing.  A zero-length segment raises ValueError.
 
-    Only segments whose closed bounding boxes meet can share a point.  Those
-    candidate pairs are found by a sweep over integer boxes (every vertex
-    put over the lcm of the coordinate denominators): segments in order of
-    their axis-0 low end, an active list that drops a segment once its
-    axis-0 high end falls below the sweep position, and integer comparisons
-    on the other axes.  Boxes that merely touch count as meeting.  The
-    candidates are then decided by the exact ``Fraction``
-    ``segment_intersection`` in increasing (i, j) order, so the pair returned
-    is the first in i-major, then j order, as an all-pairs scan would
-    report.  The cost is O(n log n) plus the axis-0 overlaps plus one exact
-    test per candidate pair.
+    The chain is decided on integers: every vertex is put over the lcm of
+    the coordinate denominators (``lift``).  Only segments whose closed
+    bounding boxes meet can share a point.  Those candidate pairs are found
+    by a sweep over the integer boxes: segments in order of their axis-0 low
+    end, an active list that drops a segment once its axis-0 high end falls
+    below the sweep position, and comparisons on the other axes.  Boxes
+    that merely touch count as meeting.  The candidates are then decided by
+    ``segments_meet`` in increasing (i, j) order, so the pair returned is the
+    first in i-major, then j order, as an all-pairs scan with the
+    ``Fraction`` ``segment_intersection`` would report.  The cost is
+    O(n log n) plus the axis-0 overlaps plus one integer test per candidate
+    pair.
     """
-    segs = polyline_segments(vertices)
-    for a, b in segs:
-        if a == b:
-            raise ValueError("zero-length segment in chain")
-    for i, j in _meeting_box_pairs(vertices):
-        kind, data = segment_intersection(*segs[i], *segs[j])
-        if j == i + 1:
-            if kind != "point" or data != vertices[j]:
-                return (i, j)
-        elif kind != "empty":
+    _, pts = lift(vertices)
+    if any(a == b for a, b in zip(pts, pts[1:])):
+        raise ValueError("zero-length segment in chain")
+    for i, j in _meeting_box_pairs(pts):
+        if segments_meet(pts[i], pts[i + 1], pts[j], pts[j + 1], j == i + 1):
             return (i, j)
     return None
 
 
-def _meeting_box_pairs(vertices: Sequence[Point]) -> list[tuple[int, int]]:
-    """Sorted (i, j), i < j, of the chain's segments whose closed bounding
-    boxes share a point, found by an axis-0 sweep on integer coordinates."""
-    n = len(vertices) - 1
+def _meeting_box_pairs(pts: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """Sorted (i, j), i < j, of the integer chain's segments whose closed
+    bounding boxes share a point, found by an axis-0 sweep."""
+    n = len(pts) - 1
     if n < 2:
         return []
-    den = math.lcm(*(c.denominator for v in vertices for c in v))
-    pts = [tuple(c.numerator * (den // c.denominator) for c in v) for v in vertices]
     axes = list(zip(*pts))  # one coordinate column per axis
     los = [list(map(min, c[:-1], c[1:])) for c in axes]
     his = [list(map(max, c[:-1], c[1:])) for c in axes]

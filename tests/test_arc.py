@@ -1,6 +1,8 @@
 """Arc approximations: cell complexes, routing, parametrisation, verification."""
 
+import bisect
 import copy
+import dataclasses
 import functools
 import math
 import random
@@ -74,6 +76,47 @@ def pair_scan_violations(arc, k):
             if not polylines_disjoint(ci.vertices, cj.vertices):
                 violations.append((ci.id, cj.id))
     return violations
+
+
+def per_connector_clearance(arc, k):
+    """The clearance loop verify_injectivity used to run, one exact check
+    per connector: the oracle of the check once per translation key."""
+    violations = []
+    for conn in arc.cumulative_connectors(k):
+        ranked = arc.sub_cells(conn.parent_cell)
+        s = conn.source_cell - ranked[0].id
+        if not _path_legal(conn.vertices, ranked, s, arc.cells[conn.parent_cell].box):
+            violations.append(conn.id)
+    return violations
+
+
+def fraction_evaluate(arc, t, k):
+    """The Fraction digit loop and float(Fraction) point_at evaluate used to
+    run: the oracle of the integer digits and the cached float vertices."""
+    q = arc.branching
+    p = 2 * q - 1
+    x = F(t)
+    cell = 0
+    for _ in range(k):
+        x *= p
+        digit = min(math.floor(x), p - 1)
+        if digit == x and digit % 2 == 0 and digit > 0:
+            digit -= 1
+        x -= digit
+        if digit % 2:
+            conn = arc.connectors[cell * (q - 1) + digit // 2]
+            cum = [0.0]
+            for a, b in zip(conn.vertices, conn.vertices[1:]):
+                cum.append(cum[-1] + math.sqrt(sum((float(u) - float(v)) ** 2
+                                                   for u, v in zip(a, b))))
+            target = min(max(float(x), 0.0), 1.0) * cum[-1]
+            i = min(bisect.bisect_right(cum, target), len(cum) - 1) - 1
+            seg = cum[i + 1] - cum[i]
+            s = 0.0 if seg == 0.0 else (target - cum[i]) / seg
+            a, b = conn.vertices[i], conn.vertices[i + 1]
+            return tuple(float(u) + s * (float(v) - float(u)) for u, v in zip(a, b)), 0.0
+        cell = cell * q + 1 + digit // 2
+    return (tuple(float(c) for c in arc.cells[cell].near_corner), arc.cell_diameter(k))
 
 
 # -- the waypoint router, kept as the oracle of the straight connectors ------
@@ -389,6 +432,33 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             figure_arc.evaluate(0.5, 7)
 
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["planar", "spatial"]), k=st.integers(1, 4),
+           t=st.floats(0.0, 1.0))
+    def test_integer_digits_match_fraction_digits_on_floats(self, kind, k, t):
+        arc = reference_arc(kind, 4 if kind == "planar" else 2)
+        k = min(k, arc.depth)
+        assert arc.evaluate(t, k) == fraction_evaluate(arc, t, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["planar", "spatial"]), k=st.integers(1, 4),
+           j=st.integers(1, 4), data=st.data())
+    def test_integer_digits_match_fraction_digits_on_piece_boundaries(
+            self, kind, k, j, data):
+        # m / p^j is an end of a depth-j parameter piece
+        arc = reference_arc(kind, 4 if kind == "planar" else 2)
+        k = min(k, arc.depth)
+        p = 2 * arc.branching - 1
+        t = F(data.draw(st.integers(0, p ** j)), p ** j)
+        assert arc.evaluate(t, k) == fraction_evaluate(arc, t, k)
+
+    @pytest.mark.parametrize("kind,depth", [("planar", 4), ("spatial", 2)])
+    def test_integer_digits_match_fraction_digits_at_the_ends(self, kind, depth):
+        arc = reference_arc(kind, depth)
+        for k in range(1, depth + 1):
+            for t in (0, 1, 0.0, 1.0, F(0), F(1)):
+                assert arc.evaluate(t, k) == fraction_evaluate(arc, t, k)
+
 
 class TestInjectivity:
     def test_figure_build_passes(self, figure_arc):
@@ -446,6 +516,91 @@ class TestInjectivity:
             victim.param_length)
         if pair_scan_violations(tampered, depth):
             assert verify_injectivity(tampered, depth).traversal_violation is not None
+
+    @pytest.mark.parametrize("kind,depth", SUBSUMPTION_ARCS)
+    def test_clearance_matches_per_connector_loop_on_honest_arcs(self, kind, depth):
+        arc = reference_arc(kind, depth)
+        assert verify_injectivity(arc, depth).clearance_violations == []
+        assert per_connector_clearance(arc, depth) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_clearance_matches_per_connector_loop_on_a_moved_vertex(self, data):
+        # one vertex of one connector moved onto a face of a sibling cell
+        kind, depth = data.draw(st.sampled_from(SUBSUMPTION_ARCS))
+        arc = reference_arc(kind, depth)
+        victim = arc.connectors[data.draw(st.integers(0, len(arc.connectors) - 1))]
+        sibling = data.draw(st.sampled_from(arc.sub_cells(victim.parent_cell)))
+        axis = data.draw(st.integers(0, arc.ambient_dimension - 1))
+        point = [lo + F(data.draw(st.integers(0, 8)), 8) * (hi - lo)
+                 for lo, hi in sibling.box]
+        point[axis] = sibling.box[axis][data.draw(st.integers(0, 1))]
+        vertices = list(victim.vertices)
+        vertices[data.draw(st.integers(0, len(vertices) - 1))] = tuple(point)
+        tampered = copy.copy(arc)
+        tampered.connectors = list(arc.connectors)
+        tampered.connectors[victim.id] = dataclasses.replace(victim, vertices=vertices)
+        assert (verify_injectivity(tampered, depth).clearance_violations
+                == per_connector_clearance(tampered, depth))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_clearance_matches_per_connector_loop_on_a_copied_connector(self, data):
+        # one connector takes the vertices of a sibling connector of another
+        # rank: the same geometry, a different verdict
+        kind, depth = data.draw(st.sampled_from(SUBSUMPTION_ARCS))
+        arc = reference_arc(kind, depth)
+        victim = arc.connectors[data.draw(st.integers(0, len(arc.connectors) - 1))]
+        q = arc.branching
+        first = victim.parent_cell * (q - 1)
+        index = data.draw(st.integers(first, first + q - 3))
+        source = arc.connectors[index + (index >= victim.id)]
+        tampered = copy.copy(arc)
+        tampered.connectors = list(arc.connectors)
+        tampered.connectors[victim.id] = dataclasses.replace(
+            victim, vertices=list(source.vertices))
+        expected = per_connector_clearance(tampered, depth)
+        assert victim.id in expected
+        assert verify_injectivity(tampered, depth).clearance_violations == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_clearance_matches_per_connector_loop_on_a_replaced_cell(self, data):
+        # one sibling cell's box moved and resized in steps of a quarter side
+        kind, depth = data.draw(st.sampled_from(SUBSUMPTION_ARCS))
+        arc = reference_arc(kind, depth)
+        cell = arc.cells[data.draw(st.integers(1, len(arc.cells) - 1))]
+        box = []
+        for lo, hi in cell.box:
+            side = (hi - lo) / 4
+            new_lo = lo + data.draw(st.integers(-4, 4)) * side
+            box.append((new_lo, new_lo + data.draw(st.integers(1, 8)) * side))
+        tampered = copy.copy(arc)
+        tampered.cells = list(arc.cells)
+        tampered.cells[cell.id] = dataclasses.replace(cell, box=tuple(box))
+        assert (verify_injectivity(tampered, depth).clearance_violations
+                == per_connector_clearance(tampered, depth))
+
+    @pytest.mark.parametrize("config", [RunConfig(depth=5),
+                                        RunConfig(target_dimension=2.5, depth=3)])
+    def test_clearance_runs_once_per_class_and_chain_runs_no_fraction_test(
+            self, config, monkeypatch):
+        import fractarc.arc as arc_module
+        import fractarc.geometry as geometry_module
+        arc = build_model(config)
+        calls = {"_path_legal": 0, "segment_intersection": 0}
+        for module, name in ((arc_module, "_path_legal"),
+                             (geometry_module, "segment_intersection")):
+            def counting(*args, inner=getattr(module, name), name=name):
+                calls[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(module, name, counting)
+        assert verify_injectivity(arc, arc.depth).passed
+        classes = {(k, order) for k, order, *_ in parents_with_connectors(arc)}
+        # 9 classes times 3 on planar-5, 18 times 7 on spatial-3
+        assert calls["_path_legal"] == len(classes) * (arc.branching - 1)
+        assert calls["_path_legal"] in (27, 126)
+        assert calls["segment_intersection"] == 0
 
     def test_traversal_chain_glues(self, figure_arc):
         chain = figure_arc.traversal_chain(3)

@@ -14,8 +14,9 @@ from fractarc.cantor import (ProductCantor, RatioCantorSet, RatioSequence,
 from fractarc.geometry import (box_contains_box, box_corners, box_diameter_sq,
                                boxes_disjoint, chain_self_intersection,
                                point_in_box, point_on_segment,
-                               polyline_is_simple, polylines_disjoint,
-                               segment_box_clip, segment_intersection, vlerp)
+                               lift, polyline_is_simple, polylines_disjoint,
+                               segment_box_clip, segment_intersection,
+                               segments_meet, vlerp)
 
 
 def P(*coords):
@@ -212,6 +213,55 @@ def grid_chains(dim):
     return st.lists(st.tuples(*[coord] * dim), min_size=2, max_size=12)
 
 
+def chain_rule_fails(p1, q1, p2, q2, adjacent):
+    """The chain rule's verdict on one segment pair, from the Fraction
+    ``segment_intersection``: adjacent segments (q1 == p2) may share only
+    q1, others nothing."""
+    kind, data = segment_intersection(p1, q1, p2, q2)
+    if adjacent:
+        return kind != "point" or data != q1
+    return kind != "empty"
+
+
+def lifted_meet(p1, q1, p2, q2, adjacent):
+    return segments_meet(*lift([p1, q1, p2, q2])[1], adjacent)
+
+
+class TestIntegerSegmentTest:
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(grid_chains(2), grid_chains(3)), st.data())
+    def test_adjacent_pairs_match_fraction_verdict(self, vertices, data):
+        pairs = [(p, q, r) for p, q, r in zip(vertices, vertices[1:], vertices[2:])
+                 if p != q and q != r]
+        if pairs:
+            p, q, r = data.draw(st.sampled_from(pairs))
+            assert lifted_meet(p, q, q, r, True) == chain_rule_fails(p, q, q, r, True)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(grid_chains(2), grid_chains(3), polylines(2), polylines(3)),
+           st.data())
+    def test_other_pairs_match_fraction_verdict(self, vertices, data):
+        # any two segments, zero-length ones included (polylines_disjoint
+        # may see those)
+        p1, q1, p2, q2 = (data.draw(st.sampled_from(vertices)) for _ in range(4))
+        assert lifted_meet(p1, q1, p2, q2, False) == chain_rule_fails(p1, q1, p2, q2, False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(
+        lambda dim: st.tuples(grid_chains(dim) | polylines(dim),
+                              grid_chains(dim) | polylines(dim))))
+    def test_polylines_disjoint_matches_fraction_scan(self, pair):
+        v1, v2 = pair
+        scan = all(segment_intersection(a, b, c, d)[0] == "empty"
+                   for a, b in zip(v1, v1[1:]) for c, d in zip(v2, v2[1:]))
+        assert polylines_disjoint(v1, v2) == scan
+
+    def test_lift_puts_every_coordinate_over_one_denominator(self):
+        den, pts = lift([P(F(1, 2), F(2, 3)), P(1, F(-5, 4))])
+        assert den == 12
+        assert pts == [(6, 8), (12, -15)]
+
+
 def traversal_chain(kind, depth):
     base = RatioCantorSet(RatioSequence.dyadic())
     product = (ProductCantor(SelfSimilarCantor(F(1, 3)), 1) if kind == "planar"
@@ -245,7 +295,7 @@ class TestChainSelfIntersection:
     def test_long_simple_chain_tests_linearly_many_pairs(self, monkeypatch):
         n = 2000
         staircase = [P(k // 2 + k % 2, k // 2) for k in range(n + 1)]
-        calls = {"segment_intersection": 0, "boxes_disjoint": 0}
+        calls = {"segments_meet": 0, "boxes_disjoint": 0}
 
         def counting(name):
             inner = getattr(geometry, name)
@@ -255,8 +305,8 @@ class TestChainSelfIntersection:
                 return inner(*args)
             monkeypatch.setattr(geometry, name, wrapper)
 
-        counting("segment_intersection")
+        counting("segments_meet")
         counting("boxes_disjoint")
         assert chain_self_intersection(staircase) is None
-        assert n - 1 <= calls["segment_intersection"] <= 2 * n
+        assert n - 1 <= calls["segments_meet"] <= 2 * n
         assert calls["boxes_disjoint"] <= n
