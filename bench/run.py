@@ -1,5 +1,5 @@
 """Per-layer timings of the Cantor lattice, the two counting kernels and
-the arc's verify layers, with the work they do.
+the arc's build and verify layers, with the work they do.
 
 Times ``lattice`` of fresh self-similar Cantor engines (r = 1/3 and 1/10,
 the second past the int64 denominators), ``box_count_series`` on exact
@@ -10,11 +10,13 @@ Cantor engine per run, so its stored generations do not hide the build).
 Each row keeps the point count beside the lattice's dtype and bytes or the
 counts per scale, so work and time are read together.
 
-The verify layers, best of three: the two halves of ``verify_injectivity``
-on the planar (n = 1) arcs of depth 4/5/6 and the spatial (n = 2) arcs of
-depth 3/4, the models ``perfbench`` builds.  The clearance check is timed
-with its exact ``_path_legal`` runs and the connector count, the traversal
-chain check with its segment count and candidate pairs.  ``evaluate`` is
+The arc layers, best of three, on the planar (n = 1) arcs of depth 4/5/6
+and the spatial (n = 2) arcs of depth 3/4, the models ``perfbench`` builds:
+``grow_cells`` and ``route`` apart, ``route`` with its ``route_connectors``
+runs (one per (generation, order) class), then the two halves of
+``verify_injectivity``.  The clearance check is timed with its exact
+``_path_legal`` runs and the connector count, the traversal chain check
+with its segment count and candidate pairs.  ``evaluate`` is
 timed over 20,000 seeded parameters on planar-5.
 
     PYTHONPATH=src python bench/run.py BENCH.json
@@ -27,6 +29,7 @@ import os
 import platform
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from time import perf_counter
 
@@ -34,7 +37,7 @@ import numpy as np
 
 from fractarc import arc as arc_module
 from fractarc.cantor import ProductCantor, SelfSimilarCantor
-from fractarc.cli import RunConfig, build_model
+from fractarc.cli import RunConfig, _unrouted_arc, build_model
 from fractarc.dimension import (box_count_series, cantor_sample, net_count_series,
                                 power_scales, product_sample)
 from fractarc.geometry import _meeting_box_pairs, chain_self_intersection, lift
@@ -82,27 +85,51 @@ def net_row(case: str, generation: int, space, lo: int, hi: int) -> dict:
             "sample_s": sample_s, "count_s": count_s}
 
 
-def counting_path_legal(calls: list[int]):
-    """``arc._path_legal``, counting its runs into ``calls[0]``."""
-    inner = arc_module._path_legal
+@contextmanager
+def counting(name: str):
+    """Replace ``arc.<name>`` by a wrapper counting its runs into the first
+    item of the list it yields."""
+    calls = [0]
+    inner = getattr(arc_module, name)
 
     def wrapper(*args):
         calls[0] += 1
         return inner(*args)
-    return wrapper
+    setattr(arc_module, name, wrapper)
+    try:
+        yield calls
+    finally:
+        setattr(arc_module, name, inner)
+
+
+def build_rows(case: str) -> list[dict]:
+    """``grow_cells`` and ``route`` of one arc, best of three each; every
+    run grows a fresh arc, and ``route`` runs on it once grown."""
+    c, depth = ARCS[case]
+    config = RunConfig(target_dimension=c, depth=depth)
+    grow_s = route_s = float("inf")
+    with counting("route_connectors") as calls:
+        for _ in range(VERIFY_REPEATS):
+            start = perf_counter()
+            arc = _unrouted_arc(config)
+            grown = perf_counter()
+            arc.route()
+            grow_s = min(grow_s, grown - start)
+            route_s = min(route_s, perf_counter() - grown)
+    return [{"layer": "grow_cells", "case": case, "depth": depth, "cells": len(arc.cells),
+             "time_s": grow_s},
+            {"layer": "route", "case": case, "depth": depth,
+             "connectors": len(arc.connectors),
+             "route_connectors_runs": calls[0] // VERIFY_REPEATS, "time_s": route_s}]
 
 
 def verify_rows(case: str) -> list[dict]:
     c, depth = ARCS[case]
     arc = build_model(RunConfig(target_dimension=c, depth=depth))
     conns = arc.cumulative_connectors(depth)
-    calls = [0]
-    arc_module._path_legal, real = counting_path_legal(calls), arc_module._path_legal
-    try:
+    with counting("_path_legal") as calls:
         clearance_s, _ = best_of(lambda: arc_module._clearance_violations(arc, conns),
                                  VERIFY_REPEATS)
-    finally:
-        arc_module._path_legal = real
     chain = arc.traversal_chain(depth)
     chain_s, _ = best_of(lambda: chain_self_intersection(chain), VERIFY_REPEATS)
     return [{"layer": "clearance", "case": case, "depth": depth, "connectors": len(conns),
@@ -143,6 +170,7 @@ def rows() -> list[dict]:
     for g in (7, 8, 9):
         out.append(net_row("rug koch", g, RugSpace(koch), 2, 5))
     for case in ARCS:
+        out.extend(build_rows(case))
         out.extend(verify_rows(case))
     out.append(evaluate_row("planar-5"))
     return out

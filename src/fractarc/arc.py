@@ -18,10 +18,10 @@ The rule fixes every index by arithmetic, so none is stored:
   a parameter t descends through the base-p digits of t, computed on the
   integer numerator and denominator of t.
 
-Connector legality is checked by exact rational geometry, not proved for
-the distance order in general:
+Connector legality is checked by exact geometry, not proved for the
+distance order in general:
 
-* a connector stays inside its parent cell,
+* a connector is one segment of positive length inside its parent cell,
 * it meets each closed sibling cell only at its own endpoint corner on that
   cell (no grazing, no face-sliding),
 * it is disjoint from every other connector of that parent.
@@ -31,19 +31,25 @@ where the order is the sub-cells' last branch bits in rank order.  Every
 generation-(k-1) cell has one size per axis, and each of its sub-cells is an
 outer child of uniform generation-k size on every axis, so a parent's
 sub-cell boxes and connectors, minus the parent's near corner, depend only on
-(k, order).  The predicates (``point_in_box``, ``segment_box_clip``,
-``polyline_is_simple``, ``polylines_disjoint``) are exact and unchanged under
-translation, so the representative's verdict holds for its whole class.  An
-illegal connector raises RoutingFailed.
+(k, order).  The predicates are exact and unchanged under translation, so
+the representative's verdict holds for its whole class:
+
+* ``_path_legal`` decides the first two tests on integer offsets from the
+  parent's near corner (every corner over one common denominator), with
+  slab clipping in integer (numerator, denominator) pairs;
+* ``polylines_disjoint`` decides the third with integer determinants
+  (``segments_meet``).
+
+An illegal connector raises RoutingFailed.
 
 ``verify_injectivity`` uses the same translation argument without trusting
 the construction.  It puts every cell corner and connector vertex over one
 common denominator and keys each connector by its rank, its vertices, its
 sibling boxes and its parent's far corner, the last three minus the parent's
 near corner, as integer tuples.  Equal keys mean the same geometry up to a
-translation, so the clearance check runs once per distinct key and its
-verdict is exact for every connector with that key; a tampered connector or
-cell gets a key of its own.
+translation, so the clearance check runs once per distinct key, as
+``_path_legal(*key)``, and its verdict is exact for every connector with
+that key; a tampered connector or cell gets a key of its own.
 
 Those three checks, plus the disjointness of closed cells within one
 generation, force all connectors of all generations to be pairwise disjoint:
@@ -67,8 +73,7 @@ from .cantor import (Address, GenerationBudgetError, ProductCantor,
                      RatioCantorSet)
 # boxes_disjoint is unused here, but perfbench/tracing.py wraps arc.boxes_disjoint
 from .geometry import (Box, Point, box_corners, boxes_disjoint,
-                       chain_self_intersection, lift, norm_sq, point_in_box,
-                       polyline_is_simple, polylines_disjoint, segment_box_clip)
+                       chain_self_intersection, lift, polylines_disjoint)
 
 DEFAULT_CELL_BUDGET = 2 ** 18
 
@@ -96,10 +101,6 @@ class Cell:
     def far_corner(self) -> Point:
         """The unique point of the cell farthest from the origin."""
         return tuple(hi for _, hi in self.box)
-
-    @property
-    def distance_sq(self) -> Fraction:
-        return norm_sq(self.near_corner)
 
     def corners(self) -> list[Point]:
         return box_corners(self.box)
@@ -165,7 +166,8 @@ def param_intervals(depth: int, ambient_dimension: int) -> Iterator[dict]:
 class Connector:
     """Path from one cell's far corner to the next cell's near corner,
     parametrised at constant speed over its used interval.  Built arcs hold
-    the straight segment; ``verify_injectivity`` judges any polyline."""
+    the straight segment; ``verify_injectivity`` passes no other shape: a
+    connector with a waypoint fails its clearance check."""
 
     id: int
     depth: int
@@ -220,32 +222,61 @@ def _segment(ordered_cells: Sequence[Cell], s: int) -> list[Point]:
     return [ordered_cells[s].far_corner, ordered_cells[s + 1].near_corner]
 
 
-def _path_legal(vertices: Sequence[Point], cells: Sequence[Cell], s: int,
-                parent_box: Box) -> bool:
-    """Exact legality of one connector path joining cells[s] to cells[s+1]:
-    stays in the parent, is simple, and touches each closed sub-cell at most
-    in its own endpoint corner.  Also the per-connector clearance check of
-    ``verify_injectivity``."""
-    if any(not point_in_box(v, parent_box) for v in vertices):
+def _path_legal(shape: Sequence[Sequence[int]], s: int,
+                vertices: Sequence[Sequence[int]]) -> bool:
+    """Exact legality of the connector joining the sub-cells of 0-based
+    ranks s and s+1: one segment of positive length, inside the parent, that
+    meets each closed sub-cell at most in its own endpoint corner on that
+    cell.
+
+    Every point is an integer offset from the parent's near corner: ``shape``
+    holds the parent's far corner, then the near and far corners of each
+    sub-cell in rank order, and ``vertices`` the connector's vertices.  The
+    route's class checks and the clearance check of ``verify_injectivity``
+    both decide here.
+    """
+    if len(vertices) != 2 or vertices[0] == vertices[1]:
         return False
-    if not polyline_is_simple(vertices):
+    a, b = vertices
+    if not all(0 <= x <= f and 0 <= y <= f for x, y, f in zip(a, b, shape[0])):
         return False
-    segs = list(zip(vertices, vertices[1:]))
-    last = len(segs) - 1
-    for idx, cell in enumerate(cells):
-        for seg_i, (a, b) in enumerate(segs):
-            clip = segment_box_clip(a, b, cell.box)
-            if clip is None:
-                continue
-            t0, t1 = clip
-            if t0 != t1:
-                return False
-            if seg_i == 0 and idx == s and t0 == 0:
-                continue
-            if seg_i == last and idx == s + 1 and t0 == 1:
-                continue
+    for rank in range((len(shape) - 1) // 2):
+        clip = _clip(a, b, shape[2 * rank + 1], shape[2 * rank + 2])
+        if clip is None:
+            continue
+        (n0, d0), (n1, d1) = clip
+        if n0 * d1 != n1 * d0:
+            return False  # a piece of positive length inside the cell
+        if not ((rank == s and n0 == 0) or (rank == s + 1 and n0 == d0)):
             return False
     return True
+
+
+def _clip(a: Sequence[int], b: Sequence[int], lo: Sequence[int], hi: Sequence[int]
+          ) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
+    """Parameter range [t0, t1] of the segment a + t(b - a), t in [0, 1],
+    inside the closed box [lo, hi], or None when it misses the box.
+
+    Slab clipping on integers: each t is a (numerator, denominator > 0) pair,
+    compared by cross-multiplication.
+    """
+    n0, d0, n1, d1 = 0, 1, 1, 1
+    for x, y, low, high in zip(a, b, lo, hi):
+        d = y - x
+        if d == 0:
+            if not low <= x <= high:
+                return None
+            continue
+        enter, leave = low - x, high - x
+        if d < 0:
+            d, enter, leave = -d, x - high, x - low
+        if enter * d0 > n0 * d:
+            n0, d0 = enter, d
+        if leave * d1 < n1 * d:
+            n1, d1 = leave, d
+        if n0 * d1 > n1 * d0:
+            return None
+    return (n0, d0), (n1, d1)
 
 
 def route_connectors(ordered_cells: Sequence[Cell], parent_box: Box
@@ -256,10 +287,15 @@ def route_connectors(ordered_cells: Sequence[Cell], parent_box: Box
     of the parent; the first that fails raises RoutingFailed naming the
     generation, the parent and the ranks.
     """
+    corners = [tuple(lo for lo, _ in parent_box), tuple(hi for _, hi in parent_box)]
+    corners += [c for cell in ordered_cells for c in (cell.near_corner, cell.far_corner)]
+    _, (near, *lifted) = lift(corners)
+    # connector s runs from the far corner of rank s to the near corner of s+1
+    shape = [tuple(a - b for a, b in zip(point, near)) for point in lifted]
     paths: list[list[Point]] = []
     for s in range(len(ordered_cells) - 1):
         path = _segment(ordered_cells, s)
-        if not (_path_legal(path, ordered_cells, s, parent_box)
+        if not (_path_legal(shape, s, shape[2 * s + 2:2 * s + 4])
                 and all(polylines_disjoint(path, p) for p in paths)):
             raise RoutingFailed(
                 f"the straight connector of generation {ordered_cells[s].generation} "
@@ -273,13 +309,11 @@ class ArcApproximation:
     """Generation-by-generation approximation of the curve through a product
     of a ratio Cantor set with a self-similar product."""
 
-    def __init__(self, base_set: RatioCantorSet, product: ProductCantor,
-                 cell_budget: int = DEFAULT_CELL_BUDGET):
+    def __init__(self, base_set: RatioCantorSet, product: ProductCantor):
         if product.copies < 1:
             raise ValueError("product needs at least one factor axis")
         self.base_set = base_set
         self.product = product
-        self.cell_budget = cell_budget
         self.copies = product.copies
         self.ambient_dimension = product.copies + 1
         self.branching = 2 ** self.ambient_dimension  # q sub-cells per cell
@@ -308,10 +342,10 @@ class ArcApproximation:
         """
         # fail fast on the target depth before spending work on shallower
         # ones; 2^e > budget exactly when e reaches the budget's bit length
-        if depth * self.ambient_dimension >= self.cell_budget.bit_length():
+        if depth * self.ambient_dimension >= DEFAULT_CELL_BUDGET.bit_length():
             raise GenerationBudgetError(
                 f"depth {depth} needs 2^{depth * self.ambient_dimension} cells, "
-                f"over the budget {self.cell_budget}")
+                f"over the budget {DEFAULT_CELL_BUDGET}")
         axes = (self.base_set, self.product.factor)
         for k in range(self.depth + 1, depth + 1):
             lattices = [s.lattice(k) for s in axes]
@@ -503,10 +537,9 @@ class ArcApproximation:
         return np.unique(np.array(pts, dtype=float), axis=0)
 
 
-def build_arc(base_set: RatioCantorSet, product: ProductCantor, depth: int,
-              cell_budget: int = DEFAULT_CELL_BUDGET) -> ArcApproximation:
-    arc = ArcApproximation(base_set, product, cell_budget)
-    return arc.build_to(depth)
+def build_arc(base_set: RatioCantorSet, product: ProductCantor, depth: int
+              ) -> ArcApproximation:
+    return ArcApproximation(base_set, product).build_to(depth)
 
 
 # -- verification -----------------------------------------------------------
@@ -567,21 +600,18 @@ def _clearance_violations(arc: ArcApproximation, conns: Sequence[Connector]) -> 
         """The next ``count`` lifted points, minus ``near``."""
         return tuple(tuple(a - b for a, b in zip(next(points), near)) for _ in range(count))
 
-    frames, shapes = {}, {}  # parent -> (near corner, shape id); shape -> id
+    shapes = {}  # parent -> (near corner, _path_legal's shape)
     for c in parents:
         near = next(points)
-        shape = offsets(2 * len(arc.sub_cells(c)) + 1, near)
-        frames[c] = near, shapes.setdefault(shape, len(shapes))
+        shapes[c] = near, offsets(2 * len(arc.sub_cells(c)) + 1, near)
     verdicts: dict[tuple, bool] = {}
     violations: list[int] = []
     for conn in conns:
-        near, shape = frames[conn.parent_cell]
-        ranked = arc.sub_cells(conn.parent_cell)
-        s = conn.source_cell - ranked[0].id
+        near, shape = shapes[conn.parent_cell]
+        s = conn.source_cell - arc.sub_cells(conn.parent_cell)[0].id
         key = (shape, s, offsets(len(conn.vertices), near))
         if key not in verdicts:
-            verdicts[key] = _path_legal(conn.vertices, ranked, s,
-                                        arc.cells[conn.parent_cell].box)
+            verdicts[key] = _path_legal(*key)
         if not verdicts[key]:
             violations.append(conn.id)
     return violations
@@ -613,10 +643,8 @@ def verify_containment(arc: ArcApproximation, k: int,
     return ContainmentReport(k, len(addresses), worst, arc.cell_diameter(k))
 
 
-def sample_addresses(arc: ArcApproximation, count: int, rng,
-                     depth: Optional[int] = None) -> list[Address]:
-    depth = arc.depth if depth is None else depth
-    return [Address.random(arc.ambient_dimension, depth, rng) for _ in range(count)]
+def sample_addresses(arc: ArcApproximation, count: int, rng) -> list[Address]:
+    return [Address.random(arc.ambient_dimension, arc.depth, rng) for _ in range(count)]
 
 
 @dataclass

@@ -515,8 +515,7 @@ def run_estimate(preset: str, config: RunConfig, model=None,
         lo, hi = window or (2, g - 2)
         # scales matched to the construction's own hierarchy (powers of r)
         series = dim_mod.box_count_series(points, dim_mod.power_scales(ratio, lo, hi),
-                                          sample_resolution=resolution,
-                                          scale_family="matched")
+                                          sample_resolution=resolution)
         expected = dim_mod.expected_dimensions("cantor", dimension=cantor.dimension)
     elif preset == "product":
         # cell counts grow like 2^(g*copies); shrink the default depth to match
@@ -531,8 +530,7 @@ def run_estimate(preset: str, config: RunConfig, model=None,
             raise ConfigError(f"window {lo}:{hi} has fewer than 3 scales; "
                               "widen --scales or deepen --generation")
         series = dim_mod.box_count_series(points, dim_mod.power_scales(ratio, lo, hi),
-                                          sample_resolution=resolution,
-                                          scale_family="matched")
+                                          sample_resolution=resolution)
         expected = dim_mod.expected_dimensions("product", dimension=product.dimension)
     elif preset == "snowflake":
         g = generation or 14

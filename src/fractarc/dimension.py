@@ -50,7 +50,6 @@ class BoxCountSeries:
 
     scales: tuple[Fraction, ...]
     counts: tuple[int, ...]
-    scale_family: str = "dyadic"
 
     def __post_init__(self):
         if len(self.scales) != len(self.counts):
@@ -183,8 +182,7 @@ def power_scales(base: Fraction, coarse: int, fine: int) -> list[Fraction]:
 
 
 def box_count_series(points: Sequence, scales: Sequence,
-                     sample_resolution=None,
-                     scale_family: str = "dyadic") -> BoxCountSeries:
+                     sample_resolution=None) -> BoxCountSeries:
     """Count at every scale.  When the sample's generation resolution is
     known, windows finer than it are refused: counts there would flatten into
     a spurious dimension-zero tail."""
@@ -194,7 +192,7 @@ def box_count_series(points: Sequence, scales: Sequence,
     if not isinstance(points, (np.ndarray, LatticeSample)):
         points = LatticeSample.from_points(points)
     counts = tuple(box_count(points, d) for d in scales)
-    return BoxCountSeries(tuple(scales), counts, scale_family)
+    return BoxCountSeries(tuple(scales), counts)
 
 
 def _refuse_finer(finest, resolution) -> None:
@@ -326,7 +324,7 @@ def net_count_series(space, points, radii: Sequence[float],
     if sample_resolution is not None:
         _refuse_finer(min(float(r) for r in radii), float(sample_resolution))
     counts = tuple(ball_net_count(space, points, float(r)) for r in radii)
-    return BoxCountSeries(tuple(Fraction(r) for r in radii), counts, "net")
+    return BoxCountSeries(tuple(Fraction(r) for r in radii), counts)
 
 
 def cantor_sample(cantor_set: _BinaryCantorBase, generation: int) -> tuple[LatticeSample, Fraction]:

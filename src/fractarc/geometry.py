@@ -30,10 +30,6 @@ def vlerp(p: Point, q: Point, t: Fraction) -> Point:
     return tuple(a + t * (b - a) for a, b in zip(p, q))
 
 
-def norm_sq(p: Point) -> Fraction:
-    return sum((c * c for c in p), ZERO)
-
-
 def box_corners(box: Box) -> list[Point]:
     corners: list[Point] = [()]
     for lo, hi in box:
@@ -41,47 +37,9 @@ def box_corners(box: Box) -> list[Point]:
     return corners
 
 
-def box_diameter_sq(box: Box) -> Fraction:
-    return sum(((hi - lo) ** 2 for lo, hi in box), ZERO)
-
-
-def point_in_box(p: Point, box: Box) -> bool:
-    return all(lo <= c <= hi for c, (lo, hi) in zip(p, box))
-
-
 def boxes_disjoint(a: Box, b: Box) -> bool:
     """Closed boxes share no point iff they are separated along some axis."""
     return any(ahi < blo or bhi < alo for (alo, ahi), (blo, bhi) in zip(a, b))
-
-
-def box_contains_box(outer: Box, inner: Box) -> bool:
-    return all(olo <= ilo and ihi <= ohi
-               for (olo, ohi), (ilo, ihi) in zip(outer, inner))
-
-
-def segment_box_clip(p: Point, q: Point, box: Box) -> Optional[tuple[Fraction, Fraction]]:
-    """Parameter range [t0, t1] of the segment p + t(q-p) inside the closed box.
-
-    Returns None when the segment misses the box.  Exact slab clipping.
-    """
-    t0, t1 = ZERO, ONE
-    for c_p, c_q, (lo, hi) in zip(p, q, box):
-        d = c_q - c_p
-        if d == 0:
-            if c_p < lo or c_p > hi:
-                return None
-            continue
-        ta = (lo - c_p) / d
-        tb = (hi - c_p) / d
-        if ta > tb:
-            ta, tb = tb, ta
-        if ta > t0:
-            t0 = ta
-        if tb < t1:
-            t1 = tb
-        if t0 > t1:
-            return None
-    return t0, t1
 
 
 def point_on_segment(z: Point, p: Point, q: Point) -> bool:
@@ -242,14 +200,6 @@ def polylines_disjoint(v1: Sequence[Point], v2: Sequence[Point]) -> bool:
 def points_bbox(pts: Sequence[Point]) -> Box:
     return tuple((min(p[i] for p in pts), max(p[i] for p in pts))
                  for i in range(len(pts[0])))
-
-
-def polyline_is_simple(vertices: Sequence[Point]) -> bool:
-    """Non-self-intersecting: consecutive segments meet only at the shared
-    vertex, all other segment pairs are disjoint, no zero-length segments."""
-    if any(a == b for a, b in zip(vertices, vertices[1:])):
-        return False
-    return chain_self_intersection(vertices) is None
 
 
 def chain_self_intersection(vertices: Sequence[Point]) -> Optional[tuple[int, int]]:

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fractarc.cantor import (Address, GenerationBudgetError, ProductCantor,
@@ -22,8 +22,9 @@ from fractarc.arc import (ArcApproximation, Connector, RoutingFailed,
                           route_connectors, sample_addresses,
                           verify_containment, verify_injectivity, _path_legal)
 from fractarc.cli import RunConfig, build_model
-from fractarc.geometry import (boxes_disjoint, points_bbox, polylines_disjoint,
-                               vlerp, vsub)
+from fractarc.geometry import (box_corners, boxes_disjoint, lift, points_bbox,
+                               polylines_disjoint, vlerp, vsub)
+from oracles import path_legal as fraction_path_legal
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
@@ -79,15 +80,69 @@ def pair_scan_violations(arc, k):
 
 
 def per_connector_clearance(arc, k):
-    """The clearance loop verify_injectivity used to run, one exact check
-    per connector: the oracle of the check once per translation key."""
+    """One ``Fraction`` clearance check per connector, which must be a single
+    segment: the oracle of the integer check once per translation key."""
     violations = []
     for conn in arc.cumulative_connectors(k):
         ranked = arc.sub_cells(conn.parent_cell)
         s = conn.source_cell - ranked[0].id
-        if not _path_legal(conn.vertices, ranked, s, arc.cells[conn.parent_cell].box):
+        if not (len(conn.vertices) == 2
+                and fraction_path_legal(conn.vertices, [c.box for c in ranked], s,
+                                        arc.cells[conn.parent_cell].box)):
             violations.append(conn.id)
     return violations
+
+
+def integer_frame(parent_box, boxes, vertices):
+    """``_path_legal``'s arguments for a Fraction frame: the parent's far
+    corner, the boxes' corners and the vertices, all over one denominator
+    and minus the parent's near corner."""
+    points = [tuple(lo for lo, _ in parent_box), tuple(hi for _, hi in parent_box)]
+    for box in boxes:
+        points += [tuple(lo for lo, _ in box), tuple(hi for _, hi in box)]
+    _, (near, *lifted) = lift(points + list(vertices))
+    offsets = [tuple(a - b for a, b in zip(p, near)) for p in lifted]
+    return offsets[:2 * len(boxes) + 1], offsets[2 * len(boxes) + 1:]
+
+
+#: A parent cell and two sub-cells of a clearance frame.
+UNIT_SQUARE = ((F(0), F(1)), (F(0), F(1)))
+FRAME_BOXES = [((F(0), F(1, 4)), (F(0), F(1, 4))), ((F(1, 2), F(3, 4)), (F(1, 2), F(3, 4)))]
+
+
+@st.composite
+def clearance_frames(draw):
+    """(parent box, sub-cell boxes, rank s, segment) on a k/8 grid in 2-D or
+    3-D.  Boxes may overlap, touch or leave the parent; segment ends are box
+    corners or free k/16 points, or a segment runs on through its drawn end,
+    so zero-length segments, segments outside the parent, sliding along a
+    face or touching a corner mid-segment all come up."""
+    dim = draw(st.sampled_from([2, 3]))
+    grid = st.integers(-4, 4)
+    parent = tuple((F(lo, 8), F(lo + draw(st.integers(4, 8)), 8))
+                   for lo in (draw(grid) for _ in range(dim)))
+    boxes = []
+    for _ in range(draw(st.integers(1, 4))):
+        box = []
+        for lo, _ in parent:
+            low = lo + F(draw(st.integers(-1, 7)), 8)
+            box.append((low, low + F(draw(st.integers(1, 4)), 8)))
+        boxes.append(tuple(box))
+    s = draw(st.integers(0, len(boxes) - 1))
+    if s + 1 < len(boxes) and draw(st.booleans()):
+        # the built connector: far corner of s to near corner of s+1
+        return parent, boxes, s, [tuple(hi for _, hi in boxes[s]),
+                                  tuple(lo for lo, _ in boxes[s + 1])]
+    corners = [c for box in (parent, *boxes) for c in box_corners(box)]
+    free = st.tuples(*[st.integers(-2, 10).map(lambda n, lo=lo: lo + F(n, 16))
+                       for lo, _ in parent])
+    point = st.sampled_from(corners) | free
+    # an end on a corner of cell s, the other on one of cell s+1, or anywhere
+    a, b = (draw(st.sampled_from(box_corners(boxes[min(r, len(boxes) - 1)])) | point)
+            for r in (s, s + 1))
+    if draw(st.booleans()):
+        b = tuple(2 * y - x for x, y in zip(a, b))  # passes the drawn b at t = 1/2
+    return parent, boxes, s, [a, b]
 
 
 def fraction_evaluate(arc, t, k):
@@ -171,7 +226,8 @@ def search_route_connectors(ordered_cells, parent_box, gap):
         dst = ordered_cells[s + 1].near_corner
         chosen = None
         for cand in _candidate_paths(src, dst, gap):
-            if not _path_legal(cand, ordered_cells, s, parent_box):
+            if not fraction_path_legal(cand, [c.box for c in ordered_cells], s,
+                                       parent_box):
                 continue
             if all(polylines_disjoint(cand, p) for p in paths):
                 chosen = list(cand)
@@ -238,7 +294,6 @@ class TestFirstGeneration:
     def test_first_cell_touches_origin(self):
         cells = first_generation(*planar_sets())
         assert cells[0].near_corner == (F(0), F(0))
-        assert cells[0].distance_sq == 0
 
 
 class TestParamSubdivision:
@@ -397,9 +452,11 @@ class TestCountingInvariants:
             for (plo, phi), (clo, chi) in zip(parent.box, cell.box):
                 assert plo <= clo and chi <= phi
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
+        import fractarc.arc as arc_module
+        monkeypatch.setattr(arc_module, "DEFAULT_CELL_BUDGET", 64)
         base, product = planar_sets()
-        arc = ArcApproximation(base, product, cell_budget=64)
+        arc = ArcApproximation(base, product)
         arc.build_to(3)
         with pytest.raises(GenerationBudgetError):
             arc.build_to(4)
@@ -601,6 +658,48 @@ class TestInjectivity:
         assert calls["_path_legal"] == len(classes) * (arc.branching - 1)
         assert calls["_path_legal"] in (27, 126)
         assert calls["segment_intersection"] == 0
+
+    def test_clearance_creates_no_fraction(self, monkeypatch):
+        import fractarc.arc as arc_module
+        arc = build_model(RunConfig(target_dimension=2.5, depth=3))
+        conns = arc.cumulative_connectors(3)
+        made = []
+
+        def counting(cls, *args, inner=F.__new__, **kwargs):
+            made.append(args)
+            return inner(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counting)
+        assert arc_module._clearance_violations(arc, conns) == []
+        monkeypatch.undo()
+        assert made == []
+
+    @settings(max_examples=600, deadline=None)
+    @given(clearance_frames())
+    # the corner (3/4, 1/2) of the cell of rank s+1 touched mid-segment, and
+    # a face of the cell of rank s slid along from its corner
+    @example((UNIT_SQUARE, FRAME_BOXES, 0, [(F(1, 2), F(1, 4)), (F(1), F(3, 4))]))
+    @example((UNIT_SQUARE, FRAME_BOXES, 0, [(F(1, 4), F(1, 4)), (F(0), F(1, 4))]))
+    def test_integer_path_legal_matches_fraction_oracle(self, frame):
+        parent, boxes, s, ends = frame
+        shape, vertices = integer_frame(parent, boxes, ends)
+        assert _path_legal(shape, s, vertices) == fraction_path_legal(ends, boxes, s, parent)
+
+    def test_connector_with_a_waypoint_fails_clearance(self):
+        arc = reference_arc("planar", 2)
+        conn = arc.connectors_at(1)[0]
+        parent = arc.cells[conn.parent_cell]
+        boxes = [c.box for c in arc.sub_cells(parent.id)]
+        # the midpoint of the legal segment as a waypoint: the same point set
+        midpoint = vlerp(conn.source, conn.target, F(1, 2))
+        bent = [conn.source, midpoint, conn.target]
+        assert fraction_path_legal(bent, boxes, 0, parent.box)
+        shape, vertices = integer_frame(parent.box, boxes, bent)
+        assert not _path_legal(shape, 0, vertices)
+        tampered = copy.copy(arc)
+        tampered.connectors = list(arc.connectors)
+        tampered.connectors[conn.id] = dataclasses.replace(conn, vertices=bent)
+        assert verify_injectivity(tampered, 2).clearance_violations == [conn.id]
 
     def test_traversal_chain_glues(self, figure_arc):
         chain = figure_arc.traversal_chain(3)

@@ -131,7 +131,7 @@ class TestEstimate:
         cantor = SelfSimilarCantor(F(1, 3))
         points, resolution = cantor_sample(cantor, 10)
         series = box_count_series(points, power_scales(F(1, 3), 2, 8),
-                                  sample_resolution=resolution, scale_family="matched")
+                                  sample_resolution=resolution)
         est = estimate_dimension(series)
         assert est.slope == pytest.approx(LOG2_3, abs=1e-12)
         assert est.r_squared == pytest.approx(1.0)
@@ -148,7 +148,7 @@ class TestEstimate:
         product = ProductCantor(SelfSimilarCantor(F(1, 3)), 2)
         points, resolution = product_sample(product, 6)
         series = box_count_series(points, power_scales(F(1, 3), 1, 5),
-                                  sample_resolution=resolution, scale_family="matched")
+                                  sample_resolution=resolution)
         est = estimate_dimension(series)
         assert est.slope == pytest.approx(2 * LOG2_3, abs=1e-12)
 
