@@ -19,6 +19,12 @@ runs (one per (generation, order) class), then the two halves of
 with its segment count and candidate pairs.  ``evaluate`` is
 timed over 20,000 seeded parameters on planar-5.
 
+The model file, best of three, on planar-6 and spatial-4: ``model_text``
+beside the reference ``dump_json(model_to_dict(...))``; ``_load_model`` of
+the canonical file, which takes the byte compare, beside the row check
+(``json.loads`` then ``model_from_dict``) that any other text gets; and
+``vertex_cloud`` with its point count.
+
     PYTHONPATH=src python bench/run.py BENCH.json
 """
 
@@ -29,15 +35,19 @@ import os
 import platform
 import random
 import sys
+import tempfile
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
 from fractarc import arc as arc_module
 from fractarc.cantor import ProductCantor, SelfSimilarCantor
-from fractarc.cli import RunConfig, _unrouted_arc, build_model
+from fractarc.cli import (RunConfig, _load_canonical, _load_model, _unrouted_arc,
+                          build_model, dump_json, model_from_dict, model_text,
+                          model_to_dict)
 from fractarc.dimension import (box_count_series, cantor_sample, net_count_series,
                                 power_scales, product_sample)
 from fractarc.geometry import _meeting_box_pairs, chain_self_intersection, lift
@@ -149,6 +159,32 @@ def evaluate_row(case: str) -> dict:
             "time_s": time_s}
 
 
+def model_file_rows(case: str) -> list[dict]:
+    """Serialise and load of one arc's model file, each beside its reference
+    path, then its vertex cloud."""
+    c, depth = ARCS[case]
+    config = RunConfig(target_dimension=c, depth=depth)
+    arc = build_model(config)
+    text_s, text = best_of(lambda: model_text(arc, config), VERIFY_REPEATS)
+    reference_s, reference = best_of(lambda: dump_json(model_to_dict(arc, config)),
+                                     VERIFY_REPEATS)
+    if text != reference or _load_canonical(text) is None:
+        raise SystemExit(f"{case}: the canonical text is not the reference's")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{case}.json"
+        path.write_text(text)
+        load_s, _ = best_of(lambda: _load_model(path), VERIFY_REPEATS)
+        row_check_s, _ = best_of(lambda: model_from_dict(json.loads(path.read_text())),
+                                 VERIFY_REPEATS)
+    cloud_s, cloud = best_of(lambda: arc.vertex_cloud(depth), VERIFY_REPEATS)
+    return [{"layer": "serialise", "case": case, "depth": depth, "bytes": len(text),
+             "reference_s": reference_s, "time_s": text_s},
+            {"layer": "load", "case": case, "depth": depth, "row_check_s": row_check_s,
+             "time_s": load_s},
+            {"layer": "vertex_cloud", "case": case, "depth": depth, "points": len(cloud),
+             "time_s": cloud_s}]
+
+
 def rows() -> list[dict]:
     out = []
     for case, ratio in (("cantor 1/3", THIRD), ("cantor 1/10", Fraction(1, 10))):
@@ -173,6 +209,8 @@ def rows() -> list[dict]:
         out.extend(build_rows(case))
         out.extend(verify_rows(case))
     out.append(evaluate_row("planar-5"))
+    for case in ("planar-6", "spatial-4"):
+        out.extend(model_file_rows(case))
     return out
 
 

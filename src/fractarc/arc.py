@@ -534,7 +534,12 @@ class ArcApproximation:
             pts.extend(tuple(float(c) for c in v) for v in conn.vertices)
         for cell in self.generation_cells(k):
             pts.extend(tuple(float(c) for c in corner) for corner in cell.corners())
-        return np.unique(np.array(pts, dtype=float), axis=0)
+        # np.unique(pts, axis=0): the distinct rows in lexicographic order
+        pts = np.array(pts, dtype=float)
+        pts = pts[np.lexsort(pts.T[::-1])]
+        fresh = np.ones(len(pts), dtype=bool)
+        fresh[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+        return pts[fresh]
 
 
 def build_arc(base_set: RatioCantorSet, product: ProductCantor, depth: int

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import zip_longest
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import arc as arc_mod
 from . import dimension as dim_mod
@@ -71,13 +71,15 @@ def parse_fraction(text: str) -> Fraction:
         raise ConfigError(f"cannot parse rational {text!r}") from exc
 
 
-def write_atomic(path: Path, data: str) -> None:
+def write_atomic(path: Path, data: str | Iterable[str]) -> None:
+    """Write ``data``, one string or its pieces in order, to ``path`` through a
+    temporary file, so a reader never sees a partial file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(data)
+            handle.writelines([data] if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -103,8 +105,9 @@ class RunConfig:
     samples: int = 200
 
     def __post_init__(self):
-        if self.target_dimension < 1.0:
-            raise ConfigError(f"target dimension must be at least 1, got {self.target_dimension}")
+        if not (math.isfinite(self.target_dimension) and self.target_dimension >= 1.0):
+            raise ConfigError(f"target dimension must be a finite number of at least 1, "
+                              f"got {self.target_dimension}")
         if not all(isinstance(v, int) for v in (self.depth, self.seed, self.samples)):
             raise ConfigError("depth, seed and samples must be integers")
         if self.depth < 1:
@@ -169,8 +172,8 @@ def load_config_file(path: Path) -> dict:
     """Plain key=value lines; '#' starts a comment."""
     values: dict = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -263,6 +266,87 @@ def model_to_dict(model, config: RunConfig) -> dict:
     }
 
 
+def _cell_text(arc) -> Iterator[str]:
+    """The rows of ``_cell_rows`` as ``dump_json`` writes them."""
+    for cell in arc.cells:
+        address = ",\n".join(f'        "{w}"' for w in cell.address)
+        box = ",\n".join(f'        [\n          "{lo.numerator}/{lo.denominator}",\n'
+                         f'          "{hi.numerator}/{hi.denominator}"\n        ]'
+                         for lo, hi in cell.box)
+        parent = "null" if cell.parent_id is None else cell.parent_id
+        yield (f'    {{\n      "address": [\n{address}\n      ],\n'
+               f'      "box": [\n{box}\n      ],\n'
+               f'      "generation": {cell.generation},\n      "id": {cell.id},\n'
+               f'      "parent": {parent},\n      "rank": {cell.rank}\n    }}')
+
+
+def _connector_text(arc) -> Iterator[str]:
+    """The rows of ``_connector_rows`` as ``dump_json`` writes them."""
+    for f, conn in zip(arc_mod.connector_fields(arc.depth, arc.ambient_dimension),
+                       arc.connectors):
+        vertices = ",\n".join(
+            "        [\n" + ",\n".join(f'          "{c.numerator}/{c.denominator}"'
+                                       for c in point) + "\n        ]"
+            for point in conn.vertices)
+        yield (f'    {{\n      "depth": {f["depth"]},\n      "id": {f["id"]},\n'
+               f'      "interval": {f["interval"]},\n      "parent_cell": {f["parent_cell"]},\n'
+               f'      "source_cell": {f["source_cell"]},\n'
+               f'      "target_cell": {f["target_cell"]},\n'
+               f'      "vertices": [\n{vertices}\n      ]\n    }}')
+
+
+def _param_text(arc) -> Iterator[str]:
+    """The rows of ``arc_mod.param_intervals`` as ``dump_json`` writes them."""
+    for row in arc_mod.param_intervals(arc.depth, arc.ambient_dimension):
+        children = row["children"]
+        if children:
+            children = "[\n" + ",\n".join(f"        {c}" for c in children) + "\n      ]"
+        else:
+            children = "[]"
+        yield (f'    {{\n      "children": {children},\n      "depth": {row["depth"]},\n'
+               f'      "hi": "{row["hi"]}",\n      "id": {row["id"]},\n'
+               f'      "index": {row["index"]},\n      "link": {row["link"]},\n'
+               f'      "lo": "{row["lo"]}",\n      "status": "{row["status"]}"\n    }}')
+
+
+def model_chunks(model, config: RunConfig) -> Iterator[str]:
+    """The canonical schema-v1 text of a model, in pieces:
+    ``dump_json(model_to_dict(model, config))`` without building the dict.
+
+    The top-level fields go through ``json.dumps`` one by one; the rows of
+    the three sections come from fixed templates (sorted keys, two-space
+    indentation), one piece per row.  ``model_to_dict`` stays the reference
+    that the tests compare this with.
+    """
+    if isinstance(model, UnitIntervalModel):
+        yield dump_json(model_to_dict(model, config))
+        return
+    fields = {"schema_version": SCHEMA_VERSION, "config": config.as_dict(),
+              **_arc_header(model)}
+    sections = {"cells": _cell_text, "connectors": _connector_text,
+                "param_intervals": _param_text}
+    separator = "{\n"
+    for key in sorted([*fields, *sections]):
+        if key in fields:
+            # dump_json's text of the value, one level further in
+            value = json.dumps(fields[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+            yield f'{separator}  "{key}": {value}'
+        else:
+            yield f'{separator}  "{key}": [\n'
+            rows = sections[key](model)
+            yield next(rows)
+            for row in rows:
+                yield ",\n" + row
+            yield "\n  ]"
+        separator = ",\n"
+    yield "\n}\n"
+
+
+def model_text(model, config: RunConfig) -> str:
+    """The canonical schema-v1 text of a model (see ``model_chunks``)."""
+    return "".join(model_chunks(model, config))
+
+
 class UnitIntervalModel:
     """Degenerate model for target dimension exactly 1: the unit interval."""
 
@@ -301,6 +385,19 @@ def _check_rows(data: dict, section: str, expected) -> None:
             _check_fields(f"{section}[{n}]", item, **want)
 
 
+def _config_from_dict(raw: dict) -> RunConfig:
+    """The RunConfig a model file's "config" object describes."""
+    scales = raw["scales"]
+    return RunConfig(
+        target_dimension=raw["target_dimension"],
+        ratio_family=raw["ratio_family"],
+        ratio_params={k: decode_rational(v) for k, v in raw["ratio_params"].items()},
+        depth=raw["depth"],
+        seed=raw["seed"],
+        scales=tuple(scales) if scales else None,
+        samples=raw["samples"])
+
+
 def model_from_dict(data: dict):
     """Model from its JSON form.
 
@@ -314,17 +411,7 @@ def model_from_dict(data: dict):
         raise ConfigError("a model must be a JSON object")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version {data.get('schema_version')!r}")
-    scales = data["config"]["scales"]
-    config = RunConfig(**{
-        "target_dimension": data["config"]["target_dimension"],
-        "ratio_family": data["config"]["ratio_family"],
-        "ratio_params": {k: decode_rational(v)
-                         for k, v in data["config"]["ratio_params"].items()},
-        "depth": data["config"]["depth"],
-        "seed": data["config"]["seed"],
-        "scales": tuple(scales) if scales else None,
-        "samples": data["config"]["samples"],
-    })
+    config = _config_from_dict(data["config"])
     try:
         model = build_model(config)
     except GenerationBudgetError as exc:
@@ -463,10 +550,10 @@ def run_verification(model, config: RunConfig) -> dict:
     mass_samples = sample_ball_inputs(arc.base_set, config.samples, resolution, rng)
     mass_ok = True
     mass_details = []
-    for eps in measure_mod.DEFAULT_EXPONENT_GRID:
-        cert = measure_mod.verify_mass_bounds(meas, eps, mass_samples, resolution)
+    for cert in measure_mod.verify_mass_bounds(meas, measure_mod.DEFAULT_EXPONENT_GRID,
+                                               mass_samples, resolution):
         mass_ok = mass_ok and cert.valid and cert.max_boundary_intervals <= 3
-        mass_details.append({"exponent": eps, "constant": cert.constant,
+        mass_details.append({"exponent": cert.exponent, "constant": cert.constant,
                              "lower_margin": cert.lower_margin,
                              "upper_margin": cert.upper_margin,
                              "max_boundary_intervals": cert.max_boundary_intervals})
@@ -611,23 +698,67 @@ def cmd_build(args) -> int:
         return EXIT_CONSTRUCTION
     summary = counting_summary(model)
     out = Path(args.out) if args.out else Path("model.json")
-    write_atomic(out, dump_json(model_to_dict(model, config)))
+    write_atomic(out, model_chunks(model, config))
     for key, value in summary.items():
         print(f"{key}: {value}")
     print(f"model written to {out}")
     return EXIT_OK
 
 
-def _load_model(path) -> tuple[object, RunConfig]:
+#: Where the canonical text puts the config: a key of the top-level object.
+_CONFIG_KEY = '\n  "config": '
+
+
+def _load_canonical(text: str):
+    """(model, config) when ``text`` is exactly the canonical text
+    (``model_chunks``) of the model that its config builds, else None.
+
+    The config is read at its canonical place, the model rebuilt from it,
+    and the canonical pieces compared with ``text`` one by one, so the whole
+    canonical text is never held.  A match means the file is that text, and
+    its one config is the one read; any error only means no match.
+    """
+    start = text.find(_CONFIG_KEY)
+    if start < 0:
+        return None
     try:
-        data = json.loads(Path(path).read_text())
+        raw, _ = json.JSONDecoder().raw_decode(text, start + len(_CONFIG_KEY))
+        config = _config_from_dict(raw)
+        model = build_model(config)
+        pos = 0
+        for chunk in model_chunks(model, config):
+            if not text.startswith(chunk, pos):
+                return None
+            pos += len(chunk)
+    except (ArithmeticError, AttributeError, LookupError, RuntimeError, TypeError,
+            ValueError):
+        return None
+    return (model, config) if pos == len(text) else None
+
+
+def _load_model(path) -> tuple[object, RunConfig]:
+    """Model and config of a model file.
+
+    A file ``build`` wrote is accepted by ``_load_canonical``; any other
+    text gets the row check of ``model_from_dict``, which names the first
+    field that differs from its derived value.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read model {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"model {path} is not UTF-8 text: {exc}") from exc
+    loaded = _load_canonical(text)
+    if loaded is not None:
+        return loaded
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"model {path} is not valid JSON: {exc}") from exc
     try:
         return model_from_dict(data)
-    except (LookupError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"model {path} is malformed: {type(exc).__name__}: {exc}") from exc
@@ -692,7 +823,7 @@ def cmd_export(args) -> int:
     model, config = _load_model(args.model)
     out = Path(args.out)
     if args.format == "json":
-        write_atomic(out, dump_json(model_to_dict(model, config)))
+        write_atomic(out, model_chunks(model, config))
     elif args.format == "svg":
         if isinstance(model, UnitIntervalModel):
             raise ConfigError("svg export is only defined for planar (n=1) models")

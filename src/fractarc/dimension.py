@@ -146,7 +146,7 @@ def box_count(points: Sequence, delta) -> int:
         n_boxes = int(math.ceil(1.0 / float(delta)))
         idx = np.floor(pts / float(delta)).astype(np.int64)
         np.clip(idx, 0, n_boxes - 1, out=idx)
-        return len(np.unique(idx, axis=0))
+        return _distinct_boxes(idx, n_boxes)
 
     if not isinstance(points, LatticeSample):
         points = LatticeSample.from_points(points)
@@ -161,9 +161,16 @@ def box_count(points: Sequence, delta) -> int:
     else:
         idx = nums.astype(object) * dd // (den * dn)
     np.minimum(idx, n_boxes - 1, out=idx)
+    return _distinct_boxes(idx, n_boxes)
+
+
+def _distinct_boxes(idx: np.ndarray, n_boxes: int) -> int:
+    """Number of distinct rows of ``idx``, box indices in [0, n_boxes) per
+    axis: counted on each box's row-major rank among n_boxes^d when that
+    fits in int64, on tuples of Python ints otherwise."""
     if idx.dtype == object or n_boxes ** idx.shape[1] >= 2 ** 63:
         return len(set(map(tuple, idx.tolist())))
-    key = idx[:, 0]  # the box's row-major rank among n_boxes^d
+    key = idx[:, 0]
     for k in range(1, idx.shape[1]):
         key = key * n_boxes + idx[:, k]
     return len(np.unique(key))

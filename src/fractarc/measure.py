@@ -179,25 +179,38 @@ class MassBoundCertificate:
         return not self.violations and not self.inconclusive
 
 
-def verify_mass_bounds(measure: NaturalMeasure, exponent: float,
+def verify_mass_bounds(measure: NaturalMeasure, exponents: Sequence[float],
                        samples: Sequence[tuple[Fraction, Fraction]],
-                       resolution: int) -> MassBoundCertificate:
-    """Certify the two-sided mass bound on every sample, by exact bracketing.
+                       resolution: int) -> list[MassBoundCertificate]:
+    """Certify the two-sided mass bound at each exponent on every sample, by
+    exact bracketing; one certificate per exponent, in order.
 
     A sample fails loudly when even the favourable bracket side violates its
     bound; it is inconclusive (deepen the resolution) when only the bracket
     width prevents a verdict.  The boundary-interval count for the
-    radius-selected generation is tracked and must stay at most 3.
+    radius-selected generation is tracked and must stay at most 3.  Neither
+    the bracket nor the count depends on the exponent, so each is computed
+    once per sample.
     """
+    brackets = [(measure.ball_mass(x, r, resolution), measure.boundary_interval_count(x, r)[1])
+                for x, r in samples]
+    return [_mass_certificate(measure, exponent, brackets, resolution)
+            for exponent in exponents]
+
+
+def _mass_certificate(measure: NaturalMeasure, exponent: float,
+                      brackets: Sequence[tuple[BallMassBracket, int]],
+                      resolution: int) -> MassBoundCertificate:
+    """The certificate at one exponent from each sample's bracket and
+    boundary-interval count."""
     seq = mass_bound_sequence(measure.base, exponent,
                               max(40, 2 * resolution))
     constant = max(2.0, seq.bound)
     lower_margin = math.inf
     upper_margin = math.inf
-    cert = MassBoundCertificate(exponent, constant, resolution, len(samples),
+    cert = MassBoundCertificate(exponent, constant, resolution, len(brackets),
                                 0.0, 0.0)
-    for x, r in samples:
-        bracket = measure.ball_mass(x, r, resolution)
+    for bracket, boundary in brackets:
         rf = float(bracket.radius)
         thr_lo = rf ** (1.0 + exponent) / constant
         thr_hi = constant * rf ** (1.0 - exponent)
@@ -213,12 +226,10 @@ def verify_mass_bounds(measure: NaturalMeasure, exponent: float,
             cert.inconclusive.append((bracket.center, bracket.radius, "upper"))
         lower_margin = min(lower_margin, lo - thr_lo)
         upper_margin = min(upper_margin, thr_hi - hi)
-
-        _, boundary = measure.boundary_interval_count(x, r)
         cert.max_boundary_intervals = max(cert.max_boundary_intervals, boundary)
 
-    cert.lower_margin = lower_margin if samples else 0.0
-    cert.upper_margin = upper_margin if samples else 0.0
+    cert.lower_margin = lower_margin if brackets else 0.0
+    cert.upper_margin = upper_margin if brackets else 0.0
     return cert
 
 

@@ -88,8 +88,8 @@ def test_criterion_3_mass_bounds():
         measure = NaturalMeasure(cantor, depth=16)
         samples = sample_ball_inputs(cantor, 1000, 16, random.Random(7))
         ok = True
-        for eps in (0.5, 0.25, 0.1):
-            cert = verify_mass_bounds(measure, eps, samples, resolution=16)
+        grid = (0.5, 0.25, 0.1)
+        for eps, cert in zip(grid, verify_mass_bounds(measure, grid, samples, resolution=16)):
             ok = ok and cert.valid and cert.max_boundary_intervals <= 3
             seq = mass_bound_sequence(cantor, eps, 40)
             ok = ok and cert.constant == max(2.0, seq.bound)

@@ -816,6 +816,19 @@ class TestVertexCloudConvergence:
             cb = figure_arc.vertex_cloud(k + 1)
             assert hausdorff(ca, cb) <= figure_arc.cell_diameter(k) + 1e-12
 
+    def test_cloud_is_numpy_unique_of_the_points(self, figure_arc):
+        import numpy as np
+        spatial = build_model(RunConfig(target_dimension=2.5, depth=3))
+        for arc in (figure_arc, spatial):
+            for k in range(1, arc.depth + 1):
+                points = [tuple(float(c) for c in v)
+                          for conn in arc.cumulative_connectors(k) for v in conn.vertices]
+                points += [tuple(float(c) for c in corner)
+                           for cell in arc.generation_cells(k) for corner in cell.corners()]
+                cloud = arc.vertex_cloud(k)
+                assert cloud.dtype == float
+                assert np.array_equal(cloud, np.unique(np.array(points), axis=0))
+
 
 class TestArcAsRugFactor:
     def test_rug_sample_is_vertices_times_grid(self, figure_arc):

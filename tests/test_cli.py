@@ -60,6 +60,9 @@ class TestConfig:
             RunConfig(target_dimension=0.5)
         with pytest.raises(ConfigError):
             RunConfig(depth=0)
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigError, match="finite"):
+                RunConfig(target_dimension=value)
 
     def test_config_file_drives_build_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -156,6 +159,26 @@ class TestVerifyCommand:
     def test_missing_model_is_config_error(self, tmp_path):
         rc = main(["verify", "--model", str(tmp_path / "absent.json")])
         assert rc == EXIT_CONFIG
+
+
+class TestBadInput:
+    """Undecodable files and non-finite dimensions from outside exit 2 with
+    one line, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--model", "{latin1}"],
+        ["build", "--config", "{latin1}", "--out", "{out}"],
+        ["build", "--c", "inf", "--out", "{out}"],
+        ["build", "--c", "nan", "--out", "{out}"],
+    ], ids=["verify-latin1-model", "build-latin1-config", "build-c-inf", "build-c-nan"])
+    def test_exits_2_with_one_line(self, argv, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes('c = 2.5  # "caf\xe9"\n'.encode("latin-1"))
+        out = tmp_path / "out.json"
+        assert main([arg.format(latin1=latin1, out=out) for arg in argv]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 class TestCountFlags:

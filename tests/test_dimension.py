@@ -80,6 +80,17 @@ class TestBoxCount:
         for i in (1, 2, 4):
             assert box_count(pts, F(1, 2 ** i)) == box_count(arr, F(1, 2 ** i))
 
+    @given(st.lists(st.tuples(*[st.integers(0, 64)] * 3), min_size=1, max_size=60),
+           st.integers(1, 3), st.sampled_from([F(1, 2), F(1, 3), F(1, 8), F(2, 7),
+                                               F(1, 2 ** 21), F(1, 2 ** 22)]))
+    @settings(max_examples=100, deadline=None)
+    def test_float_path_counts_distinct_index_rows(self, rows, dim, delta):
+        # keyed by row-major rank, and by tuples once n_boxes^dim reaches 2^63
+        arr = np.array([row[:dim] for row in rows], dtype=float) / 64
+        n_boxes = math.ceil(1 / float(delta))
+        idx = np.clip(np.floor(arr / float(delta)).astype(np.int64), 0, n_boxes - 1)
+        assert box_count(arr, delta) == len(np.unique(idx, axis=0))
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             box_count([], F(1, 2))

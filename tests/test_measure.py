@@ -146,19 +146,32 @@ class TestMassBoundSequence:
 class TestMassBoundCertificate:
     def test_full_radius_upper_bound(self, measure):
         # mass 1 at radius ~ diameter stays below C * r^(1-eps)
-        cert = verify_mass_bounds(measure, 0.5, [(F(0), F(999, 1000))], resolution=8)
+        [cert] = verify_mass_bounds(measure, [0.5], [(F(0), F(999, 1000))], resolution=8)
         assert cert.valid
         assert cert.constant >= 2.0
 
     def test_sampled_certificates_hold(self, measure):
         rng = random.Random(11)
         samples = sample_ball_inputs(measure.base, 300, measure.depth, rng)
-        for eps in DEFAULT_EXPONENT_GRID:
-            cert = verify_mass_bounds(measure, eps, samples, resolution=12)
+        certs = verify_mass_bounds(measure, DEFAULT_EXPONENT_GRID, samples, resolution=12)
+        assert [cert.exponent for cert in certs] == list(DEFAULT_EXPONENT_GRID)
+        for cert in certs:
             assert cert.valid, (cert.violations, cert.inconclusive)
             assert cert.lower_margin >= 0.0
             assert cert.upper_margin >= 0.0
             assert cert.max_boundary_intervals <= 3
+
+    def test_one_bracket_per_sample_for_every_exponent(self, measure, monkeypatch):
+        samples = sample_ball_inputs(measure.base, 50, measure.depth, random.Random(5))
+        alone = [verify_mass_bounds(measure, [eps], samples, resolution=12)[0]
+                 for eps in DEFAULT_EXPONENT_GRID]
+        calls = []
+        ball_mass = NaturalMeasure.ball_mass
+        monkeypatch.setattr(NaturalMeasure, "ball_mass",
+                            lambda self, *args: calls.append(args) or ball_mass(self, *args))
+        certs = verify_mass_bounds(measure, DEFAULT_EXPONENT_GRID, samples, resolution=12)
+        assert len(calls) == len(samples)
+        assert certs == alone
 
     def test_radius_generation_chain(self, measure):
         rng = random.Random(13)
@@ -168,5 +181,5 @@ class TestMassBoundCertificate:
     def test_harmonic_family_also_certifies(self):
         m = NaturalMeasure(RatioCantorSet(RatioSequence.harmonic()), depth=10)
         samples = sample_ball_inputs(m.base, 100, m.depth, random.Random(3))
-        cert = verify_mass_bounds(m, 0.25, samples, resolution=10)
+        [cert] = verify_mass_bounds(m, [0.25], samples, resolution=10)
         assert cert.valid

@@ -11,7 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractarc.cli import EXIT_CONFIG, decode_rational, main, model_from_dict
+from fractarc import cli
+from fractarc.cli import (EXIT_CONFIG, ConfigError, RunConfig, build_model,
+                          decode_rational, dump_json, main, model_from_dict,
+                          model_text, model_to_dict, run_verification)
 
 PLANAR = ["--c", "1.6309297535714574"]
 SPATIAL = ["--c", "2.5"]
@@ -37,7 +40,8 @@ def models(tmp_path_factory):
     root = tmp_path_factory.mktemp("models")
     out = {}
     for family, flags, depth in (("planar", PLANAR, 2), ("planar", PLANAR, 4),
-                                 ("spatial", SPATIAL, 2), ("spatial", SPATIAL, 3)):
+                                 ("spatial", SPATIAL, 2), ("spatial", SPATIAL, 3),
+                                 ("unit", ["--c", "1"], 2)):
         path = root / f"{family}-{depth}.json"
         assert run("build", *flags, "--depth", str(depth), "--out", str(path)) == 0
         out[family, depth] = path
@@ -82,6 +86,111 @@ def loaded(models):
         arc, _ = model_from_dict(data)
         out.append((arc, reference_evaluate(data, arc)))
     return out
+
+
+#: Target dimensions drawn by the writer oracle: planar arcs below 2,
+#: spatial arcs from 2, and the unit interval at 1.
+TARGETS = (1.0, 1.05, 1.3, 1.6309297535714574, 1.9, 2.0, 2.5, 2.9)
+
+
+@st.composite
+def run_configs(draw):
+    family = draw(st.sampled_from(["dyadic", "harmonic", "geometric"]))
+    params = ({"q": draw(st.fractions(F(1, 10), F(9, 10), max_denominator=12))}
+              if family == "geometric" else {})
+    scales = draw(st.one_of(st.none(), st.tuples(st.integers(1, 3), st.integers(3, 6))))
+    return RunConfig(target_dimension=draw(st.sampled_from(TARGETS)), ratio_family=family,
+                     ratio_params=params, depth=draw(st.integers(1, 4)),
+                     seed=draw(st.integers(0, 2 ** 40)), scales=scales,
+                     samples=draw(st.integers(1, 500)))
+
+
+class TestCanonicalText:
+    """``model_text`` is the text of the reference path, and the loader
+    accepts exactly that text without parsing it."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(config=run_configs())
+    def test_writer_matches_reference(self, config):
+        model = build_model(config)
+        assert model_text(model, config) == dump_json(model_to_dict(model, config))
+
+    @pytest.mark.parametrize("key", [("planar", 2), ("spatial", 3), ("unit", 2)])
+    def test_canonical_file_is_not_parsed(self, models, monkeypatch, key):
+        reference = model_from_dict(json.loads(models[key].read_text()))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.loads ran on a canonical file")
+
+        monkeypatch.setattr(json, "loads", refuse)
+        model, config = cli._load_model(models[key])
+        assert config == reference[1]
+        assert model_text(model, config) == models[key].read_text()
+
+    def test_compact_file_loads_the_same_model(self, models, tmp_path):
+        canonical = models["spatial", 2]
+        compact = tmp_path / "compact.json"
+        compact.write_text(json.dumps(json.loads(canonical.read_text())))
+        (model, config), (again, same) = cli._load_model(canonical), cli._load_model(compact)
+        assert same == config
+        assert model_text(again, same) == model_text(model, config)
+        config.samples = 30
+        assert run_verification(again, config) == run_verification(model, config)
+
+
+def fallback_load(path, monkeypatch):
+    """``_load_model`` with the byte compare turned off: the row check alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_load_canonical", lambda text: None)
+        return cli._load_model(path)
+
+
+def with_bom(text):
+    return "\ufeff" + text
+
+
+def trailing_newline(text):
+    return text + "\n"
+
+
+def trailing_byte(text):
+    return text + "x"
+
+
+def second_config_last(text):
+    # json.loads keeps the last of two equal keys
+    config = RunConfig(target_dimension=1.6309297535714574, depth=1).as_dict()
+    return text[:-len("\n}\n")] + ',\n  "config": ' + json.dumps(config) + "\n}\n"
+
+
+def second_config_first(text):
+    config = RunConfig(target_dimension=1.6309297535714574, depth=1).as_dict()
+    return '{\n  "config": ' + json.dumps(config, indent=2) + "," + text[1:]
+
+
+class TestNearCanonical:
+    """Text that differs from the canonical text by a few bytes is never
+    accepted as a model other than the one the row check finds."""
+
+    @pytest.mark.parametrize("corrupt, accepted", [
+        (with_bom, False), (trailing_newline, True), (trailing_byte, False),
+        (second_config_last, False), (second_config_first, True)])
+    def test_same_verdict_as_the_row_check(self, models, tmp_path, monkeypatch,
+                                           corrupt, accepted):
+        path = tmp_path / "near.json"
+        path.write_text(corrupt(models["planar", 2].read_text()))
+        outcomes = []
+        for load in (cli._load_model, lambda p: fallback_load(p, monkeypatch)):
+            try:
+                model, config = load(path)
+            except ConfigError:
+                outcomes.append(None)
+            else:
+                outcomes.append((config, model_text(model, config)))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] is not None) == accepted
+        if accepted:
+            assert outcomes[0][1] == models["planar", 2].read_text()
 
 
 class TestDigitEvaluate:
@@ -158,11 +267,13 @@ class TestSkeletonCheck:
     @pytest.mark.parametrize("tamper", [tamper_hi, tamper_lo, tamper_status,
                                         tamper_interval, tamper_parent, tamper_box,
                                         tamper_address, tamper_factor, tamper_vertex])
-    def test_tampered_index_field_exits_2_naming_it(self, models, tmp_path, capsys, tamper):
+    @pytest.mark.parametrize("write", [json.dumps, dump_json], ids=["compact", "canonical"])
+    def test_tampered_index_field_exits_2_naming_it(self, models, tmp_path, capsys, tamper,
+                                                    write):
         data = json.loads(models["planar", 2].read_text())
         field = tamper(data)
         path = tmp_path / "tampered.json"
-        path.write_text(json.dumps(data))
+        path.write_text(write(data))
         for argv in (["verify", "--model", str(path)],
                      ["export", "--model", str(path), "--format", "json",
                       "--out", str(tmp_path / "out.json")],
@@ -197,9 +308,15 @@ def huge_depth(data):
     return data
 
 
+def huge_target_dimension(data):
+    data["config"]["target_dimension"] = 10 ** 400  # past the float range
+    return data
+
+
 class TestMalformedModel:
     @pytest.mark.parametrize("corrupt", [list_at_top, zero_denominator, empty_vertices,
-                                         depth_beyond_cells, huge_depth])
+                                         depth_beyond_cells, huge_depth,
+                                         huge_target_dimension])
     def test_exits_2(self, models, tmp_path, capsys, corrupt):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(corrupt(json.loads(models["planar", 2].read_text()))))
