@@ -20,10 +20,16 @@ with its segment count and candidate pairs.  ``evaluate`` is
 timed over 20,000 seeded parameters on planar-5.
 
 The model file, best of three, on planar-6 and spatial-4: ``model_text``
-beside the reference ``dump_json(model_to_dict(...))``; ``_load_model`` of
-the canonical file, which takes the byte compare, beside the row check
-(``json.loads`` then ``model_from_dict``) that any other text gets; and
-``vertex_cloud`` with its point count.
+beside the reference ``dump_json(model_to_dict(...))``, which walks the
+``Cell`` and ``Connector`` views; ``_load_model`` of the canonical file,
+which takes the byte compare, beside the row check (``json.loads`` then
+``model_from_dict``) that any other text gets; and ``vertex_cloud`` with its
+point count.  Every row above runs the library as the CLI does, on the
+arc's per-axis interval-index rows.
+
+Last, the five commands of perfbench's arc-build workload, each in a fresh
+``python -m fractarc.cli`` process, best of three, beside
+``python -c "import fractarc.cli"`` timed on its own.
 
     PYTHONPATH=src python bench/run.py BENCH.json
 """
@@ -34,6 +40,7 @@ import json
 import os
 import platform
 import random
+import subprocess
 import sys
 import tempfile
 from contextlib import contextmanager
@@ -43,6 +50,7 @@ from time import perf_counter
 
 import numpy as np
 
+import fractarc
 from fractarc import arc as arc_module
 from fractarc.cantor import ProductCantor, SelfSimilarCantor
 from fractarc.cli import (RunConfig, _load_canonical, _load_model, _unrouted_arc,
@@ -126,10 +134,10 @@ def build_rows(case: str) -> list[dict]:
             arc.route()
             grow_s = min(grow_s, grown - start)
             route_s = min(route_s, perf_counter() - grown)
-    return [{"layer": "grow_cells", "case": case, "depth": depth, "cells": len(arc.cells),
-             "time_s": grow_s},
+    return [{"layer": "grow_cells", "case": case, "depth": depth,
+             "cells": arc.first_id(depth + 1), "time_s": grow_s},
             {"layer": "route", "case": case, "depth": depth,
-             "connectors": len(arc.connectors),
+             "connectors": arc.branching ** depth - 1,
              "route_connectors_runs": calls[0] // VERIFY_REPEATS, "time_s": route_s}]
 
 
@@ -185,6 +193,41 @@ def model_file_rows(case: str) -> list[dict]:
              "time_s": cloud_s}]
 
 
+#: perfbench's arc-build commands, in order; "{dir}" is the scratch directory.
+PLANAR_6 = ("--c", "1.6309297535714574", "--depth", "6")
+SPATIAL_4 = ("--c", "2.5", "--depth", "4")
+CLI_COMMANDS = {
+    "build planar-6": ("build", *PLANAR_6, "--out", "{dir}/planar-6.json"),
+    "build spatial-4": ("build", *SPATIAL_4, "--out", "{dir}/spatial-4.json"),
+    "export svg planar-6": ("export", "--model", "{dir}/planar-6.json", "--format", "svg",
+                            "--out", "{dir}/planar-6.svg"),
+    "export csv spatial-4": ("export", "--model", "{dir}/spatial-4.json", "--format", "csv",
+                             "--out", "{dir}/spatial-4.csv"),
+    "estimate arc planar-6": ("estimate", "--preset", "arc", "--model", "{dir}/planar-6.json",
+                              "--out", "{dir}/estimate.json"),
+}
+
+
+def cli_rows() -> list[dict]:
+    """Fresh-process wall times, best of three, of ``import fractarc.cli``
+    and of each arc-build command."""
+    env = {**os.environ, "PYTHONPATH": str(Path(fractarc.__file__).parents[1])}
+
+    def fresh(*args: str) -> float:
+        start = perf_counter()
+        subprocess.run([sys.executable, *args], env=env, check=True, stdout=subprocess.DEVNULL)
+        return perf_counter() - start
+
+    out = [{"layer": "cli_process", "case": "import fractarc.cli",
+            "time_s": min(fresh("-c", "import fractarc.cli") for _ in range(VERIFY_REPEATS))}]
+    with tempfile.TemporaryDirectory() as tmp:
+        for case, args in CLI_COMMANDS.items():
+            args = [a.format(dir=tmp) for a in args]
+            out.append({"layer": "cli_process", "case": case, "time_s": min(
+                fresh("-m", "fractarc.cli", *args) for _ in range(VERIFY_REPEATS))})
+    return out
+
+
 def rows() -> list[dict]:
     out = []
     for case, ratio in (("cantor 1/3", THIRD), ("cantor 1/10", Fraction(1, 10))):
@@ -211,6 +254,7 @@ def rows() -> list[dict]:
     out.append(evaluate_row("planar-5"))
     for case in ("planar-6", "spatial-4"):
         out.extend(model_file_rows(case))
+    out.extend(cli_rows())
     return out
 
 
@@ -243,6 +287,9 @@ def main(argv: list[str]) -> int:
         json.dump(report, handle, indent=2)
         handle.write("\n")
     for row in report["layers"]:
+        if row["layer"] == "cli_process":
+            print(f"{row['layer']:17s} {row['case']:22s} {row['time_s']:.4f} s")
+            continue
         if "depth" in row:
             work = {k: v for k, v in row.items()
                     if k not in ("layer", "case", "depth", "time_s")}

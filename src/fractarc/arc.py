@@ -18,6 +18,28 @@ The rule fixes every index by arithmetic, so none is stored:
   a parameter t descends through the base-p digits of t, computed on the
   integer numerator and denominator of t.
 
+Storage.  Generation k is one read-only integer array of shape (q^k, d), in
+cell-id order (``generation_rows``).  Row i holds, per axis, the index of
+the cell's interval in that axis's ``lattice(k)``: the base set on axis 0,
+the factor on the others.  Everything else is derived from it:
+
+* cell i of generation k has id (q^k-1)/(q-1) + i, rank i mod q + 1, and
+  its parent at position i // q of generation k-1;
+* its branch word on an axis is the interval index in k binary digits;
+* its box is a lattice lookup;
+* connector j of a cell runs from the far corner of its sub-cell of rank
+  j+1 to the near corner of rank j+2.
+
+The model text, the SVG, the vertex cloud, ``evaluate``, the containment
+check and the modulus of continuity read only these arrays and the
+per-(axis, generation) tables of ``interval_ends``: "n/d" strings, and
+floats made by Python int / int, correctly rounded as ``float(Fraction)``
+is.  ``cells``, ``connectors``, ``generation_cells``, ``sub_cells``,
+``cell_at`` and the traversal are views: ``Cell`` and ``Connector`` objects
+with ``Fraction`` coordinates, built on first access and cached.  Assigning
+``cells`` or ``connectors`` replaces the view, and ``verify_injectivity``
+reads the views, so it judges the replacement.
+
 Connector legality is checked by exact geometry, not proved for the
 distance order in general:
 
@@ -63,9 +85,10 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -121,45 +144,60 @@ def connector_fields(depth: int, ambient_dimension: int) -> Iterator[dict]:
             n += 1
 
 
-def param_intervals(depth: int, ambient_dimension: int) -> Iterator[dict]:
-    """Schema-v1 rows of the parameter tree of a depth-``depth`` arc, in id
-    order, derived from the depth and the ambient dimension alone (see the
-    module docstring).
+def _ratio_text(n: int, den: int) -> str:
+    """n / den as the reduced "numerator/denominator" string."""
+    g = math.gcd(n, den)
+    return f"{n // g}/{den // g}"
 
-    Rationals are "numerator/denominator" strings.
+
+#: How ``ArcApproximation.interval_ends`` writes the numerator n over den.
+_END_KINDS = {"float": lambda n, den: n / den, "text": _ratio_text,
+              "fraction": lambda n, den: Fraction(n, den)}
+
+#: The fields of a parameter-tree row, in ``param_rows`` order.
+_PARAM_FIELDS = ("id", "depth", "index", "lo", "hi", "status", "link", "children")
+
+
+def param_rows(depth: int, ambient_dimension: int) -> Iterator[tuple]:
+    """The rows of the parameter tree of a depth-``depth`` arc in id order,
+    as ``_PARAM_FIELDS`` tuples, derived from the depth and the ambient
+    dimension alone (see the module docstring).
+
+    lo and hi are "numerator/denominator" strings, children a range of ids.
     """
     q = 2 ** ambient_dimension
     p = 2 * q - 1
 
-    def ratio(n: int, den: int) -> str:
-        g = math.gcd(n, den)
-        return f"{n // g}/{den // g}"
+    def pieces(cell: int, generation: int) -> range:
+        return range(1 + cell * p, 1 + (cell + 1) * p) if generation < depth else range(0)
 
-    def pieces(cell: int, generation: int) -> list[int]:
-        return list(range(1 + cell * p, 1 + (cell + 1) * p)) if generation < depth else []
-
-    yield {"id": 0, "depth": 0, "index": 0, "lo": "0/1", "hi": "1/1",
-           "status": "neglected", "link": 0, "children": pieces(0, 0)}
+    yield 0, 0, 0, "0/1", "1/1", "neglected", 0, pieces(0, 0)
     first = 0   # id of the first cell of generation k-1
     los = [0]   # their intervals' left ends, as numerators over p^(k-1)
     for k in range(1, depth + 1):
         den = p ** k
         next_los = []
         for c, lo in enumerate(los, start=first):
-            right = ratio(lo * p, den)
+            right = _ratio_text(lo * p, den)
             for index in range(p):
                 n = lo * p + index
-                left, right = right, ratio(n + 1, den)
-                row = {"id": 1 + c * p + index, "depth": k, "index": index,
-                       "lo": left, "hi": right}
+                left, right = right, _ratio_text(n + 1, den)
                 if index % 2 == 0:
                     sub = c * q + 1 + index // 2
                     next_los.append(n)
-                    row.update(status="neglected", link=sub, children=pieces(sub, k))
+                    yield (1 + c * p + index, k, index, left, right, "neglected", sub,
+                           pieces(sub, k))
                 else:
-                    row.update(status="used", link=c * (q - 1) + index // 2, children=[])
-                yield row
+                    yield (1 + c * p + index, k, index, left, right, "used",
+                           c * (q - 1) + index // 2, range(0))
         first, los = first * q + 1, next_los
+
+
+def param_intervals(depth: int, ambient_dimension: int) -> Iterator[dict]:
+    """Schema-v1 rows of the parameter tree of a depth-``depth`` arc, in id
+    order: the ``param_rows`` as dicts, children as lists."""
+    for row in param_rows(depth, ambient_dimension):
+        yield {**dict(zip(_PARAM_FIELDS, row)), "children": list(row[-1])}
 
 
 @dataclass
@@ -215,11 +253,6 @@ class Connector:
         s = 0.0 if seg == 0.0 else (target - cum[i]) / seg
         a, b = self._float_vertices[i], self._float_vertices[i + 1]
         return tuple(x + s * (y - x) for x, y in zip(a, b))
-
-
-def _segment(ordered_cells: Sequence[Cell], s: int) -> list[Point]:
-    """The connector joining ranks s+1 and s+2: far corner to near corner."""
-    return [ordered_cells[s].far_corner, ordered_cells[s + 1].near_corner]
 
 
 def _path_legal(shape: Sequence[Sequence[int]], s: int,
@@ -283,9 +316,13 @@ def route_connectors(ordered_cells: Sequence[Cell], parent_box: Box
                      ) -> list[list[Point]]:
     """Straight connectors joining consecutive cells in distance order.
 
-    Each segment must pass ``_path_legal`` and miss every earlier connector
-    of the parent; the first that fails raises RoutingFailed naming the
-    generation, the parent and the ranks.
+    ``ordered_cells`` are ``Cell`` objects, or any objects with the same
+    ``generation``, ``parent_id``, ``near_corner`` and ``far_corner``; the
+    corners may be rationals or integers over one common denominator, and
+    the segments come back in the same coordinates.  Each segment must pass
+    ``_path_legal`` and miss every earlier connector of the parent; the
+    first that fails raises RoutingFailed naming the generation, the parent
+    and the ranks.
     """
     corners = [tuple(lo for lo, _ in parent_box), tuple(hi for _, hi in parent_box)]
     corners += [c for cell in ordered_cells for c in (cell.near_corner, cell.far_corner)]
@@ -294,7 +331,7 @@ def route_connectors(ordered_cells: Sequence[Cell], parent_box: Box
     shape = [tuple(a - b for a, b in zip(point, near)) for point in lifted]
     paths: list[list[Point]] = []
     for s in range(len(ordered_cells) - 1):
-        path = _segment(ordered_cells, s)
+        path = [ordered_cells[s].far_corner, ordered_cells[s + 1].near_corner]
         if not (_path_legal(shape, s, shape[2 * s + 2:2 * s + 4])
                 and all(polylines_disjoint(path, p) for p in paths)):
             raise RoutingFailed(
@@ -305,9 +342,25 @@ def route_connectors(ordered_cells: Sequence[Cell], parent_box: Box
     return paths
 
 
+class CellFrame(NamedTuple):
+    """A sub-cell as ``route`` hands it to ``route_connectors``: integer
+    corners over the common denominator of its generation's lattices."""
+
+    generation: int
+    parent_id: int
+    near_corner: tuple[int, ...]
+    far_corner: tuple[int, ...]
+
+
+def branch_word(index: int, k: int) -> str:
+    """The branch word of interval ``index`` of a generation-k lattice."""
+    return format(index, f"0{k}b") if k else ""
+
+
 class ArcApproximation:
     """Generation-by-generation approximation of the curve through a product
-    of a ratio Cantor set with a self-similar product."""
+    of a ratio Cantor set with a self-similar product (storage and views as
+    in the module docstring)."""
 
     def __init__(self, base_set: RatioCantorSet, product: ProductCantor):
         if product.copies < 1:
@@ -318,13 +371,15 @@ class ArcApproximation:
         self.ambient_dimension = product.copies + 1
         self.branching = 2 ** self.ambient_dimension  # q sub-cells per cell
         self.depth = 0
-
-        root_box: Box = tuple((Fraction(0), Fraction(1))
-                              for _ in range(self.ambient_dimension))
-        root = Cell(0, 0, 1, root_box, None, ("",) * self.ambient_dimension)
-        self.cells: list[Cell] = [root]
-        self.connectors: list[Connector] = []
-        self._cell_index: dict[tuple[str, ...], int] = {root.address: 0}
+        self.routed = 0  # generations whose connectors are checked
+        # the Cantor set each ambient axis reads its intervals from
+        self._axis_sets = (base_set,) + (product.factor,) * product.copies
+        rows = np.zeros((1, self.ambient_dimension), dtype=np.int64)
+        rows.flags.writeable = False
+        self._rows = [rows]
+        self._tables: dict[tuple[str, int], list] = {}  # interval_ends
+        self._diameters: dict[int, float] = {}
+        self._segments: dict[int, tuple] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -334,11 +389,15 @@ class ArcApproximation:
         return [base] + [factor] * self.copies
 
     def grow_cells(self, depth: int) -> "ArcApproximation":
-        """Cells of every generation up to ``depth``, without connectors.
+        """Index rows of every generation up to ``depth``, without routing.
 
-        A generation-k cell is the product of the axes' generation-k Cantor
-        intervals at its address, so each axis's intervals are read once per
-        generation.
+        The sub-cells of a parent with interval indices i take intervals
+        2i + b on each axis, for the q bit patterns b (axis 0 the high bit).
+        They are ranked by (|near corner|^2, near corner), computed exactly:
+        each axis's lower ends go over the lattices' common denominator, as
+        int64 while the squared sums fit and as Python ints beyond.  Within
+        one parent the near corners order as the patterns do, so the key is
+        |near corner|^2 * q + pattern.
         """
         # fail fast on the target depth before spending work on shallower
         # ones; 2^e > budget exactly when e reaches the budget's bit length
@@ -346,84 +405,162 @@ class ArcApproximation:
             raise GenerationBudgetError(
                 f"depth {depth} needs 2^{depth * self.ambient_dimension} cells, "
                 f"over the budget {DEFAULT_CELL_BUDGET}")
-        axes = (self.base_set, self.product.factor)
+        q, d = self.branching, self.ambient_dimension
+        patterns = np.arange(q)
+        bits = (patterns[:, None] >> np.arange(d - 1, -1, -1)) & 1
         for k in range(self.depth + 1, depth + 1):
-            lattices = [s.lattice(k) for s in axes]
+            lattices = [s.lattice(k) for s in self._axis_sets]
             den = math.lcm(*(axis_den for _, _, axis_den in lattices))
-            intervals, lows = [], []
-            for axis_lows, ln, axis_den in lattices:
-                axis_lows = axis_lows.tolist()
-                intervals.append([(Fraction(a, axis_den), Fraction(a + ln, axis_den))
-                                  for a in axis_lows])
-                # lower ends over one common denominator: integer sort keys
-                lows.append([a * (den // axis_den) for a in axis_lows])
-            intervals = intervals[:1] + intervals[1:] * self.copies
-            lows = lows[:1] + lows[1:] * self.copies
-            for parent in self.generation_cells(k - 1):
-                self._make_sub_cells(parent, intervals, lows)
+            wide = (d * q * den * den).bit_length() > 62
+            lows = [(axis_lows.astype(object) if wide else axis_lows) * (den // axis_den)
+                    for axis_lows, _, axis_den in lattices]
+            kids = 2 * self._rows[k - 1][:, None, :] + bits  # (parents, q, d)
+            keys = sum(lows[a][kids[..., a]] ** 2 for a in range(d)) * q + patterns
+            order = np.argsort(keys, axis=1)
+            # structural invariants of the distance order: the first sub-cell
+            # holds the parent's near corner, the last its far corner
+            assert (order[:, 0] == 0).all() and (order[:, -1] == q - 1).all()
+            rows = np.take_along_axis(kids, order[..., None], axis=1).reshape(-1, d)
+            rows.flags.writeable = False
+            self._rows.append(rows)
             self.depth = k
+            self.__dict__.pop("cells", None)  # renew the view
         return self
 
     def route(self) -> "ArcApproximation":
-        """Connectors of every grown generation not routed yet, in id order.
+        """Check the connectors of every grown generation not routed yet.
 
         ``route_connectors`` checks the first parent of each (generation,
-        order) class; the other parents of the class get the same segments
-        translated, unchecked (see the module docstring).
+        order) class, the order being the sub-cells' last branch bits in
+        rank order; the other parents of the class hold the same segments
+        translated (see the module docstring).  The connectors themselves
+        stay implicit in the rows.
         """
-        for k in range(1, self.depth + 1):
-            if len(self.connectors) >= self.branching ** k - 1:
-                continue  # routed already
-            param_length = self.param_interval_length(k)
-            checked = set()
-            for parent in self.generation_cells(k - 1):
-                sub_cells = self.sub_cells(parent.id)
-                order = tuple(tuple(w[-1] for w in cell.address) for cell in sub_cells)
-                if order not in checked:
-                    route_connectors(sub_cells, parent.box)
-                    checked.add(order)
-                for s in range(len(sub_cells) - 1):
-                    self.connectors.append(Connector(
-                        len(self.connectors), k, _segment(sub_cells, s), parent.id,
-                        sub_cells[s].id, sub_cells[s + 1].id, param_length))
+        q = self.branching
+        weights = 1 << np.arange(self.ambient_dimension - 1, -1, -1)
+        for k in range(self.routed + 1, self.depth + 1):
+            orders = ((self._rows[k] & 1) @ weights).reshape(-1, q)
+            _, firsts = np.unique(orders, axis=0, return_index=True)
+            for c in sorted(firsts.tolist()):
+                route_connectors(*self._frame(k, c))
+            self.routed = k
+            self.__dict__.pop("connectors", None)  # renew the view
         return self
 
     def build_to(self, depth: int) -> "ArcApproximation":
         return self.grow_cells(depth).route()
 
-    def _make_sub_cells(self, parent: Cell, intervals: Sequence[Sequence[tuple]],
-                        lows: Sequence[Sequence[int]]) -> None:
-        """Append the sub-cells of ``parent`` in rank order; ``intervals``
-        holds each axis's generation intervals as (lo, hi) pairs and ``lows``
-        their lower ends as integers over one denominator, both indexed by
-        branch word.  Ranks follow (|near corner|^2, near corner), compared
-        on those integers."""
-        first = [2 * int(w, 2) if w else 0 for w in parent.address]
-        keyed = []
-        for bits in iter_product((0, 1), repeat=len(first)):
-            near = tuple(axis[i + b] for axis, i, b in zip(lows, first, bits))
-            keyed.append((sum(c * c for c in near), near, bits))
-        keyed.sort(key=lambda item: item[:2])
+    def _frame(self, k: int, c: int) -> tuple[list[CellFrame], Box]:
+        """(sub-cells in rank order, parent box) of the parent at position c
+        of generation k-1, over the generation-k common denominator."""
+        q = self.branching
+        lattices = [s.lattice(k) for s in self._axis_sets]
+        den = math.lcm(*(axis_den for _, _, axis_den in lattices))
+        parent = self.first_id(k - 1) + c
+        frames = []
+        for row in self._rows[k][c * q:(c + 1) * q].tolist():
+            near = [int(lows[i]) * (den // axis_den)
+                    for (lows, _, axis_den), i in zip(lattices, row)]
+            far = [a + ln * (den // axis_den) for a, (_, ln, axis_den) in zip(near, lattices)]
+            frames.append(CellFrame(k, parent, tuple(near), tuple(far)))
+        return frames, tuple(zip(frames[0].near_corner, frames[-1].far_corner))
+
+    # -- lattice tables --------------------------------------------------------
+
+    def first_id(self, k: int) -> int:
+        """Id of the first generation-k cell."""
+        return (self.branching ** k - 1) // (self.branching - 1)
+
+    def generation_rows(self, k: int) -> np.ndarray:
+        """Read-only (q^k, d) array of the generation-k cells' per-axis
+        interval indices, in id order."""
+        self._require_depth(k)
+        return self._rows[k]
+
+    def interval_ends(self, kind: str, k: int) -> list[tuple[list, list]]:
+        """Per axis, the lower and the upper ends of the generation-k
+        intervals by interval index, made once per Cantor set and cached:
+        "float" (int / int, correctly rounded as float(Fraction) is),
+        "text" (reduced "n/d" strings) or "fraction"."""
+        if (kind, k) not in self._tables:
+            convert = _END_KINDS[kind]
+
+            def ends(lows, ln, den):
+                lows = lows.tolist()
+                return [convert(a, den) for a in lows], [convert(a + ln, den) for a in lows]
+
+            base, factor = (ends(*s.lattice(k)) for s in (self.base_set, self.product.factor))
+            self._tables[kind, k] = [base] + [factor] * self.copies
+        return self._tables[kind, k]
+
+    def connector_ends(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Float (sources, targets) of the generation-k connectors in id
+        order: the far corners of ranks 1..q-1 and the near corners of ranks
+        2..q of every parent."""
+        q, d = self.branching, self.ambient_dimension
+        rows = self._rows[k].reshape(-1, q, d)
+        ends = self.interval_ends("float", k)
+        sources = np.stack([np.array(hi)[rows[:, :-1, a]] for a, (_, hi) in enumerate(ends)], -1)
+        targets = np.stack([np.array(lo)[rows[:, 1:, a]] for a, (lo, _) in enumerate(ends)], -1)
+        return sources.reshape(-1, d), targets.reshape(-1, d)
+
+    def segments(self, k: int) -> tuple[list, list, list[float]]:
+        """``connector_ends(k)`` as lists of float points, with each
+        connector's length, made once and cached for ``evaluate``."""
+        if k not in self._segments:
+            sources, targets = (ends.tolist() for ends in self.connector_ends(k))
+            lengths = [math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+                       for a, b in zip(sources, targets)]
+            self._segments[k] = sources, targets, lengths
+        return self._segments[k]
+
+    # -- views ----------------------------------------------------------------
+
+    @cached_property
+    def cells(self) -> list[Cell]:
+        """Every grown cell in id order, as ``Cell`` objects; assigning a
+        list replaces the view."""
+        q = self.branching
         cells = []
-        for rank, (_, _, bits) in enumerate(keyed, start=1):
-            box = tuple(axis[i + b] for axis, i, b in zip(intervals, first, bits))
-            address = tuple(w + str(b) for w, b in zip(parent.address, bits))
-            cell = Cell(len(self.cells), parent.generation + 1, rank, box,
-                        parent.id, address)
-            self.cells.append(cell)
-            self._cell_index[address] = cell.id
-            cells.append(cell)
-        # structural invariants of the distance order
-        assert cells[0].near_corner == parent.near_corner
-        assert cells[-1].far_corner == parent.far_corner
+        for k in range(self.depth + 1):
+            # one (lo, hi) pair and one word per interval, shared by the cells
+            intervals = [list(zip(lo, hi)) for lo, hi in self.interval_ends("fraction", k)]
+            words = [branch_word(j, k) for j in range(len(intervals[0]))]
+            first = self.first_id(k)
+            parent = self.first_id(k - 1) if k else None
+            for i, row in enumerate(self._rows[k].tolist()):
+                cells.append(Cell(first + i, k, i % q + 1,
+                                  tuple(pairs[j] for pairs, j in zip(intervals, row)),
+                                  None if parent is None else parent + i // q,
+                                  tuple(words[j] for j in row)))
+        return cells
+
+    @cached_property
+    def connectors(self) -> list[Connector]:
+        """Every routed connector in id order, as ``Connector`` objects;
+        assigning a list replaces the view."""
+        q = self.branching
+        connectors = []
+        for k in range(1, self.routed + 1):
+            ends = self.interval_ends("fraction", k)
+            param_length = self.param_interval_length(k)
+            first, parent = self.first_id(k), self.first_id(k - 1)
+            rows = self._rows[k].tolist()
+            for i, (source, target) in enumerate(zip(rows, rows[1:])):
+                if i % q == q - 1:
+                    continue  # the last sub-cell of a parent starts no connector
+                vertices = [tuple(hi[j] for (_, hi), j in zip(ends, source)),
+                            tuple(lo[j] for (lo, _), j in zip(ends, target))]
+                connectors.append(Connector(len(connectors), k, vertices, parent + i // q,
+                                            first + i, first + i + 1, param_length))
+        return connectors
 
     # -- queries ------------------------------------------------------------
 
     def generation_cells(self, k: int) -> list[Cell]:
         """Cells of generation k in parameter (traversal) order."""
         self._require_depth(k)
-        q = self.branching
-        return self.cells[(q ** k - 1) // (q - 1):(q ** (k + 1) - 1) // (q - 1)]
+        return self.cells[self.first_id(k):self.first_id(k + 1)]
 
     def sub_cells(self, cell_id: int) -> list[Cell]:
         """The sub-cells of a built cell, in rank order."""
@@ -439,10 +576,22 @@ class ArcApproximation:
 
     def cell_at(self, address: Address | tuple[str, ...]) -> Cell:
         words = address.words if isinstance(address, Address) else tuple(address)
-        try:
-            return self.cells[self._cell_index[words]]
-        except KeyError:
-            raise KeyError(f"no built cell at address {words}") from None
+        k = len(words[0]) if words else 0
+        if (len(words) != self.ambient_dimension or k > self.depth
+                or any(len(w) != k or w.strip("01") for w in words)):
+            raise KeyError(f"no built cell at address {words}")
+        q, position = self.branching, 0
+        for g in range(1, k + 1):
+            kids = self._rows[g][position * q:(position + 1) * q].tolist()
+            position = position * q + kids.index([int(w[:g], 2) for w in words])
+        return self.cells[self.first_id(k) + position]
+
+    def near_point(self, address: Address) -> tuple[float, ...]:
+        """Float near corner of the built cell at ``address``."""
+        k = address.depth
+        self._require_depth(k)
+        return tuple(lo[int(w, 2) if k else 0]
+                     for (lo, _), w in zip(self.interval_ends("float", k), address.words))
 
     def cell_diameter_sq(self, k: int) -> Fraction:
         """Common squared diameter of every generation-k cell."""
@@ -450,7 +599,9 @@ class ArcApproximation:
         return sum((h * h for h in lengths), Fraction(0))
 
     def cell_diameter(self, k: int) -> float:
-        return math.sqrt(float(self.cell_diameter_sq(k)))
+        if k not in self._diameters:
+            self._diameters[k] = math.sqrt(float(self.cell_diameter_sq(k)))
+        return self._diameters[k]
 
     def param_interval_length(self, depth: int) -> Fraction:
         """Common length of every depth-``depth`` parameter interval."""
@@ -478,19 +629,29 @@ class ArcApproximation:
         q = self.branching
         p = 2 * q - 1
         # num / den: position inside the current cell's interval, scaled to [0, 1]
-        num, den = Fraction(t).as_integer_ratio()
-        cell = 0
-        for _ in range(k):
+        try:
+            num, den = t.as_integer_ratio()
+        except AttributeError:  # numpy integers, say
+            num, den = Fraction(t).as_integer_ratio()
+        position = 0  # of the current cell within its generation
+        for g in range(1, k + 1):
             num *= p
             digit = min(num // den, p - 1)
             if digit * den == num and digit % 2 == 0 and digit > 0:
                 digit -= 1  # on the boundary of two pieces the used one wins
             num -= digit * den
             if digit % 2:
-                # int / int is correctly rounded, as float(Fraction) is
-                return self.connectors[cell * (q - 1) + digit // 2].point_at(num / den), 0.0
-            cell = cell * q + 1 + digit // 2
-        return (tuple(float(c) for c in self.cells[cell].near_corner),
+                # connector digit // 2 of the current cell, at num / den of
+                # its length (int / int is correctly rounded, as
+                # float(Fraction) is), with Connector.point_at's arithmetic
+                sources, targets, lengths = self.segments(g)
+                i = position * (q - 1) + digit // 2
+                a, b, length = sources[i], targets[i], lengths[i]
+                s = 0.0 if length == 0.0 else min(max(num / den, 0.0), 1.0) * length / length
+                return tuple(x + s * (y - x) for x, y in zip(a, b)), 0.0
+            position = position * q + digit // 2
+        row = self._rows[k][position].tolist()
+        return (tuple(lo[j] for (lo, _), j in zip(self.interval_ends("float", k), row)),
                 self.cell_diameter(k))
 
     def traversal_pieces(self, k: int) -> list[tuple[str, int, list[Point]]]:
@@ -529,13 +690,15 @@ class ArcApproximation:
         """Float array of connector vertices (depths <= k) plus generation-k
         cell corners: the finite stand-in for the depth-k curve."""
         self._require_depth(k)
-        pts: list[tuple[float, ...]] = []
-        for conn in self.cumulative_connectors(k):
-            pts.extend(tuple(float(c) for c in v) for v in conn.vertices)
-        for cell in self.generation_cells(k):
-            pts.extend(tuple(float(c) for c in corner) for corner in cell.corners())
+        parts = [ends for g in range(1, min(k, self.routed) + 1)
+                 for ends in self.connector_ends(g)]
+        rows = self._rows[k]
+        columns = [(np.array(lo)[rows[:, a]], np.array(hi)[rows[:, a]])
+                   for a, (lo, hi) in enumerate(self.interval_ends("float", k))]
+        for corner in iter_product((0, 1), repeat=self.ambient_dimension):
+            parts.append(np.stack([column[b] for column, b in zip(columns, corner)], -1))
         # np.unique(pts, axis=0): the distinct rows in lexicographic order
-        pts = np.array(pts, dtype=float)
+        pts = np.concatenate(parts)
         pts = pts[np.lexsort(pts.T[::-1])]
         fresh = np.ones(len(pts), dtype=bool)
         fresh[1:] = (pts[1:] != pts[:-1]).any(axis=1)
@@ -641,8 +804,7 @@ def verify_containment(arc: ArcApproximation, k: int,
     cloud = arc.vertex_cloud(k)
     worst = 0.0
     for address in addresses:
-        cell = arc.cell_at(address)
-        z = np.array([float(c) for c in cell.near_corner])
+        z = np.array(arc.near_point(address))
         dist = float(np.min(np.linalg.norm(cloud - z, axis=1)))
         worst = max(worst, dist)
     return ContainmentReport(k, len(addresses), worst, arc.cell_diameter(k))
@@ -683,8 +845,12 @@ def modulus_of_continuity(arc: ArcApproximation, epsilon: float) -> ModulusRepor
         raise GenerationBudgetError(
             f"modulus at epsilon={epsilon} needs depth "
             f"{(cutoff or arc.depth) + 1}; build deeper")
-    delta_prime = float(arc.param_interval_length(cutoff + 1)) / 2.0
-    lipschitz = max(c.lipschitz for c in arc.cumulative_connectors(cutoff))
+    p = 2 * arc.branching - 1
+    delta_prime = 1 / p ** (cutoff + 1) / 2.0
+    # Connector.lipschitz of every connector up to the cutoff: its length
+    # over its parameter length
+    lipschitz = max(length / (1 / p ** k) for k in range(1, cutoff + 1)
+                    for length in arc.segments(k)[2])
     delta = min(delta_prime, epsilon / (2.0 * lipschitz))
     return ModulusReport(epsilon, delta, cutoff, delta_prime, lipschitz, False)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -299,20 +300,26 @@ def scaling_for_dimension(b: float, snap_denominator: int = 10 ** 9) -> SelfSimi
 
     The ratio is irrational for most b, so it is stored as the rational
     closest to the float value (snapped to a small denominator whenever the
-    snap is indistinguishable at 1e-13).  The round trip ln 2 / ln(1/r) agrees
-    with b to within 1e-12.
+    snap is positive and indistinguishable at 1e-13).  The round trip
+    ln 2 / ln(1/r) agrees with b to within 1e-12.  Below b = 1/1022 the float
+    2^(-1/b) is no longer a normal float, and b is refused.
     """
     if not (isinstance(b, (int, float)) and math.isfinite(b)):
         raise ValueError(f"dimension must be a finite number, got {b!r}")
     if not 0 < b < 1:
         raise ValueError(f"factor dimension must lie in (0, 1), got {b}")
-    exact = Fraction(2.0 ** (-1.0 / b))
+    value = 2.0 ** (-1.0 / b)
+    if value < sys.float_info.min:
+        raise ValueError(f"factor dimension {b} is too small: its scaling ratio "
+                         f"2^(-1/b) = {value} is below the normal float range")
+    exact = Fraction(value)
     snapped = exact.limit_denominator(snap_denominator)
-    ratio = snapped if abs(snapped - exact) < Fraction(1, 10 ** 13) else exact
+    ratio = snapped if snapped and abs(snapped - exact) < Fraction(1, 10 ** 13) else exact
     result = SelfSimilarCantor(ratio)
     if abs(result.dimension - b) > 1e-12:
         result = SelfSimilarCantor(exact)
-    assert abs(result.dimension - b) <= 1e-12
+    if abs(result.dimension - b) > 1e-12:
+        raise ValueError(f"no rational scaling ratio found for dimension {b}")
     return result
 
 

@@ -267,46 +267,63 @@ def model_to_dict(model, config: RunConfig) -> dict:
 
 
 def _cell_text(arc) -> Iterator[str]:
-    """The rows of ``_cell_rows`` as ``dump_json`` writes them."""
-    for cell in arc.cells:
-        address = ",\n".join(f'        "{w}"' for w in cell.address)
-        box = ",\n".join(f'        [\n          "{lo.numerator}/{lo.denominator}",\n'
-                         f'          "{hi.numerator}/{hi.denominator}"\n        ]'
-                         for lo, hi in cell.box)
-        parent = "null" if cell.parent_id is None else cell.parent_id
-        yield (f'    {{\n      "address": [\n{address}\n      ],\n'
-               f'      "box": [\n{box}\n      ],\n'
-               f'      "generation": {cell.generation},\n      "id": {cell.id},\n'
-               f'      "parent": {parent},\n      "rank": {cell.rank}\n    }}')
+    """The rows of ``_cell_rows`` as ``dump_json`` writes them, from the
+    arc's index rows and "n/d" tables."""
+    q = arc.branching
+    for k in range(arc.depth + 1):
+        words, boxes = [], []
+        for lo, hi in arc.interval_ends("text", k):
+            words.append([f'        "{arc_mod.branch_word(j, k)}"' for j in range(len(lo))])
+            boxes.append([f'        [\n          "{a}",\n          "{b}"\n        ]'
+                          for a, b in zip(lo, hi)])
+        first = arc.first_id(k)
+        parent = arc.first_id(k - 1) if k else None
+        for i, row in enumerate(arc.generation_rows(k).tolist()):
+            address = ",\n".join([table[j] for table, j in zip(words, row)])
+            box = ",\n".join([table[j] for table, j in zip(boxes, row)])
+            yield (f'    {{\n      "address": [\n{address}\n      ],\n'
+                   f'      "box": [\n{box}\n      ],\n'
+                   f'      "generation": {k},\n      "id": {first + i},\n'
+                   f'      "parent": {"null" if parent is None else parent + i // q},\n'
+                   f'      "rank": {i % q + 1}\n    }}')
 
 
 def _connector_text(arc) -> Iterator[str]:
-    """The rows of ``_connector_rows`` as ``dump_json`` writes them."""
-    for f, conn in zip(arc_mod.connector_fields(arc.depth, arc.ambient_dimension),
-                       arc.connectors):
-        vertices = ",\n".join(
-            "        [\n" + ",\n".join(f'          "{c.numerator}/{c.denominator}"'
-                                       for c in point) + "\n        ]"
-            for point in conn.vertices)
-        yield (f'    {{\n      "depth": {f["depth"]},\n      "id": {f["id"]},\n'
-               f'      "interval": {f["interval"]},\n      "parent_cell": {f["parent_cell"]},\n'
-               f'      "source_cell": {f["source_cell"]},\n'
-               f'      "target_cell": {f["target_cell"]},\n'
-               f'      "vertices": [\n{vertices}\n      ]\n    }}')
+    """The rows of ``_connector_rows`` as ``dump_json`` writes them: each
+    connector runs from the far corner of one sub-cell to the near corner of
+    the next."""
+    q = arc.branching
+    fields = arc_mod.connector_fields(arc.routed, arc.ambient_dimension)
+    for k in range(1, arc.routed + 1):
+        ends = [([f'          "{a}"' for a in lo], [f'          "{b}"' for b in hi])
+                for lo, hi in arc.interval_ends("text", k)]
+        rows = arc.generation_rows(k).tolist()
+        for i, (source, target) in enumerate(zip(rows, rows[1:])):
+            if i % q == q - 1:
+                continue  # the last sub-cell of a parent starts no connector
+            f = next(fields)
+            far = ",\n".join([hi[j] for (_, hi), j in zip(ends, source)])
+            near = ",\n".join([lo[j] for (lo, _), j in zip(ends, target)])
+            yield (f'    {{\n      "depth": {f["depth"]},\n      "id": {f["id"]},\n'
+                   f'      "interval": {f["interval"]},\n      "parent_cell": {f["parent_cell"]},\n'
+                   f'      "source_cell": {f["source_cell"]},\n'
+                   f'      "target_cell": {f["target_cell"]},\n'
+                   f'      "vertices": [\n        [\n{far}\n        ],\n'
+                   f'        [\n{near}\n        ]\n      ]\n    }}')
 
 
 def _param_text(arc) -> Iterator[str]:
     """The rows of ``arc_mod.param_intervals`` as ``dump_json`` writes them."""
-    for row in arc_mod.param_intervals(arc.depth, arc.ambient_dimension):
-        children = row["children"]
+    for row_id, depth, index, lo, hi, status, link, children in arc_mod.param_rows(
+            arc.depth, arc.ambient_dimension):
         if children:
-            children = "[\n" + ",\n".join(f"        {c}" for c in children) + "\n      ]"
+            children = "[\n        " + ",\n        ".join(map(str, children)) + "\n      ]"
         else:
             children = "[]"
-        yield (f'    {{\n      "children": {children},\n      "depth": {row["depth"]},\n'
-               f'      "hi": "{row["hi"]}",\n      "id": {row["id"]},\n'
-               f'      "index": {row["index"]},\n      "link": {row["link"]},\n'
-               f'      "lo": "{row["lo"]}",\n      "status": "{row["status"]}"\n    }}')
+        yield (f'    {{\n      "children": {children},\n      "depth": {depth},\n'
+               f'      "hi": "{hi}",\n      "id": {row_id},\n'
+               f'      "index": {index},\n      "link": {link},\n'
+               f'      "lo": "{lo}",\n      "status": "{status}"\n    }}')
 
 
 def model_chunks(model, config: RunConfig) -> Iterator[str]:
@@ -450,17 +467,20 @@ def render_svg(arc) -> str:
     ]
     # deepest generation's cells as rectangles; every connector as a polyline,
     # generations told apart by stroke width
-    for cell in arc.generation_cells(arc.depth):
-        (x0, x1), (y0, y1) = cell.box
+    (x_lo, x_hi), (y_lo, y_hi) = arc.interval_ends("float", arc.depth)
+    for i, j in arc.generation_rows(arc.depth).tolist():
+        x0, x1, y0, y1 = x_lo[i], x_hi[i], y_lo[j], y_hi[j]
         lines.append(
             f'<rect x="{sx(x0):.4f}" y="{sy(y1):.4f}" '
-            f'width="{(float(x1) - float(x0)) * size:.4f}" '
-            f'height="{(float(y1) - float(y0)) * size:.4f}" '
+            f'width="{(x1 - x0) * size:.4f}" '
+            f'height="{(y1 - y0) * size:.4f}" '
             f'fill="none" stroke="#222222" stroke-width="{width(arc.depth):.2f}"/>')
-    for conn in arc.connectors:
-        pts = " ".join(f"{sx(v[0]):.4f},{sy(v[1]):.4f}" for v in conn.vertices)
-        lines.append(f'<polyline points="{pts}" fill="none" stroke="#b03030" '
-                     f'stroke-width="{width(conn.depth):.2f}"/>')
+    for k in range(1, arc.routed + 1):
+        sources, targets = arc.connector_ends(k)
+        for a, b in zip(sources.tolist(), targets.tolist()):
+            pts = " ".join(f"{sx(v[0]):.4f},{sy(v[1]):.4f}" for v in (a, b))
+            lines.append(f'<polyline points="{pts}" fill="none" stroke="#b03030" '
+                         f'stroke-width="{width(k):.2f}"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -478,7 +498,10 @@ def series_csv(series: dim_mod.BoxCountSeries) -> str:
 def _unrouted_arc(config: RunConfig) -> arc_mod.ArcApproximation:
     """Every cell of the arc ``config`` describes, without connectors."""
     base = RatioCantorSet(config.ratio_sequence())
-    product = product_for_dimension(config.target_dimension - 1.0)
+    try:
+        product = product_for_dimension(config.target_dimension - 1.0)
+    except ValueError as exc:  # a factor dimension too small for a float ratio
+        raise ConfigError(str(exc)) from exc
     return arc_mod.ArcApproximation(base, product).grow_cells(config.depth)
 
 
@@ -492,16 +515,15 @@ def counting_summary(model) -> dict:
     if isinstance(model, UnitIntervalModel):
         return {"kind": "unit_interval", "cells": 0, "connectors": 0,
                 "param_intervals": 1}
-    deepest = model.generation_cells(model.depth)
+    q = model.branching
     return {
         "kind": "arc",
         "depth": model.depth,
         "ambient_dimension": model.ambient_dimension,
-        "cells_per_generation": [len(model.generation_cells(k))
-                                 for k in range(model.depth + 1)],
-        "connectors": len(model.connectors),
+        "cells_per_generation": [q ** k for k in range(model.depth + 1)],
+        "connectors": q ** model.routed - 1,
         # the root, plus 2q-1 pieces for every cell above the deepest generation
-        "param_intervals": 1 + (2 * model.branching - 1) * (len(model.cells) - len(deepest)),
+        "param_intervals": 1 + (2 * q - 1) * model.first_id(model.depth),
     }
 
 

@@ -1,14 +1,28 @@
-"""``Fraction`` reference predicates for the integer clearance check.
+"""``Fraction`` reference code for the integer and lattice fast paths.
 
 ``fractarc.arc._path_legal`` decides connector clearance on integer offsets.
 These are the ``Fraction`` predicates it replaced: slab clipping, point in
 box and polyline simplicity, and ``path_legal``, the clearance check they
-made up, which judges any polyline.  The tests compare the library with
-them where they are cheap to run.
+made up, which judges any polyline.
+
+``ObjectArc`` is the grower that the lattice arc replaced: one ``Cell`` per
+cell, with ``Fraction`` boxes and string addresses, and one ``Connector``
+per connector.  The ``object_*`` readers and ``fraction_evaluate`` walk it
+as the library used to: the vertex cloud, the SVG, ``evaluate``, the
+containment distances and the counting summary.
+
+The tests compare the library with all of these where they are cheap to
+run.
 """
 
+import bisect
+import math
 from fractions import Fraction
+from itertools import product as iter_product
 
+import numpy as np
+
+from fractarc.arc import Cell, Connector
 from fractarc.geometry import chain_self_intersection
 
 ZERO = Fraction(0)
@@ -76,3 +90,186 @@ def path_legal(vertices, boxes, s, parent_box):
                 continue
             return False
     return True
+
+
+# -- the object grower ---------------------------------------------------------
+
+
+def _segment(ordered_cells, s):
+    """The connector joining ranks s+1 and s+2: far corner to near corner."""
+    return [ordered_cells[s].far_corner, ordered_cells[s + 1].near_corner]
+
+
+class ObjectArc:
+    """Every cell and connector of a depth-``depth`` arc as objects, grown
+    parent by parent: the sub-cells of a parent are ranked by
+    (|near corner|^2, near corner) over one common denominator."""
+
+    def __init__(self, base_set, product, depth):
+        self.base_set, self.product = base_set, product
+        self.copies = product.copies
+        self.ambient_dimension = product.copies + 1
+        self.branching = q = 2 ** self.ambient_dimension
+        self.depth = depth
+        root_box = tuple((ZERO, ONE) for _ in range(self.ambient_dimension))
+        root = Cell(0, 0, 1, root_box, None, ("",) * self.ambient_dimension)
+        self.cells = [root]
+        self._cell_index = {root.address: 0}
+        for k in range(1, depth + 1):
+            lattices = [s.lattice(k) for s in (base_set, product.factor)]
+            den = math.lcm(*(axis_den for _, _, axis_den in lattices))
+            intervals, lows = [], []
+            for axis_lows, ln, axis_den in lattices:
+                axis_lows = axis_lows.tolist()
+                intervals.append([(Fraction(a, axis_den), Fraction(a + ln, axis_den))
+                                  for a in axis_lows])
+                lows.append([a * (den // axis_den) for a in axis_lows])
+            intervals = intervals[:1] + intervals[1:] * self.copies
+            lows = lows[:1] + lows[1:] * self.copies
+            for parent in self.generation_cells(k - 1):
+                self._make_sub_cells(parent, intervals, lows)
+        self.connectors = []
+        for k in range(1, depth + 1):
+            param_length = Fraction(1, (2 * q - 1) ** k)
+            for parent in self.generation_cells(k - 1):
+                sub_cells = self.sub_cells(parent.id)
+                for s in range(q - 1):
+                    self.connectors.append(Connector(
+                        len(self.connectors), k, _segment(sub_cells, s), parent.id,
+                        sub_cells[s].id, sub_cells[s + 1].id, param_length))
+
+    def _make_sub_cells(self, parent, intervals, lows):
+        """Append the sub-cells of ``parent`` in rank order; ``intervals``
+        holds each axis's generation intervals as (lo, hi) pairs and ``lows``
+        their lower ends as integers over one denominator, both indexed by
+        branch word."""
+        first = [2 * int(w, 2) if w else 0 for w in parent.address]
+        keyed = []
+        for bits in iter_product((0, 1), repeat=len(first)):
+            near = tuple(axis[i + b] for axis, i, b in zip(lows, first, bits))
+            keyed.append((sum(c * c for c in near), near, bits))
+        keyed.sort(key=lambda item: item[:2])
+        for rank, (_, _, bits) in enumerate(keyed, start=1):
+            box = tuple(axis[i + b] for axis, i, b in zip(intervals, first, bits))
+            address = tuple(w + str(b) for w, b in zip(parent.address, bits))
+            cell = Cell(len(self.cells), parent.generation + 1, rank, box, parent.id, address)
+            self.cells.append(cell)
+            self._cell_index[address] = cell.id
+
+    def generation_cells(self, k):
+        q = self.branching
+        return self.cells[(q ** k - 1) // (q - 1):(q ** (k + 1) - 1) // (q - 1)]
+
+    def sub_cells(self, cell_id):
+        q = self.branching
+        return self.cells[cell_id * q + 1:cell_id * q + q + 1]
+
+    def cumulative_connectors(self, k):
+        return self.connectors[:self.branching ** k - 1]
+
+    def cell_at(self, address):
+        return self.cells[self._cell_index[address.words]]
+
+    def cell_diameter(self, k):
+        lengths = ([self.base_set.generation_length(k)]
+                   + [self.product.factor.generation_length(k)] * self.copies
+                   if k > 0 else [ONE] * self.ambient_dimension)
+        return math.sqrt(float(sum((h * h for h in lengths), ZERO)))
+
+
+# -- readers of the object arc -------------------------------------------------
+
+
+def object_vertex_cloud(arc, k):
+    """Distinct float connector vertices (depths <= k) and generation-k cell
+    corners, in lexicographic order."""
+    points = [tuple(float(c) for c in v)
+              for conn in arc.cumulative_connectors(k) for v in conn.vertices]
+    points += [tuple(float(c) for c in corner)
+               for cell in arc.generation_cells(k) for corner in cell.corners()]
+    return np.unique(np.array(points, dtype=float), axis=0)
+
+
+def fraction_evaluate(arc, t, k):
+    """The Fraction digit loop and float(Fraction) point_at evaluate used to
+    run: the oracle of the integer digits and the float tables."""
+    q = arc.branching
+    p = 2 * q - 1
+    x = Fraction(t)
+    cell = 0
+    for _ in range(k):
+        x *= p
+        digit = min(math.floor(x), p - 1)
+        if digit == x and digit % 2 == 0 and digit > 0:
+            digit -= 1
+        x -= digit
+        if digit % 2:
+            conn = arc.connectors[cell * (q - 1) + digit // 2]
+            cum = [0.0]
+            for a, b in zip(conn.vertices, conn.vertices[1:]):
+                cum.append(cum[-1] + math.sqrt(sum((float(u) - float(v)) ** 2
+                                                   for u, v in zip(a, b))))
+            target = min(max(float(x), 0.0), 1.0) * cum[-1]
+            i = min(bisect.bisect_right(cum, target), len(cum) - 1) - 1
+            seg = cum[i + 1] - cum[i]
+            s = 0.0 if seg == 0.0 else (target - cum[i]) / seg
+            a, b = conn.vertices[i], conn.vertices[i + 1]
+            return tuple(float(u) + s * (float(v) - float(u)) for u, v in zip(a, b)), 0.0
+        cell = cell * q + 1 + digit // 2
+    return (tuple(float(c) for c in arc.cells[cell].near_corner), arc.cell_diameter(k))
+
+
+def object_containment(arc, k, addresses):
+    """(max distance, bound) of the containment check: each address's cell
+    near corner against the depth-k vertex cloud."""
+    cloud = object_vertex_cloud(arc, k)
+    worst = 0.0
+    for address in addresses:
+        z = np.array([float(c) for c in arc.cell_at(address).near_corner])
+        worst = max(worst, float(np.min(np.linalg.norm(cloud - z, axis=1))))
+    return worst, arc.cell_diameter(k)
+
+
+def object_render_svg(arc):
+    """The SVG of a planar arc: its deepest cells and every connector."""
+    size, margin = 760.0, 20.0
+
+    def sx(x):
+        return margin + float(x) * size
+
+    def sy(y):
+        return margin + (1.0 - float(y)) * size
+
+    def width(generation):
+        return max(0.3, 2.4 * (0.62 ** (generation - 1)))
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'viewBox="0 0 {size + 2 * margin:.0f} {size + 2 * margin:.0f}">',
+    ]
+    for cell in arc.generation_cells(arc.depth):
+        (x0, x1), (y0, y1) = cell.box
+        lines.append(
+            f'<rect x="{sx(x0):.4f}" y="{sy(y1):.4f}" '
+            f'width="{(float(x1) - float(x0)) * size:.4f}" '
+            f'height="{(float(y1) - float(y0)) * size:.4f}" '
+            f'fill="none" stroke="#222222" stroke-width="{width(arc.depth):.2f}"/>')
+    for conn in arc.connectors:
+        pts = " ".join(f"{sx(v[0]):.4f},{sy(v[1]):.4f}" for v in conn.vertices)
+        lines.append(f'<polyline points="{pts}" fill="none" stroke="#b03030" '
+                     f'stroke-width="{width(conn.depth):.2f}"/>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def object_counting_summary(arc):
+    deepest = arc.generation_cells(arc.depth)
+    return {
+        "kind": "arc",
+        "depth": arc.depth,
+        "ambient_dimension": arc.ambient_dimension,
+        "cells_per_generation": [len(arc.generation_cells(k)) for k in range(arc.depth + 1)],
+        "connectors": len(arc.connectors),
+        "param_intervals": 1 + (2 * arc.branching - 1) * (len(arc.cells) - len(deepest)),
+    }

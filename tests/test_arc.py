@@ -1,6 +1,5 @@
 """Arc approximations: cell complexes, routing, parametrisation, verification."""
 
-import bisect
 import copy
 import dataclasses
 import functools
@@ -24,7 +23,7 @@ from fractarc.arc import (ArcApproximation, Connector, RoutingFailed,
 from fractarc.cli import RunConfig, build_model
 from fractarc.geometry import (box_corners, boxes_disjoint, lift, points_bbox,
                                polylines_disjoint, vlerp, vsub)
-from oracles import path_legal as fraction_path_legal
+from oracles import fraction_evaluate, path_legal as fraction_path_legal
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
@@ -143,35 +142,6 @@ def clearance_frames(draw):
     if draw(st.booleans()):
         b = tuple(2 * y - x for x, y in zip(a, b))  # passes the drawn b at t = 1/2
     return parent, boxes, s, [a, b]
-
-
-def fraction_evaluate(arc, t, k):
-    """The Fraction digit loop and float(Fraction) point_at evaluate used to
-    run: the oracle of the integer digits and the cached float vertices."""
-    q = arc.branching
-    p = 2 * q - 1
-    x = F(t)
-    cell = 0
-    for _ in range(k):
-        x *= p
-        digit = min(math.floor(x), p - 1)
-        if digit == x and digit % 2 == 0 and digit > 0:
-            digit -= 1
-        x -= digit
-        if digit % 2:
-            conn = arc.connectors[cell * (q - 1) + digit // 2]
-            cum = [0.0]
-            for a, b in zip(conn.vertices, conn.vertices[1:]):
-                cum.append(cum[-1] + math.sqrt(sum((float(u) - float(v)) ** 2
-                                                   for u, v in zip(a, b))))
-            target = min(max(float(x), 0.0), 1.0) * cum[-1]
-            i = min(bisect.bisect_right(cum, target), len(cum) - 1) - 1
-            seg = cum[i + 1] - cum[i]
-            s = 0.0 if seg == 0.0 else (target - cum[i]) / seg
-            a, b = conn.vertices[i], conn.vertices[i + 1]
-            return tuple(float(u) + s * (float(v) - float(u)) for u, v in zip(a, b)), 0.0
-        cell = cell * q + 1 + digit // 2
-    return (tuple(float(c) for c in arc.cells[cell].near_corner), arc.cell_diameter(k))
 
 
 # -- the waypoint router, kept as the oracle of the straight connectors ------
@@ -365,19 +335,25 @@ class TestRouting:
 
     def test_route_checks_the_first_parent_of_each_class(self, monkeypatch):
         import fractarc.arc as arc_module
-        real, checked = arc_module.route_connectors, []
+        real = arc_module.route_connectors
+        for config, classes in ((RunConfig(depth=5), 9),  # of 341 parents
+                                (RunConfig(depth=6), 11),
+                                (RunConfig(target_dimension=2.5, depth=4), 30)):
+            checked = []
 
-        def record(ordered_cells, parent_box):
-            checked.append(ordered_cells[0].parent_id)
-            return real(ordered_cells, parent_box)
+            def record(ordered_cells, parent_box):
+                checked.append((ordered_cells[0].parent_id, real(ordered_cells, parent_box)))
+                return checked[-1][1]
 
-        monkeypatch.setattr(arc_module, "route_connectors", record)
-        arc = build_model(RunConfig(depth=5))
-        firsts = {}
-        for k, order, parent, _, _ in parents_with_connectors(arc):
-            firsts.setdefault((k, order), parent.id)
-        assert checked == list(firsts.values())
-        assert len(checked) == 9  # of 341 parents
+            monkeypatch.setattr(arc_module, "route_connectors", record)
+            arc = build_model(config)
+            firsts = {}
+            for k, order, parent, _, _ in parents_with_connectors(arc):
+                firsts.setdefault((k, order), parent.id)
+            assert [parent for parent, _ in checked] == list(firsts.values())
+            assert len(checked) == classes
+            # each run returns the representative's q-1 segments
+            assert all(len(segments) == arc.branching - 1 for _, segments in checked)
 
     @settings(max_examples=40, deadline=None)
     @given(config=run_configs())
@@ -663,6 +639,7 @@ class TestInjectivity:
         import fractarc.arc as arc_module
         arc = build_model(RunConfig(target_dimension=2.5, depth=3))
         conns = arc.cumulative_connectors(3)
+        assert arc.cells  # the Fraction views are built before the count starts
         made = []
 
         def counting(cls, *args, inner=F.__new__, **kwargs):

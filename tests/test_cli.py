@@ -170,7 +170,10 @@ class TestBadInput:
         ["build", "--config", "{latin1}", "--out", "{out}"],
         ["build", "--c", "inf", "--out", "{out}"],
         ["build", "--c", "nan", "--out", "{out}"],
-    ], ids=["verify-latin1-model", "build-latin1-config", "build-c-inf", "build-c-nan"])
+        # a factor dimension of 0.0005: the ratio 2^-2000 is below the floats
+        ["build", "--c", "1.0005", "--out", "{out}"],
+    ], ids=["verify-latin1-model", "build-latin1-config", "build-c-inf", "build-c-nan",
+            "build-c-ratio-below-floats"])
     def test_exits_2_with_one_line(self, argv, tmp_path, capsys):
         latin1 = tmp_path / "latin1.txt"
         latin1.write_bytes('c = 2.5  # "caf\xe9"\n'.encode("latin-1"))
@@ -179,6 +182,14 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1, err
         assert not out.exists()
+
+    def test_tiny_factor_dimension_builds_with_the_exact_ratio(self, tmp_path):
+        # limit_denominator would snap the ratio 2^(-1/0.01), about 2^-100, to 0
+        out = tmp_path / "model.json"
+        assert main(["build", "--c", "1.01", "--depth", "2", "--out", str(out)]) == EXIT_OK
+        ratio = decode_rational(json.loads(out.read_text())["factor"]["ratio"])
+        assert ratio == F(2.0 ** (-1.0 / (1.01 - 1.0))) and ratio < F(1, 2 ** 99)
+        assert main(["verify", "--model", str(out), "--samples", "20"]) == EXIT_OK
 
 
 class TestCountFlags:
