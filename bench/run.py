@@ -16,8 +16,14 @@ and the spatial (n = 2) arcs of depth 3/4, the models ``perfbench`` builds:
 runs (one per (generation, order) class), then the two halves of
 ``verify_injectivity``.  The clearance check is timed with its exact
 ``_path_legal`` runs and the connector count, the traversal chain check
-with its segment count and candidate pairs.  ``evaluate`` is
-timed over 20,000 seeded parameters on planar-5.
+with its segment count and candidate pairs.  ``evaluate_many`` is
+timed over 20,000 seeded parameters on planar-5, beside per-call
+``evaluate`` on the first 2,000 of them, and ``continuity_violations`` over
+10,000 seeded pairs (epsilon 0.05, the modulus's delta) on planar-5 and
+planar-6.  The certificates run on the base sets of planar-5 and spatial-3
+at resolution 12, the resolution ``verify`` uses: ``verify_uniform_perfectness``
+and ``verify_mass_bounds`` on 200 seeded balls each, with the verdict counts
+and the lattice's dtype.
 
 The model file, best of three, on planar-6 and spatial-4: ``model_text``
 beside the reference ``dump_json(model_to_dict(...))``, which walks the
@@ -52,18 +58,25 @@ import numpy as np
 
 import fractarc
 from fractarc import arc as arc_module
-from fractarc.cantor import ProductCantor, SelfSimilarCantor
+from fractarc.cantor import (ProductCantor, SelfSimilarCantor, sample_ball_inputs,
+                             verify_uniform_perfectness)
 from fractarc.cli import (RunConfig, _load_canonical, _load_model, _unrouted_arc,
                           build_model, dump_json, model_from_dict, model_text,
                           model_to_dict)
 from fractarc.dimension import (box_count_series, cantor_sample, net_count_series,
                                 power_scales, product_sample)
 from fractarc.geometry import _meeting_box_pairs, chain_self_intersection, lift
+from fractarc.measure import DEFAULT_EXPONENT_GRID, NaturalMeasure, verify_mass_bounds
 from fractarc.metric import VON_KOCH_EXPONENT, RugSpace, SnowflakeMetric
 
 REPEATS = 5
 VERIFY_REPEATS = 3
 EVALUATE_CALLS = 20_000
+PER_CALL_EVALUATES = 2_000
+CONTINUITY_PAIRS = 10_000
+CONTINUITY_EPSILON = 0.05
+CERTIFICATE_SAMPLES = 200
+CERTIFICATE_RESOLUTION = 12
 THIRD = Fraction(1, 3)
 ARCS = {"planar-4": (1.6309297535714574, 4), "planar-5": (1.6309297535714574, 5),
         "planar-6": (1.6309297535714574, 6), "spatial-3": (2.5, 3), "spatial-4": (2.5, 4)}
@@ -162,9 +175,47 @@ def evaluate_row(case: str) -> dict:
     arc = build_model(RunConfig(target_dimension=c, depth=depth))
     rng = random.Random(0)
     params = [rng.random() for _ in range(EVALUATE_CALLS)]
-    time_s, _ = best_of(lambda: [arc.evaluate(t, depth) for t in params], VERIFY_REPEATS)
-    return {"layer": "evaluate", "case": case, "depth": depth, "calls": len(params),
-            "time_s": time_s}
+    time_s, _ = best_of(lambda: arc.evaluate_many(params, depth), VERIFY_REPEATS)
+    per_call_s, _ = best_of(lambda: [arc.evaluate(t, depth)
+                                     for t in params[:PER_CALL_EVALUATES]], VERIFY_REPEATS)
+    return {"layer": "evaluate_many", "case": case, "depth": depth, "params": len(params),
+            "per_call": PER_CALL_EVALUATES, "per_call_s": per_call_s, "time_s": time_s}
+
+
+def continuity_row(case: str) -> dict:
+    c, depth = ARCS[case]
+    arc = build_model(RunConfig(target_dimension=c, depth=depth))
+    delta = arc_module.modulus_of_continuity(arc, CONTINUITY_EPSILON).delta
+    time_s, violations = best_of(lambda: arc_module.continuity_violations(
+        arc, CONTINUITY_EPSILON, delta, CONTINUITY_PAIRS, random.Random(0)), VERIFY_REPEATS)
+    return {"layer": "continuity", "case": case, "depth": depth, "pairs": CONTINUITY_PAIRS,
+            "violations": violations, "time_s": time_s}
+
+
+def certificate_rows(case: str) -> list[dict]:
+    """Uniform perfectness and the mass bounds on the base set of one arc,
+    as ``verify`` runs them."""
+    c, depth = ARCS[case]
+    base = _unrouted_arc(RunConfig(target_dimension=c, depth=1)).base_set
+    res = CERTIFICATE_RESOLUTION
+    rng = random.Random(0)
+    balls = sample_ball_inputs(base, CERTIFICATE_SAMPLES, res, rng)
+    mass_balls = sample_ball_inputs(base, CERTIFICATE_SAMPLES, res, rng)
+    lows, _, den = base.lattice(res)
+    perf_s, perf = best_of(lambda: verify_uniform_perfectness(base, balls, res),
+                           VERIFY_REPEATS)
+    measure = NaturalMeasure(base, res)
+    mass_s, certs = best_of(lambda: verify_mass_bounds(measure, DEFAULT_EXPONENT_GRID,
+                                                       mass_balls, res), VERIFY_REPEATS)
+    lattice = {"resolution": res, "dtype": str(lows.dtype), "denominator_bits": den.bit_length()}
+    return [{"layer": "uniform_perfectness", "case": case, "depth": depth, **lattice,
+             "samples": len(balls), "witnesses": perf.witness_count,
+             "vacuous": perf.vacuous_count, "inconclusive": len(perf.inconclusive_samples()),
+             "time_s": perf_s},
+            {"layer": "mass_bounds", "case": case, "depth": depth, **lattice,
+             "samples": len(mass_balls), "valid": sum(cert.valid for cert in certs),
+             "max_boundary_intervals": max(cert.max_boundary_intervals for cert in certs),
+             "time_s": mass_s}]
 
 
 def model_file_rows(case: str) -> list[dict]:
@@ -252,6 +303,10 @@ def rows() -> list[dict]:
         out.extend(build_rows(case))
         out.extend(verify_rows(case))
     out.append(evaluate_row("planar-5"))
+    for case in ("planar-5", "planar-6"):
+        out.append(continuity_row(case))
+    for case in ("planar-5", "spatial-3"):
+        out.extend(certificate_rows(case))
     for case in ("planar-6", "spatial-4"):
         out.extend(model_file_rows(case))
     out.extend(cli_rows())

@@ -16,7 +16,10 @@ The rule fixes every index by arithmetic, so none is stored:
   c*(q-1)+j;
 * parameter piece i of cell c has id 1+c*p+i (the root interval is 0), and
   a parameter t descends through the base-p digits of t, computed on the
-  integer numerator and denominator of t.
+  integer numerator and denominator of t.  ``evaluate_many`` runs that
+  descent for many parameters at once, on integer arrays, and
+  ``continuity_violations`` sends its sampled pairs through it in batches;
+  ``evaluate`` is the one-parameter case, with the same digits and floats.
 
 Storage.  Generation k is one read-only integer array of shape (q^k, d), in
 cell-id order (``generation_rows``).  Row i holds, per axis, the index of
@@ -99,6 +102,8 @@ from .geometry import (Box, Point, box_corners, boxes_disjoint,
                        chain_self_intersection, lift, polylines_disjoint)
 
 DEFAULT_CELL_BUDGET = 2 ** 18
+_PAIR_BATCH = 1024  # continuity pairs per evaluate_many descent
+
 
 class RoutingFailed(RuntimeError):
     """A straight connector failed the exact legality tests."""
@@ -342,6 +347,47 @@ def route_connectors(ordered_cells: Sequence[Cell], parent_box: Box
     return paths
 
 
+def _integer_ratio(t) -> tuple[int, int]:
+    """(numerator, denominator) of a parameter t in [0, 1]."""
+    if not 0 <= t <= 1:
+        raise ValueError(f"parameter must lie in [0, 1], got {t}")
+    try:
+        return t.as_integer_ratio()
+    except AttributeError:  # numpy integers, say
+        return Fraction(t).as_integer_ratio()
+
+
+def _parameter_ratios(ts: Sequence, p: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """(rows, numerators, denominators) of the parameters ``ts``, in two
+    groups: int64 where den is a power of two and den * p fits in 63 bits,
+    Python ints (dtype object) for the rest.  An int64 num over such a den
+    divides as int / int does: correctly rounded.
+
+    A float array is split exactly by ``np.frexp`` into a reduced num /
+    2^bits, any other input by ``as_integer_ratio``.
+    """
+    values = np.asarray(ts)
+    if values.dtype == np.float64:
+        inside = (values >= 0) & (values <= 1)
+        if not inside.all():
+            raise ValueError(f"parameter must lie in [0, 1], got {values[~inside][0]}")
+        mantissa, exponent = np.frexp(values)
+        num = (mantissa * 2.0 ** 53).astype(np.int64)  # t = num / 2^(53 - exponent)
+        shift = np.frexp(np.maximum(num & -num, 1))[1] - 1  # num's trailing zero bits
+        num >>= shift
+        bits = np.where(num == 0, 0, 53 - exponent - shift)
+        narrow = bits + p.bit_length() <= 63
+        wide = np.flatnonzero(~narrow)
+        yield np.flatnonzero(narrow), num[narrow], np.left_shift(np.int64(1), bits[narrow])
+        yield wide, num[wide].astype(object), np.array([1 << b for b in bits[wide].tolist()],
+                                                       object)
+        return
+    nums, dens = np.array([_integer_ratio(t) for t in ts], object).reshape(-1, 2).T
+    narrow = (dens * p < 2 ** 63) & (dens & (dens - 1) == 0)
+    for mask, dtype in ((narrow, np.int64), (~narrow, object)):
+        yield np.flatnonzero(mask), nums[mask].astype(dtype), dens[mask].astype(dtype)
+
+
 class CellFrame(NamedTuple):
     """A sub-cell as ``route`` hands it to ``route_connectors``: integer
     corners over the common denominator of its generation's lattices."""
@@ -504,14 +550,14 @@ class ArcApproximation:
         targets = np.stack([np.array(lo)[rows[:, 1:, a]] for a, (lo, _) in enumerate(ends)], -1)
         return sources.reshape(-1, d), targets.reshape(-1, d)
 
-    def segments(self, k: int) -> tuple[list, list, list[float]]:
-        """``connector_ends(k)`` as lists of float points, with each
-        connector's length, made once and cached for ``evaluate``."""
+    def segments(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``connector_ends(k)`` with each connector's float length, made
+        once and cached for ``evaluate_many``."""
         if k not in self._segments:
-            sources, targets = (ends.tolist() for ends in self.connector_ends(k))
+            sources, targets = self.connector_ends(k)
             lengths = [math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
-                       for a, b in zip(sources, targets)]
-            self._segments[k] = sources, targets, lengths
+                       for a, b in zip(sources.tolist(), targets.tolist())]
+            self._segments[k] = sources, targets, np.array(lengths)
         return self._segments[k]
 
     # -- views ----------------------------------------------------------------
@@ -614,45 +660,70 @@ class ArcApproximation:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, t, k: int) -> tuple[tuple[float, ...], float]:
-        """Point of the depth-k model at parameter t, with an error bound.
+        """Point of the depth-k model at parameter t, with an error bound:
+        the one-parameter case of ``evaluate_many``."""
+        points, errors = self.evaluate_many([t], k)
+        return tuple(points[0].tolist()), float(errors[0])
+
+    def evaluate_many(self, ts: Sequence, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Points (an (n, d) float array) of the depth-k model at the
+        parameters ``ts``, with their error bounds.
 
         Inside a used interval the connector point is returned exactly (error
         0); otherwise the representative is the near corner of the depth-k
         cell the parameter recurses into, with the cell diameter as error.
         The limit curve is never claimed at finite depth.
+
+        All parameters descend together through their base-p digits, computed
+        on each t's integer numerator and denominator (``_parameter_ratios``,
+        ``_descend``); every digit is decided exactly.
         """
-        if not 0 <= t <= 1:
-            raise ValueError(f"parameter must lie in [0, 1], got {t}")
         if k < 1:
             raise ValueError("evaluation depth starts at 1")
         self._require_depth(k)
+        points = np.empty((len(ts), self.ambient_dimension))
+        errors = np.zeros(len(ts))
+        for rows, num, den in _parameter_ratios(ts, 2 * self.branching - 1):
+            if len(rows):
+                self._descend(k, rows, num, den, points, errors)
+        return points, errors
+
+    def _descend(self, k: int, rows: np.ndarray, num: np.ndarray, den: np.ndarray,
+                 points: np.ndarray, errors: np.ndarray) -> None:
+        """Write the points and errors of the parameters num / den, one
+        digit per generation, into ``points[rows]`` and ``errors[rows]``."""
         q = self.branching
         p = 2 * q - 1
-        # num / den: position inside the current cell's interval, scaled to [0, 1]
-        try:
-            num, den = t.as_integer_ratio()
-        except AttributeError:  # numpy integers, say
-            num, den = Fraction(t).as_integer_ratio()
-        position = 0  # of the current cell within its generation
+        position = np.zeros(len(rows), np.int64)  # of the current cell in its generation
         for g in range(1, k + 1):
-            num *= p
-            digit = min(num // den, p - 1)
-            if digit * den == num and digit % 2 == 0 and digit > 0:
-                digit -= 1  # on the boundary of two pieces the used one wins
-            num -= digit * den
-            if digit % 2:
-                # connector digit // 2 of the current cell, at num / den of
-                # its length (int / int is correctly rounded, as
-                # float(Fraction) is), with Connector.point_at's arithmetic
+            # the next base-p digit of num / den, a position in [0, 1] inside
+            # the current cell's interval, and the rest
+            num = num * p
+            digit, num = num // den, num % den
+            # the end of two pieces belongs to the used one, and 1 to the last piece
+            back = (num == 0) & (digit > 0) & ((digit % 2 == 0) | (digit == p))
+            digit = (digit - back).astype(np.int64)
+            num = np.where(back, den, num)
+            used = digit % 2 == 1
+            if used.any():
+                # connector digit // 2 of the current cell, at num / den of its
+                # length, with Connector.point_at's arithmetic
                 sources, targets, lengths = self.segments(g)
-                i = position * (q - 1) + digit // 2
-                a, b, length = sources[i], targets[i], lengths[i]
-                s = 0.0 if length == 0.0 else min(max(num / den, 0.0), 1.0) * length / length
-                return tuple(x + s * (y - x) for x, y in zip(a, b)), 0.0
+                i = position[used] * (q - 1) + digit[used] // 2
+                length = lengths[i]
+                s = (num[used] / den[used]).astype(float) * length  # num <= den
+                s = np.divide(s, length, out=np.zeros_like(s), where=length != 0.0)
+                a, b = sources[i], targets[i]
+                points[rows[used]] = a + s[:, None] * (b - a)
+                rows, num, den, position, digit = (
+                    v[~used] for v in (rows, num, den, position, digit))
+                if not len(rows):
+                    return
             position = position * q + digit // 2
-        row = self._rows[k][position].tolist()
-        return (tuple(lo[j] for (lo, _), j in zip(self.interval_ends("float", k), row)),
-                self.cell_diameter(k))
+        cells = self._rows[k][position]
+        points[rows] = np.stack([np.array(lo)[cells[:, a]] for a, (lo, _)
+                                 in enumerate(self.interval_ends("float", k))], -1)
+        errors[rows] = self.cell_diameter(k)
 
     def traversal_pieces(self, k: int) -> list[tuple[str, int, list[Point]]]:
         """Traversal of the depth-k model in parameter order: connectors for
@@ -757,27 +828,41 @@ def verify_injectivity(arc: ArcApproximation, k: int) -> InjectivityReport:
 
 def _clearance_violations(arc: ArcApproximation, conns: Sequence[Connector]) -> list[int]:
     """Ids of the connectors that fail ``_path_legal``, run once per
-    translation key (see ``verify_injectivity``)."""
+    translation key (see ``verify_injectivity``).
+
+    One pass over the coordinates takes their common denominator; each
+    parent's corners and its connectors' vertices are put over it as they
+    are keyed, so no list of every lifted point is held.
+    """
     parents = sorted({conn.parent_cell for conn in conns})
-    corners = [corner for c in parents for cell in (arc.cells[c], *arc.sub_cells(c))
-               for corner in (cell.near_corner, cell.far_corner)]
-    _, lifted = lift(corners + [v for conn in conns for v in conn.vertices])
-    points = iter(lifted)
 
-    def offsets(count: int, near: tuple[int, ...]) -> tuple:
-        """The next ``count`` lifted points, minus ``near``."""
-        return tuple(tuple(a - b for a, b in zip(next(points), near)) for _ in range(count))
+    def family(c: int) -> Iterator[Point]:
+        """Near and far corners of parent c, then of each sub-cell in rank order."""
+        for cell in (arc.cells[c], *arc.sub_cells(c)):
+            yield cell.near_corner
+            yield cell.far_corner
 
-    shapes = {}  # parent -> (near corner, _path_legal's shape)
-    for c in parents:
-        near = next(points)
-        shapes[c] = near, offsets(2 * len(arc.sub_cells(c)) + 1, near)
+    den = math.lcm(*{x.denominator for c in parents for corner in family(c) for x in corner},
+                   *{x.denominator for conn in conns for v in conn.vertices for x in v})
+
+    def lifted(point: Point) -> tuple[int, ...]:
+        return tuple(x.numerator * (den // x.denominator) for x in point)
+
+    def offsets(points, near: tuple[int, ...]) -> tuple:
+        """``points`` over den, minus ``near``."""
+        return tuple(tuple(a - b for a, b in zip(lifted(v), near)) for v in points)
+
+    parent = None  # the parent whose shape was keyed last
     verdicts: dict[tuple, bool] = {}
     violations: list[int] = []
     for conn in conns:
-        near, shape = shapes[conn.parent_cell]
-        s = conn.source_cell - arc.sub_cells(conn.parent_cell)[0].id
-        key = (shape, s, offsets(len(conn.vertices), near))
+        if conn.parent_cell != parent:
+            parent = conn.parent_cell
+            near_corner, *corners = family(parent)
+            near = lifted(near_corner)
+            shape = offsets(corners, near)
+        s = conn.source_cell - arc.sub_cells(parent)[0].id
+        key = (shape, s, offsets(conn.vertices, near))
         if key not in verdicts:
             verdicts[key] = _path_legal(*key)
         if not verdicts[key]:
@@ -850,7 +935,7 @@ def modulus_of_continuity(arc: ArcApproximation, epsilon: float) -> ModulusRepor
     # Connector.lipschitz of every connector up to the cutoff: its length
     # over its parameter length
     lipschitz = max(length / (1 / p ** k) for k in range(1, cutoff + 1)
-                    for length in arc.segments(k)[2])
+                    for length in arc.segments(k)[2].tolist())
     delta = min(delta_prime, epsilon / (2.0 * lipschitz))
     return ModulusReport(epsilon, delta, cutoff, delta_prime, lipschitz, False)
 
@@ -858,16 +943,22 @@ def modulus_of_continuity(arc: ArcApproximation, epsilon: float) -> ModulusRepor
 def continuity_violations(arc: ArcApproximation, epsilon: float, delta: float,
                           pairs: int, rng) -> int:
     """Count sampled parameter pairs with |x - y| < delta whose depth-built
-    images end up epsilon or farther apart (expected: zero)."""
+    images end up epsilon or farther apart (expected: zero).
+
+    The pairs are drawn one by one from ``rng``; each batch of
+    ``_PAIR_BATCH`` draws goes through one ``evaluate_many`` descent, which
+    keeps the temporaries small.
+    """
     violations = 0
-    for _ in range(pairs):
-        x = rng.random()
-        y = x + rng.uniform(-delta, delta)
-        y = min(max(y, 0.0), 1.0)
-        if abs(x - y) >= delta:
-            continue
-        px, _ = arc.evaluate(x, arc.depth)
-        py, _ = arc.evaluate(y, arc.depth)
-        if math.dist(px, py) >= epsilon:
-            violations += 1
+    for start in range(0, pairs, _PAIR_BATCH):
+        params = []
+        for _ in range(min(_PAIR_BATCH, pairs - start)):
+            x = rng.random()
+            y = x + rng.uniform(-delta, delta)
+            y = min(max(y, 0.0), 1.0)
+            if abs(x - y) < delta:
+                params += (x, y)
+        points = arc.evaluate_many(params, arc.depth)[0].tolist()
+        violations += sum(math.dist(px, py) >= epsilon
+                          for px, py in zip(points[::2], points[1::2]))
     return violations

@@ -16,6 +16,11 @@ numerator of L_k (``lattice``).  The array is int64 while the denominator
 fits in 63 bits and holds Python ints beyond; generation k is built from
 generation k-1 in one vectorised step.  Intervals, endpoints and addresses
 are ``Fraction`` views derived from the lattice on each call.
+
+The ball certificates read the lattice itself: ``lattice_rank`` ranks a
+rational key among its numerators by one integer floor or ceiling division
+and a ``searchsorted``, and ``verify_uniform_perfectness`` and
+``measure.NaturalMeasure`` rank every ball end that way.
 """
 
 from __future__ import annotations
@@ -458,6 +463,21 @@ class PerfectnessReport:
         return [r for r in self.results if r.kind == "inconclusive"]
 
 
+def lattice_rank(values: np.ndarray, top: int, num: int, den: int, strict: bool) -> int:
+    """How many of the sorted integers ``values``, all in [0, top], are
+    < num / den when ``strict`` and <= num / den otherwise (den > 0).
+
+    a < key iff a < ceil(key), and a <= key iff a <= floor(key), both integer
+    divisions; a bound outside [0, top] counts none or all of them without a
+    search, so the searched bound fits the array's dtype.  The perfectness
+    and mass certificates rank every ball end here.
+    """
+    bound = -(-num // den) if strict else num // den
+    if bound < 0 or bound > top:
+        return 0 if bound < 0 else len(values)
+    return int(np.searchsorted(values, bound, side="left" if strict else "right"))
+
+
 def verify_uniform_perfectness(cantor_set: RatioCantorSet,
                                samples: Sequence[tuple[Fraction, Fraction]],
                                depth: int) -> PerfectnessReport:
@@ -467,37 +487,47 @@ def verify_uniform_perfectness(cantor_set: RatioCantorSet,
     Centers must be endpoints of built generation intervals (hence provably in
     the set).  A sample where no witness exists among depth-``depth`` endpoints
     is reported inconclusive: deepen, never refute.
-    """
-    import bisect
 
+    The depth-``depth`` endpoints stay integer numerators over the lattice
+    denominator.  x, x + r/(4K) and x - r/(4K) are ranked among them
+    (``lattice_rank``) and x + r and x - r compared with them, all on
+    integers; a ``Fraction`` is made only for each witness found.
+    """
     constant = uniform_perfectness_constant(cantor_set)
-    eps = cantor_set.endpoints(depth)
+    lows, ln, den = cantor_set.lattice(depth)
+    ends = np.stack([lows, lows + ln], axis=1).ravel()  # every endpoint, increasing
+    kn, kd = constant.numerator, constant.denominator
     results: list[AnnulusWitness] = []
     for x, r in samples:
         x = Fraction(x)
         r = Fraction(r)
-        if r <= 0:
+        (xn, xd), (rn, rd) = x.as_integer_ratio(), r.as_integer_ratio()
+        if rn <= 0:
             raise ValueError(f"radius must be positive, got {r}")
-        i = bisect.bisect_left(eps, x)
-        if i == len(eps) or eps[i] != x:
+        i = lattice_rank(ends, den, xn * den, xd, True)
+        if i == len(ends) or int(ends[i]) * xd != xn * den:
             raise ValueError(f"center {x} is not a built generation endpoint")
-        if r > max(x, 1 - x):
+        if rn * xd > max(xn, xd - xn) * rd:
             # ball contains [0, 1], hence the whole set: nothing to witness
             results.append(AnnulusWitness(x, r, "vacuous"))
             continue
-        inner = r / (4 * constant)
+        # x, r and r/(4K) over one denominator, in lattice units
+        key_den = 4 * kn * xd * rd
+        center, reach, inner = (4 * kn * xn * rd * den, 4 * kn * rn * xd * den,
+                                kd * rn * xd * den)
         witness = None
         # right side [x + inner, x + r), then left side (x - r, x - inner]
-        i = bisect.bisect_left(eps, x + inner)
-        if i < len(eps) and eps[i] < x + r:
-            witness = eps[i]
+        i = lattice_rank(ends, den, center + inner, key_den, True)
+        if i < len(ends) and int(ends[i]) * key_den < center + reach:
+            witness = int(ends[i])
         else:
-            j = bisect.bisect_right(eps, x - inner) - 1
-            if j >= 0 and eps[j] > x - r:
-                witness = eps[j]
+            j = lattice_rank(ends, den, center - inner, key_den, False) - 1
+            if j >= 0 and int(ends[j]) * key_den > center - reach:
+                witness = int(ends[j])
         if witness is None:
             results.append(AnnulusWitness(x, r, "inconclusive"))
         else:
+            witness = Fraction(witness, den)
             results.append(AnnulusWitness(x, r, "witness", witness, abs(witness - x)))
     return PerfectnessReport(constant, depth, results)
 

@@ -7,6 +7,10 @@ pointwise: a query returns an exact bracket [lower, upper], where the lower
 bound counts intervals fully inside the open ball and the upper bound counts
 intervals merely meeting it.  Because the intervals meeting a ball form a
 contiguous run, the bracket width is at most two intervals' mass.
+
+Both ends of that run are ranks of integer keys: (x -+ r) times the lattice
+denominator, floored or ceiled by integer division (``lattice_rank``), so no
+``Fraction`` arithmetic decides a bracket or a boundary count.
 """
 
 from __future__ import annotations
@@ -16,9 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from .cantor import RatioCantorSet
+from .cantor import RatioCantorSet, lattice_rank
 
 #: Exponents certified by default; the bounds hold for every exponent in
 #: (0, 1) but a certificate fixes finitely many.
@@ -71,27 +73,30 @@ class NaturalMeasure:
         if r <= 0:
             raise ValueError(f"radius must be positive, got {r}")
         lows, ln, den = self.base.lattice(resolution)
-        key_lo = (x - r) * den
-        key_hi = (x + r) * den
+        key_den, key_lo, key_hi = _ball_keys(x, r, den)
+        shift = ln * key_den
         # an upper end a + ln is <= key (< key) exactly when a <= key - ln
         # run of intervals meeting the open ball: upper > x-r and lower < x+r
-        meet = max(0, _rank(lows, den, key_hi, True) - _rank(lows, den, key_lo - ln, False))
+        meet = max(0, lattice_rank(lows, den, key_hi, key_den, True)
+                   - lattice_rank(lows, den, key_lo - shift, key_den, False))
         # fully inside the open ball: lower > x-r and upper < x+r
-        inside = max(0, _rank(lows, den, key_hi - ln, True) - _rank(lows, den, key_lo, False))
-        unit = Fraction(1, 2 ** resolution)
-        return BallMassBracket(x, r, inside * unit, meet * unit, resolution)
+        inside = max(0, lattice_rank(lows, den, key_hi - shift, key_den, True)
+                     - lattice_rank(lows, den, key_lo, key_den, False))
+        unit = 2 ** resolution
+        return BallMassBracket(x, r, Fraction(inside, unit), Fraction(meet, unit), resolution)
 
     def radius_generation(self, r) -> int:
         """Smallest k whose generation length drops below r (the resolution a
         ball of radius r naturally selects).  Requires r > the deepest built
         length."""
-        r = Fraction(r)
-        if r > 1:
+        rn, rd = Fraction(r).as_integer_ratio()
+        if rn > rd:
             return 0
         for k in range(self.depth + 1):
-            if self.base.generation_length(k) < r:
+            _, ln, den = self.base.lattice(k)
+            if ln * rd < rn * den:
                 return k
-        raise ValueError(f"radius {float(r):.3e} is below the built resolution; deepen the build")
+        raise ValueError(f"radius {rn / rd:.3e} is below the built resolution; deepen the build")
 
     def boundary_interval_count(self, x, r) -> tuple[int, int]:
         """(k-1, number of generation-(k-1) intervals meeting B(x, r)) for the
@@ -103,17 +108,17 @@ class NaturalMeasure:
         k = self.radius_generation(r)
         coarse = max(k - 1, 0)
         lows, ln, den = self.base.lattice(coarse)
-        first = _rank(lows, den, (x - r) * den - ln, False)
-        last = _rank(lows, den, (x + r) * den, True)
+        key_den, key_lo, key_hi = _ball_keys(x, r, den)
+        first = lattice_rank(lows, den, key_lo - ln * key_den, key_den, False)
+        last = lattice_rank(lows, den, key_hi, key_den, True)
         return coarse, max(0, last - first)
 
 
-def _rank(lows: np.ndarray, den: int, key: Fraction, strict: bool) -> int:
-    """How many lattice numerators (sorted, in [0, den]) are < key when
-    ``strict``, <= key otherwise: a < key iff a < ceil(key), and a <= key iff
-    a <= floor(key).  The bound is clamped to [-1, den] so it fits the dtype."""
-    bound = min(max(math.ceil(key) if strict else math.floor(key), -1), den)
-    return int(np.searchsorted(lows, bound, side="left" if strict else "right"))
+def _ball_keys(x: Fraction, r: Fraction, den: int) -> tuple[int, int, int]:
+    """(key_den, key_lo, key_hi): (x - r) * den and (x + r) * den as integer
+    numerators over key_den > 0."""
+    (xn, xd), (rn, rd) = x.as_integer_ratio(), r.as_integer_ratio()
+    return xd * rd, (xn * rd - rn * xd) * den, (xn * rd + rn * xd) * den
 
 
 @dataclass

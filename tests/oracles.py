@@ -11,6 +11,13 @@ per connector.  The ``object_*`` readers and ``fraction_evaluate`` walk it
 as the library used to: the vertex cloud, the SVG, ``evaluate``, the
 containment distances and the counting summary.
 
+``digit_evaluate`` and ``loop_continuity_violations`` are the per-call
+integer digit loop that ``evaluate_many`` batched, and the per-pair
+continuity loop that ran it.  ``fraction_uniform_perfectness``,
+``fraction_ball_mass`` and ``fraction_boundary_interval_count`` are the
+certificates on ``Fraction`` keys that the integer ranks replaced: bisection
+in the list of every endpoint, and ``(x -+ r) * den`` as ``Fraction``s.
+
 The tests compare the library with all of these where they are cheap to
 run.
 """
@@ -18,12 +25,15 @@ run.
 import bisect
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iter_product
 
 import numpy as np
 
 from fractarc.arc import Cell, Connector
+from fractarc.cantor import AnnulusWitness, PerfectnessReport, uniform_perfectness_constant
 from fractarc.geometry import chain_self_intersection
+from fractarc.measure import BallMassBracket
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -273,3 +283,134 @@ def object_counting_summary(arc):
         "connectors": len(arc.connectors),
         "param_intervals": 1 + (2 * arc.branching - 1) * (len(arc.cells) - len(deepest)),
     }
+
+
+# -- per-call evaluation and the Fraction certificates -------------------------
+
+
+@lru_cache(maxsize=8)
+def _float_segments(arc, g):
+    """Float (sources, targets, lengths) lists of the generation-g connectors."""
+    sources, targets = (ends.tolist() for ends in arc.connector_ends(g))
+    lengths = [math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+               for a, b in zip(sources, targets)]
+    return sources, targets, lengths
+
+
+def digit_evaluate(arc, t, k):
+    """evaluate(t, k) one parameter at a time: the integer digit loop over
+    the float connector tables."""
+    if not 0 <= t <= 1:
+        raise ValueError(f"parameter must lie in [0, 1], got {t}")
+    q = arc.branching
+    p = 2 * q - 1
+    try:
+        num, den = t.as_integer_ratio()
+    except AttributeError:
+        num, den = Fraction(t).as_integer_ratio()
+    position = 0
+    for g in range(1, k + 1):
+        num *= p
+        digit = min(num // den, p - 1)
+        if digit * den == num and digit % 2 == 0 and digit > 0:
+            digit -= 1
+        num -= digit * den
+        if digit % 2:
+            sources, targets, lengths = _float_segments(arc, g)
+            i = position * (q - 1) + digit // 2
+            a, b, length = sources[i], targets[i], lengths[i]
+            s = 0.0 if length == 0.0 else min(max(num / den, 0.0), 1.0) * length / length
+            return tuple(x + s * (y - x) for x, y in zip(a, b)), 0.0
+        position = position * q + digit // 2
+    row = arc.generation_rows(k)[position].tolist()
+    return (tuple(lo[j] for (lo, _), j in zip(arc.interval_ends("float", k), row)),
+            arc.cell_diameter(k))
+
+
+def loop_continuity_violations(arc, epsilon, delta, pairs, rng):
+    """The continuity count with one ``digit_evaluate`` per parameter."""
+    violations = 0
+    for _ in range(pairs):
+        x = rng.random()
+        y = x + rng.uniform(-delta, delta)
+        y = min(max(y, 0.0), 1.0)
+        if abs(x - y) >= delta:
+            continue
+        px, _ = digit_evaluate(arc, x, arc.depth)
+        py, _ = digit_evaluate(arc, y, arc.depth)
+        if math.dist(px, py) >= epsilon:
+            violations += 1
+    return violations
+
+
+def fraction_uniform_perfectness(cantor_set, samples, depth):
+    """verify_uniform_perfectness by bisection in the sorted list of every
+    depth-``depth`` endpoint, as Fractions."""
+    constant = uniform_perfectness_constant(cantor_set)
+    eps = cantor_set.endpoints(depth)
+    results = []
+    for x, r in samples:
+        x = Fraction(x)
+        r = Fraction(r)
+        if r <= 0:
+            raise ValueError(f"radius must be positive, got {r}")
+        i = bisect.bisect_left(eps, x)
+        if i == len(eps) or eps[i] != x:
+            raise ValueError(f"center {x} is not a built generation endpoint")
+        if r > max(x, 1 - x):
+            results.append(AnnulusWitness(x, r, "vacuous"))
+            continue
+        inner = r / (4 * constant)
+        witness = None
+        i = bisect.bisect_left(eps, x + inner)
+        if i < len(eps) and eps[i] < x + r:
+            witness = eps[i]
+        else:
+            j = bisect.bisect_right(eps, x - inner) - 1
+            if j >= 0 and eps[j] > x - r:
+                witness = eps[j]
+        if witness is None:
+            results.append(AnnulusWitness(x, r, "inconclusive"))
+        else:
+            results.append(AnnulusWitness(x, r, "witness", witness, abs(witness - x)))
+    return PerfectnessReport(constant, depth, results)
+
+
+def _fraction_rank(lows, den, key, strict):
+    """How many lattice numerators are < key (strict) or <= key, for a
+    Fraction key."""
+    bound = min(max(math.ceil(key) if strict else math.floor(key), -1), den)
+    return int(np.searchsorted(lows, bound, side="left" if strict else "right"))
+
+
+def fraction_ball_mass(measure, x, r, resolution):
+    """NaturalMeasure.ball_mass with (x -+ r) * den as Fraction keys."""
+    x = Fraction(x)
+    r = Fraction(r)
+    if r <= 0:
+        raise ValueError(f"radius must be positive, got {r}")
+    lows, ln, den = measure.base.lattice(resolution)
+    key_lo = (x - r) * den
+    key_hi = (x + r) * den
+    meet = max(0, _fraction_rank(lows, den, key_hi, True)
+               - _fraction_rank(lows, den, key_lo - ln, False))
+    inside = max(0, _fraction_rank(lows, den, key_hi - ln, True)
+                 - _fraction_rank(lows, den, key_lo, False))
+    unit = Fraction(1, 2 ** resolution)
+    return BallMassBracket(x, r, inside * unit, meet * unit, resolution)
+
+
+def fraction_boundary_interval_count(measure, x, r):
+    """NaturalMeasure.boundary_interval_count with the radius-selected
+    generation found by Fraction comparisons and Fraction keys."""
+    x = Fraction(x)
+    r = Fraction(r)
+    k = 0 if r > 1 else next((k for k in range(measure.depth + 1)
+                              if measure.base.generation_length(k) < r), None)
+    if k is None:
+        raise ValueError(f"radius {float(r):.3e} is below the built resolution; deepen the build")
+    coarse = max(k - 1, 0)
+    lows, ln, den = measure.base.lattice(coarse)
+    first = _fraction_rank(lows, den, (x - r) * den - ln, False)
+    last = _fraction_rank(lows, den, (x + r) * den, True)
+    return coarse, max(0, last - first)
