@@ -13,11 +13,13 @@ counts per scale, so work and time are read together.
 The arc layers, best of three, on the planar (n = 1) arcs of depth 4/5/6
 and the spatial (n = 2) arcs of depth 3/4, the models ``perfbench`` builds:
 ``grow_cells`` and ``route`` apart, ``route`` with its ``route_connectors``
-runs (one per (generation, order) class), then the two halves of
-``verify_injectivity``.  The clearance check is timed with its exact
-``_path_legal`` runs and the connector count, the traversal chain check
-with its segment count and candidate pairs.  ``evaluate_many`` is
-timed over 20,000 seeded parameters on planar-5, beside per-call
+runs (one per (generation, order) class).  All but planar-4 then time the
+four steps of ``verify_injectivity``, all on the rows' integer corners: the
+clearance check with its exact ``_path_legal`` runs and the connector
+count, the glue check alone, the chain build (``traversal_chain``, which
+runs the glue check too) and the chain check (``chain_self_intersection``)
+with its segment count and candidate pairs.  ``evaluate_many`` is timed
+over 20,000 seeded parameters on planar-5, beside per-call
 ``evaluate`` on the first 2,000 of them, and ``continuity_violations`` over
 10,000 seeded pairs (epsilon 0.05, the modulus's delta) on planar-5 and
 planar-6.  The certificates run on the base sets of planar-5 and spatial-3
@@ -25,13 +27,11 @@ at resolution 12, the resolution ``verify`` uses: ``verify_uniform_perfectness``
 and ``verify_mass_bounds`` on 200 seeded balls each, with the verdict counts
 and the lattice's dtype.
 
-The model file, best of three, on planar-6 and spatial-4: ``model_text``
-beside the reference ``dump_json(model_to_dict(...))``, which walks the
-``Cell`` and ``Connector`` views; ``_load_model`` of the canonical file,
-which takes the byte compare, beside the row check (``json.loads`` then
-``model_from_dict``) that any other text gets; and ``vertex_cloud`` with its
-point count.  Every row above runs the library as the CLI does, on the
-arc's per-axis interval-index rows.
+The model file, best of three, on planar-6 and spatial-4: ``model_text``;
+``_load_model`` of the canonical file, which takes the byte compare, beside
+the row check (``json.loads`` then ``model_from_dict``) that any other text
+gets; and ``vertex_cloud`` with its point count.  Every row above runs the
+library as the CLI does, on the arc's per-axis interval-index rows.
 
 Last, the five commands of perfbench's arc-build workload, each in a fresh
 ``python -m fractarc.cli`` process, best of three, beside
@@ -61,11 +61,10 @@ from fractarc import arc as arc_module
 from fractarc.cantor import (ProductCantor, SelfSimilarCantor, sample_ball_inputs,
                              verify_uniform_perfectness)
 from fractarc.cli import (RunConfig, _load_canonical, _load_model, _unrouted_arc,
-                          build_model, dump_json, model_from_dict, model_text,
-                          model_to_dict)
+                          build_model, model_from_dict, model_text)
 from fractarc.dimension import (box_count_series, cantor_sample, net_count_series,
                                 power_scales, product_sample)
-from fractarc.geometry import _meeting_box_pairs, chain_self_intersection, lift
+from fractarc.geometry import _meeting_box_pairs, chain_self_intersection
 from fractarc.measure import DEFAULT_EXPONENT_GRID, NaturalMeasure, verify_mass_bounds
 from fractarc.metric import VON_KOCH_EXPONENT, RugSpace, SnowflakeMetric
 
@@ -155,19 +154,27 @@ def build_rows(case: str) -> list[dict]:
 
 
 def verify_rows(case: str) -> list[dict]:
+    """The steps of ``verify_injectivity`` on one arc, best of three each."""
     c, depth = ARCS[case]
     arc = build_model(RunConfig(target_dimension=c, depth=depth))
-    conns = arc.cumulative_connectors(depth)
     with counting("_path_legal") as calls:
-        clearance_s, _ = best_of(lambda: arc_module._clearance_violations(arc, conns),
+        clearance_s, _ = best_of(lambda: arc_module._clearance_violations(arc, depth),
                                  VERIFY_REPEATS)
-    chain = arc.traversal_chain(depth)
-    chain_s, _ = best_of(lambda: chain_self_intersection(chain), VERIFY_REPEATS)
-    return [{"layer": "clearance", "case": case, "depth": depth, "connectors": len(conns),
+    den = arc.denominator(depth)
+    near, far = arc.corners(depth, den)
+    glue_s, glued = best_of(lambda: arc._glued(depth, den, near, far), VERIFY_REPEATS)
+    build_s, chain = best_of(lambda: arc.traversal_chain(depth), VERIFY_REPEATS)
+    check_s, _ = best_of(lambda: chain_self_intersection(chain), VERIFY_REPEATS)
+    return [{"layer": "clearance", "case": case, "depth": depth,
+             "connectors": arc.branching ** depth - 1,
              "path_legal_runs": calls[0] // VERIFY_REPEATS, "time_s": clearance_s},
-            {"layer": "traversal_chain", "case": case, "depth": depth,
+            {"layer": "glue", "case": case, "depth": depth, "glued": glued,
+             "time_s": glue_s},
+            {"layer": "chain_build", "case": case, "depth": depth,
+             "denominator_bits": den.bit_length(), "time_s": build_s},
+            {"layer": "chain_check", "case": case, "depth": depth,
              "segments": len(chain) - 1,
-             "candidate_pairs": len(_meeting_box_pairs(lift(chain)[1])), "time_s": chain_s}]
+             "candidate_pairs": len(_meeting_box_pairs(chain)), "time_s": check_s}]
 
 
 def evaluate_row(case: str) -> dict:
@@ -225,10 +232,8 @@ def model_file_rows(case: str) -> list[dict]:
     config = RunConfig(target_dimension=c, depth=depth)
     arc = build_model(config)
     text_s, text = best_of(lambda: model_text(arc, config), VERIFY_REPEATS)
-    reference_s, reference = best_of(lambda: dump_json(model_to_dict(arc, config)),
-                                     VERIFY_REPEATS)
-    if text != reference or _load_canonical(text) is None:
-        raise SystemExit(f"{case}: the canonical text is not the reference's")
+    if _load_canonical(text) is None:
+        raise SystemExit(f"{case}: the canonical text does not load")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"{case}.json"
         path.write_text(text)
@@ -237,7 +242,7 @@ def model_file_rows(case: str) -> list[dict]:
                                  VERIFY_REPEATS)
     cloud_s, cloud = best_of(lambda: arc.vertex_cloud(depth), VERIFY_REPEATS)
     return [{"layer": "serialise", "case": case, "depth": depth, "bytes": len(text),
-             "reference_s": reference_s, "time_s": text_s},
+             "time_s": text_s},
             {"layer": "load", "case": case, "depth": depth, "row_check_s": row_check_s,
              "time_s": load_s},
             {"layer": "vertex_cloud", "case": case, "depth": depth, "points": len(cloud),
@@ -301,7 +306,8 @@ def rows() -> list[dict]:
         out.append(net_row("rug koch", g, RugSpace(koch), 2, 5))
     for case in ARCS:
         out.extend(build_rows(case))
-        out.extend(verify_rows(case))
+        if case != "planar-4":
+            out.extend(verify_rows(case))
     out.append(evaluate_row("planar-5"))
     for case in ("planar-5", "planar-6"):
         out.append(continuity_row(case))

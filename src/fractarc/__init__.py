@@ -16,9 +16,9 @@ from .cantor import (Address, CantorInterval, GenerationBudgetError,
                      verify_uniform_perfectness)
 from .measure import (BallMassBracket, MassBoundCertificate, NaturalMeasure,
                       mass_bound_sequence, verify_mass_bounds)
-from .arc import (ArcApproximation, Cell, Connector, RoutingFailed,
-                  build_arc, modulus_of_continuity, route_connectors,
-                  verify_containment, verify_injectivity)
+from .arc import (ArcApproximation, RoutingFailed, build_arc,
+                  modulus_of_continuity, route_connectors, verify_containment,
+                  verify_injectivity)
 from .metric import RugSpace, SnowflakeMetric, VON_KOCH_EXPONENT
 from .dimension import (BoxCountSeries, DimensionEstimate, ball_net_count,
                         box_count, box_count_series, estimate_dimension,

@@ -34,14 +34,11 @@ the factor on the others.  Everything else is derived from it:
   j+1 to the near corner of rank j+2.
 
 The model text, the SVG, the vertex cloud, ``evaluate``, the containment
-check and the modulus of continuity read only these arrays and the
-per-(axis, generation) tables of ``interval_ends``: "n/d" strings, and
-floats made by Python int / int, correctly rounded as ``float(Fraction)``
-is.  ``cells``, ``connectors``, ``generation_cells``, ``sub_cells``,
-``cell_at`` and the traversal are views: ``Cell`` and ``Connector`` objects
-with ``Fraction`` coordinates, built on first access and cached.  Assigning
-``cells`` or ``connectors`` replaces the view, and ``verify_injectivity``
-reads the views, so it judges the replacement.
+check, the modulus of continuity and the injectivity check read only these
+arrays, the per-(axis, generation) tables of ``interval_ends`` ("n/d"
+strings, and floats made by Python int / int, correctly rounded as
+``float(Fraction)`` is) and the integer corners of ``corners``: every cell
+corner as numerators over one common denominator.
 
 Connector legality is checked by exact geometry, not proved for the
 distance order in general:
@@ -68,13 +65,13 @@ the representative's verdict holds for its whole class:
 An illegal connector raises RoutingFailed.
 
 ``verify_injectivity`` uses the same translation argument without trusting
-the construction.  It puts every cell corner and connector vertex over one
-common denominator and keys each connector by its rank, its vertices, its
-sibling boxes and its parent's far corner, the last three minus the parent's
-near corner, as integer tuples.  Equal keys mean the same geometry up to a
-translation, so the clearance check runs once per distinct key, as
-``_path_legal(*key)``, and its verdict is exact for every connector with
-that key; a tampered connector or cell gets a key of its own.
+the construction.  It reads the rows, not the route's classes: each parent
+is keyed by its actual integer shape (its far corner, then the near and far
+corner of each sub-cell in rank order, all minus its near corner).  A
+connector's vertices are two corners of that shape, so equal keys mean the
+same geometry up to a translation, and the clearance check runs once per
+distinct (key, rank) as ``_path_legal``; its verdict is exact for every
+connector with that key, and a tampered row gets a key of its own.
 
 Those three checks, plus the disjointness of closed cells within one
 generation, force all connectors of all generations to be pairwise disjoint:
@@ -85,10 +82,8 @@ deeper-connector endpoints.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -98,8 +93,8 @@ import numpy as np
 from .cantor import (Address, GenerationBudgetError, ProductCantor,
                      RatioCantorSet)
 # boxes_disjoint is unused here, but perfbench/tracing.py wraps arc.boxes_disjoint
-from .geometry import (Box, Point, box_corners, boxes_disjoint,
-                       chain_self_intersection, lift, polylines_disjoint)
+from .geometry import (Box, Point, boxes_disjoint, chain_self_intersection, lift,
+                       polylines_disjoint)
 
 DEFAULT_CELL_BUDGET = 2 ** 18
 _PAIR_BATCH = 1024  # continuity pairs per evaluate_many descent
@@ -107,31 +102,6 @@ _PAIR_BATCH = 1024  # continuity pairs per evaluate_many descent
 
 class RoutingFailed(RuntimeError):
     """A straight connector failed the exact legality tests."""
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One product cell: an axis-aligned box with exact rational corners."""
-
-    id: int
-    generation: int
-    rank: int  # 1-based position in the parent's distance order
-    box: Box
-    parent_id: Optional[int]
-    address: tuple[str, ...]  # one branch word per axis
-
-    @property
-    def near_corner(self) -> Point:
-        """The unique point of the cell closest to the origin."""
-        return tuple(lo for lo, _ in self.box)
-
-    @property
-    def far_corner(self) -> Point:
-        """The unique point of the cell farthest from the origin."""
-        return tuple(hi for _, hi in self.box)
-
-    def corners(self) -> list[Point]:
-        return box_corners(self.box)
 
 
 def connector_fields(depth: int, ambient_dimension: int) -> Iterator[dict]:
@@ -156,8 +126,7 @@ def _ratio_text(n: int, den: int) -> str:
 
 
 #: How ``ArcApproximation.interval_ends`` writes the numerator n over den.
-_END_KINDS = {"float": lambda n, den: n / den, "text": _ratio_text,
-              "fraction": lambda n, den: Fraction(n, den)}
+_END_KINDS = {"float": lambda n, den: n / den, "text": _ratio_text}
 
 #: The fields of a parameter-tree row, in ``param_rows`` order.
 _PARAM_FIELDS = ("id", "depth", "index", "lo", "hi", "status", "link", "children")
@@ -203,61 +172,6 @@ def param_intervals(depth: int, ambient_dimension: int) -> Iterator[dict]:
     order: the ``param_rows`` as dicts, children as lists."""
     for row in param_rows(depth, ambient_dimension):
         yield {**dict(zip(_PARAM_FIELDS, row)), "children": list(row[-1])}
-
-
-@dataclass
-class Connector:
-    """Path from one cell's far corner to the next cell's near corner,
-    parametrised at constant speed over its used interval.  Built arcs hold
-    the straight segment; ``verify_injectivity`` passes no other shape: a
-    connector with a waypoint fails its clearance check."""
-
-    id: int
-    depth: int
-    vertices: list[Point]
-    parent_cell: int
-    source_cell: int
-    target_cell: int
-    param_length: Fraction  # (2^(n+2)-1)^-depth, the length of its used interval
-    _cumulative: Optional[list[float]] = None
-    _float_vertices: Optional[list[tuple[float, ...]]] = None
-
-    @property
-    def source(self) -> Point:
-        return self.vertices[0]
-
-    @property
-    def target(self) -> Point:
-        return self.vertices[-1]
-
-    def _cum_lengths(self) -> list[float]:
-        if self._cumulative is None:
-            floats = [tuple(map(float, v)) for v in self.vertices]
-            acc = [0.0]
-            for a, b in zip(floats, floats[1:]):
-                acc.append(acc[-1] + math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b))))
-            self._cumulative, self._float_vertices = acc, floats
-        return self._cumulative
-
-    @property
-    def length(self) -> float:
-        return self._cum_lengths()[-1]
-
-    @property
-    def lipschitz(self) -> float:
-        """Path length over parameter length: the constant-speed rate."""
-        return self.length / float(self.param_length)
-
-    def point_at(self, frac: float) -> tuple[float, ...]:
-        """Point at the given fraction of the parameter interval (constant
-        speed along the whole polyline)."""
-        cum = self._cum_lengths()
-        target = min(max(frac, 0.0), 1.0) * cum[-1]
-        i = min(bisect.bisect_right(cum, target), len(cum) - 1) - 1
-        seg = cum[i + 1] - cum[i]
-        s = 0.0 if seg == 0.0 else (target - cum[i]) / seg
-        a, b = self._float_vertices[i], self._float_vertices[i + 1]
-        return tuple(x + s * (y - x) for x, y in zip(a, b))
 
 
 def _path_legal(shape: Sequence[Sequence[int]], s: int,
@@ -317,11 +231,11 @@ def _clip(a: Sequence[int], b: Sequence[int], lo: Sequence[int], hi: Sequence[in
     return (n0, d0), (n1, d1)
 
 
-def route_connectors(ordered_cells: Sequence[Cell], parent_box: Box
+def route_connectors(ordered_cells: Sequence[CellFrame], parent_box: Box
                      ) -> list[list[Point]]:
     """Straight connectors joining consecutive cells in distance order.
 
-    ``ordered_cells`` are ``Cell`` objects, or any objects with the same
+    ``ordered_cells`` are ``CellFrame`` tuples, or any objects with the same
     ``generation``, ``parent_id``, ``near_corner`` and ``far_corner``; the
     corners may be rationals or integers over one common denominator, and
     the segments come back in the same coordinates.  Each segment must pass
@@ -405,8 +319,8 @@ def branch_word(index: int, k: int) -> str:
 
 class ArcApproximation:
     """Generation-by-generation approximation of the curve through a product
-    of a ratio Cantor set with a self-similar product (storage and views as
-    in the module docstring)."""
+    of a ratio Cantor set with a self-similar product (storage as in the
+    module docstring)."""
 
     def __init__(self, base_set: RatioCantorSet, product: ProductCantor):
         if product.copies < 1:
@@ -470,7 +384,6 @@ class ArcApproximation:
             rows.flags.writeable = False
             self._rows.append(rows)
             self.depth = k
-            self.__dict__.pop("cells", None)  # renew the view
         return self
 
     def route(self) -> "ArcApproximation":
@@ -487,29 +400,17 @@ class ArcApproximation:
         for k in range(self.routed + 1, self.depth + 1):
             orders = ((self._rows[k] & 1) @ weights).reshape(-1, q)
             _, firsts = np.unique(orders, axis=0, return_index=True)
+            near, far = self.corners(k, self.denominator(k))
+            parent = self.first_id(k - 1)
             for c in sorted(firsts.tolist()):
-                route_connectors(*self._frame(k, c))
+                frames = [CellFrame(k, parent + c, tuple(a), tuple(b)) for a, b in zip(
+                    near[c * q:(c + 1) * q].tolist(), far[c * q:(c + 1) * q].tolist())]
+                route_connectors(frames, tuple(zip(frames[0].near_corner, frames[-1].far_corner)))
             self.routed = k
-            self.__dict__.pop("connectors", None)  # renew the view
         return self
 
     def build_to(self, depth: int) -> "ArcApproximation":
         return self.grow_cells(depth).route()
-
-    def _frame(self, k: int, c: int) -> tuple[list[CellFrame], Box]:
-        """(sub-cells in rank order, parent box) of the parent at position c
-        of generation k-1, over the generation-k common denominator."""
-        q = self.branching
-        lattices = [s.lattice(k) for s in self._axis_sets]
-        den = math.lcm(*(axis_den for _, _, axis_den in lattices))
-        parent = self.first_id(k - 1) + c
-        frames = []
-        for row in self._rows[k][c * q:(c + 1) * q].tolist():
-            near = [int(lows[i]) * (den // axis_den)
-                    for (lows, _, axis_den), i in zip(lattices, row)]
-            far = [a + ln * (den // axis_den) for a, (_, ln, axis_den) in zip(near, lattices)]
-            frames.append(CellFrame(k, parent, tuple(near), tuple(far)))
-        return frames, tuple(zip(frames[0].near_corner, frames[-1].far_corner))
 
     # -- lattice tables --------------------------------------------------------
 
@@ -523,11 +424,31 @@ class ArcApproximation:
         self._require_depth(k)
         return self._rows[k]
 
+    def denominator(self, k: int) -> int:
+        """The lcm of every axis's lattice denominators up to generation k:
+        the common denominator of ``corners`` and ``traversal_chain``."""
+        return math.lcm(*(s.lattice(g)[2] for s in self._axis_sets for g in range(k + 1)))
+
+    def corners(self, k: int, den: int) -> tuple[np.ndarray, np.ndarray]:
+        """(near, far) corners of the generation-k cells in id order, as
+        (q^k, d) arrays of integer numerators over ``den``, a multiple of
+        every axis's generation-k lattice denominator: int64 while den fits
+        in 62 bits, Python ints (dtype object) beyond."""
+        wide = den.bit_length() > 62
+        near, far = [], []
+        for s, column in zip(self._axis_sets, self._rows[k].T):
+            lows, ln, axis_den = s.lattice(k)
+            scale = den // axis_den
+            low = (lows.astype(object) if wide else lows)[column] * scale
+            near.append(low)
+            far.append(low + ln * scale)
+        return np.stack(near, -1), np.stack(far, -1)
+
     def interval_ends(self, kind: str, k: int) -> list[tuple[list, list]]:
         """Per axis, the lower and the upper ends of the generation-k
         intervals by interval index, made once per Cantor set and cached:
         "float" (int / int, correctly rounded as float(Fraction) is),
-        "text" (reduced "n/d" strings) or "fraction"."""
+        or "text" (reduced "n/d" strings)."""
         if (kind, k) not in self._tables:
             convert = _END_KINDS[kind]
 
@@ -560,77 +481,7 @@ class ArcApproximation:
             self._segments[k] = sources, targets, np.array(lengths)
         return self._segments[k]
 
-    # -- views ----------------------------------------------------------------
-
-    @cached_property
-    def cells(self) -> list[Cell]:
-        """Every grown cell in id order, as ``Cell`` objects; assigning a
-        list replaces the view."""
-        q = self.branching
-        cells = []
-        for k in range(self.depth + 1):
-            # one (lo, hi) pair and one word per interval, shared by the cells
-            intervals = [list(zip(lo, hi)) for lo, hi in self.interval_ends("fraction", k)]
-            words = [branch_word(j, k) for j in range(len(intervals[0]))]
-            first = self.first_id(k)
-            parent = self.first_id(k - 1) if k else None
-            for i, row in enumerate(self._rows[k].tolist()):
-                cells.append(Cell(first + i, k, i % q + 1,
-                                  tuple(pairs[j] for pairs, j in zip(intervals, row)),
-                                  None if parent is None else parent + i // q,
-                                  tuple(words[j] for j in row)))
-        return cells
-
-    @cached_property
-    def connectors(self) -> list[Connector]:
-        """Every routed connector in id order, as ``Connector`` objects;
-        assigning a list replaces the view."""
-        q = self.branching
-        connectors = []
-        for k in range(1, self.routed + 1):
-            ends = self.interval_ends("fraction", k)
-            param_length = self.param_interval_length(k)
-            first, parent = self.first_id(k), self.first_id(k - 1)
-            rows = self._rows[k].tolist()
-            for i, (source, target) in enumerate(zip(rows, rows[1:])):
-                if i % q == q - 1:
-                    continue  # the last sub-cell of a parent starts no connector
-                vertices = [tuple(hi[j] for (_, hi), j in zip(ends, source)),
-                            tuple(lo[j] for (lo, _), j in zip(ends, target))]
-                connectors.append(Connector(len(connectors), k, vertices, parent + i // q,
-                                            first + i, first + i + 1, param_length))
-        return connectors
-
     # -- queries ------------------------------------------------------------
-
-    def generation_cells(self, k: int) -> list[Cell]:
-        """Cells of generation k in parameter (traversal) order."""
-        self._require_depth(k)
-        return self.cells[self.first_id(k):self.first_id(k + 1)]
-
-    def sub_cells(self, cell_id: int) -> list[Cell]:
-        """The sub-cells of a built cell, in rank order."""
-        q = self.branching
-        return self.cells[cell_id * q + 1:cell_id * q + q + 1]
-
-    def connectors_at(self, k: int) -> list[Connector]:
-        q = self.branching
-        return self.connectors[q ** (k - 1) - 1:q ** k - 1]
-
-    def cumulative_connectors(self, k: int) -> list[Connector]:
-        return self.connectors[:self.branching ** k - 1]
-
-    def cell_at(self, address: Address | tuple[str, ...]) -> Cell:
-        words = address.words if isinstance(address, Address) else tuple(address)
-        k = len(words[0]) if words else 0
-        if (len(words) != self.ambient_dimension or k > self.depth
-                or any(len(w) != k or w.strip("01") for w in words)):
-            raise KeyError(f"no built cell at address {words}")
-        q, position = self.branching, 0
-        for g in range(1, k + 1):
-            kids = self._rows[g][position * q:(position + 1) * q].tolist()
-            position = position * q + kids.index([int(w[:g], 2) for w in words])
-        return self.cells[self.first_id(k) + position]
 
     def near_point(self, address: Address) -> tuple[float, ...]:
         """Float near corner of the built cell at ``address``."""
@@ -648,10 +499,6 @@ class ArcApproximation:
         if k not in self._diameters:
             self._diameters[k] = math.sqrt(float(self.cell_diameter_sq(k)))
         return self._diameters[k]
-
-    def param_interval_length(self, depth: int) -> Fraction:
-        """Common length of every depth-``depth`` parameter interval."""
-        return Fraction(1, (2 * self.branching - 1) ** depth)
 
     def _require_depth(self, k: int) -> None:
         if k < 0 or k > self.depth:
@@ -725,37 +572,47 @@ class ArcApproximation:
                                  in enumerate(self.interval_ends("float", k))], -1)
         errors[rows] = self.cell_diameter(k)
 
-    def traversal_pieces(self, k: int) -> list[tuple[str, int, list[Point]]]:
-        """Traversal of the depth-k model in parameter order: connectors for
-        used intervals, near-to-far diagonals for depth-k cells."""
+    def traversal_chain(self, k: int) -> list[tuple[int, ...]]:
+        """Glued vertex chain of the depth-k traversal, as integer points
+        over ``denominator(k)``.
+
+        In parameter order the traversal runs through the generation-k
+        cells' near-to-far diagonals, in id order, with one connector
+        between two of them.  When every connector glues (``_glued``), the
+        chain is the near and far corners of the generation-k cells
+        interleaved in id order; otherwise RuntimeError.
+        """
         self._require_depth(k)
         if k < 1:
             raise ValueError("traversal depth starts at 1")
+        den = self.denominator(k)
+        near, far = self.corners(k, den)
+        if not self._glued(k, den, near, far):
+            raise RuntimeError("traversal pieces do not share endpoints")
+        chain = np.stack([near, far], axis=1).reshape(-1, self.ambient_dimension)
+        return list(map(tuple, chain.tolist()))
+
+    def _glued(self, k: int, den: int, near: np.ndarray, far: np.ndarray) -> bool:
+        """Whether every connector of generations 1..k-1 meets the depth-k
+        traversal's cells (``near`` and ``far``, the generation-k corners
+        over ``den``) at its two ends.
+
+        The connector of a generation-g parent joining sub-cells s and s+1
+        runs from the far corner of s to the near corner of s+1; it glues
+        when those are the far corner of the last generation-k descendant of
+        s and the near corner of the first descendant of s+1.  A
+        generation-k connector glues by construction.
+        """
         q = self.branching
-        pieces: list[tuple[str, int, list[Point]]] = []
-
-        def walk(cell_id: int, generation: int) -> None:
-            for j, cell in enumerate(self.sub_cells(cell_id)):
-                if generation + 1 == k:
-                    pieces.append(("cell", cell.id, [cell.near_corner, cell.far_corner]))
-                else:
-                    walk(cell.id, generation + 1)
-                if j < q - 1:
-                    conn = self.connectors[cell_id * (q - 1) + j]
-                    pieces.append(("connector", conn.id, list(conn.vertices)))
-
-        walk(0, 0)
-        return pieces
-
-    def traversal_chain(self, k: int) -> list[Point]:
-        """Glued vertex chain of the depth-k traversal."""
-        pieces = self.traversal_pieces(k)
-        chain = list(pieces[0][2])
-        for _, _, verts in pieces[1:]:
-            if verts[0] != chain[-1]:
-                raise RuntimeError("traversal pieces do not share endpoints")
-            chain.extend(verts[1:])
-        return chain
+        for g in range(1, k):
+            span = q ** (k - g)  # generation-k descendants per generation-g cell
+            cell_near, cell_far = self.corners(g, den)
+            rank = np.arange(len(cell_near)) % q
+            sources = (cell_far != far[span - 1::span]).any(axis=1) & (rank < q - 1)
+            targets = (cell_near != near[::span]).any(axis=1) & (rank > 0)
+            if sources.any() or targets.any():
+                return False
+        return True
 
     def vertex_cloud(self, k: int) -> np.ndarray:
         """Float array of connector vertices (depths <= k) plus generation-k
@@ -810,63 +667,51 @@ def verify_injectivity(arc: ArcApproximation, k: int) -> InjectivityReport:
 
     (i) runs ``_path_legal`` once per translation key: the check is exact
     and unchanged under translation, so one verdict holds for every
-    connector whose rank and geometry relative to its parent are the same
-    (see the module docstring).  Planar-5 has 1023 connectors but 27 keys.
+    connector whose rank and parent shape are the same (see the module
+    docstring).  Planar-5 has 1023 connectors but 27 keys.  (ii) runs
+    ``chain_self_intersection`` on ``traversal_chain``; a chain that fails
+    to glue or has a zero-length segment is reported as the pair (-1, -1).
+    Both read the index rows as integer corners; no ``Fraction`` is made.
     """
-    conns = arc.cumulative_connectors(k)
-    clearance = _clearance_violations(arc, conns)
+    arc._require_depth(k)
+    clearance = _clearance_violations(arc, k)
     try:
-        chain = arc.traversal_chain(k)
-        traversal_violation = chain_self_intersection(chain)
+        traversal_violation = chain_self_intersection(arc.traversal_chain(k))
     except (RuntimeError, ValueError):
         # chain fails to glue or degenerates: report rather than crash
         traversal_violation = (-1, -1)
+    connectors = arc.branching ** k - 1
+    return InjectivityReport(k, connectors * (connectors - 1) // 2, clearance,
+                             traversal_violation)
 
-    pairs = len(conns) * (len(conns) - 1) // 2
-    return InjectivityReport(k, pairs, clearance, traversal_violation)
 
+def _clearance_violations(arc: ArcApproximation, k: int) -> list[int]:
+    """Ids of the connectors of generations 1..k that fail ``_path_legal``,
+    run once per distinct (parent shape, rank) (see ``verify_injectivity``).
 
-def _clearance_violations(arc: ArcApproximation, conns: Sequence[Connector]) -> list[int]:
-    """Ids of the connectors that fail ``_path_legal``, run once per
-    translation key (see ``verify_injectivity``).
-
-    One pass over the coordinates takes their common denominator; each
-    parent's corners and its connectors' vertices are put over it as they
-    are keyed, so no list of every lifted point is held.
+    A parent's shape is its far corner, then the near and far corner of
+    each sub-cell in rank order, all minus its near corner, over
+    ``denominator(k)``; connector s of the parent runs between shape points
+    2s+2 and 2s+3.  Shapes of different generations differ in the parent's
+    size, so one verdict table serves every generation.
     """
-    parents = sorted({conn.parent_cell for conn in conns})
-
-    def family(c: int) -> Iterator[Point]:
-        """Near and far corners of parent c, then of each sub-cell in rank order."""
-        for cell in (arc.cells[c], *arc.sub_cells(c)):
-            yield cell.near_corner
-            yield cell.far_corner
-
-    den = math.lcm(*{x.denominator for c in parents for corner in family(c) for x in corner},
-                   *{x.denominator for conn in conns for v in conn.vertices for x in v})
-
-    def lifted(point: Point) -> tuple[int, ...]:
-        return tuple(x.numerator * (den // x.denominator) for x in point)
-
-    def offsets(points, near: tuple[int, ...]) -> tuple:
-        """``points`` over den, minus ``near``."""
-        return tuple(tuple(a - b for a, b in zip(lifted(v), near)) for v in points)
-
-    parent = None  # the parent whose shape was keyed last
-    verdicts: dict[tuple, bool] = {}
+    q, d, den = arc.branching, arc.ambient_dimension, arc.denominator(k)
+    verdicts: dict[tuple, list[int]] = {}  # shape -> the ranks that fail
     violations: list[int] = []
-    for conn in conns:
-        if conn.parent_cell != parent:
-            parent = conn.parent_cell
-            near_corner, *corners = family(parent)
-            near = lifted(near_corner)
-            shape = offsets(corners, near)
-        s = conn.source_cell - arc.sub_cells(parent)[0].id
-        key = (shape, s, offsets(conn.vertices, near))
-        if key not in verdicts:
-            verdicts[key] = _path_legal(*key)
-        if not verdicts[key]:
-            violations.append(conn.id)
+    near, far = arc.corners(0, den)
+    for g in range(1, k + 1):
+        sub_near, sub_far = arc.corners(g, den)
+        parents = len(near)
+        subs = np.stack([sub_near, sub_far], axis=1).reshape(parents, 2 * q, d)
+        shapes = np.concatenate([far[:, None], subs], axis=1) - near[:, None]
+        first = arc.first_id(g - 1)
+        for c, key in enumerate(map(tuple, shapes.reshape(parents, -1).tolist())):
+            if key not in verdicts:
+                shape = [key[i:i + d] for i in range(0, len(key), d)]
+                verdicts[key] = [s for s in range(q - 1)
+                                 if not _path_legal(shape, s, shape[2 * s + 2:2 * s + 4])]
+            violations.extend((first + c) * (q - 1) + s for s in verdicts[key])
+        near, far = sub_near, sub_far
     return violations
 
 

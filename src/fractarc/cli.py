@@ -219,10 +219,6 @@ def config_from_sources(args) -> RunConfig:
 # -- model serialization -------------------------------------------------------
 
 
-def _point_json(point) -> list[str]:
-    return [encode_rational(Fraction(c)) for c in point]
-
-
 def _arc_header(arc) -> dict:
     """Schema-v1 fields of an arc model that follow from its config, besides
     the rows."""
@@ -231,44 +227,15 @@ def _arc_header(arc) -> dict:
                        "copies": arc.product.copies}}
 
 
-def _cell_rows(arc) -> Iterator[dict]:
-    """Schema-v1 rows of every cell of ``arc``, in id order: the index fields,
-    the branch address and the box."""
-    for cell in arc.cells:
-        yield {"id": cell.id, "generation": cell.generation, "rank": cell.rank,
-               "parent": cell.parent_id, "address": list(cell.address),
-               "box": [[encode_rational(lo), encode_rational(hi)] for lo, hi in cell.box]}
-
-
-def _connector_rows(arc) -> Iterator[dict]:
-    """Schema-v1 rows of every connector of ``arc``, in id order: the index
-    fields and the vertices."""
-    for fields, conn in zip(arc_mod.connector_fields(arc.depth, arc.ambient_dimension),
-                            arc.connectors):
-        yield {**fields, "vertices": [_point_json(v) for v in conn.vertices]}
-
-
 def model_to_dict(model, config: RunConfig) -> dict:
-    if isinstance(model, UnitIntervalModel):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "unit_interval",
-            "config": config.as_dict(),
-        }
-    arc = model
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "config": config.as_dict(),
-        **_arc_header(arc),
-        "cells": list(_cell_rows(arc)),
-        "connectors": list(_connector_rows(arc)),
-        "param_intervals": list(arc_mod.param_intervals(arc.depth, arc.ambient_dimension)),
-    }
+    """The schema-v1 object of a model: its canonical text, parsed."""
+    return json.loads(model_text(model, config))
 
 
 def _cell_text(arc) -> Iterator[str]:
-    """The rows of ``_cell_rows`` as ``dump_json`` writes them, from the
-    arc's index rows and "n/d" tables."""
+    """Schema-v1 rows of every cell, in id order, as ``dump_json`` writes
+    them (the index fields, the branch address and the box), from the arc's
+    index rows and "n/d" tables."""
     q = arc.branching
     for k in range(arc.depth + 1):
         words, boxes = [], []
@@ -289,9 +256,9 @@ def _cell_text(arc) -> Iterator[str]:
 
 
 def _connector_text(arc) -> Iterator[str]:
-    """The rows of ``_connector_rows`` as ``dump_json`` writes them: each
-    connector runs from the far corner of one sub-cell to the near corner of
-    the next."""
+    """Schema-v1 rows of every connector, in id order, as ``dump_json``
+    writes them (the index fields and the vertices): each connector runs
+    from the far corner of one sub-cell to the near corner of the next."""
     q = arc.branching
     fields = arc_mod.connector_fields(arc.routed, arc.ambient_dimension)
     for k in range(1, arc.routed + 1):
@@ -327,16 +294,16 @@ def _param_text(arc) -> Iterator[str]:
 
 
 def model_chunks(model, config: RunConfig) -> Iterator[str]:
-    """The canonical schema-v1 text of a model, in pieces:
-    ``dump_json(model_to_dict(model, config))`` without building the dict.
+    """The canonical schema-v1 text of a model, in pieces: the ``dump_json``
+    text of the model object.
 
     The top-level fields go through ``json.dumps`` one by one; the rows of
     the three sections come from fixed templates (sorted keys, two-space
-    indentation), one piece per row.  ``model_to_dict`` stays the reference
-    that the tests compare this with.
+    indentation), one piece per row.
     """
     if isinstance(model, UnitIntervalModel):
-        yield dump_json(model_to_dict(model, config))
+        yield dump_json({"schema_version": SCHEMA_VERSION, "kind": "unit_interval",
+                         "config": config.as_dict()})
         return
     fields = {"schema_version": SCHEMA_VERSION, "config": config.as_dict(),
               **_arc_header(model)}
@@ -420,9 +387,9 @@ def model_from_dict(data: dict):
 
     Only the config is read.  The kind, the header, every cell, every
     connector (its vertices included) and every id and link follow from the
-    config, so the model is rebuilt by ``build_model`` and compared with the
-    file row by row, never trusted: the first mismatch raises ConfigError
-    naming the field.
+    config, so the model is rebuilt by ``build_model`` and the file compared
+    with its ``model_to_dict`` row by row, never trusted: the first mismatch
+    raises ConfigError naming the field.
     """
     if not isinstance(data, dict):
         raise ConfigError("a model must be a JSON object")
@@ -437,9 +404,9 @@ def model_from_dict(data: dict):
         _check_fields("model", data, kind="unit_interval")
         return model, config
     _check_fields("model", data, **_arc_header(model))
-    _check_rows(data, "cells", _cell_rows(model))
-    _check_rows(data, "param_intervals", arc_mod.param_intervals(model.depth, model.ambient_dimension))
-    _check_rows(data, "connectors", _connector_rows(model))
+    expected = model_to_dict(model, config)
+    for section in ("cells", "param_intervals", "connectors"):
+        _check_rows(data, section, expected[section])
     return model, config
 
 
@@ -497,10 +464,12 @@ def series_csv(series: dim_mod.BoxCountSeries) -> str:
 
 def _unrouted_arc(config: RunConfig) -> arc_mod.ArcApproximation:
     """Every cell of the arc ``config`` describes, without connectors."""
-    base = RatioCantorSet(config.ratio_sequence())
     try:
+        # ratios that do not decay, or a factor dimension too small for a
+        # float ratio
+        base = RatioCantorSet(config.ratio_sequence())
         product = product_for_dimension(config.target_dimension - 1.0)
-    except ValueError as exc:  # a factor dimension too small for a float ratio
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return arc_mod.ArcApproximation(base, product).grow_cells(config.depth)
 

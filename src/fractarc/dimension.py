@@ -43,6 +43,9 @@ BOX_DIMENSION_CAVEAT = (
     "box-counting estimates the upper box dimension; it matches the target "
     "Hausdorff dimension for the self-similar constructions sampled here")
 
+#: Why a window of fewer than three scales is refused.
+_TOO_FEW_SCALES = "need at least 3 scales to fit a slope"
+
 
 @dataclass(frozen=True)
 class BoxCountSeries:
@@ -194,6 +197,8 @@ def box_count_series(points: Sequence, scales: Sequence,
     known, windows finer than it are refused: counts there would flatten into
     a spurious dimension-zero tail."""
     scales = [Fraction(s) for s in scales]
+    if not scales:
+        raise ValueError(_TOO_FEW_SCALES)
     if sample_resolution is not None:
         _refuse_finer(min(scales), Fraction(sample_resolution))
     if not isinstance(points, (np.ndarray, LatticeSample)):
@@ -212,7 +217,7 @@ def _refuse_finer(finest, resolution) -> None:
 def estimate_dimension(series: BoxCountSeries, kind: str = "box") -> DimensionEstimate:
     """Fit log N = slope * log(1/delta) + intercept by least squares."""
     if len(series.scales) < 3:
-        raise ValueError("need at least 3 scales to fit a slope")
+        raise ValueError(_TOO_FEW_SCALES)
     xs = np.array([math.log(1.0 / float(d)) for d in series.scales])
     ys = np.array([math.log(n) for n in series.counts])
     if np.ptp(xs) == 0.0:

@@ -1,7 +1,7 @@
 """Exact rational geometry for axis-aligned boxes and polylines.
 
-Coordinates are ``fractions.Fraction``; every predicate is decided by integer
-arithmetic, never by floating point.  The polyline predicates
+Coordinates are ``fractions.Fraction`` or integers; every predicate is
+decided by integer arithmetic, never by floating point.  The polyline predicates
 (``polylines_disjoint``, ``chain_self_intersection``) first put all their
 vertices over one common denominator (``lift``) and then decide every
 segment pair with ``segments_meet``, on integers, with no gcd per operation.
@@ -28,13 +28,6 @@ def vsub(p: Point, q: Point) -> Point:
 
 def vlerp(p: Point, q: Point, t: Fraction) -> Point:
     return tuple(a + t * (b - a) for a, b in zip(p, q))
-
-
-def box_corners(box: Box) -> list[Point]:
-    corners: list[Point] = [()]
-    for lo, hi in box:
-        corners = [c + (v,) for c in corners for v in (lo, hi)]
-    return corners
 
 
 def boxes_disjoint(a: Box, b: Box) -> bool:
@@ -209,11 +202,13 @@ def chain_self_intersection(vertices: Sequence[Point]) -> Optional[tuple[int, in
     nothing.  A zero-length segment raises ValueError.
 
     The chain is decided on integers: every vertex is put over the lcm of
-    the coordinate denominators (``lift``).  Only segments whose closed
-    bounding boxes meet can share a point.  Those candidate pairs are found
-    by a sweep over the integer boxes: segments in order of their axis-0 low
-    end, an active list that drops a segment once its axis-0 high end falls
-    below the sweep position, and comparisons on the other axes.  Boxes
+    the coordinate denominators (``lift``; an integer chain such as
+    ``ArcApproximation.traversal_chain`` lifts to itself).  Only segments
+    whose closed bounding boxes meet can share a point.  Those candidate
+    pairs are found by a sweep over the integer boxes: segments in order of
+    their axis-0 low end, an active list that drops a segment once its
+    axis-0 high end falls below the sweep position, and comparisons on the
+    other axes.  Boxes
     that merely touch count as meeting.  The candidates are then decided by
     ``segments_meet`` in increasing (i, j) order, so the pair returned is the
     first in i-major, then j order, as an all-pairs scan with the

@@ -7,9 +7,13 @@ made up, which judges any polyline.
 
 ``ObjectArc`` is the grower that the lattice arc replaced: one ``Cell`` per
 cell, with ``Fraction`` boxes and string addresses, and one ``Connector``
-per connector.  The ``object_*`` readers and ``fraction_evaluate`` walk it
-as the library used to: the vertex cloud, the SVG, ``evaluate``, the
-containment distances and the counting summary.
+per connector.  ``RowView`` reads the same objects off a lattice arc's
+index rows, as the library's views did.  The ``object_*`` readers and
+``fraction_evaluate`` walk either as the library used to: the vertex cloud,
+the SVG, ``evaluate``, the containment distances and the counting summary;
+``reference_model_dict`` is the model object built from their rows, and
+``view_verify_injectivity`` the injectivity check on them, which judges a
+replaced cell or connector as well as tampered rows.
 
 ``digit_evaluate`` and ``loop_continuity_violations`` are the per-call
 integer digit loop that ``evaluate_many`` batched, and the per-pair
@@ -24,14 +28,18 @@ run.
 
 import bisect
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
+from typing import Optional
 
 import numpy as np
 
-from fractarc.arc import Cell, Connector
+from fractarc.arc import (ArcApproximation, InjectivityReport, _path_legal, branch_word,
+                          connector_fields, param_intervals)
 from fractarc.cantor import AnnulusWitness, PerfectnessReport, uniform_perfectness_constant
+from fractarc.cli import SCHEMA_VERSION, UnitIntervalModel, _arc_header, encode_rational
 from fractarc.geometry import chain_self_intersection
 from fractarc.measure import BallMassBracket
 
@@ -102,6 +110,207 @@ def path_legal(vertices, boxes, s, parent_box):
     return True
 
 
+# -- cells and connectors as objects -------------------------------------------
+
+
+def box_corners(box):
+    corners = [()]
+    for lo, hi in box:
+        corners = [c + (v,) for c in corners for v in (lo, hi)]
+    return corners
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One product cell: an axis-aligned box with exact rational corners."""
+
+    id: int
+    generation: int
+    rank: int  # 1-based position in the parent's distance order
+    box: tuple
+    parent_id: Optional[int]
+    address: tuple  # one branch word per axis
+
+    @property
+    def near_corner(self):
+        """The unique point of the cell closest to the origin."""
+        return tuple(lo for lo, _ in self.box)
+
+    @property
+    def far_corner(self):
+        """The unique point of the cell farthest from the origin."""
+        return tuple(hi for _, hi in self.box)
+
+    def corners(self):
+        return box_corners(self.box)
+
+
+@dataclass
+class Connector:
+    """Path from one cell's far corner to the next cell's near corner,
+    parametrised at constant speed over its used interval.  Built arcs hold
+    the straight segment; the clearance check passes no other shape."""
+
+    id: int
+    depth: int
+    vertices: list
+    parent_cell: int
+    source_cell: int
+    target_cell: int
+    param_length: Fraction  # (2^(n+2)-1)^-depth, the length of its used interval
+    _cumulative: Optional[list] = None
+    _float_vertices: Optional[list] = None
+
+    @property
+    def source(self):
+        return self.vertices[0]
+
+    @property
+    def target(self):
+        return self.vertices[-1]
+
+    def _cum_lengths(self):
+        if self._cumulative is None:
+            floats = [tuple(map(float, v)) for v in self.vertices]
+            acc = [0.0]
+            for a, b in zip(floats, floats[1:]):
+                acc.append(acc[-1] + math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b))))
+            self._cumulative, self._float_vertices = acc, floats
+        return self._cumulative
+
+    @property
+    def length(self):
+        return self._cum_lengths()[-1]
+
+    @property
+    def lipschitz(self):
+        """Path length over parameter length: the constant-speed rate."""
+        return self.length / float(self.param_length)
+
+    def point_at(self, frac):
+        """Point at the given fraction of the parameter interval (constant
+        speed along the whole polyline)."""
+        cum = self._cum_lengths()
+        target = min(max(frac, 0.0), 1.0) * cum[-1]
+        i = min(bisect.bisect_right(cum, target), len(cum) - 1) - 1
+        seg = cum[i + 1] - cum[i]
+        s = 0.0 if seg == 0.0 else (target - cum[i]) / seg
+        a, b = self._float_vertices[i], self._float_vertices[i + 1]
+        return tuple(x + s * (y - x) for x, y in zip(a, b))
+
+
+class _Views:
+    """Queries on the ``cells`` and ``connectors`` lists, in id order."""
+
+    def generation_cells(self, k):
+        """Cells of generation k in parameter (traversal) order."""
+        q = self.branching
+        return self.cells[(q ** k - 1) // (q - 1):(q ** (k + 1) - 1) // (q - 1)]
+
+    def sub_cells(self, cell_id):
+        """The sub-cells of a cell, in rank order."""
+        q = self.branching
+        return self.cells[cell_id * q + 1:cell_id * q + q + 1]
+
+    def connectors_at(self, k):
+        q = self.branching
+        return self.connectors[q ** (k - 1) - 1:q ** k - 1]
+
+    def cumulative_connectors(self, k):
+        return self.connectors[:self.branching ** k - 1]
+
+    def traversal_pieces(self, k):
+        """Traversal of the depth-k model in parameter order: connectors for
+        used intervals, near-to-far diagonals for depth-k cells."""
+        if not 1 <= k <= self.depth:
+            raise ValueError(f"no depth-{k} traversal of a depth-{self.depth} arc")
+        q = self.branching
+        pieces = []
+
+        def walk(cell_id, generation):
+            for j, cell in enumerate(self.sub_cells(cell_id)):
+                if generation + 1 == k:
+                    pieces.append(("cell", cell.id, [cell.near_corner, cell.far_corner]))
+                else:
+                    walk(cell.id, generation + 1)
+                if j < q - 1:
+                    conn = self.connectors[cell_id * (q - 1) + j]
+                    pieces.append(("connector", conn.id, list(conn.vertices)))
+
+        walk(0, 0)
+        return pieces
+
+    def traversal_chain(self, k):
+        """Glued ``Fraction`` vertex chain of the depth-k traversal."""
+        pieces = self.traversal_pieces(k)
+        chain = list(pieces[0][2])
+        for _, _, verts in pieces[1:]:
+            if verts[0] != chain[-1]:
+                raise RuntimeError("traversal pieces do not share endpoints")
+            chain.extend(verts[1:])
+        return chain
+
+
+class RowView(_Views):
+    """The ``Cell`` and ``Connector`` objects of a lattice arc, read off its
+    index rows (``generation_rows``) and lattices when the view is made:
+    cells of every grown generation, connectors of every routed one.  The
+    lists are plain attributes, so a test may replace a cell or a
+    connector."""
+
+    def __init__(self, arc):
+        self.arc = arc
+        self.base_set, self.product = arc.base_set, arc.product
+        self.ambient_dimension, self.branching = arc.ambient_dimension, arc.branching
+        self.depth, self.routed = arc.depth, arc.routed
+        q = self.branching
+        axis_sets = (arc.base_set,) + (arc.product.factor,) * arc.copies
+        self.cells = []
+        self.connectors = []
+        for k in range(self.depth + 1):
+            intervals = []
+            for cantor_set in axis_sets:
+                lows, ln, den = cantor_set.lattice(k)
+                intervals.append([(Fraction(a, den), Fraction(a + ln, den))
+                                  for a in lows.tolist()])
+            words = [branch_word(j, k) for j in range(len(intervals[0]))]
+            first = arc.first_id(k)
+            parent = arc.first_id(k - 1) if k else None
+            rows = arc.generation_rows(k).tolist()
+            for i, row in enumerate(rows):
+                self.cells.append(Cell(first + i, k, i % q + 1,
+                                       tuple(pairs[j] for pairs, j in zip(intervals, row)),
+                                       None if parent is None else parent + i // q,
+                                       tuple(words[j] for j in row)))
+            if not 1 <= k <= self.routed:
+                continue
+            param_length = Fraction(1, (2 * q - 1) ** k)
+            for i, (source, target) in enumerate(zip(rows, rows[1:])):
+                if i % q == q - 1:
+                    continue  # the last sub-cell of a parent starts no connector
+                vertices = [tuple(pairs[j][1] for pairs, j in zip(intervals, source)),
+                            tuple(pairs[j][0] for pairs, j in zip(intervals, target))]
+                self.connectors.append(Connector(
+                    len(self.connectors), k, vertices, parent + i // q,
+                    first + i, first + i + 1, param_length))
+
+    def cell_at(self, address):
+        """The cell at a branch address, found by descending the rows."""
+        words = tuple(getattr(address, "words", address))
+        k = len(words[0]) if words else 0
+        if (len(words) != self.ambient_dimension or k > self.depth
+                or any(len(w) != k or w.strip("01") for w in words)):
+            raise KeyError(f"no built cell at address {words}")
+        q, position = self.branching, 0
+        for g in range(1, k + 1):
+            kids = self.arc.generation_rows(g)[position * q:(position + 1) * q].tolist()
+            position = position * q + kids.index([int(w[:g], 2) for w in words])
+        return self.cells[(q ** k - 1) // (q - 1) + position]
+
+    def cell_diameter(self, k):
+        return self.arc.cell_diameter(k)
+
+
 # -- the object grower ---------------------------------------------------------
 
 
@@ -110,7 +319,7 @@ def _segment(ordered_cells, s):
     return [ordered_cells[s].far_corner, ordered_cells[s + 1].near_corner]
 
 
-class ObjectArc:
+class ObjectArc(_Views):
     """Every cell and connector of a depth-``depth`` arc as objects, grown
     parent by parent: the sub-cells of a parent are ranked by
     (|near corner|^2, near corner) over one common denominator."""
@@ -165,17 +374,6 @@ class ObjectArc:
             cell = Cell(len(self.cells), parent.generation + 1, rank, box, parent.id, address)
             self.cells.append(cell)
             self._cell_index[address] = cell.id
-
-    def generation_cells(self, k):
-        q = self.branching
-        return self.cells[(q ** k - 1) // (q - 1):(q ** (k + 1) - 1) // (q - 1)]
-
-    def sub_cells(self, cell_id):
-        q = self.branching
-        return self.cells[cell_id * q + 1:cell_id * q + q + 1]
-
-    def cumulative_connectors(self, k):
-        return self.connectors[:self.branching ** k - 1]
 
     def cell_at(self, address):
         return self.cells[self._cell_index[address.words]]
@@ -283,6 +481,100 @@ def object_counting_summary(arc):
         "connectors": len(arc.connectors),
         "param_intervals": 1 + (2 * arc.branching - 1) * (len(arc.cells) - len(deepest)),
     }
+
+
+def point_json(point):
+    return [encode_rational(Fraction(c)) for c in point]
+
+
+def cell_rows(arc):
+    """Schema-v1 rows of every cell of a view, in id order: the index
+    fields, the branch address and the box."""
+    for cell in arc.cells:
+        yield {"id": cell.id, "generation": cell.generation, "rank": cell.rank,
+               "parent": cell.parent_id, "address": list(cell.address),
+               "box": [[encode_rational(lo), encode_rational(hi)] for lo, hi in cell.box]}
+
+
+def connector_rows(arc):
+    """Schema-v1 rows of every connector of a view, in id order: the index
+    fields and the vertices."""
+    for fields, conn in zip(connector_fields(arc.depth, arc.ambient_dimension),
+                            arc.connectors):
+        yield {**fields, "vertices": [point_json(v) for v in conn.vertices]}
+
+
+def reference_model_dict(model, config):
+    """The schema-v1 object of a model built row by row from its views (a
+    lattice arc is read through ``RowView``): the reference of the canonical
+    text."""
+    if isinstance(model, UnitIntervalModel):
+        return {"schema_version": SCHEMA_VERSION, "kind": "unit_interval",
+                "config": config.as_dict()}
+    if isinstance(model, ArcApproximation):
+        model = RowView(model)
+    return {"schema_version": SCHEMA_VERSION, "config": config.as_dict(),
+            **_arc_header(model), "cells": list(cell_rows(model)),
+            "connectors": list(connector_rows(model)),
+            "param_intervals": list(param_intervals(model.depth, model.ambient_dimension))}
+
+
+# -- injectivity on the views ----------------------------------------------------
+
+
+def view_verify_injectivity(arc, k):
+    """``verify_injectivity`` on a view's cells and connectors, as the
+    library ran it: clearance once per translation key, then the
+    ``Fraction`` traversal chain."""
+    conns = arc.cumulative_connectors(k)
+    clearance = view_clearance_violations(arc, conns)
+    try:
+        traversal_violation = chain_self_intersection(arc.traversal_chain(k))
+    except (RuntimeError, ValueError):
+        # chain fails to glue or degenerates: report rather than crash
+        traversal_violation = (-1, -1)
+    return InjectivityReport(k, len(conns) * (len(conns) - 1) // 2, clearance,
+                             traversal_violation)
+
+
+def view_clearance_violations(arc, conns):
+    """Ids of the connectors that fail ``_path_legal``, run once per key:
+    the connector's rank, its vertices, its sibling boxes and its parent's
+    far corner, the last three minus the parent's near corner, over the
+    common denominator of every coordinate."""
+    parents = sorted({conn.parent_cell for conn in conns})
+
+    def family(c):
+        """Near and far corners of parent c, then of each sub-cell in rank order."""
+        for cell in (arc.cells[c], *arc.sub_cells(c)):
+            yield cell.near_corner
+            yield cell.far_corner
+
+    den = math.lcm(*{x.denominator for c in parents for corner in family(c) for x in corner},
+                   *{x.denominator for conn in conns for v in conn.vertices for x in v})
+
+    def lifted(point):
+        return tuple(x.numerator * (den // x.denominator) for x in point)
+
+    def offsets(points, near):
+        return tuple(tuple(a - b for a, b in zip(lifted(v), near)) for v in points)
+
+    parent = None  # the parent whose shape was keyed last
+    verdicts = {}
+    violations = []
+    for conn in conns:
+        if conn.parent_cell != parent:
+            parent = conn.parent_cell
+            near_corner, *corners = family(parent)
+            near = lifted(near_corner)
+            shape = offsets(corners, near)
+        s = conn.source_cell - arc.sub_cells(parent)[0].id
+        key = (shape, s, offsets(conn.vertices, near))
+        if key not in verdicts:
+            verdicts[key] = _path_legal(*key)
+        if not verdicts[key]:
+            violations.append(conn.id)
+    return violations
 
 
 # -- per-call evaluation and the Fraction certificates -------------------------

@@ -25,6 +25,7 @@ from fractarc.dimension import estimate_dimension
 from fractarc.measure import (NaturalMeasure, mass_bound_sequence,
                               verify_mass_bounds)
 from fractarc.metric import VON_KOCH_EXPONENT
+from oracles import RowView
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
@@ -100,10 +101,11 @@ def test_criterion_3_mass_bounds():
 def test_criterion_4_counting_invariants(figure_arc):
     with _Timer() as t:
         arc = figure_arc
+        views = RowView(arc)
         ok = True
         for k in range(1, 5):
-            ok = ok and len(arc.generation_cells(k)) == 2 ** (2 * k)
-            ok = ok and len(arc.cumulative_connectors(k)) == 2 ** (2 * k) - 1
+            ok = ok and len(views.generation_cells(k)) == 2 ** (2 * k)
+            ok = ok and len(views.cumulative_connectors(k)) == 2 ** (2 * k) - 1
         rows = list(param_intervals(arc.depth, arc.ambient_dimension))
         for iv in rows:
             if iv["children"]:
@@ -179,11 +181,12 @@ def test_criterion_8_arc_dimension_consistency(figure_arc):
 def test_criterion_9_modulus_of_continuity(figure_arc):
     with _Timer() as t:
         ok = True
+        views = RowView(figure_arc)
         rng = random.Random(23)
         for eps in (0.5, 0.25, 0.12):
             rep = modulus_of_continuity(figure_arc, eps)
             lipschitz = max(c.lipschitz
-                            for c in figure_arc.cumulative_connectors(rep.cutoff_depth))
+                            for c in views.cumulative_connectors(rep.cutoff_depth))
             ok = ok and rep.delta == pytest.approx(
                 min(rep.delta_prime, eps / (2 * lipschitz)))
             ok = ok and continuity_violations(figure_arc, eps, rep.delta,

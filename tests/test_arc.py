@@ -15,15 +15,16 @@ from hypothesis import strategies as st
 from fractarc.cantor import (Address, GenerationBudgetError, ProductCantor,
                              RatioCantorSet, RatioSequence, SelfSimilarCantor,
                              product_for_dimension)
-from fractarc.arc import (ArcApproximation, Connector, RoutingFailed,
+from fractarc.arc import (ArcApproximation, RoutingFailed,
                           build_arc, continuity_violations,
                           modulus_of_continuity, param_intervals,
                           route_connectors, sample_addresses,
                           verify_containment, verify_injectivity, _path_legal)
 from fractarc.cli import RunConfig, build_model
-from fractarc.geometry import (box_corners, boxes_disjoint, lift, points_bbox,
-                               polylines_disjoint, vlerp, vsub)
-from oracles import fraction_evaluate, path_legal as fraction_path_legal
+from fractarc.geometry import (boxes_disjoint, lift, points_bbox, polylines_disjoint,
+                               vlerp, vsub)
+from oracles import (Connector, RowView, box_corners, fraction_evaluate,
+                     path_legal as fraction_path_legal, view_verify_injectivity)
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
@@ -35,7 +36,7 @@ def planar_sets():
 
 
 def first_generation(base, product):
-    return build_arc(base, product, 1).generation_cells(1)
+    return RowView(build_arc(base, product, 1)).generation_cells(1)
 
 
 def rows_of(depth, ambient_dimension):
@@ -59,6 +60,12 @@ def reference_arc(kind, depth):
     base = RatioCantorSet(RatioSequence.dyadic())
     product = planar_sets()[1] if kind == "planar" else product_for_dimension(1.5)
     return build_arc(base, product, depth)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_views(kind, depth):
+    """The ``RowView`` of ``reference_arc(kind, depth)``; never mutated."""
+    return RowView(reference_arc(kind, depth))
 
 
 def pair_scan_violations(arc, k):
@@ -228,7 +235,8 @@ def run_configs(draw):
 
 def parents_with_connectors(arc):
     """(generation, order, parent, its sub-cells, its connectors) for every
-    parent; the order is the sub-cells' last branch bits in rank order."""
+    parent of a view; the order is the sub-cells' last branch bits in rank
+    order."""
     q = arc.branching
     for k in range(1, arc.depth + 1):
         for parent in arc.generation_cells(k - 1):
@@ -242,6 +250,11 @@ def parents_with_connectors(arc):
 def figure_arc():
     base, product = planar_sets()
     return build_arc(base, product, 4)
+
+
+@pytest.fixture(scope="module")
+def figure_views(figure_arc):
+    return RowView(figure_arc)
 
 
 class TestFirstGeneration:
@@ -297,38 +310,38 @@ class TestParamSubdivision:
 
 
 class TestRouting:
-    def test_first_generation_has_three_connectors(self, figure_arc):
-        assert len(figure_arc.connectors_at(1)) == 3
+    def test_first_generation_has_three_connectors(self, figure_views):
+        assert len(figure_views.connectors_at(1)) == 3
 
     def test_single_cell_needs_no_connector(self):
         base, product = planar_sets()
         arc = ArcApproximation(base, product)
-        arc.build_to(1)
-        assert route_connectors(arc.generation_cells(1)[:1], arc.cells[0].box) == []
+        views = RowView(arc.build_to(1))
+        assert route_connectors(views.generation_cells(1)[:1], views.cells[0].box) == []
 
     def test_illegal_segment_names_generation_parent_and_ranks(self):
         base, product = planar_sets()
-        arc = ArcApproximation(base, product).build_to(1)
-        cells = arc.generation_cells(1)
+        views = RowView(ArcApproximation(base, product).build_to(1))
+        cells = views.generation_cells(1)
         # rank order 1, 4, 2, 3: the segment from the fourth cell's far corner
         # to the second cell's near corner runs through both cells
         with pytest.raises(RoutingFailed, match=r"generation 1 \(parent 0\) between "
                                                 r"cells ranked 2 and 3"):
-            route_connectors([cells[0], cells[3], cells[1], cells[2]], arc.cells[0].box)
+            route_connectors([cells[0], cells[3], cells[1], cells[2]], views.cells[0].box)
 
     def test_crossing_segments_are_refused(self):
-        arc = reference_arc("spatial", 1)
-        cells = arc.generation_cells(1)
+        views = reference_views("spatial", 1)
+        cells = views.generation_cells(1)
         # each segment alone is legal among these four cells, but the third
         # crosses the first
         with pytest.raises(RoutingFailed, match="ranked 3 and 4"):
-            route_connectors([cells[1], cells[6], cells[4], cells[3]], arc.cells[0].box)
+            route_connectors([cells[1], cells[6], cells[4], cells[3]], views.cells[0].box)
 
     @settings(max_examples=40, deadline=None)
     @given(config=run_configs())
     def test_search_router_picks_the_straight_segments(self, config):
         arc = build_model(config)
-        for k, _, parent, sub_cells, conns in parents_with_connectors(arc):
+        for k, _, parent, sub_cells, conns in parents_with_connectors(RowView(arc)):
             gap = _gap_box(parent.box, arc._child_lengths(k))
             assert (search_route_connectors(sub_cells, parent.box, gap)
                     == [c.vertices for c in conns]), (k, parent.id)
@@ -348,7 +361,7 @@ class TestRouting:
             monkeypatch.setattr(arc_module, "route_connectors", record)
             arc = build_model(config)
             firsts = {}
-            for k, order, parent, _, _ in parents_with_connectors(arc):
+            for k, order, parent, _, _ in parents_with_connectors(RowView(arc)):
                 firsts.setdefault((k, order), parent.id)
             assert [parent for parent, _ in checked] == list(firsts.values())
             assert len(checked) == classes
@@ -360,44 +373,44 @@ class TestRouting:
     def test_connectors_are_translates_within_each_class(self, config):
         # the class check's premise: sub-cell boxes and connectors, minus the
         # parent's near corner, depend only on (generation, order)
-        arc = build_model(config)
         shapes = {}
-        for k, order, parent, sub_cells, conns in parents_with_connectors(arc):
+        for k, order, parent, sub_cells, conns in parents_with_connectors(
+                RowView(build_model(config))):
             origin = parent.near_corner
             shape = (tuple(tuple(zip(vsub(cell.near_corner, origin),
                                      vsub(cell.far_corner, origin))) for cell in sub_cells),
                      tuple(tuple(vsub(v, origin) for v in c.vertices) for c in conns))
             assert shapes.setdefault((k, order), shape) == shape, (k, parent.id)
 
-    def test_figure_connector_geometry(self, figure_arc):
-        first = figure_arc.connectors_at(1)
+    def test_figure_connector_geometry(self, figure_views):
+        first = figure_views.connectors_at(1)
         assert [c.vertices for c in first] == [
             [(F(1, 4), F(1, 3)), (F(0), F(2, 3))],
             [(F(1, 4), F(1)), (F(3, 4), F(0))],
             [(F(1), F(1, 3)), (F(3, 4), F(2, 3))],
         ]
 
-    def test_connectors_join_far_to_near(self, figure_arc):
-        for conn in figure_arc.connectors:
-            assert conn.source == figure_arc.cells[conn.source_cell].far_corner
-            assert conn.target == figure_arc.cells[conn.target_cell].near_corner
+    def test_connectors_join_far_to_near(self, figure_views):
+        for conn in figure_views.connectors:
+            assert conn.source == figure_views.cells[conn.source_cell].far_corner
+            assert conn.target == figure_views.cells[conn.target_cell].near_corner
 
     def test_three_dimensional_routing(self):
         base = RatioCantorSet(RatioSequence.dyadic())
         product = product_for_dimension(1.0)  # two axes, ambient 3
         arc = build_arc(base, product, 2)
-        assert len(arc.connectors) == 63
+        assert len(RowView(arc).connectors) == 63
         assert verify_injectivity(arc, 2).passed
 
 
 class TestCountingInvariants:
-    def test_cells_connectors_per_depth(self, figure_arc):
-        rows = tree(figure_arc).values()
+    def test_cells_connectors_per_depth(self, figure_views):
+        rows = tree(figure_views).values()
         for k in range(1, 5):
-            assert len(figure_arc.generation_cells(k)) == 4 ** k
-            assert len(figure_arc.cumulative_connectors(k)) == 4 ** k - 1
+            assert len(figure_views.generation_cells(k)) == 4 ** k
+            assert len(figure_views.cumulative_connectors(k)) == 4 ** k - 1
             used = [row for row in rows if row.depth == k and row.status == "used"]
-            assert len(used) == len(figure_arc.connectors_at(k)) == 4 ** (k - 1) * 3
+            assert len(used) == len(figure_views.connectors_at(k)) == 4 ** (k - 1) * 3
 
     def test_param_partition_tiles_unit_interval(self, figure_arc):
         rows = tree(figure_arc).values()
@@ -410,21 +423,21 @@ class TestCountingInvariants:
             covered = sum((iv.hi - iv.lo for iv in used), F(0))
             assert covered == F(4, 7) ** (depth - 1) - F(4, 7) ** depth
 
-    def test_order_coherence(self, figure_arc):
+    def test_order_coherence(self, figure_views):
         # neglected children in parameter order match cells in distance order
-        rows = tree(figure_arc)
+        rows = tree(figure_views)
         for iv in rows.values():
             kids = [rows[i] for i in iv.children if rows[i].status == "neglected"]
-            ranks = [figure_arc.cells[kid.link].rank for kid in kids]
+            ranks = [figure_views.cells[kid.link].rank for kid in kids]
             assert ranks == sorted(ranks)
 
-    def test_refinement_consistency(self, figure_arc):
-        rows = tree(figure_arc)
+    def test_refinement_consistency(self, figure_views):
+        rows = tree(figure_views)
         for iv in rows.values():
             for kid in (rows[i] for i in iv.children):
                 assert iv.lo <= kid.lo and kid.hi <= iv.hi
-        for cell in figure_arc.cells[1:]:
-            parent = figure_arc.cells[cell.parent_id]
+        for cell in figure_views.cells[1:]:
+            parent = figure_views.cells[cell.parent_id]
             for (plo, phi), (clo, chi) in zip(parent.box, cell.box):
                 assert plo <= clo and chi <= phi
 
@@ -470,8 +483,9 @@ class TestEvaluate:
            t=st.floats(0.0, 1.0))
     def test_integer_digits_match_fraction_digits_on_floats(self, kind, k, t):
         arc = reference_arc(kind, 4 if kind == "planar" else 2)
+        views = reference_views(kind, arc.depth)
         k = min(k, arc.depth)
-        assert arc.evaluate(t, k) == fraction_evaluate(arc, t, k)
+        assert arc.evaluate(t, k) == fraction_evaluate(views, t, k)
 
     @settings(max_examples=200, deadline=None)
     @given(kind=st.sampled_from(["planar", "spatial"]), k=st.integers(1, 4),
@@ -480,17 +494,55 @@ class TestEvaluate:
             self, kind, k, j, data):
         # m / p^j is an end of a depth-j parameter piece
         arc = reference_arc(kind, 4 if kind == "planar" else 2)
+        views = reference_views(kind, arc.depth)
         k = min(k, arc.depth)
         p = 2 * arc.branching - 1
         t = F(data.draw(st.integers(0, p ** j)), p ** j)
-        assert arc.evaluate(t, k) == fraction_evaluate(arc, t, k)
+        assert arc.evaluate(t, k) == fraction_evaluate(views, t, k)
 
     @pytest.mark.parametrize("kind,depth", [("planar", 4), ("spatial", 2)])
     def test_integer_digits_match_fraction_digits_at_the_ends(self, kind, depth):
-        arc = reference_arc(kind, depth)
+        arc, views = reference_arc(kind, depth), reference_views(kind, depth)
         for k in range(1, depth + 1):
             for t in (0, 1, 0.0, 1.0, F(0), F(1)):
-                assert arc.evaluate(t, k) == fraction_evaluate(arc, t, k)
+                assert arc.evaluate(t, k) == fraction_evaluate(views, t, k)
+
+
+#: How ``tampered_rows`` changes one generation's index rows.
+ROW_TAMPERINGS = ("honest", "permute", "sibling", "swap")
+
+
+@st.composite
+def tampered_rows(draw):
+    """(kind, depth, arc) with one generation's rows tampered: one parent's
+    sub-cells permuted, a sub-cell's index replaced by a sibling's, or two
+    rows swapped across parents (within one parent when there is only
+    one); or the honest arc."""
+    kind, depth = draw(st.sampled_from(SUBSUMPTION_ARCS))
+    arc = reference_arc(kind, depth)
+    how = draw(st.sampled_from(ROW_TAMPERINGS))
+    if how == "honest":
+        return kind, depth, arc
+    q = arc.branching
+    g = draw(st.integers(1, depth))
+    rows = arc.generation_rows(g).copy()
+    parents = len(rows) // q
+    c = draw(st.integers(0, parents - 1))
+    if how == "permute":
+        rows[c * q:(c + 1) * q] = rows[c * q:(c + 1) * q][draw(st.permutations(range(q)))]
+    else:
+        i, j = draw(st.lists(st.integers(0, q - 1), min_size=2, max_size=2, unique=True))
+        if how == "sibling":
+            rows[c * q + i] = rows[c * q + j]
+        else:
+            other = draw(st.integers(0, parents - 1).filter(lambda o: o != c or parents == 1))
+            a, b = c * q + i, other * q + j
+            rows[[a, b]] = rows[[b, a]]
+    rows.flags.writeable = False
+    tampered = copy.copy(arc)
+    tampered._rows = list(arc._rows)
+    tampered._rows[g] = rows
+    return kind, depth, tampered
 
 
 class TestInjectivity:
@@ -506,19 +558,35 @@ class TestInjectivity:
         report = verify_injectivity(arc, 1)
         assert report.passed
 
+    @pytest.mark.parametrize("kind,depth", SUBSUMPTION_ARCS)
+    def test_rows_match_the_views_on_honest_arcs(self, kind, depth):
+        arc = reference_arc(kind, depth)
+        for k in range(1, depth + 1):
+            report = verify_injectivity(arc, k)
+            assert report.passed
+            assert report == view_verify_injectivity(reference_views(kind, depth), k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tampered_rows())
+    def test_rows_match_the_views_on_tampered_rows(self, tampering):
+        # the same clearance ids and traversal pair, (-1, -1) included
+        kind, depth, arc = tampering
+        assert verify_injectivity(arc, depth) == view_verify_injectivity(RowView(arc), depth)
+
     def test_corrupted_connector_detected(self):
-        base, product = planar_sets()
-        arc = build_arc(base, product, 2)
+        views = reference_views("planar", 2)
         # reroute one depth-2 connector straight through its siblings' region
-        victim = arc.connectors_at(2)[0]
-        other = arc.connectors_at(2)[1]
+        victim = views.connectors_at(2)[0]
+        other = views.connectors_at(2)[1]
         detour_through_other = tuple((a + b) / 2
                                      for a, b in zip(other.source, other.target))
         crossing = [victim.source, detour_through_other, victim.target]
-        arc.connectors[victim.id] = Connector(
+        tampered = copy.copy(views)
+        tampered.connectors = list(views.connectors)
+        tampered.connectors[victim.id] = Connector(
             victim.id, victim.depth, crossing, victim.parent_cell,
             victim.source_cell, victim.target_cell, victim.param_length)
-        report = verify_injectivity(arc, 2)
+        report = view_verify_injectivity(tampered, 2)
         assert not report.passed
         assert report.traversal_violation is not None or report.clearance_violations
 
@@ -529,8 +597,8 @@ class TestInjectivity:
         # at a lattice point; every pair the all-pairs scan flags must also
         # break the traversal chain
         kind, depth = data.draw(st.sampled_from(SUBSUMPTION_ARCS))
-        arc = reference_arc(kind, depth)
-        conns = arc.connectors
+        views = reference_views(kind, depth)
+        conns = views.connectors
         victim = conns[data.draw(st.integers(0, len(conns) - 1))]
         if data.draw(st.booleans()):
             index = data.draw(st.integers(0, len(conns) - 2))
@@ -540,40 +608,40 @@ class TestInjectivity:
             waypoint = vlerp(other.vertices[seg], other.vertices[seg + 1], t)
         else:
             waypoint = tuple(F(data.draw(st.integers(0, 64)), 64)
-                             for _ in range(arc.ambient_dimension))
-        tampered = copy.copy(arc)
+                             for _ in range(views.ambient_dimension))
+        tampered = copy.copy(views)
         tampered.connectors = list(conns)
         tampered.connectors[victim.id] = Connector(
             victim.id, victim.depth, [victim.source, waypoint, victim.target],
             victim.parent_cell, victim.source_cell, victim.target_cell,
             victim.param_length)
         if pair_scan_violations(tampered, depth):
-            assert verify_injectivity(tampered, depth).traversal_violation is not None
+            assert view_verify_injectivity(tampered, depth).traversal_violation is not None
 
     @pytest.mark.parametrize("kind,depth", SUBSUMPTION_ARCS)
     def test_clearance_matches_per_connector_loop_on_honest_arcs(self, kind, depth):
         arc = reference_arc(kind, depth)
         assert verify_injectivity(arc, depth).clearance_violations == []
-        assert per_connector_clearance(arc, depth) == []
+        assert per_connector_clearance(reference_views(kind, depth), depth) == []
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_clearance_matches_per_connector_loop_on_a_moved_vertex(self, data):
         # one vertex of one connector moved onto a face of a sibling cell
         kind, depth = data.draw(st.sampled_from(SUBSUMPTION_ARCS))
-        arc = reference_arc(kind, depth)
-        victim = arc.connectors[data.draw(st.integers(0, len(arc.connectors) - 1))]
-        sibling = data.draw(st.sampled_from(arc.sub_cells(victim.parent_cell)))
-        axis = data.draw(st.integers(0, arc.ambient_dimension - 1))
+        views = reference_views(kind, depth)
+        victim = views.connectors[data.draw(st.integers(0, len(views.connectors) - 1))]
+        sibling = data.draw(st.sampled_from(views.sub_cells(victim.parent_cell)))
+        axis = data.draw(st.integers(0, views.ambient_dimension - 1))
         point = [lo + F(data.draw(st.integers(0, 8)), 8) * (hi - lo)
                  for lo, hi in sibling.box]
         point[axis] = sibling.box[axis][data.draw(st.integers(0, 1))]
         vertices = list(victim.vertices)
         vertices[data.draw(st.integers(0, len(vertices) - 1))] = tuple(point)
-        tampered = copy.copy(arc)
-        tampered.connectors = list(arc.connectors)
+        tampered = copy.copy(views)
+        tampered.connectors = list(views.connectors)
         tampered.connectors[victim.id] = dataclasses.replace(victim, vertices=vertices)
-        assert (verify_injectivity(tampered, depth).clearance_violations
+        assert (view_verify_injectivity(tampered, depth).clearance_violations
                 == per_connector_clearance(tampered, depth))
 
     @settings(max_examples=60, deadline=None)
@@ -582,42 +650,44 @@ class TestInjectivity:
         # one connector takes the vertices of a sibling connector of another
         # rank: the same geometry, a different verdict
         kind, depth = data.draw(st.sampled_from(SUBSUMPTION_ARCS))
-        arc = reference_arc(kind, depth)
-        victim = arc.connectors[data.draw(st.integers(0, len(arc.connectors) - 1))]
-        q = arc.branching
+        views = reference_views(kind, depth)
+        victim = views.connectors[data.draw(st.integers(0, len(views.connectors) - 1))]
+        q = views.branching
         first = victim.parent_cell * (q - 1)
         index = data.draw(st.integers(first, first + q - 3))
-        source = arc.connectors[index + (index >= victim.id)]
-        tampered = copy.copy(arc)
-        tampered.connectors = list(arc.connectors)
+        source = views.connectors[index + (index >= victim.id)]
+        tampered = copy.copy(views)
+        tampered.connectors = list(views.connectors)
         tampered.connectors[victim.id] = dataclasses.replace(
             victim, vertices=list(source.vertices))
         expected = per_connector_clearance(tampered, depth)
         assert victim.id in expected
-        assert verify_injectivity(tampered, depth).clearance_violations == expected
+        assert view_verify_injectivity(tampered, depth).clearance_violations == expected
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_clearance_matches_per_connector_loop_on_a_replaced_cell(self, data):
         # one sibling cell's box moved and resized in steps of a quarter side
         kind, depth = data.draw(st.sampled_from(SUBSUMPTION_ARCS))
-        arc = reference_arc(kind, depth)
-        cell = arc.cells[data.draw(st.integers(1, len(arc.cells) - 1))]
+        views = reference_views(kind, depth)
+        cell = views.cells[data.draw(st.integers(1, len(views.cells) - 1))]
         box = []
         for lo, hi in cell.box:
             side = (hi - lo) / 4
             new_lo = lo + data.draw(st.integers(-4, 4)) * side
             box.append((new_lo, new_lo + data.draw(st.integers(1, 8)) * side))
-        tampered = copy.copy(arc)
-        tampered.cells = list(arc.cells)
+        tampered = copy.copy(views)
+        tampered.cells = list(views.cells)
         tampered.cells[cell.id] = dataclasses.replace(cell, box=tuple(box))
-        assert (verify_injectivity(tampered, depth).clearance_violations
+        assert (view_verify_injectivity(tampered, depth).clearance_violations
                 == per_connector_clearance(tampered, depth))
 
-    @pytest.mark.parametrize("config", [RunConfig(depth=5),
-                                        RunConfig(target_dimension=2.5, depth=3)])
+    @pytest.mark.parametrize("config,runs", [
+        (RunConfig(depth=5), 27), (RunConfig(target_dimension=2.5, depth=3), 126),
+        (RunConfig(depth=6), 33), (RunConfig(target_dimension=2.5, depth=4), 210)],
+        ids=["planar-5", "spatial-3", "planar-6", "spatial-4"])
     def test_clearance_runs_once_per_class_and_chain_runs_no_fraction_test(
-            self, config, monkeypatch):
+            self, config, runs, monkeypatch):
         import fractarc.arc as arc_module
         import fractarc.geometry as geometry_module
         arc = build_model(config)
@@ -629,17 +699,16 @@ class TestInjectivity:
                 return inner(*args)
             monkeypatch.setattr(module, name, counting)
         assert verify_injectivity(arc, arc.depth).passed
-        classes = {(k, order) for k, order, *_ in parents_with_connectors(arc)}
+        classes = {(k, order) for k, order, *_ in parents_with_connectors(RowView(arc))}
         # 9 classes times 3 on planar-5, 18 times 7 on spatial-3
-        assert calls["_path_legal"] == len(classes) * (arc.branching - 1)
-        assert calls["_path_legal"] in (27, 126)
+        assert calls["_path_legal"] == len(classes) * (arc.branching - 1) == runs
         assert calls["segment_intersection"] == 0
 
-    def test_clearance_creates_no_fraction(self, monkeypatch):
-        import fractarc.arc as arc_module
-        arc = build_model(RunConfig(target_dimension=2.5, depth=3))
-        conns = arc.cumulative_connectors(3)
-        assert arc.cells  # the Fraction views are built before the count starts
+    @pytest.mark.parametrize("config", [RunConfig(depth=5),
+                                        RunConfig(target_dimension=2.5, depth=3)],
+                             ids=["planar-5", "spatial-3"])
+    def test_injectivity_creates_no_fraction(self, config, monkeypatch):
+        arc = build_model(config)
         made = []
 
         def counting(cls, *args, inner=F.__new__, **kwargs):
@@ -647,8 +716,9 @@ class TestInjectivity:
             return inner(cls, *args, **kwargs)
 
         monkeypatch.setattr(F, "__new__", counting)
-        assert arc_module._clearance_violations(arc, conns) == []
+        report = verify_injectivity(arc, arc.depth)
         monkeypatch.undo()
+        assert report.passed
         assert made == []
 
     @settings(max_examples=600, deadline=None)
@@ -663,25 +733,27 @@ class TestInjectivity:
         assert _path_legal(shape, s, vertices) == fraction_path_legal(ends, boxes, s, parent)
 
     def test_connector_with_a_waypoint_fails_clearance(self):
-        arc = reference_arc("planar", 2)
-        conn = arc.connectors_at(1)[0]
-        parent = arc.cells[conn.parent_cell]
-        boxes = [c.box for c in arc.sub_cells(parent.id)]
+        views = reference_views("planar", 2)
+        conn = views.connectors_at(1)[0]
+        parent = views.cells[conn.parent_cell]
+        boxes = [c.box for c in views.sub_cells(parent.id)]
         # the midpoint of the legal segment as a waypoint: the same point set
         midpoint = vlerp(conn.source, conn.target, F(1, 2))
         bent = [conn.source, midpoint, conn.target]
         assert fraction_path_legal(bent, boxes, 0, parent.box)
         shape, vertices = integer_frame(parent.box, boxes, bent)
         assert not _path_legal(shape, 0, vertices)
-        tampered = copy.copy(arc)
-        tampered.connectors = list(arc.connectors)
+        tampered = copy.copy(views)
+        tampered.connectors = list(views.connectors)
         tampered.connectors[conn.id] = dataclasses.replace(conn, vertices=bent)
-        assert verify_injectivity(tampered, 2).clearance_violations == [conn.id]
+        assert view_verify_injectivity(tampered, 2).clearance_violations == [conn.id]
 
-    def test_traversal_chain_glues(self, figure_arc):
+    def test_traversal_chain_glues(self, figure_arc, figure_views):
         chain = figure_arc.traversal_chain(3)
-        assert chain[0] == (F(0), F(0))
-        assert chain[-1] == (F(1), F(1))
+        den = figure_arc.denominator(3)
+        assert chain[0] == (0, 0)
+        assert chain[-1] == (den, den)
+        assert [tuple(F(x, den) for x in p) for p in chain] == figure_views.traversal_chain(3)
 
 
 class TestContainment:
@@ -712,12 +784,12 @@ class TestModulus:
         rep = modulus_of_continuity(figure_arc, 2.0)
         assert rep.vacuous and rep.delta == 1.0
 
-    def test_cutoff_just_above_first_generation(self, figure_arc):
+    def test_cutoff_just_above_first_generation(self, figure_arc, figure_views):
         eps = figure_arc.cell_diameter(1) + 0.01
         rep = modulus_of_continuity(figure_arc, eps)
         assert rep.cutoff_depth == 1
         assert rep.delta_prime == pytest.approx(1.0 / (2 * 49))
-        lipschitz = max(c.lipschitz for c in figure_arc.connectors_at(1))
+        lipschitz = max(c.lipschitz for c in figure_views.connectors_at(1))
         assert rep.lipschitz_bound == pytest.approx(lipschitz)
         assert rep.delta == pytest.approx(min(1.0 / 98, eps / (2 * lipschitz)))
 
@@ -735,12 +807,12 @@ class TestModulus:
 
 
 class TestGeometryExactness:
-    def test_all_corners_and_vertices_are_rational(self, figure_arc):
+    def test_all_corners_and_vertices_are_rational(self, figure_arc, figure_views):
         from fractions import Fraction
-        for cell in figure_arc.cells:
+        for cell in figure_views.cells:
             for lo, hi in cell.box:
                 assert type(lo) is Fraction and type(hi) is Fraction
-        for conn in figure_arc.connectors:
+        for conn in figure_views.connectors:
             for vertex in conn.vertices:
                 assert all(type(c) is Fraction for c in vertex)
         for row in param_intervals(figure_arc.depth, figure_arc.ambient_dimension):
@@ -755,13 +827,13 @@ class TestOtherConfigurations:
         product = product_for_dimension(2.2)  # three copies, ambient 4
         assert product.copies == 3
         arc = build_arc(base, product, 1)
-        assert len(arc.connectors) == 2 ** 4 - 1
+        assert len(RowView(arc).connectors) == 2 ** 4 - 1
         assert verify_injectivity(arc, 1).passed
 
     def test_depth_five_planar_build(self):
         base, product = planar_sets()
         arc = build_arc(base, product, 5)
-        assert len(arc.connectors) == 4 ** 5 - 1
+        assert len(RowView(arc).connectors) == 4 ** 5 - 1
         report = verify_injectivity(arc, 5)
         assert report.passed
         assert report.connector_pairs_checked == (4 ** 5 - 1) * (4 ** 5 - 2) // 2
@@ -797,11 +869,12 @@ class TestVertexCloudConvergence:
         import numpy as np
         spatial = build_model(RunConfig(target_dimension=2.5, depth=3))
         for arc in (figure_arc, spatial):
+            views = RowView(arc)
             for k in range(1, arc.depth + 1):
                 points = [tuple(float(c) for c in v)
-                          for conn in arc.cumulative_connectors(k) for v in conn.vertices]
+                          for conn in views.cumulative_connectors(k) for v in conn.vertices]
                 points += [tuple(float(c) for c in corner)
-                           for cell in arc.generation_cells(k) for corner in cell.corners()]
+                           for cell in views.generation_cells(k) for corner in cell.corners()]
                 cloud = arc.vertex_cloud(k)
                 assert cloud.dtype == float
                 assert np.array_equal(cloud, np.unique(np.array(points), axis=0))
@@ -825,13 +898,13 @@ class TestArcAsRugFactor:
 
 
 class TestLipschitz:
-    def test_constant_is_length_over_interval(self, figure_arc):
-        conn = figure_arc.connectors_at(1)[1]
+    def test_constant_is_length_over_interval(self, figure_views):
+        conn = figure_views.connectors_at(1)[1]
         # the long diagonal of the first generation
         assert conn.length == pytest.approx(math.sqrt(0.25 + 1.0))
         assert conn.lipschitz == pytest.approx(conn.length * 7)
 
-    def test_endpoints_of_parametrisation(self, figure_arc):
-        conn = figure_arc.connectors_at(2)[5]
+    def test_endpoints_of_parametrisation(self, figure_views):
+        conn = figure_views.connectors_at(2)[5]
         assert conn.point_at(0.0) == tuple(float(c) for c in conn.source)
         assert conn.point_at(1.0) == tuple(float(c) for c in conn.target)

@@ -21,6 +21,7 @@ from fractarc.cli import (EXIT_CONFIG, EXIT_CONSTRUCTION, EXIT_OK,
                           dump_json, encode_rational, load_config_file, main,
                           model_from_dict, model_to_dict, parse_ratio_spec,
                           run_verification)
+from oracles import RowView
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
@@ -172,8 +173,13 @@ class TestBadInput:
         ["build", "--c", "nan", "--out", "{out}"],
         # a factor dimension of 0.0005: the ratio 2^-2000 is below the floats
         ["build", "--c", "1.0005", "--out", "{out}"],
+        # geometric bases outside (0, 1), and one whose ratios decay too slowly
+        ["build", "--ratios", "geometric:q=2", "--out", "{out}"],
+        ["build", "--ratios", "geometric:q=0", "--out", "{out}"],
+        ["build", "--ratios", "geometric:q=0.97", "--out", "{out}"],
     ], ids=["verify-latin1-model", "build-latin1-config", "build-c-inf", "build-c-nan",
-            "build-c-ratio-below-floats"])
+            "build-c-ratio-below-floats", "build-geometric-q-2", "build-geometric-q-0",
+            "build-geometric-q-0.97"])
     def test_exits_2_with_one_line(self, argv, tmp_path, capsys):
         latin1 = tmp_path / "latin1.txt"
         latin1.write_bytes('c = 2.5  # "caf\xe9"\n'.encode("latin-1"))
@@ -256,10 +262,16 @@ class TestEstimateCommand:
         report = json.loads((tmp_path / "est.json").read_text())
         assert abs(report["slope"] - 1.0) < 0.05
 
-    def test_refused_window_is_construction_error(self, tmp_path):
+    def test_refused_window_is_construction_error(self, tmp_path, capsys):
         rc = main(["estimate", "--preset", "cantor", "--generation", "5",
                    "--scales", "2:9"])
         assert rc == EXIT_CONSTRUCTION
+        capsys.readouterr()
+        # generation 3's default window (2, 1) holds no scale at all
+        rc = main(["estimate", "--preset", "cantor", "--generation", "3"])
+        assert rc == EXIT_CONSTRUCTION
+        err = capsys.readouterr().err
+        assert err == "estimation failed: need at least 3 scales to fit a slope\n"
 
     def test_cantor_generation_over_the_cap_is_refused(self, capsys):
         # the cap is checked before any interval is built
@@ -306,8 +318,9 @@ class TestEstimateCommand:
         "boxes where the exact points meet 8640"))
     def test_arc_estimate_counts_the_exact_vertex_cloud(self):
         model = build_model(RunConfig(target_dimension=2.5, depth=4))
-        points = {v for conn in model.cumulative_connectors(4) for v in conn.vertices}
-        points.update(p for cell in model.generation_cells(4) for p in cell.corners())
+        views = RowView(model)
+        points = {v for conn in views.cumulative_connectors(4) for v in conn.vertices}
+        points.update(p for cell in views.generation_cells(4) for p in cell.corners())
         exact = LatticeSample.from_points(sorted(points))
         series = arc_estimate(model)
         assert series.scales[-1] == F(1, 32)

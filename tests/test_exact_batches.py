@@ -19,9 +19,9 @@ from fractarc.cantor import (ProductCantor, RatioCantorSet, RatioSequence,
                              sample_ball_inputs, uniform_perfectness_constant,
                              verify_uniform_perfectness)
 from fractarc.measure import NaturalMeasure
-from oracles import (digit_evaluate, fraction_ball_mass, fraction_boundary_interval_count,
-                     fraction_evaluate, fraction_uniform_perfectness,
-                     loop_continuity_violations)
+from oracles import (RowView, digit_evaluate, fraction_ball_mass,
+                     fraction_boundary_interval_count, fraction_evaluate,
+                     fraction_uniform_perfectness, loop_continuity_violations)
 
 
 @lru_cache(maxsize=None)
@@ -31,6 +31,12 @@ def depth_four_arc(kind):
     product = (ProductCantor(SelfSimilarCantor(F(1, 3)), 1) if kind == "planar"
                else product_for_dimension(1.5))
     return build_arc(base, product, 4)
+
+
+@lru_cache(maxsize=None)
+def depth_four_views(kind):
+    """The ``RowView`` of ``depth_four_arc(kind)``; never mutated."""
+    return RowView(depth_four_arc(kind))
 
 
 #: Floats below 2^-8 and Fractions over 2^70 or a large odd denominator
@@ -72,7 +78,8 @@ class TestDescent:
         assert points.shape == (len(ts), arc.ambient_dimension)
         for t, point, error in zip(ts, points.tolist(), errors.tolist()):
             expected = digit_evaluate(arc, t, k)
-            assert (tuple(point), error) == expected == fraction_evaluate(arc, t, k), t
+            assert (tuple(point), error) == expected == fraction_evaluate(
+                depth_four_views(kind), t, k), t
             assert arc.evaluate(t, k) == expected
         # a float array is split by frexp, the same values as Fractions by
         # as_integer_ratio

@@ -14,10 +14,10 @@ from fractarc import geometry
 from fractarc.arc import build_arc
 from fractarc.cantor import (ProductCantor, RatioCantorSet, RatioSequence,
                              SelfSimilarCantor, product_for_dimension)
-from fractarc.geometry import (box_corners, boxes_disjoint, chain_self_intersection,
-                               point_on_segment, lift, polylines_disjoint,
-                               segment_intersection, segments_meet, vlerp)
-from oracles import point_in_box, polyline_is_simple, segment_box_clip
+from fractarc.geometry import (boxes_disjoint, chain_self_intersection, point_on_segment,
+                               lift, polylines_disjoint, segment_intersection,
+                               segments_meet, vlerp)
+from oracles import box_corners, point_in_box, polyline_is_simple, segment_box_clip
 
 
 def P(*coords):
@@ -258,10 +258,13 @@ class TestIntegerSegmentTest:
 
 
 def traversal_chain(kind, depth):
+    """The traversal chain of a built arc, as ``Fraction`` points."""
     base = RatioCantorSet(RatioSequence.dyadic())
     product = (ProductCantor(SelfSimilarCantor(F(1, 3)), 1) if kind == "planar"
                else product_for_dimension(1.5))
-    return build_arc(base, product, depth).traversal_chain(depth)
+    arc = build_arc(base, product, depth)
+    den = arc.denominator(depth)
+    return [tuple(F(x, den) for x in point) for point in arc.traversal_chain(depth)]
 
 
 class TestChainSelfIntersection:

@@ -1,5 +1,5 @@
 """The lattice arc against the object grower it replaced, and the commands
-that must run without building a ``Cell``, a ``Connector`` or a ``Fraction``."""
+that must run without making a ``Fraction``."""
 
 import dataclasses
 import io
@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from fractarc import arc as arc_mod
 from fractarc.arc import modulus_of_continuity, sample_addresses, verify_containment
 from fractarc.cli import (RunConfig, build_model, counting_summary, dump_json, main,
-                          model_text, model_to_dict, render_svg)
-from oracles import (ObjectArc, fraction_evaluate, object_containment,
-                     object_counting_summary, object_render_svg, object_vertex_cloud)
+                          model_text, render_svg)
+from oracles import (ObjectArc, RowView, fraction_evaluate, object_containment,
+                     object_counting_summary, object_render_svg, object_vertex_cloud,
+                     reference_model_dict)
 
 PLANAR = ["--c", "1.6309297535714574"]
 SPATIAL = ["--c", "2.5"]
@@ -47,7 +48,7 @@ class TestAgainstObjectGrower:
     def test_lattice_arc_matches_the_object_arc(self, config, data):
         arc = build_model(config)
         oracle = ObjectArc(arc.base_set, arc.product, config.depth)
-        assert model_text(arc, config) == dump_json(model_to_dict(oracle, config))
+        assert model_text(arc, config) == dump_json(reference_model_dict(oracle, config))
         if arc.ambient_dimension == 2:
             assert render_svg(arc) == object_render_svg(oracle)
         assert counting_summary(arc) == object_counting_summary(oracle)
@@ -70,40 +71,46 @@ class TestAgainstObjectGrower:
             assert rep.lipschitz_bound == max(
                 c.lipschitz for c in oracle.cumulative_connectors(arc.depth - 1))
             assert rep.delta_prime == float(F(1, p ** arc.depth)) / 2.0
-        assert arc.cells == oracle.cells
-        assert ([connector_fields(c) for c in arc.connectors]
+        views = RowView(arc)
+        assert views.cells == oracle.cells
+        assert ([connector_fields(c) for c in views.connectors]
                 == [connector_fields(c) for c in oracle.connectors])
 
     @settings(max_examples=30, deadline=None)
     @given(config=arc_configs(), data=st.data())
     def test_cell_at_finds_the_cell_of_each_address(self, config, data):
         arc = build_model(config)
+        views = RowView(arc)
         k = data.draw(st.integers(0, arc.depth))
-        cell = data.draw(st.sampled_from(arc.generation_cells(k)))
-        assert arc.cell_at(cell.address) is cell
+        cell = data.draw(st.sampled_from(views.generation_cells(k)))
+        assert views.cell_at(cell.address) is cell
         assert arc.near_point(arc_mod.Address(cell.address)) == tuple(
             float(c) for c in cell.near_corner)
 
     def test_cell_at_refuses_an_unbuilt_address(self):
-        arc = build_model(RunConfig(depth=2))
+        views = RowView(build_model(RunConfig(depth=2)))
         for words in (("000", "000"), ("0", "00"), ("0",), ("2", "0")):
             with pytest.raises(KeyError):
-                arc.cell_at(words)
+                views.cell_at(words)
 
 
 class TestViews:
-    def test_views_are_cached_and_assignable(self):
+    def test_views_are_assignable_and_leave_the_rows(self):
         arc = build_model(RunConfig(depth=2))
-        assert arc.cells is arc.cells and arc.connectors is arc.connectors
-        arc.connectors = arc.connectors[:3]
-        arc.cells = arc.cells[:5]
-        assert len(arc.connectors) == 3 and len(arc.cells) == 5
+        views = RowView(arc)
+        views.connectors = views.connectors[:3]
+        views.cells = views.cells[:5]
+        assert len(views.connectors) == 3 and len(views.cells) == 5
+        assert len(RowView(arc).cells) == 21 and len(RowView(arc).connectors) == 15
 
-    def test_growing_deeper_renews_the_views(self):
-        base = build_model(RunConfig(depth=1))
-        assert len(base.cells) == 5 and len(base.connectors) == 3
-        base.build_to(2)
-        assert len(base.cells) == 21 and len(base.connectors) == 15
+    def test_views_read_every_grown_and_routed_generation(self):
+        arc = build_model(RunConfig(depth=1))
+        views = RowView(arc)
+        assert len(views.cells) == 5 and len(views.connectors) == 3
+        arc.grow_cells(2)
+        assert len(RowView(arc).cells) == 21 and len(RowView(arc).connectors) == 3
+        arc.route()
+        assert len(views.cells) == 5 and len(RowView(arc).connectors) == 15
 
 
 def run(*argv) -> int:
@@ -112,15 +119,13 @@ def run(*argv) -> int:
 
 
 class TestHotPaths:
-    def test_commands_build_no_cell_connector_or_fraction(self, tmp_path, monkeypatch):
+    def test_commands_build_no_fraction(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a hot path built a Cell, a Connector or a Fraction")
+            raise AssertionError("a hot path built a Fraction")
 
-        monkeypatch.setattr(arc_mod.Cell, "__init__", refuse)
-        monkeypatch.setattr(arc_mod.Connector, "__init__", refuse)
         monkeypatch.setattr(arc_mod, "Fraction", refuse)
         with pytest.raises(AssertionError):
-            build_model(RunConfig(depth=1)).cells  # the views would trip the patch
+            build_model(RunConfig(depth=1)).cell_diameter_sq(1)  # trips the patch
         for name, flags, depth, formats in (("planar", PLANAR, 4, ("json", "svg", "csv")),
                                             ("spatial", SPATIAL, 3, ("json", "csv"))):
             model = tmp_path / f"{name}.json"

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from fractarc import cli
 from fractarc.cli import (EXIT_CONFIG, ConfigError, RunConfig, build_model,
                           decode_rational, dump_json, main, model_from_dict,
-                          model_text, model_to_dict, run_verification)
+                          model_text, run_verification)
+from oracles import RowView, reference_model_dict
 
 PLANAR = ["--c", "1.6309297535714574"]
 SPATIAL = ["--c", "2.5"]
@@ -56,8 +57,9 @@ class TestByteIdentity:
 
 def reference_evaluate(data, arc):
     """evaluate(t, k) by walking the file's parameter tree as the stored-tree
-    code did: descend into the closed child interval holding t, the used one
-    on a boundary."""
+    code did, over the arc's ``RowView``: descend into the closed child
+    interval holding t, the used one on a boundary."""
+    views = RowView(arc)
     rows = [(decode_rational(r["lo"]), decode_rational(r["hi"]), r)
             for r in data["param_intervals"]]
 
@@ -66,9 +68,9 @@ def reference_evaluate(data, arc):
         while True:
             if node["status"] == "used":
                 frac = float((F(t) - lo) / (hi - lo))
-                return arc.connectors[node["link"]].point_at(frac), 0.0
+                return views.connectors[node["link"]].point_at(frac), 0.0
             if node["depth"] == k:
-                near = arc.cells[node["link"]].near_corner
+                near = views.cells[node["link"]].near_corner
                 return tuple(float(c) for c in near), arc.cell_diameter(k)
             matches = [rows[i] for i in node["children"] if rows[i][0] <= t <= rows[i][1]]
             lo, hi, node = next((m for m in matches if m[2]["status"] == "used"), matches[0])
@@ -113,7 +115,7 @@ class TestCanonicalText:
     @given(config=run_configs())
     def test_writer_matches_reference(self, config):
         model = build_model(config)
-        assert model_text(model, config) == dump_json(model_to_dict(model, config))
+        assert model_text(model, config) == dump_json(reference_model_dict(model, config))
 
     @pytest.mark.parametrize("key", [("planar", 2), ("spatial", 3), ("unit", 2)])
     def test_canonical_file_is_not_parsed(self, models, monkeypatch, key):
