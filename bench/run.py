@@ -25,7 +25,9 @@ over 20,000 seeded parameters on planar-5, beside per-call
 planar-6.  The certificates run on the base sets of planar-5 and spatial-3
 at resolution 12, the resolution ``verify`` uses: ``verify_uniform_perfectness``
 and ``verify_mass_bounds`` on 200 seeded balls each, with the verdict counts
-and the lattice's dtype.
+and the lattice's dtype.  Containment runs as ``verify`` runs it, on 100
+seeded sample addresses at every depth of planar-5/6 and spatial-3/4, with
+the vertex-cloud points it searches.
 
 The model file, best of three, on planar-6 and spatial-4: ``model_text``;
 ``_load_model`` of the canonical file, which takes the byte compare, beside
@@ -33,9 +35,12 @@ the row check (``json.loads`` then ``model_from_dict``) that any other text
 gets; and ``vertex_cloud`` with its point count.  Every row above runs the
 library as the CLI does, on the arc's per-axis interval-index rows.
 
-Last, the five commands of perfbench's arc-build workload, each in a fresh
-``python -m fractarc.cli`` process, best of three, beside
-``python -c "import fractarc.cli"`` timed on its own.
+Last, the fifteen commands of perfbench's three workloads, each in a fresh
+process exactly as perfbench runs it untraced (``python -m fractarc.cli``,
+or ``perfbench/child.py continuity``), best of three, beside
+``python -c "import fractarc.cli"`` timed on its own.  One more run of
+each, through ``child.main``, records the ``fractarc.*`` modules the
+command loaded.
 
     PYTHONPATH=src python bench/run.py BENCH.json
 """
@@ -68,6 +73,10 @@ from fractarc.geometry import _meeting_box_pairs, chain_self_intersection
 from fractarc.measure import DEFAULT_EXPONENT_GRID, NaturalMeasure, verify_mass_bounds
 from fractarc.metric import VON_KOCH_EXPONENT, RugSpace, SnowflakeMetric
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+import workloads  # noqa: E402  (perfbench's commands, run by cli_rows)
+
 REPEATS = 5
 VERIFY_REPEATS = 3
 EVALUATE_CALLS = 20_000
@@ -76,6 +85,8 @@ CONTINUITY_PAIRS = 10_000
 CONTINUITY_EPSILON = 0.05
 CERTIFICATE_SAMPLES = 200
 CERTIFICATE_RESOLUTION = 12
+CONTAINMENT_ADDRESSES = 100
+CLI_SEED = 1
 THIRD = Fraction(1, 3)
 ARCS = {"planar-4": (1.6309297535714574, 4), "planar-5": (1.6309297535714574, 5),
         "planar-6": (1.6309297535714574, 6), "spatial-3": (2.5, 3), "spatial-4": (2.5, 4)}
@@ -225,6 +236,20 @@ def certificate_rows(case: str) -> list[dict]:
              "time_s": mass_s}]
 
 
+def containment_row(case: str) -> dict:
+    """``verify_containment`` at every depth of one arc, on the seeded
+    sample addresses ``run_verification`` draws, best of three."""
+    c, depth = ARCS[case]
+    arc = build_model(RunConfig(target_dimension=c, depth=depth))
+    addresses = arc_module.sample_addresses(arc, CONTAINMENT_ADDRESSES, random.Random(0))
+    time_s, reports = best_of(lambda: [arc_module.verify_containment(arc, k, addresses)
+                                       for k in range(1, depth + 1)], VERIFY_REPEATS)
+    return {"layer": "containment", "case": case, "depth": depth,
+            "addresses": len(addresses), "passed": all(r.passed for r in reports),
+            "cloud_points": sum(len(arc.vertex_cloud(k)) for k in range(1, depth + 1)),
+            "time_s": time_s}
+
+
 def model_file_rows(case: str) -> list[dict]:
     """Serialise and load of one arc's model file, each beside its reference
     path, then its vertex cloud."""
@@ -249,24 +274,18 @@ def model_file_rows(case: str) -> list[dict]:
              "time_s": cloud_s}]
 
 
-#: perfbench's arc-build commands, in order; "{dir}" is the scratch directory.
-PLANAR_6 = ("--c", "1.6309297535714574", "--depth", "6")
-SPATIAL_4 = ("--c", "2.5", "--depth", "4")
-CLI_COMMANDS = {
-    "build planar-6": ("build", *PLANAR_6, "--out", "{dir}/planar-6.json"),
-    "build spatial-4": ("build", *SPATIAL_4, "--out", "{dir}/spatial-4.json"),
-    "export svg planar-6": ("export", "--model", "{dir}/planar-6.json", "--format", "svg",
-                            "--out", "{dir}/planar-6.svg"),
-    "export csv spatial-4": ("export", "--model", "{dir}/spatial-4.json", "--format", "csv",
-                             "--out", "{dir}/spatial-4.csv"),
-    "estimate arc planar-6": ("estimate", "--preset", "arc", "--model", "{dir}/planar-6.json",
-                              "--out", "{dir}/estimate.json"),
-}
+#: Prints the ``fractarc.*`` modules loaded so far as the last stdout line.
+PRINT_MODULES = ("print(' '.join(sorted(m.split('.', 1)[1] for m in sys.modules "
+                 "if m.startswith('fractarc.'))))")
+#: Runs ``child.main`` (argv: perfbench's directory, then the op) first.
+OP_MODULES = ("import sys; sys.path.insert(0, sys.argv[1]); import child; "
+              "child.main(sys.argv[2:]); " + PRINT_MODULES)
 
 
 def cli_rows() -> list[dict]:
     """Fresh-process wall times, best of three, of ``import fractarc.cli``
-    and of each arc-build command."""
+    and of each perfbench command, with the engine modules each loads.  The
+    models the workloads read are built first, as perfbench's set-up does."""
     env = {**os.environ, "PYTHONPATH": str(Path(fractarc.__file__).parents[1])}
 
     def fresh(*args: str) -> float:
@@ -274,13 +293,30 @@ def cli_rows() -> list[dict]:
         subprocess.run([sys.executable, *args], env=env, check=True, stdout=subprocess.DEVNULL)
         return perf_counter() - start
 
+    def loaded(*args: str) -> list[str]:
+        run = subprocess.run([sys.executable, *args], env=env, check=True, text=True,
+                             stdout=subprocess.PIPE)
+        return run.stdout.splitlines()[-1].split()
+
     out = [{"layer": "cli_process", "case": "import fractarc.cli",
+            "modules": loaded("-c", "import sys, fractarc.cli; " + PRINT_MODULES),
             "time_s": min(fresh("-c", "import fractarc.cli") for _ in range(VERIFY_REPEATS))}]
     with tempfile.TemporaryDirectory() as tmp:
-        for case, args in CLI_COMMANDS.items():
-            args = [a.format(dir=tmp) for a in args]
-            out.append({"layer": "cli_process", "case": case, "time_s": min(
-                fresh("-m", "fractarc.cli", *args) for _ in range(VERIFY_REPEATS))})
+        models = Path(tmp) / "models"
+        for model in sorted({m for w in workloads.WORKLOADS.values() for m in w.models}):
+            fresh("-m", "fractarc.cli", "build", *workloads.MODELS[model],
+                  "--out", str(models / f"{model}.json"))
+        for workload in workloads.WORKLOADS.values():
+            for op in workload.ops:
+                args = [a.format(seed=CLI_SEED, models=models, out=tmp) for a in op.args]
+                command = (("-m", "fractarc.cli") if op.runner == "cli"
+                           else (str(PERFBENCH / "child.py"), op.runner))
+                out.append({"layer": "cli_process", "case": op.name,
+                            "workload": workload.name,
+                            "modules": loaded("-c", OP_MODULES, str(PERFBENCH),
+                                              op.runner, *args),
+                            "time_s": min(fresh(*command, *args)
+                                          for _ in range(VERIFY_REPEATS))})
     return out
 
 
@@ -313,6 +349,8 @@ def rows() -> list[dict]:
         out.append(continuity_row(case))
     for case in ("planar-5", "spatial-3"):
         out.extend(certificate_rows(case))
+    for case in ("planar-5", "planar-6", "spatial-3", "spatial-4"):
+        out.append(containment_row(case))
     for case in ("planar-6", "spatial-4"):
         out.extend(model_file_rows(case))
     out.extend(cli_rows())
@@ -349,7 +387,8 @@ def main(argv: list[str]) -> int:
         handle.write("\n")
     for row in report["layers"]:
         if row["layer"] == "cli_process":
-            print(f"{row['layer']:17s} {row['case']:22s} {row['time_s']:.4f} s")
+            print(f"{row['layer']:17s} {row['case']:28s} {row['time_s']:.4f} s  "
+                  f"{' '.join(row['modules'])}")
             continue
         if "depth" in row:
             work = {k: v for k, v in row.items()

@@ -508,7 +508,10 @@ class ArcApproximation:
 
     def evaluate(self, t, k: int) -> tuple[tuple[float, ...], float]:
         """Point of the depth-k model at parameter t, with an error bound:
-        the one-parameter case of ``evaluate_many``."""
+        the one-parameter case of ``evaluate_many``.
+
+        Each call is a whole digit descent (about 0.13 ms), so a loop over
+        many parameters should pass them to ``evaluate_many`` at once."""
         points, errors = self.evaluate_many([t], k)
         return tuple(points[0].tolist()), float(errors[0])
 

@@ -26,15 +26,20 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import zip_longest
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-from . import arc as arc_mod
-from . import dimension as dim_mod
-from . import measure as measure_mod
+# Every command needs the Cantor engine.  The arc, measure, metric and
+# dimension modules are imported by the command paths that use them, so a
+# fresh process compiles only what its command runs.  Their functions are
+# looked up on the module at call time (``arc_mod.verify_injectivity``), so
+# a replaced module attribute is the one called.
 from .cantor import (GenerationBudgetError, ProductCantor, RatioCantorSet,
                      RatioSequence, SelfSimilarCantor, product_for_dimension,
                      sample_ball_inputs, verify_uniform_perfectness)
-from .metric import (VON_KOCH_EXPONENT, ArcFactor, RugSpace, SnowflakeMetric)
+
+if TYPE_CHECKING:
+    from . import arc as arc_mod
+    from . import dimension as dim_mod
 
 SCHEMA_VERSION = 1
 
@@ -236,6 +241,8 @@ def _cell_text(arc) -> Iterator[str]:
     """Schema-v1 rows of every cell, in id order, as ``dump_json`` writes
     them (the index fields, the branch address and the box), from the arc's
     index rows and "n/d" tables."""
+    from . import arc as arc_mod
+
     q = arc.branching
     for k in range(arc.depth + 1):
         words, boxes = [], []
@@ -259,6 +266,8 @@ def _connector_text(arc) -> Iterator[str]:
     """Schema-v1 rows of every connector, in id order, as ``dump_json``
     writes them (the index fields and the vertices): each connector runs
     from the far corner of one sub-cell to the near corner of the next."""
+    from . import arc as arc_mod
+
     q = arc.branching
     fields = arc_mod.connector_fields(arc.routed, arc.ambient_dimension)
     for k in range(1, arc.routed + 1):
@@ -281,6 +290,8 @@ def _connector_text(arc) -> Iterator[str]:
 
 def _param_text(arc) -> Iterator[str]:
     """The rows of ``arc_mod.param_intervals`` as ``dump_json`` writes them."""
+    from . import arc as arc_mod
+
     for row_id, depth, index, lo, hi, status, link, children in arc_mod.param_rows(
             arc.depth, arc.ambient_dimension):
         if children:
@@ -339,8 +350,9 @@ class UnitIntervalModel:
     depth = 0
 
     def sample(self, generation: int = 10):
-        points, resolution = dim_mod.interval_sample(generation)
-        return points, resolution
+        from . import dimension as dim_mod
+
+        return dim_mod.interval_sample(generation)
 
 
 def _check_fields(where: str, item, **expected) -> None:
@@ -464,6 +476,8 @@ def series_csv(series: dim_mod.BoxCountSeries) -> str:
 
 def _unrouted_arc(config: RunConfig) -> arc_mod.ArcApproximation:
     """Every cell of the arc ``config`` describes, without connectors."""
+    from . import arc as arc_mod
+
     try:
         # ratios that do not decay, or a factor dimension too small for a
         # float ratio
@@ -508,6 +522,9 @@ def run_verification(model, config: RunConfig) -> dict:
             note="target dimension 1: every structural check is vacuous")
         return {"schema_version": SCHEMA_VERSION, "kind": "verification_report",
                 "passed": True, "checks": checks}
+
+    from . import arc as arc_mod
+    from . import measure as measure_mod
 
     arc = model
     rng = random.Random(config.seed)
@@ -568,6 +585,8 @@ def arc_estimate(model, window: Optional[tuple[int, int]] = None,
     averaged into the coarse-scale plateau.  The finest admissible scale 2^-i
     is found from the exact resolution.
     """
+    from . import dimension as dim_mod
+
     depth = model.depth if depth is None else depth
     cloud = model.vertex_cloud(depth)
     resolution = max(model.base_set.generation_length(depth),
@@ -581,14 +600,32 @@ def arc_estimate(model, window: Optional[tuple[int, int]] = None,
                                     sample_resolution=resolution)
 
 
+def _from_flags(make, *args):
+    """``make(*args)``, with the constructor's own range error on a value
+    that came from a flag raised as a ConfigError."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def run_estimate(preset: str, config: RunConfig, model=None,
                  ratio: Fraction = Fraction(1, 3), copies: int = 2,
-                 exponent: float = VON_KOCH_EXPONENT,
+                 exponent: Optional[float] = None,
                  generation: Optional[int] = None) -> tuple[dict, dim_mod.BoxCountSeries]:
+    """The estimate report and series of one preset.  ``exponent`` is the
+    snowflake exponent, the von Koch one when None; a ``ratio`` or
+    ``exponent`` out of its range raises ConfigError."""
+    from . import dimension as dim_mod
+
+    if preset in ("snowflake", "rug"):
+        from .metric import VON_KOCH_EXPONENT, ArcFactor, RugSpace, SnowflakeMetric
+
+        exponent = VON_KOCH_EXPONENT if exponent is None else exponent
     window = config.scales
     if preset == "cantor":
         g = generation or 12
-        cantor = SelfSimilarCantor(ratio)
+        cantor = _from_flags(SelfSimilarCantor, ratio)
         points, resolution = dim_mod.cantor_sample(cantor, g)
         lo, hi = window or (2, g - 2)
         # scales matched to the construction's own hierarchy (powers of r)
@@ -598,7 +635,7 @@ def run_estimate(preset: str, config: RunConfig, model=None,
     elif preset == "product":
         # cell counts grow like 2^(g*copies); shrink the default depth to match
         g = generation or {1: 12, 2: 8}.get(copies, 5)
-        product = ProductCantor(SelfSimilarCantor(ratio), copies)
+        product = ProductCantor(_from_flags(SelfSimilarCantor, ratio), copies)
         points, resolution = dim_mod.product_sample(product, g)
         if window is None:
             hi = min(6, g - 2)
@@ -612,7 +649,7 @@ def run_estimate(preset: str, config: RunConfig, model=None,
         expected = dim_mod.expected_dimensions("product", dimension=product.dimension)
     elif preset == "snowflake":
         g = generation or 14
-        space = SnowflakeMetric(exponent)
+        space = _from_flags(SnowflakeMetric, exponent)
         points = space.sample(g)
         lo, hi = window or (2, 7)
         radii = [0.5 ** i for i in range(lo, hi + 1)]
@@ -632,7 +669,7 @@ def run_estimate(preset: str, config: RunConfig, model=None,
             expected = dim_mod.expected_dimensions(
                 "arc_rug", arc_dimension=1.0 + model.product.dimension)
         else:
-            space = RugSpace(SnowflakeMetric(exponent))
+            space = RugSpace(_from_flags(SnowflakeMetric, exponent))
             g = generation or 9
             lo, hi = window or (2, 5)
             resolution = (2.0 ** -g) ** exponent  # the coarser axis: eps <= 1
@@ -682,11 +719,7 @@ def run_estimate(preset: str, config: RunConfig, model=None,
 
 def cmd_build(args) -> int:
     config = config_from_sources(args)
-    try:
-        model = build_model(config)
-    except (arc_mod.RoutingFailed, GenerationBudgetError) as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
+    model = build_model(config)
     summary = counting_summary(model)
     out = Path(args.out) if args.out else Path("model.json")
     write_atomic(out, model_chunks(model, config))
@@ -786,9 +819,8 @@ def cmd_estimate(args) -> int:
     kwargs = {}
     if args.ratio is not None:
         kwargs["ratio"] = parse_fraction(args.ratio)
-    if args.eps is not None:
-        kwargs["exponent"] = (VON_KOCH_EXPONENT if args.eps == "koch"
-                              else float(parse_fraction(args.eps)))
+    if args.eps not in (None, "koch"):
+        kwargs["exponent"] = float(parse_fraction(args.eps))
     for key in ("copies", "generation"):
         value = getattr(args, key)
         if value is not None:
@@ -895,7 +927,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (arc_mod.RoutingFailed, GenerationBudgetError) as exc:
+    except RuntimeError as exc:
+        # a RoutingFailed comes from an arc module that is already loaded
+        from .arc import RoutingFailed
+
+        if not isinstance(exc, (RoutingFailed, GenerationBudgetError)):
+            raise
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
     finally:

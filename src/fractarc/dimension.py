@@ -170,13 +170,15 @@ def box_count(points: Sequence, delta) -> int:
 def _distinct_boxes(idx: np.ndarray, n_boxes: int) -> int:
     """Number of distinct rows of ``idx``, box indices in [0, n_boxes) per
     axis: counted on each box's row-major rank among n_boxes^d when that
-    fits in int64, on tuples of Python ints otherwise."""
+    fits in int64 (sorted, then the changes between neighbours counted), on
+    tuples of Python ints otherwise."""
     if idx.dtype == object or n_boxes ** idx.shape[1] >= 2 ** 63:
         return len(set(map(tuple, idx.tolist())))
     key = idx[:, 0]
     for k in range(1, idx.shape[1]):
         key = key * n_boxes + idx[:, k]
-    return len(np.unique(key))
+    key = np.sort(key)
+    return int(np.count_nonzero(key[1:] != key[:-1])) + (len(key) > 0)
 
 
 def dyadic_scales(coarse: int, fine: int) -> list[Fraction]:

@@ -3,14 +3,16 @@
 Coordinates are ``fractions.Fraction`` or integers; every predicate is
 decided by integer arithmetic, never by floating point.  The polyline predicates
 (``polylines_disjoint``, ``chain_self_intersection``) first put all their
-vertices over one common denominator (``lift``) and then decide every
-segment pair with ``segments_meet``, on integers, with no gcd per operation.
+vertices over one common denominator (``lift``; an all-``int`` chain is
+already there) and then decide every segment pair with ``segments_meet``,
+on integers, with no gcd per operation.
 ``segment_intersection`` computes the intersection itself in ``Fraction``
 arithmetic; the tests hold it as the reference for ``segments_meet``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -201,9 +203,10 @@ def chain_self_intersection(vertices: Sequence[Point]) -> Optional[tuple[int, in
     Consecutive segments may share only their common vertex, all others
     nothing.  A zero-length segment raises ValueError.
 
-    The chain is decided on integers: every vertex is put over the lcm of
-    the coordinate denominators (``lift``; an integer chain such as
-    ``ArcApproximation.traversal_chain`` lifts to itself).  Only segments
+    The chain is decided on integers: a chain whose coordinates are all
+    ``int``, such as ``ArcApproximation.traversal_chain``, is taken as it
+    is; any other has every vertex put over the lcm of the coordinate
+    denominators (``lift``).  Only segments
     whose closed bounding boxes meet can share a point.  Those candidate
     pairs are found by a sweep over the integer boxes: segments in order of
     their axis-0 low end, an active list that drops a segment once its
@@ -216,7 +219,10 @@ def chain_self_intersection(vertices: Sequence[Point]) -> Optional[tuple[int, in
     O(n log n) plus the axis-0 overlaps plus one integer test per candidate
     pair.
     """
-    _, pts = lift(vertices)
+    if set(map(type, itertools.chain.from_iterable(vertices))) == {int}:
+        pts = vertices
+    else:
+        _, pts = lift(vertices)
     if any(a == b for a, b in zip(pts, pts[1:])):
         raise ValueError("zero-length segment in chain")
     for i, j in _meeting_box_pairs(pts):

@@ -177,9 +177,18 @@ class TestBadInput:
         ["build", "--ratios", "geometric:q=2", "--out", "{out}"],
         ["build", "--ratios", "geometric:q=0", "--out", "{out}"],
         ["build", "--ratios", "geometric:q=0.97", "--out", "{out}"],
+        # estimate flags outside the snowflake exponent's (0, 1] and the
+        # scaling ratio's (0, 1/2)
+        ["estimate", "--preset", "snowflake", "--eps", "0", "--out", "{out}"],
+        ["estimate", "--preset", "snowflake", "--eps", "2", "--out", "{out}"],
+        ["estimate", "--preset", "rug", "--eps", "2", "--out", "{out}"],
+        ["estimate", "--preset", "cantor", "--ratio", "1/2", "--out", "{out}"],
+        ["estimate", "--preset", "cantor", "--ratio", "0", "--out", "{out}"],
+        ["estimate", "--preset", "cantor", "--ratio", "3/5", "--out", "{out}"],
     ], ids=["verify-latin1-model", "build-latin1-config", "build-c-inf", "build-c-nan",
             "build-c-ratio-below-floats", "build-geometric-q-2", "build-geometric-q-0",
-            "build-geometric-q-0.97"])
+            "build-geometric-q-0.97", "snowflake-eps-0", "snowflake-eps-2", "rug-eps-2",
+            "cantor-ratio-1/2", "cantor-ratio-0", "cantor-ratio-3/5"])
     def test_exits_2_with_one_line(self, argv, tmp_path, capsys):
         latin1 = tmp_path / "latin1.txt"
         latin1.write_bytes('c = 2.5  # "caf\xe9"\n'.encode("latin-1"))

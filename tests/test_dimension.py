@@ -18,6 +18,7 @@ from fractarc.dimension import (BoxCountSeries, LatticeSample, ball_net_count,
                                 dyadic_scales, estimate_dimension,
                                 expected_dimensions, interval_sample,
                                 net_count_series, power_scales, product_sample)
+from fractarc.dimension import _distinct_boxes
 from fractarc.metric import (VON_KOCH_EXPONENT, ArcFactor, EuclideanMetric,
                              RugSpace, SnowflakeMetric)
 
@@ -449,6 +450,18 @@ class TestIntegerBoxCount:
         expected = list(itertools.product(lows, repeat=3))
         assert corners[7] == (lows[0], lows[0], lows[7])
         assert list(corners) == expected == product.min_corners(3)
+
+    @given(st.data(), st.integers(0, 40), st.integers(1, 4),
+           st.sampled_from([1, 2, 3, 7, 2 ** 20, 2 ** 21]))
+    @settings(max_examples=300, deadline=None)
+    def test_distinct_boxes_equals_a_set_of_rows(self, data, n, d, n_boxes):
+        # few box indices per axis, so repeated rows are common; 2^21 boxes
+        # on three or four axes take the tuple path
+        values = st.integers(0, n_boxes - 1) | st.sampled_from([0, n_boxes - 1])
+        rows = data.draw(st.lists(st.lists(values, min_size=d, max_size=d),
+                                  min_size=n, max_size=n))
+        idx = np.array(rows, dtype=np.int64).reshape(n, d)
+        assert _distinct_boxes(idx, n_boxes) == len(set(map(tuple, idx.tolist())))
 
     def test_product_cap_is_kept(self):
         from fractarc.cantor import GenerationBudgetError

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractarc import geometry
-from fractarc.arc import build_arc
+from fractarc.arc import build_arc, verify_injectivity
 from fractarc.cantor import (ProductCantor, RatioCantorSet, RatioSequence,
                              SelfSimilarCantor, product_for_dimension)
 from fractarc.geometry import (boxes_disjoint, chain_self_intersection, point_on_segment,
@@ -257,12 +257,16 @@ class TestIntegerSegmentTest:
         assert pts == [(6, 8), (12, -15)]
 
 
-def traversal_chain(kind, depth):
-    """The traversal chain of a built arc, as ``Fraction`` points."""
+def built_arc(kind, depth):
     base = RatioCantorSet(RatioSequence.dyadic())
     product = (ProductCantor(SelfSimilarCantor(F(1, 3)), 1) if kind == "planar"
                else product_for_dimension(1.5))
-    arc = build_arc(base, product, depth)
+    return build_arc(base, product, depth)
+
+
+def traversal_chain(kind, depth):
+    """The traversal chain of a built arc, as ``Fraction`` points."""
+    arc = built_arc(kind, depth)
     den = arc.denominator(depth)
     return [tuple(F(x, den) for x in point) for point in arc.traversal_chain(depth)]
 
@@ -289,6 +293,38 @@ class TestChainSelfIntersection:
             expected = outcome(brute_chain_self_intersection, tampered)
             assert expected is not None
             assert outcome(chain_self_intersection, tampered) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(grid_chains(2), grid_chains(3)))
+    def test_integer_chain_matches_its_fraction_chain(self, vertices):
+        # the grid's coordinates times 6 are integers: the same chain, scaled
+        scaled = [tuple(int(6 * c) for c in v) for v in vertices]
+        assert (outcome(chain_self_intersection, scaled)
+                == outcome(brute_chain_self_intersection, vertices))
+
+    @pytest.mark.parametrize("kind,depth", [("planar", 3), ("spatial", 2)])
+    def test_integer_traversal_chain_is_not_lifted(self, kind, depth, monkeypatch):
+        arc = built_arc(kind, depth)
+
+        def refuse(points):
+            raise AssertionError("an integer chain was lifted")
+        monkeypatch.setattr(geometry, "lift", refuse)
+        assert verify_injectivity(arc, depth).passed
+
+    def test_fraction_chain_is_lifted(self, monkeypatch):
+        chain = traversal_chain("planar", 2)
+        lifted = []
+        inner = geometry.lift
+
+        def counting(points):
+            lifted.append(len(points))
+            return inner(points)
+        monkeypatch.setattr(geometry, "lift", counting)
+        assert chain_self_intersection(chain) is None
+        # one Fraction coordinate among integers also takes the lift
+        mixed = [(0, 0), (2, 0), (2, 2), (F(1, 2), -1)]
+        assert chain_self_intersection(mixed) == (0, 2)
+        assert lifted == [len(chain), len(mixed)]
 
     def test_long_simple_chain_tests_linearly_many_pairs(self, monkeypatch):
         n = 2000
