@@ -13,7 +13,7 @@ counts per scale, so work and time are read together.
 The arc layers, best of three, on the planar (n = 1) arcs of depth 4/5/6
 and the spatial (n = 2) arcs of depth 3/4, the models ``perfbench`` builds:
 ``grow_cells`` and ``route`` apart, ``route`` with its ``route_connectors``
-runs (one per (generation, order) class).  All but planar-4 then time the
+runs (one per distinct parent shape).  All but planar-4 then time the
 four steps of ``verify_injectivity``, all on the rows' integer corners: the
 clearance check with its exact ``_path_legal`` runs and the connector
 count, the glue check alone, the chain build (``traversal_chain``, which
@@ -145,7 +145,9 @@ def counting(name: str):
 
 def build_rows(case: str) -> list[dict]:
     """``grow_cells`` and ``route`` of one arc, best of three each; every
-    run grows a fresh arc, and ``route`` runs on it once grown."""
+    run grows a fresh arc, and ``route`` runs on it once grown.  The route
+    row counts the ``route_connectors`` runs: one per distinct parent
+    shape of each generation."""
     c, depth = ARCS[case]
     config = RunConfig(target_dimension=c, depth=depth)
     grow_s = route_s = float("inf")

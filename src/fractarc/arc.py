@@ -48,30 +48,24 @@ distance order in general:
   cell (no grazing, no face-sliding),
 * it is disjoint from every other connector of that parent.
 
-The checks run on one representative parent per (generation, order) class,
-where the order is the sub-cells' last branch bits in rank order.  Every
-generation-(k-1) cell has one size per axis, and each of its sub-cells is an
-outer child of uniform generation-k size on every axis, so a parent's
-sub-cell boxes and connectors, minus the parent's near corner, depend only on
-(k, order).  The predicates are exact and unchanged under translation, so
-the representative's verdict holds for its whole class:
+``route`` decides all three and ``verify_injectivity`` the first two on a
+parent's integer shape (``_parent_shapes``): its far corner, then the near
+and far corner of each sub-cell in rank order, all minus its near corner,
+over one common denominator.  A connector's vertices are two points of that
+shape, so equal shapes mean the same geometry up to a translation, and the
+predicates are exact and unchanged under translation: one verdict holds for
+every parent with that shape.
 
-* ``_path_legal`` decides the first two tests on integer offsets from the
-  parent's near corner (every corner over one common denominator), with
-  slab clipping in integer (numerator, denominator) pairs;
-* ``polylines_disjoint`` decides the third with integer determinants
-  (``segments_meet``).
+* ``_path_legal`` decides the first two tests, with slab clipping in
+  integer (numerator, denominator) pairs;
+* ``polylines_disjoint`` decides the third on the integer points.
 
-An illegal connector raises RoutingFailed.
+``route`` runs ``route_connectors`` on the first parent of each distinct
+shape of a generation; an illegal connector raises RoutingFailed.
 
-``verify_injectivity`` uses the same translation argument without trusting
-the construction.  It reads the rows, not the route's classes: each parent
-is keyed by its actual integer shape (its far corner, then the near and far
-corner of each sub-cell in rank order, all minus its near corner).  A
-connector's vertices are two corners of that shape, so equal keys mean the
-same geometry up to a translation, and the clearance check runs once per
-distinct (key, rank) as ``_path_legal``; its verdict is exact for every
-connector with that key, and a tampered row gets a key of its own.
+``verify_injectivity`` does not trust the route: it keys every parent of
+the rows by its shape and runs the clearance check once per distinct (shape,
+rank) as ``_path_legal``, so a tampered row gets a shape of its own.
 
 Those three checks, plus the disjointness of closed cells within one
 generation, force all connectors of all generations to be pairwise disjoint:
@@ -86,15 +80,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .cantor import (Address, GenerationBudgetError, ProductCantor,
                      RatioCantorSet)
-# boxes_disjoint is unused here, but perfbench/tracing.py wraps arc.boxes_disjoint
-from .geometry import (Box, Point, boxes_disjoint, chain_self_intersection, lift,
-                       polylines_disjoint)
+from .geometry import chain_self_intersection, polylines_disjoint
+# unused here: perfbench/tracing.py wraps arc.boxes_disjoint
+from .geometry import boxes_disjoint
 
 DEFAULT_CELL_BUDGET = 2 ** 18
 _PAIR_BATCH = 1024  # continuity pairs per evaluate_many descent
@@ -183,8 +177,8 @@ def _path_legal(shape: Sequence[Sequence[int]], s: int,
 
     Every point is an integer offset from the parent's near corner: ``shape``
     holds the parent's far corner, then the near and far corners of each
-    sub-cell in rank order, and ``vertices`` the connector's vertices.  The
-    route's class checks and the clearance check of ``verify_injectivity``
+    sub-cell in rank order, and ``vertices`` the connector's vertices.
+    ``route_connectors`` and the clearance check of ``verify_injectivity``
     both decide here.
     """
     if len(vertices) != 2 or vertices[0] == vertices[1]:
@@ -231,34 +225,51 @@ def _clip(a: Sequence[int], b: Sequence[int], lo: Sequence[int], hi: Sequence[in
     return (n0, d0), (n1, d1)
 
 
-def route_connectors(ordered_cells: Sequence[CellFrame], parent_box: Box
-                     ) -> list[list[Point]]:
-    """Straight connectors joining consecutive cells in distance order.
+def route_connectors(shape: Sequence[Sequence[int]], generation: int, parent_id: int
+                     ) -> list[tuple[Sequence[int], Sequence[int]]]:
+    """The straight connectors of a parent with integer ``shape`` (see
+    ``_parent_shapes``), as (source, target) pairs of shape points.
 
-    ``ordered_cells`` are ``CellFrame`` tuples, or any objects with the same
-    ``generation``, ``parent_id``, ``near_corner`` and ``far_corner``; the
-    corners may be rationals or integers over one common denominator, and
-    the segments come back in the same coordinates.  Each segment must pass
-    ``_path_legal`` and miss every earlier connector of the parent; the
-    first that fails raises RoutingFailed naming the generation, the parent
-    and the ranks.
+    Each connector must pass ``_path_legal`` and miss every earlier
+    connector of the parent (``polylines_disjoint``); the first that fails
+    raises RoutingFailed naming the generation, the parent and the ranks.
     """
-    corners = [tuple(lo for lo, _ in parent_box), tuple(hi for _, hi in parent_box)]
-    corners += [c for cell in ordered_cells for c in (cell.near_corner, cell.far_corner)]
-    _, (near, *lifted) = lift(corners)
-    # connector s runs from the far corner of rank s to the near corner of s+1
-    shape = [tuple(a - b for a, b in zip(point, near)) for point in lifted]
-    paths: list[list[Point]] = []
-    for s in range(len(ordered_cells) - 1):
-        path = [ordered_cells[s].far_corner, ordered_cells[s + 1].near_corner]
-        if not (_path_legal(shape, s, shape[2 * s + 2:2 * s + 4])
-                and all(polylines_disjoint(path, p) for p in paths)):
+    paths: list[tuple[Sequence[int], Sequence[int]]] = []
+    for s in range((len(shape) - 1) // 2 - 1):
+        # connector s runs from the far corner of rank s to the near corner of s+1
+        a, b = shape[2 * s + 2:2 * s + 4]
+        if not (_path_legal(shape, s, (a, b))
+                and all(polylines_disjoint((a, b), p) for p in paths)):
             raise RoutingFailed(
-                f"the straight connector of generation {ordered_cells[s].generation} "
-                f"(parent {ordered_cells[s].parent_id}) between cells ranked {s + 1} "
-                f"and {s + 2} is not legal")
-        paths.append(path)
+                f"the straight connector of generation {generation} (parent {parent_id}) "
+                f"between cells ranked {s + 1} and {s + 2} is not legal")
+        paths.append((a, b))
     return paths
+
+
+def _parent_shapes(arc: ArcApproximation, generations: range, den: int
+                   ) -> Iterator[tuple[int, dict[tuple, list[int]]]]:
+    """(g, shapes) for each g of ``generations``: the distinct shapes of the
+    generation-(g-1) parents, in the order of their first parent, each with
+    the positions of its parents in their generation.
+
+    A parent's shape is its far corner, then the near and far corner of
+    each sub-cell in rank order, all minus its near corner, as a tuple of
+    integer points over ``den``; connector s runs between shape points 2s+2
+    and 2s+3.  The corners of generation g are the parents of g+1.
+    """
+    q, d = arc.branching, arc.ambient_dimension
+    near, far = arc.corners(generations.start - 1, den)
+    for g in generations:
+        sub_near, sub_far = arc.corners(g, den)
+        subs = np.stack([sub_near, sub_far], axis=1).reshape(len(near), 2 * q, d)
+        shapes = np.concatenate([far[:, None], subs], axis=1) - near[:, None]
+        parents: dict[tuple, list[int]] = {}
+        for c, key in enumerate(map(tuple, shapes.reshape(len(near), -1).tolist())):
+            parents.setdefault(key, []).append(c)
+        yield g, {tuple(key[i:i + d] for i in range(0, len(key), d)): positions
+                  for key, positions in parents.items()}
+        near, far = sub_near, sub_far
 
 
 def _integer_ratio(t) -> tuple[int, int]:
@@ -300,16 +311,6 @@ def _parameter_ratios(ts: Sequence, p: int) -> Iterator[tuple[np.ndarray, ...]]:
     narrow = (dens * p < 2 ** 63) & (dens & (dens - 1) == 0)
     for mask, dtype in ((narrow, np.int64), (~narrow, object)):
         yield np.flatnonzero(mask), nums[mask].astype(dtype), dens[mask].astype(dtype)
-
-
-class CellFrame(NamedTuple):
-    """A sub-cell as ``route`` hands it to ``route_connectors``: integer
-    corners over the common denominator of its generation's lattices."""
-
-    generation: int
-    parent_id: int
-    near_corner: tuple[int, ...]
-    far_corner: tuple[int, ...]
 
 
 def branch_word(index: int, k: int) -> str:
@@ -389,23 +390,16 @@ class ArcApproximation:
     def route(self) -> "ArcApproximation":
         """Check the connectors of every grown generation not routed yet.
 
-        ``route_connectors`` checks the first parent of each (generation,
-        order) class, the order being the sub-cells' last branch bits in
-        rank order; the other parents of the class hold the same segments
-        translated (see the module docstring).  The connectors themselves
-        stay implicit in the rows.
+        ``route_connectors`` checks the first parent of each distinct shape
+        of a generation; the other parents with that shape hold the same
+        segments translated (see the module docstring).  The connectors
+        themselves stay implicit in the rows.
         """
-        q = self.branching
-        weights = 1 << np.arange(self.ambient_dimension - 1, -1, -1)
-        for k in range(self.routed + 1, self.depth + 1):
-            orders = ((self._rows[k] & 1) @ weights).reshape(-1, q)
-            _, firsts = np.unique(orders, axis=0, return_index=True)
-            near, far = self.corners(k, self.denominator(k))
-            parent = self.first_id(k - 1)
-            for c in sorted(firsts.tolist()):
-                frames = [CellFrame(k, parent + c, tuple(a), tuple(b)) for a, b in zip(
-                    near[c * q:(c + 1) * q].tolist(), far[c * q:(c + 1) * q].tolist())]
-                route_connectors(frames, tuple(zip(frames[0].near_corner, frames[-1].far_corner)))
+        generations = range(self.routed + 1, self.depth + 1)
+        for k, shapes in _parent_shapes(self, generations, self.denominator(self.depth)):
+            first = self.first_id(k - 1)
+            for shape, parents in shapes.items():
+                route_connectors(shape, k, first + parents[0])
             self.routed = k
         return self
 
@@ -618,18 +612,17 @@ class ArcApproximation:
         return True
 
     def vertex_cloud(self, k: int) -> np.ndarray:
-        """Float array of connector vertices (depths <= k) plus generation-k
-        cell corners: the finite stand-in for the depth-k curve."""
+        """Float array of the generation-k cell corners: the finite stand-in
+        for the depth-k curve.  Every connector end of generations up to k
+        is among them, since a cell's near and far corners are those of its
+        first and last sub-cells (``grow_cells``)."""
         self._require_depth(k)
-        parts = [ends for g in range(1, min(k, self.routed) + 1)
-                 for ends in self.connector_ends(g)]
         rows = self._rows[k]
         columns = [(np.array(lo)[rows[:, a]], np.array(hi)[rows[:, a]])
                    for a, (lo, hi) in enumerate(self.interval_ends("float", k))]
-        for corner in iter_product((0, 1), repeat=self.ambient_dimension):
-            parts.append(np.stack([column[b] for column, b in zip(columns, corner)], -1))
+        pts = np.concatenate([np.stack([column[b] for column, b in zip(columns, corner)], -1)
+                              for corner in iter_product((0, 1), repeat=self.ambient_dimension)])
         # np.unique(pts, axis=0): the distinct rows in lexicographic order
-        pts = np.concatenate(parts)
         pts = pts[np.lexsort(pts.T[::-1])]
         fresh = np.ones(len(pts), dtype=bool)
         fresh[1:] = (pts[1:] != pts[:-1]).any(axis=1)
@@ -692,30 +685,20 @@ def _clearance_violations(arc: ArcApproximation, k: int) -> list[int]:
     """Ids of the connectors of generations 1..k that fail ``_path_legal``,
     run once per distinct (parent shape, rank) (see ``verify_injectivity``).
 
-    A parent's shape is its far corner, then the near and far corner of
-    each sub-cell in rank order, all minus its near corner, over
-    ``denominator(k)``; connector s of the parent runs between shape points
-    2s+2 and 2s+3.  Shapes of different generations differ in the parent's
-    size, so one verdict table serves every generation.
+    Shapes of different generations differ in the parent's size, so one
+    verdict table serves every generation.
     """
-    q, d, den = arc.branching, arc.ambient_dimension, arc.denominator(k)
+    q, den = arc.branching, arc.denominator(k)
     verdicts: dict[tuple, list[int]] = {}  # shape -> the ranks that fail
     violations: list[int] = []
-    near, far = arc.corners(0, den)
-    for g in range(1, k + 1):
-        sub_near, sub_far = arc.corners(g, den)
-        parents = len(near)
-        subs = np.stack([sub_near, sub_far], axis=1).reshape(parents, 2 * q, d)
-        shapes = np.concatenate([far[:, None], subs], axis=1) - near[:, None]
+    for g, shapes in _parent_shapes(arc, range(1, k + 1), den):
         first = arc.first_id(g - 1)
-        for c, key in enumerate(map(tuple, shapes.reshape(parents, -1).tolist())):
-            if key not in verdicts:
-                shape = [key[i:i + d] for i in range(0, len(key), d)]
-                verdicts[key] = [s for s in range(q - 1)
-                                 if not _path_legal(shape, s, shape[2 * s + 2:2 * s + 4])]
-            violations.extend((first + c) * (q - 1) + s for s in verdicts[key])
-        near, far = sub_near, sub_far
-    return violations
+        for shape, parents in shapes.items():
+            if shape not in verdicts:
+                verdicts[shape] = [s for s in range(q - 1)
+                                   if not _path_legal(shape, s, shape[2 * s + 2:2 * s + 4])]
+            violations.extend((first + c) * (q - 1) + s for c in parents for s in verdicts[shape])
+    return sorted(violations)
 
 
 @dataclass

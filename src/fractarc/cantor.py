@@ -38,7 +38,7 @@ DEFAULT_GENERATION_BUDGET = 20
 GENERATION_BUDGET_ENV = "FRACTARC_GENERATION_BUDGET"
 
 #: Ratio sequences must have dropped below this by the last validated index.
-DEFAULT_TAIL_TOLERANCE = Fraction(1, 4)
+TAIL_TOLERANCE = Fraction(1, 4)
 
 
 class GenerationBudgetError(RuntimeError):
@@ -104,8 +104,7 @@ class RatioSequence:
         """sup_i c_i; equals c_1 for a validated (non-increasing) sequence."""
         return self(1)
 
-    def validate_prefix(self, length: int,
-                        tail_tolerance: Fraction = DEFAULT_TAIL_TOLERANCE) -> None:
+    def validate_prefix(self, length: int) -> None:
         prev: Optional[Fraction] = None
         for i in range(1, length + 1):
             c = self(i)
@@ -114,9 +113,9 @@ class RatioSequence:
             if prev is not None and c > prev:
                 raise ValueError(f"ratio sequence increases at index {i}: {c} > {prev}")
             prev = c
-        if prev is not None and prev >= tail_tolerance:
+        if prev is not None and prev >= TAIL_TOLERANCE:
             raise ValueError(
-                f"ratio sequence has not decayed below {tail_tolerance} by index "
+                f"ratio sequence has not decayed below {TAIL_TOLERANCE} by index "
                 f"{length}; it must tend to zero within the build budget")
 
 
@@ -132,10 +131,6 @@ class CantorInterval:
     @property
     def length(self) -> Fraction:
         return self.upper - self.lower
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lower + self.upper) / 2
 
 
 class _BinaryCantorBase:
@@ -246,10 +241,9 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 class RatioCantorSet(_BinaryCantorBase):
     """Cantor set from a decreasing ratio sequence, on [0, 1]."""
 
-    def __init__(self, ratios: RatioSequence, max_generation: Optional[int] = None,
-                 tail_tolerance: Fraction = DEFAULT_TAIL_TOLERANCE):
+    def __init__(self, ratios: RatioSequence, max_generation: Optional[int] = None):
         super().__init__(max_generation)
-        ratios.validate_prefix(self._max_generation, tail_tolerance)
+        ratios.validate_prefix(self._max_generation)
         self.ratios = ratios
         self._lengths: list[Fraction] = [Fraction(1)]
 
@@ -300,13 +294,13 @@ def _log_fraction(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
-def scaling_for_dimension(b: float, snap_denominator: int = 10 ** 9) -> SelfSimilarCantor:
+def scaling_for_dimension(b: float) -> SelfSimilarCantor:
     """Self-similar set of dimension b in (0, 1): scaling ratio r = 2^(-1/b).
 
     The ratio is irrational for most b, so it is stored as the rational
-    closest to the float value (snapped to a small denominator whenever the
-    snap is positive and indistinguishable at 1e-13).  The round trip
-    ln 2 / ln(1/r) agrees with b to within 1e-12.  Below b = 1/1022 the float
+    closest to the float value (snapped to a denominator of at most 10^9
+    whenever the snap is positive and indistinguishable at 1e-13).  The
+    round trip ln 2 / ln(1/r) agrees with b to within 1e-12.  Below b = 1/1022 the float
     2^(-1/b) is no longer a normal float, and b is refused.
     """
     if not (isinstance(b, (int, float)) and math.isfinite(b)):
@@ -318,7 +312,7 @@ def scaling_for_dimension(b: float, snap_denominator: int = 10 ** 9) -> SelfSimi
         raise ValueError(f"factor dimension {b} is too small: its scaling ratio "
                          f"2^(-1/b) = {value} is below the normal float range")
     exact = Fraction(value)
-    snapped = exact.limit_denominator(snap_denominator)
+    snapped = exact.limit_denominator(10 ** 9)
     ratio = snapped if snapped and abs(snapped - exact) < Fraction(1, 10 ** 13) else exact
     result = SelfSimilarCantor(ratio)
     if abs(result.dimension - b) > 1e-12:
@@ -356,11 +350,6 @@ class Address:
     def axes(self) -> int:
         return len(self.words)
 
-    def truncated(self, depth: int) -> "Address":
-        if depth > self.depth:
-            raise ValueError("cannot extend an address by truncation")
-        return Address(tuple(w[:depth] for w in self.words))
-
     @classmethod
     def random(cls, axes: int, depth: int, rng) -> "Address":
         return cls(tuple("".join(rng.choice("01") for _ in range(depth))
@@ -388,18 +377,18 @@ class ProductCantor:
     def cell_count(self, k: int) -> int:
         return 2 ** (k * self.copies)
 
-    def min_corners(self, k: int, limit: int = 2 ** 22) -> list[tuple[Fraction, ...]]:
+    def min_corners(self, k: int) -> list[tuple[Fraction, ...]]:
         """Lower-left corners of every generation-k cell (the cells' provable
         member points), in lexicographic order."""
-        corners, den = self.min_corner_lattice(k, limit)
+        corners, den = self.min_corner_lattice(k)
         return [tuple(Fraction(v, den) for v in row) for row in corners.tolist()]
 
-    def min_corner_lattice(self, k: int, limit: int = 2 ** 22) -> tuple[np.ndarray, int]:
+    def min_corner_lattice(self, k: int) -> tuple[np.ndarray, int]:
         """``min_corners`` as a (cells, copies) array of integer numerators
-        over one denominator, typed as in ``lattice``."""
-        if self.cell_count(k) > limit:
+        over one denominator, typed as in ``lattice``; at most 2^22 cells."""
+        if self.cell_count(k) > 2 ** 22:
             raise GenerationBudgetError(
-                f"{self.cell_count(k)} cells at generation {k} exceed the sample cap {limit}")
+                f"{self.cell_count(k)} cells at generation {k} exceed the sample cap {2 ** 22}")
         lows, _, den = self.factor.lattice(k)
         n, copies = len(lows), self.copies
         corners = np.empty((n ** copies, copies), dtype=lows.dtype)

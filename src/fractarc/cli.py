@@ -658,7 +658,10 @@ def run_estimate(preset: str, config: RunConfig, model=None,
                                           sample_resolution=(2.0 ** -g) ** exponent)
         expected = dim_mod.expected_dimensions("snowflake", exponent=exponent)
     elif preset == "rug":
-        if model is not None and not isinstance(model, UnitIntervalModel):
+        if isinstance(model, UnitIntervalModel):
+            raise ConfigError("rug estimation needs an arc model; "
+                              "drop --model for the snowflake rug")
+        if model is not None:
             # fractal rug: a built arc model as the first factor
             space = RugSpace(ArcFactor(model))
             g = generation or min(6, model.depth + 3)
@@ -811,7 +814,22 @@ def _estimate_or_refuse(preset: str, config: RunConfig, model, **kwargs):
         return None
 
 
+#: The preset flags each ``estimate`` preset reads; it refuses the others.
+_PRESET_FLAGS = {
+    "cantor": ("ratio", "generation"),
+    "product": ("ratio", "copies", "generation"),
+    "snowflake": ("eps", "generation"),
+    "rug": ("eps", "generation"),
+    "rug --model": ("model", "generation"),
+    "arc": ("model",),
+}
+
+
 def cmd_estimate(args) -> int:
+    preset = args.preset + (" --model" if args.preset == "rug" and args.model else "")
+    for flag in ("ratio", "copies", "eps", "model", "generation"):
+        if getattr(args, flag) is not None and flag not in _PRESET_FLAGS[preset]:
+            raise ConfigError(f"estimate --preset {preset} does not read --{flag}")
     config = config_from_sources(args)
     model = None
     if args.model:
@@ -870,19 +888,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", type=Path, help="key=value config file")
-        p.add_argument("--c", type=float, default=None,
-                       help="target conformal dimension (>= 1)")
-        p.add_argument("--depth", type=int, default=None, help="generation depth")
-        p.add_argument("--ratios", type=str, default=None,
-                       help="ratio family: dyadic | harmonic | geometric:q=1/3")
         p.add_argument("--seed", type=int, default=None, help="random seed")
         p.add_argument("--scales", type=str, default=None,
                        help="dyadic scale window, e.g. 3:8")
-        p.add_argument("--samples", type=int, default=None,
-                       help="verification sample count")
 
     p_build = sub.add_parser("build", help="construct a model and write JSON")
     common(p_build)
+    p_build.add_argument("--c", type=float, default=None,
+                         help="target conformal dimension (>= 1)")
+    p_build.add_argument("--depth", type=int, default=None, help="generation depth")
+    p_build.add_argument("--ratios", type=str, default=None,
+                         help="ratio family: dyadic | harmonic | geometric:q=1/3")
+    p_build.add_argument("--samples", type=int, default=None,
+                         help="verification sample count")
     p_build.add_argument("--out", type=Path, default=None)
     p_build.set_defaults(func=cmd_build)
 

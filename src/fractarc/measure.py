@@ -37,10 +37,6 @@ class BallMassBracket:
     upper: Fraction
     resolution: int
 
-    @property
-    def width(self) -> Fraction:
-        return self.upper - self.lower
-
 
 class NaturalMeasure:
     """Equal-weight probability measure on the generations of a Cantor set."""
@@ -133,14 +129,6 @@ class MassBoundSequence:
     @property
     def bound(self) -> float:
         return max(self.values)
-
-    @property
-    def argmax(self) -> int:
-        return max(range(len(self.values)), key=self.values.__getitem__)
-
-    @property
-    def ratio_limit(self) -> float:
-        return 2.0 ** (-self.exponent)
 
 
 def mass_bound_sequence(cantor_set: RatioCantorSet, exponent: float,

@@ -135,18 +135,18 @@ class RugSpace:
     def reach(self, r: float) -> list[float]:
         return self.first.reach(r) + [r]
 
-    def sample(self, resolution: int,
-               budget: int = DEFAULT_SAMPLE_BUDGET) -> np.ndarray:
+    def sample(self, resolution: int) -> np.ndarray:
         """Deterministic product sample: factor sample times a uniform grid of
         2^resolution second-factor values."""
         if resolution < 1:
             raise ValueError("resolution must be at least 1")
-        _check_budget("rug", resolution, budget)
+        _check_budget("rug", resolution, DEFAULT_SAMPLE_BUDGET)
         first = np.asarray(self.first.sample(resolution), dtype=float)
         second = np.linspace(0.0, 1.0, 2 ** resolution)
         total = first.shape[0] * second.shape[0]
-        if total > budget:
-            raise ValueError(f"rug sample of {total} points exceeds the budget {budget}")
+        if total > DEFAULT_SAMPLE_BUDGET:
+            raise ValueError(f"rug sample of {total} points exceeds the budget "
+                             f"{DEFAULT_SAMPLE_BUDGET}")
         reps = np.repeat(first, second.shape[0], axis=0)
         tile = np.tile(second, first.shape[0]).reshape(-1, 1)
         return np.hstack([reps, tile])

@@ -3,7 +3,8 @@
 ``fractarc.arc._path_legal`` decides connector clearance on integer offsets.
 These are the ``Fraction`` predicates it replaced: slab clipping, point in
 box and polyline simplicity, and ``path_legal``, the clearance check they
-made up, which judges any polyline.
+made up, which judges any polyline.  ``shape_of`` lifts cells with
+``Fraction`` corners to the integer shape that ``route_connectors`` takes.
 
 ``ObjectArc`` is the grower that the lattice arc replaced: one ``Cell`` per
 cell, with ``Fraction`` boxes and string addresses, and one ``Connector``
@@ -11,6 +12,8 @@ per connector.  ``RowView`` reads the same objects off a lattice arc's
 index rows, as the library's views did.  The ``object_*`` readers and
 ``fraction_evaluate`` walk either as the library used to: the vertex cloud,
 the SVG, ``evaluate``, the containment distances and the counting summary;
+``connector_vertex_cloud`` is the vertex cloud as the lattice arc first
+made it, with every connector end added to the cell corners;
 ``reference_model_dict`` is the model object built from their rows, and
 ``view_verify_injectivity`` the injectivity check on them, which judges a
 replaced cell or connector as well as tampered rows.
@@ -40,7 +43,7 @@ from fractarc.arc import (ArcApproximation, InjectivityReport, _path_legal, bran
                           connector_fields, param_intervals)
 from fractarc.cantor import AnnulusWitness, PerfectnessReport, uniform_perfectness_constant
 from fractarc.cli import SCHEMA_VERSION, UnitIntervalModel, _arc_header, encode_rational
-from fractarc.geometry import chain_self_intersection
+from fractarc.geometry import chain_self_intersection, lift
 from fractarc.measure import BallMassBracket
 
 ZERO = Fraction(0)
@@ -108,6 +111,16 @@ def path_legal(vertices, boxes, s, parent_box):
                 continue
             return False
     return True
+
+
+def shape_of(cells, parent_box):
+    """The integer shape of ``cells`` in rank order inside ``parent_box``:
+    the parent's far corner, then each cell's near and far corner, all minus
+    the parent's near corner, over the lcm of every coordinate denominator."""
+    points = [tuple(lo for lo, _ in parent_box), tuple(hi for _, hi in parent_box)]
+    points += [c for cell in cells for c in (cell.near_corner, cell.far_corner)]
+    _, (near, *lifted) = lift(points)
+    return tuple(tuple(a - b for a, b in zip(point, near)) for point in lifted)
 
 
 # -- cells and connectors as objects -------------------------------------------
@@ -396,6 +409,18 @@ def object_vertex_cloud(arc, k):
     points += [tuple(float(c) for c in corner)
                for cell in arc.generation_cells(k) for corner in cell.corners()]
     return np.unique(np.array(points, dtype=float), axis=0)
+
+
+def connector_vertex_cloud(arc, k):
+    """Distinct float connector ends of the routed generations up to k and
+    generation-k cell corners of a lattice arc, in lexicographic order."""
+    parts = [ends for g in range(1, min(k, arc.routed) + 1) for ends in arc.connector_ends(g)]
+    rows = arc.generation_rows(k)
+    columns = [(np.array(lo)[rows[:, a]], np.array(hi)[rows[:, a]])
+               for a, (lo, hi) in enumerate(arc.interval_ends("float", k))]
+    for corner in iter_product((0, 1), repeat=arc.ambient_dimension):
+        parts.append(np.stack([column[b] for column, b in zip(columns, corner)], -1))
+    return np.unique(np.concatenate(parts), axis=0)
 
 
 def fraction_evaluate(arc, t, k):

@@ -23,8 +23,9 @@ from fractarc.arc import (ArcApproximation, RoutingFailed,
 from fractarc.cli import RunConfig, build_model
 from fractarc.geometry import (boxes_disjoint, lift, points_bbox, polylines_disjoint,
                                vlerp, vsub)
-from oracles import (Connector, RowView, box_corners, fraction_evaluate,
-                     path_legal as fraction_path_legal, view_verify_injectivity)
+from oracles import (Connector, RowView, box_corners, connector_vertex_cloud,
+                     fraction_evaluate, path_legal as fraction_path_legal, shape_of,
+                     view_verify_injectivity)
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
@@ -317,7 +318,8 @@ class TestRouting:
         base, product = planar_sets()
         arc = ArcApproximation(base, product)
         views = RowView(arc.build_to(1))
-        assert route_connectors(views.generation_cells(1)[:1], views.cells[0].box) == []
+        shape = shape_of(views.generation_cells(1)[:1], views.cells[0].box)
+        assert route_connectors(shape, 1, 0) == []
 
     def test_illegal_segment_names_generation_parent_and_ranks(self):
         base, product = planar_sets()
@@ -327,7 +329,8 @@ class TestRouting:
         # to the second cell's near corner runs through both cells
         with pytest.raises(RoutingFailed, match=r"generation 1 \(parent 0\) between "
                                                 r"cells ranked 2 and 3"):
-            route_connectors([cells[0], cells[3], cells[1], cells[2]], views.cells[0].box)
+            route_connectors(shape_of([cells[0], cells[3], cells[1], cells[2]],
+                                      views.cells[0].box), 1, 0)
 
     def test_crossing_segments_are_refused(self):
         views = reference_views("spatial", 1)
@@ -335,7 +338,8 @@ class TestRouting:
         # each segment alone is legal among these four cells, but the third
         # crosses the first
         with pytest.raises(RoutingFailed, match="ranked 3 and 4"):
-            route_connectors([cells[1], cells[6], cells[4], cells[3]], views.cells[0].box)
+            route_connectors(shape_of([cells[1], cells[6], cells[4], cells[3]],
+                                      views.cells[0].box), 1, 0)
 
     @settings(max_examples=40, deadline=None)
     @given(config=run_configs())
@@ -346,27 +350,44 @@ class TestRouting:
             assert (search_route_connectors(sub_cells, parent.box, gap)
                     == [c.vertices for c in conns]), (k, parent.id)
 
-    def test_route_checks_the_first_parent_of_each_class(self, monkeypatch):
+    @staticmethod
+    def checked_parents(config):
+        """(parent id, segment count) of every ``route_connectors`` run
+        while ``config`` is built, and the built arc."""
         import fractarc.arc as arc_module
         real = arc_module.route_connectors
-        for config, classes in ((RunConfig(depth=5), 9),  # of 341 parents
-                                (RunConfig(depth=6), 11),
-                                (RunConfig(target_dimension=2.5, depth=4), 30)):
-            checked = []
+        checked = []
 
-            def record(ordered_cells, parent_box):
-                checked.append((ordered_cells[0].parent_id, real(ordered_cells, parent_box)))
-                return checked[-1][1]
+        def record(shape, generation, parent_id):
+            segments = real(shape, generation, parent_id)
+            checked.append((parent_id, len(segments)))
+            return segments
 
-            monkeypatch.setattr(arc_module, "route_connectors", record)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(arc_module, "route_connectors", record)
             arc = build_model(config)
-            firsts = {}
-            for k, order, parent, _, _ in parents_with_connectors(RowView(arc)):
-                firsts.setdefault((k, order), parent.id)
-            assert [parent for parent, _ in checked] == list(firsts.values())
-            assert len(checked) == classes
-            # each run returns the representative's q-1 segments
-            assert all(len(segments) == arc.branching - 1 for _, segments in checked)
+        return checked, arc
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=run_configs())
+    def test_route_checks_the_first_parent_of_each_class(self, config):
+        # one run per distinct parent shape picks the same parents as one
+        # per (generation, order) class of the view
+        checked, arc = self.checked_parents(config)
+        firsts = {}
+        for k, order, parent, _, _ in parents_with_connectors(RowView(arc)):
+            firsts.setdefault((k, order), parent.id)
+        assert [parent for parent, _ in checked] == list(firsts.values())
+        # each run returns the representative's q-1 segments
+        assert all(n == arc.branching - 1 for _, n in checked)
+
+    @pytest.mark.parametrize("config, runs", [
+        (RunConfig(depth=5), 9),  # of 341 parents
+        (RunConfig(depth=6), 11),
+        (RunConfig(target_dimension=2.5, depth=4), 30)])
+    def test_route_runs_once_per_distinct_shape(self, config, runs):
+        checked, _ = self.checked_parents(config)
+        assert len(checked) == runs
 
     @settings(max_examples=40, deadline=None)
     @given(config=run_configs())
@@ -878,6 +899,15 @@ class TestVertexCloudConvergence:
                 cloud = arc.vertex_cloud(k)
                 assert cloud.dtype == float
                 assert np.array_equal(cloud, np.unique(np.array(points), axis=0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=run_configs())
+    def test_cloud_needs_no_connector_ends(self, config):
+        import numpy as np
+        # every connector end is already a generation-k cell corner
+        arc = build_model(config)
+        for k in range(1, arc.depth + 1):
+            assert np.array_equal(arc.vertex_cloud(k), connector_vertex_cloud(arc, k))
 
 
 class TestArcAsRugFactor:

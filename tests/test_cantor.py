@@ -311,7 +311,6 @@ class TestAddress:
             Address(("0a",))
         a = Address(("01", "10"))
         assert a.depth == 2 and a.axes == 2
-        assert a.truncated(1) == Address(("0", "1"))
 
 
 class TestUniformPerfectness:

@@ -117,7 +117,7 @@ class TestBuildCommand:
             assert not out.exists()
 
     def test_illegal_connector_exit_code(self, tmp_path, capsys, monkeypatch):
-        def refuse(ordered_cells, parent_box):
+        def refuse(shape, generation, parent_id):
             raise arc_mod.RoutingFailed("the straight connector is not legal")
 
         # route() looks the checker up in the module, so the patch reaches it
@@ -197,6 +197,55 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--preset", "cantor", "--eps", "5"], "eps"),
+        (["--preset", "cantor", "--copies", "2"], "copies"),
+        (["--preset", "product", "--eps", "1/2"], "eps"),
+        (["--preset", "snowflake", "--ratio", "1/3"], "ratio"),
+        (["--preset", "snowflake", "--model", "{model}"], "model"),
+        (["--preset", "rug", "--model", "{model}", "--eps", "2"], "eps"),
+        (["--preset", "rug", "--model", "{unit}", "--eps", "1/2"], "eps"),
+        (["--preset", "rug", "--copies", "2"], "copies"),
+        (["--preset", "arc", "--model", "{model}", "--generation", "4"], "generation"),
+        (["--preset", "arc", "--model", "{model}", "--eps", "koch"], "eps"),
+    ])
+    def test_estimate_refuses_a_flag_its_preset_does_not_read(self, argv, flag, tmp_path,
+                                                               capsys):
+        model, unit = tmp_path / "model.json", tmp_path / "unit.json"
+        out = tmp_path / "out.json"
+        assert main(["build", "--depth", "1", "--out", str(model)]) == EXIT_OK
+        assert main(["build", "--c", "1", "--out", str(unit)]) == EXIT_OK
+        capsys.readouterr()
+        argv = [arg.format(model=model, unit=unit) for arg in argv]
+        assert main(["estimate", *argv, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1, err
+        assert f"does not read --{flag}" in err
+        assert not out.exists()
+
+    def test_estimate_rug_refuses_a_unit_interval_model(self, tmp_path, capsys):
+        # the rug over the unit interval is the snowflake rug, made without --model
+        unit, out = tmp_path / "unit.json", tmp_path / "out.json"
+        assert main(["build", "--c", "1", "--out", str(unit)]) == EXIT_OK
+        capsys.readouterr()
+        argv = ["estimate", "--preset", "rug", "--model", str(unit), "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == ("configuration error: rug estimation needs an arc model; "
+                       "drop --model for the snowflake rug\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--c", "2.5"], ["--depth", "3"],
+                                      ["--ratios", "harmonic"], ["--samples", "10"]])
+    def test_estimate_has_no_build_flags(self, flag, capsys):
+        # an estimate builds no model, so argparse refuses the build flags
+        with pytest.raises(SystemExit) as exit_info:
+            main(["estimate", "--preset", "cantor", *flag])
+        assert exit_info.value.code == EXIT_CONFIG
+        # --c reads as an ambiguous prefix of --config, --copies and --csv
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "ambiguous option: --c" in err
 
     def test_tiny_factor_dimension_builds_with_the_exact_ratio(self, tmp_path):
         # limit_denominator would snap the ratio 2^(-1/0.01), about 2^-100, to 0
