@@ -4,11 +4,15 @@ the arc's build and verify layers, with the work they do.
 Times ``lattice`` of fresh self-similar Cantor engines (r = 1/3 and 1/10,
 the second past the int64 denominators), ``box_count_series`` on exact
 Cantor and product samples and ``net_count_series`` on snowflake and
-snowflake-rug samples, each at three generations, in one process, best of
-five ``perf_counter`` runs.  Sampling is timed apart from counting (a fresh
-Cantor engine per run, so its stored generations do not hide the build).
-Each row keeps the point count beside the lattice's dtype and bytes or the
-counts per scale, so work and time are read together.
+snowflake-rug samples, each at three generations, and on the rug over
+planar-4 at generation 6, in one process, best of five ``perf_counter``
+runs.  Sampling is timed apart from counting (a fresh Cantor engine per
+run, so its stored generations do not hide the build).  Rugs are counted
+on their factor samples, as the CLI counts them, beside the product path
+(the whole product sample built, then counted) as the reference.  Each row
+keeps the point count (for a rug, the product's and each factor's) beside
+the lattice's dtype and bytes or the counts per scale, so work and time are
+read together.
 
 The arc layers, best of three, on the planar (n = 1) arcs of depth 4/5/6
 and the spatial (n = 2) arcs of depth 3/4, the models ``perfbench`` builds:
@@ -48,6 +52,7 @@ command loaded.
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import random
@@ -67,11 +72,11 @@ from fractarc.cantor import (ProductCantor, SelfSimilarCantor, sample_ball_input
                              verify_uniform_perfectness)
 from fractarc.cli import (RunConfig, _load_canonical, _load_model, _unrouted_arc,
                           build_model, model_from_dict, model_text)
-from fractarc.dimension import (box_count_series, cantor_sample, net_count_series,
-                                power_scales, product_sample)
+from fractarc.dimension import (ball_net_count, box_count_series, cantor_sample,
+                                net_count_series, power_scales, product_sample)
 from fractarc.geometry import _meeting_box_pairs, chain_self_intersection
 from fractarc.measure import DEFAULT_EXPONENT_GRID, NaturalMeasure, verify_mass_bounds
-from fractarc.metric import VON_KOCH_EXPONENT, RugSpace, SnowflakeMetric
+from fractarc.metric import VON_KOCH_EXPONENT, ArcFactor, RugSpace, SnowflakeMetric
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -118,12 +123,30 @@ def box_row(case: str, generation: int, sample, scales) -> dict:
 
 
 def net_row(case: str, generation: int, space, lo: int, hi: int) -> dict:
-    sample_s, points = best_of(lambda: space.sample(generation))
+    """Net counts as the CLI takes them: a snowflake on its own sample, a
+    rug on its two factor samples.  A rug row also times the product path
+    it replaced, the whole product sample built and then counted, as the
+    reference, and checks that both give the same counts."""
     radii = [0.5 ** i for i in range(lo, hi + 1)]
-    count_s, series = best_of(lambda: net_count_series(space, points, radii))
-    return {"layer": "net_count_series", "case": case, "generation": generation,
-            "points": len(points), "scales": radii, "counts": list(series.counts),
-            "sample_s": sample_s, "count_s": count_s}
+    if isinstance(space, RugSpace):
+        sample_s, factors = best_of(lambda: space.factors(generation))
+    else:
+        sample_s, points = best_of(lambda: space.sample(generation))
+        factors = [(space, points)]
+    count_s, series = best_of(lambda: net_count_series(factors, radii))
+    row = {"layer": "net_count_series", "case": case, "generation": generation,
+           "points": math.prod(len(points) for _, points in factors),
+           "factor_points": [len(points) for _, points in factors],
+           "scales": radii, "counts": list(series.counts),
+           "sample_s": sample_s, "count_s": count_s}
+    if isinstance(space, RugSpace):
+        product_sample_s, points = best_of(lambda: space.sample(generation))
+        product_count_s, counts = best_of(
+            lambda: [ball_net_count(space, points, r) for r in radii])
+        if counts != row["counts"]:
+            raise SystemExit(f"{case}: factor counts {row['counts']} != product {counts}")
+        row.update(product_sample_s=product_sample_s, product_count_s=product_count_s)
+    return row
 
 
 @contextmanager
@@ -342,6 +365,9 @@ def rows() -> list[dict]:
         out.append(net_row("snowflake koch", g, koch, 2, 7))
     for g in (7, 8, 9):
         out.append(net_row("rug koch", g, RugSpace(koch), 2, 5))
+    c, depth = ARCS["planar-4"]
+    planar_4 = build_model(RunConfig(target_dimension=c, depth=depth))
+    out.append(net_row("rug planar-4", 6, RugSpace(ArcFactor(planar_4)), 2, 4))
     for case in ARCS:
         out.extend(build_rows(case))
         if case != "planar-4":
@@ -405,6 +431,10 @@ def main(argv: list[str]) -> int:
         else:
             print(f"{head} sample {row['sample_s']:.4f} s  "
                   f"count {row['count_s']:.4f} s  counts {row['counts']}")
+            if "product_count_s" in row:
+                print(f"{'':17s} factor points {row['factor_points']}  product path: "
+                      f"sample {row['product_sample_s']:.4f} s  "
+                      f"count {row['product_count_s']:.4f} s")
     return 0
 
 

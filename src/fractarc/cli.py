@@ -191,12 +191,23 @@ def load_config_file(path: Path) -> dict:
     return values
 
 
+#: The config keys each command reads, from a file or as flags; a file key
+#: outside its command's set is refused, as argparse refuses the flag.
+_CONFIG_KEYS = {"build": ("c", "depth", "seed", "ratios", "scales", "samples"),
+                "estimate": ("seed", "scales")}
+
+
 def config_from_sources(args) -> RunConfig:
-    raw: dict = {}
-    if getattr(args, "config", None):
-        raw.update(load_config_file(args.config))
-    for key in ("c", "depth", "seed", "ratios", "scales", "samples"):
-        value = getattr(args, key, None)
+    raw = load_config_file(args.config) if args.config else {}
+    keys = _CONFIG_KEYS[args.command]
+    for key in raw:
+        if key not in _CONFIG_KEYS["build"]:
+            raise ConfigError(f"{args.config}: unknown config key {key!r}")
+        if key not in keys:
+            raise ConfigError(f"{args.config}: {args.command} does not read the "
+                              f"config key {key!r}")
+    for key in keys:
+        value = getattr(args, key)
         if value is not None:
             raw[key] = value
     kwargs: dict = {}
@@ -654,7 +665,7 @@ def run_estimate(preset: str, config: RunConfig, model=None,
         lo, hi = window or (2, 7)
         radii = [0.5 ** i for i in range(lo, hi + 1)]
         # the grid's generation length 2^-g, in the metric
-        series = dim_mod.net_count_series(space, points, radii,
+        series = dim_mod.net_count_series([(space, points)], radii,
                                           sample_resolution=(2.0 ** -g) ** exponent)
         expected = dim_mod.expected_dimensions("snowflake", exponent=exponent)
     elif preset == "rug":
@@ -677,10 +688,10 @@ def run_estimate(preset: str, config: RunConfig, model=None,
             lo, hi = window or (2, 5)
             resolution = (2.0 ** -g) ** exponent  # the coarser axis: eps <= 1
             expected = dim_mod.expected_dimensions("rug", exponent=exponent)
-        points = space.sample(g)
+        # counted on the factors: the product sample is never built
+        factors = space.factors(g)
         radii = [0.5 ** i for i in range(lo, hi + 1)]
-        series = dim_mod.net_count_series(space, points, radii,
-                                          sample_resolution=resolution)
+        series = dim_mod.net_count_series(factors, radii, sample_resolution=resolution)
     elif preset == "arc":
         if model is None:
             raise ConfigError("arc estimation needs a model file")

@@ -23,6 +23,19 @@ net point's ball is looked for in the 3^d buckets around its own.  The
 bucketing only narrows the candidates: ``within`` still decides every
 covered point, with the same float comparison as before, so the counts are
 those of the full scan.
+
+A rug is counted on its factors, never on its product sample.  The product
+sample lists the first factor's sample against a grid of [0, 1] in
+row-major order (the first factor's index varies slowest), and the max
+metric's ball test is the AND of the factors' ball tests.  So, row by row,
+a row is either wholly covered by an earlier net row (its first-factor
+point lies in that row's first-factor ball, and every grid point lies in
+the ball of a grid net point) or meets no earlier net point and contributes
+exactly the grid's greedy net.  The greedy net of the product is therefore
+the product of the factors' greedy nets, and
+``N_rug(r) = N_first(r) * N_grid(r)``.  The one condition is reflexivity:
+each factor's ball must contain its own centre, which fails only where its
+cutoff underflows to 0, and ``net_count_series`` refuses such a radius.
 """
 
 from __future__ import annotations
@@ -330,14 +343,32 @@ def ball_net_count(space, points: np.ndarray, r: float) -> int:
     return count
 
 
-def net_count_series(space, points, radii: Sequence[float],
+def net_count_series(factors, radii: Sequence[float],
                      sample_resolution=None) -> BoxCountSeries:
-    """Net counts at every radius.  When the sample's resolution (its point
-    spacing, in the metric) is known, radii finer than it are refused, as in
-    ``box_count_series``."""
+    """Net counts at every radius of the product of ``factors``, a list of
+    ``(space, points)`` pairs, under the max metric: at each radius the
+    product of the factors' ``ball_net_count``.  A single factor is its own
+    sample.  When the sample's resolution (its point spacing, in the metric)
+    is known, radii finer than it are refused, as in ``box_count_series``.
+
+    The product of the factors' greedy nets is the greedy net of the
+    row-major product sample (the first factor's index varying slowest),
+    provided each factor's ball contains its own centre; a radius at which
+    one does not (its cutoff underflowed to 0) is refused with a ValueError
+    before anything is counted.  Every metric here decides its ball on
+    ``p - c`` alone, so the origin shows it for every centre.
+    """
     if sample_resolution is not None:
         _refuse_finer(min(float(r) for r in radii), float(sample_resolution))
-    counts = tuple(ball_net_count(space, points, float(r)) for r in radii)
+    floats = [float(r) for r in radii]
+    for space, _ in factors:
+        origin = np.zeros((1, space.point_dimension))
+        for r in floats:
+            if not space.within(origin, origin[0], r)[0]:
+                raise ValueError(f"the {type(space).__name__} ball of radius {r!r} misses "
+                                 "its own centre, so the factor net counts do not multiply")
+    counts = tuple(math.prod(ball_net_count(space, points, r) for space, points in factors)
+                   for r in floats)
     return BoxCountSeries(tuple(Fraction(r) for r in radii), counts)
 
 

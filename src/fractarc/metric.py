@@ -115,7 +115,18 @@ class RugSpace:
     """Product of a first factor with [0, 1] under the max metric.
 
     Points are flat float vectors: the factor coordinates followed by one
-    second-factor coordinate.
+    second-factor coordinate.  ``sample`` lists the first factor's sample
+    against a grid of [0, 1] in row-major order, the first factor's index
+    varying slowest, and ``within`` is the AND of the two factors' ball
+    tests, the second one being ``SnowflakeMetric(1.0).within`` on
+    ``SnowflakeMetric(1.0).sample`` bit for bit (``r ** 1.0 == r``).  So
+    the greedy net of the sample is the product of the factors' greedy
+    nets: a row is either wholly covered by an earlier net row or holds
+    exactly the grid's net.  That needs each factor's ball to contain its
+    own centre, which holds while its cutoff (the reach, or r * r for a
+    Euclidean first factor) does not underflow to 0.  ``factors`` hands out
+    the two factor samples for that count; ``sample``, ``within`` and
+    ``reach`` define the space and are what the count is checked against.
     """
 
     def __init__(self, first):
@@ -135,18 +146,26 @@ class RugSpace:
     def reach(self, r: float) -> list[float]:
         return self.first.reach(r) + [r]
 
-    def sample(self, resolution: int) -> np.ndarray:
-        """Deterministic product sample: factor sample times a uniform grid of
-        2^resolution second-factor values."""
+    def factors(self, resolution: int) -> list[tuple[object, np.ndarray]]:
+        """``[(first, its sample), (SnowflakeMetric(1.0), 2^resolution grid
+        values)]``, the factors whose row-major product is
+        ``sample(resolution)``, refused as ``sample`` refuses: the product
+        stays capped at the budget although it is never allocated."""
         if resolution < 1:
             raise ValueError("resolution must be at least 1")
         _check_budget("rug", resolution, DEFAULT_SAMPLE_BUDGET)
         first = np.asarray(self.first.sample(resolution), dtype=float)
-        second = np.linspace(0.0, 1.0, 2 ** resolution)
+        interval = SnowflakeMetric(1.0)
+        second = interval.sample(resolution)
         total = first.shape[0] * second.shape[0]
         if total > DEFAULT_SAMPLE_BUDGET:
             raise ValueError(f"rug sample of {total} points exceeds the budget "
                              f"{DEFAULT_SAMPLE_BUDGET}")
-        reps = np.repeat(first, second.shape[0], axis=0)
-        tile = np.tile(second, first.shape[0]).reshape(-1, 1)
-        return np.hstack([reps, tile])
+        return [(self.first, first), (interval, second)]
+
+    def sample(self, resolution: int) -> np.ndarray:
+        """Deterministic product sample: factor sample times a uniform grid of
+        2^resolution second-factor values."""
+        (_, first), (_, second) = self.factors(resolution)
+        return np.hstack([np.repeat(first, len(second), axis=0),
+                          np.tile(second, (len(first), 1))])

@@ -77,6 +77,38 @@ class TestConfig:
         reloaded, config = model_from_dict(data)
         assert run_verification(reloaded, config)["passed"]
 
+    @pytest.mark.parametrize("key", ["c = 7", "depth = 9", "ratios = harmonic",
+                                     "samples = 3"])
+    def test_estimate_refuses_a_build_key_in_its_config(self, key, tmp_path, capsys):
+        # argparse refuses these as estimate flags; the file may not slip them in
+        cfg, out = tmp_path / "est.cfg", tmp_path / "est.json"
+        cfg.write_text(f"seed = 1\n{key}\n")
+        argv = ["estimate", "--preset", "cantor", "--generation", "8", "--config", str(cfg),
+                "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        name = key.split()[0]
+        assert capsys.readouterr().err == (
+            f"configuration error: {cfg}: estimate does not read the config key {name!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["build"], ["estimate", "--preset", "cantor"]])
+    def test_an_unknown_config_key_is_refused(self, argv, tmp_path, capsys):
+        cfg, out = tmp_path / "f.cfg", tmp_path / "out.json"
+        cfg.write_text("depth = 1\ndpeth = 3\n" if argv == ["build"] else "dpeth = 3\n")
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: {cfg}: unknown config key 'dpeth'\n")
+        assert not out.exists()
+
+    def test_estimate_reads_seed_and_scales_from_its_config(self, tmp_path):
+        cfg, by_file, by_flag = (tmp_path / name for name in ("est.cfg", "a.json", "b.json"))
+        cfg.write_text("seed = 4\nscales = 2:6\n")
+        base = ["estimate", "--preset", "cantor", "--generation", "8"]
+        assert main([*base, "--config", str(cfg), "--out", str(by_file)]) == EXIT_OK
+        assert main([*base, "--seed", "4", "--scales", "2:6", "--out", str(by_flag)]) == EXIT_OK
+        assert by_file.read_bytes() == by_flag.read_bytes()
+        assert json.loads(by_file.read_text())["scales"] == [3.0 ** -i for i in range(2, 7)]
+
 
 class TestBuildCommand:
     def test_degenerate_dimension_one(self, tmp_path):
@@ -347,6 +379,42 @@ class TestEstimateCommand:
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "exceeds the budget 2097152" in err
             assert "Traceback" not in err
+
+    def test_rug_is_counted_on_its_factors(self, tmp_path, monkeypatch):
+        # the product sample and its ball test are never used: each would raise
+        from fractarc import metric
+
+        model = tmp_path / "planar-4.json"
+        assert main(["build", "--c", "1.6309297535714574", "--depth", "4",
+                     "--out", str(model)]) == EXIT_OK
+
+        def product_used(*args):
+            raise AssertionError("the rug's product sample was used")
+        monkeypatch.setattr(metric.RugSpace, "sample", product_used)
+        monkeypatch.setattr(metric.RugSpace, "within", product_used)
+        for argv, counts in ((["--eps", "koch"], [24, 112, 512, 2368]),
+                             (["--model", str(model)], [48, 256, 1024])):
+            out = tmp_path / "est.json"
+            assert main(["estimate", "--preset", "rug", *argv, "--out", str(out)]) == EXIT_OK
+            assert json.loads(out.read_text())["counts"] == counts
+
+    def test_rug_budget_edges(self, tmp_path, capsys):
+        # a whole rug stays capped at 2^21 points, though no longer allocated
+        model = tmp_path / "planar-1.json"  # a vertex cloud of 16 points
+        assert main(["build", "--depth", "1", "--out", str(model)]) == EXIT_OK
+        for argv, total in ((["--generation", "10"], None),
+                            (["--generation", "11"], 2 ** 22),
+                            (["--model", str(model), "--generation", "17"], None),
+                            (["--model", str(model), "--generation", "18"], 2 ** 22)):
+            capsys.readouterr()
+            rc = main(["estimate", "--preset", "rug", *argv])
+            if total is None:
+                assert rc == EXIT_OK
+            else:
+                assert rc == EXIT_CONSTRUCTION
+                assert capsys.readouterr().err == (
+                    f"estimation failed: rug sample of {total} points exceeds "
+                    "the budget 2097152\n")
 
     def test_net_window_finer_than_the_sample_is_refused(self, capsys):
         # 2^-40 lies far below the generation-14 grid's 2^(-14 eps)

@@ -222,7 +222,7 @@ class TestNetCount:
         for eps in (0.5, math.log(3) / math.log(4)):
             space = SnowflakeMetric(eps)
             pts = space.sample(14)
-            series = net_count_series(space, pts, [0.5 ** i for i in range(2, 8)])
+            series = net_count_series([(space, pts)], [0.5 ** i for i in range(2, 8)])
             est = estimate_dimension(series, "ball-net")
             assert est.slope == pytest.approx(1 / eps, abs=0.1)
             assert est.kind == "ball-net"
@@ -243,8 +243,9 @@ def full_scan_net_count(space, points, r):
 
 
 @functools.lru_cache(maxsize=None)
-def depth_two_arc():
-    product = ProductCantor(SelfSimilarCantor(F(1, 3)), 1)
+def depth_two_arc(copies=1):
+    """A planar (one copy) or spatial (two copies) arc of depth 2."""
+    product = ProductCantor(SelfSimilarCantor(F(1, 3)), copies)
     return build_arc(RatioCantorSet(RatioSequence.dyadic()), product, 2)
 
 
@@ -350,12 +351,60 @@ class TestBucketedNet:
         points = space.sample(8)
         resolution = (1 / 255) ** 0.5  # just above 2^-4
         with pytest.raises(ValueError, match="finer than the sample"):
-            net_count_series(space, points, [0.5 ** i for i in range(2, 5)],
+            net_count_series([(space, points)], [0.5 ** i for i in range(2, 5)],
                              sample_resolution=resolution)
-        series = net_count_series(space, points, [0.5 ** i for i in range(1, 4)],
+        series = net_count_series([(space, points)], [0.5 ** i for i in range(1, 4)],
                                   sample_resolution=resolution)
         assert series.counts == tuple(full_scan_net_count(space, points, 0.5 ** i)
                                       for i in range(1, 4))
+
+
+#: Rug product samples above this many points make the full scan too slow.
+PRODUCT_CAP = 2 ** 12
+
+
+@st.composite
+def rug_cases(draw):
+    """(rug, g, r): a snowflake or curve rug, a resolution g in 1..6 whose
+    product sample stays within ``PRODUCT_CAP``, and a radius that is often
+    an exact multiple of the grid step 1/(2^g - 1), where ``<`` ties decide."""
+    first = draw(st.one_of(st.floats(0.3, 1.0).map(SnowflakeMetric),
+                           st.sampled_from([1, 2]).map(
+                               lambda copies: ArcFactor(depth_two_arc(copies)))))
+    rug = RugSpace(first)
+    g = draw(st.integers(1, 6).filter(
+        lambda g: len(first.sample(g)) * 2 ** g <= PRODUCT_CAP))
+    step = 1.0 / (2 ** g - 1)
+    k = draw(st.integers(1, 2 ** g - 1))
+    r = draw(st.one_of(st.just(k / (2 ** g - 1)), st.just(k * step),
+                       st.sampled_from([1 / 8, 1 / 4, 1 / 2, 4.0]), st.floats(0.01, 1.0)))
+    return rug, g, r
+
+
+class TestRugFactorCount:
+    @given(rug_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_product_of_factor_nets_is_the_rug_net(self, case):
+        rug, g, r = case
+        count = net_count_series(rug.factors(g), [r]).counts[0]
+        points = rug.sample(g)
+        assert count == ball_net_count(rug, points, r) == full_scan_net_count(rug, points, r)
+
+    def test_factors_are_the_sample_in_row_major_order(self):
+        for rug in (RugSpace(SnowflakeMetric(0.5)), RugSpace(ArcFactor(depth_two_arc(2)))):
+            (first, first_points), (interval, grid) = rug.factors(3)
+            assert first is rug.first and interval == SnowflakeMetric(1.0)
+            product = [(*p, y) for p in first_points.tolist() for (y,) in grid.tolist()]
+            assert rug.sample(3).tolist() == [list(p) for p in product]
+
+    def test_a_ball_that_misses_its_centre_is_refused(self):
+        # 1e-200 ** (1 / 0.3) and 1e-200 ** 2 underflow to 0: no ball holds a point
+        for first in (SnowflakeMetric(0.3), ArcFactor(depth_two_arc())):
+            factors = RugSpace(first).factors(2)
+            with pytest.raises(ValueError, match="misses its own centre"):
+                net_count_series(factors, [0.25, 1e-200])
+            assert net_count_series(factors, [0.25]).counts == (
+                ball_net_count(RugSpace(first), RugSpace(first).sample(2), 0.25),)
 
 
 def fraction_box_count(points, delta):
