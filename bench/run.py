@@ -41,12 +41,19 @@ library as the CLI does, on the arc's per-axis interval-index rows.
 
 Last, the fifteen commands of perfbench's three workloads, each in a fresh
 process exactly as perfbench runs it untraced (``python -m fractarc.cli``,
-or ``perfbench/child.py continuity``), best of three, beside
+or ``perfbench/child.py continuity``), the median of five runs, beside
 ``python -c "import fractarc.cli"`` timed on its own.  One more run of
 each, through ``child.main``, records the ``fractarc.*`` modules the
-command loaded.
+command loaded.  Given a second ``src`` directory (the parent's, say),
+every repeat runs each command once against each tree, the order
+alternating from repeat to repeat, and a row reports both medians and how
+many of the five pairs the first tree won, so the two sides share the
+machine's state instead of being minutes apart.
 
-    PYTHONPATH=src python bench/run.py BENCH.json
+The report also records the lines of every ``src/fractarc`` module, of both
+trees when a second is given.
+
+    PYTHONPATH=src python bench/run.py BENCH.json [PARENT_SRC]
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ import math
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -84,6 +92,7 @@ import workloads  # noqa: E402  (perfbench's commands, run by cli_rows)
 
 REPEATS = 5
 VERIFY_REPEATS = 3
+CLI_REPEATS = 5
 EVALUATE_CALLS = 20_000
 PER_CALL_EVALUATES = 2_000
 CONTINUITY_PAIRS = 10_000
@@ -105,6 +114,14 @@ def best_of(fn, repeats=REPEATS):
         result = fn()
         best = min(best, perf_counter() - start)
     return best, result
+
+
+def src_lines(src: Path) -> dict:
+    """Lines of each module of the ``fractarc`` package under ``src``, and
+    their total."""
+    lines = {path.name: len(path.read_text(encoding="utf-8").splitlines())
+             for path in sorted((src / "fractarc").glob("*.py"))}
+    return {**lines, "total": sum(lines.values())}
 
 
 def lattice_row(case: str, ratio: Fraction, generation: int) -> dict:
@@ -307,16 +324,34 @@ OP_MODULES = ("import sys; sys.path.insert(0, sys.argv[1]); import child; "
               "child.main(sys.argv[2:]); " + PRINT_MODULES)
 
 
-def cli_rows() -> list[dict]:
-    """Fresh-process wall times, best of three, of ``import fractarc.cli``
-    and of each perfbench command, with the engine modules each loads.  The
-    models the workloads read are built first, as perfbench's set-up does."""
-    env = {**os.environ, "PYTHONPATH": str(Path(fractarc.__file__).parents[1])}
+def cli_rows(parent: Path | None = None) -> list[dict]:
+    """Fresh-process wall times, the median of five, of ``import
+    fractarc.cli`` and of each perfbench command, with the engine modules
+    each loads.  With a ``parent`` src directory each repeat also runs the
+    command against it, in alternating order; ``parent_time_s`` is its
+    median and ``pairs_faster`` the repeats in which this tree was faster.
+    The models the workloads read are built first, as perfbench's set-up
+    does."""
+    src = Path(fractarc.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
 
-    def fresh(*args: str) -> float:
+    def fresh(tree: Path, *args: str) -> float:
         start = perf_counter()
-        subprocess.run([sys.executable, *args], env=env, check=True, stdout=subprocess.DEVNULL)
+        subprocess.run([sys.executable, *args], env={**env, "PYTHONPATH": str(tree)},
+                       check=True, stdout=subprocess.DEVNULL)
         return perf_counter() - start
+
+    def timed(*args: str) -> dict:
+        if parent is None:
+            return {"time_s": statistics.median(fresh(src, *args)
+                                                for _ in range(CLI_REPEATS))}
+        times: dict = {src: [], parent: []}
+        for repeat in range(CLI_REPEATS):
+            for tree in (src, parent) if repeat % 2 == 0 else (parent, src):
+                times[tree].append(fresh(tree, *args))
+        return {"time_s": statistics.median(times[src]),
+                "parent_time_s": statistics.median(times[parent]),
+                "pairs_faster": sum(a < b for a, b in zip(times[src], times[parent]))}
 
     def loaded(*args: str) -> list[str]:
         run = subprocess.run([sys.executable, *args], env=env, check=True, text=True,
@@ -325,11 +360,11 @@ def cli_rows() -> list[dict]:
 
     out = [{"layer": "cli_process", "case": "import fractarc.cli",
             "modules": loaded("-c", "import sys, fractarc.cli; " + PRINT_MODULES),
-            "time_s": min(fresh("-c", "import fractarc.cli") for _ in range(VERIFY_REPEATS))}]
+            **timed("-c", "import fractarc.cli")}]
     with tempfile.TemporaryDirectory() as tmp:
         models = Path(tmp) / "models"
         for model in sorted({m for w in workloads.WORKLOADS.values() for m in w.models}):
-            fresh("-m", "fractarc.cli", "build", *workloads.MODELS[model],
+            fresh(src, "-m", "fractarc.cli", "build", *workloads.MODELS[model],
                   "--out", str(models / f"{model}.json"))
         for workload in workloads.WORKLOADS.values():
             for op in workload.ops:
@@ -340,12 +375,11 @@ def cli_rows() -> list[dict]:
                             "workload": workload.name,
                             "modules": loaded("-c", OP_MODULES, str(PERFBENCH),
                                               op.runner, *args),
-                            "time_s": min(fresh(*command, *args)
-                                          for _ in range(VERIFY_REPEATS))})
+                            **timed(*command, *args)})
     return out
 
 
-def rows() -> list[dict]:
+def rows(parent: Path | None = None) -> list[dict]:
     out = []
     for case, ratio in (("cantor 1/3", THIRD), ("cantor 1/10", Fraction(1, 10))):
         for g in (16, 18, 20):
@@ -381,7 +415,7 @@ def rows() -> list[dict]:
         out.append(containment_row(case))
     for case in ("planar-6", "spatial-4"):
         out.extend(model_file_rows(case))
-    out.extend(cli_rows())
+    out.extend(cli_rows(parent))
     return out
 
 
@@ -402,20 +436,28 @@ def machine() -> dict:
             "python": sys.version.split()[0],
             "implementation": platform.python_implementation(),
             "numpy": np.__version__, "repeats": REPEATS,
-            "verify_repeats": VERIFY_REPEATS}
+            "verify_repeats": VERIFY_REPEATS, "cli_repeats": CLI_REPEATS}
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    if len(argv) not in (1, 2):
         print(__doc__.rsplit("\n\n", 1)[-1].strip(), file=sys.stderr)
         return 2
-    report = {"machine": machine(), "layers": rows()}
+    parent = Path(argv[1]).resolve() if len(argv) == 2 else None
+    lines = {"src": src_lines(Path(fractarc.__file__).parents[1])}
+    if parent is not None:
+        lines["parent"] = src_lines(parent)
+    report = {"machine": machine(), "src_lines": lines, "layers": rows(parent)}
     with open(argv[0], "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
+    for side, counts in lines.items():
+        print(f"{'src_lines':17s} {side:15s} {counts}")
     for row in report["layers"]:
         if row["layer"] == "cli_process":
-            print(f"{row['layer']:17s} {row['case']:28s} {row['time_s']:.4f} s  "
+            versus = (f" (parent {row['parent_time_s']:.4f} s, faster in "
+                      f"{row['pairs_faster']}/{CLI_REPEATS})" if "parent_time_s" in row else "")
+            print(f"{row['layer']:17s} {row['case']:28s} {row['time_s']:.4f} s{versus}  "
                   f"{' '.join(row['modules'])}")
             continue
         if "depth" in row:

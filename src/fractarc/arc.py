@@ -98,21 +98,6 @@ class RoutingFailed(RuntimeError):
     """A straight connector failed the exact legality tests."""
 
 
-def connector_fields(depth: int, ambient_dimension: int) -> Iterator[dict]:
-    """Schema-v1 index fields of every connector of a depth-``depth`` arc, in
-    id order: connector j of cell c joins its sub-cells of ranks j+1 and j+2
-    and carries parameter piece 2j+1 of c."""
-    q = 2 ** ambient_dimension
-    p = 2 * q - 1
-    n = 0
-    for k in range(1, depth + 1):
-        for _ in range(q ** (k - 1) * (q - 1)):
-            c, j = divmod(n, q - 1)
-            yield {"id": n, "depth": k, "parent_cell": c, "source_cell": c * q + 1 + j,
-                   "target_cell": c * q + 2 + j, "interval": 1 + c * p + 2 * j + 1}
-            n += 1
-
-
 def _ratio_text(n: int, den: int) -> str:
     """n / den as the reduced "numerator/denominator" string."""
     g = math.gcd(n, den)
@@ -122,14 +107,11 @@ def _ratio_text(n: int, den: int) -> str:
 #: How ``ArcApproximation.interval_ends`` writes the numerator n over den.
 _END_KINDS = {"float": lambda n, den: n / den, "text": _ratio_text}
 
-#: The fields of a parameter-tree row, in ``param_rows`` order.
-_PARAM_FIELDS = ("id", "depth", "index", "lo", "hi", "status", "link", "children")
-
-
 def param_rows(depth: int, ambient_dimension: int) -> Iterator[tuple]:
     """The rows of the parameter tree of a depth-``depth`` arc in id order,
-    as ``_PARAM_FIELDS`` tuples, derived from the depth and the ambient
-    dimension alone (see the module docstring).
+    as (id, depth, index, lo, hi, status, link, children) tuples, derived
+    from the depth and the ambient dimension alone (see the module
+    docstring).
 
     lo and hi are "numerator/denominator" strings, children a range of ids.
     """
@@ -159,13 +141,6 @@ def param_rows(depth: int, ambient_dimension: int) -> Iterator[tuple]:
                     yield (1 + c * p + index, k, index, left, right, "used",
                            c * (q - 1) + index // 2, range(0))
         first, los = first * q + 1, next_los
-
-
-def param_intervals(depth: int, ambient_dimension: int) -> Iterator[dict]:
-    """Schema-v1 rows of the parameter tree of a depth-``depth`` arc, in id
-    order: the ``param_rows`` as dicts, children as lists."""
-    for row in param_rows(depth, ambient_dimension):
-        yield {**dict(zip(_PARAM_FIELDS, row)), "children": list(row[-1])}
 
 
 def _path_legal(shape: Sequence[Sequence[int]], s: int,

@@ -14,8 +14,7 @@ length L_k, so a generation is stored as one read-only integer lattice: the
 intervals' lower ends as numerators over a common denominator, beside the
 numerator of L_k (``lattice``).  The array is int64 while the denominator
 fits in 63 bits and holds Python ints beyond; generation k is built from
-generation k-1 in one vectorised step.  Intervals, endpoints and addresses
-are ``Fraction`` views derived from the lattice on each call.
+generation k-1 in one vectorised step.
 
 The ball certificates read the lattice itself: ``lattice_rank`` ranks a
 rational key among its numerators by one integer floor or ceiling division
@@ -119,20 +118,6 @@ class RatioSequence:
                 f"{length}; it must tend to zero within the build budget")
 
 
-@dataclass(frozen=True)
-class CantorInterval:
-    """One closed generation interval, with exact rational endpoints."""
-
-    generation: int
-    index: int  # 1-based, left to right within the generation
-    lower: Fraction
-    upper: Fraction
-
-    @property
-    def length(self) -> Fraction:
-        return self.upper - self.lower
-
-
 class _BinaryCantorBase:
     """Shared engine: at each generation every interval [a, b] is replaced by
     its outer children [a, a + L_k] and [b - L_k, b], where L_k is the uniform
@@ -189,49 +174,6 @@ class _BinaryCantorBase:
         self.build(k)
         return self._lattices[k]
 
-    def generation_intervals(self, k: int) -> list[CantorInterval]:
-        """The 2^k generation-k intervals in increasing order."""
-        lows, ln, den = self.lattice(k)
-        return [CantorInterval(k, j + 1, Fraction(a, den), Fraction(a + ln, den))
-                for j, a in enumerate(lows.tolist())]
-
-    def endpoints(self, k: int) -> list[Fraction]:
-        """All 2^(k+1) generation-k interval endpoints, sorted increasing."""
-        lows, ln, den = self.lattice(k)
-        return [Fraction(v, den) for a in lows.tolist() for v in (a, a + ln)]
-
-    def interval_at(self, word: str) -> CantorInterval:
-        """Interval addressed by a branch word over {0, 1} (0 = left child)."""
-        if any(ch not in "01" for ch in word):
-            raise ValueError(f"branch word must be over {{0,1}}, got {word!r}")
-        k = len(word)
-        lows, ln, den = self.lattice(k)
-        j = int(word, 2) if word else 0
-        a = int(lows[j])
-        return CantorInterval(k, j + 1, Fraction(a, den), Fraction(a + ln, den))
-
-    def verify_generation_lengths(self, up_to: int) -> bool:
-        """Every stored generation has the exact generation length, and each
-        of its intervals is an outer child of its parent: even children start
-        at the parent's lower end, odd children end at its upper end.
-
-        Runs on the integer lattice, so deep generations check in milliseconds.
-        """
-        self.build(up_to)
-        for k in range(up_to + 1):
-            lows, ln, den = self._lattices[k]
-            if Fraction(ln, den) != self.generation_length(k):
-                return False
-            if k == 0:
-                continue
-            parents, prev_ln, prev_den = self._lattices[k - 1]
-            lift = den // prev_den
-            parents = parents.astype(lows.dtype) * lift
-            if not (np.array_equal(lows[0::2], parents)
-                    and np.array_equal(lows[1::2] + ln, parents + prev_ln * lift)):
-                return False
-        return True
-
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
@@ -252,19 +194,6 @@ class RatioCantorSet(_BinaryCantorBase):
             g = len(self._lengths)
             self._lengths.append(self._lengths[g - 1] * (1 - self.ratios(g)) / 2)
         return self._lengths[k]
-
-    def length_ratio(self, k: int) -> Fraction:
-        """Exact consecutive-length ratio L_{k-1} / L_k = 2 / (1 - c_k)."""
-        if k < 1:
-            raise ValueError("length ratios start at generation 1")
-        return 2 / (1 - self.ratios(k))
-
-    def finite_generation_exponent(self, k: int) -> float:
-        """k ln 2 / ln(1 / L_k): the depth-k box-counting exponent of the
-        construction, increasing toward 1 when the ratios decrease to zero."""
-        if k < 1:
-            raise ValueError("exponent defined for k >= 1")
-        return k * math.log(2.0) / -_log_fraction(self.generation_length(k))
 
 
 class SelfSimilarCantor(_BinaryCantorBase):
@@ -346,10 +275,6 @@ class Address:
     def depth(self) -> int:
         return len(self.words[0])
 
-    @property
-    def axes(self) -> int:
-        return len(self.words)
-
     @classmethod
     def random(cls, axes: int, depth: int, rng) -> "Address":
         return cls(tuple("".join(rng.choice("01") for _ in range(depth))
@@ -369,10 +294,6 @@ class ProductCantor:
     def dimension(self) -> float:
         """Product dimension: copies * factor dimension."""
         return self.copies * self.factor.dimension
-
-    @property
-    def ambient_dimension(self) -> int:
-        return self.copies
 
     def cell_count(self, k: int) -> int:
         return 2 ** (k * self.copies)

@@ -174,8 +174,9 @@ def parse_scales(text: str) -> tuple[int, int]:
 
 
 def load_config_file(path: Path) -> dict:
-    """Plain key=value lines; '#' starts a comment."""
+    """Plain key=value lines; '#' starts a comment.  A key is set once."""
     values: dict = {}
+    lines: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -187,7 +188,12 @@ def load_config_file(path: Path) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} is already set "
+                              f"on line {lines[key]}")
+        lines[key] = lineno
+        values[key] = value.strip()
     return values
 
 
@@ -197,7 +203,21 @@ _CONFIG_KEYS = {"build": ("c", "depth", "seed", "ratios", "scales", "samples"),
                 "estimate": ("seed", "scales")}
 
 
+#: The RunConfig fields each config key sets, from its text or flag value.
+_CONFIG_FIELDS = {
+    "c": lambda v: {"target_dimension": float(v)},
+    "depth": lambda v: {"depth": int(v)},
+    "seed": lambda v: {"seed": int(v)},
+    "samples": lambda v: {"samples": int(v)},
+    "ratios": lambda v: dict(zip(("ratio_family", "ratio_params"), parse_ratio_spec(v))),
+    "scales": lambda v: {"scales": parse_scales(v)},
+}
+
+
 def config_from_sources(args) -> RunConfig:
+    """The RunConfig of a command's config file and flags, a flag winning
+    over the file; a bad value is refused naming its key, and the file when
+    it came from one."""
     raw = load_config_file(args.config) if args.config else {}
     keys = _CONFIG_KEYS[args.command]
     for key in raw:
@@ -206,29 +226,16 @@ def config_from_sources(args) -> RunConfig:
         if key not in keys:
             raise ConfigError(f"{args.config}: {args.command} does not read the "
                               f"config key {key!r}")
-    for key in keys:
-        value = getattr(args, key)
-        if value is not None:
-            raw[key] = value
+    flags = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     kwargs: dict = {}
-    try:
-        if "c" in raw:
-            kwargs["target_dimension"] = float(raw["c"])
-        if "depth" in raw:
-            kwargs["depth"] = int(raw["depth"])
-        if "seed" in raw:
-            kwargs["seed"] = int(raw["seed"])
-        if "samples" in raw:
-            kwargs["samples"] = int(raw["samples"])
-        if "ratios" in raw:
-            family, params = parse_ratio_spec(str(raw["ratios"]))
-            kwargs["ratio_family"] = family
-            kwargs["ratio_params"] = params
-        if "scales" in raw:
-            scales = raw["scales"]
-            kwargs["scales"] = parse_scales(scales) if isinstance(scales, str) else scales
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    for key, value in {**raw, **flags}.items():
+        try:
+            fields = _CONFIG_FIELDS[key](value)
+            RunConfig(**fields)  # their own range checks
+        except (TypeError, ValueError) as exc:
+            where = f"--{key}" if key in flags else f"{args.config}: config key {key!r}"
+            raise ConfigError(f"{where}: {exc}") from exc
+        kwargs.update(fields)
     return RunConfig(**kwargs)
 
 
@@ -275,32 +282,33 @@ def _cell_text(arc) -> Iterator[str]:
 
 def _connector_text(arc) -> Iterator[str]:
     """Schema-v1 rows of every connector, in id order, as ``dump_json``
-    writes them (the index fields and the vertices): each connector runs
-    from the far corner of one sub-cell to the near corner of the next."""
-    from . import arc as arc_mod
-
+    writes them (the index fields and the vertices): connector j of cell c
+    has id c*(q-1)+j, runs from the far corner of sub-cell c*q+1+j to the
+    near corner of c*q+2+j and carries parameter piece 2j+1 of c."""
     q = arc.branching
-    fields = arc_mod.connector_fields(arc.routed, arc.ambient_dimension)
+    p = 2 * q - 1
     for k in range(1, arc.routed + 1):
         ends = [([f'          "{a}"' for a in lo], [f'          "{b}"' for b in hi])
                 for lo, hi in arc.interval_ends("text", k)]
         rows = arc.generation_rows(k).tolist()
+        first = arc.first_id(k - 1)
         for i, (source, target) in enumerate(zip(rows, rows[1:])):
-            if i % q == q - 1:
+            c, j = divmod(i, q)
+            if j == q - 1:
                 continue  # the last sub-cell of a parent starts no connector
-            f = next(fields)
-            far = ",\n".join([hi[j] for (_, hi), j in zip(ends, source)])
-            near = ",\n".join([lo[j] for (lo, _), j in zip(ends, target)])
-            yield (f'    {{\n      "depth": {f["depth"]},\n      "id": {f["id"]},\n'
-                   f'      "interval": {f["interval"]},\n      "parent_cell": {f["parent_cell"]},\n'
-                   f'      "source_cell": {f["source_cell"]},\n'
-                   f'      "target_cell": {f["target_cell"]},\n'
+            c += first
+            far = ",\n".join([hi[x] for (_, hi), x in zip(ends, source)])
+            near = ",\n".join([lo[x] for (lo, _), x in zip(ends, target)])
+            yield (f'    {{\n      "depth": {k},\n      "id": {c * (q - 1) + j},\n'
+                   f'      "interval": {2 + c * p + 2 * j},\n      "parent_cell": {c},\n'
+                   f'      "source_cell": {c * q + 1 + j},\n'
+                   f'      "target_cell": {c * q + 2 + j},\n'
                    f'      "vertices": [\n        [\n{far}\n        ],\n'
                    f'        [\n{near}\n        ]\n      ]\n    }}')
 
 
 def _param_text(arc) -> Iterator[str]:
-    """The rows of ``arc_mod.param_intervals`` as ``dump_json`` writes them."""
+    """The rows of ``arc_mod.param_rows`` as ``dump_json`` writes them."""
     from . import arc as arc_mod
 
     for row_id, depth, index, lo, hi, status, link, children in arc_mod.param_rows(

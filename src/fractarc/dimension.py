@@ -8,12 +8,12 @@ number.
 
 Exact samples live on an integer lattice: a ``LatticeSample`` holds integer
 numerators over one common denominator, straight from the Cantor engine for
-the cantor and product samples, converted once per series for any other list
-of rationals.  A box index is ``(num * dd) // (den * dn)`` for the scale
-``dn/dd``, so scale grids aligned with the construction (for example powers
-of 1/3 against a middle-thirds set) are decided exactly, never by float
-rounding: in numpy int64 when ``den * max(dd, dn)`` fits in 63 bits, in
-Python ints otherwise.
+the cantor and product samples, and the dyadic grid for the unit interval;
+every other sample is a float array.  A box index is
+``(num * dd) // (den * dn)`` for the scale ``dn/dd``, so scale grids aligned
+with the construction (for example powers of 1/3 against a middle-thirds
+set) are decided exactly, never by float rounding: in numpy int64 when
+``den * max(dd, dn)`` fits in 63 bits, in Python ints otherwise.
 
 The greedy net visits the points in sample order, as a full rescan would, but
 looks only where a point can be near.  Each metric's ``reach(r)`` bounds
@@ -94,61 +94,28 @@ class DimensionEstimate:
     kind: str = "box"
 
 
-class LatticeSample(Sequence):
+@dataclass(frozen=True)
+class LatticeSample:
     """Exact points as integer numerators over one common denominator.
 
     ``numerators`` is an (n, d) array, int64 when the denominator fits in 63
-    bits and Python ints (dtype object) otherwise.  Indexing and iteration
-    give the exact points: a ``Fraction`` each when ``scalar``, a tuple of
-    them otherwise.
+    bits and Python ints (dtype object) otherwise.
     """
 
-    def __init__(self, numerators: np.ndarray, denominator: int, scalar: bool = False):
-        self.numerators = numerators
-        self.denominator = denominator
-        self.scalar = scalar
-
-    @classmethod
-    def from_points(cls, points: Sequence) -> "LatticeSample":
-        """Lift rational points (numbers, or tuples of them) onto one lattice."""
-        points = list(points)
-        rows = [tuple(map(Fraction, p)) if isinstance(p, tuple) else (Fraction(p),)
-                for p in points]
-        if not rows:
-            raise ValueError("cannot box-count an empty sample")
-        if len({len(row) for row in rows}) > 1:
-            raise ValueError("points must share one dimension")
-        if any(c < 0 or c > 1 for row in rows for c in row):
-            raise ValueError("points must lie in the unit cube")
-        den = math.lcm(*{c.denominator for row in rows for c in row})
-        nums = [[c.numerator * (den // c.denominator) for c in row] for row in rows]
-        dtype = np.int64 if den < 2 ** 63 else object
-        return cls(np.array(nums, dtype=dtype),
-                   den, not any(isinstance(p, tuple) for p in points))
+    numerators: np.ndarray
+    denominator: int
 
     def __len__(self) -> int:
         return len(self.numerators)
 
-    def _point(self, row):
-        coords = tuple(Fraction(v, self.denominator) for v in row)
-        return coords[0] if self.scalar else coords
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        return self._point(self.numerators[index].tolist())
-
-    def __iter__(self):
-        return map(self._point, self.numerators.tolist())
-
-
-def box_count(points: Sequence, delta) -> int:
-    """Number of grid boxes of side delta meeting the point sample.
+def box_count(points: LatticeSample | np.ndarray, delta) -> int:
+    """Number of grid boxes of side delta meeting the point sample, a
+    ``LatticeSample`` or a float array of points in the unit cube.
 
     Boxes are [i*delta, (i+1)*delta) per axis, with points at the upper domain
-    boundary assigned to the last box.  Deterministic; exact for rational
-    points (a ``LatticeSample``, or a list lifted onto one) with a rational
-    delta.
+    boundary assigned to the last box.  Deterministic; exact for a
+    ``LatticeSample`` with a rational delta.
     """
     delta = Fraction(delta) if not isinstance(delta, Fraction) else delta
     if delta <= 0 or delta > 1:
@@ -164,8 +131,6 @@ def box_count(points: Sequence, delta) -> int:
         np.clip(idx, 0, n_boxes - 1, out=idx)
         return _distinct_boxes(idx, n_boxes)
 
-    if not isinstance(points, LatticeSample):
-        points = LatticeSample.from_points(points)
     if len(points) == 0:
         raise ValueError("cannot box-count an empty sample")
     dn, dd = delta.numerator, delta.denominator
@@ -206,7 +171,7 @@ def power_scales(base: Fraction, coarse: int, fine: int) -> list[Fraction]:
     return [base ** i for i in range(coarse, fine + 1)]
 
 
-def box_count_series(points: Sequence, scales: Sequence,
+def box_count_series(points: LatticeSample | np.ndarray, scales: Sequence,
                      sample_resolution=None) -> BoxCountSeries:
     """Count at every scale.  When the sample's generation resolution is
     known, windows finer than it are refused: counts there would flatten into
@@ -216,8 +181,6 @@ def box_count_series(points: Sequence, scales: Sequence,
         raise ValueError(_TOO_FEW_SCALES)
     if sample_resolution is not None:
         _refuse_finer(min(scales), Fraction(sample_resolution))
-    if not isinstance(points, (np.ndarray, LatticeSample)):
-        points = LatticeSample.from_points(points)
     counts = tuple(box_count(points, d) for d in scales)
     return BoxCountSeries(tuple(scales), counts)
 
@@ -378,7 +341,7 @@ def cantor_sample(cantor_set: _BinaryCantorBase, generation: int) -> tuple[Latti
     as the engine's own read-only lattice of lower ends.
     Returns (points, sample resolution)."""
     lows, _, den = cantor_set.lattice(generation)
-    return (LatticeSample(lows.reshape(-1, 1), den, scalar=True),
+    return (LatticeSample(lows.reshape(-1, 1), den),
             cantor_set.generation_length(generation))
 
 
@@ -389,10 +352,10 @@ def product_sample(product: ProductCantor, generation: int) -> tuple[LatticeSamp
             product.factor.generation_length(generation))
 
 
-def interval_sample(generation: int) -> tuple[list[Fraction], Fraction]:
+def interval_sample(generation: int) -> tuple[LatticeSample, Fraction]:
     """Uniform dyadic grid on [0, 1]: the degenerate target of dimension 1."""
-    step = Fraction(1, 2 ** generation)
-    return [i * step for i in range(2 ** generation + 1)], step
+    n = 2 ** generation
+    return LatticeSample(np.arange(n + 1, dtype=np.int64).reshape(-1, 1), n), Fraction(1, n)
 
 
 def expected_dimensions(kind: str, **params) -> dict:

@@ -46,18 +46,6 @@ class NaturalMeasure:
         self.base = base
         self.depth = depth
 
-    def interval_mass(self, k: int, j: int) -> Fraction:
-        """Mass of generation-k interval j: exactly 2^-k."""
-        if k < 0 or k > self.base.max_built_generation:
-            raise KeyError(f"generation {k} is not built")
-        if not 1 <= j <= 2 ** k:
-            raise KeyError(f"no interval {j} in generation {k}")
-        return Fraction(1, 2 ** k)
-
-    def generation_mass_total(self, k: int) -> Fraction:
-        return sum((self.interval_mass(k, j) for j in range(1, 2 ** k + 1)),
-                   Fraction(0))
-
     def ball_mass(self, x, r, resolution: int) -> BallMassBracket:
         """Bracket the open-ball mass using generation-``resolution`` intervals.
 
@@ -120,11 +108,10 @@ def _ball_keys(x: Fraction, r: Fraction, den: int) -> tuple[int, int, int]:
 @dataclass
 class MassBoundSequence:
     """Coefficients 6 * 2^(-k*eps) / prod(1 - c_i)^(1-eps) bounding the upper
-    mass estimate, with their consecutive ratios and running maximum."""
+    mass estimate, with their running maximum."""
 
     exponent: float
     values: list[float]
-    ratios: list[float]
 
     @property
     def bound(self) -> float:
@@ -133,10 +120,11 @@ class MassBoundSequence:
 
 def mass_bound_sequence(cantor_set: RatioCantorSet, exponent: float,
                         k_max: int) -> MassBoundSequence:
-    """Values for k = 0..k_max plus ratios value[k+1]/value[k] for k < k_max.
+    """Values for k = 0..k_max.
 
-    The ratios converge to 2^-eps < 1, so the sequence peaks at a finite index
-    and tends to zero; its maximum feeds the mass-bound constant.
+    The ratios value[k+1]/value[k] = 2^-eps / (1 - c_{k+1})^(1-eps) converge
+    to 2^-eps < 1, so the sequence peaks at a finite index and tends to zero;
+    its maximum feeds the mass-bound constant.
     """
     if not 0 < exponent < 1:
         raise ValueError(f"exponent must lie in (0, 1), got {exponent}")
@@ -147,9 +135,7 @@ def mass_bound_sequence(cantor_set: RatioCantorSet, exponent: float,
             log_prod += math.log1p(-float(cantor_set.ratios(k)))
         values.append(6.0 * math.exp(-k * exponent * math.log(2.0)
                                      - (1.0 - exponent) * log_prod))
-    ratios = [2.0 ** (-exponent) / (1.0 - float(cantor_set.ratios(k + 1))) ** (1.0 - exponent)
-              for k in range(k_max)]
-    return MassBoundSequence(exponent, values, ratios)
+    return MassBoundSequence(exponent, values)
 
 
 @dataclass
@@ -224,15 +210,3 @@ def _mass_certificate(measure: NaturalMeasure, exponent: float,
     cert.lower_margin = lower_margin if brackets else 0.0
     cert.upper_margin = upper_margin if brackets else 0.0
     return cert
-
-
-def verify_radius_generation_chain(measure: NaturalMeasure,
-                                   samples: Sequence[tuple[Fraction, Fraction]]) -> bool:
-    """Exact check that the radius-selected generation k satisfies
-    2^(k-1) * r <= 1, i.e. the coarse-generation count is controlled by 1/r."""
-    for _, r in samples:
-        r = Fraction(r)
-        k = measure.radius_generation(r)
-        if k >= 1 and 2 ** (k - 1) * r > 1:
-            return False
-    return True

@@ -25,6 +25,14 @@ continuity loop that ran it.  ``fraction_uniform_perfectness``,
 certificates on ``Fraction`` keys that the integer ranks replaced: bisection
 in the list of every endpoint, and ``(x -+ r) * den`` as ``Fraction``s.
 
+``generation_intervals``, ``endpoints`` and ``verify_generation_lengths``
+read a Cantor set's lattices as ``Fraction`` intervals and check their
+nesting; ``lattice_sample`` lifts a list of rational points onto the
+``LatticeSample`` that box counting takes, and ``sample_points`` reads one
+back.  ``connector_fields`` and ``param_intervals`` are the schema-v1 index
+fields of the connectors and the parameter tree, generated apart from the
+model writer.
+
 The tests compare the library with all of these where they are cheap to
 run.
 """
@@ -40,9 +48,10 @@ from typing import Optional
 import numpy as np
 
 from fractarc.arc import (ArcApproximation, InjectivityReport, _path_legal, branch_word,
-                          connector_fields, param_intervals)
+                          param_rows)
 from fractarc.cantor import AnnulusWitness, PerfectnessReport, uniform_perfectness_constant
 from fractarc.cli import SCHEMA_VERSION, UnitIntervalModel, _arc_header, encode_rational
+from fractarc.dimension import LatticeSample
 from fractarc.geometry import chain_self_intersection, lift
 from fractarc.measure import BallMassBracket
 
@@ -121,6 +130,104 @@ def shape_of(cells, parent_box):
     points += [c for cell in cells for c in (cell.near_corner, cell.far_corner)]
     _, (near, *lifted) = lift(points)
     return tuple(tuple(a - b for a, b in zip(point, near)) for point in lifted)
+
+
+# -- Fraction views of the lattices, and the schema-v1 index fields ------------
+
+
+@dataclass(frozen=True)
+class CantorInterval:
+    """One closed generation interval, with exact rational endpoints."""
+
+    generation: int
+    index: int  # 1-based, left to right within the generation
+    lower: Fraction
+    upper: Fraction
+
+    @property
+    def length(self):
+        return self.upper - self.lower
+
+
+def generation_intervals(cantor_set, k):
+    """The 2^k generation-k intervals of a Cantor set in increasing order."""
+    lows, ln, den = cantor_set.lattice(k)
+    return [CantorInterval(k, j + 1, Fraction(a, den), Fraction(a + ln, den))
+            for j, a in enumerate(lows.tolist())]
+
+
+def endpoints(cantor_set, k):
+    """All 2^(k+1) generation-k interval endpoints, sorted increasing."""
+    lows, ln, den = cantor_set.lattice(k)
+    return [Fraction(v, den) for a in lows.tolist() for v in (a, a + ln)]
+
+
+def verify_generation_lengths(cantor_set, up_to):
+    """Every generation up to ``up_to`` has the exact generation length, and
+    each of its intervals is an outer child of its parent: even children
+    start at the parent's lower end, odd children end at its upper end.
+    Runs on the integer lattices as stored."""
+    for k in range(up_to + 1):
+        lows, ln, den = cantor_set.lattice(k)
+        if Fraction(ln, den) != cantor_set.generation_length(k):
+            return False
+        if k == 0:
+            continue
+        parents, prev_ln, prev_den = cantor_set.lattice(k - 1)
+        lift_by = den // prev_den
+        parents = parents.astype(lows.dtype) * lift_by
+        if not (np.array_equal(lows[0::2], parents)
+                and np.array_equal(lows[1::2] + ln, parents + prev_ln * lift_by)):
+            return False
+    return True
+
+
+def lattice_sample(points):
+    """Rational points (numbers, or tuples of them) in the unit cube lifted
+    onto one ``LatticeSample``."""
+    rows = [tuple(map(Fraction, p)) if isinstance(p, tuple) else (Fraction(p),)
+            for p in points]
+    if not rows:
+        raise ValueError("cannot box-count an empty sample")
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("points must share one dimension")
+    if any(c < 0 or c > 1 for row in rows for c in row):
+        raise ValueError("points must lie in the unit cube")
+    den = math.lcm(*{c.denominator for row in rows for c in row})
+    nums = [[c.numerator * (den // c.denominator) for c in row] for row in rows]
+    return LatticeSample(np.array(nums, dtype=np.int64 if den < 2 ** 63 else object), den)
+
+
+def sample_points(sample):
+    """The exact points of a ``LatticeSample``: tuples of Fractions."""
+    return [tuple(Fraction(v, sample.denominator) for v in row)
+            for row in sample.numerators.tolist()]
+
+
+def connector_fields(depth, ambient_dimension):
+    """Schema-v1 index fields of every connector of a depth-``depth`` arc, in
+    id order: connector j of cell c joins its sub-cells of ranks j+1 and j+2
+    and carries parameter piece 2j+1 of c."""
+    q = 2 ** ambient_dimension
+    p = 2 * q - 1
+    n = 0
+    for k in range(1, depth + 1):
+        for _ in range(q ** (k - 1) * (q - 1)):
+            c, j = divmod(n, q - 1)
+            yield {"id": n, "depth": k, "parent_cell": c, "source_cell": c * q + 1 + j,
+                   "target_cell": c * q + 2 + j, "interval": 1 + c * p + 2 * j + 1}
+            n += 1
+
+
+#: The fields of a parameter-tree row, in ``param_rows`` order.
+PARAM_FIELDS = ("id", "depth", "index", "lo", "hi", "status", "link", "children")
+
+
+def param_intervals(depth, ambient_dimension):
+    """Schema-v1 rows of the parameter tree of a depth-``depth`` arc, in id
+    order: the ``param_rows`` as dicts, children as lists."""
+    for row in param_rows(depth, ambient_dimension):
+        yield {**dict(zip(PARAM_FIELDS, row)), "children": list(row[-1])}
 
 
 # -- cells and connectors as objects -------------------------------------------
@@ -664,7 +771,7 @@ def fraction_uniform_perfectness(cantor_set, samples, depth):
     """verify_uniform_perfectness by bisection in the sorted list of every
     depth-``depth`` endpoint, as Fractions."""
     constant = uniform_perfectness_constant(cantor_set)
-    eps = cantor_set.endpoints(depth)
+    eps = endpoints(cantor_set, depth)
     results = []
     for x, r in samples:
         x = Fraction(x)

@@ -17,15 +17,14 @@ from fractarc.cantor import (Address, GenerationBudgetError, ProductCantor,
                              product_for_dimension)
 from fractarc.arc import (ArcApproximation, RoutingFailed,
                           build_arc, continuity_violations,
-                          modulus_of_continuity, param_intervals,
-                          route_connectors, sample_addresses,
+                          modulus_of_continuity, route_connectors, sample_addresses,
                           verify_containment, verify_injectivity, _path_legal)
 from fractarc.cli import RunConfig, build_model
 from fractarc.geometry import (boxes_disjoint, lift, points_bbox, polylines_disjoint,
                                vlerp, vsub)
 from oracles import (Connector, RowView, box_corners, connector_vertex_cloud,
-                     fraction_evaluate, path_legal as fraction_path_legal, shape_of,
-                     view_verify_injectivity)
+                     fraction_evaluate, param_intervals, path_legal as fraction_path_legal,
+                     shape_of, view_verify_injectivity)
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 

@@ -13,7 +13,7 @@ import pytest
 
 import fractarc
 from fractarc import arc as arc_mod
-from fractarc.dimension import LatticeSample, box_count
+from fractarc.dimension import box_count
 from fractarc.cli import (EXIT_CONFIG, EXIT_CONSTRUCTION, EXIT_OK,
                           ConfigError, RunConfig,
                           UnitIntervalModel, arc_estimate, build_model,
@@ -21,7 +21,7 @@ from fractarc.cli import (EXIT_CONFIG, EXIT_CONSTRUCTION, EXIT_OK,
                           dump_json, encode_rational, load_config_file, main,
                           model_from_dict, model_to_dict, parse_ratio_spec,
                           run_verification)
-from oracles import RowView
+from oracles import RowView, lattice_sample
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
@@ -99,6 +99,39 @@ class TestConfig:
         assert capsys.readouterr().err == (
             f"configuration error: {cfg}: unknown config key 'dpeth'\n")
         assert not out.exists()
+
+    def test_a_repeated_config_key_is_refused(self, tmp_path, capsys):
+        cfg, out = tmp_path / "dup.cfg", tmp_path / "out.json"
+        cfg.write_text("depth = 1\nseed = 2\ndepth = 2\n")
+        assert main(["build", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: {cfg}:3: config key 'depth' is already set on line 1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,line,why", [
+        (["build"], "c=", "could not convert string to float: ''"),
+        (["build"], "depth = two", "invalid literal for int() with base 10: 'two'"),
+        (["estimate", "--preset", "cantor"], "scales = 9:3", "bad scale window (9, 3)"),
+    ], ids=["empty-c", "word-depth", "reversed-scales"])
+    def test_a_bad_config_value_names_its_key_and_file(self, command, line, why,
+                                                       tmp_path, capsys):
+        cfg, out = tmp_path / "f.cfg", tmp_path / "out.json"
+        cfg.write_text(f"seed = 1\n{line}\n")
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        key = line.split("=")[0].strip()
+        assert capsys.readouterr().err == (
+            f"configuration error: {cfg}: config key {key!r}: {why}\n")
+        assert not out.exists()
+
+    def test_a_bad_flag_value_names_its_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("depth = 0\n")
+        out = tmp_path / "out.json"
+        # the flag wins over the file's value and is the one refused
+        assert main(["build", "--config", str(cfg), "--depth", "-1",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: --depth: depth must be at least 1\n")
 
     def test_estimate_reads_seed_and_scales_from_its_config(self, tmp_path):
         cfg, by_file, by_flag = (tmp_path / name for name in ("est.cfg", "a.json", "b.json"))
@@ -447,7 +480,7 @@ class TestEstimateCommand:
         views = RowView(model)
         points = {v for conn in views.cumulative_connectors(4) for v in conn.vertices}
         points.update(p for cell in views.generation_cells(4) for p in cell.corners())
-        exact = LatticeSample.from_points(sorted(points))
+        exact = lattice_sample(sorted(points))
         series = arc_estimate(model)
         assert series.scales[-1] == F(1, 32)
         assert box_count(exact, F(1, 32)) == 8640

@@ -21,14 +21,15 @@ from fractarc.dimension import (BoxCountSeries, LatticeSample, ball_net_count,
 from fractarc.dimension import _distinct_boxes
 from fractarc.metric import (VON_KOCH_EXPONENT, ArcFactor, EuclideanMetric,
                              RugSpace, SnowflakeMetric)
+from oracles import generation_intervals, lattice_sample, sample_points
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
 
-def brute_force_box_count(points, delta):
+def brute_force_box_count(sample, delta):
     """Independent oracle: scan every grid box and test membership directly."""
     delta = F(delta)
-    points = [p if isinstance(p, tuple) else (p,) for p in points]
+    points = sample_points(sample)
     dim = len(points[0])
     n = math.ceil(1 / delta)
     count = 0
@@ -52,10 +53,12 @@ def brute_force_box_count(points, delta):
 class TestBoxCount:
     def test_single_point(self):
         for delta in (F(1, 2), F(1, 8), F(1, 3)):
-            assert box_count([(F(1, 3), F(1, 5))], delta) == 1
+            assert box_count(lattice_sample([(F(1, 3), F(1, 5))]), delta) == 1
 
     def test_full_interval_grid(self):
-        points, _ = interval_sample(8)
+        points, step = interval_sample(8)
+        assert step == F(1, 256)
+        assert sample_points(points) == [(F(i, 256),) for i in range(257)]
         for i in (1, 3, 5):
             assert box_count(points, F(1, 2 ** i)) == 2 ** i
 
@@ -79,7 +82,7 @@ class TestBoxCount:
         pts = [(F(1, 7), F(3, 11)), (F(2, 3), F(1, 2)), (F(1), F(1))]
         arr = np.array([[float(a), float(b)] for a, b in pts])
         for i in (1, 2, 4):
-            assert box_count(pts, F(1, 2 ** i)) == box_count(arr, F(1, 2 ** i))
+            assert box_count(lattice_sample(pts), F(1, 2 ** i)) == box_count(arr, F(1, 2 ** i))
 
     @given(st.lists(st.tuples(*[st.integers(0, 64)] * 3), min_size=1, max_size=60),
            st.integers(1, 3), st.sampled_from([F(1, 2), F(1, 3), F(1, 8), F(2, 7),
@@ -93,12 +96,13 @@ class TestBoxCount:
         assert box_count(arr, delta) == len(np.unique(idx, axis=0))
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            box_count([], F(1, 2))
+        for empty in (LatticeSample(np.zeros((0, 1), dtype=np.int64), 1), np.zeros((0, 1))):
+            with pytest.raises(ValueError, match="empty"):
+                box_count(empty, F(1, 2))
 
     def test_out_of_cube_rejected(self):
-        with pytest.raises(ValueError):
-            box_count([(F(3, 2),)], F(1, 2))
+        with pytest.raises(ValueError, match="unit cube"):
+            box_count(np.array([[1.5]]), F(1, 2))
 
     @given(st.integers(1, 5), st.integers(2, 4))
     @settings(max_examples=25, deadline=None)
@@ -130,7 +134,7 @@ class TestSeries:
 
 class TestEstimate:
     def test_constant_series_has_slope_zero(self):
-        series = box_count_series([(F(1, 3), F(1, 5))], dyadic_scales(1, 4))
+        series = box_count_series(lattice_sample([(F(1, 3), F(1, 5))]), dyadic_scales(1, 4))
         est = estimate_dimension(series)
         assert est.slope == 0.0 and est.r_squared == 1.0
 
@@ -210,8 +214,8 @@ class TestNetCount:
     def test_net_box_sandwich(self):
         # on a Euclidean sample, net and box counts agree within 2^dim
         metric = EuclideanMetric(1)
-        pts_list, _ = interval_sample(8)
-        pts = np.array([[float(p)] for p in pts_list])
+        grid, _ = interval_sample(8)
+        pts = grid.numerators / grid.denominator
         for i in (1, 2, 3, 4):
             r = 0.5 ** i
             net = ball_net_count(metric, pts, r)
@@ -456,8 +460,9 @@ class TestIntegerBoxCount:
     @settings(max_examples=300, deadline=None)
     def test_equals_fraction_loop(self, case):
         points, delta = case
-        assert box_count(points, delta) == fraction_box_count(points, delta)
-        series = box_count_series(points, [delta, F(1)])
+        sample = lattice_sample(points)
+        assert box_count(sample, delta) == fraction_box_count(points, delta)
+        series = box_count_series(sample, [delta, F(1)])
         assert series.counts[0] == fraction_box_count(points, delta)
 
     @given(st.lists(st.lists(st.booleans(), min_size=20, max_size=20), min_size=1,
@@ -467,9 +472,9 @@ class TestIntegerBoxCount:
     def test_deep_denominator_takes_python_ints(self, words, q, k):
         # generation 20 of the ratio-1/10 set lives over 10^20 > 2^63
         points = [cantor_low(w) for w in words] + [cantor_low([True] * 20)]
-        sample = LatticeSample.from_points(points)
+        sample = lattice_sample(points)
         assert sample.denominator == 10 ** 20 and sample.numerators.dtype == object
-        assert list(sample) == points
+        assert sample_points(sample) == [(p,) for p in points]
         for delta in (F(1, q ** k), F(q - 1, q), F(1, 10 ** k), F(1)):
             assert box_count(sample, delta) == fraction_box_count(points, delta)
 
@@ -482,23 +487,22 @@ class TestIntegerBoxCount:
             product = ProductCantor(SelfSimilarCantor(ratio), copies)
             sample, _ = (cantor_sample(product.factor, g) if copies == 1
                          else product_sample(product, min(g, 4)))
-            points = list(sample)
+            points = sample_points(sample)
             for delta in (F(1, 3 ** k), F(1, q ** min(k, 14)), ratio ** min(k, g)):
                 assert box_count(sample, delta) == fraction_box_count(points, delta)
 
     def test_engine_samples_are_the_exact_points(self):
         cantor = SelfSimilarCantor(F(1, 3))
         sample, _ = cantor_sample(cantor, 6)
-        lows = [iv.lower for iv in cantor.generation_intervals(6)]
-        assert len(sample) == 64 and list(sample) == lows
-        assert sample[5] == lows[5] and sample[-1] == lows[-1] and sample[2:4] == lows[2:4]
+        lows = [iv.lower for iv in generation_intervals(cantor, 6)]
+        assert len(sample) == 64 and sample_points(sample) == [(a,) for a in lows]
         # the Cartesian product of the factor's lows, first axis slowest
         product = ProductCantor(cantor, 3)
         corners, _ = product_sample(product, 3)
-        lows = [iv.lower for iv in cantor.generation_intervals(3)]
+        lows = [iv.lower for iv in generation_intervals(cantor, 3)]
         expected = list(itertools.product(lows, repeat=3))
-        assert corners[7] == (lows[0], lows[0], lows[7])
-        assert list(corners) == expected == product.min_corners(3)
+        assert len(corners) == 512 and sample_points(corners)[7] == (lows[0], lows[0], lows[7])
+        assert sample_points(corners) == expected == product.min_corners(3)
 
     @given(st.data(), st.integers(0, 40), st.integers(1, 4),
            st.sampled_from([1, 2, 3, 7, 2 ** 20, 2 ** 21]))

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractarc.cantor import RatioCantorSet, RatioSequence, sample_ball_inputs
+from fractarc.cantor import (GenerationBudgetError, RatioCantorSet, RatioSequence,
+                             sample_ball_inputs)
 from fractarc.measure import (DEFAULT_EXPONENT_GRID, NaturalMeasure,
-                              mass_bound_sequence, verify_mass_bounds,
-                              verify_radius_generation_chain)
+                              mass_bound_sequence, verify_mass_bounds)
+from oracles import endpoints, generation_intervals
 
 
 @pytest.fixture(scope="module")
@@ -21,20 +22,28 @@ def measure():
 
 class TestIntervalMass:
     def test_root_mass_is_one(self, measure):
-        assert measure.interval_mass(0, 1) == 1
+        bracket = measure.ball_mass(F(1, 2), F(1, 2) + F(1, 1000), resolution=0)
+        assert bracket.lower == bracket.upper == 1
 
-    def test_equal_weights(self, measure):
-        assert all(measure.interval_mass(3, j) == F(1, 8) for j in range(1, 9))
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_equal_weights(self, measure, k):
+        # a ball around one interval, closer to it than to any other, holds
+        # exactly that interval at its own generation
+        gap = measure.base.generation_length(k - 1) - 2 * measure.base.generation_length(k)
+        for iv in generation_intervals(measure.base, k):
+            bracket = measure.ball_mass((iv.lower + iv.upper) / 2,
+                                        iv.length / 2 + gap / 2, resolution=k)
+            assert bracket.lower == bracket.upper == F(1, 2 ** k)
 
-    def test_generation_masses_sum_to_one(self, measure):
-        assert measure.generation_mass_total(5) == 1
-        assert measure.generation_mass_total(10) == 1
+    @pytest.mark.parametrize("k", [5, 10])
+    def test_generation_masses_sum_to_one(self, measure, k):
+        bracket = measure.ball_mass(F(1, 2), F(2), resolution=k)
+        assert bracket.lower == bracket.upper == 1
 
-    def test_unknown_interval(self, measure):
-        with pytest.raises(KeyError):
-            measure.interval_mass(2, 5)
-        with pytest.raises(KeyError):
-            measure.interval_mass(40, 1)
+    def test_unbuilt_generation_is_refused(self):
+        base = RatioCantorSet(RatioSequence.dyadic(), max_generation=12)
+        with pytest.raises(GenerationBudgetError):
+            NaturalMeasure(base, depth=12).ball_mass(F(1, 2), F(1, 4), resolution=40)
 
 
 class TestBallMass:
@@ -50,7 +59,7 @@ class TestBallMass:
     def test_lower_bound_of_selected_interval(self, measure):
         # brute-force oracle: sum over generation-4 intervals inside the ball
         r = measure.base.generation_length(2)
-        expected = sum(F(1, 16) for iv in measure.base.generation_intervals(4)
+        expected = sum(F(1, 16) for iv in generation_intervals(measure.base, 4)
                        if -r < iv.lower and iv.upper < r)
         bracket = measure.ball_mass(F(0), r, resolution=4)
         assert bracket.lower == expected
@@ -96,17 +105,17 @@ class TestLatticeSearchMatchesScan:
     @settings(max_examples=60, deadline=None)
     def test_ball_mass_and_boundary_count(self, k, data):
         base = _SHARED.base
-        ends = base.endpoints(k)
+        ends = endpoints(base, k)
         fractions = st.fractions(F(-1, 2), F(3, 2), max_denominator=10 ** 6)
         x = data.draw(st.sampled_from(ends) | fractions)
         r = data.draw(st.sampled_from([abs(e - x) for e in ends if e != x])
                       | fractions.filter(lambda v: v > 0))
-        inside, meet = _scan_counts(base.generation_intervals(k), x, r)
+        inside, meet = _scan_counts(generation_intervals(base, k), x, r)
         bracket = _SHARED.ball_mass(x, r, k)
         assert (bracket.lower, bracket.upper) == (inside * F(1, 2 ** k), meet * F(1, 2 ** k))
         if r > base.generation_length(_SHARED.depth):
             coarse, count = _SHARED.boundary_interval_count(x, r)
-            assert count == _scan_counts(base.generation_intervals(coarse), x, r)[1]
+            assert count == _scan_counts(generation_intervals(base, coarse), x, r)[1]
 
 
 class TestMassBoundSequence:
@@ -123,13 +132,15 @@ class TestMassBoundSequence:
         seq = mass_bound_sequence(_SHARED.base, 0.5, 40)
         for k in (0, 3, 10):
             expected = 2 ** -0.5 / (1 - 2.0 ** -(k + 1)) ** 0.5
-            assert seq.ratios[k] == pytest.approx(expected)
-        assert abs(seq.ratios[-1] - 2.0 ** -0.5) < 1e-6
+            assert seq.values[k + 1] / seq.values[k] == pytest.approx(expected)
+        assert abs(seq.values[-1] / seq.values[-2] - 2.0 ** -0.5) < 1e-6
 
     def test_values_match_ratios(self):
         seq = mass_bound_sequence(_SHARED.base, 0.25, 20)
+        assert len(seq.values) == 21
         for k in range(20):
-            assert seq.values[k + 1] / seq.values[k] == pytest.approx(seq.ratios[k])
+            expected = 2 ** -0.25 / (1 - float(_SHARED.base.ratios(k + 1))) ** 0.75
+            assert seq.values[k + 1] / seq.values[k] == pytest.approx(expected)
 
     def test_bounded_and_vanishing(self):
         for eps in DEFAULT_EXPONENT_GRID:
@@ -174,9 +185,12 @@ class TestMassBoundCertificate:
         assert certs == alone
 
     def test_radius_generation_chain(self, measure):
+        # the radius-selected generation k has 2^(k-1) * r <= 1, so the
+        # coarse-generation count is controlled by 1/r
         rng = random.Random(13)
-        samples = sample_ball_inputs(measure.base, 200, measure.depth, rng)
-        assert verify_radius_generation_chain(measure, samples)
+        for _, r in sample_ball_inputs(measure.base, 200, measure.depth, rng):
+            k = measure.radius_generation(r)
+            assert k == 0 or 2 ** (k - 1) * r <= 1
 
     def test_harmonic_family_also_certifies(self):
         m = NaturalMeasure(RatioCantorSet(RatioSequence.harmonic()), depth=10)
