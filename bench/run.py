@@ -14,24 +14,32 @@ keeps the point count (for a rug, the product's and each factor's) beside
 the lattice's dtype and bytes or the counts per scale, so work and time are
 read together.
 
-The arc layers, best of three, on the planar (n = 1) arcs of depth 4/5/6
-and the spatial (n = 2) arcs of depth 3/4, the models ``perfbench`` builds:
-``grow_cells`` and ``route`` apart, ``route`` with its ``route_connectors``
-runs (one per distinct parent shape).  All but planar-4 then time the
-four steps of ``verify_injectivity``, all on the rows' integer corners: the
-clearance check with its exact ``_path_legal`` runs and the connector
-count, the glue check alone, the chain build (``traversal_chain``, which
-runs the glue check too) and the chain check (``chain_self_intersection``)
-with its segment count and candidate pairs.  ``evaluate_many`` is timed
+The arc layers, best of three, on the planar (n = 1) arcs of depth 4 to 8
+and the spatial (n = 2) arcs of depth 3 to 5 (``perfbench`` builds planar-4/5/6
+and spatial-3/4): ``grow_cells`` and ``route`` apart, ``route`` with its
+``route_connectors`` runs (one per distinct parent shape).  All but
+planar-4 then time ``verify_injectivity`` and, apart, each of its five
+checks on the rows' integer corners: (a) ``_lattices_nest``, (b)
+``_rows_are_children``, (c) and (d) together (``_connector_checks``, with
+its exact ``_path_legal`` runs and the distinct parent shapes), and (e)
+the glue check with the corners it reads.  Where the sweep is cheap
+(planar-5/6, spatial-3/4) the chain build (``traversal_chain``) and the
+sweep that decides injectivity when a check fails
+(``chain_self_intersection``) are timed too, with the segment count and
+candidate pairs.  ``evaluate_many`` is timed
 over 20,000 seeded parameters on planar-5, beside per-call
 ``evaluate`` on the first 2,000 of them, and ``continuity_violations`` over
 10,000 seeded pairs (epsilon 0.05, the modulus's delta) on planar-5 and
 planar-6.  The certificates run on the base sets of planar-5 and spatial-3
 at resolution 12, the resolution ``verify`` uses: ``verify_uniform_perfectness``
 and ``verify_mass_bounds`` on 200 seeded balls each, with the verdict counts
-and the lattice's dtype.  Containment runs as ``verify`` runs it, on 100
-seeded sample addresses at every depth of planar-5/6 and spatial-3/4, with
-the vertex-cloud points it searches.
+and the lattice's dtype.  Containment runs on 100 seeded sample addresses
+at every depth, as ``verify`` runs it: ``axis_containment`` is
+``verify_containment``, the per-axis search of each axis's interval ends,
+on planar-5 to 8 and spatial-3 to 5; ``containment`` is the scan of the
+whole vertex cloud that it replaced (``scan_containment`` from the tests'
+oracles), on planar-5/6 and spatial-3/4, with the cloud points it scans,
+and its reports must equal the axis search's.
 
 The model file, best of three, on planar-6 and spatial-4: ``model_text``;
 ``_load_model`` of the canonical file, which takes the byte compare, beside
@@ -86,9 +94,11 @@ from fractarc.geometry import _meeting_box_pairs, chain_self_intersection
 from fractarc.measure import DEFAULT_EXPONENT_GRID, NaturalMeasure, verify_mass_bounds
 from fractarc.metric import VON_KOCH_EXPONENT, ArcFactor, RugSpace, SnowflakeMetric
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-sys.path.insert(0, str(PERFBENCH))
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+sys.path[:0] = [str(PERFBENCH), str(ROOT / "tests")]
 import workloads  # noqa: E402  (perfbench's commands, run by cli_rows)
+from oracles import scan_containment  # noqa: E402  (the containment reference)
 
 REPEATS = 5
 VERIFY_REPEATS = 3
@@ -102,8 +112,11 @@ CERTIFICATE_RESOLUTION = 12
 CONTAINMENT_ADDRESSES = 100
 CLI_SEED = 1
 THIRD = Fraction(1, 3)
-ARCS = {"planar-4": (1.6309297535714574, 4), "planar-5": (1.6309297535714574, 5),
-        "planar-6": (1.6309297535714574, 6), "spatial-3": (2.5, 3), "spatial-4": (2.5, 4)}
+PLANAR_C = 1.6309297535714574
+ARCS = {**{f"planar-{d}": (PLANAR_C, d) for d in range(4, 9)},
+        **{f"spatial-{d}": (2.5, d) for d in range(3, 6)}}
+#: Arcs whose traversal is cheap enough to sweep and whose cloud to scan.
+SWEPT = ("planar-5", "planar-6", "spatial-3", "spatial-4")
 
 
 def best_of(fn, repeats=REPEATS):
@@ -207,27 +220,40 @@ def build_rows(case: str) -> list[dict]:
 
 
 def verify_rows(case: str) -> list[dict]:
-    """The steps of ``verify_injectivity`` on one arc, best of three each."""
+    """``verify_injectivity`` and each of its five checks on one arc, best
+    of three each; on the ``SWEPT`` arcs also the chain build and the sweep
+    that decides when a check fails."""
     c, depth = ARCS[case]
     arc = build_model(RunConfig(target_dimension=c, depth=depth))
-    with counting("_path_legal") as calls:
-        clearance_s, _ = best_of(lambda: arc_module._clearance_violations(arc, depth),
-                                 VERIFY_REPEATS)
     den = arc.denominator(depth)
-    near, far = arc.corners(depth, den)
-    glue_s, glued = best_of(lambda: arc._glued(depth, den, near, far), VERIFY_REPEATS)
-    build_s, chain = best_of(lambda: arc.traversal_chain(depth), VERIFY_REPEATS)
-    check_s, _ = best_of(lambda: chain_self_intersection(chain), VERIFY_REPEATS)
-    return [{"layer": "clearance", "case": case, "depth": depth,
-             "connectors": arc.branching ** depth - 1,
-             "path_legal_runs": calls[0] // VERIFY_REPEATS, "time_s": clearance_s},
-            {"layer": "glue", "case": case, "depth": depth, "glued": glued,
-             "time_s": glue_s},
-            {"layer": "chain_build", "case": case, "depth": depth,
-             "denominator_bits": den.bit_length(), "time_s": build_s},
-            {"layer": "chain_check", "case": case, "depth": depth,
-             "segments": len(chain) - 1,
-             "candidate_pairs": len(_meeting_box_pairs(chain)), "time_s": check_s}]
+    verify_s, report = best_of(lambda: arc_module.verify_injectivity(arc, depth),
+                               VERIFY_REPEATS)
+    lattices_s, nest = best_of(lambda: arc_module._lattices_nest(arc, depth), VERIFY_REPEATS)
+    rows_s, children = best_of(lambda: arc_module._rows_are_children(arc, depth),
+                               VERIFY_REPEATS)
+    with counting("_path_legal") as calls:
+        connectors_s, (clearance, crossing) = best_of(
+            lambda: arc_module._connector_checks(arc, depth, den), VERIFY_REPEATS)
+    glue_s, glued = best_of(lambda: arc._glued(depth, den, *arc.corners(depth, den)),
+                            VERIFY_REPEATS)
+    shapes = {shape for _, by_shape in arc_module._parent_shapes(arc, range(1, depth + 1), den)
+              for shape in by_shape}
+    out = [{"layer": "injectivity_checks", "case": case, "depth": depth,
+            "connectors": arc.branching ** depth - 1, "distinct_shapes": len(shapes),
+            "path_legal_runs": calls[0] // VERIFY_REPEATS, "passed": report.passed,
+            "checks_passed": [nest, children, not clearance, not crossing, glued],
+            "lattices_s": lattices_s, "rows_s": rows_s, "connectors_s": connectors_s,
+            "glue_s": glue_s, "time_s": verify_s}]
+    if case in SWEPT:
+        build_s, chain = best_of(lambda: arc.traversal_chain(depth), VERIFY_REPEATS)
+        check_s, found = best_of(lambda: chain_self_intersection(chain), VERIFY_REPEATS)
+        assert found is None, (case, found)
+        out += [{"layer": "chain_build", "case": case, "depth": depth,
+                 "denominator_bits": den.bit_length(), "time_s": build_s},
+                {"layer": "chain_check", "case": case, "depth": depth,
+                 "segments": len(chain) - 1,
+                 "candidate_pairs": len(_meeting_box_pairs(chain)), "time_s": check_s}]
+    return out
 
 
 def evaluate_row(case: str) -> dict:
@@ -278,18 +304,32 @@ def certificate_rows(case: str) -> list[dict]:
              "time_s": mass_s}]
 
 
-def containment_row(case: str) -> dict:
+def containment_rows(case: str) -> list[dict]:
     """``verify_containment`` at every depth of one arc, on the seeded
-    sample addresses ``run_verification`` draws, best of three."""
+    sample addresses ``run_verification`` draws, best of three; on the
+    ``SWEPT`` arcs also the cloud scan it replaced, which must report the
+    same."""
     c, depth = ARCS[case]
     arc = build_model(RunConfig(target_dimension=c, depth=depth))
     addresses = arc_module.sample_addresses(arc, CONTAINMENT_ADDRESSES, random.Random(0))
+    depths = range(1, depth + 1)
     time_s, reports = best_of(lambda: [arc_module.verify_containment(arc, k, addresses)
-                                       for k in range(1, depth + 1)], VERIFY_REPEATS)
-    return {"layer": "containment", "case": case, "depth": depth,
-            "addresses": len(addresses), "passed": all(r.passed for r in reports),
-            "cloud_points": sum(len(arc.vertex_cloud(k)) for k in range(1, depth + 1)),
-            "time_s": time_s}
+                                       for k in depths], VERIFY_REPEATS)
+    row = {"case": case, "depth": depth, "addresses": len(addresses),
+           "passed": all(r.passed for r in reports)}
+    out = [{"layer": "axis_containment", **row,
+            "axis_ends": sum(2 * len(lo) for k in depths
+                             for lo, _ in arc.interval_ends("float", k)),
+            "time_s": time_s}]
+    if case in SWEPT:
+        scan_s, scanned = best_of(lambda: [scan_containment(arc, k, addresses)
+                                           for k in depths], VERIFY_REPEATS)
+        if scanned != reports:
+            raise SystemExit(f"{case}: the axis search differs from the cloud scan")
+        out.append({"layer": "containment", **row,
+                    "cloud_points": sum(len(arc.vertex_cloud(k)) for k in depths),
+                    "time_s": scan_s})
+    return out
 
 
 def model_file_rows(case: str) -> list[dict]:
@@ -411,8 +451,9 @@ def rows(parent: Path | None = None) -> list[dict]:
         out.append(continuity_row(case))
     for case in ("planar-5", "spatial-3"):
         out.extend(certificate_rows(case))
-    for case in ("planar-5", "planar-6", "spatial-3", "spatial-4"):
-        out.append(containment_row(case))
+    for case in ARCS:
+        if case != "planar-4":
+            out.extend(containment_rows(case))
     for case in ("planar-6", "spatial-4"):
         out.extend(model_file_rows(case))
     out.extend(cli_rows(parent))

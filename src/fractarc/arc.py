@@ -48,30 +48,47 @@ distance order in general:
   cell (no grazing, no face-sliding),
 * it is disjoint from every other connector of that parent.
 
-``route`` decides all three and ``verify_injectivity`` the first two on a
-parent's integer shape (``_parent_shapes``): its far corner, then the near
-and far corner of each sub-cell in rank order, all minus its near corner,
-over one common denominator.  A connector's vertices are two points of that
-shape, so equal shapes mean the same geometry up to a translation, and the
+``route`` and ``verify_injectivity`` decide all three on a parent's
+integer shape (``_parent_shapes``): its far corner, then the near and far
+corner of each sub-cell in rank order, all minus its near corner, over one
+common denominator.  A connector's vertices are two points of that shape,
+so equal shapes mean the same geometry up to a translation, and the
 predicates are exact and unchanged under translation: one verdict holds for
 every parent with that shape.
 
 * ``_path_legal`` decides the first two tests, with slab clipping in
   integer (numerator, denominator) pairs;
-* ``polylines_disjoint`` decides the third on the integer points.
+* ``segments_meet`` decides the third on the integer points
+  (``route_connectors`` reaches it through ``polylines_disjoint``).
 
 ``route`` runs ``route_connectors`` on the first parent of each distinct
 shape of a generation; an illegal connector raises RoutingFailed.
 
 ``verify_injectivity`` does not trust the route: it keys every parent of
-the rows by its shape and runs the clearance check once per distinct (shape,
-rank) as ``_path_legal``, so a tampered row gets a shape of its own.
+the rows by its shape, so a tampered row gets a shape of its own.  It
+decides that the depth-k traversal (the generation-k cells' near-to-far
+diagonals in id order, joined by connectors) is a simple polyline from five
+exact checks, without walking the traversal:
 
-Those three checks, plus the disjointness of closed cells within one
-generation, force all connectors of all generations to be pairwise disjoint:
-a connector of a deeper generation lives inside its parent cell, which any
-shallower connector touches at most in the two corner points that are never
-deeper-connector endpoints.
+(a) every axis lattice, at every generation up to k, has closed intervals of
+    positive length, apart in index order, each inside its parent's;
+(b) each parent's rows are its q children, once each;
+(c) the first two legality tests, once per (shape, rank);
+(d) the third, once per shape;
+(e) glue: each connector runs from the far corner of the last depth-k cell
+    it leaves to the near corner of the first it enters.
+
+The argument that they suffice (the nesting lemma) is not checked.  Give
+each traversal segment a home: the generation-k cell of a diagonal, the
+parent cell of a connector.  By (a) and (b) the cells nest and the cells of
+one generation are pairwise disjoint closed boxes, so two segments whose
+homes are not nested lie in disjoint boxes.  If home H1 strictly contains
+H2, H2 lies in one sub-cell S of H1; by (c) a connector of H1 meets S at
+most in its own endpoint corner on S, which by (e) is a corner of the
+deepest cell of S next to it in the traversal, and no other segment homed
+inside S reaches that corner.  Connectors of one parent are disjoint by (d).
+When a check fails, ``chain_self_intersection`` sweeps the traversal itself
+and names the first pair of segments that meet.
 """
 
 from __future__ import annotations
@@ -79,14 +96,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .cantor import (Address, GenerationBudgetError, ProductCantor,
                      RatioCantorSet)
-from .geometry import chain_self_intersection, polylines_disjoint
+from .geometry import chain_self_intersection, polylines_disjoint, segments_meet
 # unused here: perfbench/tracing.py wraps arc.boxes_disjoint
 from .geometry import boxes_disjoint
 
@@ -627,53 +644,114 @@ class InjectivityReport:
 def verify_injectivity(arc: ArcApproximation, k: int) -> InjectivityReport:
     """Exact injectivity evidence for the depth-k model.
 
-    (i) every connector passes its clearance tests against its sibling
-    cells, which the traversal cannot see, and (ii) the parameter-order
-    traversal is a simple polyline.  The traversal holds every cumulative
-    connector as a sub-chain and never puts two connectors next to each
-    other, so (ii) tests every segment pair of every two connectors for a
-    shared point: it also decides that the connectors are pairwise
-    disjoint.  Distinct depth-k parameter pieces land in distinct cells by
-    the id arithmetic itself.
-
-    (i) runs ``_path_legal`` once per translation key: the check is exact
-    and unchanged under translation, so one verdict holds for every
-    connector whose rank and parent shape are the same (see the module
-    docstring).  Planar-5 has 1023 connectors but 27 keys.  (ii) runs
-    ``chain_self_intersection`` on ``traversal_chain``; a chain that fails
-    to glue or has a zero-length segment is reported as the pair (-1, -1).
-    Both read the index rows as integer corners; no ``Fraction`` is made.
+    The five checks of the module docstring, on the index rows as integers
+    with no ``Fraction`` made: (a) the axis lattices nest
+    (``_lattices_nest``); (b) each parent's rows are its q children
+    (``_rows_are_children``); (c) clearance and (d) the disjointness of one
+    parent's connectors, once per distinct parent shape
+    (``_connector_checks``; planar-5 has 1023 connectors but 9 shapes); (e)
+    glue (``_glued``).  When all pass, the parameter-order traversal is a
+    simple polyline by the nesting lemma, which is argued, not checked.
+    Only when one fails does ``chain_self_intersection`` sweep the
+    traversal (``traversal_chain``) and name the first pair of segments that
+    meet; a chain that fails to glue or has a zero-length segment is
+    reported as the pair (-1, -1).  The traversal holds every connector as
+    a sub-chain, so ``connector_pairs_checked`` counts every connector pair.
     """
     arc._require_depth(k)
-    clearance = _clearance_violations(arc, k)
-    try:
-        traversal_violation = chain_self_intersection(arc.traversal_chain(k))
-    except (RuntimeError, ValueError):
-        # chain fails to glue or degenerates: report rather than crash
-        traversal_violation = (-1, -1)
+    den = arc.denominator(k)
+    clearance, crossing = _connector_checks(arc, k, den)
+    decided = (k >= 1 and not clearance and not crossing and _lattices_nest(arc, k)
+               and _rows_are_children(arc, k) and arc._glued(k, den, *arc.corners(k, den)))
+    traversal_violation = None
+    if not decided:
+        try:
+            traversal_violation = chain_self_intersection(arc.traversal_chain(k))
+        except (RuntimeError, ValueError):
+            # chain fails to glue or degenerates: report rather than crash
+            traversal_violation = (-1, -1)
     connectors = arc.branching ** k - 1
     return InjectivityReport(k, connectors * (connectors - 1) // 2, clearance,
                              traversal_violation)
 
 
-def _clearance_violations(arc: ArcApproximation, k: int) -> list[int]:
-    """Ids of the connectors of generations 1..k that fail ``_path_legal``,
-    run once per distinct (parent shape, rank) (see ``verify_injectivity``).
+def _connector_checks(arc: ArcApproximation, k: int, den: int) -> tuple[list[int], bool]:
+    """(c) and (d) of ``verify_injectivity`` on the connectors of
+    generations 1..k: the sorted ids of those that fail ``_path_legal``, and
+    whether two connectors of one parent meet.
 
-    Shapes of different generations differ in the parent's size, so one
-    verdict table serves every generation.
+    Both are decided once per distinct parent shape (``_parent_shapes``, over
+    ``den``) and hold for every parent with that shape; shapes of different
+    generations differ in the parent's size, so one verdict table serves
+    every generation.
     """
-    q, den = arc.branching, arc.denominator(k)
-    verdicts: dict[tuple, list[int]] = {}  # shape -> the ranks that fail
+    q = arc.branching
+    verdicts: dict[tuple, tuple[list[int], bool]] = {}  # shape -> (failing ranks, meet)
     violations: list[int] = []
+    crossing = False
     for g, shapes in _parent_shapes(arc, range(1, k + 1), den):
         first = arc.first_id(g - 1)
         for shape, parents in shapes.items():
             if shape not in verdicts:
-                verdicts[shape] = [s for s in range(q - 1)
-                                   if not _path_legal(shape, s, shape[2 * s + 2:2 * s + 4])]
-            violations.extend((first + c) * (q - 1) + s for c in parents for s in verdicts[shape])
-    return sorted(violations)
+                segments = [shape[2 * s + 2:2 * s + 4] for s in range(q - 1)]
+                verdicts[shape] = (
+                    [s for s, ends in enumerate(segments) if not _path_legal(shape, s, ends)],
+                    any(segments_meet(*a, *b) for a, b in combinations(segments, 2)))
+            failing, meet = verdicts[shape]
+            crossing = crossing or meet
+            violations.extend((first + c) * (q - 1) + s for c in parents for s in failing)
+    return sorted(violations), crossing
+
+
+def _lattices_nest(arc: ArcApproximation, k: int) -> bool:
+    """(a) of ``verify_injectivity``: on each axis's Cantor set and at each
+    generation 1..k, the closed intervals have positive length, each starts
+    after the previous one ends, and each lies inside its parent's interval.
+    Each generation is compared with its parent over their common
+    denominator, as int64 while it fits in 62 bits and Python ints beyond."""
+    for cantor_set in dict.fromkeys(arc._axis_sets):
+        for g in range(1, k + 1):
+            (up_lows, up_len, up_den), (lows, length, den) = (cantor_set.lattice(g - 1),
+                                                              cantor_set.lattice(g))
+            common = math.lcm(up_den, den)
+            wide = common.bit_length() > 62
+            up = (up_lows.astype(object) if wide else up_lows) * (common // up_den)
+            low = (lows.astype(object) if wide else lows) * (common // den)
+            up_len, length = up_len * (common // up_den), length * (common // den)
+            if not (length > 0 and len(low) == 2 * len(up)
+                    and (low[1:] - low[:-1] > length).all()
+                    and (low[::2] >= up).all() and (low[1::2] + length <= up + up_len).all()):
+                return False
+    return True
+
+
+def _rows_are_children(arc: ArcApproximation, k: int) -> bool:
+    """(b) of ``verify_injectivity``: every generation 0..k holds each
+    combination of axis indices once (``_full_product``), and each row of
+    generation g is 2 * its parent's row plus a 0/1 bit per axis.  The q
+    distinct rows of one parent are then its q children, once each."""
+    q, d = arc.branching, arc.ambient_dimension
+    for g in range(k + 1):
+        rows = arc.generation_rows(g)
+        if not _full_product(rows, g):
+            return False
+        if g:
+            bits = rows.reshape(-1, q, d) - 2 * arc.generation_rows(g - 1)[:, None, :]
+            if not ((bits == 0) | (bits == 1)).all():
+                return False
+    return True
+
+
+def _full_product(rows: np.ndarray, k: int) -> bool:
+    """Whether the generation-k ``rows`` hold every combination of per-axis
+    interval indices, each once: then the cells' corners are the Cartesian
+    product of each axis's interval ends."""
+    n, d = rows.shape
+    side = 2 ** k
+    if n != side ** d or not ((rows >= 0) & (rows < side)).all():
+        return False
+    keys = rows @ side ** np.arange(d - 1, -1, -1)
+    return bool((np.bincount(keys, minlength=n) == 1).all())
 
 
 @dataclass
@@ -691,14 +769,36 @@ class ContainmentReport:
 def verify_containment(arc: ArcApproximation, k: int,
                        addresses: Sequence[Address]) -> ContainmentReport:
     """Every sampled product point lies within one cell diameter of the
-    depth-k model's vertex cloud; the bound shrinks with k."""
-    cloud = arc.vertex_cloud(k)
-    worst = 0.0
-    for address in addresses:
-        z = np.array(arc.near_point(address))
-        dist = float(np.min(np.linalg.norm(cloud - z, axis=1)))
-        worst = max(worst, dist)
-    return ContainmentReport(k, len(addresses), worst, arc.cell_diameter(k))
+    depth-k model's vertex cloud; the bound shrinks with k.
+
+    On rows that are the full product (``_full_product``, every built or
+    loaded model) the cloud is the Cartesian product of each axis's float
+    interval ends, so the cloud point nearest to a sampled point z is the
+    per-axis nearest end, found by ``searchsorted``.  Float subtraction,
+    squaring, addition and ``sqrt`` are monotone, so its distance is the
+    least float distance from z over the whole cloud, bit for bit.  Other
+    rows are scanned against ``vertex_cloud(k)``.
+    """
+    points = np.array([arc.near_point(address) for address in addresses],
+                      float).reshape(len(addresses), arc.ambient_dimension)
+    if _full_product(arc.generation_rows(k), k):
+        offsets = np.stack([_nearest_offsets(np.sort(lo + hi), points[:, a]) for a, (lo, hi)
+                            in enumerate(arc.interval_ends("float", k))], -1)
+        distances = np.linalg.norm(offsets, axis=1).tolist()
+    else:
+        cloud = arc.vertex_cloud(k)
+        distances = [float(np.min(np.linalg.norm(cloud - z, axis=1))) for z in points]
+    return ContainmentReport(k, len(addresses), max(distances, default=0.0),
+                             arc.cell_diameter(k))
+
+
+def _nearest_offsets(ends: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """For each z, end - z for the end of the sorted float ``ends`` with the
+    least |end - z|: the last end below z or the first at or above it."""
+    i = np.searchsorted(ends, z)
+    below = ends[np.maximum(i - 1, 0)] - z
+    above = ends[np.minimum(i, len(ends) - 1)] - z
+    return np.where(np.abs(below) <= np.abs(above), below, above)
 
 
 def sample_addresses(arc: ArcApproximation, count: int, rng) -> list[Address]:

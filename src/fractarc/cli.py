@@ -200,7 +200,7 @@ def load_config_file(path: Path) -> dict:
 #: The config keys each command reads, from a file or as flags; a file key
 #: outside its command's set is refused, as argparse refuses the flag.
 _CONFIG_KEYS = {"build": ("c", "depth", "seed", "ratios", "scales", "samples"),
-                "estimate": ("seed", "scales")}
+                "estimate": ("scales",)}
 
 
 #: The RunConfig fields each config key sets, from its text or flag value.
@@ -907,12 +907,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", type=Path, help="key=value config file")
-        p.add_argument("--seed", type=int, default=None, help="random seed")
         p.add_argument("--scales", type=str, default=None,
                        help="dyadic scale window, e.g. 3:8")
 
     p_build = sub.add_parser("build", help="construct a model and write JSON")
     common(p_build)
+    p_build.add_argument("--seed", type=int, default=None, help="random seed")
     p_build.add_argument("--c", type=float, default=None,
                          help="target conformal dimension (>= 1)")
     p_build.add_argument("--depth", type=int, default=None, help="generation depth")

@@ -16,7 +16,9 @@ the SVG, ``evaluate``, the containment distances and the counting summary;
 made it, with every connector end added to the cell corners;
 ``reference_model_dict`` is the model object built from their rows, and
 ``view_verify_injectivity`` the injectivity check on them, which judges a
-replaced cell or connector as well as tampered rows.
+replaced cell or connector as well as tampered rows, always by sweeping the
+traversal chain.  ``scan_containment`` is the containment check that scans
+the lattice arc's whole vertex cloud for each sampled point.
 
 ``digit_evaluate`` and ``loop_continuity_violations`` are the per-call
 integer digit loop that ``evaluate_many`` batched, and the per-pair
@@ -47,8 +49,8 @@ from typing import Optional
 
 import numpy as np
 
-from fractarc.arc import (ArcApproximation, InjectivityReport, _path_legal, branch_word,
-                          param_rows)
+from fractarc.arc import (ArcApproximation, ContainmentReport, InjectivityReport,
+                          _path_legal, branch_word, param_rows)
 from fractarc.cantor import AnnulusWitness, PerfectnessReport, uniform_perfectness_constant
 from fractarc.cli import SCHEMA_VERSION, UnitIntervalModel, _arc_header, encode_rational
 from fractarc.dimension import LatticeSample
@@ -568,6 +570,18 @@ def object_containment(arc, k, addresses):
         z = np.array([float(c) for c in arc.cell_at(address).near_corner])
         worst = max(worst, float(np.min(np.linalg.norm(cloud - z, axis=1))))
     return worst, arc.cell_diameter(k)
+
+
+def scan_containment(arc, k, addresses):
+    """``verify_containment`` as it was before the per-axis search: each
+    address's float near corner against every point of ``vertex_cloud(k)``."""
+    cloud = arc.vertex_cloud(k)
+    worst = 0.0
+    for address in addresses:
+        z = np.array(arc.near_point(address))
+        dist = float(np.min(np.linalg.norm(cloud - z, axis=1)))
+        worst = max(worst, dist)
+    return ContainmentReport(k, len(addresses), worst, arc.cell_diameter(k))
 
 
 def object_render_svg(arc):

@@ -204,7 +204,7 @@ def test_criterion_10_reproducibility(tmp_path):
             assert main(["build", "--c", repr(1 + LOG2_3), "--depth", "3",
                          "--seed", "42", "--out", str(model)]) == 0
             assert main(["estimate", "--preset", "arc", "--model", str(model),
-                         "--seed", "42", "--out", str(est), "--csv", str(csv)]) == 0
+                         "--out", str(est), "--csv", str(csv)]) == 0
             outputs.append((model.read_bytes(), est.read_bytes(), csv.read_bytes()))
         ok = outputs[0] == outputs[1]
     report(10, "reproducibility", ok, t.elapsed, 60.0)

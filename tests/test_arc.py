@@ -8,6 +8,7 @@ import random
 from fractions import Fraction as F
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,16 +16,18 @@ from hypothesis import strategies as st
 from fractarc.cantor import (Address, GenerationBudgetError, ProductCantor,
                              RatioCantorSet, RatioSequence, SelfSimilarCantor,
                              product_for_dimension)
+import fractarc.arc as arc_module
 from fractarc.arc import (ArcApproximation, RoutingFailed,
                           build_arc, continuity_violations,
                           modulus_of_continuity, route_connectors, sample_addresses,
-                          verify_containment, verify_injectivity, _path_legal)
+                          verify_containment, verify_injectivity, _connector_checks,
+                          _full_product, _lattices_nest, _path_legal, _rows_are_children)
 from fractarc.cli import RunConfig, build_model
-from fractarc.geometry import (boxes_disjoint, lift, points_bbox, polylines_disjoint,
-                               vlerp, vsub)
+from fractarc.geometry import (boxes_disjoint, chain_self_intersection, lift, points_bbox,
+                               polylines_disjoint, vlerp, vsub)
 from oracles import (Connector, RowView, box_corners, connector_vertex_cloud,
                      fraction_evaluate, param_intervals, path_legal as fraction_path_legal,
-                     shape_of, view_verify_injectivity)
+                     scan_containment, shape_of, view_verify_injectivity)
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
@@ -565,6 +568,101 @@ def tampered_rows(draw):
     return kind, depth, tampered
 
 
+def with_rows(arc, g, rows):
+    """A shallow copy of ``arc`` whose generation-g rows are ``rows``."""
+    rows.flags.writeable = False
+    tampered = copy.copy(arc)
+    tampered._rows = list(arc._rows)
+    tampered._rows[g] = rows
+    return tampered
+
+
+def class_checks(arc, k):
+    """Which of the checks (a)-(e) of ``verify_injectivity`` pass at depth k."""
+    den = arc.denominator(k)
+    clearance, crossing = _connector_checks(arc, k, den)
+    return {"a": _lattices_nest(arc, k), "b": _rows_are_children(arc, k),
+            "c": not clearance, "d": not crossing,
+            "e": arc._glued(k, den, *arc.corners(k, den))}
+
+
+class _TamperedLattice:
+    """A Cantor set whose generation-2 lattice is ``tamper`` applied to a
+    copy of the lower ends and the length."""
+
+    def __init__(self, inner, tamper):
+        self.inner, self.tamper = inner, tamper
+
+    def lattice(self, k):
+        lows, length, den = self.inner.lattice(k)
+        return self.tamper(lows.copy(), length) + (den,) if k == 2 else (lows, length, den)
+
+
+def _past_parent(lows, length):
+    # interval 1 moved one lattice step right: it still ends before
+    # interval 2 starts, but no longer inside its parent
+    lows[1] += 1
+    return lows, length
+
+
+#: Generation-2 lattices that fail check (a) on their own, by the clause
+#: each breaks.
+BAD_LATTICES = {
+    "order": lambda lows, length: (lows[[1, 0, 2, 3]], length),
+    "overlap": lambda lows, length: (np.array([lows[0], lows[0], *lows[2:]]), length),
+    "nesting": _past_parent,
+    "length": lambda lows, length: (lows, 0),
+}
+
+
+def with_base_lattice(arc, tamper):
+    """A shallow copy of ``arc`` whose base axis reads its generation-2
+    lattice through ``tamper`` (see ``_TamperedLattice``)."""
+    tampered = copy.copy(arc)
+    tampered._axis_sets = (_TamperedLattice(arc._axis_sets[0], tamper),) + arc._axis_sets[1:]
+    return tampered
+
+
+def swapped_pair_mutant():
+    """Planar depth 2 with the base axis's generation-2 intervals 0 and 1
+    swapped in the lattice and in the rows: the same cells as the honest
+    arc, and only (a) fails."""
+    arc = reference_arc("planar", 2)
+    rows = arc.generation_rows(2).copy()
+    rows[:, 0] = np.choose(np.minimum(rows[:, 0], 2), [1, 0, rows[:, 0]])
+    return with_base_lattice(with_rows(arc, 2, rows), BAD_LATTICES["order"])
+
+
+def short_of_parent_mutant():
+    """Planar depth 2 with the base axis's generation-2 interval 1 moved one
+    lattice step left, still inside its parent: the parent's far corner is
+    no longer a depth-2 corner, so the connector leaving it does not glue
+    and only (e) fails."""
+    def short(lows, length):
+        lows[1] -= 1
+        return lows, length
+    return with_base_lattice(reference_arc("planar", 2), short)
+
+
+def aliased_row_mutant():
+    """Planar depth 2 with one generation-2 row's axis-0 index written as its
+    negative alias (i - 2^2), which indexes the same interval: only (b)
+    fails, and the geometry is the honest one."""
+    arc = reference_arc("planar", 2)
+    rows = arc.generation_rows(2).copy()
+    rows[5, 0] -= 4
+    return with_rows(arc, 2, rows)
+
+
+def crossing_mutant():
+    """Spatial depth 1 with the root's sub-cells in the order 0, 1, 2, 5, 4,
+    3, 6, 7: each connector clears its siblings, but two of them cross, so
+    only (d) fails."""
+    arc = reference_arc("spatial", 1)
+    rows = arc.generation_rows(1)[[0, 1, 2, 5, 4, 3, 6, 7]]
+    return with_rows(arc, 1, rows)
+
+
 class TestInjectivity:
     def test_figure_build_passes(self, figure_arc):
         for k in (1, 2, 3):
@@ -592,6 +690,69 @@ class TestInjectivity:
         # the same clearance ids and traversal pair, (-1, -1) included
         kind, depth, arc = tampering
         assert verify_injectivity(arc, depth) == view_verify_injectivity(RowView(arc), depth)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tampered_rows())
+    def test_class_checks_are_sound_on_tampered_rows(self, tampering):
+        # when (a)-(e) pass, the sweep skipped would have found no pair
+        kind, depth, arc = tampering
+        checks = class_checks(arc, depth)
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(arc_module, "chain_self_intersection",
+                          lambda chain: calls.append(chain) or chain_self_intersection(chain))
+            verify_injectivity(arc, depth)
+        if all(checks.values()):
+            assert calls == []
+            assert chain_self_intersection(arc.traversal_chain(depth)) is None
+        else:
+            assert len(calls) == 1 or not checks["e"]
+
+    @pytest.mark.parametrize("kind,depth", SUBSUMPTION_ARCS)
+    def test_honest_arcs_pass_every_class_check(self, kind, depth, monkeypatch):
+        arc = reference_arc(kind, depth)
+        monkeypatch.setattr(arc_module, "chain_self_intersection", None)  # never swept
+        for k in range(1, depth + 1):
+            assert all(class_checks(arc, k).values())
+            assert verify_injectivity(arc, k).traversal_violation is None
+
+    @pytest.mark.parametrize("mutant,failing", [
+        (swapped_pair_mutant, "a"), (aliased_row_mutant, "b"), (crossing_mutant, "d"),
+        (short_of_parent_mutant, "e")], ids=["a", "b", "d", "e"])
+    def test_a_mutant_failing_one_check_is_swept(self, mutant, failing, monkeypatch):
+        arc = mutant()
+        checks = class_checks(arc, arc.depth)
+        assert [name for name, passed in checks.items() if not passed] == [failing]
+        calls = []
+        monkeypatch.setattr(arc_module, "chain_self_intersection",
+                            lambda chain: calls.append(chain) or chain_self_intersection(chain))
+        report = verify_injectivity(arc, arc.depth)
+        if failing == "e":  # no glued chain to sweep
+            assert (calls, report.traversal_violation) == ([], (-1, -1))
+            return
+        assert len(calls) == 1
+        if failing == "a":  # the same cells as the honest arc
+            assert report == verify_injectivity(reference_arc("planar", 2), 2)
+        else:
+            assert report == view_verify_injectivity(RowView(arc), arc.depth)
+        assert report.traversal_violation == ((5, 9) if failing == "d" else None)
+
+    @pytest.mark.parametrize("clause", sorted(BAD_LATTICES))
+    def test_each_lattice_clause_is_checked(self, clause):
+        arc = with_base_lattice(reference_arc("planar", 2), BAD_LATTICES[clause])
+        assert not _lattices_nest(arc, 2)
+        assert _lattices_nest(arc, 1)
+
+    def test_rows_under_a_foreign_parent_fail_the_children_check(self):
+        # two parents' blocks of children swapped: every row is still there
+        # once, but no row is its parent's child
+        arc = reference_arc("spatial", 2)
+        rows = arc.generation_rows(2).copy()
+        rows[:8], rows[8:16] = rows[8:16].copy(), rows[:8].copy()
+        tampered = with_rows(arc, 2, rows)
+        assert _full_product(tampered.generation_rows(2), 2)
+        assert not _rows_are_children(tampered, 2)
+        assert _rows_are_children(tampered, 1)
 
     def test_corrupted_connector_detected(self):
         views = reference_views("planar", 2)
@@ -797,6 +958,55 @@ class TestContainment:
             assert rep.passed
             worst.append(rep.max_distance)
         assert all(a > b for a, b in zip(worst, worst[1:]))
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=run_configs(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_axis_search_matches_the_cloud_scan(self, config, seed):
+        arc = build_model(config)
+        addresses = sample_addresses(arc, 40, random.Random(seed))
+        for k in range(1, arc.depth + 1):
+            rep = verify_containment(arc, k, addresses)
+            assert rep == scan_containment(arc, k, addresses)
+            assert rep.passed
+
+    @pytest.mark.parametrize("config", [RunConfig(depth=5),
+                                        RunConfig(target_dimension=2.5, depth=3)],
+                             ids=["planar-5", "spatial-3"])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_axis_search_matches_the_cloud_scan_as_verify_samples(self, config, seed):
+        arc = build_model(config)
+        addresses = sample_addresses(arc, 100, random.Random(seed))
+        for k in range(1, arc.depth + 1):
+            assert verify_containment(arc, k, addresses) == scan_containment(arc, k, addresses)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tampered_rows(), st.integers(0, 2 ** 32 - 1))
+    def test_tampered_rows_match_the_cloud_scan(self, tampering, seed):
+        kind, depth, arc = tampering
+        addresses = sample_addresses(arc, 20, random.Random(seed))
+        for k in range(1, depth + 1):
+            assert verify_containment(arc, k, addresses) == scan_containment(arc, k, addresses)
+
+    def test_rows_that_are_not_the_product_are_scanned(self, monkeypatch):
+        arc = reference_arc("spatial", 2)
+        rows = arc.generation_rows(2).copy()
+        rows[9] = rows[10]  # a sibling's interval indices twice
+        tampered = with_rows(arc, 2, rows)
+        assert not _full_product(tampered.generation_rows(2), 2)
+        scanned = []
+        cloud = ArcApproximation.vertex_cloud
+        monkeypatch.setattr(ArcApproximation, "vertex_cloud",
+                            lambda self, k: scanned.append(k) or cloud(self, k))
+        addresses = sample_addresses(arc, 50, random.Random(3))
+        rep = verify_containment(tampered, 2, addresses)
+        assert scanned == [2]
+        monkeypatch.undo()
+        assert rep == scan_containment(tampered, 2, addresses)
+
+    def test_no_addresses(self, figure_arc):
+        rep = verify_containment(figure_arc, 2, [])
+        assert (rep.sample_count, rep.max_distance) == (0, 0.0)
 
 
 class TestModulus:

@@ -82,7 +82,7 @@ class TestConfig:
     def test_estimate_refuses_a_build_key_in_its_config(self, key, tmp_path, capsys):
         # argparse refuses these as estimate flags; the file may not slip them in
         cfg, out = tmp_path / "est.cfg", tmp_path / "est.json"
-        cfg.write_text(f"seed = 1\n{key}\n")
+        cfg.write_text(f"scales = 2:6\n{key}\n")
         argv = ["estimate", "--preset", "cantor", "--generation", "8", "--config", str(cfg),
                 "--out", str(out)]
         assert main(argv) == EXIT_CONFIG
@@ -116,7 +116,7 @@ class TestConfig:
     def test_a_bad_config_value_names_its_key_and_file(self, command, line, why,
                                                        tmp_path, capsys):
         cfg, out = tmp_path / "f.cfg", tmp_path / "out.json"
-        cfg.write_text(f"seed = 1\n{line}\n")
+        cfg.write_text(f"{line}\n")
         assert main([*command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         key = line.split("=")[0].strip()
         assert capsys.readouterr().err == (
@@ -133,14 +133,28 @@ class TestConfig:
         assert capsys.readouterr().err == (
             "configuration error: --depth: depth must be at least 1\n")
 
-    def test_estimate_reads_seed_and_scales_from_its_config(self, tmp_path):
+    def test_estimate_reads_scales_from_its_config(self, tmp_path):
         cfg, by_file, by_flag = (tmp_path / name for name in ("est.cfg", "a.json", "b.json"))
-        cfg.write_text("seed = 4\nscales = 2:6\n")
+        cfg.write_text("scales = 2:6\n")
         base = ["estimate", "--preset", "cantor", "--generation", "8"]
         assert main([*base, "--config", str(cfg), "--out", str(by_file)]) == EXIT_OK
-        assert main([*base, "--seed", "4", "--scales", "2:6", "--out", str(by_flag)]) == EXIT_OK
+        assert main([*base, "--scales", "2:6", "--out", str(by_flag)]) == EXIT_OK
         assert by_file.read_bytes() == by_flag.read_bytes()
         assert json.loads(by_file.read_text())["scales"] == [3.0 ** -i for i in range(2, 7)]
+
+    def test_estimate_refuses_a_seed(self, tmp_path, capsys):
+        # estimates draw no random numbers, so a seed would be ignored
+        cfg, out = tmp_path / "est.cfg", tmp_path / "out.json"
+        cfg.write_text("seed = 4\nscales = 2:6\n")
+        base = ["estimate", "--preset", "cantor", "--generation", "8", "--out", str(out)]
+        assert main([*base, "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: {cfg}: estimate does not read the config key 'seed'\n")
+        with pytest.raises(SystemExit) as refused:
+            main([*base, "--seed", "4"])
+        assert refused.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --seed 4" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBuildCommand:
@@ -562,7 +576,7 @@ class TestReproducibility:
             assert main(["build", "--c", repr(1 + LOG2_3), "--depth", "2",
                          "--seed", "42", "--out", str(model)]) == EXIT_OK
             assert main(["estimate", "--preset", "arc", "--model", str(model),
-                         "--seed", "42", "--out", str(report),
+                         "--out", str(report),
                          "--csv", str(csv)]) == EXIT_OK
             outputs.append((model.read_bytes(), report.read_bytes(), csv.read_bytes()))
         assert outputs[0] == outputs[1]

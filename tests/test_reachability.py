@@ -30,6 +30,7 @@ PACKAGE = SRC / "fractarc"
 _TRACER = "perfbench/tracing.py wraps it"
 _API = "library API shown in the README"
 _METRIC = "metric definition the net oracles check and the tracer wraps"
+_SWEEP = "verify_injectivity's fallback for rows that fail a class check"
 
 #: Functions no command runs, with the reason each stays in ``src``.
 ALLOWED = {
@@ -39,6 +40,9 @@ ALLOWED = {
     "geometry:segment_intersection": _TRACER,
     "geometry:_parallel_intersection": _TRACER + " (segment_intersection calls it)",
     "cantor:ProductCantor.min_corners": _TRACER,
+    "geometry:chain_self_intersection": _SWEEP + "; " + _TRACER,
+    "geometry:_meeting_box_pairs": _SWEEP + " (chain_self_intersection calls it)",
+    "arc:ArcApproximation.traversal_chain": _SWEEP + "; " + _TRACER,
     "arc:build_arc": _API,
     "arc:ArcApproximation.build_to": _API + " (build_arc calls it)",
     "arc:ArcApproximation.evaluate": _API,
@@ -114,7 +118,7 @@ def probe(directory: Path) -> set:
 
         (directory / "build.cfg").write_text(
             "c = 1.6\ndepth = 2\nseed = 3\nsamples = 20\nratios = dyadic  # the default\n")
-        (directory / "estimate.cfg").write_text("seed = 2\nscales = 2:6\n")
+        (directory / "estimate.cfg").write_text("scales = 2:6\n")
         run(BUILDS)
         data = json.loads((directory / "planar.json").read_text())
         (directory / "compact.json").write_text(json.dumps(data, separators=(",", ":")))
