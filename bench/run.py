@@ -3,15 +3,17 @@ the arc's build and verify layers, with the work they do.
 
 Times ``lattice`` of fresh self-similar Cantor engines (r = 1/3 and 1/10,
 the second past the int64 denominators), ``box_count_series`` on exact
-Cantor and product samples and ``net_count_series`` on snowflake and
-snowflake-rug samples, each at three generations, and on the rug over
-planar-4 at generation 6, in one process, best of five ``perf_counter``
-runs.  Sampling is timed apart from counting (a fresh Cantor engine per
-run, so its stored generations do not hide the build).  Rugs are counted
-on their factor samples, as the CLI counts them, beside the product path
-(the whole product sample built, then counted) as the reference.  Each row
-keeps the point count (for a rug, the product's and each factor's) beside
-the lattice's dtype and bytes or the counts per scale, so work and time are
+Cantor samples and on a two-copy product, counted on its two per-axis
+samples as the product preset counts it, and ``net_count_series`` on
+snowflake and snowflake-rug samples, each at three or four generations, and
+on the rug over planar-4 at generation 6, in one process, best of five
+``perf_counter`` runs.  Sampling is timed apart from counting (a fresh
+Cantor engine per run, so its stored generations do not hide the build).
+Rugs are counted on their factor samples, as the CLI counts them, beside
+the product path (the whole product sample built, then counted) as the
+reference.  Each row keeps the point count (for a rug, the product's and
+each factor's; for a product, the axis sample's and the cells') beside the
+lattice's dtype and bytes or the counts per scale, so work and time are
 read together.
 
 The arc layers, best of three, on the planar (n = 1) arcs of depth 4 to 8
@@ -44,8 +46,13 @@ and its reports must equal the axis search's.
 The model file, best of three, on planar-6 and spatial-4: ``model_text``;
 ``_load_model`` of the canonical file, which takes the byte compare, beside
 the row check (``json.loads`` then ``model_from_dict``) that any other text
-gets; and ``vertex_cloud`` with its point count.  Every row above runs the
-library as the CLI does, on the arc's per-axis interval-index rows.
+gets; and ``vertex_cloud`` with its point count.  ``arc_estimate`` on the
+same two arcs, as ``estimate --preset arc`` runs it on the default window:
+each axis's float interval ends counted and the counts multiplied, beside
+the cloud oracle of the tests (``cloud_box_count``: the distinct box rows of
+the whole ``vertex_cloud``, as a set of tuples), whose counts must be equal.
+Every row above runs the library as the CLI does, on the arc's per-axis
+interval-index rows.
 
 Last, the fifteen commands of perfbench's three workloads, each in a fresh
 process exactly as perfbench runs it untraced (``python -m fractarc.cli``,
@@ -84,12 +91,12 @@ import numpy as np
 
 import fractarc
 from fractarc import arc as arc_module
-from fractarc.cantor import (ProductCantor, SelfSimilarCantor, sample_ball_inputs,
+from fractarc.cantor import (SelfSimilarCantor, sample_ball_inputs,
                              verify_uniform_perfectness)
 from fractarc.cli import (RunConfig, _load_canonical, _load_model, _unrouted_arc,
-                          build_model, model_from_dict, model_text)
+                          arc_estimate, build_model, model_from_dict, model_text)
 from fractarc.dimension import (ball_net_count, box_count_series, cantor_sample,
-                                net_count_series, power_scales, product_sample)
+                                net_count_series, power_scales)
 from fractarc.geometry import _meeting_box_pairs, chain_self_intersection
 from fractarc.measure import DEFAULT_EXPONENT_GRID, NaturalMeasure, verify_mass_bounds
 from fractarc.metric import VON_KOCH_EXPONENT, ArcFactor, RugSpace, SnowflakeMetric
@@ -98,7 +105,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 sys.path[:0] = [str(PERFBENCH), str(ROOT / "tests")]
 import workloads  # noqa: E402  (perfbench's commands, run by cli_rows)
-from oracles import scan_containment  # noqa: E402  (the containment reference)
+from oracles import cloud_box_count, scan_containment  # noqa: E402  (the references)
 
 REPEATS = 5
 VERIFY_REPEATS = 3
@@ -144,11 +151,16 @@ def lattice_row(case: str, ratio: Fraction, generation: int) -> dict:
             "build_s": build_s}
 
 
-def box_row(case: str, generation: int, sample, scales) -> dict:
+def box_row(case: str, generation: int, sample, scales, copies: int = 1) -> dict:
+    """Box counts of ``copies`` copies of one axis sample, the product of
+    the axis counts; ``points`` is the axis sample's size, ``cells`` the
+    product's."""
     sample_s, (points, resolution) = best_of(sample)
-    count_s, series = best_of(lambda: box_count_series(points, scales, resolution))
+    count_s, series = best_of(lambda: box_count_series([points] * copies, scales,
+                                                       resolution))
     return {"layer": "box_count_series", "case": case, "generation": generation,
-            "points": len(points), "scales": [str(s) for s in series.scales],
+            "points": len(points), "cells": len(points) ** copies,
+            "scales": [str(s) for s in series.scales],
             "counts": list(series.counts), "sample_s": sample_s, "count_s": count_s}
 
 
@@ -356,6 +368,24 @@ def model_file_rows(case: str) -> list[dict]:
              "time_s": cloud_s}]
 
 
+def estimate_row(case: str) -> dict:
+    """``arc_estimate`` of one arc on its default window, best of three,
+    beside the cloud oracle on the whole vertex cloud; the counts must be
+    equal."""
+    c, depth = ARCS[case]
+    arc = build_model(RunConfig(target_dimension=c, depth=depth))
+    time_s, series = best_of(lambda: arc_estimate(arc), VERIFY_REPEATS)
+    cloud_s, counts = best_of(lambda: [cloud_box_count(arc.vertex_cloud(depth), d)
+                                       for d in series.scales], VERIFY_REPEATS)
+    if counts != list(series.counts):
+        raise SystemExit(f"{case}: axis counts {list(series.counts)} != cloud {counts}")
+    return {"layer": "arc_estimate", "case": case, "depth": depth,
+            "axis_ends": sum(len(ends) for ends in arc.axis_ends(depth)),
+            "cloud_points": len(arc.vertex_cloud(depth)),
+            "scales": [str(s) for s in series.scales], "counts": counts,
+            "cloud_s": cloud_s, "time_s": time_s}
+
+
 #: Prints the ``fractarc.*`` modules loaded so far as the last stdout line.
 PRINT_MODULES = ("print(' '.join(sorted(m.split('.', 1)[1] for m in sys.modules "
                  "if m.startswith('fractarc.'))))")
@@ -428,12 +458,11 @@ def rows(parent: Path | None = None) -> list[dict]:
         out.append(box_row("cantor 1/3", g,
                            lambda g=g: cantor_sample(SelfSimilarCantor(THIRD), g),
                            power_scales(THIRD, 2, g - 2)))
-    for g in (6, 7, 8):  # the product preset's window for two copies
+    for g in (6, 8, 10, 12):  # the product preset's window for two copies
         hi = min(6, g - 2)
         out.append(box_row("product 1/3 x2", g,
-                           lambda g=g: product_sample(
-                               ProductCantor(SelfSimilarCantor(THIRD), 2), g),
-                           power_scales(THIRD, max(1, min(2, hi - 2)), hi)))
+                           lambda g=g: cantor_sample(SelfSimilarCantor(THIRD), g),
+                           power_scales(THIRD, max(1, min(2, hi - 2)), hi), copies=2))
     koch = SnowflakeMetric(VON_KOCH_EXPONENT)
     for g in (12, 14, 16):
         out.append(net_row("snowflake koch", g, koch, 2, 7))
@@ -456,6 +485,7 @@ def rows(parent: Path | None = None) -> list[dict]:
             out.extend(containment_rows(case))
     for case in ("planar-6", "spatial-4"):
         out.extend(model_file_rows(case))
+        out.append(estimate_row(case))
     out.extend(cli_rows(parent))
     return out
 

@@ -446,6 +446,12 @@ class ArcApproximation:
             self._tables[kind, k] = [base] + [factor] * self.copies
         return self._tables[kind, k]
 
+    def axis_ends(self, k: int) -> list[np.ndarray]:
+        """Per axis, the sorted float ends, lower and upper, of the
+        generation-k intervals: on full-product rows (``_full_product``) the
+        vertex cloud is their Cartesian product."""
+        return [np.sort(lo + hi) for lo, hi in self.interval_ends("float", k)]
+
     def connector_ends(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Float (sources, targets) of the generation-k connectors in id
         order: the far corners of ranks 1..q-1 and the near corners of ranks
@@ -744,8 +750,7 @@ def _rows_are_children(arc: ArcApproximation, k: int) -> bool:
 
 def _full_product(rows: np.ndarray, k: int) -> bool:
     """Whether the generation-k ``rows`` hold every combination of per-axis
-    interval indices, each once: then the cells' corners are the Cartesian
-    product of each axis's interval ends."""
+    interval indices, each once (see ``axis_ends``)."""
     n, d = rows.shape
     side = 2 ** k
     if n != side ** d or not ((rows >= 0) & (rows < side)).all():
@@ -772,18 +777,18 @@ def verify_containment(arc: ArcApproximation, k: int,
     depth-k model's vertex cloud; the bound shrinks with k.
 
     On rows that are the full product (``_full_product``, every built or
-    loaded model) the cloud is the Cartesian product of each axis's float
-    interval ends, so the cloud point nearest to a sampled point z is the
-    per-axis nearest end, found by ``searchsorted``.  Float subtraction,
-    squaring, addition and ``sqrt`` are monotone, so its distance is the
-    least float distance from z over the whole cloud, bit for bit.  Other
-    rows are scanned against ``vertex_cloud(k)``.
+    loaded model) the cloud is the Cartesian product of the ``axis_ends``,
+    so the cloud point nearest to a sampled point z is the per-axis nearest
+    end, found by ``searchsorted``.  Float subtraction, squaring, addition
+    and ``sqrt`` are monotone, so its distance is the least float distance
+    from z over the whole cloud, bit for bit.  Other rows are scanned
+    against ``vertex_cloud(k)``.
     """
     points = np.array([arc.near_point(address) for address in addresses],
                       float).reshape(len(addresses), arc.ambient_dimension)
     if _full_product(arc.generation_rows(k), k):
-        offsets = np.stack([_nearest_offsets(np.sort(lo + hi), points[:, a]) for a, (lo, hi)
-                            in enumerate(arc.interval_ends("float", k))], -1)
+        offsets = np.stack([_nearest_offsets(ends, points[:, a])
+                            for a, ends in enumerate(arc.axis_ends(k))], -1)
         distances = np.linalg.norm(offsets, axis=1).tolist()
     else:
         cloud = arc.vertex_cloud(k)

@@ -24,6 +24,7 @@ and a ``searchsorted``, and ``verify_uniform_perfectness`` and
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import sys
@@ -301,23 +302,9 @@ class ProductCantor:
     def min_corners(self, k: int) -> list[tuple[Fraction, ...]]:
         """Lower-left corners of every generation-k cell (the cells' provable
         member points), in lexicographic order."""
-        corners, den = self.min_corner_lattice(k)
-        return [tuple(Fraction(v, den) for v in row) for row in corners.tolist()]
-
-    def min_corner_lattice(self, k: int) -> tuple[np.ndarray, int]:
-        """``min_corners`` as a (cells, copies) array of integer numerators
-        over one denominator, typed as in ``lattice``; at most 2^22 cells."""
-        if self.cell_count(k) > 2 ** 22:
-            raise GenerationBudgetError(
-                f"{self.cell_count(k)} cells at generation {k} exceed the sample cap {2 ** 22}")
         lows, _, den = self.factor.lattice(k)
-        n, copies = len(lows), self.copies
-        corners = np.empty((n ** copies, copies), dtype=lows.dtype)
-        grid = corners.reshape((n,) * copies + (copies,))
-        for axis in range(copies):
-            # axis 0 varies slowest: lexicographic order
-            grid[..., axis] = lows.reshape([n if a == axis else 1 for a in range(copies)])
-        return corners, den
+        return list(itertools.product([Fraction(v, den) for v in lows.tolist()],
+                                      repeat=self.copies))
 
 
 def product_for_dimension(a: float) -> ProductCantor:

@@ -121,8 +121,9 @@ class RunConfig:
             raise ConfigError(f"samples must be at least 1, got {self.samples}")
         if self.scales is not None and not (
                 len(self.scales) == 2 and all(isinstance(v, int) for v in self.scales)
-                and self.scales[0] <= self.scales[1]):
-            raise ConfigError(f"bad scale window {self.scales}")
+                and 0 <= self.scales[0] <= self.scales[1]):
+            raise ConfigError(f"bad scale window {self.scales}: the exponents need "
+                              "0 <= coarse <= fine")
 
     def ratio_sequence(self) -> RatioSequence:
         if self.ratio_family == "dyadic":
@@ -149,19 +150,26 @@ class RunConfig:
         }
 
 
+#: The parameters each ratio family reads.
+_RATIO_PARAMS = {"dyadic": (), "harmonic": (), "geometric": ("q",)}
+
+
 def parse_ratio_spec(text: str) -> tuple[str, dict]:
-    """'dyadic' | 'harmonic' | 'geometric:q=1/3'."""
+    """'dyadic' | 'harmonic' | 'geometric:q=1/3'; a parameter its family
+    does not read, or one set twice, is refused."""
     family, _, rest = text.partition(":")
     family = family.strip()
-    params: dict = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, value = item.partition("=")
-            if not value:
-                raise ConfigError(f"bad ratio parameter {item!r}")
-            params[key.strip()] = parse_fraction(value)
-    if family not in ("dyadic", "harmonic", "geometric"):
+    if family not in _RATIO_PARAMS:
         raise ConfigError(f"unknown ratio family {family!r}")
+    params: dict = {}
+    for item in rest.split(",") if rest else ():
+        key, _, value = (part.strip() for part in item.partition("="))
+        if not value:
+            raise ConfigError(f"bad ratio parameter {item!r}")
+        if key in params or key not in _RATIO_PARAMS[family]:
+            raise ConfigError(f"ratio parameter {key!r} is " + (
+                "set twice" if key in params else f"not read by the {family} family"))
+        params[key] = parse_fraction(value)
     return family, params
 
 
@@ -367,11 +375,6 @@ class UnitIntervalModel:
     kind = "unit_interval"
     ambient_dimension = 1
     depth = 0
-
-    def sample(self, generation: int = 10):
-        from . import dimension as dim_mod
-
-        return dim_mod.interval_sample(generation)
 
 
 def _check_fields(where: str, item, **expected) -> None:
@@ -596,7 +599,9 @@ def run_verification(model, config: RunConfig) -> dict:
 
 def arc_estimate(model, window: Optional[tuple[int, int]] = None,
                  depth: Optional[int] = None) -> dim_mod.BoxCountSeries:
-    """Box counts of an arc model's vertex cloud.
+    """Box counts of an arc model's vertex cloud, the Cartesian product of
+    each axis's float interval ends (``axis_ends``), counted on the axes;
+    rows that are not the full product are refused with ValueError.
 
     Defaults to the finest three admissible dyadic scales, depth-1 .. depth+1
     where the sample resolution allows: the construction's active scales,
@@ -604,10 +609,13 @@ def arc_estimate(model, window: Optional[tuple[int, int]] = None,
     averaged into the coarse-scale plateau.  The finest admissible scale 2^-i
     is found from the exact resolution.
     """
+    from . import arc as arc_mod
     from . import dimension as dim_mod
 
     depth = model.depth if depth is None else depth
-    cloud = model.vertex_cloud(depth)
+    if not arc_mod._full_product(model.generation_rows(depth), depth):
+        raise ValueError(f"generation {depth} is not the full product of its axes")
+    axes = [dim_mod.dyadic_sample(ends.tolist()) for ends in model.axis_ends(depth)]
     resolution = max(model.base_set.generation_length(depth),
                      model.product.factor.generation_length(depth))
     if window is None:
@@ -615,7 +623,7 @@ def arc_estimate(model, window: Optional[tuple[int, int]] = None,
         hi = min(depth + 1, (resolution.denominator // resolution.numerator).bit_length() - 1)
         window = (max(min(depth - 1, hi - 2), 1), hi)
     lo, hi = window
-    return dim_mod.box_count_series(cloud, dim_mod.dyadic_scales(lo, hi),
+    return dim_mod.box_count_series(axes, dim_mod.dyadic_scales(lo, hi),
                                     sample_resolution=resolution)
 
 
@@ -648,14 +656,18 @@ def run_estimate(preset: str, config: RunConfig, model=None,
         points, resolution = dim_mod.cantor_sample(cantor, g)
         lo, hi = window or (2, g - 2)
         # scales matched to the construction's own hierarchy (powers of r)
-        series = dim_mod.box_count_series(points, dim_mod.power_scales(ratio, lo, hi),
+        series = dim_mod.box_count_series([points], dim_mod.power_scales(ratio, lo, hi),
                                           sample_resolution=resolution)
         expected = dim_mod.expected_dimensions("cantor", dimension=cantor.dimension)
     elif preset == "product":
         # cell counts grow like 2^(g*copies); shrink the default depth to match
         g = generation or {1: 12, 2: 8}.get(copies, 5)
         product = ProductCantor(_from_flags(SelfSimilarCantor, ratio), copies)
-        points, resolution = dim_mod.product_sample(product, g)
+        if product.cell_count(g) > 2 ** 22:
+            raise GenerationBudgetError(f"{product.cell_count(g)} cells at generation {g} "
+                                        f"exceed the sample cap {2 ** 22}")
+        # the cell corners: the factor's lower ends on every axis
+        points, resolution = dim_mod.cantor_sample(product.factor, g)
         if window is None:
             hi = min(6, g - 2)
             window = (max(1, min(2, hi - 2)), hi)
@@ -663,7 +675,8 @@ def run_estimate(preset: str, config: RunConfig, model=None,
         if hi - lo < 2:
             raise ConfigError(f"window {lo}:{hi} has fewer than 3 scales; "
                               "widen --scales or deepen --generation")
-        series = dim_mod.box_count_series(points, dim_mod.power_scales(ratio, lo, hi),
+        series = dim_mod.box_count_series([points] * copies,
+                                          dim_mod.power_scales(ratio, lo, hi),
                                           sample_resolution=resolution)
         expected = dim_mod.expected_dimensions("product", dimension=product.dimension)
     elif preset == "snowflake":
@@ -704,9 +717,9 @@ def run_estimate(preset: str, config: RunConfig, model=None,
         if model is None:
             raise ConfigError("arc estimation needs a model file")
         if isinstance(model, UnitIntervalModel):
-            points, resolution = model.sample()
+            points, resolution = dim_mod.interval_sample(10)
             lo, hi = window or (3, 8)
-            series = dim_mod.box_count_series(points, dim_mod.dyadic_scales(lo, hi),
+            series = dim_mod.box_count_series([points], dim_mod.dyadic_scales(lo, hi),
                                               sample_resolution=resolution)
             expected = dim_mod.expected_dimensions("interval")
         else:

@@ -6,14 +6,18 @@ coefficient of determination.  For non-Euclidean metrics (snowflake, rug) the
 counter is a greedy maximal r-separated net, whose size scales like a covering
 number.
 
-Exact samples live on an integer lattice: a ``LatticeSample`` holds integer
-numerators over one common denominator, straight from the Cantor engine for
-the cantor and product samples, and the dyadic grid for the unit interval;
-every other sample is a float array.  A box index is
-``(num * dd) // (den * dn)`` for the scale ``dn/dd``, so scale grids aligned
-with the construction (for example powers of 1/3 against a middle-thirds
-set) are decided exactly, never by float rounding: in numpy int64 when
-``den * max(dd, dn)`` fits in 63 bits, in Python ints otherwise.
+Box counting is exact and one-dimensional.  A ``LatticeSample`` holds
+points of [0, 1] as integer numerators over one denominator: a Cantor
+lattice of lower ends, the dyadic grid, or floats lifted exactly
+(``dyadic_sample``).  A box index is ``(num * dd) // (den * dn)`` for the
+scale ``dn/dd``, in int64 when ``den * max(dd, dn)`` fits in 63 bits and in
+Python ints otherwise, so no float rounding decides a box; for a lifted
+float x and the scale 2^-i it is floor(x * 2^i), as float division gives.
+
+Every box-counted set is a Cartesian product of per-axis samples (the
+product preset's cell corners, an arc's vertex cloud), and a grid box is a
+product of per-axis intervals, so ``box_count_series`` multiplies the axes'
+counts.
 
 The greedy net visits the points in sample order, as a full rescan would, but
 looks only where a point can be near.  Each metric's ``reach(r)`` bounds
@@ -48,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cantor import ProductCantor, _BinaryCantorBase
+from .cantor import _BinaryCantorBase
 
 #: Box dimension equals Hausdorff dimension for the self-similar sets and
 #: products built here; estimates elsewhere carry this caveat.
@@ -96,11 +100,9 @@ class DimensionEstimate:
 
 @dataclass(frozen=True)
 class LatticeSample:
-    """Exact points as integer numerators over one common denominator.
-
-    ``numerators`` is an (n, d) array, int64 when the denominator fits in 63
-    bits and Python ints (dtype object) otherwise.
-    """
+    """Exact points of [0, 1]: a 1-D array of integer numerators over one
+    denominator, int64 when it fits in 63 bits and Python ints (dtype
+    object) otherwise."""
 
     numerators: np.ndarray
     denominator: int
@@ -109,28 +111,15 @@ class LatticeSample:
         return len(self.numerators)
 
 
-def box_count(points: LatticeSample | np.ndarray, delta) -> int:
-    """Number of grid boxes of side delta meeting the point sample, a
-    ``LatticeSample`` or a float array of points in the unit cube.
-
-    Boxes are [i*delta, (i+1)*delta) per axis, with points at the upper domain
-    boundary assigned to the last box.  Deterministic; exact for a
-    ``LatticeSample`` with a rational delta.
-    """
+def box_count(points: LatticeSample, delta) -> int:
+    """Number of intervals [i*delta, (i+1)*delta) meeting the sample, a
+    point at 1 counted in the last; exact for a rational delta.  The box
+    indices are sorted and the changes between neighbours counted."""
     delta = Fraction(delta) if not isinstance(delta, Fraction) else delta
     if delta <= 0 or delta > 1:
         raise ValueError(f"box side must lie in (0, 1], got {float(delta)}")
-    if isinstance(points, np.ndarray):
-        if points.size == 0:
-            raise ValueError("cannot box-count an empty sample")
-        pts = points.reshape(len(points), -1)
-        if pts.min() < 0.0 or pts.max() > 1.0:
-            raise ValueError("points must lie in the unit cube")
-        n_boxes = int(math.ceil(1.0 / float(delta)))
-        idx = np.floor(pts / float(delta)).astype(np.int64)
-        np.clip(idx, 0, n_boxes - 1, out=idx)
-        return _distinct_boxes(idx, n_boxes)
-
+    if points.numerators.ndim != 1:
+        raise ValueError("a LatticeSample holds one axis: a 1-D array of numerators")
     if len(points) == 0:
         raise ValueError("cannot box-count an empty sample")
     dn, dd = delta.numerator, delta.denominator
@@ -142,21 +131,8 @@ def box_count(points: LatticeSample | np.ndarray, delta) -> int:
     else:
         idx = nums.astype(object) * dd // (den * dn)
     np.minimum(idx, n_boxes - 1, out=idx)
-    return _distinct_boxes(idx, n_boxes)
-
-
-def _distinct_boxes(idx: np.ndarray, n_boxes: int) -> int:
-    """Number of distinct rows of ``idx``, box indices in [0, n_boxes) per
-    axis: counted on each box's row-major rank among n_boxes^d when that
-    fits in int64 (sorted, then the changes between neighbours counted), on
-    tuples of Python ints otherwise."""
-    if idx.dtype == object or n_boxes ** idx.shape[1] >= 2 ** 63:
-        return len(set(map(tuple, idx.tolist())))
-    key = idx[:, 0]
-    for k in range(1, idx.shape[1]):
-        key = key * n_boxes + idx[:, k]
-    key = np.sort(key)
-    return int(np.count_nonzero(key[1:] != key[:-1])) + (len(key) > 0)
+    idx.sort()
+    return int(np.count_nonzero(idx[1:] != idx[:-1])) + 1
 
 
 def dyadic_scales(coarse: int, fine: int) -> list[Fraction]:
@@ -171,17 +147,19 @@ def power_scales(base: Fraction, coarse: int, fine: int) -> list[Fraction]:
     return [base ** i for i in range(coarse, fine + 1)]
 
 
-def box_count_series(points: LatticeSample | np.ndarray, scales: Sequence,
+def box_count_series(axes: Sequence[LatticeSample], scales: Sequence,
                      sample_resolution=None) -> BoxCountSeries:
-    """Count at every scale.  When the sample's generation resolution is
-    known, windows finer than it are refused: counts there would flatten into
-    a spurious dimension-zero tail."""
+    """Box counts at every scale of the Cartesian product of ``axes``, one
+    ``LatticeSample`` each: the product of the axes' ``box_count``.  When
+    the sample's generation resolution is known, windows finer than it are
+    refused: counts there would flatten into a spurious dimension-zero
+    tail."""
     scales = [Fraction(s) for s in scales]
     if not scales:
         raise ValueError(_TOO_FEW_SCALES)
     if sample_resolution is not None:
         _refuse_finer(min(scales), Fraction(sample_resolution))
-    counts = tuple(box_count(points, d) for d in scales)
+    counts = tuple(math.prod(box_count(axis, d) for axis in axes) for d in scales)
     return BoxCountSeries(tuple(scales), counts)
 
 
@@ -341,21 +319,24 @@ def cantor_sample(cantor_set: _BinaryCantorBase, generation: int) -> tuple[Latti
     as the engine's own read-only lattice of lower ends.
     Returns (points, sample resolution)."""
     lows, _, den = cantor_set.lattice(generation)
-    return (LatticeSample(lows.reshape(-1, 1), den),
-            cantor_set.generation_length(generation))
-
-
-def product_sample(product: ProductCantor, generation: int) -> tuple[LatticeSample, Fraction]:
-    """Cell min-corners of the product at one generation, laid out from the
-    factor's lattice of lower ends."""
-    return (LatticeSample(*product.min_corner_lattice(generation)),
-            product.factor.generation_length(generation))
+    return LatticeSample(lows, den), cantor_set.generation_length(generation)
 
 
 def interval_sample(generation: int) -> tuple[LatticeSample, Fraction]:
     """Uniform dyadic grid on [0, 1]: the degenerate target of dimension 1."""
     n = 2 ** generation
-    return LatticeSample(np.arange(n + 1, dtype=np.int64).reshape(-1, 1), n), Fraction(1, n)
+    return LatticeSample(np.arange(n + 1, dtype=np.int64), n), Fraction(1, n)
+
+
+def dyadic_sample(values: Sequence[float]) -> LatticeSample:
+    """Floats of [0, 1] lifted exactly onto one ``LatticeSample``: each is
+    m / 2^e (``as_integer_ratio``), over the largest 2^e."""
+    if not all(0.0 <= x <= 1.0 for x in values):
+        raise ValueError("points must lie in [0, 1]")
+    ratios = [float(x).as_integer_ratio() for x in values]
+    den = max(d for _, d in ratios)
+    nums = [n * (den // d) for n, d in ratios]
+    return LatticeSample(np.array(nums, dtype=np.int64 if den < 2 ** 63 else object), den)
 
 
 def expected_dimensions(kind: str, **params) -> dict:

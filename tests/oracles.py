@@ -29,11 +29,15 @@ in the list of every endpoint, and ``(x -+ r) * den`` as ``Fraction``s.
 
 ``generation_intervals``, ``endpoints`` and ``verify_generation_lengths``
 read a Cantor set's lattices as ``Fraction`` intervals and check their
-nesting; ``lattice_sample`` lifts a list of rational points onto the
-``LatticeSample`` that box counting takes, and ``sample_points`` reads one
-back.  ``connector_fields`` and ``param_intervals`` are the schema-v1 index
-fields of the connectors and the parameter tree, generated apart from the
-model writer.
+nesting; ``lattice_sample`` lifts a list of rational numbers onto the 1-D
+``LatticeSample`` that box counting takes, or a list of rational points onto
+the rows of one, and ``sample_points`` reads either back.
+``cloud_box_count`` is the multi-axis box count that the per-axis product
+replaced: it counts the distinct box rows of a whole cloud, float rows (the
+arc's ``vertex_cloud``) or exact ones (``lattice_sample`` of
+``min_corners``).  ``connector_fields`` and ``param_intervals`` are the
+schema-v1 index fields of the connectors and the parameter tree, generated
+apart from the model writer.
 
 The tests compare the library with all of these where they are cheap to
 run.
@@ -185,8 +189,9 @@ def verify_generation_lengths(cantor_set, up_to):
 
 
 def lattice_sample(points):
-    """Rational points (numbers, or tuples of them) in the unit cube lifted
-    onto one ``LatticeSample``."""
+    """Rational numbers in [0, 1] lifted onto one 1-D ``LatticeSample``, or
+    rational points (tuples) in the unit cube onto one whose numerators are
+    (n, d) rows, as ``cloud_box_count`` reads them."""
     rows = [tuple(map(Fraction, p)) if isinstance(p, tuple) else (Fraction(p),)
             for p in points]
     if not rows:
@@ -197,13 +202,33 @@ def lattice_sample(points):
         raise ValueError("points must lie in the unit cube")
     den = math.lcm(*{c.denominator for row in rows for c in row})
     nums = [[c.numerator * (den // c.denominator) for c in row] for row in rows]
-    return LatticeSample(np.array(nums, dtype=np.int64 if den < 2 ** 63 else object), den)
+    nums = np.array(nums, dtype=np.int64 if den < 2 ** 63 else object)
+    return LatticeSample(nums if isinstance(points[0], tuple) else nums[:, 0], den)
 
 
 def sample_points(sample):
-    """The exact points of a ``LatticeSample``: tuples of Fractions."""
-    return [tuple(Fraction(v, sample.denominator) for v in row)
-            for row in sample.numerators.tolist()]
+    """The exact points of a ``LatticeSample``: Fractions, or tuples of
+    them for rows."""
+    return [tuple(Fraction(v, sample.denominator) for v in row) if isinstance(row, list)
+            else Fraction(row, sample.denominator) for row in sample.numerators.tolist()]
+
+
+def cloud_box_count(points, delta):
+    """Grid boxes of side delta meeting a cloud in the unit cube, counted
+    on whole rows, as ``box_count`` counted before it counted on axes: a
+    float array of rows is floored at ``float(delta)``, a ``LatticeSample``
+    (rows or 1-D) by exact floor division; each index is clipped to the
+    last box, and the distinct index rows are counted."""
+    delta = Fraction(delta)
+    n_boxes = math.ceil(1 / delta)
+    if isinstance(points, np.ndarray):
+        if points.min() < 0.0 or points.max() > 1.0:
+            raise ValueError("points must lie in the unit cube")
+        idx = np.floor(points.reshape(len(points), -1) / float(delta)).astype(np.int64)
+    else:
+        nums = points.numerators.reshape(len(points), -1).astype(object)
+        idx = nums * delta.denominator // (points.denominator * delta.numerator)
+    return len({tuple(min(max(i, 0), n_boxes - 1) for i in row) for row in idx.tolist()})
 
 
 def connector_fields(depth, ambient_dimension):

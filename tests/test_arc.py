@@ -22,10 +22,10 @@ from fractarc.arc import (ArcApproximation, RoutingFailed,
                           modulus_of_continuity, route_connectors, sample_addresses,
                           verify_containment, verify_injectivity, _connector_checks,
                           _full_product, _lattices_nest, _path_legal, _rows_are_children)
-from fractarc.cli import RunConfig, build_model
+from fractarc.cli import RunConfig, arc_estimate, build_model
 from fractarc.geometry import (boxes_disjoint, chain_self_intersection, lift, points_bbox,
                                polylines_disjoint, vlerp, vsub)
-from oracles import (Connector, RowView, box_corners, connector_vertex_cloud,
+from oracles import (Connector, RowView, box_corners, cloud_box_count, connector_vertex_cloud,
                      fraction_evaluate, param_intervals, path_legal as fraction_path_legal,
                      scan_containment, shape_of, view_verify_injectivity)
 
@@ -1117,6 +1117,50 @@ class TestVertexCloudConvergence:
         arc = build_model(config)
         for k in range(1, arc.depth + 1):
             assert np.array_equal(arc.vertex_cloud(k), connector_vertex_cloud(arc, k))
+
+
+def estimate_matches_the_cloud(arc, window):
+    """Whether ``arc_estimate`` admits ``window`` (None: its default); when
+    it does, its counts must be the cloud oracle's on the whole vertex
+    cloud."""
+    try:
+        series = arc_estimate(arc, window)
+    except ValueError as exc:
+        assert "finer than the sample resolution" in str(exc) or "coarse" in str(exc)
+        return False
+    cloud = arc.vertex_cloud(arc.depth)
+    assert series.counts == tuple(cloud_box_count(cloud, d) for d in series.scales)
+    return True
+
+
+class TestArcCounts:
+    """``arc_estimate`` counts on the axes what the cloud oracle counts on
+    the whole float vertex cloud."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=run_configs())
+    def test_axes_count_the_vertex_cloud(self, config):
+        arc = build_model(config)
+        for window in (None, (1, 3), (2, 5), (1, arc.depth)):
+            estimate_matches_the_cloud(arc, window)
+
+    @pytest.mark.parametrize("c,depth", [(1 + LOG2_3, 4), (1 + LOG2_3, 6), (1.3, 4),
+                                         (2.5, 3), (2.5, 4), (2.2, 3)])
+    def test_built_arcs_on_their_windows(self, c, depth):
+        arc = build_model(RunConfig(target_dimension=c, depth=depth))
+        admitted = [estimate_matches_the_cloud(arc, window)
+                    for window in (None, (1, 3), (2, 5), (1, depth))]
+        assert admitted[0] and admitted[1]
+
+    def test_rows_that_are_not_the_product_are_refused(self):
+        arc = reference_arc("spatial", 2)
+        rows = arc.generation_rows(2).copy()
+        rows[9] = rows[10]  # a sibling's interval indices twice
+        with pytest.raises(ValueError, match="not the full product"):
+            arc_estimate(with_rows(arc, 2, rows))
+        rows = arc.generation_rows(2).copy()
+        rows[[3, 12]] = rows[[12, 3]]  # two cells swapped: still the product
+        assert arc_estimate(with_rows(arc, 2, rows)) == arc_estimate(arc)
 
 
 class TestArcAsRugFactor:

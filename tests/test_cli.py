@@ -13,7 +13,6 @@ import pytest
 
 import fractarc
 from fractarc import arc as arc_mod
-from fractarc.dimension import box_count
 from fractarc.cli import (EXIT_CONFIG, EXIT_CONSTRUCTION, EXIT_OK,
                           ConfigError, RunConfig,
                           UnitIntervalModel, arc_estimate, build_model,
@@ -21,7 +20,7 @@ from fractarc.cli import (EXIT_CONFIG, EXIT_CONSTRUCTION, EXIT_OK,
                           dump_json, encode_rational, load_config_file, main,
                           model_from_dict, model_to_dict, parse_ratio_spec,
                           run_verification)
-from oracles import RowView, lattice_sample
+from oracles import RowView, cloud_box_count, lattice_sample
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
@@ -43,6 +42,47 @@ class TestConfig:
         assert family == "geometric" and params["q"] == F(1, 3)
         with pytest.raises(ConfigError):
             parse_ratio_spec("fibonacci")
+
+    @pytest.mark.parametrize("spec,why", [
+        ("dyadic:q=1/2", "ratio parameter 'q' is not read by the dyadic family"),
+        ("harmonic: q = 1/2", "ratio parameter 'q' is not read by the harmonic family"),
+        ("geometric:q=1/2,z=3", "ratio parameter 'z' is not read by the geometric family"),
+        ("geometric:q=1/2,q=1/3", "ratio parameter 'q' is set twice"),
+        ("geometric: q=1/2, q =1/2", "ratio parameter 'q' is set twice"),
+    ])
+    def test_a_ratio_parameter_no_family_reads_is_refused(self, spec, why, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=f"^{why}$"):
+            parse_ratio_spec(spec)
+        out = tmp_path / "m.json"
+        assert main(["build", "--ratios", spec, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: --ratios: {why}\n"
+        cfg = tmp_path / "build.cfg"
+        cfg.write_text(f"ratios = {spec}\n")
+        assert main(["build", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: {cfg}: config key 'ratios': {why}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("preset", ["cantor", "product", "snowflake", "rug", "arc"])
+    def test_a_negative_scale_exponent_is_refused(self, preset, tmp_path, capsys):
+        argv = ["estimate", "--preset", preset]
+        if preset == "arc":
+            model = tmp_path / "m.json"
+            assert main(["build", "--depth", "2", "--out", str(model)]) == EXIT_OK
+            argv += ["--model", str(model)]
+        capsys.readouterr()
+        why = "bad scale window (-1, 2): the exponents need 0 <= coarse <= fine"
+        out = tmp_path / "est.json"
+        assert main([*argv, "--scales=-1:2", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: --scales: {why}\n"
+        cfg = tmp_path / "est.cfg"
+        cfg.write_text("scales = -1:2\n")
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: {cfg}: config key 'scales': {why}\n")
+        assert not out.exists()
+        # the coarsest scale, exponent 0, is admitted
+        assert main([*argv, "--scales=0:2", "--out", str(out)]) == EXIT_OK
 
     def test_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -111,7 +151,8 @@ class TestConfig:
     @pytest.mark.parametrize("command,line,why", [
         (["build"], "c=", "could not convert string to float: ''"),
         (["build"], "depth = two", "invalid literal for int() with base 10: 'two'"),
-        (["estimate", "--preset", "cantor"], "scales = 9:3", "bad scale window (9, 3)"),
+        (["estimate", "--preset", "cantor"], "scales = 9:3",
+         "bad scale window (9, 3): the exponents need 0 <= coarse <= fine"),
     ], ids=["empty-c", "word-depth", "reversed-scales"])
     def test_a_bad_config_value_names_its_key_and_file(self, command, line, why,
                                                        tmp_path, capsys):
@@ -486,9 +527,9 @@ class TestEstimateCommand:
             "2359c5de2a8f8c2fd094a5edd0e355dc4ac61df29cca427cbb650ee5bdbb8ccb")
 
     @pytest.mark.xfail(strict=True, reason=(
-        "arc_estimate box-counts the float vertex cloud: on spatial-4 one "
-        "coordinate 15/16 - eps rounds to 15/16, so delta = 1/32 counts 7935 "
-        "boxes where the exact points meet 8640"))
+        "arc_estimate counts the float-rounded axis ends: on spatial-4 one "
+        "end 15/16 - eps rounds to 15/16, so delta = 1/32 counts 7935 boxes "
+        "where the exact points meet 8640"))
     def test_arc_estimate_counts_the_exact_vertex_cloud(self):
         model = build_model(RunConfig(target_dimension=2.5, depth=4))
         views = RowView(model)
@@ -497,7 +538,7 @@ class TestEstimateCommand:
         exact = lattice_sample(sorted(points))
         series = arc_estimate(model)
         assert series.scales[-1] == F(1, 32)
-        assert box_count(exact, F(1, 32)) == 8640
+        assert cloud_box_count(exact, F(1, 32)) == 8640
         assert series.counts[-1] == 8640
 
     def test_default_arc_window_with_two_scales_is_refused(self, tmp_path, capsys):
@@ -506,6 +547,17 @@ class TestEstimateCommand:
         capsys.readouterr()
         assert main(["estimate", "--preset", "arc", "--model", str(model)]) == EXIT_CONSTRUCTION
         assert "need at least 3 scales" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("copies,generation", [(2, 12), (3, 8)])
+    def test_product_cap_is_kept(self, copies, generation, tmp_path, capsys):
+        # the preset counts on the axes, but keeps its 2^22-cell resolution limit
+        out = tmp_path / "est.json"
+        assert main(["estimate", "--preset", "product", "--copies", str(copies),
+                     "--generation", str(generation), "--out", str(out)]) == EXIT_CONSTRUCTION
+        assert capsys.readouterr().err == (
+            f"estimation failed: {2 ** (copies * generation)} cells at generation "
+            f"{generation} exceed the sample cap 4194304\n")
+        assert not out.exists()
 
     def test_three_copy_product_scales_its_window(self, tmp_path):
         est = tmp_path / "est.json"

@@ -15,13 +15,12 @@ from fractarc.cantor import (ProductCantor, RatioCantorSet, RatioSequence,
                              SelfSimilarCantor)
 from fractarc.dimension import (BoxCountSeries, LatticeSample, ball_net_count,
                                 box_count, box_count_series, cantor_sample,
-                                dyadic_scales, estimate_dimension,
+                                dyadic_sample, dyadic_scales, estimate_dimension,
                                 expected_dimensions, interval_sample,
-                                net_count_series, power_scales, product_sample)
-from fractarc.dimension import _distinct_boxes
+                                net_count_series, power_scales)
 from fractarc.metric import (VON_KOCH_EXPONENT, ArcFactor, EuclideanMetric,
                              RugSpace, SnowflakeMetric)
-from oracles import generation_intervals, lattice_sample, sample_points
+from oracles import cloud_box_count, generation_intervals, lattice_sample, sample_points
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
@@ -29,7 +28,7 @@ LOG2_3 = math.log(2.0) / math.log(3.0)
 def brute_force_box_count(sample, delta):
     """Independent oracle: scan every grid box and test membership directly."""
     delta = F(delta)
-    points = sample_points(sample)
+    points = [(p,) for p in sample_points(sample)]
     dim = len(points[0])
     n = math.ceil(1 / delta)
     count = 0
@@ -52,13 +51,15 @@ def brute_force_box_count(sample, delta):
 
 class TestBoxCount:
     def test_single_point(self):
+        axes = [lattice_sample([F(1, 3)]), lattice_sample([F(1, 5)])]
         for delta in (F(1, 2), F(1, 8), F(1, 3)):
-            assert box_count(lattice_sample([(F(1, 3), F(1, 5))]), delta) == 1
+            assert box_count(axes[0], delta) == 1
+            assert box_count_series(axes, [delta]).counts == (1,)
 
     def test_full_interval_grid(self):
         points, step = interval_sample(8)
         assert step == F(1, 256)
-        assert sample_points(points) == [(F(i, 256),) for i in range(257)]
+        assert sample_points(points) == [F(i, 256) for i in range(257)]
         for i in (1, 3, 5):
             assert box_count(points, F(1, 2 ** i)) == 2 ** i
 
@@ -78,31 +79,52 @@ class TestBoxCount:
         for i in (1, 2, 3, 4):
             assert box_count(points, F(1, 2 ** i)) == brute_force_box_count(points, F(1, 2 ** i))
 
-    def test_float_and_exact_paths_agree(self):
+    def test_cloud_oracle_reads_float_and_exact_rows_alike(self):
         pts = [(F(1, 7), F(3, 11)), (F(2, 3), F(1, 2)), (F(1), F(1))]
         arr = np.array([[float(a), float(b)] for a, b in pts])
         for i in (1, 2, 4):
-            assert box_count(lattice_sample(pts), F(1, 2 ** i)) == box_count(arr, F(1, 2 ** i))
+            assert (cloud_box_count(lattice_sample(pts), F(1, 2 ** i))
+                    == cloud_box_count(arr, F(1, 2 ** i)))
 
     @given(st.lists(st.tuples(*[st.integers(0, 64)] * 3), min_size=1, max_size=60),
            st.integers(1, 3), st.sampled_from([F(1, 2), F(1, 3), F(1, 8), F(2, 7),
                                                F(1, 2 ** 21), F(1, 2 ** 22)]))
     @settings(max_examples=100, deadline=None)
-    def test_float_path_counts_distinct_index_rows(self, rows, dim, delta):
-        # keyed by row-major rank, and by tuples once n_boxes^dim reaches 2^63
+    def test_cloud_oracle_counts_distinct_index_rows(self, rows, dim, delta):
         arr = np.array([row[:dim] for row in rows], dtype=float) / 64
         n_boxes = math.ceil(1 / float(delta))
         idx = np.clip(np.floor(arr / float(delta)).astype(np.int64), 0, n_boxes - 1)
-        assert box_count(arr, delta) == len(np.unique(idx, axis=0))
+        assert cloud_box_count(arr, delta) == len(np.unique(idx, axis=0))
 
     def test_empty_input_rejected(self):
-        for empty in (LatticeSample(np.zeros((0, 1), dtype=np.int64), 1), np.zeros((0, 1))):
-            with pytest.raises(ValueError, match="empty"):
-                box_count(empty, F(1, 2))
+        with pytest.raises(ValueError, match="empty"):
+            box_count(LatticeSample(np.zeros(0, dtype=np.int64), 1), F(1, 2))
+
+    def test_rows_are_refused(self):
+        # a cloud of points is counted on its axes, or by the cloud oracle
+        rows = lattice_sample([(F(0), F(1, 2)), (F(1, 2), F(0))])
+        with pytest.raises(ValueError, match="1-D"):
+            box_count(rows, F(1, 2))
+        assert cloud_box_count(rows, F(1, 2)) == 2
 
     def test_out_of_cube_rejected(self):
-        with pytest.raises(ValueError, match="unit cube"):
-            box_count(np.array([[1.5]]), F(1, 2))
+        for value in (1.5, -0.25, math.nan):
+            with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+                dyadic_sample([0.5, value])
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20), st.integers(0, 60))
+    @settings(max_examples=300, deadline=None)
+    def test_the_lifted_index_is_the_float_floor(self, values, i):
+        # the dyadic scale 2^-i divides a float exactly, so the exact index of
+        # each lifted value is floor(x / 2^-i), clipped to the last box
+        sample = dyadic_sample(values)
+        den = sample.denominator
+        assert den & (den - 1) == 0
+        floors = [min(math.floor(x / 2.0 ** -i), 2 ** i - 1) for x in values]
+        for x, num, floor in zip(values, sample.numerators.tolist(), floors):
+            assert F(num, den) == F(x)
+            assert min(num * 2 ** i // den, 2 ** i - 1) == floor
+        assert box_count(sample, F(1, 2 ** i)) == len(set(floors))
 
     @given(st.integers(1, 5), st.integers(2, 4))
     @settings(max_examples=25, deadline=None)
@@ -123,7 +145,7 @@ class TestSeries:
         cantor = SelfSimilarCantor(F(1, 3))
         points, resolution = cantor_sample(cantor, 4)
         with pytest.raises(ValueError, match="finer than the sample"):
-            box_count_series(points, dyadic_scales(3, 9), sample_resolution=resolution)
+            box_count_series([points], dyadic_scales(3, 9), sample_resolution=resolution)
 
     def test_rows_for_csv(self):
         series = BoxCountSeries((F(1, 2), F(1, 4)), (2, 4))
@@ -134,7 +156,8 @@ class TestSeries:
 
 class TestEstimate:
     def test_constant_series_has_slope_zero(self):
-        series = box_count_series(lattice_sample([(F(1, 3), F(1, 5))]), dyadic_scales(1, 4))
+        series = box_count_series([lattice_sample([F(1, 3)]), lattice_sample([F(1, 5)])],
+                                  dyadic_scales(1, 4))
         est = estimate_dimension(series)
         assert est.slope == 0.0 and est.r_squared == 1.0
 
@@ -146,7 +169,7 @@ class TestEstimate:
     def test_middle_thirds_matched_scales_exact(self):
         cantor = SelfSimilarCantor(F(1, 3))
         points, resolution = cantor_sample(cantor, 10)
-        series = box_count_series(points, power_scales(F(1, 3), 2, 8),
+        series = box_count_series([points], power_scales(F(1, 3), 2, 8),
                                   sample_resolution=resolution)
         est = estimate_dimension(series)
         assert est.slope == pytest.approx(LOG2_3, abs=1e-12)
@@ -155,15 +178,15 @@ class TestEstimate:
     def test_middle_thirds_dyadic_scales_within_tolerance(self):
         cantor = SelfSimilarCantor(F(1, 3))
         points, resolution = cantor_sample(cantor, 12)
-        series = box_count_series(points, dyadic_scales(3, 11),
+        series = box_count_series([points], dyadic_scales(3, 11),
                                   sample_resolution=resolution)
         est = estimate_dimension(series)
         assert est.slope == pytest.approx(LOG2_3, abs=0.05)
 
     def test_product_additivity(self):
         product = ProductCantor(SelfSimilarCantor(F(1, 3)), 2)
-        points, resolution = product_sample(product, 6)
-        series = box_count_series(points, power_scales(F(1, 3), 1, 5),
+        points, resolution = cantor_sample(product.factor, 6)
+        series = box_count_series([points] * 2, power_scales(F(1, 3), 1, 5),
                                   sample_resolution=resolution)
         est = estimate_dimension(series)
         assert est.slope == pytest.approx(2 * LOG2_3, abs=1e-12)
@@ -173,7 +196,7 @@ class TestEstimate:
         points, resolution = cantor_sample(cantor, 12)
         gaps = []
         for fine in (6, 8, 11):
-            series = box_count_series(points, dyadic_scales(3, fine),
+            series = box_count_series([points], dyadic_scales(3, fine),
                                       sample_resolution=resolution)
             gaps.append(abs(estimate_dimension(series).slope - LOG2_3))
         assert gaps[-1] <= gaps[0]
@@ -219,7 +242,7 @@ class TestNetCount:
         for i in (1, 2, 3, 4):
             r = 0.5 ** i
             net = ball_net_count(metric, pts, r)
-            boxes = box_count(pts, F(1, 2 ** i))
+            boxes = box_count(grid, F(1, 2 ** i))
             assert boxes / 2 <= net <= 2 * boxes
 
     def test_snowflake_exponent_estimates(self):
@@ -460,10 +483,15 @@ class TestIntegerBoxCount:
     @settings(max_examples=300, deadline=None)
     def test_equals_fraction_loop(self, case):
         points, delta = case
-        sample = lattice_sample(points)
-        assert box_count(sample, delta) == fraction_box_count(points, delta)
-        series = box_count_series(sample, [delta, F(1)])
-        assert series.counts[0] == fraction_box_count(points, delta)
+        assert cloud_box_count(lattice_sample(points), delta) == fraction_box_count(points, delta)
+        rows = [p if isinstance(p, tuple) else (p,) for p in points]
+        axes = [list(column) for column in zip(*rows)]
+        for axis in axes:
+            assert box_count(lattice_sample(axis), delta) == fraction_box_count(axis, delta)
+        # the product of the first few values on each axis, counted on its axes
+        axes = [axis[:8] for axis in axes]
+        series = box_count_series([lattice_sample(axis) for axis in axes], [delta, F(1)])
+        assert series.counts == (fraction_box_count(list(itertools.product(*axes)), delta), 1)
 
     @given(st.lists(st.lists(st.booleans(), min_size=20, max_size=20), min_size=1,
                     max_size=30),
@@ -474,7 +502,7 @@ class TestIntegerBoxCount:
         points = [cantor_low(w) for w in words] + [cantor_low([True] * 20)]
         sample = lattice_sample(points)
         assert sample.denominator == 10 ** 20 and sample.numerators.dtype == object
-        assert sample_points(sample) == [(p,) for p in points]
+        assert sample_points(sample) == points
         for delta in (F(1, q ** k), F(q - 1, q), F(1, 10 ** k), F(1)):
             assert box_count(sample, delta) == fraction_box_count(points, delta)
 
@@ -485,41 +513,47 @@ class TestIntegerBoxCount:
         for ratio, copies in ((F(1, 3), 1), (F(2, 5), 2), (F(1, 1000), 1),
                               (F(1, 10 ** 7), 2)):
             product = ProductCantor(SelfSimilarCantor(ratio), copies)
-            sample, _ = (cantor_sample(product.factor, g) if copies == 1
-                         else product_sample(product, min(g, 4)))
+            sample, _ = cantor_sample(product.factor, g)
             points = sample_points(sample)
+            corners = product.min_corners(min(g, 4))
+            axes, _ = cantor_sample(product.factor, min(g, 4))
             for delta in (F(1, 3 ** k), F(1, q ** min(k, 14)), ratio ** min(k, g)):
                 assert box_count(sample, delta) == fraction_box_count(points, delta)
+                assert (box_count_series([axes] * copies, [delta]).counts[0]
+                        == fraction_box_count(corners, delta))
 
     def test_engine_samples_are_the_exact_points(self):
         cantor = SelfSimilarCantor(F(1, 3))
         sample, _ = cantor_sample(cantor, 6)
         lows = [iv.lower for iv in generation_intervals(cantor, 6)]
-        assert len(sample) == 64 and sample_points(sample) == [(a,) for a in lows]
+        assert len(sample) == 64 and sample_points(sample) == lows
         # the Cartesian product of the factor's lows, first axis slowest
-        product = ProductCantor(cantor, 3)
-        corners, _ = product_sample(product, 3)
+        corners = ProductCantor(cantor, 3).min_corners(3)
         lows = [iv.lower for iv in generation_intervals(cantor, 3)]
-        expected = list(itertools.product(lows, repeat=3))
-        assert len(corners) == 512 and sample_points(corners)[7] == (lows[0], lows[0], lows[7])
-        assert sample_points(corners) == expected == product.min_corners(3)
+        assert len(corners) == 512 and corners[7] == (lows[0], lows[0], lows[7])
+        assert corners == list(itertools.product(lows, repeat=3))
 
-    @given(st.data(), st.integers(0, 40), st.integers(1, 4),
-           st.sampled_from([1, 2, 3, 7, 2 ** 20, 2 ** 21]))
-    @settings(max_examples=300, deadline=None)
-    def test_distinct_boxes_equals_a_set_of_rows(self, data, n, d, n_boxes):
-        # few box indices per axis, so repeated rows are common; 2^21 boxes
-        # on three or four axes take the tuple path
-        values = st.integers(0, n_boxes - 1) | st.sampled_from([0, n_boxes - 1])
-        rows = data.draw(st.lists(st.lists(values, min_size=d, max_size=d),
-                                  min_size=n, max_size=n))
-        idx = np.array(rows, dtype=np.int64).reshape(n, d)
-        assert _distinct_boxes(idx, n_boxes) == len(set(map(tuple, idx.tolist())))
 
-    def test_product_cap_is_kept(self):
-        from fractarc.cantor import GenerationBudgetError
-        with pytest.raises(GenerationBudgetError, match="sample cap"):
-            product_sample(ProductCantor(SelfSimilarCantor(F(1, 3)), 2), 12)
+#: The product preset's ratios, copies and generations small enough for the
+#: cloud oracle: every config of ratios 1/3, 2/5, 1/10, copies 1-3 and
+#: generations 4, 6, 8 with at most 2^16 cells.
+PRODUCT_CONFIGS = [(ratio, copies, g) for ratio in (F(1, 3), F(2, 5), F(1, 10))
+                   for copies in (1, 2, 3) for g in (4, 6, 8) if copies * g <= 16]
+
+
+class TestProductCounts:
+    """A product's box counts are the product of its axes' counts."""
+
+    @given(st.sampled_from(PRODUCT_CONFIGS))
+    @settings(max_examples=40, deadline=None)
+    def test_axes_count_the_min_corner_cloud(self, config):
+        ratio, copies, g = config
+        product = ProductCantor(SelfSimilarCantor(ratio), copies)
+        axis, resolution = cantor_sample(product.factor, g)
+        scales = power_scales(ratio, 0, g)
+        series = box_count_series([axis] * copies, scales, sample_resolution=resolution)
+        cloud = lattice_sample(product.min_corners(g))
+        assert series.counts == tuple(cloud_box_count(cloud, d) for d in scales)
 
 
 class TestExpectedDimensions:
