@@ -16,6 +16,14 @@ each factor's; for a product, the axis sample's and the cells') beside the
 lattice's dtype and bytes or the counts per scale, so work and time are
 read together.
 
+``ball_net_count`` alone, best of five, beside one run of the full-scan
+oracle of the tests (``full_scan_net_count``), whose counts must be equal:
+on the snowflake at the von Koch exponent, 1/2 and 0.3, generations
+12/14/16, and on the ``ArcFactor`` vertex clouds of planar-5/6 and
+spatial-3/4, each on the radii ``estimate`` would count it at.  Given a
+second ``src`` directory, the same counts are timed in a fresh process
+against it as well.
+
 The arc layers, best of three, on the planar (n = 1) arcs of depth 4 to 8
 and the spatial (n = 2) arcs of depth 3 to 5 (``perfbench`` builds planar-4/5/6
 and spatial-3/4): ``grow_cells`` and ``route`` apart, ``route`` with its
@@ -105,7 +113,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 sys.path[:0] = [str(PERFBENCH), str(ROOT / "tests")]
 import workloads  # noqa: E402  (perfbench's commands, run by cli_rows)
-from oracles import cloud_box_count, scan_containment  # noqa: E402  (the references)
+from oracles import (cloud_box_count, full_scan_net_count,  # noqa: E402  (the references)
+                     scan_containment)
 
 REPEATS = 5
 VERIFY_REPEATS = 3
@@ -189,6 +198,65 @@ def net_row(case: str, generation: int, space, lo: int, hi: int) -> dict:
             raise SystemExit(f"{case}: factor counts {row['counts']} != product {counts}")
         row.update(product_sample_s=product_sample_s, product_count_s=product_count_s)
     return row
+
+
+def net_samples():
+    """(case, generation, space, points, radii) of the net-oracle rows: the
+    snowflake at three exponents and generations on the snowflake preset's
+    default radii 2^-2..2^-7, less those finer than the sample's resolution
+    (which ``estimate`` refuses), and the ``ArcFactor`` clouds of four arcs
+    on the default window 2^-2..2^-4 of a rug over them."""
+    for name, eps in (("koch", VON_KOCH_EXPONENT), ("1/2", 0.5), ("0.3", 0.3)):
+        space = SnowflakeMetric(eps)
+        for g in (12, 14, 16):
+            radii = [0.5 ** i for i in range(2, 8) if 0.5 ** i >= (2.0 ** -g) ** eps]
+            yield f"snowflake {name}", g, space, space.sample(g), radii
+    for case in ("planar-5", "planar-6", "spatial-3", "spatial-4"):
+        c, depth = ARCS[case]
+        factor = ArcFactor(build_model(RunConfig(target_dimension=c, depth=depth)))
+        yield f"arc {case}", depth, factor, factor.sample(depth), [0.5 ** i for i in range(2, 5)]
+
+
+def net_time(space, points, radii):
+    """(best time, counts) of ``ball_net_count`` over ``radii``."""
+    return best_of(lambda: [ball_net_count(space, points, r) for r in radii])
+
+
+def net_times() -> list:
+    """``net_time`` of each of ``net_samples``, in order."""
+    return [net_time(space, points, radii) for _, _, space, points, radii in net_samples()]
+
+
+#: Prints ``net_times()`` of the ``fractarc`` on PYTHONPATH (argv: bench's
+#: directory) as JSON.
+PARENT_NETS = ("import json, sys; sys.path.insert(0, sys.argv[1]); import run; "
+               "print(json.dumps(run.net_times()))")
+
+
+def net_oracle_rows(parent: Path | None = None) -> list[dict]:
+    """``ball_net_count`` on each of ``net_samples``, best of five, beside
+    one run of the full-scan oracle, whose counts must be equal.  With a
+    ``parent`` src directory the same counts are timed in a fresh process
+    against it (``parent_count_s``), and must be equal too."""
+    out = []
+    for case, g, space, points, radii in net_samples():
+        count_s, counts = net_time(space, points, radii)
+        oracle_s, oracle = best_of(lambda: [full_scan_net_count(space, points, r)
+                                            for r in radii], 1)
+        if oracle != counts:
+            raise SystemExit(f"{case} g={g}: counts {counts} != full scan {oracle}")
+        out.append({"layer": "ball_net_count", "case": case, "generation": g,
+                    "points": len(points), "scales": radii, "counts": counts,
+                    "count_s": count_s, "oracle_s": oracle_s})
+    if parent is not None:
+        run = subprocess.run([sys.executable, "-c", PARENT_NETS, str(ROOT / "bench")],
+                             env={**os.environ, "PYTHONPATH": str(parent)}, check=True,
+                             text=True, stdout=subprocess.PIPE)
+        for row, (parent_s, counts) in zip(out, json.loads(run.stdout)):
+            if counts != row["counts"]:
+                raise SystemExit(f"{row['case']}: parent counts {counts} != {row['counts']}")
+            row["parent_count_s"] = parent_s
+    return out
 
 
 @contextmanager
@@ -468,6 +536,7 @@ def rows(parent: Path | None = None) -> list[dict]:
         out.append(net_row("snowflake koch", g, koch, 2, 7))
     for g in (7, 8, 9):
         out.append(net_row("rug koch", g, RugSpace(koch), 2, 5))
+    out.extend(net_oracle_rows(parent))
     c, depth = ARCS["planar-4"]
     planar_4 = build_model(RunConfig(target_dimension=c, depth=depth))
     out.append(net_row("rug planar-4", 6, RugSpace(ArcFactor(planar_4)), 2, 4))
@@ -541,6 +610,11 @@ def main(argv: list[str]) -> int:
                 f"points={row['points']:<8d}")
         if row["layer"] == "cantor_lattice":
             print(f"{head} build {row['build_s']:.4f} s  {row['dtype']} {row['nbytes']} bytes")
+        elif row["layer"] == "ball_net_count":
+            versus = (f"  parent {row['parent_count_s']:.4f} s" if "parent_count_s" in row
+                      else "")
+            print(f"{head} count {row['count_s']:.4f} s{versus}  full scan "
+                  f"{row['oracle_s']:.4f} s  counts {row['counts']}")
         else:
             print(f"{head} sample {row['sample_s']:.4f} s  "
                   f"count {row['count_s']:.4f} s  counts {row['counts']}")

@@ -99,6 +99,10 @@ def dump_json(obj) -> str:
 # -- configuration -------------------------------------------------------------
 
 
+#: The parameters each ratio family reads.
+_RATIO_PARAMS = {"dyadic": (), "harmonic": (), "geometric": ("q",)}
+
+
 @dataclass
 class RunConfig:
     target_dimension: float = 1.0 + math.log(2.0) / math.log(3.0)
@@ -124,18 +128,23 @@ class RunConfig:
                 and 0 <= self.scales[0] <= self.scales[1]):
             raise ConfigError(f"bad scale window {self.scales}: the exponents need "
                               "0 <= coarse <= fine")
+        reads = _RATIO_PARAMS.get(self.ratio_family)
+        if reads is None:
+            raise ConfigError(f"unknown ratio family {self.ratio_family!r}")
+        for key in self.ratio_params:
+            if key not in reads:
+                raise ConfigError(f"ratio parameter {key!r} is not read by the "
+                                  f"{self.ratio_family} family")
+        for key in reads:
+            if key not in self.ratio_params:
+                raise ConfigError(f"{self.ratio_family} ratios need a parameter {key}")
 
     def ratio_sequence(self) -> RatioSequence:
         if self.ratio_family == "dyadic":
             return RatioSequence.dyadic()
         if self.ratio_family == "harmonic":
             return RatioSequence.harmonic()
-        if self.ratio_family == "geometric":
-            q = self.ratio_params.get("q")
-            if q is None:
-                raise ConfigError("geometric ratios need a parameter q")
-            return RatioSequence.geometric(Fraction(q))
-        raise ConfigError(f"unknown ratio family {self.ratio_family!r}")
+        return RatioSequence.geometric(Fraction(self.ratio_params["q"]))
 
     def as_dict(self) -> dict:
         return {
@@ -150,27 +159,19 @@ class RunConfig:
         }
 
 
-#: The parameters each ratio family reads.
-_RATIO_PARAMS = {"dyadic": (), "harmonic": (), "geometric": ("q",)}
-
-
 def parse_ratio_spec(text: str) -> tuple[str, dict]:
-    """'dyadic' | 'harmonic' | 'geometric:q=1/3'; a parameter its family
-    does not read, or one set twice, is refused."""
+    """'dyadic' | 'harmonic' | 'geometric:q=1/3'; a parameter set twice is
+    refused, and ``RunConfig`` checks the family and what it reads."""
     family, _, rest = text.partition(":")
-    family = family.strip()
-    if family not in _RATIO_PARAMS:
-        raise ConfigError(f"unknown ratio family {family!r}")
     params: dict = {}
     for item in rest.split(",") if rest else ():
         key, _, value = (part.strip() for part in item.partition("="))
         if not value:
             raise ConfigError(f"bad ratio parameter {item!r}")
-        if key in params or key not in _RATIO_PARAMS[family]:
-            raise ConfigError(f"ratio parameter {key!r} is " + (
-                "set twice" if key in params else f"not read by the {family} family"))
+        if key in params:
+            raise ConfigError(f"ratio parameter {key!r} is set twice")
         params[key] = parse_fraction(value)
-    return family, params
+    return family.strip(), params
 
 
 def parse_scales(text: str) -> tuple[int, int]:
@@ -672,9 +673,6 @@ def run_estimate(preset: str, config: RunConfig, model=None,
             hi = min(6, g - 2)
             window = (max(1, min(2, hi - 2)), hi)
         lo, hi = window
-        if hi - lo < 2:
-            raise ConfigError(f"window {lo}:{hi} has fewer than 3 scales; "
-                              "widen --scales or deepen --generation")
         series = dim_mod.box_count_series([points] * copies,
                                           dim_mod.power_scales(ratio, lo, hi),
                                           sample_resolution=resolution)

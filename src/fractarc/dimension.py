@@ -20,13 +20,19 @@ product of per-axis intervals, so ``box_count_series`` multiplies the axes'
 counts.
 
 The greedy net visits the points in sample order, as a full rescan would, but
-looks only where a point can be near.  Each metric's ``reach(r)`` bounds
-``|p_k - c_k|`` on every axis for points ``within`` radius r, so the points
-are bucketed once per radius on a grid a hair wider than the reach, and a
-net point's ball is looked for in the 3^d buckets around its own.  The
-bucketing only narrows the candidates: ``within`` still decides every
-covered point, with the same float comparison as before, so the counts are
-those of the full scan.
+looks only where a point can be near.  Each metric's ``reach(r)`` is one
+float, and ``within(p, c, r)`` implies that the float ``|p_0 - c_0|`` is
+below it, so the exact difference is below ``reach * (1 + 2^-52)``.  The
+points are sorted on axis 0 once per radius; a net point's candidates are
+the slab ``c_0 - w <= x_0 <= c_0 + w``, two binary searches away, with
+``w = reach * (1 + 2^-20)`` plus four ulps of ``max(|x_0|, 1)``.  Rounding
+moves each float bound by at most an ulp of the larger of ``w`` and
+``|c_0|``, which the relative margin or the four ulps cover with room to
+spare for the rounding of the difference: no point within reach falls
+outside the slab.  ``within`` still decides every candidate, with the same
+float comparison, so the counts are those of the full scan.  On a sorted
+1-D sample a point reaches ``within`` twice only if it lies in the hair
+between a net point's reach and ``w``.
 
 A rug is counted on its factors, never on its product sample.  The product
 sample lists the first factor's sample against a grid of [0, 1] in
@@ -44,7 +50,6 @@ cutoff underflows to 0, and ``net_count_series`` refuses such a radius.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -188,68 +193,8 @@ def estimate_dimension(series: BoxCountSeries, kind: str = "box") -> DimensionEs
                              kind)
 
 
-#: Bucket sides exceed the reach by this factor, so float rounding in
-#: floor(x / side) cannot put a point within reach two buckets away.
-_SIDE_MARGIN = 1.0 + 2.0 ** -20
-
-
-class _BucketGrid:
-    """The points' buckets for one radius: an integer key per point (int32
-    when every key fits), the last axis varying fastest, sorted, beside the
-    point order that sorts them.
-
-    Axis k is cut into buckets of side ``reach[k] * _SIDE_MARGIN``, widened
-    where needed to at most 2^bits buckets per unit of ``max |x_k|``, with
-    bits chosen so that the keys of up to 62 axes fit in int64 and
-    ``x / side`` stays below 2^30, where its rounding error is far below the
-    margin.
-    """
-
-    def __init__(self, points: np.ndarray, reach):
-        n, d = points.shape
-        bits = min(30, 62 // d - 2)
-        self.sides, self.lows, self.spans = [], [], []
-        for k in range(d):
-            low, high = float(points[:, k].min()), float(points[:, k].max())
-            side = max(reach[k] * _SIDE_MARGIN, math.ldexp(max(-low, high), -bits)) or 1.0
-            # floor(x / side) is monotone in x, so the extreme cells are known
-            self.sides.append(side)
-            self.lows.append(math.floor(low / side))
-            self.spans.append(math.floor(high / side) - self.lows[-1] + 1)
-        self.strides = [math.prod(self.spans[k + 1:]) for k in range(d)]
-        dtype = np.int32 if math.prod(self.spans) < 2 ** 31 else np.int64
-        keys = np.zeros(n, dtype=dtype)
-        cells = np.empty(n)
-        for k in range(d):
-            np.divide(points[:, k], self.sides[k], out=cells)
-            np.floor(cells, out=cells)
-            cells -= self.lows[k]
-            keys *= self.spans[k]
-            np.add(keys, cells, out=keys, dtype=dtype, casting="unsafe")
-        del cells
-        self.order = np.argsort(keys).astype(np.int32)
-        keys.sort()
-        self.keys = keys
-        # neighbour offsets on every axis but the last; the last axis's three
-        # buckets are adjacent keys, so each offset gives one sorted range
-        self.ring = list(itertools.product((-1, 0, 1), repeat=d - 1))
-
-    def near(self, point: np.ndarray) -> np.ndarray:
-        """Indices of the points in the 3^d buckets around ``point``'s own."""
-        cell = [math.floor(x / side) - low
-                for x, side, low in zip(point.tolist(), self.sides, self.lows)]
-        key = sum(c * stride for c, stride in zip(cell, self.strides))
-        bases = np.array([key + sum(o * stride for o, stride in zip(offset, self.strides))
-                          for offset in self.ring
-                          if all(0 <= c + o < span
-                                 for c, o, span in zip(cell, offset, self.spans))],
-                         dtype=self.keys.dtype)
-        last = cell[-1]
-        starts = self.keys.searchsorted(bases - (last > 0), "left").tolist()
-        ends = self.keys.searchsorted(bases + (last < self.spans[-1] - 1), "right").tolist()
-        if len(starts) == 1:
-            return self.order[starts[0]:ends[0]]
-        return np.concatenate([self.order[a:b] for a, b in zip(starts, ends)])
+#: The slab's relative margin over the reach (see the module docstring).
+_SLAB_MARGIN = 1.0 + 2.0 ** -20
 
 
 def ball_net_count(space, points: np.ndarray, r: float) -> int:
@@ -258,7 +203,7 @@ def ball_net_count(space, points: np.ndarray, r: float) -> int:
 
     The net size is sandwiched between covering numbers at radii r and r/2,
     so its log-log slope estimates the same exponent.  Candidates come from
-    the bucket grid of the module docstring; ``space.within`` decides them,
+    the axis-0 slab of the module docstring; ``space.within`` decides them,
     once per net point.
     """
     if not r > 0:
@@ -268,7 +213,10 @@ def ball_net_count(space, points: np.ndarray, r: float) -> int:
     if n == 0:
         raise ValueError("cannot net-count an empty sample")
     points = points.reshape(n, -1)
-    grid = _BucketGrid(points, space.reach(r))
+    order = np.argsort(points[:, 0], kind="stable")
+    axis = points[order, 0]
+    scale = max(float(np.abs(axis[[0, -1]]).max()), 1.0)
+    width = space.reach(r) * _SLAB_MARGIN + 4 * math.ulp(scale)
     covered = np.zeros(n, dtype=bool)
     count = 0
     i = 0
@@ -277,7 +225,8 @@ def ball_net_count(space, points: np.ndarray, r: float) -> int:
         if covered[i]:
             break
         count += 1
-        near = grid.near(points[i])
+        x = float(points[i, 0])
+        near = order[axis.searchsorted(x - width, "left"):axis.searchsorted(x + width, "right")]
         near = near[~covered[near]]
         covered[near[space.within(points[near], points[i], r)]] = True
         i += 1

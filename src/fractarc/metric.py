@@ -6,9 +6,10 @@ a product of a first factor (snowflaked interval, or a curve model carrying
 its ambient Euclidean metric) with [0, 1], under the max metric.
 
 Every space gives ``within`` (the ball test the net counter decides with)
-and ``reach`` (per-axis bounds on where that ball can reach, which the net
-counter buckets on).  Grid samples hold 2^resolution values per axis and are
-refused before allocation when that exceeds ``DEFAULT_SAMPLE_BUDGET``.
+and ``reach`` (how far along axis 0 that ball can reach, the half-width of
+the slab the net counter searches).  Grid samples hold 2^resolution values
+per axis and are refused before allocation when that exceeds
+``DEFAULT_SAMPLE_BUDGET``.
 """
 
 from __future__ import annotations
@@ -54,13 +55,12 @@ class SnowflakeMetric:
 
     def within(self, points: np.ndarray, center: np.ndarray, r: float) -> np.ndarray:
         # |x-y|^eps < r  iff  |x-y| < r^(1/eps); avoids a pow per point
-        cutoff = self.reach(r)[0]
-        return np.abs(points[:, 0] - center[0]) < cutoff
+        return np.abs(points[:, 0] - center[0]) < self.reach(r)
 
-    def reach(self, r: float) -> list[float]:
-        """Per-axis half-widths: ``within(p, c, r)`` implies
-        ``|p_k - c_k| < reach(r)[k]`` on every axis."""
-        return [r ** (1.0 / self.exponent)]
+    def reach(self, r: float) -> float:
+        """The axis-0 half-width: ``within(p, c, r)`` implies that the float
+        ``|p_0 - c_0|`` is below ``reach(r)``."""
+        return r ** (1.0 / self.exponent)
 
     def sample(self, resolution: int) -> np.ndarray:
         """2^resolution evenly spaced points of [0, 1], ends included."""
@@ -81,8 +81,9 @@ class EuclideanMetric:
         diff = points - center
         return np.einsum("ij,ij->i", diff, diff) < r * r
 
-    def reach(self, r: float) -> list[float]:
-        return [r] * self.point_dimension
+    def reach(self, r: float) -> float:
+        # the float sum of squares is never below its axis-0 term
+        return r
 
 
 class ArcFactor:
@@ -103,7 +104,7 @@ class ArcFactor:
     def within(self, points, center, r):
         return self.metric.within(points, center, r)
 
-    def reach(self, r: float) -> list[float]:
+    def reach(self, r: float) -> float:
         return self.metric.reach(r)
 
     def sample(self, resolution: int) -> np.ndarray:
@@ -143,8 +144,8 @@ class RugSpace:
         first_near = self.first.within(points[:, :m], center[:m], r)
         return first_near & (np.abs(points[:, m] - center[m]) < r)
 
-    def reach(self, r: float) -> list[float]:
-        return self.first.reach(r) + [r]
+    def reach(self, r: float) -> float:
+        return self.first.reach(r)
 
     def factors(self, resolution: int) -> list[tuple[object, np.ndarray]]:
         """``[(first, its sample), (SnowflakeMetric(1.0), 2^resolution grid

@@ -35,7 +35,9 @@ the rows of one, and ``sample_points`` reads either back.
 ``cloud_box_count`` is the multi-axis box count that the per-axis product
 replaced: it counts the distinct box rows of a whole cloud, float rows (the
 arc's ``vertex_cloud``) or exact ones (``lattice_sample`` of
-``min_corners``).  ``connector_fields`` and ``param_intervals`` are the
+``min_corners``).  ``full_scan_net_count`` is the greedy net as
+``ball_net_count`` was first written, every net point rescanning the whole
+sample.  ``connector_fields`` and ``param_intervals`` are the
 schema-v1 index fields of the connectors and the parameter tree, generated
 apart from the model writer.
 
@@ -229,6 +231,20 @@ def cloud_box_count(points, delta):
         nums = points.numerators.reshape(len(points), -1).astype(object)
         idx = nums * delta.denominator // (points.denominator * delta.numerator)
     return len({tuple(min(max(i, 0), n_boxes - 1) for i in row) for row in idx.tolist()})
+
+
+def full_scan_net_count(space, points, r):
+    """Oracle: the greedy net with every net point rescanning the whole
+    sample, as ``ball_net_count`` was first written."""
+    points = np.asarray(points, dtype=float)
+    covered = np.zeros(len(points), dtype=bool)
+    count = 0
+    for i in range(len(points)):
+        if covered[i]:
+            continue
+        count += 1
+        covered |= space.within(points, points[i], r)
+    return count
 
 
 def connector_fields(depth, ambient_dimension):

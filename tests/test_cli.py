@@ -35,13 +35,18 @@ class TestRationalCodec:
         assert decode_rational("3") == F(3)
 
 
+def ratio_config(spec: str) -> RunConfig:
+    family, params = parse_ratio_spec(spec)
+    return RunConfig(ratio_family=family, ratio_params=params)
+
+
 class TestConfig:
     def test_ratio_spec_parsing(self):
         assert parse_ratio_spec("dyadic") == ("dyadic", {})
         family, params = parse_ratio_spec("geometric:q=1/3")
         assert family == "geometric" and params["q"] == F(1, 3)
-        with pytest.raises(ConfigError):
-            parse_ratio_spec("fibonacci")
+        with pytest.raises(ConfigError, match="^unknown ratio family 'fibonacci'$"):
+            ratio_config("fibonacci")
 
     @pytest.mark.parametrize("spec,why", [
         ("dyadic:q=1/2", "ratio parameter 'q' is not read by the dyadic family"),
@@ -52,7 +57,7 @@ class TestConfig:
     ])
     def test_a_ratio_parameter_no_family_reads_is_refused(self, spec, why, tmp_path, capsys):
         with pytest.raises(ConfigError, match=f"^{why}$"):
-            parse_ratio_spec(spec)
+            ratio_config(spec)
         out = tmp_path / "m.json"
         assert main(["build", "--ratios", spec, "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"configuration error: --ratios: {why}\n"
@@ -62,6 +67,19 @@ class TestConfig:
         assert capsys.readouterr().err == (
             f"configuration error: {cfg}: config key 'ratios': {why}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("family, params, why", [
+        ("dyadic", {"z": F(3)}, "ratio parameter 'z' is not read by the dyadic family"),
+        ("geometric", {"q": F(1, 3), "r": F(1, 2)},
+         "ratio parameter 'r' is not read by the geometric family"),
+        ("geometric", {}, "geometric ratios need a parameter q"),
+        ("fibonacci", {}, "unknown ratio family 'fibonacci'"),
+    ])
+    def test_run_config_checks_its_ratio_family(self, family, params, why):
+        with pytest.raises(ConfigError, match=f"^{why}$"):
+            RunConfig(ratio_family=family, ratio_params=params)
+        assert RunConfig(ratio_family="geometric",
+                         ratio_params={"q": F(1, 3)}).ratio_sequence().kind == "geometric"
 
     @pytest.mark.parametrize("preset", ["cantor", "product", "snowflake", "rug", "arc"])
     def test_a_negative_scale_exponent_is_refused(self, preset, tmp_path, capsys):
@@ -445,11 +463,16 @@ class TestEstimateCommand:
                    "--scales", "2:9"])
         assert rc == EXIT_CONSTRUCTION
         capsys.readouterr()
-        # generation 3's default window (2, 1) holds no scale at all
-        rc = main(["estimate", "--preset", "cantor", "--generation", "3"])
-        assert rc == EXIT_CONSTRUCTION
-        err = capsys.readouterr().err
-        assert err == "estimation failed: need at least 3 scales to fit a slope\n"
+        # cantor generation 3's default window (2, 1) holds no scale at all;
+        # product generation 3's default window (1, 1) holds one
+        for argv in (["--preset", "cantor", "--generation", "3"],
+                     ["--preset", "cantor", "--scales", "2:3"],
+                     ["--preset", "product", "--generation", "3"],
+                     ["--preset", "product", "--generation", "2"],
+                     ["--preset", "product", "--scales", "2:3"]):
+            assert main(["estimate", *argv]) == EXIT_CONSTRUCTION
+            err = capsys.readouterr().err
+            assert err == "estimation failed: need at least 3 scales to fit a slope\n"
 
     def test_cantor_generation_over_the_cap_is_refused(self, capsys):
         # the cap is checked before any interval is built

@@ -13,14 +13,15 @@ from hypothesis import strategies as st
 from fractarc.arc import build_arc
 from fractarc.cantor import (ProductCantor, RatioCantorSet, RatioSequence,
                              SelfSimilarCantor)
-from fractarc.dimension import (BoxCountSeries, LatticeSample, ball_net_count,
-                                box_count, box_count_series, cantor_sample,
+from fractarc.dimension import (_SLAB_MARGIN, BoxCountSeries, LatticeSample,
+                                ball_net_count, box_count, box_count_series, cantor_sample,
                                 dyadic_sample, dyadic_scales, estimate_dimension,
                                 expected_dimensions, interval_sample,
                                 net_count_series, power_scales)
 from fractarc.metric import (VON_KOCH_EXPONENT, ArcFactor, EuclideanMetric,
                              RugSpace, SnowflakeMetric)
-from oracles import cloud_box_count, generation_intervals, lattice_sample, sample_points
+from oracles import (cloud_box_count, full_scan_net_count, generation_intervals,
+                     lattice_sample, sample_points)
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
@@ -255,20 +256,6 @@ class TestNetCount:
             assert est.kind == "ball-net"
 
 
-def full_scan_net_count(space, points, r):
-    """Oracle: the greedy net with every net point rescanning the whole
-    sample, as ``ball_net_count`` was first written."""
-    points = np.asarray(points, dtype=float)
-    covered = np.zeros(len(points), dtype=bool)
-    count = 0
-    for i in range(len(points)):
-        if covered[i]:
-            continue
-        count += 1
-        covered |= space.within(points, points[i], r)
-    return count
-
-
 @functools.lru_cache(maxsize=None)
 def depth_two_arc(copies=1):
     """A planar (one copy) or spatial (two copies) arc of depth 2."""
@@ -303,29 +290,28 @@ def net_cases(draw):
 
 @st.composite
 def reach_boundary_cases(draw):
-    """(space, points, r): pairs straddling bucket boundaries, a few ulps
-    inside and outside the reach along one axis."""
+    """(space, points, r): pairs whose axis-0 coordinates straddle the slab's
+    edge, a few ulps inside and outside the reach or the slab's half-width."""
     space = draw(NET_SPACES)
     r = draw(st.floats(0.05, 0.5))
     reach = space.reach(r)
-    axis = draw(st.integers(0, space.point_dimension - 1))
-    step = reach[axis]
+    edge = draw(st.sampled_from([reach, reach * _SLAB_MARGIN]))
     base = np.array(draw(st.tuples(*[st.integers(0, 8)] * space.point_dimension)),
                     dtype=float) / 8
     rows = []
     for _ in range(draw(st.integers(1, 4))):
-        low = draw(st.integers(0, max(1, int(1 / step)))) * step
-        low = low + draw(st.integers(-3, 3)) * math.ulp(low or step)
-        high = low + step + draw(st.integers(-3, 3)) * math.ulp(low + step)
+        low = draw(st.integers(0, max(1, int(1 / reach)))) * reach
+        low = low + draw(st.integers(-3, 3)) * math.ulp(low or reach)
+        high = low + edge + draw(st.integers(-3, 3)) * math.ulp(low + edge)
         for value in (low, high):
             row = base.copy()
-            row[axis] = value
+            row[0] = value
             rows.append(row)
     points = np.array(rows)
     return space, points[draw(st.permutations(range(len(points))))], r
 
 
-class TestBucketedNet:
+class TestSlabNet:
     @given(net_cases())
     @settings(max_examples=300, deadline=None)
     def test_equals_full_scan(self, case):
@@ -334,44 +320,47 @@ class TestBucketedNet:
 
     @given(reach_boundary_cases())
     @settings(max_examples=300, deadline=None)
-    def test_equals_full_scan_at_the_reach(self, case):
+    def test_equals_full_scan_at_the_slab_edge(self, case):
         space, points, r = case
         assert ball_net_count(space, points, r) == full_scan_net_count(space, points, r)
 
-    def test_reach_bounds_within(self):
+    def test_reach_bounds_within_on_axis_zero(self):
         rng = np.random.default_rng(0)
         for space in (SnowflakeMetric(0.4), EuclideanMetric(3),
                       RugSpace(SnowflakeMetric(VON_KOCH_EXPONENT)),
                       RugSpace(ArcFactor(depth_two_arc()))):
             points = rng.random((400, space.point_dimension))
             for r in (0.05, 0.2, 0.7):
-                reach = np.array(space.reach(r))
-                assert len(reach) == space.point_dimension
+                reach = space.reach(r)
+                assert isinstance(reach, float)
                 for center in points[:20]:
                     near = points[space.within(points, center, r)]
-                    assert (np.abs(near - center) < reach).all()
+                    assert (np.abs(near[:, 0] - center[0]) < reach).all()
 
-    def test_tiny_radius_keys_fit(self):
-        # 2^-40 on a 5-axis cloud: per-axis cells far beyond 2^12 would
-        # overflow a dense int64 key
+    def test_tiny_radius_nets_every_point(self):
+        # 2^-40 and 1e-300 on a 5-axis cloud: each slab holds at most a few
+        # ulps of axis 0, and every point is its own net point
         space = EuclideanMetric(5)
         points = np.random.default_rng(1).random((300, 5))
         for r in (2.0 ** -40, 1e-300):
             assert ball_net_count(space, points, r) == 300
         assert ball_net_count(space, points, 10.0) == 1
 
-    def test_within_sees_a_bounded_number_of_rows(self):
+    @pytest.mark.parametrize("space, points", [
+        *((SnowflakeMetric(eps), SnowflakeMetric(eps).sample(16))
+          for eps in (VON_KOCH_EXPONENT, 0.5, 1.0)),
+        RugSpace(SnowflakeMetric(VON_KOCH_EXPONENT)).factors(10)[1],
+    ], ids=["koch", "half", "one", "rug-grid"])
+    def test_within_sees_each_point_once_on_a_sorted_axis(self, space, points, monkeypatch):
         # counters, not timings: the full scan hands within n rows per net point
-        space = RugSpace(SnowflakeMetric(VON_KOCH_EXPONENT))
-        points = space.sample(8)
         rows = []
-        space.within = lambda p, c, r: (rows.append(len(p)),
-                                        RugSpace.within(space, p, c, r))[1]
-        count = ball_net_count(space, points, 2.0 ** -5)
-        assert len(points) == 2 ** 16 and len(rows) == count
-        bound = 8 * len(points)
-        assert sum(rows) < bound
-        assert count * len(points) >= 10 * bound
+        within = type(space).within
+        monkeypatch.setattr(type(space), "within",
+                            lambda self, p, c, r: (rows.append(len(p)), within(self, p, c, r))[1])
+        for i in range(2, 9):
+            rows.clear()
+            count = ball_net_count(space, points, 2.0 ** -i)
+            assert len(rows) == count and sum(rows) == len(points)
 
     def test_series_refuses_radii_finer_than_the_sample(self):
         space = SnowflakeMetric(0.5)

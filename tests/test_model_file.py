@@ -326,6 +326,26 @@ class TestMalformedModel:
         assert capsys.readouterr().err.startswith("configuration error:")
 
 
+@pytest.mark.parametrize("family, params, why", [
+    ("dyadic", {"z": "3/1"}, "ratio parameter 'z' is not read by the dyadic family"),
+    ("dyadic", {"q": "1/3"}, "ratio parameter 'q' is not read by the dyadic family"),
+    ("geometric", {}, "geometric ratios need a parameter q"),
+    ("fibonacci", {}, "unknown ratio family 'fibonacci'"),
+])
+def test_ratio_parameters_its_family_does_not_read_exit_2(models, tmp_path, capsys,
+                                                           family, params, why):
+    data = json.loads(models["planar", 2].read_text())
+    data["config"].update(ratio_family=family, ratio_params=params)
+    path = tmp_path / "ratios.json"
+    path.write_text(dump_json(data))
+    out = tmp_path / "out.json"
+    for argv in (["verify", "--model", str(path)],
+                 ["export", "--model", str(path), "--format", "json", "--out", str(out)]):
+        assert run(*argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {why}\n"
+    assert not out.exists()
+
+
 def json_paths(node, prefix=()):
     yield prefix
     if isinstance(node, dict):
