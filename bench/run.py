@@ -43,13 +43,13 @@ over 20,000 seeded parameters on planar-5, beside per-call
 planar-6.  The certificates run on the base sets of planar-5 and spatial-3
 at resolution 12, the resolution ``verify`` uses: ``verify_uniform_perfectness``
 and ``verify_mass_bounds`` on 200 seeded balls each, with the verdict counts
-and the lattice's dtype.  Containment runs on 100 seeded sample addresses
-at every depth, as ``verify`` runs it: ``axis_containment`` is
-``verify_containment``, the per-axis search of each axis's interval ends,
-on planar-5 to 8 and spatial-3 to 5; ``containment`` is the scan of the
-whole vertex cloud that it replaced (``scan_containment`` from the tests'
-oracles), on planar-5/6 and spatial-3/4, with the cloud points it scans,
-and its reports must equal the axis search's.
+and the lattice's dtype.  Containment runs at every depth of planar-5 to 8
+and spatial-3 to 5: ``containment`` is ``verify_containment``, as
+``verify`` runs it, with the rows of generations 1 to the depth;
+``sampled_containment`` is the sampled check it replaced
+(``scan_containment`` from the tests' oracles: 100 seeded addresses
+against the whole vertex cloud), with the cloud points it scans, and it
+must pass wherever the exact check does.
 
 The model file, best of three, on planar-6 and spatial-4: ``model_text``;
 ``_load_model`` of the canonical file, which takes the byte compare, beside
@@ -114,7 +114,7 @@ PERFBENCH = ROOT / "perfbench"
 sys.path[:0] = [str(PERFBENCH), str(ROOT / "tests")]
 import workloads  # noqa: E402  (perfbench's commands, run by cli_rows)
 from oracles import (cloud_box_count, full_scan_net_count,  # noqa: E402  (the references)
-                     scan_containment)
+                     sample_addresses, scan_containment)
 
 REPEATS = 5
 VERIFY_REPEATS = 3
@@ -385,31 +385,27 @@ def certificate_rows(case: str) -> list[dict]:
 
 
 def containment_rows(case: str) -> list[dict]:
-    """``verify_containment`` at every depth of one arc, on the seeded
-    sample addresses ``run_verification`` draws, best of three; on the
-    ``SWEPT`` arcs also the cloud scan it replaced, which must report the
-    same."""
+    """``verify_containment`` at every depth of one arc, best of three,
+    beside the sampled oracle it replaced (``scan_containment`` on seeded
+    addresses), which must pass wherever the exact check does."""
     c, depth = ARCS[case]
     arc = build_model(RunConfig(target_dimension=c, depth=depth))
-    addresses = arc_module.sample_addresses(arc, CONTAINMENT_ADDRESSES, random.Random(0))
     depths = range(1, depth + 1)
-    time_s, reports = best_of(lambda: [arc_module.verify_containment(arc, k, addresses)
-                                       for k in depths], VERIFY_REPEATS)
-    row = {"case": case, "depth": depth, "addresses": len(addresses),
-           "passed": all(r.passed for r in reports)}
-    out = [{"layer": "axis_containment", **row,
-            "axis_ends": sum(2 * len(lo) for k in depths
-                             for lo, _ in arc.interval_ends("float", k)),
-            "time_s": time_s}]
-    if case in SWEPT:
-        scan_s, scanned = best_of(lambda: [scan_containment(arc, k, addresses)
-                                           for k in depths], VERIFY_REPEATS)
-        if scanned != reports:
-            raise SystemExit(f"{case}: the axis search differs from the cloud scan")
-        out.append({"layer": "containment", **row,
-                    "cloud_points": sum(len(arc.vertex_cloud(k)) for k in depths),
-                    "time_s": scan_s})
-    return out
+    time_s, reports = best_of(lambda: [arc_module.verify_containment(arc, k) for k in depths],
+                              VERIFY_REPEATS)
+    addresses = sample_addresses(arc, CONTAINMENT_ADDRESSES, random.Random(0))
+    scan_s, scanned = best_of(lambda: [scan_containment(arc, k, addresses) for k in depths],
+                              VERIFY_REPEATS)
+    if any(rep.passed and not sampled.passed for rep, sampled in zip(reports, scanned)):
+        raise SystemExit(f"{case}: the exact containment check passes where the sample fails")
+    return [{"layer": "containment", "case": case, "depth": depth,
+             "passed": all(rep.passed for rep in reports),
+             "rows": sum(len(arc.generation_rows(k)) for k in depths), "time_s": time_s},
+            {"layer": "sampled_containment", "case": case, "depth": depth,
+             "passed": all(sampled.passed for sampled in scanned),
+             "addresses": len(addresses),
+             "cloud_points": sum(len(arc.vertex_cloud(k)) for k in depths),
+             "time_s": scan_s}]
 
 
 def model_file_rows(case: str) -> list[dict]:

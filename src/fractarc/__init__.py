@@ -17,10 +17,9 @@ __version__ = "0.1.0"
 
 #: The public names, by the engine module that defines them.
 _EXPORTS = {
-    "cantor": ("Address", "GenerationBudgetError", "ProductCantor", "RatioCantorSet",
-               "RatioSequence", "SelfSimilarCantor", "product_for_dimension",
-               "scaling_for_dimension", "uniform_perfectness_constant",
-               "verify_uniform_perfectness"),
+    "cantor": ("GenerationBudgetError", "ProductCantor", "RatioCantorSet", "RatioSequence",
+               "SelfSimilarCantor", "product_for_dimension", "scaling_for_dimension",
+               "uniform_perfectness_constant", "verify_uniform_perfectness"),
     "measure": ("BallMassBracket", "MassBoundCertificate", "NaturalMeasure",
                 "mass_bound_sequence", "verify_mass_bounds"),
     "arc": ("ArcApproximation", "RoutingFailed", "build_arc", "modulus_of_continuity",

@@ -33,12 +33,14 @@ the factor on the others.  Everything else is derived from it:
 * connector j of a cell runs from the far corner of its sub-cell of rank
   j+1 to the near corner of rank j+2.
 
-The model text, the SVG, the vertex cloud, ``evaluate``, the containment
-check, the modulus of continuity and the injectivity check read only these
-arrays, the per-(axis, generation) tables of ``interval_ends`` ("n/d"
-strings, and floats made by Python int / int, correctly rounded as
-``float(Fraction)`` is) and the integer corners of ``corners``: every cell
-corner as numerators over one common denominator.
+The model text, the SVG, the vertex cloud, ``evaluate``, the modulus of
+continuity and the injectivity check read only these arrays, the
+per-(axis, generation) tables of ``interval_ends`` ("n/d" strings, and
+floats made by Python int / int, correctly rounded as ``float(Fraction)``
+is) and the integer corners of ``corners``: every cell corner as numerators
+over one common denominator.  The containment check reads the arrays alone:
+rows that hold every combination of axis indices put a cell, and so its
+corners, around every point of the product (``verify_containment``).
 
 Connector legality is checked by exact geometry, not proved for the
 distance order in general:
@@ -101,8 +103,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .cantor import (Address, GenerationBudgetError, ProductCantor,
-                     RatioCantorSet)
+from .cantor import GenerationBudgetError, ProductCantor, RatioCantorSet
 from .geometry import chain_self_intersection, polylines_disjoint, segments_meet
 # unused here: perfbench/tracing.py wraps arc.boxes_disjoint
 from .geometry import boxes_disjoint
@@ -475,13 +476,6 @@ class ArcApproximation:
 
     # -- queries ------------------------------------------------------------
 
-    def near_point(self, address: Address) -> tuple[float, ...]:
-        """Float near corner of the built cell at ``address``."""
-        k = address.depth
-        self._require_depth(k)
-        return tuple(lo[int(w, 2) if k else 0]
-                     for (lo, _), w in zip(self.interval_ends("float", k), address.words))
-
     def cell_diameter_sq(self, k: int) -> Fraction:
         """Common squared diameter of every generation-k cell."""
         lengths = self._child_lengths(k) if k > 0 else [Fraction(1)] * self.ambient_dimension
@@ -762,52 +756,26 @@ def _full_product(rows: np.ndarray, k: int) -> bool:
 @dataclass
 class ContainmentReport:
     depth: int
-    sample_count: int
-    max_distance: float
-    bound: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_distance <= self.bound + 1e-12
+    bound: float  # the cell diameter
+    passed: bool
 
 
-def verify_containment(arc: ArcApproximation, k: int,
-                       addresses: Sequence[Address]) -> ContainmentReport:
-    """Every sampled product point lies within one cell diameter of the
-    depth-k model's vertex cloud; the bound shrinks with k.
+def verify_containment(arc: ArcApproximation, k: int) -> ContainmentReport:
+    """Every point of the product lies within one generation-k cell
+    diameter of the depth-k model's vertex cloud.
 
-    On rows that are the full product (``_full_product``, every built or
-    loaded model) the cloud is the Cartesian product of the ``axis_ends``,
-    so the cloud point nearest to a sampled point z is the per-axis nearest
-    end, found by ``searchsorted``.  Float subtraction, squaring, addition
-    and ``sqrt`` are monotone, so its distance is the least float distance
-    from z over the whole cloud, bit for bit.  Other rows are scanned
-    against ``vertex_cloud(k)``.
+    Passes exactly when the rows of every generation 1..k hold each
+    combination of axis indices once (``_full_product``), an integer check.
+    The argument from there is not checked: the Cantor set on each axis is
+    the intersection of its generations, so each coordinate of a product
+    point lies in one generation-k interval of its axis, and the point in
+    the product cell with those indices.  That cell is a row, its corners
+    are in the vertex cloud, and so the point is within the cell's diameter
+    (``bound``) of one of them.
     """
-    points = np.array([arc.near_point(address) for address in addresses],
-                      float).reshape(len(addresses), arc.ambient_dimension)
-    if _full_product(arc.generation_rows(k), k):
-        offsets = np.stack([_nearest_offsets(ends, points[:, a])
-                            for a, ends in enumerate(arc.axis_ends(k))], -1)
-        distances = np.linalg.norm(offsets, axis=1).tolist()
-    else:
-        cloud = arc.vertex_cloud(k)
-        distances = [float(np.min(np.linalg.norm(cloud - z, axis=1))) for z in points]
-    return ContainmentReport(k, len(addresses), max(distances, default=0.0),
-                             arc.cell_diameter(k))
-
-
-def _nearest_offsets(ends: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """For each z, end - z for the end of the sorted float ``ends`` with the
-    least |end - z|: the last end below z or the first at or above it."""
-    i = np.searchsorted(ends, z)
-    below = ends[np.maximum(i - 1, 0)] - z
-    above = ends[np.minimum(i, len(ends) - 1)] - z
-    return np.where(np.abs(below) <= np.abs(above), below, above)
-
-
-def sample_addresses(arc: ArcApproximation, count: int, rng) -> list[Address]:
-    return [Address.random(arc.ambient_dimension, arc.depth, rng) for _ in range(count)]
+    arc._require_depth(k)
+    passed = all(_full_product(arc.generation_rows(g), g) for g in range(1, k + 1))
+    return ContainmentReport(k, arc.cell_diameter(k), passed)
 
 
 @dataclass

@@ -252,36 +252,6 @@ def scaling_for_dimension(b: float) -> SelfSimilarCantor:
     return result
 
 
-@dataclass(frozen=True)
-class Address:
-    """Branch words, one per coordinate, naming a generation cell.
-
-    Every word has the same length (the generation depth); a single-word
-    address names an interval of a one-dimensional set.
-    """
-
-    words: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.words:
-            raise ValueError("address needs at least one coordinate word")
-        depth = len(self.words[0])
-        for w in self.words:
-            if len(w) != depth:
-                raise ValueError("all coordinate words must share one length")
-            if any(ch not in "01" for ch in w):
-                raise ValueError(f"branch words are over {{0,1}}, got {w!r}")
-
-    @property
-    def depth(self) -> int:
-        return len(self.words[0])
-
-    @classmethod
-    def random(cls, axes: int, depth: int, rng) -> "Address":
-        return cls(tuple("".join(rng.choice("01") for _ in range(depth))
-                         for _ in range(axes)))
-
-
 class ProductCantor:
     """N-fold product of one self-similar factor, living in [0, 1]^N."""
 

@@ -17,8 +17,10 @@ made it, with every connector end added to the cell corners;
 ``reference_model_dict`` is the model object built from their rows, and
 ``view_verify_injectivity`` the injectivity check on them, which judges a
 replaced cell or connector as well as tampered rows, always by sweeping the
-traversal chain.  ``scan_containment`` is the containment check that scans
-the lattice arc's whole vertex cloud for each sampled point.
+traversal chain.  ``scan_containment`` is the sampled containment check
+that ``verify_containment``'s proof from the rows replaced: ``Address``es
+drawn by ``sample_addresses``, each cell's float near corner
+(``near_point``) against the lattice arc's whole vertex cloud.
 
 ``digit_evaluate`` and ``loop_continuity_violations`` are the per-call
 integer digit loop that ``evaluate_many`` batched, and the per-pair
@@ -55,8 +57,8 @@ from typing import Optional
 
 import numpy as np
 
-from fractarc.arc import (ArcApproximation, ContainmentReport, InjectivityReport,
-                          _path_legal, branch_word, param_rows)
+from fractarc.arc import (ArcApproximation, InjectivityReport, _path_legal, branch_word,
+                          param_rows)
 from fractarc.cantor import AnnulusWitness, PerfectnessReport, uniform_perfectness_constant
 from fractarc.cli import SCHEMA_VERSION, UnitIntervalModel, _arc_header, encode_rational
 from fractarc.dimension import LatticeSample
@@ -603,8 +605,8 @@ def fraction_evaluate(arc, t, k):
 
 
 def object_containment(arc, k, addresses):
-    """(max distance, bound) of the containment check: each address's cell
-    near corner against the depth-k vertex cloud."""
+    """(max distance, bound) of the sampled containment check on an object
+    arc: each address's cell near corner against the depth-k vertex cloud."""
     cloud = object_vertex_cloud(arc, k)
     worst = 0.0
     for address in addresses:
@@ -613,16 +615,72 @@ def object_containment(arc, k, addresses):
     return worst, arc.cell_diameter(k)
 
 
+@dataclass(frozen=True)
+class Address:
+    """Branch words, one per coordinate, naming a generation cell.
+
+    Every word has the same length (the generation depth); a single-word
+    address names an interval of a one-dimensional set.
+    """
+
+    words: tuple[str, ...]
+
+    def __post_init__(self):
+        if not self.words:
+            raise ValueError("address needs at least one coordinate word")
+        depth = len(self.words[0])
+        for w in self.words:
+            if len(w) != depth:
+                raise ValueError("all coordinate words must share one length")
+            if any(ch not in "01" for ch in w):
+                raise ValueError(f"branch words are over {{0,1}}, got {w!r}")
+
+    @property
+    def depth(self) -> int:
+        return len(self.words[0])
+
+    @classmethod
+    def random(cls, axes: int, depth: int, rng) -> "Address":
+        return cls(tuple("".join(rng.choice("01") for _ in range(depth))
+                         for _ in range(axes)))
+
+
+def sample_addresses(arc, count, rng):
+    """``count`` random addresses of the arc's deepest generation."""
+    return [Address.random(arc.ambient_dimension, arc.depth, rng) for _ in range(count)]
+
+
+def near_point(arc, address):
+    """Float near corner of a lattice arc's cell at ``address``."""
+    k = address.depth
+    arc._require_depth(k)
+    return tuple(lo[int(w, 2) if k else 0]
+                 for (lo, _), w in zip(arc.interval_ends("float", k), address.words))
+
+
+@dataclass
+class SampledContainment:
+    depth: int
+    sample_count: int
+    max_distance: float
+    bound: float
+
+    @property
+    def passed(self) -> bool:
+        return self.max_distance <= self.bound + 1e-12
+
+
 def scan_containment(arc, k, addresses):
-    """``verify_containment`` as it was before the per-axis search: each
-    address's float near corner against every point of ``vertex_cloud(k)``."""
+    """The sampled containment check that ``verify_containment`` decided by
+    before it proved containment from the rows: each address's float near
+    corner against every point of ``vertex_cloud(k)``, passing when the
+    farthest is within one cell diameter (and a float tolerance)."""
     cloud = arc.vertex_cloud(k)
     worst = 0.0
     for address in addresses:
-        z = np.array(arc.near_point(address))
-        dist = float(np.min(np.linalg.norm(cloud - z, axis=1)))
-        worst = max(worst, dist)
-    return ContainmentReport(k, len(addresses), worst, arc.cell_diameter(k))
+        z = np.array(near_point(arc, address))
+        worst = max(worst, float(np.min(np.linalg.norm(cloud - z, axis=1))))
+    return SampledContainment(k, len(addresses), worst, arc.cell_diameter(k))
 
 
 def object_render_svg(arc):

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractarc.cantor import (Address, GenerationBudgetError, ProductCantor,
-                             RatioCantorSet, RatioSequence, SelfSimilarCantor,
-                             product_for_dimension, sample_ball_inputs,
-                             scaling_for_dimension, uniform_perfectness_constant,
-                             verify_uniform_perfectness)
-from oracles import (CantorInterval, endpoints, generation_intervals,
+from fractarc.cantor import (GenerationBudgetError, ProductCantor, RatioCantorSet,
+                             RatioSequence, SelfSimilarCantor, product_for_dimension,
+                             sample_ball_inputs, scaling_for_dimension,
+                             uniform_perfectness_constant, verify_uniform_perfectness)
+from oracles import (Address, CantorInterval, endpoints, generation_intervals,
                      verify_generation_lengths)
 
 LOG2_3 = math.log(2.0) / math.log(3.0)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -279,6 +280,18 @@ class TestVerifyCommand:
         names = {check["name"] for check in report["checks"]}
         assert {"injectivity", "containment", "uniform_perfectness",
                 "mass_bounds"} <= names
+
+    @pytest.mark.parametrize("config", [RunConfig(depth=5),
+                                        RunConfig(target_dimension=2.5, depth=3)],
+                             ids=["planar-5", "spatial-3"])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_seeded_reports_pass_every_check(self, config, seed):
+        report = run_verification(build_model(config), replace(config, seed=seed))
+        assert [(c["name"], c["passed"]) for c in report["checks"]] == [
+            ("injectivity", True), ("containment", True), ("uniform_perfectness", True),
+            ("mass_bounds", True)]
+        assert [d["depth"] for d in report["checks"][1]["per_depth"]] == list(
+            range(1, config.depth + 1))
 
     def test_corrupted_model_fails(self, tmp_path):
         out = tmp_path / "model.json"

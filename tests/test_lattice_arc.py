@@ -13,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractarc import arc as arc_mod
-from fractarc.arc import modulus_of_continuity, sample_addresses, verify_containment
+from fractarc.arc import modulus_of_continuity, verify_containment
 from fractarc.cli import (RunConfig, build_model, counting_summary, dump_json, main,
                           model_text, render_svg)
-from oracles import (ObjectArc, RowView, fraction_evaluate, object_containment,
-                     object_counting_summary, object_render_svg, object_vertex_cloud,
-                     reference_model_dict)
+from oracles import (Address, ObjectArc, RowView, fraction_evaluate, near_point,
+                     object_containment, object_counting_summary, object_render_svg,
+                     object_vertex_cloud, reference_model_dict, sample_addresses,
+                     scan_containment)
 
 PLANAR = ["--c", "1.6309297535714574"]
 SPATIAL = ["--c", "2.5"]
@@ -57,8 +58,12 @@ class TestAgainstObjectGrower:
         p = 2 * arc.branching - 1
         for k in range(1, arc.depth + 1):
             assert np.array_equal(arc.vertex_cloud(k), object_vertex_cloud(oracle, k))
-            report = verify_containment(arc, k, addresses)
-            assert (report.max_distance, report.bound) == object_containment(oracle, k, addresses)
+            # the sampled check on the lattice arc's cloud and on the object arc's
+            sampled = scan_containment(arc, k, addresses)
+            assert (sampled.max_distance, sampled.bound) == object_containment(oracle, k,
+                                                                               addresses)
+            assert verify_containment(arc, k) == arc_mod.ContainmentReport(k, sampled.bound,
+                                                                           True)
             ts = data.draw(st.lists(st.floats(0.0, 1.0) | st.integers(0, p ** k).map(
                 lambda n, k=k: F(n, p ** k)), min_size=1, max_size=8))
             for t in ts:
@@ -84,7 +89,7 @@ class TestAgainstObjectGrower:
         k = data.draw(st.integers(0, arc.depth))
         cell = data.draw(st.sampled_from(views.generation_cells(k)))
         assert views.cell_at(cell.address) is cell
-        assert arc.near_point(arc_mod.Address(cell.address)) == tuple(
+        assert near_point(arc, Address(cell.address)) == tuple(
             float(c) for c in cell.near_corner)
 
     def test_cell_at_refuses_an_unbuilt_address(self):

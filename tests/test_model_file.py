@@ -346,6 +346,40 @@ def test_ratio_parameters_its_family_does_not_read_exit_2(models, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("depth", True), ("seed", True), ("samples", True), ("target_dimension", True),
+    ("scales", [True, 4]), ("scales", [2, True]),
+])
+def test_boolean_config_values_exit_2(models, tmp_path, capsys, key, value):
+    # JSON true loads as a Python bool, which is an int equal to 1
+    data = json.loads(models["planar", 2].read_text())
+    data["config"][key] = value
+    path = tmp_path / "bool.json"
+    path.write_text(dump_json(data))
+    out = tmp_path / "out.json"
+    for argv in (["verify", "--model", str(path)],
+                 ["export", "--model", str(path), "--format", "json", "--out", str(out)],
+                 ["estimate", "--preset", "arc", "--model", str(path)]):
+        assert run(*argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: {key} must be a number, not a boolean\n")
+    assert not out.exists()
+
+
+def test_json_nested_past_the_stack_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    for argv in (["verify", "--model", str(path)],
+                 ["export", "--model", str(path), "--format", "json",
+                  "--out", str(tmp_path / "out.json")],
+                 ["estimate", "--preset", "arc", "--model", str(path)]):
+        assert run(*argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: model {path} is not valid JSON: "), err
+        assert err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
 def json_paths(node, prefix=()):
     yield prefix
     if isinstance(node, dict):
