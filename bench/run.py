@@ -26,8 +26,9 @@ against it as well.
 
 The arc layers, best of three, on the planar (n = 1) arcs of depth 4 to 8
 and the spatial (n = 2) arcs of depth 3 to 5 (``perfbench`` builds planar-4/5/6
-and spatial-3/4): ``grow_cells`` and ``route`` apart, ``route`` with its
-``route_connectors`` runs (one per distinct parent shape).  All but
+and spatial-3/4): construction (``build_model``, which grows and routes
+every generation in one loop) with its ``route_connectors`` runs (one per
+distinct parent shape of each generation).  All but
 planar-4 then time ``verify_injectivity`` and, apart, each of its five
 checks on the rows' integer corners: (a) ``_lattices_nest``, (b)
 ``_rows_are_children``, (c) and (d) together (``_connector_checks``, with
@@ -43,13 +44,13 @@ over 20,000 seeded parameters on planar-5, beside per-call
 planar-6.  The certificates run on the base sets of planar-5 and spatial-3
 at resolution 12, the resolution ``verify`` uses: ``verify_uniform_perfectness``
 and ``verify_mass_bounds`` on 200 seeded balls each, with the verdict counts
-and the lattice's dtype.  Containment runs at every depth of planar-5 to 8
-and spatial-3 to 5: ``containment`` is ``verify_containment``, as
-``verify`` runs it, with the rows of generations 1 to the depth;
+and the lattice's dtype.  Containment runs on planar-5 to 8 and spatial-3
+to 5: ``containment`` is ``verify_containment`` at the arc's depth, the one
+call ``verify`` makes, with the rows of generations 1 to the depth;
 ``sampled_containment`` is the sampled check it replaced
 (``scan_containment`` from the tests' oracles: 100 seeded addresses
-against the whole vertex cloud), with the cloud points it scans, and it
-must pass wherever the exact check does.
+against the whole vertex cloud) at every depth, with the cloud points it
+scans, and it must pass wherever the exact check does.
 
 The model file, best of three, on planar-6 and spatial-4: ``model_text``;
 ``_load_model`` of the canonical file, which takes the byte compare, beside
@@ -101,8 +102,8 @@ import fractarc
 from fractarc import arc as arc_module
 from fractarc.cantor import (SelfSimilarCantor, sample_ball_inputs,
                              verify_uniform_perfectness)
-from fractarc.cli import (RunConfig, _load_canonical, _load_model, _unrouted_arc,
-                          arc_estimate, build_model, model_from_dict, model_text)
+from fractarc.cli import (RunConfig, _load_canonical, _load_model, arc_estimate,
+                          build_model, model_from_dict, model_text)
 from fractarc.dimension import (ball_net_count, box_count_series, cantor_sample,
                                 net_count_series, power_scales)
 from fractarc.geometry import _meeting_box_pairs, chain_self_intersection
@@ -184,7 +185,8 @@ def net_row(case: str, generation: int, space, lo: int, hi: int) -> dict:
     else:
         sample_s, points = best_of(lambda: space.sample(generation))
         factors = [(space, points)]
-    count_s, series = best_of(lambda: net_count_series(factors, radii))
+    # resolution 0: the radii are the presets' own, which they admit
+    count_s, series = best_of(lambda: net_count_series(factors, radii, 0))
     row = {"layer": "net_count_series", "case": case, "generation": generation,
            "points": math.prod(len(points) for _, points in factors),
            "factor_points": [len(points) for _, points in factors],
@@ -276,27 +278,18 @@ def counting(name: str):
         setattr(arc_module, name, inner)
 
 
-def build_rows(case: str) -> list[dict]:
-    """``grow_cells`` and ``route`` of one arc, best of three each; every
-    run grows a fresh arc, and ``route`` runs on it once grown.  The route
-    row counts the ``route_connectors`` runs: one per distinct parent
-    shape of each generation."""
+def build_row(case: str) -> dict:
+    """Construction of one arc (``build_model``: every generation grown and
+    routed), best of three, each run a fresh arc, with the
+    ``route_connectors`` runs: one per distinct parent shape of each
+    generation."""
     c, depth = ARCS[case]
     config = RunConfig(target_dimension=c, depth=depth)
-    grow_s = route_s = float("inf")
     with counting("route_connectors") as calls:
-        for _ in range(VERIFY_REPEATS):
-            start = perf_counter()
-            arc = _unrouted_arc(config)
-            grown = perf_counter()
-            arc.route()
-            grow_s = min(grow_s, grown - start)
-            route_s = min(route_s, perf_counter() - grown)
-    return [{"layer": "grow_cells", "case": case, "depth": depth,
-             "cells": arc.first_id(depth + 1), "time_s": grow_s},
-            {"layer": "route", "case": case, "depth": depth,
-             "connectors": arc.branching ** depth - 1,
-             "route_connectors_runs": calls[0] // VERIFY_REPEATS, "time_s": route_s}]
+        time_s, arc = best_of(lambda: build_model(config), VERIFY_REPEATS)
+    return {"layer": "build", "case": case, "depth": depth, "cells": arc.first_id(depth + 1),
+            "connectors": arc.branching ** depth - 1,
+            "route_connectors_runs": calls[0] // VERIFY_REPEATS, "time_s": time_s}
 
 
 def verify_rows(case: str) -> list[dict]:
@@ -316,8 +309,8 @@ def verify_rows(case: str) -> list[dict]:
             lambda: arc_module._connector_checks(arc, depth, den), VERIFY_REPEATS)
     glue_s, glued = best_of(lambda: arc._glued(depth, den, *arc.corners(depth, den)),
                             VERIFY_REPEATS)
-    shapes = {shape for _, by_shape in arc_module._parent_shapes(arc, range(1, depth + 1), den)
-              for shape in by_shape}
+    shapes = {shape for g in range(1, depth + 1)
+              for shape in arc_module._parent_shapes(arc, g, den)}
     out = [{"layer": "injectivity_checks", "case": case, "depth": depth,
             "connectors": arc.branching ** depth - 1, "distinct_shapes": len(shapes),
             "path_legal_runs": calls[0] // VERIFY_REPEATS, "passed": report.passed,
@@ -362,7 +355,7 @@ def certificate_rows(case: str) -> list[dict]:
     """Uniform perfectness and the mass bounds on the base set of one arc,
     as ``verify`` runs them."""
     c, depth = ARCS[case]
-    base = _unrouted_arc(RunConfig(target_dimension=c, depth=1)).base_set
+    base = build_model(RunConfig(target_dimension=c, depth=1)).base_set
     res = CERTIFICATE_RESOLUTION
     rng = random.Random(0)
     balls = sample_ball_inputs(base, CERTIFICATE_SAMPLES, res, rng)
@@ -385,21 +378,20 @@ def certificate_rows(case: str) -> list[dict]:
 
 
 def containment_rows(case: str) -> list[dict]:
-    """``verify_containment`` at every depth of one arc, best of three,
-    beside the sampled oracle it replaced (``scan_containment`` on seeded
-    addresses), which must pass wherever the exact check does."""
+    """``verify_containment`` of one arc at its depth, best of three, beside
+    the sampled oracle it replaced (``scan_containment`` on seeded
+    addresses) at every depth, which must pass wherever the exact check
+    does: an exact pass at the arc's depth covers every shallower depth."""
     c, depth = ARCS[case]
     arc = build_model(RunConfig(target_dimension=c, depth=depth))
     depths = range(1, depth + 1)
-    time_s, reports = best_of(lambda: [arc_module.verify_containment(arc, k) for k in depths],
-                              VERIFY_REPEATS)
+    time_s, report = best_of(lambda: arc_module.verify_containment(arc, depth), VERIFY_REPEATS)
     addresses = sample_addresses(arc, CONTAINMENT_ADDRESSES, random.Random(0))
     scan_s, scanned = best_of(lambda: [scan_containment(arc, k, addresses) for k in depths],
                               VERIFY_REPEATS)
-    if any(rep.passed and not sampled.passed for rep, sampled in zip(reports, scanned)):
+    if report.passed and not all(sampled.passed for sampled in scanned):
         raise SystemExit(f"{case}: the exact containment check passes where the sample fails")
-    return [{"layer": "containment", "case": case, "depth": depth,
-             "passed": all(rep.passed for rep in reports),
+    return [{"layer": "containment", "case": case, "depth": depth, "passed": report.passed,
              "rows": sum(len(arc.generation_rows(k)) for k in depths), "time_s": time_s},
             {"layer": "sampled_containment", "case": case, "depth": depth,
              "passed": all(sampled.passed for sampled in scanned),
@@ -537,7 +529,7 @@ def rows(parent: Path | None = None) -> list[dict]:
     planar_4 = build_model(RunConfig(target_dimension=c, depth=depth))
     out.append(net_row("rug planar-4", 6, RugSpace(ArcFactor(planar_4)), 2, 4))
     for case in ARCS:
-        out.extend(build_rows(case))
+        out.append(build_row(case))
         if case != "planar-4":
             out.extend(verify_rows(case))
     out.append(evaluate_row("planar-5"))

@@ -9,6 +9,10 @@ sub-cells, in distance order) and used (mapped onto connectors), so the
 approximations converge to an injective curve through every point of the
 product.
 
+An arc is built once, to its depth: ``ArcApproximation(base_set, product,
+depth)`` (or ``build_arc``) grows and routes every generation up to
+``depth`` in one call, and the arc does not change after that.
+
 The rule fixes every index by arithmetic, so none is stored:
 
 * cell c has the sub-cells c*q+1 .. c*q+q, in rank order;
@@ -50,7 +54,7 @@ distance order in general:
   cell (no grazing, no face-sliding),
 * it is disjoint from every other connector of that parent.
 
-``route`` and ``verify_injectivity`` decide all three on a parent's
+Construction and ``verify_injectivity`` decide all three on a parent's
 integer shape (``_parent_shapes``): its far corner, then the near and far
 corner of each sub-cell in rank order, all minus its near corner, over one
 common denominator.  A connector's vertices are two points of that shape,
@@ -63,8 +67,9 @@ every parent with that shape.
 * ``segments_meet`` decides the third on the integer points
   (``route_connectors`` reaches it through ``polylines_disjoint``).
 
-``route`` runs ``route_connectors`` on the first parent of each distinct
-shape of a generation; an illegal connector raises RoutingFailed.
+As it grows each generation, the constructor runs ``route_connectors`` on
+the first parent of each distinct shape; an illegal connector raises
+RoutingFailed.
 
 ``verify_injectivity`` does not trust the route: it keys every parent of
 the rows by its shape, so a tampered row gets a shape of its own.  It
@@ -240,29 +245,26 @@ def route_connectors(shape: Sequence[Sequence[int]], generation: int, parent_id:
     return paths
 
 
-def _parent_shapes(arc: ArcApproximation, generations: range, den: int
-                   ) -> Iterator[tuple[int, dict[tuple, list[int]]]]:
-    """(g, shapes) for each g of ``generations``: the distinct shapes of the
-    generation-(g-1) parents, in the order of their first parent, each with
-    the positions of its parents in their generation.
+def _parent_shapes(arc: ArcApproximation, g: int, den: int) -> dict[tuple, list[int]]:
+    """The distinct shapes of the generation-(g-1) parents, in the order of
+    their first parent, each with the positions of its parents in their
+    generation.
 
     A parent's shape is its far corner, then the near and far corner of
     each sub-cell in rank order, all minus its near corner, as a tuple of
     integer points over ``den``; connector s runs between shape points 2s+2
-    and 2s+3.  The corners of generation g are the parents of g+1.
+    and 2s+3.
     """
     q, d = arc.branching, arc.ambient_dimension
-    near, far = arc.corners(generations.start - 1, den)
-    for g in generations:
-        sub_near, sub_far = arc.corners(g, den)
-        subs = np.stack([sub_near, sub_far], axis=1).reshape(len(near), 2 * q, d)
-        shapes = np.concatenate([far[:, None], subs], axis=1) - near[:, None]
-        parents: dict[tuple, list[int]] = {}
-        for c, key in enumerate(map(tuple, shapes.reshape(len(near), -1).tolist())):
-            parents.setdefault(key, []).append(c)
-        yield g, {tuple(key[i:i + d] for i in range(0, len(key), d)): positions
-                  for key, positions in parents.items()}
-        near, far = sub_near, sub_far
+    near, far = arc.corners(g - 1, den)
+    sub_near, sub_far = arc.corners(g, den)
+    subs = np.stack([sub_near, sub_far], axis=1).reshape(len(near), 2 * q, d)
+    shapes = np.concatenate([far[:, None], subs], axis=1) - near[:, None]
+    parents: dict[tuple, list[int]] = {}
+    for c, key in enumerate(map(tuple, shapes.reshape(len(near), -1).tolist())):
+        parents.setdefault(key, []).append(c)
+    return {tuple(key[i:i + d] for i in range(0, len(key), d)): positions
+            for key, positions in parents.items()}
 
 
 def _integer_ratio(t) -> tuple[int, int]:
@@ -316,34 +318,8 @@ class ArcApproximation:
     of a ratio Cantor set with a self-similar product (storage as in the
     module docstring)."""
 
-    def __init__(self, base_set: RatioCantorSet, product: ProductCantor):
-        if product.copies < 1:
-            raise ValueError("product needs at least one factor axis")
-        self.base_set = base_set
-        self.product = product
-        self.copies = product.copies
-        self.ambient_dimension = product.copies + 1
-        self.branching = 2 ** self.ambient_dimension  # q sub-cells per cell
-        self.depth = 0
-        self.routed = 0  # generations whose connectors are checked
-        # the Cantor set each ambient axis reads its intervals from
-        self._axis_sets = (base_set,) + (product.factor,) * product.copies
-        rows = np.zeros((1, self.ambient_dimension), dtype=np.int64)
-        rows.flags.writeable = False
-        self._rows = [rows]
-        self._tables: dict[tuple[str, int], list] = {}  # interval_ends
-        self._diameters: dict[int, float] = {}
-        self._segments: dict[int, tuple] = {}
-
-    # -- construction -----------------------------------------------------
-
-    def _child_lengths(self, k: int) -> list[Fraction]:
-        base = self.base_set.generation_length(k)
-        factor = self.product.factor.generation_length(k)
-        return [base] + [factor] * self.copies
-
-    def grow_cells(self, depth: int) -> "ArcApproximation":
-        """Index rows of every generation up to ``depth``, without routing.
+    def __init__(self, base_set: RatioCantorSet, product: ProductCantor, depth: int):
+        """Grow and route every generation up to ``depth``, in one loop.
 
         The sub-cells of a parent with interval indices i take intervals
         2i + b on each axis, for the q bit patterns b (axis 0 the high bit).
@@ -352,21 +328,43 @@ class ArcApproximation:
         int64 while the squared sums fit and as Python ints beyond.  Within
         one parent the near corners order as the patterns do, so the key is
         |near corner|^2 * q + pattern.
+
+        Each grown generation is routed at once: ``route_connectors`` checks
+        the first parent of each distinct shape; the other parents with that
+        shape hold the same segments translated (see the module docstring).
+        The connectors themselves stay implicit in the rows.
         """
+        if product.copies < 1:
+            raise ValueError("product needs at least one factor axis")
+        if depth < 0:
+            raise ValueError("depth must be non-negative")
+        self.base_set = base_set
+        self.product = product
+        self.copies = product.copies
+        self.ambient_dimension = d = product.copies + 1
+        self.branching = q = 2 ** d  # sub-cells per cell
+        self.depth = depth
         # fail fast on the target depth before spending work on shallower
         # ones; 2^e > budget exactly when e reaches the budget's bit length
-        if depth * self.ambient_dimension >= DEFAULT_CELL_BUDGET.bit_length():
+        if depth * d >= DEFAULT_CELL_BUDGET.bit_length():
             raise GenerationBudgetError(
-                f"depth {depth} needs 2^{depth * self.ambient_dimension} cells, "
-                f"over the budget {DEFAULT_CELL_BUDGET}")
-        q, d = self.branching, self.ambient_dimension
+                f"depth {depth} needs 2^{depth * d} cells, over the budget {DEFAULT_CELL_BUDGET}")
+        # the Cantor set each ambient axis reads its intervals from
+        self._axis_sets = (base_set,) + (product.factor,) * product.copies
+        rows = np.zeros((1, d), dtype=np.int64)
+        rows.flags.writeable = False
+        self._rows = [rows]
+        self._tables: dict[tuple[str, int], list] = {}  # interval_ends
+        self._diameters: dict[int, float] = {}
+        self._segments: dict[int, tuple] = {}
         patterns = np.arange(q)
         bits = (patterns[:, None] >> np.arange(d - 1, -1, -1)) & 1
-        for k in range(self.depth + 1, depth + 1):
+        den = self.denominator(depth)
+        for k in range(1, depth + 1):
             lattices = [s.lattice(k) for s in self._axis_sets]
-            den = math.lcm(*(axis_den for _, _, axis_den in lattices))
-            wide = (d * q * den * den).bit_length() > 62
-            lows = [(axis_lows.astype(object) if wide else axis_lows) * (den // axis_den)
+            lcm = math.lcm(*(axis_den for _, _, axis_den in lattices))
+            wide = (d * q * lcm * lcm).bit_length() > 62
+            lows = [(axis_lows.astype(object) if wide else axis_lows) * (lcm // axis_den)
                     for axis_lows, _, axis_den in lattices]
             kids = 2 * self._rows[k - 1][:, None, :] + bits  # (parents, q, d)
             keys = sum(lows[a][kids[..., a]] ** 2 for a in range(d)) * q + patterns
@@ -377,27 +375,9 @@ class ArcApproximation:
             rows = np.take_along_axis(kids, order[..., None], axis=1).reshape(-1, d)
             rows.flags.writeable = False
             self._rows.append(rows)
-            self.depth = k
-        return self
-
-    def route(self) -> "ArcApproximation":
-        """Check the connectors of every grown generation not routed yet.
-
-        ``route_connectors`` checks the first parent of each distinct shape
-        of a generation; the other parents with that shape hold the same
-        segments translated (see the module docstring).  The connectors
-        themselves stay implicit in the rows.
-        """
-        generations = range(self.routed + 1, self.depth + 1)
-        for k, shapes in _parent_shapes(self, generations, self.denominator(self.depth)):
             first = self.first_id(k - 1)
-            for shape, parents in shapes.items():
+            for shape, parents in _parent_shapes(self, k, den).items():
                 route_connectors(shape, k, first + parents[0])
-            self.routed = k
-        return self
-
-    def build_to(self, depth: int) -> "ArcApproximation":
-        return self.grow_cells(depth).route()
 
     # -- lattice tables --------------------------------------------------------
 
@@ -478,8 +458,7 @@ class ArcApproximation:
 
     def cell_diameter_sq(self, k: int) -> Fraction:
         """Common squared diameter of every generation-k cell."""
-        lengths = self._child_lengths(k) if k > 0 else [Fraction(1)] * self.ambient_dimension
-        return sum((h * h for h in lengths), Fraction(0))
+        return sum((s.generation_length(k) ** 2 for s in self._axis_sets), Fraction(0))
 
     def cell_diameter(self, k: int) -> float:
         if k not in self._diameters:
@@ -607,7 +586,7 @@ class ArcApproximation:
         """Float array of the generation-k cell corners: the finite stand-in
         for the depth-k curve.  Every connector end of generations up to k
         is among them, since a cell's near and far corners are those of its
-        first and last sub-cells (``grow_cells``)."""
+        first and last sub-cells (see the constructor)."""
         self._require_depth(k)
         rows = self._rows[k]
         columns = [(np.array(lo)[rows[:, a]], np.array(hi)[rows[:, a]])
@@ -623,7 +602,7 @@ class ArcApproximation:
 
 def build_arc(base_set: RatioCantorSet, product: ProductCantor, depth: int
               ) -> ArcApproximation:
-    return ArcApproximation(base_set, product).build_to(depth)
+    return ArcApproximation(base_set, product, depth)
 
 
 # -- verification -----------------------------------------------------------
@@ -689,9 +668,9 @@ def _connector_checks(arc: ArcApproximation, k: int, den: int) -> tuple[list[int
     verdicts: dict[tuple, tuple[list[int], bool]] = {}  # shape -> (failing ranks, meet)
     violations: list[int] = []
     crossing = False
-    for g, shapes in _parent_shapes(arc, range(1, k + 1), den):
+    for g in range(1, k + 1):
         first = arc.first_id(g - 1)
-        for shape, parents in shapes.items():
+        for shape, parents in _parent_shapes(arc, g, den).items():
             if shape not in verdicts:
                 segments = [shape[2 * s + 2:2 * s + 4] for s in range(q - 1)]
                 verdicts[shape] = (

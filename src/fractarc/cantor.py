@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,37 +33,23 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-DEFAULT_GENERATION_BUDGET = 20
-GENERATION_BUDGET_ENV = "FRACTARC_GENERATION_BUDGET"
+#: The deepest generation any Cantor set builds; interval counts double per level.
+GENERATION_CAP = 20
 
 #: Ratio sequences must have dropped below this by the last validated index.
 TAIL_TOLERANCE = Fraction(1, 4)
 
 
 class GenerationBudgetError(RuntimeError):
-    """Requested generation exceeds the configured build cap."""
-
-
-def generation_budget(default: int = DEFAULT_GENERATION_BUDGET) -> int:
-    """Build cap, overridable through the environment."""
-    raw = os.environ.get(GENERATION_BUDGET_ENV)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{GENERATION_BUDGET_ENV} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"{GENERATION_BUDGET_ENV} must be positive")
-    return value
+    """Requested generation exceeds the build cap."""
 
 
 class RatioSequence:
     """Middle-removal ratios c_1, c_2, ... with each c_i in (0, 1).
 
     The sequence must be non-increasing and tend to zero; both are checked on
-    a finite prefix (monotonicity index by index, smallness at the last
-    validated index).
+    the prefix up to ``GENERATION_CAP`` (monotonicity index by index,
+    smallness at the last index).
     """
 
     def __init__(self, kind: str, params: dict[str, Fraction],
@@ -104,9 +89,9 @@ class RatioSequence:
         """sup_i c_i; equals c_1 for a validated (non-increasing) sequence."""
         return self(1)
 
-    def validate_prefix(self, length: int) -> None:
+    def validate_prefix(self) -> None:
         prev: Optional[Fraction] = None
-        for i in range(1, length + 1):
+        for i in range(1, GENERATION_CAP + 1):
             c = self(i)
             if not 0 < c < 1:
                 raise ValueError(f"ratio c_{i} = {c} is outside (0, 1)")
@@ -116,7 +101,7 @@ class RatioSequence:
         if prev is not None and prev >= TAIL_TOLERANCE:
             raise ValueError(
                 f"ratio sequence has not decayed below {TAIL_TOLERANCE} by index "
-                f"{length}; it must tend to zero within the build budget")
+                f"{GENERATION_CAP}; it must tend to zero within the build budget")
 
 
 class _BinaryCantorBase:
@@ -124,10 +109,7 @@ class _BinaryCantorBase:
     its outer children [a, a + L_k] and [b - L_k, b], where L_k is the uniform
     generation-k length supplied by the subclass."""
 
-    def __init__(self, max_generation: Optional[int] = None):
-        self._max_generation = generation_budget() if max_generation is None else max_generation
-        if self._max_generation < 1:
-            raise ValueError("generation budget must be at least 1")
+    def __init__(self):
         # one (lower-end numerators, length numerator, denominator) per generation
         self._lattices: list[tuple[np.ndarray, int, int]] = [
             (_read_only(np.zeros(1, np.int64)), 1, 1)]
@@ -136,24 +118,16 @@ class _BinaryCantorBase:
     def generation_length(self, k: int) -> Fraction:
         raise NotImplementedError
 
-    @property
-    def max_generation(self) -> int:
-        return self._max_generation
-
-    @property
-    def max_built_generation(self) -> int:
-        return len(self._lattices) - 1
-
     def build(self, k: int) -> None:
         """Build (and keep) the lattices of all generations up to k."""
         if k < 0:
             raise ValueError("generation must be non-negative")
-        if k > self._max_generation:
+        if k > GENERATION_CAP:
             raise GenerationBudgetError(
-                f"generation {k} exceeds the build cap {self._max_generation}; "
+                f"generation {k} exceeds the build cap {GENERATION_CAP}; "
                 f"interval counts double per level")
-        while self.max_built_generation < k:
-            g = self.max_built_generation + 1
+        while len(self._lattices) <= k:
+            g = len(self._lattices)
             length = self.generation_length(g)
             if not 0 < length < self.generation_length(g - 1) / 2:
                 raise ValueError(f"generation {g} length {length} leaves no middle gap")
@@ -184,9 +158,9 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 class RatioCantorSet(_BinaryCantorBase):
     """Cantor set from a decreasing ratio sequence, on [0, 1]."""
 
-    def __init__(self, ratios: RatioSequence, max_generation: Optional[int] = None):
-        super().__init__(max_generation)
-        ratios.validate_prefix(self._max_generation)
+    def __init__(self, ratios: RatioSequence):
+        super().__init__()
+        ratios.validate_prefix()
         self.ratios = ratios
         self._lengths: list[Fraction] = [Fraction(1)]
 
@@ -200,8 +174,8 @@ class RatioCantorSet(_BinaryCantorBase):
 class SelfSimilarCantor(_BinaryCantorBase):
     """Two-branch self-similar Cantor set with exact rational scaling ratio."""
 
-    def __init__(self, ratio, max_generation: Optional[int] = None):
-        super().__init__(max_generation)
+    def __init__(self, ratio):
+        super().__init__()
         ratio = Fraction(ratio)
         if not 0 < ratio < Fraction(1, 2):
             raise ValueError(f"scaling ratio must lie in (0, 1/2), got {ratio}")

@@ -100,7 +100,7 @@ class DimensionEstimate:
     intercept: float
     r_squared: float
     scale_range: tuple[float, float]  # (coarsest delta, finest delta)
-    kind: str = "box"
+    kind: str
 
 
 @dataclass(frozen=True)
@@ -153,17 +153,15 @@ def power_scales(base: Fraction, coarse: int, fine: int) -> list[Fraction]:
 
 
 def box_count_series(axes: Sequence[LatticeSample], scales: Sequence,
-                     sample_resolution=None) -> BoxCountSeries:
+                     sample_resolution) -> BoxCountSeries:
     """Box counts at every scale of the Cartesian product of ``axes``, one
-    ``LatticeSample`` each: the product of the axes' ``box_count``.  When
-    the sample's generation resolution is known, windows finer than it are
-    refused: counts there would flatten into a spurious dimension-zero
-    tail."""
+    ``LatticeSample`` each: the product of the axes' ``box_count``.  Windows
+    finer than the sample's generation resolution are refused: counts there
+    would flatten into a spurious dimension-zero tail."""
     scales = [Fraction(s) for s in scales]
     if not scales:
         raise ValueError(_TOO_FEW_SCALES)
-    if sample_resolution is not None:
-        _refuse_finer(min(scales), Fraction(sample_resolution))
+    _refuse_finer(min(scales), Fraction(sample_resolution))
     counts = tuple(math.prod(box_count(axis, d) for axis in axes) for d in scales)
     return BoxCountSeries(tuple(scales), counts)
 
@@ -175,7 +173,7 @@ def _refuse_finer(finest, resolution) -> None:
             f"{float(resolution)!r}; deepen the sample instead")
 
 
-def estimate_dimension(series: BoxCountSeries, kind: str = "box") -> DimensionEstimate:
+def estimate_dimension(series: BoxCountSeries, kind: str) -> DimensionEstimate:
     """Fit log N = slope * log(1/delta) + intercept by least squares."""
     if len(series.scales) < 3:
         raise ValueError(_TOO_FEW_SCALES)
@@ -234,12 +232,12 @@ def ball_net_count(space, points: np.ndarray, r: float) -> int:
 
 
 def net_count_series(factors, radii: Sequence[float],
-                     sample_resolution=None) -> BoxCountSeries:
+                     sample_resolution) -> BoxCountSeries:
     """Net counts at every radius of the product of ``factors``, a list of
     ``(space, points)`` pairs, under the max metric: at each radius the
     product of the factors' ``ball_net_count``.  A single factor is its own
-    sample.  When the sample's resolution (its point spacing, in the metric)
-    is known, radii finer than it are refused, as in ``box_count_series``.
+    sample.  Radii finer than the sample's resolution (its point spacing, in
+    the metric) are refused, as in ``box_count_series``.
 
     The product of the factors' greedy nets is the greedy net of the
     row-major product sample (the first factor's index varying slowest),
@@ -248,8 +246,7 @@ def net_count_series(factors, radii: Sequence[float],
     before anything is counted.  Every metric here decides its ball on
     ``p - c`` alone, so the origin shows it for every centre.
     """
-    if sample_resolution is not None:
-        _refuse_finer(min(float(r) for r in radii), float(sample_resolution))
+    _refuse_finer(min(float(r) for r in radii), float(sample_resolution))
     floats = [float(r) for r in radii]
     for space, _ in factors:
         origin = np.zeros((1, space.point_dimension))

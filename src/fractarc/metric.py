@@ -25,10 +25,11 @@ VON_KOCH_EXPONENT = math.log(3.0) / math.log(4.0)
 DEFAULT_SAMPLE_BUDGET = 2 ** 21
 
 
-def _check_budget(kind: str, resolution: int, budget: int) -> None:
+def _check_budget(kind: str, resolution: int) -> None:
     """Refuse a 2^resolution-point grid over the budget before allocating it."""
-    if resolution >= budget.bit_length():  # 2^resolution > budget
-        raise ValueError(f"{kind} sample of 2^{resolution} points exceeds the budget {budget}")
+    if resolution >= DEFAULT_SAMPLE_BUDGET.bit_length():  # 2^resolution > budget
+        raise ValueError(f"{kind} sample of 2^{resolution} points exceeds the budget "
+                         f"{DEFAULT_SAMPLE_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ class SnowflakeMetric:
 
     def sample(self, resolution: int) -> np.ndarray:
         """2^resolution evenly spaced points of [0, 1], ends included."""
-        _check_budget("snowflake", resolution, DEFAULT_SAMPLE_BUDGET)
+        _check_budget("snowflake", resolution)
         return np.linspace(0.0, 1.0, 2 ** resolution).reshape(-1, 1)
 
 
@@ -154,7 +155,7 @@ class RugSpace:
         stays capped at the budget although it is never allocated."""
         if resolution < 1:
             raise ValueError("resolution must be at least 1")
-        _check_budget("rug", resolution, DEFAULT_SAMPLE_BUDGET)
+        _check_budget("rug", resolution)
         first = np.asarray(self.first.sample(resolution), dtype=float)
         interval = SnowflakeMetric(1.0)
         second = interval.sample(resolution)

@@ -419,7 +419,7 @@ class _Views:
 class RowView(_Views):
     """The ``Cell`` and ``Connector`` objects of a lattice arc, read off its
     index rows (``generation_rows``) and lattices when the view is made:
-    cells of every grown generation, connectors of every routed one.  The
+    the cells and connectors of every generation up to its depth.  The
     lists are plain attributes, so a test may replace a cell or a
     connector."""
 
@@ -427,7 +427,7 @@ class RowView(_Views):
         self.arc = arc
         self.base_set, self.product = arc.base_set, arc.product
         self.ambient_dimension, self.branching = arc.ambient_dimension, arc.branching
-        self.depth, self.routed = arc.depth, arc.routed
+        self.depth = arc.depth
         q = self.branching
         axis_sets = (arc.base_set,) + (arc.product.factor,) * arc.copies
         self.cells = []
@@ -447,7 +447,7 @@ class RowView(_Views):
                                        tuple(pairs[j] for pairs, j in zip(intervals, row)),
                                        None if parent is None else parent + i // q,
                                        tuple(words[j] for j in row)))
-            if not 1 <= k <= self.routed:
+            if k == 0:
                 continue
             param_length = Fraction(1, (2 * q - 1) ** k)
             for i, (source, target) in enumerate(zip(rows, rows[1:])):
@@ -564,9 +564,9 @@ def object_vertex_cloud(arc, k):
 
 
 def connector_vertex_cloud(arc, k):
-    """Distinct float connector ends of the routed generations up to k and
+    """Distinct float connector ends of the generations up to k and
     generation-k cell corners of a lattice arc, in lexicographic order."""
-    parts = [ends for g in range(1, min(k, arc.routed) + 1) for ends in arc.connector_ends(g)]
+    parts = [ends for g in range(1, k + 1) for ends in arc.connector_ends(g)]
     rows = arc.generation_rows(k)
     columns = [(np.array(lo)[rows[:, a]], np.array(hi)[rows[:, a]])
                for a, (lo, hi) in enumerate(arc.interval_ends("float", k))]

@@ -172,8 +172,8 @@ def test_criterion_8_arc_dimension_consistency(figure_arc):
     with _Timer() as t:
         slopes = []
         for depth in (2, 3, 4):
-            series = arc_estimate(figure_arc, depth=depth)
-            slopes.append(estimate_dimension(series).slope)
+            arc = build_arc(figure_arc.base_set, figure_arc.product, depth)
+            slopes.append(estimate_dimension(arc_estimate(arc), "box").slope)
         ok = 1.0 <= slopes[-1] <= expected + 0.15
         ok = ok and all(a <= b for a, b in zip(slopes, slopes[1:]))  # monotone trend
         ok = ok and all(s <= expected for s in slopes)  # approaches from below

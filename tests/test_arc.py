@@ -318,14 +318,13 @@ class TestRouting:
 
     def test_single_cell_needs_no_connector(self):
         base, product = planar_sets()
-        arc = ArcApproximation(base, product)
-        views = RowView(arc.build_to(1))
+        views = RowView(ArcApproximation(base, product, 1))
         shape = shape_of(views.generation_cells(1)[:1], views.cells[0].box)
         assert route_connectors(shape, 1, 0) == []
 
     def test_illegal_segment_names_generation_parent_and_ranks(self):
         base, product = planar_sets()
-        views = RowView(ArcApproximation(base, product).build_to(1))
+        views = RowView(ArcApproximation(base, product, 1))
         cells = views.generation_cells(1)
         # rank order 1, 4, 2, 3: the segment from the fourth cell's far corner
         # to the second cell's near corner runs through both cells
@@ -348,7 +347,7 @@ class TestRouting:
     def test_search_router_picks_the_straight_segments(self, config):
         arc = build_model(config)
         for k, _, parent, sub_cells, conns in parents_with_connectors(RowView(arc)):
-            gap = _gap_box(parent.box, arc._child_lengths(k))
+            gap = _gap_box(parent.box, [s.generation_length(k) for s in arc._axis_sets])
             assert (search_route_connectors(sub_cells, parent.box, gap)
                     == [c.vertices for c in conns]), (k, parent.id)
 
@@ -468,10 +467,11 @@ class TestCountingInvariants:
         import fractarc.arc as arc_module
         monkeypatch.setattr(arc_module, "DEFAULT_CELL_BUDGET", 64)
         base, product = planar_sets()
-        arc = ArcApproximation(base, product)
-        arc.build_to(3)
-        with pytest.raises(GenerationBudgetError):
-            arc.build_to(4)
+        assert ArcApproximation(base, product, 3).depth == 3
+        with pytest.raises(GenerationBudgetError, match="needs 2\\^8 cells, over the budget 64"):
+            ArcApproximation(base, product, 4)
+        with pytest.raises(ValueError, match="depth must be non-negative"):
+            ArcApproximation(base, product, -1)
 
 
 class TestEvaluate:
@@ -671,9 +671,7 @@ class TestInjectivity:
 
     def test_single_cell_vacuous(self):
         base, product = planar_sets()
-        arc = ArcApproximation(base, product)
-        arc.build_to(1)
-        report = verify_injectivity(arc, 1)
+        report = verify_injectivity(ArcApproximation(base, product, 1), 1)
         assert report.passed
 
     @pytest.mark.parametrize("kind,depth", SUBSUMPTION_ARCS)

@@ -18,8 +18,8 @@ from oracles import (Address, CantorInterval, endpoints, generation_intervals,
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
 
-def dyadic_set(**kwargs):
-    return RatioCantorSet(RatioSequence.dyadic(), **kwargs)
+def dyadic_set():
+    return RatioCantorSet(RatioSequence.dyadic())
 
 
 class TestRatioSequence:
@@ -38,12 +38,12 @@ class TestRatioSequence:
     def test_validation_rejects_increasing(self):
         seq = RatioSequence("bad", {}, lambda i: F(i, i + 10))
         with pytest.raises(ValueError, match="increases"):
-            seq.validate_prefix(5)
+            seq.validate_prefix()
 
     def test_validation_rejects_slow_decay(self):
         seq = RatioSequence("slow", {}, lambda i: F(9, 10))
         with pytest.raises(ValueError):
-            seq.validate_prefix(20)
+            seq.validate_prefix()
 
 
 class TestGenerationIntervals:
@@ -77,13 +77,10 @@ class TestGenerationIntervals:
             lows[0] = 1
 
     def test_budget_exceeded(self):
-        with pytest.raises(GenerationBudgetError):
-            dyadic_set(max_generation=4).lattice(5)
-
-    def test_budget_env_override(self, monkeypatch):
-        monkeypatch.setenv("FRACTARC_GENERATION_BUDGET", "3")
-        with pytest.raises(GenerationBudgetError):
-            dyadic_set().lattice(4)
+        cantor = dyadic_set()
+        with pytest.raises(GenerationBudgetError, match="generation 21 exceeds the build cap 20"):
+            cantor.lattice(21)
+        assert len(cantor._lattices) == 1  # refused before any generation is built
 
     def test_exact_lengths_all_generations(self):
         assert verify_generation_lengths(dyadic_set(), 10)
@@ -312,7 +309,7 @@ class TestAddress:
 class TestUniformPerfectness:
     def test_constant_values(self):
         assert uniform_perfectness_constant(dyadic_set()) == 4
-        geo = RatioCantorSet(RatioSequence.geometric(F(3, 4)), max_generation=12)
+        geo = RatioCantorSet(RatioSequence.geometric(F(3, 4)))
         assert uniform_perfectness_constant(geo) == 8
         tiny = RatioCantorSet(RatioSequence.geometric(F(1, 1000)))
         k = uniform_perfectness_constant(tiny)

@@ -259,7 +259,7 @@ class TestBuildCommand:
         def refuse(shape, generation, parent_id):
             raise arc_mod.RoutingFailed("the straight connector is not legal")
 
-        # route() looks the checker up in the module, so the patch reaches it
+        # construction looks the checker up in the module, so the patch reaches it
         monkeypatch.setattr(arc_mod, "route_connectors", refuse)
         out = tmp_path / "model.json"
         rc = main(["build", "--c", repr(1 + LOG2_3), "--depth", "2", "--out", str(out)])
@@ -292,6 +292,23 @@ class TestVerifyCommand:
             ("mass_bounds", True)]
         assert [d["depth"] for d in report["checks"][1]["per_depth"]] == list(
             range(1, config.depth + 1))
+
+    def test_containment_is_decided_in_one_call(self, monkeypatch):
+        # the check at the model's depth covers the rows of every shallower
+        # generation, and each bound is that generation's cell diameter
+        real, calls = arc_mod.verify_containment, []
+
+        def record(arc, k):
+            calls.append(k)
+            return real(arc, k)
+
+        monkeypatch.setattr(arc_mod, "verify_containment", record)
+        config = RunConfig(depth=4, samples=20)
+        arc = build_model(config)
+        check = run_verification(arc, config)["checks"][1]
+        assert calls == [4] and check["name"] == "containment" and check["passed"]
+        assert check["per_depth"] == [{"depth": k, "bound": real(arc, k).bound}
+                                      for k in range(1, 5)]
 
     def test_corrupted_model_fails(self, tmp_path):
         out = tmp_path / "model.json"
@@ -348,6 +365,38 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--depth", "1", "--out", "{dir}"],
+        ["build", "--depth", "1", "--out", "{file}/model.json"],
+        ["verify", "--model", "{model}", "--samples", "20", "--out", "{dir}"],
+        ["verify", "--model", "{model}", "--samples", "20", "--out", "{file}/x.json"],
+        ["estimate", "--preset", "cantor", "--generation", "8", "--out", "{dir}"],
+        ["estimate", "--preset", "cantor", "--generation", "8", "--csv", "{file}/x.csv"],
+        ["export", "--model", "{model}", "--format", "json", "--out", "{dir}"],
+        ["export", "--model", "{model}", "--format", "svg", "--out", "{file}/x.svg"],
+        ["export", "--model", "{model}", "--format", "csv", "--out", "{dir}"],
+    ], ids=["build-dir", "build-under-file", "verify-dir", "verify-under-file",
+            "estimate-out-dir", "estimate-csv-under-file", "export-json-dir",
+            "export-svg-under-file", "export-csv-dir"])
+    def test_an_output_that_cannot_be_written_exits_2(self, argv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert main(["build", "--depth", "2", "--out", str(model)]) == EXIT_OK
+        directory = tmp_path / "taken"
+        directory.mkdir()
+        file = tmp_path / "plain.txt"
+        file.write_text("text\n")
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        argv = [arg.format(model=model, dir=directory, file=file) for arg in argv]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        target = argv[-1]
+        assert err.startswith(f"configuration error: cannot write {target}: "), err
+        assert err.count("\n") == 1, err
+        # no temporary file is left, and nothing in the way is touched
+        assert sorted(tmp_path.rglob("*")) == before
+        assert file.read_text() == "text\n" and not any(directory.iterdir())
 
     @pytest.mark.parametrize("argv, flag", [
         (["--preset", "cantor", "--eps", "5"], "eps"),
@@ -668,6 +717,33 @@ class TestReproducibility:
                          "--csv", str(csv)]) == EXIT_OK
             outputs.append((model.read_bytes(), report.read_bytes(), csv.read_bytes()))
         assert outputs[0] == outputs[1]
+
+    def test_the_generation_budget_variable_changes_nothing(self, tmp_path):
+        # the generation cap is a constant: FRACTARC_GENERATION_BUDGET, which
+        # once overrode it, leaves every output and exit code as it is
+        env = {k: v for k, v in os.environ.items() if k != "FRACTARC_GENERATION_BUDGET"}
+        env["PYTHONPATH"] = str(Path(fractarc.__file__).parents[1])
+
+        def outputs(budget):
+            out = tmp_path / (budget or "unset")
+            out.mkdir()
+            commands = [
+                ["build", "--c", repr(1 + LOG2_3), "--depth", "5", "--out", f"{out}/model.json"],
+                ["verify", "--model", f"{out}/model.json", "--seed", "1",
+                 "--out", f"{out}/verify.json"],
+                ["export", "--model", f"{out}/model.json", "--format", "csv",
+                 "--out", f"{out}/counts.csv"],
+                ["estimate", "--preset", "cantor", "--out", f"{out}/cantor.json"]]
+            run_env = env if budget is None else {**env, "FRACTARC_GENERATION_BUDGET": budget}
+            codes = [subprocess.run([sys.executable, "-m", "fractarc.cli", *argv], env=run_env,
+                                    capture_output=True, timeout=300).returncode
+                     for argv in commands]
+            return codes, {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+        unset = outputs(None)
+        assert unset[0] == [EXIT_OK] * 4 and len(unset[1]) == 4
+        for budget in ("3", "8", "40"):
+            assert outputs(budget) == unset, budget
 
     def test_loaded_model_verifies_like_fresh(self, tmp_path):
         model = tmp_path / "model.json"

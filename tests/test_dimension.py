@@ -55,7 +55,8 @@ class TestBoxCount:
         axes = [lattice_sample([F(1, 3)]), lattice_sample([F(1, 5)])]
         for delta in (F(1, 2), F(1, 8), F(1, 3)):
             assert box_count(axes[0], delta) == 1
-            assert box_count_series(axes, [delta]).counts == (1,)
+            # resolution 0: the two points are the whole product, refused at no scale
+            assert box_count_series(axes, [delta], 0).counts == (1,)
 
     def test_full_interval_grid(self):
         points, step = interval_sample(8)
@@ -158,21 +159,21 @@ class TestSeries:
 class TestEstimate:
     def test_constant_series_has_slope_zero(self):
         series = box_count_series([lattice_sample([F(1, 3)]), lattice_sample([F(1, 5)])],
-                                  dyadic_scales(1, 4))
-        est = estimate_dimension(series)
+                                  dyadic_scales(1, 4), 0)
+        est = estimate_dimension(series, "box")
         assert est.slope == 0.0 and est.r_squared == 1.0
 
     def test_needs_three_scales(self):
         series = BoxCountSeries((F(1, 2), F(1, 4)), (2, 4))
         with pytest.raises(ValueError):
-            estimate_dimension(series)
+            estimate_dimension(series, "box")
 
     def test_middle_thirds_matched_scales_exact(self):
         cantor = SelfSimilarCantor(F(1, 3))
         points, resolution = cantor_sample(cantor, 10)
         series = box_count_series([points], power_scales(F(1, 3), 2, 8),
                                   sample_resolution=resolution)
-        est = estimate_dimension(series)
+        est = estimate_dimension(series, "box")
         assert est.slope == pytest.approx(LOG2_3, abs=1e-12)
         assert est.r_squared == pytest.approx(1.0)
 
@@ -181,7 +182,7 @@ class TestEstimate:
         points, resolution = cantor_sample(cantor, 12)
         series = box_count_series([points], dyadic_scales(3, 11),
                                   sample_resolution=resolution)
-        est = estimate_dimension(series)
+        est = estimate_dimension(series, "box")
         assert est.slope == pytest.approx(LOG2_3, abs=0.05)
 
     def test_product_additivity(self):
@@ -189,7 +190,7 @@ class TestEstimate:
         points, resolution = cantor_sample(product.factor, 6)
         series = box_count_series([points] * 2, power_scales(F(1, 3), 1, 5),
                                   sample_resolution=resolution)
-        est = estimate_dimension(series)
+        est = estimate_dimension(series, "box")
         assert est.slope == pytest.approx(2 * LOG2_3, abs=1e-12)
 
     def test_window_deepening_converges(self):
@@ -199,7 +200,7 @@ class TestEstimate:
         for fine in (6, 8, 11):
             series = box_count_series([points], dyadic_scales(3, fine),
                                       sample_resolution=resolution)
-            gaps.append(abs(estimate_dimension(series).slope - LOG2_3))
+            gaps.append(abs(estimate_dimension(series, "box").slope - LOG2_3))
         assert gaps[-1] <= gaps[0]
 
 
@@ -250,7 +251,8 @@ class TestNetCount:
         for eps in (0.5, math.log(3) / math.log(4)):
             space = SnowflakeMetric(eps)
             pts = space.sample(14)
-            series = net_count_series([(space, pts)], [0.5 ** i for i in range(2, 8)])
+            series = net_count_series([(space, pts)], [0.5 ** i for i in range(2, 8)],
+                                      (2.0 ** -14) ** eps)
             est = estimate_dimension(series, "ball-net")
             assert est.slope == pytest.approx(1 / eps, abs=0.1)
             assert est.kind == "ball-net"
@@ -402,7 +404,8 @@ class TestRugFactorCount:
     @settings(max_examples=150, deadline=None)
     def test_product_of_factor_nets_is_the_rug_net(self, case):
         rug, g, r = case
-        count = net_count_series(rug.factors(g), [r]).counts[0]
+        # the net of the sample itself, so no radius is refused (resolution 0)
+        count = net_count_series(rug.factors(g), [r], 0).counts[0]
         points = rug.sample(g)
         assert count == ball_net_count(rug, points, r) == full_scan_net_count(rug, points, r)
 
@@ -418,8 +421,8 @@ class TestRugFactorCount:
         for first in (SnowflakeMetric(0.3), ArcFactor(depth_two_arc())):
             factors = RugSpace(first).factors(2)
             with pytest.raises(ValueError, match="misses its own centre"):
-                net_count_series(factors, [0.25, 1e-200])
-            assert net_count_series(factors, [0.25]).counts == (
+                net_count_series(factors, [0.25, 1e-200], 0)
+            assert net_count_series(factors, [0.25], 0).counts == (
                 ball_net_count(RugSpace(first), RugSpace(first).sample(2), 0.25),)
 
 
@@ -479,7 +482,7 @@ class TestIntegerBoxCount:
             assert box_count(lattice_sample(axis), delta) == fraction_box_count(axis, delta)
         # the product of the first few values on each axis, counted on its axes
         axes = [axis[:8] for axis in axes]
-        series = box_count_series([lattice_sample(axis) for axis in axes], [delta, F(1)])
+        series = box_count_series([lattice_sample(axis) for axis in axes], [delta, F(1)], 0)
         assert series.counts == (fraction_box_count(list(itertools.product(*axes)), delta), 1)
 
     @given(st.lists(st.lists(st.booleans(), min_size=20, max_size=20), min_size=1,
@@ -508,7 +511,7 @@ class TestIntegerBoxCount:
             axes, _ = cantor_sample(product.factor, min(g, 4))
             for delta in (F(1, 3 ** k), F(1, q ** min(k, 14)), ratio ** min(k, g)):
                 assert box_count(sample, delta) == fraction_box_count(points, delta)
-                assert (box_count_series([axes] * copies, [delta]).counts[0]
+                assert (box_count_series([axes] * copies, [delta], 0).counts[0]
                         == fraction_box_count(corners, delta))
 
     def test_engine_samples_are_the_exact_points(self):

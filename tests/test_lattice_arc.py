@@ -108,15 +108,6 @@ class TestViews:
         assert len(views.connectors) == 3 and len(views.cells) == 5
         assert len(RowView(arc).cells) == 21 and len(RowView(arc).connectors) == 15
 
-    def test_views_read_every_grown_and_routed_generation(self):
-        arc = build_model(RunConfig(depth=1))
-        views = RowView(arc)
-        assert len(views.cells) == 5 and len(views.connectors) == 3
-        arc.grow_cells(2)
-        assert len(RowView(arc).cells) == 21 and len(RowView(arc).connectors) == 3
-        arc.route()
-        assert len(views.cells) == 5 and len(RowView(arc).connectors) == 15
-
 
 def run(*argv) -> int:
     with redirect_stdout(io.StringIO()):

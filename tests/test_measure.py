@@ -41,9 +41,9 @@ class TestIntervalMass:
         assert bracket.lower == bracket.upper == 1
 
     def test_unbuilt_generation_is_refused(self):
-        base = RatioCantorSet(RatioSequence.dyadic(), max_generation=12)
+        base = RatioCantorSet(RatioSequence.dyadic())
         with pytest.raises(GenerationBudgetError):
-            NaturalMeasure(base, depth=12).ball_mass(F(1, 2), F(1, 4), resolution=40)
+            NaturalMeasure(base, depth=12).ball_mass(F(1, 2), F(1, 4), resolution=21)
 
 
 class TestBallMass:

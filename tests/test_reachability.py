@@ -44,7 +44,6 @@ ALLOWED = {
     "geometry:_meeting_box_pairs": _SWEEP + " (chain_self_intersection calls it)",
     "arc:ArcApproximation.traversal_chain": _SWEEP + "; " + _TRACER,
     "arc:build_arc": _API,
-    "arc:ArcApproximation.build_to": _API + " (build_arc calls it)",
     "arc:ArcApproximation.evaluate": _API,
     "arc:_integer_ratio": _API + " (evaluate calls it)",
     "metric:SnowflakeMetric.distance": _METRIC,
