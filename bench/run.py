@@ -53,7 +53,7 @@ against the whole vertex cloud) at every depth, with the cloud points it
 scans, and it must pass wherever the exact check does.
 
 The model file, best of three, on planar-6 and spatial-4: ``model_text``;
-``_load_model`` of the canonical file, which takes the byte compare, beside
+``_load_model`` of the canonical file, streamed through the compare, beside
 the row check (``json.loads`` then ``model_from_dict``) that any other text
 gets; and ``vertex_cloud`` with its point count.  ``arc_estimate`` on the
 same two arcs, as ``estimate --preset arc`` runs it on the default window:
@@ -309,8 +309,9 @@ def verify_rows(case: str) -> list[dict]:
             lambda: arc_module._connector_checks(arc, depth, den), VERIFY_REPEATS)
     glue_s, glued = best_of(lambda: arc._glued(depth, den, *arc.corners(depth, den)),
                             VERIFY_REPEATS)
-    shapes = {shape for g in range(1, depth + 1)
-              for shape in arc_module._parent_shapes(arc, g, den)}
+    corners = [arc.corners(g, den) for g in range(depth + 1)]
+    shapes = {shape for cells, subs in zip(corners, corners[1:])
+              for shape in arc_module._parent_shapes(cells, subs)}
     out = [{"layer": "injectivity_checks", "case": case, "depth": depth,
             "connectors": arc.branching ** depth - 1, "distinct_shapes": len(shapes),
             "path_legal_runs": calls[0] // VERIFY_REPEATS, "passed": report.passed,
@@ -407,11 +408,11 @@ def model_file_rows(case: str) -> list[dict]:
     config = RunConfig(target_dimension=c, depth=depth)
     arc = build_model(config)
     text_s, text = best_of(lambda: model_text(arc, config), VERIFY_REPEATS)
-    if _load_canonical(text) is None:
-        raise SystemExit(f"{case}: the canonical text does not load")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"{case}.json"
         path.write_text(text)
+        if _load_canonical(path) is None:
+            raise SystemExit(f"{case}: the canonical text does not load")
         load_s, _ = best_of(lambda: _load_model(path), VERIFY_REPEATS)
         row_check_s, _ = best_of(lambda: model_from_dict(json.loads(path.read_text())),
                                  VERIFY_REPEATS)

@@ -245,21 +245,23 @@ def route_connectors(shape: Sequence[Sequence[int]], generation: int, parent_id:
     return paths
 
 
-def _parent_shapes(arc: ArcApproximation, g: int, den: int) -> dict[tuple, list[int]]:
-    """The distinct shapes of the generation-(g-1) parents, in the order of
+def _parent_shapes(cells: tuple[np.ndarray, np.ndarray], subs: tuple[np.ndarray, np.ndarray]
+                   ) -> dict[tuple, list[int]]:
+    """The distinct shapes of one generation's parents, in the order of
     their first parent, each with the positions of its parents in their
-    generation.
+    generation.  ``cells`` and ``subs`` are the (near, far) corners of the
+    parents and of their sub-cells (``ArcApproximation.corners``, over one
+    denominator), so each generation's corners are made once and passed on.
 
     A parent's shape is its far corner, then the near and far corner of
     each sub-cell in rank order, all minus its near corner, as a tuple of
-    integer points over ``den``; connector s runs between shape points 2s+2
-    and 2s+3.
+    integer points over that denominator; connector s runs between shape
+    points 2s+2 and 2s+3.
     """
-    q, d = arc.branching, arc.ambient_dimension
-    near, far = arc.corners(g - 1, den)
-    sub_near, sub_far = arc.corners(g, den)
-    subs = np.stack([sub_near, sub_far], axis=1).reshape(len(near), 2 * q, d)
-    shapes = np.concatenate([far[:, None], subs], axis=1) - near[:, None]
+    near, far = cells
+    d = near.shape[1]
+    sub_corners = np.stack(subs, axis=1).reshape(len(near), -1, d)
+    shapes = np.concatenate([far[:, None], sub_corners], axis=1) - near[:, None]
     parents: dict[tuple, list[int]] = {}
     for c, key in enumerate(map(tuple, shapes.reshape(len(near), -1).tolist())):
         parents.setdefault(key, []).append(c)
@@ -360,6 +362,7 @@ class ArcApproximation:
         patterns = np.arange(q)
         bits = (patterns[:, None] >> np.arange(d - 1, -1, -1)) & 1
         den = self.denominator(depth)
+        cells = self.corners(0, den)
         for k in range(1, depth + 1):
             lattices = [s.lattice(k) for s in self._axis_sets]
             lcm = math.lcm(*(axis_den for _, _, axis_den in lattices))
@@ -376,8 +379,10 @@ class ArcApproximation:
             rows.flags.writeable = False
             self._rows.append(rows)
             first = self.first_id(k - 1)
-            for shape, parents in _parent_shapes(self, k, den).items():
+            subs = self.corners(k, den)
+            for shape, parents in _parent_shapes(cells, subs).items():
                 route_connectors(shape, k, first + parents[0])
+            cells = subs
 
     # -- lattice tables --------------------------------------------------------
 
@@ -668,9 +673,11 @@ def _connector_checks(arc: ArcApproximation, k: int, den: int) -> tuple[list[int
     verdicts: dict[tuple, tuple[list[int], bool]] = {}  # shape -> (failing ranks, meet)
     violations: list[int] = []
     crossing = False
+    cells = arc.corners(0, den)
     for g in range(1, k + 1):
         first = arc.first_id(g - 1)
-        for shape, parents in _parent_shapes(arc, g, den).items():
+        subs = arc.corners(g, den)
+        for shape, parents in _parent_shapes(cells, subs).items():
             if shape not in verdicts:
                 segments = [shape[2 * s + 2:2 * s + 4] for s in range(q - 1)]
                 verdicts[shape] = (
@@ -679,6 +686,7 @@ def _connector_checks(arc: ArcApproximation, k: int, den: int) -> tuple[list[int
             failing, meet = verdicts[shape]
             crossing = crossing or meet
             violations.extend((first + c) * (q - 1) + s for c in parents for s in failing)
+        cells = subs
     return sorted(violations), crossing
 
 

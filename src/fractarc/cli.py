@@ -456,7 +456,9 @@ def model_from_dict(data: dict):
 # -- svg / csv -----------------------------------------------------------------
 
 
-def render_svg(arc) -> str:
+def render_svg(arc) -> list[str]:
+    """The SVG text of a planar model, one line per piece, each ending in a
+    newline, for ``write_atomic`` to write in order."""
     if arc.ambient_dimension != 2:
         raise ConfigError("svg export is only defined for planar (n=1) models")
     size, margin = 760.0, 20.0
@@ -471,9 +473,9 @@ def render_svg(arc) -> str:
         return max(0.3, 2.4 * (0.62 ** (generation - 1)))
 
     lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<?xml version="1.0" encoding="UTF-8"?>\n',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="0 0 {size + 2 * margin:.0f} {size + 2 * margin:.0f}">',
+        f'viewBox="0 0 {size + 2 * margin:.0f} {size + 2 * margin:.0f}">\n',
     ]
     # deepest generation's cells as rectangles; every connector as a polyline,
     # generations told apart by stroke width
@@ -484,15 +486,15 @@ def render_svg(arc) -> str:
             f'<rect x="{sx(x0):.4f}" y="{sy(y1):.4f}" '
             f'width="{(x1 - x0) * size:.4f}" '
             f'height="{(y1 - y0) * size:.4f}" '
-            f'fill="none" stroke="#222222" stroke-width="{width(arc.depth):.2f}"/>')
+            f'fill="none" stroke="#222222" stroke-width="{width(arc.depth):.2f}"/>\n')
     for k in range(1, arc.depth + 1):
         sources, targets = arc.connector_ends(k)
         for a, b in zip(sources.tolist(), targets.tolist()):
             pts = " ".join(f"{sx(v[0]):.4f},{sy(v[1]):.4f}" for v in (a, b))
             lines.append(f'<polyline points="{pts}" fill="none" stroke="#b03030" '
-                         f'stroke-width="{width(k):.2f}"/>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+                         f'stroke-width="{width(k):.2f}"/>\n')
+    lines.append("</svg>\n")
+    return lines
 
 
 def series_csv(series: dim_mod.BoxCountSeries) -> str:
@@ -762,52 +764,74 @@ def cmd_build(args) -> int:
 
 
 #: Where the canonical text puts the config: a key of the top-level object.
-_CONFIG_KEY = '\n  "config": '
+_CONFIG_KEY = b'\n  "config": '
+#: The end of the canonical config object: its closing brace, indented as
+#: the key is (a nested value closes further in).
+_CONFIG_END = b"\n  }"
+#: Bytes of a model file a canonical load reads at a time while it looks
+#: for the config.
+_BLOCK = 1 << 16
 
 
-def _load_canonical(text: str):
-    """(model, config) when ``text`` is exactly the canonical text
-    (``model_chunks``) of the model that its config builds, else None.
+def _read_config(handle) -> dict:
+    """The object at the first canonical config key of a binary file, read
+    ``_BLOCK`` bytes at a time; StopIteration when the file ends before the
+    key or before the object closes."""
+    blocks = iter(lambda: handle.read(_BLOCK), b"")
+    buf = b""
+    while (start := buf.find(_CONFIG_KEY)) < 0:
+        buf = buf[1 - len(_CONFIG_KEY):] + next(blocks)  # a key may straddle two blocks
+    buf = buf[start + len(_CONFIG_KEY):]
+    while (stop := buf.find(_CONFIG_END)) < 0:
+        buf += next(blocks)
+    return json.JSONDecoder().raw_decode(buf[:stop + len(_CONFIG_END)].decode("ascii"))[0]
 
-    The config is read at its canonical place, the model rebuilt from it,
-    and the canonical pieces compared with ``text`` one by one, so the whole
-    canonical text is never held.  A match means the file is that text, and
-    its one config is the one read; any error only means no match.
+
+def _load_canonical(path):
+    """(model, config) when the file at ``path`` is exactly the canonical
+    text (``model_chunks``) of the model that its config builds, else None.
+
+    The file is read in binary: the config at its canonical place, found
+    ``_BLOCK`` bytes at a time; then the model is rebuilt from it, and the
+    canonical pieces (ASCII, as ``json.dumps`` writes them) are compared
+    with the file's bytes in order, then the file's end is checked.  So a
+    load holds the model and one block, never the file or the whole
+    canonical text.  A match means the file is that text, and its one
+    config is the one read; any error but an unreadable file only means no
+    match.
     """
-    start = text.find(_CONFIG_KEY)
-    if start < 0:
-        return None
-    try:
-        raw, _ = json.JSONDecoder().raw_decode(text, start + len(_CONFIG_KEY))
-        config = _config_from_dict(raw)
-        model = build_model(config)
-        pos = 0
-        for chunk in model_chunks(model, config):
-            if not text.startswith(chunk, pos):
-                return None
-            pos += len(chunk)
-    except (ArithmeticError, AttributeError, LookupError, RuntimeError, TypeError,
-            ValueError):
-        return None
-    return (model, config) if pos == len(text) else None
+    with open(path, "rb") as handle:
+        try:
+            config = _config_from_dict(_read_config(handle))
+            model = build_model(config)
+            handle.seek(0)
+            for chunk in model_chunks(model, config):
+                piece = chunk.encode("ascii")
+                if handle.read(len(piece)) != piece:
+                    return None
+        except (ArithmeticError, AttributeError, LookupError, RuntimeError, StopIteration,
+                TypeError, ValueError):
+            return None
+        return None if handle.read(1) else (model, config)
 
 
 def _load_model(path) -> tuple[object, RunConfig]:
     """Model and config of a model file.
 
-    A file ``build`` wrote is accepted by ``_load_canonical``; any other
-    text gets the row check of ``model_from_dict``, which names the first
-    field that differs from its derived value.
+    A file ``build`` wrote is accepted by ``_load_canonical``, which
+    streams it; any other file is read whole and gets the row check of
+    ``model_from_dict``, which names the first field that differs from its
+    derived value.
     """
     try:
+        loaded = _load_canonical(path)
+        if loaded is not None:
+            return loaded
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read model {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"model {path} is not UTF-8 text: {exc}") from exc
-    loaded = _load_canonical(text)
-    if loaded is not None:
-        return loaded
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

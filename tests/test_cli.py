@@ -398,6 +398,25 @@ class TestBadInput:
         assert sorted(tmp_path.rglob("*")) == before
         assert file.read_text() == "text\n" and not any(directory.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--model", "{model}", "--samples", "20"],
+        ["export", "--model", "{model}", "--format", "json", "--out", "{out}"],
+        ["export", "--model", "{model}", "--format", "svg", "--out", "{out}"],
+        ["estimate", "--preset", "arc", "--model", "{model}", "--out", "{out}"],
+    ], ids=["verify", "export-json", "export-svg", "estimate"])
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_a_model_that_cannot_be_read_exits_2(self, argv, kind, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        if kind == "directory":
+            model.mkdir()
+        out = tmp_path / "out"
+        argv = [arg.format(model=model, out=out) for arg in argv]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot read model {model}: "), err
+        assert err.count("\n") == 1, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, flag", [
         (["--preset", "cantor", "--eps", "5"], "eps"),
         (["--preset", "cantor", "--copies", "2"], "copies"),

@@ -51,7 +51,7 @@ class TestAgainstObjectGrower:
         oracle = ObjectArc(arc.base_set, arc.product, config.depth)
         assert model_text(arc, config) == dump_json(reference_model_dict(oracle, config))
         if arc.ambient_dimension == 2:
-            assert render_svg(arc) == object_render_svg(oracle)
+            assert "".join(render_svg(arc)) == object_render_svg(oracle)
         assert counting_summary(arc) == object_counting_summary(oracle)
         rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
         addresses = sample_addresses(arc, 20, rng)

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import io
 import json
+import tracemalloc
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 
@@ -159,6 +160,15 @@ def trailing_byte(text):
     return text + "x"
 
 
+def trailing_nul(text):
+    return text + "\0"
+
+
+def truncated(text):
+    # the last byte is the final newline, which JSON does not need
+    return text[:-1]
+
+
 def second_config_last(text):
     # json.loads keeps the last of two equal keys
     config = RunConfig(target_dimension=1.6309297535714574, depth=1).as_dict()
@@ -176,6 +186,7 @@ class TestNearCanonical:
 
     @pytest.mark.parametrize("corrupt, accepted", [
         (with_bom, False), (trailing_newline, True), (trailing_byte, False),
+        (trailing_nul, False), (truncated, True),
         (second_config_last, False), (second_config_first, True)])
     def test_same_verdict_as_the_row_check(self, models, tmp_path, monkeypatch,
                                            corrupt, accepted):
@@ -193,6 +204,40 @@ class TestNearCanonical:
         assert (outcomes[0] is not None) == accepted
         if accepted:
             assert outcomes[0][1] == models["planar", 2].read_text()
+
+
+class TestStreamedLoad:
+    """``_load_canonical`` reads the file in blocks and holds one at a time."""
+
+    @pytest.mark.parametrize("key", [("planar", 2), ("unit", 2)])
+    def test_small_blocks_accept_exactly_the_canonical_file(self, models, tmp_path,
+                                                            monkeypatch, key):
+        text = models[key].read_text()
+        start = text.index('\n  "config": ')
+        path = tmp_path / "model.json"
+        # a block boundary inside the config key, at the first block or a later one
+        for block in (1, start + 5, (start + 5) // 2):
+            monkeypatch.setattr(cli, "_BLOCK", block)
+            path.write_text(text)
+            model, config = cli._load_canonical(path)
+            assert model_text(model, config) == text
+            for near in (truncated, trailing_byte, trailing_nul,
+                         lambda t: t[:-3] + "x" + t[-2:]):
+                path.write_text(near(text))
+                assert cli._load_canonical(path) is None
+
+    def test_load_holds_less_than_the_file(self, models, tmp_path):
+        path = tmp_path / "planar-5.json"
+        assert run("build", *PLANAR, "--depth", "5", "--out", str(path)) == 0
+        cli._load_model(models["planar", 2])  # the arc module is imported once
+        tracemalloc.start()
+        try:
+            model, config = cli._load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.depth == 5
+        assert peak < path.stat().st_size, (peak, path.stat().st_size)
 
 
 class TestDigitEvaluate:
