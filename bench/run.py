@@ -2,7 +2,7 @@
 the arc's build and verify layers, with the work they do.
 
 Times ``lattice`` of fresh self-similar Cantor engines (r = 1/3 and 1/10,
-the second past the int64 denominators), ``box_count_series`` on exact
+the second past the 63-bit denominators), ``box_count_series`` on exact
 Cantor samples and on a two-copy product, counted on its two per-axis
 samples as the product preset counts it, and ``net_count_series`` on
 snowflake and snowflake-rug samples, each at three or four generations, and
@@ -13,7 +13,7 @@ Rugs are counted on their factor samples, as the CLI counts them, beside
 the product path (the whole product sample built, then counted) as the
 reference.  Each row keeps the point count (for a rug, the product's and
 each factor's; for a product, the axis sample's and the cells') beside the
-lattice's dtype and bytes or the counts per scale, so work and time are
+lattice's storage (``array('q')`` or tuple) or the counts per scale, so work and time are
 read together.
 
 ``ball_net_count`` alone, best of five, beside one run of the full-scan
@@ -33,7 +33,7 @@ planar-4 then time ``verify_injectivity`` and, apart, each of its five
 checks on the rows' integer corners: (a) ``_lattices_nest``, (b)
 ``_rows_are_children``, (c) and (d) together (``_connector_checks``, with
 its exact ``_path_legal`` runs and the distinct parent shapes), and (e)
-the glue check with the corners it reads.  Where the sweep is cheap
+the glue check on the corners ``_connector_checks`` made.  Where the sweep is cheap
 (planar-5/6, spatial-3/4) the chain build (``traversal_chain``) and the
 sweep that decides injectivity when a check fails
 (``chain_self_intersection``) are timed too, with the segment count and
@@ -44,7 +44,7 @@ over 20,000 seeded parameters on planar-5, beside per-call
 planar-6.  The certificates run on the base sets of planar-5 and spatial-3
 at resolution 12, the resolution ``verify`` uses: ``verify_uniform_perfectness``
 and ``verify_mass_bounds`` on 200 seeded balls each, with the verdict counts
-and the lattice's dtype.  Containment runs on planar-5 to 8 and spatial-3
+and the lattice's storage.  Containment runs on planar-5 to 8 and spatial-3
 to 5: ``containment`` is ``verify_containment`` at the arc's depth, the one
 call ``verify`` makes, with the rows of generations 1 to the depth;
 ``sampled_containment`` is the sampled check it replaced
@@ -157,8 +157,12 @@ def src_lines(src: Path) -> dict:
 def lattice_row(case: str, ratio: Fraction, generation: int) -> dict:
     build_s, (lows, _, _) = best_of(lambda: SelfSimilarCantor(ratio).lattice(generation))
     return {"layer": "cantor_lattice", "case": case, "generation": generation,
-            "points": len(lows), "dtype": str(lows.dtype), "nbytes": lows.nbytes,
-            "build_s": build_s}
+            "points": len(lows), "storage": _storage(lows), "build_s": build_s}
+
+
+def _storage(lows) -> str:
+    """How a Cantor lattice stores its lower ends."""
+    return "array('q')" if isinstance(lows, memoryview) else "tuple"
 
 
 def box_row(case: str, generation: int, sample, scales, copies: int = 1) -> dict:
@@ -305,11 +309,9 @@ def verify_rows(case: str) -> list[dict]:
     rows_s, children = best_of(lambda: arc_module._rows_are_children(arc, depth),
                                VERIFY_REPEATS)
     with counting("_path_legal") as calls:
-        connectors_s, (clearance, crossing) = best_of(
+        connectors_s, (clearance, crossing, corners) = best_of(
             lambda: arc_module._connector_checks(arc, depth, den), VERIFY_REPEATS)
-    glue_s, glued = best_of(lambda: arc._glued(depth, den, *arc.corners(depth, den)),
-                            VERIFY_REPEATS)
-    corners = [arc.corners(g, den) for g in range(depth + 1)]
+    glue_s, glued = best_of(lambda: arc._glued(corners), VERIFY_REPEATS)
     shapes = {shape for cells, subs in zip(corners, corners[1:])
               for shape in arc_module._parent_shapes(cells, subs)}
     out = [{"layer": "injectivity_checks", "case": case, "depth": depth,
@@ -367,7 +369,8 @@ def certificate_rows(case: str) -> list[dict]:
     measure = NaturalMeasure(base, res)
     mass_s, certs = best_of(lambda: verify_mass_bounds(measure, DEFAULT_EXPONENT_GRID,
                                                        mass_balls, res), VERIFY_REPEATS)
-    lattice = {"resolution": res, "dtype": str(lows.dtype), "denominator_bits": den.bit_length()}
+    lattice = {"resolution": res, "storage": _storage(lows),
+               "denominator_bits": den.bit_length()}
     return [{"layer": "uniform_perfectness", "case": case, "depth": depth, **lattice,
              "samples": len(balls), "witnesses": perf.witness_count,
              "vacuous": perf.vacuous_count, "inconclusive": len(perf.inconclusive_samples()),
@@ -393,7 +396,7 @@ def containment_rows(case: str) -> list[dict]:
     if report.passed and not all(sampled.passed for sampled in scanned):
         raise SystemExit(f"{case}: the exact containment check passes where the sample fails")
     return [{"layer": "containment", "case": case, "depth": depth, "passed": report.passed,
-             "rows": sum(len(arc.generation_rows(k)) for k in depths), "time_s": time_s},
+             "rows": sum(arc.branching ** k for k in depths), "time_s": time_s},
             {"layer": "sampled_containment", "case": case, "depth": depth,
              "passed": all(sampled.passed for sampled in scanned),
              "addresses": len(addresses),
@@ -432,7 +435,7 @@ def estimate_row(case: str) -> dict:
     c, depth = ARCS[case]
     arc = build_model(RunConfig(target_dimension=c, depth=depth))
     time_s, series = best_of(lambda: arc_estimate(arc), VERIFY_REPEATS)
-    cloud_s, counts = best_of(lambda: [cloud_box_count(arc.vertex_cloud(depth), d)
+    cloud_s, counts = best_of(lambda: [cloud_box_count(np.array(arc.vertex_cloud(depth)), d)
                                        for d in series.scales], VERIFY_REPEATS)
     if counts != list(series.counts):
         raise SystemExit(f"{case}: axis counts {list(series.counts)} != cloud {counts}")
@@ -598,7 +601,7 @@ def main(argv: list[str]) -> int:
         head = (f"{row['layer']:17s} {row['case']:15s} g={row['generation']:<3d} "
                 f"points={row['points']:<8d}")
         if row["layer"] == "cantor_lattice":
-            print(f"{head} build {row['build_s']:.4f} s  {row['dtype']} {row['nbytes']} bytes")
+            print(f"{head} build {row['build_s']:.4f} s  {row['storage']}")
         elif row["layer"] == "ball_net_count":
             versus = (f"  parent {row['parent_count_s']:.4f} s" if "parent_count_s" in row
                       else "")

@@ -21,14 +21,16 @@ The rule fixes every index by arithmetic, so none is stored:
 * parameter piece i of cell c has id 1+c*p+i (the root interval is 0), and
   a parameter t descends through the base-p digits of t, computed on the
   integer numerator and denominator of t.  ``evaluate_many`` runs that
-  descent for many parameters at once, on integer arrays, and
-  ``continuity_violations`` sends its sampled pairs through it in batches;
-  ``evaluate`` is the one-parameter case, with the same digits and floats.
+  descent once per parameter and ``continuity_violations`` sends its
+  sampled pairs through it in batches; ``evaluate`` is the one-parameter
+  case, with the same digits and floats.
 
-Storage.  Generation k is one read-only integer array of shape (q^k, d), in
-cell-id order (``generation_rows``).  Row i holds, per axis, the index of
-the cell's interval in that axis's ``lattice(k)``: the base set on axis 0,
-the factor on the others.  Everything else is derived from it:
+Storage.  Generation k is d read-only integer columns of q^k entries, one
+per axis, in cell-id order (``generation_columns``): each a memoryview of
+an ``array('q')``.  Entry i of the column of an axis is the index of cell
+i's interval in that axis's ``lattice(k)``: the base set on axis 0, the
+factor on the others.  A reader that needs a cell's row zips the columns;
+no object is kept per cell.  Everything else is derived from them:
 
 * cell i of generation k has id (q^k-1)/(q-1) + i, rank i mod q + 1, and
   its parent at position i // q of generation k-1;
@@ -38,13 +40,14 @@ the factor on the others.  Everything else is derived from it:
   j+1 to the near corner of rank j+2.
 
 The model text, the SVG, the vertex cloud, ``evaluate``, the modulus of
-continuity and the injectivity check read only these arrays, the
+continuity and the injectivity check read only these columns, the
 per-(axis, generation) tables of ``interval_ends`` ("n/d" strings, and
 floats made by Python int / int, correctly rounded as ``float(Fraction)``
 is) and the integer corners of ``corners``: every cell corner as numerators
-over one common denominator.  The containment check reads the arrays alone:
-rows that hold every combination of axis indices put a cell, and so its
-corners, around every point of the product (``verify_containment``).
+over one common denominator, again one column per axis.  The containment
+check reads the columns alone: rows that hold every combination of axis
+indices put a cell, and so its corners, around every point of the product
+(``verify_containment``).
 
 Connector legality is checked by exact geometry, not proved for the
 distance order in general:
@@ -101,12 +104,12 @@ and names the first pair of segments that meet.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iter_product
+from itertools import combinations, islice, product as iter_product
+from operator import sub
 from typing import Iterator, Optional, Sequence
-
-import numpy as np
 
 from .cantor import GenerationBudgetError, ProductCantor, RatioCantorSet
 from .geometry import chain_self_intersection, polylines_disjoint, segments_meet
@@ -114,7 +117,11 @@ from .geometry import chain_self_intersection, polylines_disjoint, segments_meet
 from .geometry import boxes_disjoint
 
 DEFAULT_CELL_BUDGET = 2 ** 18
-_PAIR_BATCH = 1024  # continuity pairs per evaluate_many descent
+_PAIR_BATCH = 1024  # continuity pairs per evaluate_many call
+
+#: (near, far) corners of one generation's cells: per axis, a column of
+#: integer numerators over one denominator, in id order.
+Corners = tuple[list[list[int]], list[list[int]]]
 
 
 class RoutingFailed(RuntimeError):
@@ -245,8 +252,7 @@ def route_connectors(shape: Sequence[Sequence[int]], generation: int, parent_id:
     return paths
 
 
-def _parent_shapes(cells: tuple[np.ndarray, np.ndarray], subs: tuple[np.ndarray, np.ndarray]
-                   ) -> dict[tuple, list[int]]:
+def _parent_shapes(cells: Corners, subs: Corners) -> dict[tuple, list[int]]:
     """The distinct shapes of one generation's parents, in the order of
     their first parent, each with the positions of its parents in their
     generation.  ``cells`` and ``subs`` are the (near, far) corners of the
@@ -256,17 +262,19 @@ def _parent_shapes(cells: tuple[np.ndarray, np.ndarray], subs: tuple[np.ndarray,
     A parent's shape is its far corner, then the near and far corner of
     each sub-cell in rank order, all minus its near corner, as a tuple of
     integer points over that denominator; connector s runs between shape
-    points 2s+2 and 2s+3.
+    points 2s+2 and 2s+3.  Only the distinct shapes are kept.
     """
-    near, far = cells
-    d = near.shape[1]
-    sub_corners = np.stack(subs, axis=1).reshape(len(near), -1, d)
-    shapes = np.concatenate([far[:, None], sub_corners], axis=1) - near[:, None]
+    (near, far), (sub_near, sub_far) = cells, subs
+    q = len(sub_near[0]) // len(near[0])
+    sub_cells = zip(zip(*sub_near), zip(*sub_far))
     parents: dict[tuple, list[int]] = {}
-    for c, key in enumerate(map(tuple, shapes.reshape(len(near), -1).tolist())):
-        parents.setdefault(key, []).append(c)
-    return {tuple(key[i:i + d] for i in range(0, len(key), d)): positions
-            for key, positions in parents.items()}
+    for c, (low, high) in enumerate(zip(zip(*near), zip(*far))):
+        points = [high]
+        for cell in islice(sub_cells, q):
+            points += cell
+        shape = tuple(tuple(map(sub, point, low)) for point in points)
+        parents.setdefault(shape, []).append(c)
+    return parents
 
 
 def _integer_ratio(t) -> tuple[int, int]:
@@ -277,37 +285,6 @@ def _integer_ratio(t) -> tuple[int, int]:
         return t.as_integer_ratio()
     except AttributeError:  # numpy integers, say
         return Fraction(t).as_integer_ratio()
-
-
-def _parameter_ratios(ts: Sequence, p: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """(rows, numerators, denominators) of the parameters ``ts``, in two
-    groups: int64 where den is a power of two and den * p fits in 63 bits,
-    Python ints (dtype object) for the rest.  An int64 num over such a den
-    divides as int / int does: correctly rounded.
-
-    A float array is split exactly by ``np.frexp`` into a reduced num /
-    2^bits, any other input by ``as_integer_ratio``.
-    """
-    values = np.asarray(ts)
-    if values.dtype == np.float64:
-        inside = (values >= 0) & (values <= 1)
-        if not inside.all():
-            raise ValueError(f"parameter must lie in [0, 1], got {values[~inside][0]}")
-        mantissa, exponent = np.frexp(values)
-        num = (mantissa * 2.0 ** 53).astype(np.int64)  # t = num / 2^(53 - exponent)
-        shift = np.frexp(np.maximum(num & -num, 1))[1] - 1  # num's trailing zero bits
-        num >>= shift
-        bits = np.where(num == 0, 0, 53 - exponent - shift)
-        narrow = bits + p.bit_length() <= 63
-        wide = np.flatnonzero(~narrow)
-        yield np.flatnonzero(narrow), num[narrow], np.left_shift(np.int64(1), bits[narrow])
-        yield wide, num[wide].astype(object), np.array([1 << b for b in bits[wide].tolist()],
-                                                       object)
-        return
-    nums, dens = np.array([_integer_ratio(t) for t in ts], object).reshape(-1, 2).T
-    narrow = (dens * p < 2 ** 63) & (dens & (dens - 1) == 0)
-    for mask, dtype in ((narrow, np.int64), (~narrow, object)):
-        yield np.flatnonzero(mask), nums[mask].astype(dtype), dens[mask].astype(dtype)
 
 
 def branch_word(index: int, k: int) -> str:
@@ -327,14 +304,13 @@ class ArcApproximation:
         2i + b on each axis, for the q bit patterns b (axis 0 the high bit).
         They are ranked by (|near corner|^2, near corner), computed exactly:
         each axis's lower ends go over the lattices' common denominator, as
-        int64 while the squared sums fit and as Python ints beyond.  Within
-        one parent the near corners order as the patterns do, so the key is
-        |near corner|^2 * q + pattern.
+        Python ints.  Within one parent the near corners order as the
+        patterns do, so the key is |near corner|^2 * q + pattern.
 
         Each grown generation is routed at once: ``route_connectors`` checks
         the first parent of each distinct shape; the other parents with that
         shape hold the same segments translated (see the module docstring).
-        The connectors themselves stay implicit in the rows.
+        The connectors themselves stay implicit in the columns.
         """
         if product.copies < 1:
             raise ValueError("product needs at least one factor axis")
@@ -353,31 +329,33 @@ class ArcApproximation:
                 f"depth {depth} needs 2^{depth * d} cells, over the budget {DEFAULT_CELL_BUDGET}")
         # the Cantor set each ambient axis reads its intervals from
         self._axis_sets = (base_set,) + (product.factor,) * product.copies
-        rows = np.zeros((1, d), dtype=np.int64)
-        rows.flags.writeable = False
-        self._rows = [rows]
+        self._columns = [(memoryview(array("q", [0])).toreadonly(),) * d]
         self._tables: dict[tuple[str, int], list] = {}  # interval_ends
         self._diameters: dict[int, float] = {}
         self._segments: dict[int, tuple] = {}
-        patterns = np.arange(q)
-        bits = (patterns[:, None] >> np.arange(d - 1, -1, -1)) & 1
+        # bits[a][b]: the bit of pattern b on axis a
+        bits = [[b >> (d - 1 - a) & 1 for b in range(q)] for a in range(d)]
         den = self.denominator(depth)
         cells = self.corners(0, den)
         for k in range(1, depth + 1):
             lattices = [s.lattice(k) for s in self._axis_sets]
             lcm = math.lcm(*(axis_den for _, _, axis_den in lattices))
-            wide = (d * q * lcm * lcm).bit_length() > 62
-            lows = [(axis_lows.astype(object) if wide else axis_lows) * (lcm // axis_den)
-                    for axis_lows, _, axis_den in lattices]
-            kids = 2 * self._rows[k - 1][:, None, :] + bits  # (parents, q, d)
-            keys = sum(lows[a][kids[..., a]] ** 2 for a in range(d)) * q + patterns
-            order = np.argsort(keys, axis=1)
-            # structural invariants of the distance order: the first sub-cell
-            # holds the parent's near corner, the last its far corner
-            assert (order[:, 0] == 0).all() and (order[:, -1] == q - 1).all()
-            rows = np.take_along_axis(kids, order[..., None], axis=1).reshape(-1, d)
-            rows.flags.writeable = False
-            self._rows.append(rows)
+            squares = [[(a * (lcm // axis_den)) ** 2 for a in axis_lows]
+                       for axis_lows, _, axis_den in lattices]
+            columns = [array("q") for _ in range(d)]
+            for row in zip(*self._columns[k - 1]):
+                sums = [0]  # |near corner|^2 of each pattern's sub-cell
+                for axis, i in zip(squares, row):
+                    low, high = axis[2 * i], axis[2 * i + 1]
+                    sums = [x + y for x in sums for y in (low, high)]
+                keys = [x * q + b for b, x in enumerate(sums)]
+                order = sorted(range(q), key=keys.__getitem__)
+                # structural invariants of the distance order: the first
+                # sub-cell holds the parent's near corner, the last its far corner
+                assert order[0] == 0 and order[-1] == q - 1
+                for column, i, axis_bits in zip(columns, row, bits):
+                    column.extend([2 * i + axis_bits[b] for b in order])
+            self._columns.append(tuple(memoryview(column).toreadonly() for column in columns))
             first = self.first_id(k - 1)
             subs = self.corners(k, den)
             for shape, parents in _parent_shapes(cells, subs).items():
@@ -390,31 +368,31 @@ class ArcApproximation:
         """Id of the first generation-k cell."""
         return (self.branching ** k - 1) // (self.branching - 1)
 
-    def generation_rows(self, k: int) -> np.ndarray:
-        """Read-only (q^k, d) array of the generation-k cells' per-axis
-        interval indices, in id order."""
+    def generation_columns(self, k: int) -> tuple[Sequence[int], ...]:
+        """Per axis, the read-only column of the generation-k cells'
+        interval indices, in id order; ``zip(*columns)`` gives the rows."""
         self._require_depth(k)
-        return self._rows[k]
+        return self._columns[k]
 
     def denominator(self, k: int) -> int:
         """The lcm of every axis's lattice denominators up to generation k:
         the common denominator of ``corners`` and ``traversal_chain``."""
         return math.lcm(*(s.lattice(g)[2] for s in self._axis_sets for g in range(k + 1)))
 
-    def corners(self, k: int, den: int) -> tuple[np.ndarray, np.ndarray]:
-        """(near, far) corners of the generation-k cells in id order, as
-        (q^k, d) arrays of integer numerators over ``den``, a multiple of
-        every axis's generation-k lattice denominator: int64 while den fits
-        in 62 bits, Python ints (dtype object) beyond."""
-        wide = den.bit_length() > 62
+    def corners(self, k: int, den: int) -> Corners:
+        """(near, far) corners of the generation-k cells in id order, each a
+        list of per-axis columns of integer numerators over ``den``, a
+        multiple of every axis's generation-k lattice denominator.  A
+        column's entries are shared among the cells with one interval."""
         near, far = [], []
-        for s, column in zip(self._axis_sets, self._rows[k].T):
+        for s, column in zip(self._axis_sets, self._columns[k]):
             lows, ln, axis_den = s.lattice(k)
             scale = den // axis_den
-            low = (lows.astype(object) if wide else lows)[column] * scale
-            near.append(low)
-            far.append(low + ln * scale)
-        return np.stack(near, -1), np.stack(far, -1)
+            low = [a * scale for a in lows]
+            high = [a + ln * scale for a in low]
+            near.append(list(map(low.__getitem__, column)))
+            far.append(list(map(high.__getitem__, column)))
+        return near, far
 
     def interval_ends(self, kind: str, k: int) -> list[tuple[list, list]]:
         """Per axis, the lower and the upper ends of the generation-k
@@ -425,38 +403,43 @@ class ArcApproximation:
             convert = _END_KINDS[kind]
 
             def ends(lows, ln, den):
-                lows = lows.tolist()
                 return [convert(a, den) for a in lows], [convert(a + ln, den) for a in lows]
 
             base, factor = (ends(*s.lattice(k)) for s in (self.base_set, self.product.factor))
             self._tables[kind, k] = [base] + [factor] * self.copies
         return self._tables[kind, k]
 
-    def axis_ends(self, k: int) -> list[np.ndarray]:
+    def axis_ends(self, k: int) -> list[list[float]]:
         """Per axis, the sorted float ends, lower and upper, of the
         generation-k intervals: on full-product rows (``_full_product``) the
         vertex cloud is their Cartesian product."""
-        return [np.sort(lo + hi) for lo, hi in self.interval_ends("float", k)]
+        return [sorted(lo + hi) for lo, hi in self.interval_ends("float", k)]
 
-    def connector_ends(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def _float_corners(self, k: int, corner: Sequence[int]) -> Iterator[tuple[float, ...]]:
+        """One float corner of each generation-k cell, in id order: on axis
+        a, the lower end of the cell's interval where ``corner[a]`` is 0 and
+        the upper end where it is 1."""
+        return zip(*[list(map(ends[bit].__getitem__, column)) for column, ends, bit
+                     in zip(self._columns[k], self.interval_ends("float", k), corner)])
+
+    def connector_ends(self, k: int) -> tuple[list, list]:
         """Float (sources, targets) of the generation-k connectors in id
-        order: the far corners of ranks 1..q-1 and the near corners of ranks
-        2..q of every parent."""
+        order, as lists of points: the far corners of ranks 1..q-1 and the
+        near corners of ranks 2..q of every parent."""
         q, d = self.branching, self.ambient_dimension
-        rows = self._rows[k].reshape(-1, q, d)
-        ends = self.interval_ends("float", k)
-        sources = np.stack([np.array(hi)[rows[:, :-1, a]] for a, (_, hi) in enumerate(ends)], -1)
-        targets = np.stack([np.array(lo)[rows[:, 1:, a]] for a, (lo, _) in enumerate(ends)], -1)
-        return sources.reshape(-1, d), targets.reshape(-1, d)
+        sources = [point for i, point in enumerate(self._float_corners(k, (1,) * d))
+                   if i % q != q - 1]
+        targets = [point for i, point in enumerate(self._float_corners(k, (0,) * d)) if i % q]
+        return sources, targets
 
-    def segments(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def segments(self, k: int) -> tuple[list, list, list[float]]:
         """``connector_ends(k)`` with each connector's float length, made
         once and cached for ``evaluate_many``."""
         if k not in self._segments:
             sources, targets = self.connector_ends(k)
             lengths = [math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
-                       for a, b in zip(sources.tolist(), targets.tolist())]
-            self._segments[k] = sources, targets, np.array(lengths)
+                       for a, b in zip(sources, targets)]
+            self._segments[k] = sources, targets, lengths
         return self._segments[k]
 
     # -- queries ------------------------------------------------------------
@@ -478,72 +461,59 @@ class ArcApproximation:
 
     def evaluate(self, t, k: int) -> tuple[tuple[float, ...], float]:
         """Point of the depth-k model at parameter t, with an error bound:
-        the one-parameter case of ``evaluate_many``.
-
-        Each call is a whole digit descent (about 0.13 ms), so a loop over
-        many parameters should pass them to ``evaluate_many`` at once."""
+        the one-parameter case of ``evaluate_many``."""
         points, errors = self.evaluate_many([t], k)
-        return tuple(points[0].tolist()), float(errors[0])
+        return points[0], errors[0]
 
-    def evaluate_many(self, ts: Sequence, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Points (an (n, d) float array) of the depth-k model at the
-        parameters ``ts``, with their error bounds.
+    def evaluate_many(self, ts: Sequence, k: int) -> tuple[list[tuple[float, ...]], list[float]]:
+        """Points (float tuples) of the depth-k model at the parameters
+        ``ts``, with their error bounds, as two lists.
 
         Inside a used interval the connector point is returned exactly (error
         0); otherwise the representative is the near corner of the depth-k
         cell the parameter recurses into, with the cell diameter as error.
         The limit curve is never claimed at finite depth.
 
-        All parameters descend together through their base-p digits, computed
-        on each t's integer numerator and denominator (``_parameter_ratios``,
-        ``_descend``); every digit is decided exactly.
+        Each parameter descends through its base-p digits, one per
+        generation, computed on its integer numerator and denominator
+        (``_integer_ratio``); every digit is decided exactly.
         """
         if k < 1:
             raise ValueError("evaluation depth starts at 1")
         self._require_depth(k)
-        points = np.empty((len(ts), self.ambient_dimension))
-        errors = np.zeros(len(ts))
-        for rows, num, den in _parameter_ratios(ts, 2 * self.branching - 1):
-            if len(rows):
-                self._descend(k, rows, num, den, points, errors)
-        return points, errors
-
-    def _descend(self, k: int, rows: np.ndarray, num: np.ndarray, den: np.ndarray,
-                 points: np.ndarray, errors: np.ndarray) -> None:
-        """Write the points and errors of the parameters num / den, one
-        digit per generation, into ``points[rows]`` and ``errors[rows]``."""
         q = self.branching
         p = 2 * q - 1
-        position = np.zeros(len(rows), np.int64)  # of the current cell in its generation
-        for g in range(1, k + 1):
-            # the next base-p digit of num / den, a position in [0, 1] inside
-            # the current cell's interval, and the rest
-            num = num * p
-            digit, num = num // den, num % den
-            # the end of two pieces belongs to the used one, and 1 to the last piece
-            back = (num == 0) & (digit > 0) & ((digit % 2 == 0) | (digit == p))
-            digit = (digit - back).astype(np.int64)
-            num = np.where(back, den, num)
-            used = digit % 2 == 1
-            if used.any():
-                # connector digit // 2 of the current cell, at num / den of its
-                # length, with Connector.point_at's arithmetic
-                sources, targets, lengths = self.segments(g)
-                i = position[used] * (q - 1) + digit[used] // 2
-                length = lengths[i]
-                s = (num[used] / den[used]).astype(float) * length  # num <= den
-                s = np.divide(s, length, out=np.zeros_like(s), where=length != 0.0)
-                a, b = sources[i], targets[i]
-                points[rows[used]] = a + s[:, None] * (b - a)
-                rows, num, den, position, digit = (
-                    v[~used] for v in (rows, num, den, position, digit))
-                if not len(rows):
-                    return
-            position = position * q + digit // 2
-        cells = self._rows[k][position]
-        points[rows] = np.stack([np.array(lo)[cells[:, a]] for a, (lo, _)
-                                 in enumerate(self.interval_ends("float", k))], -1)
-        errors[rows] = self.cell_diameter(k)
+        # the near corners of the depth-k cells, per axis, and their error
+        corners = [(lo, column) for column, (lo, _)
+                   in zip(self._columns[k], self.interval_ends("float", k))]
+        diameter = self.cell_diameter(k)
+        points, errors = [], []
+        for t in ts:
+            num, den = _integer_ratio(t)
+            position = 0  # of the current cell in its generation
+            for g in range(1, k + 1):
+                # the next base-p digit of num / den, a position in [0, 1]
+                # inside the current cell's interval, and the rest
+                digit, num = divmod(num * p, den)
+                # the end of two pieces belongs to the used one, and 1 to the last piece
+                if num == 0 and digit > 0 and (digit % 2 == 0 or digit == p):
+                    digit, num = digit - 1, den
+                if digit % 2:
+                    # connector digit // 2 of the current cell, at num / den of
+                    # its length, with Connector.point_at's arithmetic
+                    sources, targets, lengths = self.segments(g)
+                    i = position * (q - 1) + digit // 2
+                    length = lengths[i]
+                    s = num / den * length
+                    s = s / length if length != 0.0 else 0.0
+                    points.append(tuple([x + s * (y - x) for x, y in zip(sources[i], targets[i])]))
+                    errors.append(0.0)
+                    break
+                position = position * q + digit // 2
+            else:
+                points.append(tuple([lo[column[position]] for lo, column in corners]))
+                errors.append(diameter)
+        return points, errors
 
     def traversal_chain(self, k: int) -> list[tuple[int, ...]]:
         """Glued vertex chain of the depth-k traversal, as integer points
@@ -559,16 +529,16 @@ class ArcApproximation:
         if k < 1:
             raise ValueError("traversal depth starts at 1")
         den = self.denominator(k)
-        near, far = self.corners(k, den)
-        if not self._glued(k, den, near, far):
+        generations = [self.corners(g, den) for g in range(k + 1)]
+        if not self._glued(generations):
             raise RuntimeError("traversal pieces do not share endpoints")
-        chain = np.stack([near, far], axis=1).reshape(-1, self.ambient_dimension)
-        return list(map(tuple, chain.tolist()))
+        near, far = generations[k]
+        return [point for corners in zip(zip(*near), zip(*far)) for point in corners]
 
-    def _glued(self, k: int, den: int, near: np.ndarray, far: np.ndarray) -> bool:
+    def _glued(self, generations: Sequence[Corners]) -> bool:
         """Whether every connector of generations 1..k-1 meets the depth-k
-        traversal's cells (``near`` and ``far``, the generation-k corners
-        over ``den``) at its two ends.
+        traversal's cells at its two ends; ``generations`` holds the corners
+        of generations 0..k over one denominator.
 
         The connector of a generation-g parent joining sub-cells s and s+1
         runs from the far corner of s to the near corner of s+1; it glues
@@ -577,32 +547,30 @@ class ArcApproximation:
         generation-k connector glues by construction.
         """
         q = self.branching
+        k = len(generations) - 1
+        near, far = generations[k]
         for g in range(1, k):
             span = q ** (k - g)  # generation-k descendants per generation-g cell
-            cell_near, cell_far = self.corners(g, den)
-            rank = np.arange(len(cell_near)) % q
-            sources = (cell_far != far[span - 1::span]).any(axis=1) & (rank < q - 1)
-            targets = (cell_near != near[::span]).any(axis=1) & (rank > 0)
-            if sources.any() or targets.any():
-                return False
+            for (cell_near, cell_far), deep_near, deep_far in zip(zip(*generations[g]),
+                                                                    near, far):
+                last, first = deep_far[span - 1::span], deep_near[::span]
+                # sources at ranks 0..q-2, targets at ranks 1..q-1
+                if any(cell_far[s::q] != last[s::q] or cell_near[s + 1::q] != first[s + 1::q]
+                       for s in range(q - 1)):
+                    return False
         return True
 
-    def vertex_cloud(self, k: int) -> np.ndarray:
-        """Float array of the generation-k cell corners: the finite stand-in
-        for the depth-k curve.  Every connector end of generations up to k
-        is among them, since a cell's near and far corners are those of its
-        first and last sub-cells (see the constructor)."""
+    def vertex_cloud(self, k: int) -> list[tuple[float, ...]]:
+        """The distinct float corners of the generation-k cells, sorted: the
+        finite stand-in for the depth-k curve.  Every connector end of
+        generations up to k is among them, since a cell's near and far
+        corners are those of its first and last sub-cells (see the
+        constructor)."""
         self._require_depth(k)
-        rows = self._rows[k]
-        columns = [(np.array(lo)[rows[:, a]], np.array(hi)[rows[:, a]])
-                   for a, (lo, hi) in enumerate(self.interval_ends("float", k))]
-        pts = np.concatenate([np.stack([column[b] for column, b in zip(columns, corner)], -1)
-                              for corner in iter_product((0, 1), repeat=self.ambient_dimension)])
-        # np.unique(pts, axis=0): the distinct rows in lexicographic order
-        pts = pts[np.lexsort(pts.T[::-1])]
-        fresh = np.ones(len(pts), dtype=bool)
-        fresh[1:] = (pts[1:] != pts[:-1]).any(axis=1)
-        return pts[fresh]
+        points = set()
+        for corner in iter_product((0, 1), repeat=self.ambient_dimension):
+            points.update(self._float_corners(k, corner))
+        return sorted(points)
 
 
 def build_arc(base_set: RatioCantorSet, product: ProductCantor, depth: int
@@ -628,25 +596,25 @@ class InjectivityReport:
 def verify_injectivity(arc: ArcApproximation, k: int) -> InjectivityReport:
     """Exact injectivity evidence for the depth-k model.
 
-    The five checks of the module docstring, on the index rows as integers
-    with no ``Fraction`` made: (a) the axis lattices nest
+    The five checks of the module docstring, on the index columns as
+    integers with no ``Fraction`` made: (a) the axis lattices nest
     (``_lattices_nest``); (b) each parent's rows are its q children
     (``_rows_are_children``); (c) clearance and (d) the disjointness of one
     parent's connectors, once per distinct parent shape
     (``_connector_checks``; planar-5 has 1023 connectors but 9 shapes); (e)
-    glue (``_glued``).  When all pass, the parameter-order traversal is a
-    simple polyline by the nesting lemma, which is argued, not checked.
-    Only when one fails does ``chain_self_intersection`` sweep the
+    glue (``_glued``, on the corners that ``_connector_checks`` made).  When
+    all pass, the parameter-order traversal is a simple polyline by the
+    nesting lemma, which is argued, not checked.  Only when one fails does
+    ``chain_self_intersection`` sweep the
     traversal (``traversal_chain``) and name the first pair of segments that
     meet; a chain that fails to glue or has a zero-length segment is
     reported as the pair (-1, -1).  The traversal holds every connector as
     a sub-chain, so ``connector_pairs_checked`` counts every connector pair.
     """
     arc._require_depth(k)
-    den = arc.denominator(k)
-    clearance, crossing = _connector_checks(arc, k, den)
+    clearance, crossing, generations = _connector_checks(arc, k, arc.denominator(k))
     decided = (k >= 1 and not clearance and not crossing and _lattices_nest(arc, k)
-               and _rows_are_children(arc, k) and arc._glued(k, den, *arc.corners(k, den)))
+               and _rows_are_children(arc, k) and arc._glued(generations))
     traversal_violation = None
     if not decided:
         try:
@@ -659,10 +627,12 @@ def verify_injectivity(arc: ArcApproximation, k: int) -> InjectivityReport:
                              traversal_violation)
 
 
-def _connector_checks(arc: ArcApproximation, k: int, den: int) -> tuple[list[int], bool]:
+def _connector_checks(arc: ArcApproximation, k: int, den: int
+                      ) -> tuple[list[int], bool, list[Corners]]:
     """(c) and (d) of ``verify_injectivity`` on the connectors of
     generations 1..k: the sorted ids of those that fail ``_path_legal``, and
-    whether two connectors of one parent meet.
+    whether two connectors of one parent meet; with the corners of
+    generations 0..k over ``den``, which the glue check reads next.
 
     Both are decided once per distinct parent shape (``_parent_shapes``, over
     ``den``) and hold for every parent with that shape; shapes of different
@@ -673,11 +643,11 @@ def _connector_checks(arc: ArcApproximation, k: int, den: int) -> tuple[list[int
     verdicts: dict[tuple, tuple[list[int], bool]] = {}  # shape -> (failing ranks, meet)
     violations: list[int] = []
     crossing = False
-    cells = arc.corners(0, den)
+    generations = [arc.corners(0, den)]
     for g in range(1, k + 1):
         first = arc.first_id(g - 1)
-        subs = arc.corners(g, den)
-        for shape, parents in _parent_shapes(cells, subs).items():
+        generations.append(arc.corners(g, den))
+        for shape, parents in _parent_shapes(*generations[-2:]).items():
             if shape not in verdicts:
                 segments = [shape[2 * s + 2:2 * s + 4] for s in range(q - 1)]
                 verdicts[shape] = (
@@ -686,8 +656,7 @@ def _connector_checks(arc: ArcApproximation, k: int, den: int) -> tuple[list[int
             failing, meet = verdicts[shape]
             crossing = crossing or meet
             violations.extend((first + c) * (q - 1) + s for c in parents for s in failing)
-        cells = subs
-    return sorted(violations), crossing
+    return sorted(violations), crossing, generations
 
 
 def _lattices_nest(arc: ArcApproximation, k: int) -> bool:
@@ -695,19 +664,19 @@ def _lattices_nest(arc: ArcApproximation, k: int) -> bool:
     generation 1..k, the closed intervals have positive length, each starts
     after the previous one ends, and each lies inside its parent's interval.
     Each generation is compared with its parent over their common
-    denominator, as int64 while it fits in 62 bits and Python ints beyond."""
+    denominator."""
     for cantor_set in dict.fromkeys(arc._axis_sets):
         for g in range(1, k + 1):
             (up_lows, up_len, up_den), (lows, length, den) = (cantor_set.lattice(g - 1),
                                                               cantor_set.lattice(g))
             common = math.lcm(up_den, den)
-            wide = common.bit_length() > 62
-            up = (up_lows.astype(object) if wide else up_lows) * (common // up_den)
-            low = (lows.astype(object) if wide else lows) * (common // den)
+            up = [a * (common // up_den) for a in up_lows]
+            low = [a * (common // den) for a in lows]
             up_len, length = up_len * (common // up_den), length * (common // den)
             if not (length > 0 and len(low) == 2 * len(up)
-                    and (low[1:] - low[:-1] > length).all()
-                    and (low[::2] >= up).all() and (low[1::2] + length <= up + up_len).all()):
+                    and all(b - a > length for a, b in zip(low, low[1:]))
+                    and all(a >= u for a, u in zip(low[::2], up))
+                    and all(b + length <= u + up_len for b, u in zip(low[1::2], up))):
                 return False
     return True
 
@@ -717,27 +686,31 @@ def _rows_are_children(arc: ArcApproximation, k: int) -> bool:
     combination of axis indices once (``_full_product``), and each row of
     generation g is 2 * its parent's row plus a 0/1 bit per axis.  The q
     distinct rows of one parent are then its q children, once each."""
-    q, d = arc.branching, arc.ambient_dimension
+    q = arc.branching
     for g in range(k + 1):
-        rows = arc.generation_rows(g)
-        if not _full_product(rows, g):
+        columns = arc.generation_columns(g)
+        if not _full_product(columns, g):
             return False
-        if g:
-            bits = rows.reshape(-1, q, d) - 2 * arc.generation_rows(g - 1)[:, None, :]
-            if not ((bits == 0) | (bits == 1)).all():
-                return False
+        if g and not all(0 <= i - 2 * up <= 1
+                         for column, parents in zip(columns, arc.generation_columns(g - 1))
+                         for b in range(q) for i, up in zip(column[b::q], parents)):
+            return False
     return True
 
 
-def _full_product(rows: np.ndarray, k: int) -> bool:
-    """Whether the generation-k ``rows`` hold every combination of per-axis
-    interval indices, each once (see ``axis_ends``)."""
-    n, d = rows.shape
+def _full_product(columns: Sequence[Sequence[int]], k: int) -> bool:
+    """Whether the generation-k rows, given as per-axis ``columns``, hold
+    every combination of per-axis interval indices, each once (see
+    ``axis_ends``): each index lies in [0, 2^k) and the q^k row keys, the
+    indices as base-2^k digits, are distinct."""
     side = 2 ** k
-    if n != side ** d or not ((rows >= 0) & (rows < side)).all():
+    n = side ** len(columns)
+    if any(len(column) != n or min(column) < 0 or max(column) >= side for column in columns):
         return False
-    keys = rows @ side ** np.arange(d - 1, -1, -1)
-    return bool((np.bincount(keys, minlength=n) == 1).all())
+    keys = [0] * n
+    for column in columns:
+        keys = [key * side + i for key, i in zip(keys, column)]
+    return len(set(keys)) == n
 
 
 @dataclass
@@ -761,7 +734,7 @@ def verify_containment(arc: ArcApproximation, k: int) -> ContainmentReport:
     (``bound``) of one of them.
     """
     arc._require_depth(k)
-    passed = all(_full_product(arc.generation_rows(g), g) for g in range(1, k + 1))
+    passed = all(_full_product(arc.generation_columns(g), g) for g in range(1, k + 1))
     return ContainmentReport(k, arc.cell_diameter(k), passed)
 
 
@@ -801,7 +774,7 @@ def modulus_of_continuity(arc: ArcApproximation, epsilon: float) -> ModulusRepor
     # Connector.lipschitz of every connector up to the cutoff: its length
     # over its parameter length
     lipschitz = max(length / (1 / p ** k) for k in range(1, cutoff + 1)
-                    for length in arc.segments(k)[2].tolist())
+                    for length in arc.segments(k)[2])
     delta = min(delta_prime, epsilon / (2.0 * lipschitz))
     return ModulusReport(epsilon, delta, cutoff, delta_prime, lipschitz, False)
 
@@ -812,8 +785,8 @@ def continuity_violations(arc: ArcApproximation, epsilon: float, delta: float,
     images end up epsilon or farther apart (expected: zero).
 
     The pairs are drawn one by one from ``rng``; each batch of
-    ``_PAIR_BATCH`` draws goes through one ``evaluate_many`` descent, which
-    keeps the temporaries small.
+    ``_PAIR_BATCH`` draws goes through one ``evaluate_many`` call, which
+    keeps the lists of parameters and points small.
     """
     violations = 0
     for start in range(0, pairs, _PAIR_BATCH):
@@ -824,7 +797,7 @@ def continuity_violations(arc: ArcApproximation, epsilon: float, delta: float,
             y = min(max(y, 0.0), 1.0)
             if abs(x - y) < delta:
                 params += (x, y)
-        points = arc.evaluate_many(params, arc.depth)[0].tolist()
+        points = arc.evaluate_many(params, arc.depth)[0]
         violations += sum(math.dist(px, py) >= epsilon
                           for px, py in zip(points[::2], points[1::2]))
     return violations

@@ -10,15 +10,17 @@ Two constructions share one engine:
   similarity dimension ln 2 / ln(1/r).
 
 All endpoints are exact rationals.  Every generation-k interval has the one
-length L_k, so a generation is stored as one read-only integer lattice: the
-intervals' lower ends as numerators over a common denominator, beside the
-numerator of L_k (``lattice``).  The array is int64 while the denominator
-fits in 63 bits and holds Python ints beyond; generation k is built from
-generation k-1 in one vectorised step.
+length L_k, so a generation is stored as one read-only sequence of integers:
+the intervals' lower ends as numerators over a common denominator, beside
+the numerator of L_k (``lattice``).  While the denominator fits in 63 bits
+the sequence is a read-only ``memoryview`` of an ``array('q')``, eight bytes
+an interval; beyond, a tuple of Python ints.  Generation k is built from
+generation k-1 by scaling its lower ends and interleaving each with its
+right sibling, both through ``map``.
 
 The ball certificates read the lattice itself: ``lattice_rank`` ranks a
 rational key among its numerators by one integer floor or ceiling division
-and a ``searchsorted``, and ``verify_uniform_perfectness`` and
+and a ``bisect``, and ``verify_uniform_perfectness`` and
 ``measure.NaturalMeasure`` rank every ball end that way.
 """
 
@@ -27,11 +29,11 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 #: The deepest generation any Cantor set builds; interval counts double per level.
 GENERATION_CAP = 20
@@ -111,8 +113,8 @@ class _BinaryCantorBase:
 
     def __init__(self):
         # one (lower-end numerators, length numerator, denominator) per generation
-        self._lattices: list[tuple[np.ndarray, int, int]] = [
-            (_read_only(np.zeros(1, np.int64)), 1, 1)]
+        self._lattices: list[tuple[Sequence[int], int, int]] = [
+            (memoryview(array("q", [0])).toreadonly(), 1, 1)]
 
     # subclasses supply the exact generation length
     def generation_length(self, k: int) -> Fraction:
@@ -135,24 +137,26 @@ class _BinaryCantorBase:
             den = math.lcm(prev_den, length.denominator)
             lift = den // prev_den
             ln = length.numerator * (den // length.denominator)
-            if den >= 2 ** 63:
-                lows = lows.astype(object, copy=False)
-            lows = lows * lift
-            children = np.stack([lows, lows + (prev_ln * lift - ln)], axis=1).ravel()
-            self._lattices.append((_read_only(children), ln, den))
+            step = prev_ln * lift - ln  # from a left child's lower end to its sibling's
+            fits = den < 2 ** 63
+            make = (lambda values: array("q", values)) if fits else list
+            # each parent's children: its lower end, scaled, then that plus step
+            scaled = make(map(lift.__mul__, lows))
+            children = scaled * 2
+            children[::2] = scaled
+            children[1::2] = make(map(step.__add__, scaled))
+            del scaled  # freed before the tuple copy, which bounds the peak
+            self._lattices.append(
+                (memoryview(children).toreadonly() if fits else tuple(children), ln, den))
 
-    def lattice(self, k: int) -> tuple[np.ndarray, int, int]:
+    def lattice(self, k: int) -> tuple[Sequence[int], int, int]:
         """(lower ends, length, denominator) of generation k, as integer
-        numerators over the denominator; the lower ends are a read-only array
-        in increasing order, int64 while the denominator fits in 63 bits and
-        Python ints (dtype object) beyond."""
+        numerators over the denominator; the lower ends are a read-only
+        sequence in increasing order: a memoryview of an ``array('q')``
+        while the denominator fits in 63 bits, a tuple of Python ints
+        beyond."""
         self.build(k)
         return self._lattices[k]
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 class RatioCantorSet(_BinaryCantorBase):
@@ -247,7 +251,7 @@ class ProductCantor:
         """Lower-left corners of every generation-k cell (the cells' provable
         member points), in lexicographic order."""
         lows, _, den = self.factor.lattice(k)
-        return list(itertools.product([Fraction(v, den) for v in lows.tolist()],
+        return list(itertools.product([Fraction(v, den) for v in lows],
                                       repeat=self.copies))
 
 
@@ -304,19 +308,17 @@ class PerfectnessReport:
         return [r for r in self.results if r.kind == "inconclusive"]
 
 
-def lattice_rank(values: np.ndarray, top: int, num: int, den: int, strict: bool) -> int:
-    """How many of the sorted integers ``values``, all in [0, top], are
-    < num / den when ``strict`` and <= num / den otherwise (den > 0).
+def lattice_rank(values: Sequence[int], num: int, den: int, strict: bool) -> int:
+    """How many of the sorted integers ``values`` are < num / den when
+    ``strict`` and <= num / den otherwise (den > 0).
 
     a < key iff a < ceil(key), and a <= key iff a <= floor(key), both integer
-    divisions; a bound outside [0, top] counts none or all of them without a
-    search, so the searched bound fits the array's dtype.  The perfectness
-    and mass certificates rank every ball end here.
+    divisions, and the bound is found by ``bisect``.  The perfectness and
+    mass certificates rank every ball end here.
     """
-    bound = -(-num // den) if strict else num // den
-    if bound < 0 or bound > top:
-        return 0 if bound < 0 else len(values)
-    return int(np.searchsorted(values, bound, side="left" if strict else "right"))
+    if strict:
+        return bisect_left(values, -(-num // den))
+    return bisect_right(values, num // den)
 
 
 def verify_uniform_perfectness(cantor_set: RatioCantorSet,
@@ -336,7 +338,9 @@ def verify_uniform_perfectness(cantor_set: RatioCantorSet,
     """
     constant = uniform_perfectness_constant(cantor_set)
     lows, ln, den = cantor_set.lattice(depth)
-    ends = np.stack([lows, lows + ln], axis=1).ravel()  # every endpoint, increasing
+    ends = [0] * (2 * len(lows))  # every endpoint, increasing
+    ends[::2] = lows
+    ends[1::2] = map(ln.__add__, lows)
     kn, kd = constant.numerator, constant.denominator
     results: list[AnnulusWitness] = []
     for x, r in samples:
@@ -345,8 +349,8 @@ def verify_uniform_perfectness(cantor_set: RatioCantorSet,
         (xn, xd), (rn, rd) = x.as_integer_ratio(), r.as_integer_ratio()
         if rn <= 0:
             raise ValueError(f"radius must be positive, got {r}")
-        i = lattice_rank(ends, den, xn * den, xd, True)
-        if i == len(ends) or int(ends[i]) * xd != xn * den:
+        i = lattice_rank(ends, xn * den, xd, True)
+        if i == len(ends) or ends[i] * xd != xn * den:
             raise ValueError(f"center {x} is not a built generation endpoint")
         if rn * xd > max(xn, xd - xn) * rd:
             # ball contains [0, 1], hence the whole set: nothing to witness
@@ -358,13 +362,13 @@ def verify_uniform_perfectness(cantor_set: RatioCantorSet,
                                 kd * rn * xd * den)
         witness = None
         # right side [x + inner, x + r), then left side (x - r, x - inner]
-        i = lattice_rank(ends, den, center + inner, key_den, True)
-        if i < len(ends) and int(ends[i]) * key_den < center + reach:
-            witness = int(ends[i])
+        i = lattice_rank(ends, center + inner, key_den, True)
+        if i < len(ends) and ends[i] * key_den < center + reach:
+            witness = ends[i]
         else:
-            j = lattice_rank(ends, den, center - inner, key_den, False) - 1
-            if j >= 0 and int(ends[j]) * key_den > center - reach:
-                witness = int(ends[j])
+            j = lattice_rank(ends, center - inner, key_den, False) - 1
+            if j >= 0 and ends[j] * key_den > center - reach:
+                witness = ends[j]
         if witness is None:
             results.append(AnnulusWitness(x, r, "inconclusive"))
         else:
@@ -385,7 +389,7 @@ def sample_ball_inputs(cantor_set: RatioCantorSet, count: int, depth: int,
         g = rng.randrange(0, depth + 1)
         lows, ln, den = cantor_set.lattice(g)
         i = rng.randrange(2 ** (g + 1))  # endpoint i: an end of interval i // 2
-        x = Fraction(int(lows[i // 2]) + i % 2 * ln, den)
+        x = Fraction(lows[i // 2] + i % 2 * ln, den)
         r = Fraction(min(math.exp(rng.uniform(log_lo, 0.0)), 1.0 - 1e-12))
         samples.append((x, r))
     return samples

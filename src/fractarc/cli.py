@@ -275,7 +275,7 @@ def model_to_dict(model, config: RunConfig) -> dict:
 def _cell_text(arc) -> Iterator[str]:
     """Schema-v1 rows of every cell, in id order, as ``dump_json`` writes
     them (the index fields, the branch address and the box), from the arc's
-    index rows and "n/d" tables."""
+    index columns and "n/d" tables."""
     from . import arc as arc_mod
 
     q = arc.branching
@@ -287,7 +287,7 @@ def _cell_text(arc) -> Iterator[str]:
                           for a, b in zip(lo, hi)])
         first = arc.first_id(k)
         parent = arc.first_id(k - 1) if k else None
-        for i, row in enumerate(arc.generation_rows(k).tolist()):
+        for i, row in enumerate(zip(*arc.generation_columns(k))):
             address = ",\n".join([table[j] for table, j in zip(words, row)])
             box = ",\n".join([table[j] for table, j in zip(boxes, row)])
             yield (f'    {{\n      "address": [\n{address}\n      ],\n'
@@ -307,7 +307,7 @@ def _connector_text(arc) -> Iterator[str]:
     for k in range(1, arc.depth + 1):
         ends = [([f'          "{a}"' for a in lo], [f'          "{b}"' for b in hi])
                 for lo, hi in arc.interval_ends("text", k)]
-        rows = arc.generation_rows(k).tolist()
+        rows = list(zip(*arc.generation_columns(k)))
         first = arc.first_id(k - 1)
         for i, (source, target) in enumerate(zip(rows, rows[1:])):
             c, j = divmod(i, q)
@@ -480,7 +480,7 @@ def render_svg(arc) -> list[str]:
     # deepest generation's cells as rectangles; every connector as a polyline,
     # generations told apart by stroke width
     (x_lo, x_hi), (y_lo, y_hi) = arc.interval_ends("float", arc.depth)
-    for i, j in arc.generation_rows(arc.depth).tolist():
+    for i, j in zip(*arc.generation_columns(arc.depth)):
         x0, x1, y0, y1 = x_lo[i], x_hi[i], y_lo[j], y_hi[j]
         lines.append(
             f'<rect x="{sx(x0):.4f}" y="{sy(y1):.4f}" '
@@ -489,7 +489,7 @@ def render_svg(arc) -> list[str]:
             f'fill="none" stroke="#222222" stroke-width="{width(arc.depth):.2f}"/>\n')
     for k in range(1, arc.depth + 1):
         sources, targets = arc.connector_ends(k)
-        for a, b in zip(sources.tolist(), targets.tolist()):
+        for a, b in zip(sources, targets):
             pts = " ".join(f"{sx(v[0]):.4f},{sy(v[1]):.4f}" for v in (a, b))
             lines.append(f'<polyline points="{pts}" fill="none" stroke="#b03030" '
                          f'stroke-width="{width(k):.2f}"/>\n')
@@ -615,9 +615,9 @@ def arc_estimate(model, window: Optional[tuple[int, int]] = None
     from . import dimension as dim_mod
 
     depth = model.depth
-    if not arc_mod._full_product(model.generation_rows(depth), depth):
+    if not arc_mod._full_product(model.generation_columns(depth), depth):
         raise ValueError(f"generation {depth} is not the full product of its axes")
-    axes = [dim_mod.dyadic_sample(ends.tolist()) for ends in model.axis_ends(depth)]
+    axes = [dim_mod.dyadic_sample(ends) for ends in model.axis_ends(depth)]
     resolution = max(model.base_set.generation_length(depth),
                      model.product.factor.generation_length(depth))
     if window is None:

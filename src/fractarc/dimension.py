@@ -262,10 +262,13 @@ def net_count_series(factors, radii: Sequence[float],
 def cantor_sample(cantor_set: _BinaryCantorBase, generation: int) -> tuple[LatticeSample, Fraction]:
     """Left endpoints of the generation intervals (all provably in the set;
     right endpoints sit on aligned grid lines and would leak into gap boxes),
-    as the engine's own read-only lattice of lower ends.
+    as the engine's lattice of lower ends: its ``array('q')`` buffer read in
+    place as int64, or its tuple of Python ints as an object array.
     Returns (points, sample resolution)."""
     lows, _, den = cantor_set.lattice(generation)
-    return LatticeSample(lows, den), cantor_set.generation_length(generation)
+    nums = np.frombuffer(lows, np.int64) if isinstance(lows, memoryview) else np.array(
+        lows, object)
+    return LatticeSample(nums, den), cantor_set.generation_length(generation)
 
 
 def interval_sample(generation: int) -> tuple[LatticeSample, Fraction]:

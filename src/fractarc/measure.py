@@ -61,11 +61,11 @@ class NaturalMeasure:
         shift = ln * key_den
         # an upper end a + ln is <= key (< key) exactly when a <= key - ln
         # run of intervals meeting the open ball: upper > x-r and lower < x+r
-        meet = max(0, lattice_rank(lows, den, key_hi, key_den, True)
-                   - lattice_rank(lows, den, key_lo - shift, key_den, False))
+        meet = max(0, lattice_rank(lows, key_hi, key_den, True)
+                   - lattice_rank(lows, key_lo - shift, key_den, False))
         # fully inside the open ball: lower > x-r and upper < x+r
-        inside = max(0, lattice_rank(lows, den, key_hi - shift, key_den, True)
-                     - lattice_rank(lows, den, key_lo, key_den, False))
+        inside = max(0, lattice_rank(lows, key_hi - shift, key_den, True)
+                     - lattice_rank(lows, key_lo, key_den, False))
         unit = 2 ** resolution
         return BallMassBracket(x, r, Fraction(inside, unit), Fraction(meet, unit), resolution)
 
@@ -93,8 +93,8 @@ class NaturalMeasure:
         coarse = max(k - 1, 0)
         lows, ln, den = self.base.lattice(coarse)
         key_den, key_lo, key_hi = _ball_keys(x, r, den)
-        first = lattice_rank(lows, den, key_lo - ln * key_den, key_den, False)
-        last = lattice_rank(lows, den, key_hi, key_den, True)
+        first = lattice_rank(lows, key_lo - ln * key_den, key_den, False)
+        last = lattice_rank(lows, key_hi, key_den, True)
         return coarse, max(0, last - first)
 
 

@@ -163,13 +163,13 @@ def generation_intervals(cantor_set, k):
     """The 2^k generation-k intervals of a Cantor set in increasing order."""
     lows, ln, den = cantor_set.lattice(k)
     return [CantorInterval(k, j + 1, Fraction(a, den), Fraction(a + ln, den))
-            for j, a in enumerate(lows.tolist())]
+            for j, a in enumerate(lows)]
 
 
 def endpoints(cantor_set, k):
     """All 2^(k+1) generation-k interval endpoints, sorted increasing."""
     lows, ln, den = cantor_set.lattice(k)
-    return [Fraction(v, den) for a in lows.tolist() for v in (a, a + ln)]
+    return [Fraction(v, den) for a in lows for v in (a, a + ln)]
 
 
 def verify_generation_lengths(cantor_set, up_to):
@@ -185,9 +185,9 @@ def verify_generation_lengths(cantor_set, up_to):
             continue
         parents, prev_ln, prev_den = cantor_set.lattice(k - 1)
         lift_by = den // prev_den
-        parents = parents.astype(lows.dtype) * lift_by
-        if not (np.array_equal(lows[0::2], parents)
-                and np.array_equal(lows[1::2] + ln, parents + prev_ln * lift_by)):
+        parents = [a * lift_by for a in parents]
+        if not (list(lows[0::2]) == parents
+                and [a + ln for a in lows[1::2]] == [a + prev_ln * lift_by for a in parents]):
             return False
     return True
 
@@ -418,7 +418,7 @@ class _Views:
 
 class RowView(_Views):
     """The ``Cell`` and ``Connector`` objects of a lattice arc, read off its
-    index rows (``generation_rows``) and lattices when the view is made:
+    index columns (``generation_columns``) and lattices when the view is made:
     the cells and connectors of every generation up to its depth.  The
     lists are plain attributes, so a test may replace a cell or a
     connector."""
@@ -437,11 +437,11 @@ class RowView(_Views):
             for cantor_set in axis_sets:
                 lows, ln, den = cantor_set.lattice(k)
                 intervals.append([(Fraction(a, den), Fraction(a + ln, den))
-                                  for a in lows.tolist()])
+                                  for a in lows])
             words = [branch_word(j, k) for j in range(len(intervals[0]))]
             first = arc.first_id(k)
             parent = arc.first_id(k - 1) if k else None
-            rows = arc.generation_rows(k).tolist()
+            rows = list(zip(*arc.generation_columns(k)))
             for i, row in enumerate(rows):
                 self.cells.append(Cell(first + i, k, i % q + 1,
                                        tuple(pairs[j] for pairs, j in zip(intervals, row)),
@@ -468,8 +468,9 @@ class RowView(_Views):
             raise KeyError(f"no built cell at address {words}")
         q, position = self.branching, 0
         for g in range(1, k + 1):
-            kids = self.arc.generation_rows(g)[position * q:(position + 1) * q].tolist()
-            position = position * q + kids.index([int(w[:g], 2) for w in words])
+            kids = list(zip(*(column[position * q:(position + 1) * q]
+                              for column in self.arc.generation_columns(g))))
+            position = position * q + kids.index(tuple(int(w[:g], 2) for w in words))
         return self.cells[(q ** k - 1) // (q - 1) + position]
 
     def cell_diameter(self, k):
@@ -504,7 +505,7 @@ class ObjectArc(_Views):
             den = math.lcm(*(axis_den for _, _, axis_den in lattices))
             intervals, lows = [], []
             for axis_lows, ln, axis_den in lattices:
-                axis_lows = axis_lows.tolist()
+                axis_lows = list(axis_lows)
                 intervals.append([(Fraction(a, axis_den), Fraction(a + ln, axis_den))
                                   for a in axis_lows])
                 lows.append([a * (den // axis_den) for a in axis_lows])
@@ -566,13 +567,12 @@ def object_vertex_cloud(arc, k):
 def connector_vertex_cloud(arc, k):
     """Distinct float connector ends of the generations up to k and
     generation-k cell corners of a lattice arc, in lexicographic order."""
-    parts = [ends for g in range(1, k + 1) for ends in arc.connector_ends(g)]
-    rows = arc.generation_rows(k)
-    columns = [(np.array(lo)[rows[:, a]], np.array(hi)[rows[:, a]])
-               for a, (lo, hi) in enumerate(arc.interval_ends("float", k))]
+    points = [p for g in range(1, k + 1) for ends in arc.connector_ends(g) for p in ends]
+    ends = arc.interval_ends("float", k)
     for corner in iter_product((0, 1), repeat=arc.ambient_dimension):
-        parts.append(np.stack([column[b] for column, b in zip(columns, corner)], -1))
-    return np.unique(np.concatenate(parts), axis=0)
+        points += zip(*[[pair[b][i] for i in column]
+                        for column, pair, b in zip(arc.generation_columns(k), ends, corner)])
+    return np.unique(np.array(points, dtype=float), axis=0)
 
 
 def fraction_evaluate(arc, t, k):
@@ -675,7 +675,7 @@ def scan_containment(arc, k, addresses):
     before it proved containment from the rows: each address's float near
     corner against every point of ``vertex_cloud(k)``, passing when the
     farthest is within one cell diameter (and a float tolerance)."""
-    cloud = arc.vertex_cloud(k)
+    cloud = np.array(arc.vertex_cloud(k))
     worst = 0.0
     for address in addresses:
         z = np.array(near_point(arc, address))
@@ -828,7 +828,7 @@ def view_clearance_violations(arc, conns):
 @lru_cache(maxsize=8)
 def _float_segments(arc, g):
     """Float (sources, targets, lengths) lists of the generation-g connectors."""
-    sources, targets = (ends.tolist() for ends in arc.connector_ends(g))
+    sources, targets = arc.connector_ends(g)
     lengths = [math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
                for a, b in zip(sources, targets)]
     return sources, targets, lengths
@@ -859,7 +859,7 @@ def digit_evaluate(arc, t, k):
             s = 0.0 if length == 0.0 else min(max(num / den, 0.0), 1.0) * length / length
             return tuple(x + s * (y - x) for x, y in zip(a, b)), 0.0
         position = position * q + digit // 2
-    row = arc.generation_rows(k)[position].tolist()
+    row = [column[position] for column in arc.generation_columns(k)]
     return (tuple(lo[j] for (lo, _), j in zip(arc.interval_ends("float", k), row)),
             arc.cell_diameter(k))
 

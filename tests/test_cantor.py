@@ -3,7 +3,6 @@
 import math
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,10 +69,10 @@ class TestGenerationIntervals:
         assert len(ivs) == 64
         assert all(a.upper < b.lower for a, b in zip(ivs, ivs[1:]))
 
-    @pytest.mark.parametrize("k", [3, 11])  # int64 and Python-int lattices
+    @pytest.mark.parametrize("k", [3, 11])  # array('q') and tuple lattices
     def test_stored_lattice_is_read_only(self, k):
         lows, _, _ = dyadic_set().lattice(k)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             lows[0] = 1
 
     def test_budget_exceeded(self):
@@ -123,35 +122,41 @@ engines = st.one_of(
 
 
 class TestLatticeMatchesPairOracle:
-    # generations 0-12 cross the int64 -> Python-int switch (dyadic: g = 10)
+    # generations 0-12 cross the array('q') -> tuple switch (dyadic: g = 10)
     @given(engines, st.integers(0, 12))
     @settings(max_examples=60, deadline=None)
     def test_views_match_oracle(self, s, k):
         pairs, den = oracle_pairs(s, k)
         lows, ln, lattice_den = s.lattice(k)
         assert lattice_den == den
-        assert lows.dtype == (np.int64 if den < 2 ** 63 else object)
-        assert lows.tolist() == [a for a, _ in pairs]
+        assert list(lows) == [a for a, _ in pairs]
         assert all(b - a == ln for a, b in pairs)
         expected = [CantorInterval(k, j + 1, F(a, den), F(b, den))
                     for j, (a, b) in enumerate(pairs)]
         assert generation_intervals(s, k) == expected
         assert endpoints(s, k) == [F(v, den) for pair in pairs for v in pair]
 
-    def test_dyadic_lattice_switches_to_python_ints_at_generation_ten(self):
+    def test_dyadic_lattice_is_exact_on_both_sides_of_2_63(self):
+        # generation 9 lives over a 55-bit denominator, generation 10 over a
+        # 66-bit one: eight bytes an interval, then Python ints
         s = dyadic_set()
-        assert s.lattice(9)[0].dtype == np.int64
-        assert s.lattice(10)[0].dtype == object
+        for k, bits, storage in ((9, 55, memoryview), (10, 66, tuple)):
+            pairs, den = oracle_pairs(s, k)
+            lows, ln, lattice_den = s.lattice(k)
+            assert (lattice_den, lattice_den.bit_length()) == (den, bits)
+            assert list(lows) == [a for a, _ in pairs]
+            assert [a + ln for a in lows] == [b for _, b in pairs]
+            assert isinstance(lows, storage)
 
 
 def _shift_odd_child(lows, ln, den):
-    lows = lows.copy()
+    lows = list(lows)
     lows[3] += 1
     return lows, ln, den
 
 
 def _shift_even_child(lows, ln, den):
-    lows = lows.copy()
+    lows = list(lows)
     lows[2] -= 1
     return lows, ln, den
 
@@ -161,7 +166,7 @@ def _stretch_length(lows, ln, den):
 
 
 class TestTamperedLattice:
-    @pytest.mark.parametrize("k", [4, 11])  # int64 and Python-int lattices
+    @pytest.mark.parametrize("k", [4, 11])  # array('q') and tuple lattices
     @pytest.mark.parametrize("tamper", [_shift_odd_child, _shift_even_child,
                                         _stretch_length])
     def test_verify_generation_lengths_rejects_a_tampered_generation(self, k, tamper):

@@ -514,6 +514,18 @@ class TestIntegerBoxCount:
                 assert (box_count_series([axes] * copies, [delta], 0).counts[0]
                         == fraction_box_count(corners, delta))
 
+    @pytest.mark.parametrize("g,dtype", [(9, np.int64), (10, object)])
+    def test_engine_lattice_is_sampled_as_int64_or_objects(self, g, dtype):
+        # dyadic generation 9 lives over a 55-bit denominator, 10 over a
+        # 66-bit one: the array('q') buffer is read in place, the tuple of
+        # Python ints becomes an object array
+        dyadic = RatioCantorSet(RatioSequence.dyadic())
+        lows, _, den = dyadic.lattice(g)
+        sample, _ = cantor_sample(dyadic, g)
+        assert sample.numerators.dtype == dtype and sample.denominator == den
+        assert sample.numerators.tolist() == list(lows)
+        assert sample.numerators.flags.writeable == (dtype is object)
+
     def test_engine_samples_are_the_exact_points(self):
         cantor = SelfSimilarCantor(F(1, 3))
         sample, _ = cantor_sample(cantor, 6)

@@ -1,18 +1,16 @@
-"""The read path's exact array passes against the per-sample code they
-replaced: ``evaluate_many`` and ``continuity_violations`` against the digit
-loop and the ``Fraction`` digits, and the integer-ranked perfectness and mass
+"""The read path's exact integer passes against the code they replaced:
+``evaluate_many`` and ``continuity_violations`` against the digit loop and
+the ``Fraction`` digits, and the integer-ranked perfectness and mass
 certificates against their ``Fraction`` versions."""
 
 import random
 from fractions import Fraction as F
 from functools import lru_cache
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fractarc import arc as arc_mod
 from fractarc.arc import ArcApproximation, build_arc, continuity_violations
 from fractarc.cantor import (ProductCantor, RatioCantorSet, RatioSequence,
                              SelfSimilarCantor, lattice_rank, product_for_dimension,
@@ -39,13 +37,13 @@ def depth_four_views(kind):
     return RowView(depth_four_arc(kind))
 
 
-#: Floats below 2^-8 and Fractions over 2^70 or a large odd denominator
-#: overflow the int64 rows for both p = 7 and p = 15.
+#: Floats below 2^-8 and Fractions over 2^70 or a large odd denominator:
+#: their digit products pass 2^63 for both p = 7 and p = 15.
 WIDE = (5e-324, 2.0 ** -1074 * 3, 1e-300, 2.0 ** -61, 3 * 2.0 ** -62, 1e-3,
         F(1, 2 ** 70), F(5, 3 ** 41), F(2 ** 69 - 1, 2 ** 70))
 
-#: Odd denominators below 2^63 / p, which int64 would hold, but where
-#: float(num) / float(den) rounds twice and moves the connector point.
+#: Odd denominators below 2^63 / p, but where float(num) / float(den)
+#: rounds twice and moves the connector point.
 ROUNDED_TWICE = (F(113493040589302039, 436913816877166123),
                  F(67684211669536966, 369204549186685685),
                  F(216959887983133705, 500889328644863911),
@@ -75,27 +73,29 @@ class TestDescent:
         p = 2 * arc.branching - 1
         ts = list(WIDE + ROUNDED_TWICE) if data is None else data.draw(parameters(p, k))
         points, errors = arc.evaluate_many(ts, k)
-        assert points.shape == (len(ts), arc.ambient_dimension)
-        for t, point, error in zip(ts, points.tolist(), errors.tolist()):
+        assert len(points) == len(errors) == len(ts)
+        for t, point, error in zip(ts, points, errors):
             expected = digit_evaluate(arc, t, k)
-            assert (tuple(point), error) == expected == fraction_evaluate(
+            assert (point, error) == expected == fraction_evaluate(
                 depth_four_views(kind), t, k), t
             assert arc.evaluate(t, k) == expected
-        # a float array is split by frexp, the same values as Fractions by
-        # as_integer_ratio
+        # floats and the same values as Fractions give the same points
         floats = [float(t) for t in ts]
-        assert np.array_equal(arc.evaluate_many(floats, k)[0],
-                              arc.evaluate_many([F(t) for t in floats], k)[0])
+        assert (arc.evaluate_many(floats, k)[0]
+                == arc.evaluate_many([F(t) for t in floats], k)[0])
 
-    @pytest.mark.parametrize("ts,narrow", [
-        ([0.5, 5e-324, 2.0 ** -61], 1), ([F(1, 2), F(1, 3 ** 41)], 1),
+    @pytest.mark.parametrize("kind", ["planar", "spatial"])
+    @pytest.mark.parametrize("ts", [
+        [0.5, 5e-324, 2.0 ** -61], [F(1, 2), F(1, 3 ** 41)],
         # 2^60 * 7 still fits in 63 bits, 2^61 * 7 does not
-        ([0.0, 1.0, 2.0 ** -60, 2.0 ** -61], 3)])
-    def test_int64_rows_hold_what_fits(self, ts, narrow):
-        groups = list(arc_mod._parameter_ratios(ts, 7))
-        assert [(len(rows), num.dtype, den.dtype) for rows, num, den in groups] == [
-            (narrow, np.int64, np.int64), (len(ts) - narrow, object, object)]
-        assert max(groups[1][2]) >= 2 ** 61
+        [0.0, 1.0, 2.0 ** -60, 2.0 ** -61, F(1, 2 ** 60), F(1, 2 ** 61), 3 * 2.0 ** -62]])
+    def test_exact_on_both_sides_of_2_63(self, kind, ts):
+        # the digit products of 2^-60 and 2^-61 fall on both sides of 2^63
+        arc = depth_four_arc(kind)
+        points, errors = arc.evaluate_many(ts, 4)
+        assert [(point, error) for point, error in zip(points, errors)] == [
+            fraction_evaluate(depth_four_views(kind), t, 4) for t in ts]
+        assert all(type(x) is float for point in points for x in point)
 
     def test_rejects_what_evaluate_rejects(self):
         arc = depth_four_arc("planar")
@@ -106,8 +106,7 @@ class TestDescent:
             arc.evaluate_many([0.5], 0)
         with pytest.raises(ValueError):
             arc.evaluate_many([0.5], 5)
-        points, errors = arc.evaluate_many([], 3)
-        assert points.shape == (0, 2) and errors.shape == (0,)
+        assert arc.evaluate_many([], 3) == ([], [])
 
 
 class TestContinuity:
@@ -134,8 +133,8 @@ class TestContinuity:
 
 # -- the certificates -----------------------------------------------------------
 
-#: Dyadic generations 0-9 hold int64 lattices, 10-12 Python ints (a 91-bit
-#: denominator at 12); the harmonic and geometric sets widen sooner.
+#: Dyadic generations 0-9 live over denominators below 2^63, 10-12 above
+#: (a 91-bit denominator at 12); the harmonic and geometric sets widen sooner.
 CANTOR_SETS = {"dyadic": RatioCantorSet(RatioSequence.dyadic()),
                "harmonic": RatioCantorSet(RatioSequence.harmonic()),
                "geometric": RatioCantorSet(RatioSequence.geometric(F(2, 5)))}
@@ -144,7 +143,7 @@ CANTOR_SETS = {"dyadic": RatioCantorSet(RatioSequence.dyadic()),
 @lru_cache(maxsize=None)
 def endpoints_of(name, g):
     lows, ln, den = CANTOR_SETS[name].lattice(g)
-    return tuple(F(v, den) for a in lows.tolist() for v in (a, a + ln))
+    return tuple(F(v, den) for a in lows for v in (a, a + ln))
 
 
 @st.composite
@@ -162,10 +161,17 @@ def balls(draw, name, depth):
 
 
 class TestCertificates:
-    def test_lattice_dtypes(self):
+    @pytest.mark.parametrize("depth", [9, 10])
+    def test_certificates_on_both_sides_of_2_63(self, depth):
+        # dyadic generation 9 lives over a 55-bit denominator, 10 over a 66-bit one
         dyadic = CANTOR_SETS["dyadic"]
-        assert dyadic.lattice(6)[0].dtype == np.int64
-        assert dyadic.lattice(12)[0].dtype == object
+        assert dyadic.lattice(depth)[2].bit_length() == {9: 55, 10: 66}[depth]
+        samples = sample_ball_inputs(dyadic, 100, depth, random.Random(depth))
+        assert (verify_uniform_perfectness(dyadic, samples, depth)
+                == fraction_uniform_perfectness(dyadic, samples, depth))
+        measure = NaturalMeasure(dyadic, depth)
+        for x, r in samples:
+            assert measure.ball_mass(x, r, depth) == fraction_ball_mass(measure, x, r, depth)
         assert dyadic.lattice(12)[2].bit_length() == 91
 
     @settings(max_examples=60, deadline=None)
@@ -213,12 +219,13 @@ class TestCertificates:
             assert measure.boundary_interval_count(x, r) == expected
 
     def test_rank_ends_and_clamps(self):
-        values = np.array([0, 3, 5, 9], dtype=np.int64)
-        assert [lattice_rank(values, 9, n, 2, True) for n in (-3, 0, 6, 7, 10, 18, 19)] == [
+        values = [0, 3, 5, 9]
+        assert [lattice_rank(values, n, 2, True) for n in (-3, 0, 6, 7, 10, 18, 19)] == [
             0, 0, 1, 2, 2, 3, 4]
-        assert [lattice_rank(values, 9, n, 2, False) for n in (-3, -1, 0, 6, 7, 18, 40)] == [
+        assert [lattice_rank(values, n, 2, False) for n in (-3, -1, 0, 6, 7, 18, 40)] == [
             0, 0, 1, 2, 2, 4, 4]
-        assert lattice_rank(values, 9, 2 ** 80, 1, True) == 4  # no int64 overflow
+        assert lattice_rank(values, 2 ** 80, 1, True) == 4
+        assert lattice_rank(values, -2 ** 80, 1, False) == 0
 
     def test_perfectness_makes_a_few_fractions_per_sample(self, monkeypatch):
         cantor_set = CANTOR_SETS["dyadic"]

@@ -239,6 +239,20 @@ class TestStreamedLoad:
         assert model.depth == 5
         assert peak < path.stat().st_size, (peak, path.stat().st_size)
 
+    def test_spatial_build_stays_within_its_recorded_peak(self):
+        # the peak of the int64 and object-array engine on spatial-4, which
+        # sets the peak of the benchmark's spatial ops; the columns of ints
+        # keep only the distinct parent shapes while they key them
+        build_model(RunConfig(target_dimension=2.5, depth=2))  # modules imported once
+        tracemalloc.start()
+        try:
+            model = build_model(RunConfig(target_dimension=2.5, depth=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.depth == 4
+        assert peak <= 3_690_000, peak
+
 
 class TestDigitEvaluate:
     """The digit ``evaluate`` against a walk of the written tree."""

@@ -45,7 +45,6 @@ ALLOWED = {
     "arc:ArcApproximation.traversal_chain": _SWEEP + "; " + _TRACER,
     "arc:build_arc": _API,
     "arc:ArcApproximation.evaluate": _API,
-    "arc:_integer_ratio": _API + " (evaluate calls it)",
     "metric:SnowflakeMetric.distance": _METRIC,
     "metric:EuclideanMetric.distance": _METRIC,
     "metric:ArcFactor.distance": _METRIC,

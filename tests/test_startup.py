@@ -75,15 +75,30 @@ class TestPublicNames:
                 "print(sorted(m for m in sys.modules if m.startswith('fractarc')))")
         assert fresh(code) == "['fractarc']"
 
+    def test_importing_the_cli_loads_no_numpy(self):
+        assert fresh("import sys, fractarc.cli; print('numpy' in sys.modules)") == "False"
+
 
 #: Runs one command through ``cli.main`` and prints its exit code, the
-#: engine modules then loaded, and whether numpy.ma was imported.
+#: engine modules then loaded, and whether numpy.ma and numpy were imported.
 COMMAND = """\
 import json, sys
 from fractarc import cli
 code = cli.main(sys.argv[1:])
 print(json.dumps([code, sorted(m.split(".", 1)[1] for m in sys.modules
-                               if m.startswith("fractarc.")), "numpy.ma" in sys.modules]))
+                               if m.startswith("fractarc.")), "numpy.ma" in sys.modules,
+                  "numpy" in sys.modules]))
+"""
+
+#: The library continuity check on a model file, as the benchmark runs it:
+#: prints the violations found and whether numpy was imported.
+CONTINUITY = """\
+import json, random, sys
+from fractarc import arc, cli
+model, _ = cli._load_model(sys.argv[1])
+modulus = arc.modulus_of_continuity(model, 0.5)
+violations = arc.continuity_violations(model, 0.5, modulus.delta, 500, random.Random(1))
+print(json.dumps([violations, "numpy" in sys.modules]))
 """
 
 ESTIMATE = ["cli", "cantor", "dimension"]
@@ -98,19 +113,35 @@ def model(tmp_path_factory):
 
 
 class TestCommandModules:
-    @pytest.mark.parametrize("argv,modules", [
-        (["estimate", "--preset", "cantor", "--generation", "8"], ESTIMATE),
-        (["estimate", "--preset", "product", "--generation", "6"], ESTIMATE),
-        (["estimate", "--preset", "snowflake", "--generation", "10"], ESTIMATE + ["metric"]),
-        (["estimate", "--preset", "rug", "--generation", "7"], ESTIMATE + ["metric"]),
-        (["build", *PLANAR, "--depth", "2", "--out", "{dir}/built.json"], ARC),
-        (["export", "--model", "{model}", "--format", "svg", "--out", "{dir}/m.svg"], ARC),
-        (["verify", "--model", "{model}", "--samples", "20"], ARC + ["measure"]),
+    # the estimate presets and the csv export box-count or net-count, so
+    # they may import numpy; no other command does
+    @pytest.mark.parametrize("argv,modules,numpy_free", [
+        (["estimate", "--preset", "cantor", "--generation", "8"], ESTIMATE, False),
+        (["estimate", "--preset", "product", "--generation", "6"], ESTIMATE, False),
+        (["estimate", "--preset", "snowflake", "--generation", "10"], ESTIMATE + ["metric"],
+         False),
+        (["estimate", "--preset", "rug", "--generation", "7"], ESTIMATE + ["metric"], False),
+        (["build", *PLANAR, "--depth", "2", "--out", "{dir}/built.json"], ARC, True),
+        (["export", "--model", "{model}", "--format", "svg", "--out", "{dir}/m.svg"], ARC,
+         True),
+        (["export", "--model", "{model}", "--format", "json", "--out", "{dir}/m.json"], ARC,
+         True),
+        (["export", "--model", "{model}", "--format", "csv", "--out", "{dir}/m.csv"],
+         ARC + ["dimension"], False),
+        (["verify", "--model", "{model}", "--samples", "20"], ARC + ["measure"], True),
     ], ids=["estimate-cantor", "estimate-product", "estimate-snowflake", "estimate-rug",
-            "build", "export-svg", "verify"])
-    def test_command_loads_only_its_engine_modules(self, argv, modules, model, tmp_path):
+            "build", "export-svg", "export-json", "export-csv", "verify"])
+    def test_command_loads_only_its_engine_modules(self, argv, modules, numpy_free, model,
+                                                   tmp_path):
         argv = [arg.format(dir=tmp_path, model=model) for arg in argv]
-        code, loaded, numpy_ma = json.loads(fresh(COMMAND, *argv))
+        code, loaded, numpy_ma, numpy = json.loads(fresh(COMMAND, *argv))
         assert code == EXIT_OK
         assert loaded == sorted(modules)
         assert not numpy_ma
+        if numpy_free:
+            assert not numpy
+
+    def test_continuity_check_loads_no_numpy(self, model):
+        violations, numpy = json.loads(fresh(CONTINUITY, str(model)))
+        assert violations == 0
+        assert not numpy
