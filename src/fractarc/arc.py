@@ -107,7 +107,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice, product as iter_product
+from itertools import chain, combinations, product as iter_product, repeat
 from operator import sub
 from typing import Iterator, Optional, Sequence
 
@@ -262,19 +262,25 @@ def _parent_shapes(cells: Corners, subs: Corners) -> dict[tuple, list[int]]:
     A parent's shape is its far corner, then the near and far corner of
     each sub-cell in rank order, all minus its near corner, as a tuple of
     integer points over that denominator; connector s runs between shape
-    points 2s+2 and 2s+3.  Only the distinct shapes are kept.
+    points 2s+2 and 2s+3.  The offsets are taken axis by axis over whole
+    columns, and the parents keyed by their per-axis offsets.
     """
     (near, far), (sub_near, sub_far) = cells, subs
-    q = len(sub_near[0]) // len(near[0])
-    sub_cells = zip(zip(*sub_near), zip(*sub_far))
+    n = len(near[0])
+    q = len(sub_near[0]) // n
+    w = 2 * q + 1  # points per shape
+    axes = []  # per axis, the w shape coordinates of each parent in turn
+    for low, high, sub_low, sub_high in zip(near, far, sub_near, sub_far):
+        points = [0] * (n * w)
+        points[::w] = high
+        for j in range(q):
+            points[1 + 2 * j::w] = sub_low[j::q]
+            points[2 + 2 * j::w] = sub_high[j::q]
+        axes.append(list(map(sub, points, chain.from_iterable(map(repeat, low, repeat(w))))))
     parents: dict[tuple, list[int]] = {}
-    for c, (low, high) in enumerate(zip(zip(*near), zip(*far))):
-        points = [high]
-        for cell in islice(sub_cells, q):
-            points += cell
-        shape = tuple(tuple(map(sub, point, low)) for point in points)
-        parents.setdefault(shape, []).append(c)
-    return parents
+    for c, key in enumerate(zip(*[zip(*[iter(axis)] * w) for axis in axes])):
+        parents.setdefault(key, []).append(c)
+    return {tuple(zip(*key)): positions for key, positions in parents.items()}
 
 
 def _integer_ratio(t) -> tuple[int, int]:
