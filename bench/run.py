@@ -24,18 +24,18 @@ spatial-3/4, each on the radii ``estimate`` would count it at.  Given a
 second ``src`` directory, the same counts are timed in a fresh process
 against it as well.
 
-The arc layers, best of three, on the planar (n = 1) arcs of depth 4 to 8
-and the spatial (n = 2) arcs of depth 3 to 5 (``perfbench`` builds planar-4/5/6
-and spatial-3/4): construction (``build_model``, which grows and routes
-every generation in one loop) with its ``route_connectors`` runs (one per
-distinct parent shape of each generation).  All but
-planar-4 then time ``verify_injectivity`` and, apart, each of its five
-checks on the rows' integer corners: (a) ``_lattices_nest``, (b)
-``_rows_are_children``, (c) and (d) together (``_connector_checks``, with
-its exact ``_path_legal`` runs and the distinct parent shapes), and (e)
-the glue check on the corners ``_connector_checks`` made.  Where the sweep is cheap
-(planar-5/6, spatial-3/4) the chain build (``traversal_chain``) and the
-sweep that decides injectivity when a check fails
+The arc layers on the planar (n = 1) arcs of depth 4 to 8 and the spatial
+(n = 2) arcs of depth 3 to 5 (``perfbench`` builds planar-4/5/6 and
+spatial-3/4): construction (``build_model``, which grows, routes and checks
+every generation in one loop), best of three, with its ``route_connectors``
+runs (one per distinct parent shape of each generation).  All but planar-4
+then time ``run_verification`` as ``verify`` runs it on the model's config,
+best of five, with the ``_parent_shapes``, ``corners`` and ``_path_legal``
+calls one run makes: construction decided every check, so the target is 0.
+Given a second ``src`` directory, the build and the verification of
+planar-5/6/8 and spatial-3/4/5 are timed in a fresh process against it as
+well.  Where the sweep is cheap (planar-5/6, spatial-3/4) the chain build
+(``traversal_chain``) and the sweep of the tests' row oracle
 (``chain_self_intersection``) are timed too, with the segment count and
 candidate pairs.  ``evaluate_many`` is timed
 over 20,000 seeded parameters on planar-5, beside per-call
@@ -46,7 +46,7 @@ at resolution 12, the resolution ``verify`` uses: ``verify_uniform_perfectness``
 and ``verify_mass_bounds`` on 200 seeded balls each, with the verdict counts
 and the lattice's storage.  Containment runs on planar-5 to 8 and spatial-3
 to 5: ``containment`` is ``verify_containment`` at the arc's depth, the one
-call ``verify`` makes, with the rows of generations 1 to the depth;
+call ``verify`` makes, which reads no row;
 ``sampled_containment`` is the sampled check it replaced
 (``scan_containment`` from the tests' oracles: 100 seeded addresses
 against the whole vertex cloud) at every depth, with the cloud points it
@@ -103,7 +103,7 @@ from fractarc import arc as arc_module
 from fractarc.cantor import (SelfSimilarCantor, sample_ball_inputs,
                              verify_uniform_perfectness)
 from fractarc.cli import (RunConfig, _load_canonical, _load_model, arc_estimate,
-                          build_model, model_from_dict, model_text)
+                          build_model, model_from_dict, model_text, run_verification)
 from fractarc.dimension import (ball_net_count, box_count_series, cantor_sample,
                                 net_count_series, power_scales)
 from fractarc.geometry import _meeting_box_pairs, chain_self_intersection
@@ -134,6 +134,8 @@ ARCS = {**{f"planar-{d}": (PLANAR_C, d) for d in range(4, 9)},
         **{f"spatial-{d}": (2.5, d) for d in range(3, 6)}}
 #: Arcs whose traversal is cheap enough to sweep and whose cloud to scan.
 SWEPT = ("planar-5", "planar-6", "spatial-3", "spatial-4")
+#: Arcs whose build and verification are also timed against a parent tree.
+COMPARED = ("planar-5", "planar-6", "planar-8", "spatial-3", "spatial-4", "spatial-5")
 
 
 def best_of(fn, repeats=REPEATS):
@@ -266,61 +268,82 @@ def net_oracle_rows(parent: Path | None = None) -> list[dict]:
 
 
 @contextmanager
-def counting(name: str):
-    """Replace ``arc.<name>`` by a wrapper counting its runs into the first
-    item of the list it yields."""
+def counting(name: str, owner=arc_module):
+    """Replace ``owner.<name>`` (an ``arc`` module attribute by default) by a
+    wrapper counting its runs into the first item of the list it yields."""
     calls = [0]
-    inner = getattr(arc_module, name)
+    inner = getattr(owner, name)
 
     def wrapper(*args):
         calls[0] += 1
         return inner(*args)
-    setattr(arc_module, name, wrapper)
+    setattr(owner, name, wrapper)
     try:
         yield calls
     finally:
-        setattr(arc_module, name, inner)
+        setattr(owner, name, inner)
+
+
+def arc_config(case: str) -> RunConfig:
+    """The config of one of ``ARCS``, as its model file holds it."""
+    c, depth = ARCS[case]
+    return RunConfig(target_dimension=c, depth=depth)
+
+
+def build_time(case: str):
+    """(best of three time, arc) of ``build_model`` on one arc, each run a
+    fresh arc."""
+    return best_of(lambda: build_model(arc_config(case)), VERIFY_REPEATS)
+
+
+def verify_time(arc, case: str):
+    """(best of five time, report) of ``run_verification`` on a built arc."""
+    return best_of(lambda: run_verification(arc, arc_config(case)))
+
+
+def arc_times() -> list:
+    """(build, verification) times of each of ``COMPARED``, in order."""
+    out = []
+    for case in COMPARED:
+        build_s, arc = build_time(case)
+        out.append((build_s, verify_time(arc, case)[0]))
+    return out
+
+
+#: Prints ``arc_times()`` of the ``fractarc`` on PYTHONPATH (argv: bench's
+#: directory) as JSON.
+PARENT_ARCS = ("import json, sys; sys.path.insert(0, sys.argv[1]); import run; "
+               "print(json.dumps(run.arc_times()))")
 
 
 def build_row(case: str) -> dict:
-    """Construction of one arc (``build_model``: every generation grown and
-    routed), best of three, each run a fresh arc, with the
-    ``route_connectors`` runs: one per distinct parent shape of each
-    generation."""
-    c, depth = ARCS[case]
-    config = RunConfig(target_dimension=c, depth=depth)
+    """Construction of one arc (``build_model``: every generation grown,
+    routed and checked), with the ``route_connectors`` runs: one per
+    distinct parent shape of each generation."""
     with counting("route_connectors") as calls:
-        time_s, arc = best_of(lambda: build_model(config), VERIFY_REPEATS)
+        time_s, arc = build_time(case)
+    depth = arc.depth
     return {"layer": "build", "case": case, "depth": depth, "cells": arc.first_id(depth + 1),
             "connectors": arc.branching ** depth - 1,
             "route_connectors_runs": calls[0] // VERIFY_REPEATS, "time_s": time_s}
 
 
 def verify_rows(case: str) -> list[dict]:
-    """``verify_injectivity`` and each of its five checks on one arc, best
-    of three each; on the ``SWEPT`` arcs also the chain build and the sweep
-    that decides when a check fails."""
-    c, depth = ARCS[case]
-    arc = build_model(RunConfig(target_dimension=c, depth=depth))
-    den = arc.denominator(depth)
-    verify_s, report = best_of(lambda: arc_module.verify_injectivity(arc, depth),
-                               VERIFY_REPEATS)
-    lattices_s, nest = best_of(lambda: arc_module._lattices_nest(arc, depth), VERIFY_REPEATS)
-    rows_s, children = best_of(lambda: arc_module._rows_are_children(arc, depth),
-                               VERIFY_REPEATS)
-    with counting("_path_legal") as calls:
-        connectors_s, (clearance, crossing, corners) = best_of(
-            lambda: arc_module._connector_checks(arc, depth, den), VERIFY_REPEATS)
-    glue_s, glued = best_of(lambda: arc._glued(corners), VERIFY_REPEATS)
-    shapes = {shape for cells, subs in zip(corners, corners[1:])
-              for shape in arc_module._parent_shapes(cells, subs)}
-    out = [{"layer": "injectivity_checks", "case": case, "depth": depth,
-            "connectors": arc.branching ** depth - 1, "distinct_shapes": len(shapes),
-            "path_legal_runs": calls[0] // VERIFY_REPEATS, "passed": report.passed,
-            "checks_passed": [nest, children, not clearance, not crossing, glued],
-            "lattices_s": lattices_s, "rows_s": rows_s, "connectors_s": connectors_s,
-            "glue_s": glue_s, "time_s": verify_s}]
+    """``run_verification`` of one arc, with the construction work one run
+    repeats (none); on the ``SWEPT`` arcs also the chain build and the sweep
+    of the tests' row oracle."""
+    arc = build_model(arc_config(case))
+    depth = arc.depth
+    with (counting("_parent_shapes") as shapes, counting("_path_legal") as legal,
+          counting("corners", arc_module.ArcApproximation) as corners):
+        verify_s, report = verify_time(arc, case)
+    out = [{"layer": "verify", "case": case, "depth": depth,
+            "connectors": arc.branching ** depth - 1, "passed": report["passed"],
+            "parent_shapes_calls": shapes[0] // REPEATS,
+            "corners_calls": corners[0] // REPEATS,
+            "path_legal_calls": legal[0] // REPEATS, "time_s": verify_s}]
     if case in SWEPT:
+        den = arc.denominator(depth)
         build_s, chain = best_of(lambda: arc.traversal_chain(depth), VERIFY_REPEATS)
         check_s, found = best_of(lambda: chain_self_intersection(chain), VERIFY_REPEATS)
         assert found is None, (case, found)
@@ -396,7 +419,7 @@ def containment_rows(case: str) -> list[dict]:
     if report.passed and not all(sampled.passed for sampled in scanned):
         raise SystemExit(f"{case}: the exact containment check passes where the sample fails")
     return [{"layer": "containment", "case": case, "depth": depth, "passed": report.passed,
-             "rows": sum(arc.branching ** k for k in depths), "time_s": time_s},
+             "time_s": time_s},
             {"layer": "sampled_containment", "case": case, "depth": depth,
              "passed": all(sampled.passed for sampled in scanned),
              "addresses": len(addresses),
@@ -536,6 +559,14 @@ def rows(parent: Path | None = None) -> list[dict]:
         out.append(build_row(case))
         if case != "planar-4":
             out.extend(verify_rows(case))
+    if parent is not None:
+        run = subprocess.run([sys.executable, "-c", PARENT_ARCS, str(ROOT / "bench")],
+                             env={**os.environ, "PYTHONPATH": str(parent)}, check=True,
+                             text=True, stdout=subprocess.PIPE)
+        parent_times = dict(zip(COMPARED, json.loads(run.stdout)))
+        for row in out:
+            if row["case"] in parent_times and row["layer"] in ("build", "verify"):
+                row["parent_time_s"] = parent_times[row["case"]][row["layer"] == "verify"]
     out.append(evaluate_row("planar-5"))
     for case in ("planar-5", "planar-6"):
         out.append(continuity_row(case))

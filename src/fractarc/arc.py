@@ -39,66 +39,80 @@ no object is kept per cell.  Everything else is derived from them:
 * connector j of a cell runs from the far corner of its sub-cell of rank
   j+1 to the near corner of rank j+2.
 
-The model text, the SVG, the vertex cloud, ``evaluate``, the modulus of
-continuity and the injectivity check read only these columns, the
-per-(axis, generation) tables of ``interval_ends`` ("n/d" strings, and
-floats made by Python int / int, correctly rounded as ``float(Fraction)``
-is) and the integer corners of ``corners``: every cell corner as numerators
-over one common denominator, again one column per axis.  The containment
-check reads the columns alone: rows that hold every combination of axis
-indices put a cell, and so its corners, around every point of the product
-(``verify_containment``).
+The model text, the SVG, the vertex cloud, ``evaluate`` and the modulus of
+continuity read only these columns, the per-(axis, generation) tables of
+``interval_ends`` ("n/d" strings, and floats made by Python int / int,
+correctly rounded as ``float(Fraction)`` is) and the integer corners of
+``corners``: every cell corner as numerators over one common denominator,
+again one column per axis.
 
-Connector legality is checked by exact geometry, not proved for the
-distance order in general:
+Checks.  An arc is checked once, as it grows: the constructor decides every
+check of a generation as it grows it, and the first that fails raises
+RoutingFailed naming the check, the generation and the axis or parent.  An
+arc that exists has passed them all, so no verdict is kept.  The depth-k
+traversal runs through the generation-k cells' near-to-far diagonals in id
+order, joined by connectors; the checks are:
 
-* a connector is one segment of positive length inside its parent cell,
-* it meets each closed sibling cell only at its own endpoint corner on that
-  cell (no grazing, no face-sliding),
-* it is disjoint from every other connector of that parent.
+(a) nesting: each distinct axis set's ``lattice(k)`` has closed intervals of
+    positive length, apart in index order, each inside its parent's interval
+    of ``lattice(k-1)`` (``_lattice_nests``);
+(c) clearance: a connector is one segment of positive length inside its
+    parent cell that meets each closed sibling cell only at its own endpoint
+    corner on that cell (no grazing, no face-sliding);
+(d) the connectors of one parent are pairwise disjoint;
+(e) glue: a parent's first sub-cell holds its near corner and its last
+    sub-cell its far corner.
 
-Construction and ``verify_injectivity`` decide all three on a parent's
-integer shape (``_parent_shapes``): its far corner, then the near and far
-corner of each sub-cell in rank order, all minus its near corner, over one
-common denominator.  A connector's vertices are two points of that shape,
-so equal shapes mean the same geometry up to a translation, and the
-predicates are exact and unchanged under translation: one verdict holds for
-every parent with that shape.
+They are checked by exact geometry, not proved for the distance order in
+general.  (c)-(e) read a parent's integer shape (``_parent_shapes``): its
+far corner, then the near and far corner of each sub-cell in rank order,
+all minus its near corner, over one common denominator.  A connector's
+vertices are two points of that shape, so equal shapes mean the same
+geometry up to a translation, and the predicates are exact and unchanged
+under translation: ``route_connectors`` decides them once, on the first
+parent of each distinct shape, and the verdict holds for every parent with
+that shape.
+``_path_legal`` decides (c) by slab clipping in integer (numerator,
+denominator) pairs; ``polylines_disjoint`` decides (d) on the integer
+points.  (e) holds at every generation, so by induction every connector
+glues to the deepest cells: a connector leaves the far corner of a sub-cell,
+which is the far corner of that sub-cell's last sub-cell, and so on down to
+generation k, and it enters the near corner of the first depth-k descendant
+of the next sub-cell in the same way.
 
-* ``_path_legal`` decides the first two tests, with slab clipping in
-  integer (numerator, denominator) pairs;
-* ``segments_meet`` decides the third on the integer points
-  (``route_connectors`` reaches it through ``polylines_disjoint``).
+Two more facts follow from the growth rule and are argued, not checked:
 
-As it grows each generation, the constructor runs ``route_connectors`` on
-the first parent of each distinct shape; an illegal connector raises
-RoutingFailed.
+(b) each parent's rows are its q children, once each, and the rows of every
+    generation k hold each combination of axis indices in [0, 2^k) once (the
+    full product).  A parent with row i gets the rows 2i + b, one for each of
+    the q bit patterns b, in rank order.  Generation 0 is the one row 0.  If
+    generation k-1 is the full product, the rows 2i + b lie in [0, 2^k) on
+    every axis, and each gives back its i and b (halve, and take the
+    remainder), so the q^k rows are distinct: they are the full product.
 
-``verify_injectivity`` does not trust the route: it keys every parent of
-the rows by its shape, so a tampered row gets a shape of its own.  It
-decides that the depth-k traversal (the generation-k cells' near-to-far
-diagonals in id order, joined by connectors) is a simple polyline from five
-exact checks, without walking the traversal:
+Containment.  Each coordinate of a point of the product lies in one
+generation-k interval of its axis, since the Cantor set is the intersection
+of its generations, so the point lies in the product cell with those
+indices.  By (b) that cell is a row; its corners are in the vertex cloud, so
+the point is within the cell's diameter of one of them.
 
-(a) every axis lattice, at every generation up to k, has closed intervals of
-    positive length, apart in index order, each inside its parent's;
-(b) each parent's rows are its q children, once each;
-(c) the first two legality tests, once per (shape, rank);
-(d) the third, once per shape;
-(e) glue: each connector runs from the far corner of the last depth-k cell
-    it leaves to the near corner of the first it enters.
+Injectivity (the nesting lemma).  Give each traversal segment a home: the
+generation-k cell of a diagonal, the parent cell of a connector.  By (a) and
+(b) the cells nest and the cells of one generation are pairwise disjoint
+closed boxes, so two segments whose homes are not nested lie in disjoint
+boxes.  If home H1 strictly contains H2, H2 lies in one sub-cell S of H1; by
+(c) a connector of H1 meets S at most in its own endpoint corner on S, which
+by (e) is a corner of the deepest cell of S next to it in the traversal, and
+no other segment homed inside S reaches that corner.  Connectors of one
+parent are disjoint by (d).
 
-The argument that they suffice (the nesting lemma) is not checked.  Give
-each traversal segment a home: the generation-k cell of a diagonal, the
-parent cell of a connector.  By (a) and (b) the cells nest and the cells of
-one generation are pairwise disjoint closed boxes, so two segments whose
-homes are not nested lie in disjoint boxes.  If home H1 strictly contains
-H2, H2 lies in one sub-cell S of H1; by (c) a connector of H1 meets S at
-most in its own endpoint corner on S, which by (e) is a corner of the
-deepest cell of S next to it in the traversal, and no other segment homed
-inside S reaches that corner.  Connectors of one parent are disjoint by (d).
-When a check fails, ``chain_self_intersection`` sweeps the traversal itself
-and names the first pair of segments that meet.
+``verify_injectivity`` and ``verify_containment`` report that guarantee and
+read no row.  A model file is rebuilt from its config when it is loaded and
+compared byte for byte, so a tampered file is refused before either runs;
+only a caller that edits an arc's private state could hand them other rows.
+The test oracles re-decide every check from the rows, and sweep the
+traversal chain (``traversal_chain``, ``chain_self_intersection``) as the
+reference.
 """
 
 from __future__ import annotations
@@ -107,14 +121,15 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product as iter_product, repeat
+from itertools import chain, product as iter_product, repeat
 from operator import sub
 from typing import Iterator, Optional, Sequence
 
 from .cantor import GenerationBudgetError, ProductCantor, RatioCantorSet
-from .geometry import chain_self_intersection, polylines_disjoint, segments_meet
-# unused here: perfbench/tracing.py wraps arc.boxes_disjoint
-from .geometry import boxes_disjoint
+from .geometry import polylines_disjoint
+# unused here: perfbench/tracing.py wraps arc.boxes_disjoint and
+# arc.chain_self_intersection
+from .geometry import boxes_disjoint, chain_self_intersection
 
 DEFAULT_CELL_BUDGET = 2 ** 18
 _PAIR_BATCH = 1024  # continuity pairs per evaluate_many call
@@ -125,7 +140,8 @@ Corners = tuple[list[list[int]], list[list[int]]]
 
 
 class RoutingFailed(RuntimeError):
-    """A straight connector failed the exact legality tests."""
+    """A generation failed one of the exact checks (a), (c), (d) or (e) of
+    the module docstring."""
 
 
 def _ratio_text(n: int, den: int) -> str:
@@ -183,8 +199,6 @@ def _path_legal(shape: Sequence[Sequence[int]], s: int,
     Every point is an integer offset from the parent's near corner: ``shape``
     holds the parent's far corner, then the near and far corners of each
     sub-cell in rank order, and ``vertices`` the connector's vertices.
-    ``route_connectors`` and the clearance check of ``verify_injectivity``
-    both decide here.
     """
     if len(vertices) != 2 or vertices[0] == vertices[1]:
         return False
@@ -233,11 +247,16 @@ def _clip(a: Sequence[int], b: Sequence[int], lo: Sequence[int], hi: Sequence[in
 def route_connectors(shape: Sequence[Sequence[int]], generation: int, parent_id: int
                      ) -> list[tuple[Sequence[int], Sequence[int]]]:
     """The straight connectors of a parent with integer ``shape`` (see
-    ``_parent_shapes``), as (source, target) pairs of shape points.
+    ``_parent_shapes``), as (source, target) pairs of shape points, after
+    checks (c)-(e) of the module docstring.
 
-    Each connector must pass ``_path_legal`` and miss every earlier
-    connector of the parent (``polylines_disjoint``); the first that fails
-    raises RoutingFailed naming the generation, the parent and the ranks.
+    Each connector must pass ``_path_legal`` (c) and miss every earlier
+    connector of the parent (``polylines_disjoint``, (d)); the first that
+    fails raises RoutingFailed naming the generation, the parent and the
+    ranks.  Then the parent must glue (e): its first sub-cell's near corner
+    is its own (the origin of the shape), and its last sub-cell's far
+    corner is its own.  Since every parent glues, every connector glues to
+    the deepest cells, by induction on the generations below it.
     """
     paths: list[tuple[Sequence[int], Sequence[int]]] = []
     for s in range((len(shape) - 1) // 2 - 1):
@@ -249,7 +268,29 @@ def route_connectors(shape: Sequence[Sequence[int]], generation: int, parent_id:
                 f"the straight connector of generation {generation} (parent {parent_id}) "
                 f"between cells ranked {s + 1} and {s + 2} is not legal")
         paths.append((a, b))
+    if any(shape[1]) or shape[-1] != shape[0]:
+        raise RoutingFailed(
+            f"check (e) fails at generation {generation} (parent {parent_id}): its "
+            f"first and last sub-cells do not hold its near and far corners")
     return paths
+
+
+def _lattice_nests(upper: tuple, lower: tuple) -> bool:
+    """Check (a) of the module docstring on one Cantor set: whether the
+    intervals of the lattice ``lower`` (lows, length, denominator, as
+    ``lattice(k)`` gives it) have positive length, each starts after the
+    previous one ends, and each lies inside its parent's interval in
+    ``upper``, ``lattice(k-1)``.  Both are compared over their common
+    denominator."""
+    (up_lows, up_len, up_den), (lows, length, den) = upper, lower
+    common = math.lcm(up_den, den)
+    up = [a * (common // up_den) for a in up_lows]
+    low = [a * (common // den) for a in lows]
+    up_len, length = up_len * (common // up_den), length * (common // den)
+    return (length > 0 and len(low) == 2 * len(up)
+            and all(b - a > length for a, b in zip(low, low[1:]))
+            and all(a >= u for a, u in zip(low[::2], up))
+            and all(b + length <= u + up_len for b, u in zip(low[1::2], up)))
 
 
 def _parent_shapes(cells: Corners, subs: Corners) -> dict[tuple, list[int]]:
@@ -304,7 +345,8 @@ class ArcApproximation:
     module docstring)."""
 
     def __init__(self, base_set: RatioCantorSet, product: ProductCantor, depth: int):
-        """Grow and route every generation up to ``depth``, in one loop.
+        """Grow, route and check every generation up to ``depth``, in one
+        loop.
 
         The sub-cells of a parent with interval indices i take intervals
         2i + b on each axis, for the q bit patterns b (axis 0 the high bit).
@@ -313,10 +355,13 @@ class ArcApproximation:
         Python ints.  Within one parent the near corners order as the
         patterns do, so the key is |near corner|^2 * q + pattern.
 
+        Before a generation grows, each distinct axis set's lattice must
+        nest in its previous generation (check (a), ``_lattice_nests``).
         Each grown generation is routed at once: ``route_connectors`` checks
-        the first parent of each distinct shape; the other parents with that
-        shape hold the same segments translated (see the module docstring).
-        The connectors themselves stay implicit in the columns.
+        (c)-(e) on the first parent of each distinct shape; the other
+        parents with that shape hold the same segments translated (see the
+        module docstring).  The connectors themselves stay implicit in the
+        columns.  A failed check raises RoutingFailed.
         """
         if product.copies < 1:
             raise ValueError("product needs at least one factor axis")
@@ -345,6 +390,12 @@ class ArcApproximation:
         cells = self.corners(0, den)
         for k in range(1, depth + 1):
             lattices = [s.lattice(k) for s in self._axis_sets]
+            # axis 0 reads the base set and every other axis the one factor
+            for axis, s in enumerate(self._axis_sets[:2]):
+                if not _lattice_nests(s.lattice(k - 1), lattices[axis]):
+                    raise RoutingFailed(
+                        f"check (a) fails at generation {k}: the lattice of axis {axis} "
+                        f"does not nest in generation {k - 1}")
             lcm = math.lcm(*(axis_den for _, _, axis_den in lattices))
             squares = [[(a * (lcm // axis_den)) ** 2 for a in axis_lows]
                        for axis_lows, _, axis_den in lattices]
@@ -356,9 +407,6 @@ class ArcApproximation:
                     sums = [x + y for x in sums for y in (low, high)]
                 keys = [x * q + b for b, x in enumerate(sums)]
                 order = sorted(range(q), key=keys.__getitem__)
-                # structural invariants of the distance order: the first
-                # sub-cell holds the parent's near corner, the last its far corner
-                assert order[0] == 0 and order[-1] == q - 1
                 for column, i, axis_bits in zip(columns, row, bits):
                     column.extend([2 * i + axis_bits[b] for b in order])
             self._columns.append(tuple(memoryview(column).toreadonly() for column in columns))
@@ -417,8 +465,8 @@ class ArcApproximation:
 
     def axis_ends(self, k: int) -> list[list[float]]:
         """Per axis, the sorted float ends, lower and upper, of the
-        generation-k intervals: on full-product rows (``_full_product``) the
-        vertex cloud is their Cartesian product."""
+        generation-k intervals: the rows are the full product (see the
+        module docstring), so the vertex cloud is their Cartesian product."""
         return [sorted(lo + hi) for lo, hi in self.interval_ends("float", k)]
 
     def _float_corners(self, k: int, corner: Sequence[int]) -> Iterator[tuple[float, ...]]:
@@ -600,123 +648,19 @@ class InjectivityReport:
 
 
 def verify_injectivity(arc: ArcApproximation, k: int) -> InjectivityReport:
-    """Exact injectivity evidence for the depth-k model.
+    """Exact injectivity evidence for the depth-k model (k >= 1).
 
-    The five checks of the module docstring, on the index columns as
-    integers with no ``Fraction`` made: (a) the axis lattices nest
-    (``_lattices_nest``); (b) each parent's rows are its q children
-    (``_rows_are_children``); (c) clearance and (d) the disjointness of one
-    parent's connectors, once per distinct parent shape
-    (``_connector_checks``; planar-5 has 1023 connectors but 9 shapes); (e)
-    glue (``_glued``, on the corners that ``_connector_checks`` made).  When
-    all pass, the parameter-order traversal is a simple polyline by the
-    nesting lemma, which is argued, not checked.  Only when one fails does
-    ``chain_self_intersection`` sweep the
-    traversal (``traversal_chain``) and name the first pair of segments that
-    meet; a chain that fails to glue or has a zero-length segment is
-    reported as the pair (-1, -1).  The traversal holds every connector as
-    a sub-chain, so ``connector_pairs_checked`` counts every connector pair.
+    The constructor decided checks (a) and (c)-(e) of the module docstring
+    on every generation, and (b) follows from the growth rule, so the
+    depth-k traversal is a simple polyline by the nesting lemma; the report
+    states that and reads no row.  The traversal holds every connector as a
+    sub-chain, so ``connector_pairs_checked`` counts every connector pair.
     """
+    if k < 1:
+        raise ValueError("injectivity depth starts at 1")
     arc._require_depth(k)
-    clearance, crossing, generations = _connector_checks(arc, k, arc.denominator(k))
-    decided = (k >= 1 and not clearance and not crossing and _lattices_nest(arc, k)
-               and _rows_are_children(arc, k) and arc._glued(generations))
-    traversal_violation = None
-    if not decided:
-        try:
-            traversal_violation = chain_self_intersection(arc.traversal_chain(k))
-        except (RuntimeError, ValueError):
-            # chain fails to glue or degenerates: report rather than crash
-            traversal_violation = (-1, -1)
     connectors = arc.branching ** k - 1
-    return InjectivityReport(k, connectors * (connectors - 1) // 2, clearance,
-                             traversal_violation)
-
-
-def _connector_checks(arc: ArcApproximation, k: int, den: int
-                      ) -> tuple[list[int], bool, list[Corners]]:
-    """(c) and (d) of ``verify_injectivity`` on the connectors of
-    generations 1..k: the sorted ids of those that fail ``_path_legal``, and
-    whether two connectors of one parent meet; with the corners of
-    generations 0..k over ``den``, which the glue check reads next.
-
-    Both are decided once per distinct parent shape (``_parent_shapes``, over
-    ``den``) and hold for every parent with that shape; shapes of different
-    generations differ in the parent's size, so one verdict table serves
-    every generation.
-    """
-    q = arc.branching
-    verdicts: dict[tuple, tuple[list[int], bool]] = {}  # shape -> (failing ranks, meet)
-    violations: list[int] = []
-    crossing = False
-    generations = [arc.corners(0, den)]
-    for g in range(1, k + 1):
-        first = arc.first_id(g - 1)
-        generations.append(arc.corners(g, den))
-        for shape, parents in _parent_shapes(*generations[-2:]).items():
-            if shape not in verdicts:
-                segments = [shape[2 * s + 2:2 * s + 4] for s in range(q - 1)]
-                verdicts[shape] = (
-                    [s for s, ends in enumerate(segments) if not _path_legal(shape, s, ends)],
-                    any(segments_meet(*a, *b) for a, b in combinations(segments, 2)))
-            failing, meet = verdicts[shape]
-            crossing = crossing or meet
-            violations.extend((first + c) * (q - 1) + s for c in parents for s in failing)
-    return sorted(violations), crossing, generations
-
-
-def _lattices_nest(arc: ArcApproximation, k: int) -> bool:
-    """(a) of ``verify_injectivity``: on each axis's Cantor set and at each
-    generation 1..k, the closed intervals have positive length, each starts
-    after the previous one ends, and each lies inside its parent's interval.
-    Each generation is compared with its parent over their common
-    denominator."""
-    for cantor_set in dict.fromkeys(arc._axis_sets):
-        for g in range(1, k + 1):
-            (up_lows, up_len, up_den), (lows, length, den) = (cantor_set.lattice(g - 1),
-                                                              cantor_set.lattice(g))
-            common = math.lcm(up_den, den)
-            up = [a * (common // up_den) for a in up_lows]
-            low = [a * (common // den) for a in lows]
-            up_len, length = up_len * (common // up_den), length * (common // den)
-            if not (length > 0 and len(low) == 2 * len(up)
-                    and all(b - a > length for a, b in zip(low, low[1:]))
-                    and all(a >= u for a, u in zip(low[::2], up))
-                    and all(b + length <= u + up_len for b, u in zip(low[1::2], up))):
-                return False
-    return True
-
-
-def _rows_are_children(arc: ArcApproximation, k: int) -> bool:
-    """(b) of ``verify_injectivity``: every generation 0..k holds each
-    combination of axis indices once (``_full_product``), and each row of
-    generation g is 2 * its parent's row plus a 0/1 bit per axis.  The q
-    distinct rows of one parent are then its q children, once each."""
-    q = arc.branching
-    for g in range(k + 1):
-        columns = arc.generation_columns(g)
-        if not _full_product(columns, g):
-            return False
-        if g and not all(0 <= i - 2 * up <= 1
-                         for column, parents in zip(columns, arc.generation_columns(g - 1))
-                         for b in range(q) for i, up in zip(column[b::q], parents)):
-            return False
-    return True
-
-
-def _full_product(columns: Sequence[Sequence[int]], k: int) -> bool:
-    """Whether the generation-k rows, given as per-axis ``columns``, hold
-    every combination of per-axis interval indices, each once (see
-    ``axis_ends``): each index lies in [0, 2^k) and the q^k row keys, the
-    indices as base-2^k digits, are distinct."""
-    side = 2 ** k
-    n = side ** len(columns)
-    if any(len(column) != n or min(column) < 0 or max(column) >= side for column in columns):
-        return False
-    keys = [0] * n
-    for column in columns:
-        keys = [key * side + i for key, i in zip(keys, column)]
-    return len(set(keys)) == n
+    return InjectivityReport(k, connectors * (connectors - 1) // 2, [], None)
 
 
 @dataclass
@@ -728,20 +672,14 @@ class ContainmentReport:
 
 def verify_containment(arc: ArcApproximation, k: int) -> ContainmentReport:
     """Every point of the product lies within one generation-k cell
-    diameter of the depth-k model's vertex cloud.
+    diameter (``bound``) of the depth-k model's vertex cloud.
 
-    Passes exactly when the rows of every generation 1..k hold each
-    combination of axis indices once (``_full_product``), an integer check.
-    The argument from there is not checked: the Cantor set on each axis is
-    the intersection of its generations, so each coordinate of a product
-    point lies in one generation-k interval of its axis, and the point in
-    the product cell with those indices.  That cell is a row, its corners
-    are in the vertex cloud, and so the point is within the cell's diameter
-    (``bound``) of one of them.
+    The growth rule makes the rows of every generation the full product of
+    axis indices, and containment follows from that (both arguments are in
+    the module docstring), so the report passes and reads no row.
     """
     arc._require_depth(k)
-    passed = all(_full_product(arc.generation_columns(g), g) for g in range(1, k + 1))
-    return ContainmentReport(k, arc.cell_diameter(k), passed)
+    return ContainmentReport(k, arc.cell_diameter(k), True)
 
 
 @dataclass
@@ -762,7 +700,7 @@ def modulus_of_continuity(arc: ArcApproximation, epsilon: float) -> ModulusRepor
     epsilon / (2 * max Lipschitz rate of connectors at depths <= K).
     Requires depth K+1 built.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if epsilon >= math.sqrt(arc.ambient_dimension):
         return ModulusReport(epsilon, 1.0, 0, 1.0, 0.0, True)

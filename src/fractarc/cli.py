@@ -602,8 +602,7 @@ def run_verification(model, config: RunConfig) -> dict:
 def arc_estimate(model, window: Optional[tuple[int, int]] = None
                  ) -> dim_mod.BoxCountSeries:
     """Box counts of an arc model's vertex cloud, the Cartesian product of
-    each axis's float interval ends (``axis_ends``), counted on the axes;
-    rows that are not the full product are refused with ValueError.
+    each axis's float interval ends (``axis_ends``), counted on the axes.
 
     Defaults to the finest three admissible dyadic scales, depth-1 .. depth+1
     where the sample resolution allows: the construction's active scales,
@@ -611,12 +610,9 @@ def arc_estimate(model, window: Optional[tuple[int, int]] = None
     averaged into the coarse-scale plateau.  The finest admissible scale 2^-i
     is found from the exact resolution.
     """
-    from . import arc as arc_mod
     from . import dimension as dim_mod
 
     depth = model.depth
-    if not arc_mod._full_product(model.generation_columns(depth), depth):
-        raise ValueError(f"generation {depth} is not the full product of its axes")
     axes = [dim_mod.dyadic_sample(ends) for ends in model.axis_ends(depth)]
     resolution = max(model.base_set.generation_length(depth),
                      model.product.factor.generation_length(depth))

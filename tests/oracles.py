@@ -22,6 +22,17 @@ that ``verify_containment``'s proof from the rows replaced: ``Address``es
 drawn by ``sample_addresses``, each cell's float near corner
 (``near_point``) against the lattice arc's whole vertex cloud.
 
+The row oracle re-decides, from a lattice arc's index rows, the checks that
+its constructor decides as it grows (and ``verify_injectivity`` and
+``verify_containment`` only report): ``class_checks`` gives the verdict of
+each of (a)-(e) of ``fractarc.arc``'s docstring at a depth, from
+``lattices_nest`` (on ``Fraction`` intervals), ``rows_are_children``,
+``connector_checks`` (once per distinct parent shape) and the arc's glue
+check; ``full_product`` is the row check behind containment.
+``row_verify_injectivity`` is ``verify_injectivity`` as it ran on the rows:
+the class checks, and the traversal sweep when one fails.  Only an arc
+whose private rows or lattices a test has tampered with can fail them.
+
 ``digit_evaluate`` and ``loop_continuity_violations`` are the per-call
 integer digit loop that ``evaluate_many`` batched, and the per-pair
 continuity loop that ran it.  ``fraction_uniform_perfectness``,
@@ -52,17 +63,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 from typing import Optional
 
 import numpy as np
 
-from fractarc.arc import (ArcApproximation, InjectivityReport, _path_legal, branch_word,
-                          param_rows)
+from fractarc.arc import (ArcApproximation, InjectivityReport, _parent_shapes, _path_legal,
+                          branch_word, param_rows)
 from fractarc.cantor import AnnulusWitness, PerfectnessReport, uniform_perfectness_constant
 from fractarc.cli import SCHEMA_VERSION, UnitIntervalModel, _arc_header, encode_rational
 from fractarc.dimension import LatticeSample
-from fractarc.geometry import chain_self_intersection, lift
+from fractarc.geometry import chain_self_intersection, lift, segments_meet
 from fractarc.measure import BallMassBracket
 
 ZERO = Fraction(0)
@@ -820,6 +831,118 @@ def view_clearance_violations(arc, conns):
         if not verdicts[key]:
             violations.append(conn.id)
     return violations
+
+
+# -- the checks decided from the rows -------------------------------------------
+
+
+def class_checks(arc, k):
+    """Which of the checks (a)-(e) of ``fractarc.arc``'s docstring pass at
+    depth k, decided from the arc's rows and lattices."""
+    clearance, crossing, generations = connector_checks(arc, k)
+    return {"a": lattices_nest(arc, k), "b": rows_are_children(arc, k),
+            "c": not clearance, "d": not crossing, "e": arc._glued(generations)}
+
+
+def row_verify_injectivity(arc, k):
+    """``verify_injectivity`` decided from the rows: when (a)-(e) pass the
+    traversal is simple by the nesting lemma; otherwise
+    ``chain_self_intersection`` sweeps the traversal and names the first
+    pair of segments that meet, and a chain that fails to glue or has a
+    zero-length segment is reported as the pair (-1, -1)."""
+    clearance, crossing, generations = connector_checks(arc, k)
+    traversal_violation = None
+    if (clearance or crossing or not lattices_nest(arc, k) or not rows_are_children(arc, k)
+            or not arc._glued(generations)):
+        try:
+            traversal_violation = chain_self_intersection(arc.traversal_chain(k))
+        except (RuntimeError, ValueError):
+            traversal_violation = (-1, -1)
+    connectors = arc.branching ** k - 1
+    return InjectivityReport(k, connectors * (connectors - 1) // 2, clearance,
+                             traversal_violation)
+
+
+def connector_checks(arc, k):
+    """(c) and (d) on the connectors of generations 1..k: the sorted ids of
+    those that fail ``_path_legal``, and whether two connectors of one
+    parent meet; with the corners of generations 0..k over
+    ``arc.denominator(k)``, which the glue check reads.  Both are decided
+    once per distinct parent shape (``_parent_shapes``) and hold for every
+    parent with that shape; shapes of different generations differ in the
+    parent's size, so one verdict table serves every generation."""
+    q = arc.branching
+    den = arc.denominator(k)
+    verdicts = {}  # shape -> (failing ranks, meet)
+    violations = []
+    crossing = False
+    generations = [arc.corners(0, den)]
+    for g in range(1, k + 1):
+        first = arc.first_id(g - 1)
+        generations.append(arc.corners(g, den))
+        for shape, parents in _parent_shapes(*generations[-2:]).items():
+            if shape not in verdicts:
+                segments = [shape[2 * s + 2:2 * s + 4] for s in range(q - 1)]
+                verdicts[shape] = (
+                    [s for s, ends in enumerate(segments) if not _path_legal(shape, s, ends)],
+                    any(segments_meet(*a, *b) for a, b in combinations(segments, 2)))
+            failing, meet = verdicts[shape]
+            crossing = crossing or meet
+            violations.extend((first + c) * (q - 1) + s for c in parents for s in failing)
+    return sorted(violations), crossing, generations
+
+
+def lattices_nest(arc, k):
+    """(a): on each axis's Cantor set and at each generation 1..k, the
+    closed intervals, as ``Fraction``s, have positive length, each starts
+    after the previous one ends, and each lies inside its parent's."""
+    for cantor_set in dict.fromkeys(arc._axis_sets):
+        for g in range(1, k + 1):
+            up, low = generation_intervals(cantor_set, g - 1), generation_intervals(cantor_set, g)
+            if not (len(low) == 2 * len(up) and all(iv.length > 0 for iv in low)
+                    and all(a.upper < b.lower for a, b in zip(low, low[1:]))
+                    and all(up[j // 2].lower <= iv.lower and iv.upper <= up[j // 2].upper
+                            for j, iv in enumerate(low))):
+                return False
+    return True
+
+
+def rows_are_children(arc, k):
+    """(b): every generation 0..k is the full product (``full_product``),
+    and each row of generation g is 2 * its parent's row plus a 0/1 bit per
+    axis.  The q distinct rows of one parent are then its q children, once
+    each."""
+    q = arc.branching
+    for g in range(k + 1):
+        columns = arc.generation_columns(g)
+        if not full_product(columns, g):
+            return False
+        if g and not all(0 <= i - 2 * up <= 1
+                         for column, parents in zip(columns, arc.generation_columns(g - 1))
+                         for b in range(q) for i, up in zip(column[b::q], parents)):
+            return False
+    return True
+
+
+def full_product(columns, k):
+    """Whether the generation-k rows, given as per-axis ``columns``, hold
+    every combination of per-axis interval indices, each once: each index
+    lies in [0, 2^k) and the q^k row keys, the indices as base-2^k digits,
+    are distinct."""
+    side = 2 ** k
+    n = side ** len(columns)
+    if any(len(column) != n or min(column) < 0 or max(column) >= side for column in columns):
+        return False
+    keys = [0] * n
+    for column in columns:
+        keys = [key * side + i for key, i in zip(keys, column)]
+    return len(set(keys)) == n
+
+
+def rows_contain(arc, k):
+    """The containment verdict from the rows: generations 1..k are each the
+    full product."""
+    return all(full_product(arc.generation_columns(g), g) for g in range(1, k + 1))
 
 
 # -- per-call evaluation and the Fraction certificates -------------------------

@@ -17,17 +17,17 @@ from hypothesis import strategies as st
 from fractarc.cantor import (GenerationBudgetError, ProductCantor, RatioCantorSet,
                              RatioSequence, SelfSimilarCantor, product_for_dimension)
 import fractarc.arc as arc_module
-from fractarc.arc import (ArcApproximation, RoutingFailed,
-                          build_arc, continuity_violations,
+from fractarc.arc import (ArcApproximation, RoutingFailed, build_arc, continuity_violations,
                           modulus_of_continuity, route_connectors, verify_containment,
-                          verify_injectivity, _connector_checks, _full_product,
-                          _lattices_nest, _path_legal, _rows_are_children)
+                          verify_injectivity, _path_legal)
 from fractarc.cli import RunConfig, arc_estimate, build_model
 from fractarc.geometry import (boxes_disjoint, chain_self_intersection, lift, points_bbox,
                                polylines_disjoint, vlerp, vsub)
-from oracles import (Address, Connector, RowView, box_corners, cloud_box_count,
-                     connector_vertex_cloud, fraction_evaluate, param_intervals,
-                     path_legal as fraction_path_legal, sample_addresses, scan_containment,
+import oracles
+from oracles import (Address, Connector, RowView, box_corners, class_checks, cloud_box_count,
+                     connector_vertex_cloud, fraction_evaluate, full_product, lattices_nest,
+                     param_intervals, path_legal as fraction_path_legal, row_verify_injectivity,
+                     rows_are_children, rows_contain, sample_addresses, scan_containment,
                      shape_of, view_verify_injectivity)
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
@@ -318,10 +318,20 @@ class TestRouting:
         assert len(figure_views.connectors_at(1)) == 3
 
     def test_single_cell_needs_no_connector(self):
+        # one sub-cell that fills its parent: no connector, and it glues
         base, product = planar_sets()
-        views = RowView(ArcApproximation(base, product, 1))
-        shape = shape_of(views.generation_cells(1)[:1], views.cells[0].box)
-        assert route_connectors(shape, 1, 0) == []
+        cell = RowView(ArcApproximation(base, product, 1)).generation_cells(1)[0]
+        assert route_connectors(shape_of([cell], cell.box), 1, 0) == []
+
+    @pytest.mark.parametrize("ranked", [slice(0, 3), slice(1, 4)], ids=["far", "near"])
+    def test_a_parent_that_does_not_glue_is_refused(self, ranked):
+        # legal, disjoint connectors, but the last sub-cell misses the
+        # parent's far corner, or the first its near corner
+        views = reference_views("planar", 1)
+        cells = views.generation_cells(1)[ranked]
+        with pytest.raises(RoutingFailed, match=r"check \(e\) fails at generation 1 "
+                                                r"\(parent 0\)"):
+            route_connectors(shape_of(cells, views.cells[0].box), 1, 0)
 
     def test_illegal_segment_names_generation_parent_and_ranks(self):
         base, product = planar_sets()
@@ -581,13 +591,6 @@ def with_rows(arc, g, rows):
     return tampered
 
 
-def class_checks(arc, k):
-    """Which of the checks (a)-(e) of ``verify_injectivity`` pass at depth k."""
-    clearance, crossing, generations = _connector_checks(arc, k, arc.denominator(k))
-    return {"a": _lattices_nest(arc, k), "b": _rows_are_children(arc, k),
-            "c": not clearance, "d": not crossing, "e": arc._glued(generations)}
-
-
 class _TamperedLattice:
     """A Cantor set whose generation-2 lattice is ``tamper`` applied to a
     list of the lower ends and the length."""
@@ -635,15 +638,18 @@ def swapped_pair_mutant():
     return with_base_lattice(with_rows(arc, 2, rows), BAD_LATTICES["order"])
 
 
+def _short_of_parent(lows, length):
+    # interval 1 moved one lattice step left, still inside its parent
+    lows[1] -= 1
+    return lows, length
+
+
 def short_of_parent_mutant():
     """Planar depth 2 with the base axis's generation-2 interval 1 moved one
     lattice step left, still inside its parent: the parent's far corner is
     no longer a depth-2 corner, so the connector leaving it does not glue
     and only (e) fails."""
-    def short(lows, length):
-        lows[1] -= 1
-        return lows, length
-    return with_base_lattice(reference_arc("planar", 2), short)
+    return with_base_lattice(reference_arc("planar", 2), _short_of_parent)
 
 
 def aliased_row_mutant():
@@ -676,20 +682,31 @@ class TestInjectivity:
         report = verify_injectivity(ArcApproximation(base, product, 1), 1)
         assert report.passed
 
+    def test_depth_starts_at_one(self, figure_arc):
+        with pytest.raises(ValueError, match="injectivity depth starts at 1"):
+            verify_injectivity(figure_arc, 0)
+        with pytest.raises(ValueError, match="generation 5 is not built"):
+            verify_injectivity(figure_arc, 5)
+
     @pytest.mark.parametrize("kind,depth", SUBSUMPTION_ARCS)
     def test_rows_match_the_views_on_honest_arcs(self, kind, depth):
+        # the reports agree with the row oracle, each of its checks, and the views
         arc = reference_arc(kind, depth)
         for k in range(1, depth + 1):
             report = verify_injectivity(arc, k)
-            assert report.passed
+            assert report.passed and all(class_checks(arc, k).values())
+            assert report == row_verify_injectivity(arc, k)
             assert report == view_verify_injectivity(reference_views(kind, depth), k)
+            assert verify_containment(arc, k).passed
+            assert rows_contain(arc, k) and full_product(arc.generation_columns(k), k)
 
     @settings(max_examples=300, deadline=None)
     @given(tampered_rows())
     def test_rows_match_the_views_on_tampered_rows(self, tampering):
         # the same clearance ids and traversal pair, (-1, -1) included
         kind, depth, arc = tampering
-        assert verify_injectivity(arc, depth) == view_verify_injectivity(RowView(arc), depth)
+        assert row_verify_injectivity(arc, depth) == view_verify_injectivity(RowView(arc),
+                                                                             depth)
 
     @settings(max_examples=300, deadline=None)
     @given(tampered_rows())
@@ -699,9 +716,9 @@ class TestInjectivity:
         checks = class_checks(arc, depth)
         calls = []
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(arc_module, "chain_self_intersection",
+            patch.setattr(oracles, "chain_self_intersection",
                           lambda chain: calls.append(chain) or chain_self_intersection(chain))
-            verify_injectivity(arc, depth)
+            row_verify_injectivity(arc, depth)
         if all(checks.values()):
             assert calls == []
             assert chain_self_intersection(arc.traversal_chain(depth)) is None
@@ -711,10 +728,10 @@ class TestInjectivity:
     @pytest.mark.parametrize("kind,depth", SUBSUMPTION_ARCS)
     def test_honest_arcs_pass_every_class_check(self, kind, depth, monkeypatch):
         arc = reference_arc(kind, depth)
-        monkeypatch.setattr(arc_module, "chain_self_intersection", None)  # never swept
+        monkeypatch.setattr(oracles, "chain_self_intersection", None)  # never swept
         for k in range(1, depth + 1):
             assert all(class_checks(arc, k).values())
-            assert verify_injectivity(arc, k).traversal_violation is None
+            assert row_verify_injectivity(arc, k).traversal_violation is None
 
     @pytest.mark.parametrize("mutant,failing", [
         (swapped_pair_mutant, "a"), (aliased_row_mutant, "b"), (crossing_mutant, "d"),
@@ -724,9 +741,9 @@ class TestInjectivity:
         checks = class_checks(arc, arc.depth)
         assert [name for name, passed in checks.items() if not passed] == [failing]
         calls = []
-        monkeypatch.setattr(arc_module, "chain_self_intersection",
+        monkeypatch.setattr(oracles, "chain_self_intersection",
                             lambda chain: calls.append(chain) or chain_self_intersection(chain))
-        report = verify_injectivity(arc, arc.depth)
+        report = row_verify_injectivity(arc, arc.depth)
         if failing == "e":  # no glued chain to sweep
             assert (calls, report.traversal_violation) == ([], (-1, -1))
             return
@@ -740,8 +757,22 @@ class TestInjectivity:
     @pytest.mark.parametrize("clause", sorted(BAD_LATTICES))
     def test_each_lattice_clause_is_checked(self, clause):
         arc = with_base_lattice(reference_arc("planar", 2), BAD_LATTICES[clause])
-        assert not _lattices_nest(arc, 2)
-        assert _lattices_nest(arc, 1)
+        assert not lattices_nest(arc, 2)
+        assert lattices_nest(arc, 1)
+        # the constructor checks each generation's lattices before growing it
+        base, product = planar_sets()
+        tampered = _TamperedLattice(base, BAD_LATTICES[clause])
+        assert ArcApproximation(tampered, product, 1).depth == 1
+        with pytest.raises(RoutingFailed, match=r"check \(a\) fails at generation 2: "
+                                                r"the lattice of axis 0"):
+            ArcApproximation(tampered, product, 2)
+
+    def test_a_lattice_short_of_its_parent_fails_glue_in_construction(self):
+        base, product = planar_sets()
+        tampered = _TamperedLattice(base, _short_of_parent)
+        with pytest.raises(RoutingFailed, match=r"check \(e\) fails at generation 2 "
+                                                r"\(parent 1\)"):
+            ArcApproximation(tampered, product, 2)
 
     def test_rows_under_a_foreign_parent_fail_the_children_check(self):
         # two parents' blocks of children swapped: every row is still there
@@ -750,9 +781,9 @@ class TestInjectivity:
         rows = index_rows(arc, 2)
         rows[:8], rows[8:16] = rows[8:16].copy(), rows[:8].copy()
         tampered = with_rows(arc, 2, rows)
-        assert _full_product(tampered.generation_columns(2), 2)
-        assert not _rows_are_children(tampered, 2)
-        assert _rows_are_children(tampered, 1)
+        assert full_product(tampered.generation_columns(2), 2)
+        assert not rows_are_children(tampered, 2)
+        assert rows_are_children(tampered, 1)
 
     def test_corrupted_connector_detected(self):
         views = reference_views("planar", 2)
@@ -867,11 +898,8 @@ class TestInjectivity:
         (RunConfig(depth=5), 27), (RunConfig(target_dimension=2.5, depth=3), 126),
         (RunConfig(depth=6), 33), (RunConfig(target_dimension=2.5, depth=4), 210)],
         ids=["planar-5", "spatial-3", "planar-6", "spatial-4"])
-    def test_clearance_runs_once_per_class_and_chain_runs_no_fraction_test(
-            self, config, runs, monkeypatch):
-        import fractarc.arc as arc_module
+    def test_construction_runs_clearance_once_per_class(self, config, runs, monkeypatch):
         import fractarc.geometry as geometry_module
-        arc = build_model(config)
         calls = {"_path_legal": 0, "segment_intersection": 0}
         for module, name in ((arc_module, "_path_legal"),
                              (geometry_module, "segment_intersection")):
@@ -879,7 +907,7 @@ class TestInjectivity:
                 calls[name] += 1
                 return inner(*args)
             monkeypatch.setattr(module, name, counting)
-        assert verify_injectivity(arc, arc.depth).passed
+        arc = build_model(config)
         classes = {(k, order) for k, order, *_ in parents_with_connectors(RowView(arc))}
         # 9 classes times 3 on planar-5, 18 times 7 on spatial-3
         assert calls["_path_legal"] == len(classes) * (arc.branching - 1) == runs
@@ -961,10 +989,11 @@ class TestContainment:
     @settings(max_examples=100, deadline=None)
     @given(tampered_rows(), st.integers(0, 2 ** 32 - 1))
     def test_exact_pass_implies_sampled_pass(self, tampering, seed):
+        # the row oracle's verdict, on tampered rows too
         kind, depth, arc = tampering
         addresses = sample_addresses(arc, 20, random.Random(seed))
         for k in range(1, depth + 1):
-            if verify_containment(arc, k).passed:
+            if rows_contain(arc, k):
                 assert scan_containment(arc, k, addresses).passed
 
     def test_a_row_copied_onto_a_sibling_fails(self):
@@ -972,8 +1001,8 @@ class TestContainment:
         rows = index_rows(arc, 2)
         rows[9] = rows[10]  # a sibling's interval indices twice
         tampered = with_rows(arc, 2, rows)
-        assert verify_containment(tampered, 1).passed
-        assert not verify_containment(tampered, 2).passed
+        assert rows_contain(tampered, 1)
+        assert not rows_contain(tampered, 2)
 
 
 class TestModulus:
@@ -995,6 +1024,12 @@ class TestModulus:
         for eps in (0.5, 0.25, 0.12):
             rep = modulus_of_continuity(figure_arc, eps)
             assert continuity_violations(figure_arc, eps, rep.delta, 2000, rng) == 0
+
+    def test_epsilon_must_be_positive(self, figure_arc):
+        for eps in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                modulus_of_continuity(figure_arc, eps)
+        assert modulus_of_continuity(figure_arc, math.inf).vacuous
 
     def test_needs_depth_beyond_cutoff(self):
         base, product = planar_sets()
@@ -1118,12 +1153,8 @@ class TestArcCounts:
                     for window in (None, (1, 3), (2, 5), (1, depth))]
         assert admitted[0] and admitted[1]
 
-    def test_rows_that_are_not_the_product_are_refused(self):
+    def test_rows_in_another_order_count_the_same(self):
         arc = reference_arc("spatial", 2)
-        rows = index_rows(arc, 2)
-        rows[9] = rows[10]  # a sibling's interval indices twice
-        with pytest.raises(ValueError, match="not the full product"):
-            arc_estimate(with_rows(arc, 2, rows))
         rows = index_rows(arc, 2)
         rows[[3, 12]] = rows[[12, 3]]  # two cells swapped: still the product
         assert arc_estimate(with_rows(arc, 2, rows)) == arc_estimate(arc)

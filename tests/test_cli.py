@@ -293,9 +293,26 @@ class TestVerifyCommand:
         assert [d["depth"] for d in report["checks"][1]["per_depth"]] == list(
             range(1, config.depth + 1))
 
+    @pytest.mark.parametrize("config", [RunConfig(depth=5, samples=20),
+                                        RunConfig(target_dimension=2.5, depth=3, samples=20)],
+                             ids=["planar-5", "spatial-3"])
+    def test_verification_repeats_no_construction_work(self, config, monkeypatch):
+        # construction decided every check: verify keys no parent shape,
+        # makes no corner and runs no clearance test
+        arc = build_model(config)
+        calls = []
+        for owner, name in ((arc_mod, "_parent_shapes"), (arc_mod, "_path_legal"),
+                            (arc_mod.ArcApproximation, "corners")):
+            def counting(*args, inner=getattr(owner, name), name=name):
+                calls.append(name)
+                return inner(*args)
+            monkeypatch.setattr(owner, name, counting)
+        assert run_verification(arc, config)["passed"]
+        assert calls == []
+
     def test_containment_is_decided_in_one_call(self, monkeypatch):
-        # the check at the model's depth covers the rows of every shallower
-        # generation, and each bound is that generation's cell diameter
+        # one call at the model's depth reports every depth, and each bound
+        # is that generation's cell diameter
         real, calls = arc_mod.verify_containment, []
 
         def record(arc, k):

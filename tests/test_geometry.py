@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractarc import geometry
-from fractarc.arc import build_arc, verify_injectivity
+from fractarc.arc import build_arc
 from fractarc.cantor import (ProductCantor, RatioCantorSet, RatioSequence,
                              SelfSimilarCantor, product_for_dimension)
 from fractarc.geometry import (boxes_disjoint, chain_self_intersection, point_on_segment,
@@ -304,12 +304,12 @@ class TestChainSelfIntersection:
 
     @pytest.mark.parametrize("kind,depth", [("planar", 3), ("spatial", 2)])
     def test_integer_traversal_chain_is_not_lifted(self, kind, depth, monkeypatch):
-        arc = built_arc(kind, depth)
+        chain = built_arc(kind, depth).traversal_chain(depth)
 
         def refuse(points):
             raise AssertionError("an integer chain was lifted")
         monkeypatch.setattr(geometry, "lift", refuse)
-        assert verify_injectivity(arc, depth).passed
+        assert chain_self_intersection(chain) is None
 
     def test_fraction_chain_is_lifted(self, monkeypatch):
         chain = traversal_chain("planar", 2)

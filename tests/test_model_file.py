@@ -476,4 +476,12 @@ class TestLoaderFuzz:
             parent[path[-1]] = choice.draw(replacements)
         out = tmp_path_factory.getbasetemp() / "fuzzed.json"
         out.write_text(json.dumps(data))
-        assert run("verify", "--model", str(out), "--samples", "5", "--seed", "1") in (0, 1, 2)
+        report = out.with_name("fuzzed-report.json")
+        report.unlink(missing_ok=True)
+        assert run("verify", "--model", str(out), "--samples", "5", "--seed", "1",
+                   "--out", str(report)) in (0, 1, 2)
+        # a file that loads is rebuilt from its config, so neither check can fail
+        if report.exists():
+            checks = json.loads(report.read_text())["checks"]
+            assert all(c["passed"] for c in checks if c["name"] in ("injectivity",
+                                                                    "containment"))

@@ -30,7 +30,6 @@ PACKAGE = SRC / "fractarc"
 _TRACER = "perfbench/tracing.py wraps it"
 _API = "library API shown in the README"
 _METRIC = "metric definition the net oracles check and the tracer wraps"
-_SWEEP = "verify_injectivity's fallback for rows that fail a class check"
 
 #: Functions no command runs, with the reason each stays in ``src``.
 ALLOWED = {
@@ -40,9 +39,10 @@ ALLOWED = {
     "geometry:segment_intersection": _TRACER,
     "geometry:_parallel_intersection": _TRACER + " (segment_intersection calls it)",
     "cantor:ProductCantor.min_corners": _TRACER,
-    "geometry:chain_self_intersection": _SWEEP + "; " + _TRACER,
-    "geometry:_meeting_box_pairs": _SWEEP + " (chain_self_intersection calls it)",
-    "arc:ArcApproximation.traversal_chain": _SWEEP + "; " + _TRACER,
+    "geometry:chain_self_intersection": _TRACER,
+    "geometry:_meeting_box_pairs": _TRACER + " (chain_self_intersection calls it)",
+    "arc:ArcApproximation.traversal_chain": _TRACER,
+    "arc:ArcApproximation._glued": _TRACER + " (traversal_chain calls it)",
     "arc:build_arc": _API,
     "arc:ArcApproximation.evaluate": _API,
     "metric:SnowflakeMetric.distance": _METRIC,
