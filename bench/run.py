@@ -14,7 +14,8 @@ the product path (the whole product sample built, then counted) as the
 reference.  Each row keeps the point count (for a rug, the product's and
 each factor's; for a product, the axis sample's and the cells') beside the
 lattice's storage (``array('q')`` or tuple) or the counts per scale, so work and time are
-read together.
+read together.  Given a second ``src`` directory, the box samples and
+counts are timed in a fresh process against it as well.
 
 ``ball_net_count`` alone, best of five, beside one run of the full-scan
 oracle of the tests (``full_scan_net_count``), whose counts must be equal:
@@ -65,8 +66,9 @@ interval-index rows.
 
 Last, the fifteen commands of perfbench's three workloads, each in a fresh
 process exactly as perfbench runs it untraced (``python -m fractarc.cli``,
-or ``perfbench/child.py continuity``), the median of five runs, beside
-``python -c "import fractarc.cli"`` timed on its own.  One more run of
+or ``perfbench/child.py continuity``), the median of five runs of the wall
+time and of the child's own peak RSS (``os.wait4``, as perfbench reads
+it), beside ``python -c "import fractarc.cli"`` timed on its own.  One more run of
 each, through ``child.main``, records the ``fractarc.*`` modules the
 command loaded.  Given a second ``src`` directory (the parent's, say),
 every repeat runs each command once against each tree, the order
@@ -167,17 +169,60 @@ def _storage(lows) -> str:
     return "array('q')" if isinstance(lows, memoryview) else "tuple"
 
 
-def box_row(case: str, generation: int, sample, scales, copies: int = 1) -> dict:
-    """Box counts of ``copies`` copies of one axis sample, the product of
-    the axis counts; ``points`` is the axis sample's size, ``cells`` the
-    product's."""
-    sample_s, (points, resolution) = best_of(sample)
-    count_s, series = best_of(lambda: box_count_series([points] * copies, scales,
-                                                       resolution))
-    return {"layer": "box_count_series", "case": case, "generation": generation,
-            "points": len(points), "cells": len(points) ** copies,
-            "scales": [str(s) for s in series.scales],
-            "counts": list(series.counts), "sample_s": sample_s, "count_s": count_s}
+def box_cases():
+    """(case, generation, copies, scales) of the box rows: the cantor
+    preset's window at three generations, the product preset's for two
+    copies at four."""
+    for g in (10, 12, 14):
+        yield "cantor 1/3", g, 1, power_scales(THIRD, 2, g - 2)
+    for g in (6, 8, 10, 12):
+        hi = min(6, g - 2)
+        yield "product 1/3 x2", g, 2, power_scales(THIRD, max(1, min(2, hi - 2)), hi)
+
+
+def box_times() -> list:
+    """(best sample time, best count time, counts) of each of ``box_cases``:
+    ``cantor_sample`` of a fresh engine, then ``box_count_series`` of
+    ``copies`` copies of the sample."""
+    out = []
+    for _, g, copies, scales in box_cases():
+        sample_s, (points, resolution) = best_of(
+            lambda: cantor_sample(SelfSimilarCantor(THIRD), g))
+        count_s, series = best_of(lambda: box_count_series([points] * copies, scales,
+                                                           resolution))
+        out.append((sample_s, count_s, list(series.counts)))
+    return out
+
+
+#: Prints ``box_times()`` of the ``fractarc`` on PYTHONPATH (argv: bench's
+#: directory) as JSON.
+PARENT_BOXES = ("import json, sys; sys.path.insert(0, sys.argv[1]); import run; "
+                "print(json.dumps(run.box_times()))")
+
+
+def box_rows(parent: Path | None = None) -> list[dict]:
+    """Box counts of each of ``box_cases``, the product of the axis counts;
+    ``points`` is the axis sample's size, ``cells`` the product's.  With a
+    ``parent`` src directory the same samples and counts are timed in a
+    fresh process against it (``parent_sample_s``, ``parent_count_s``), and
+    its counts must be equal."""
+    out = []
+    for (case, g, copies, scales), (sample_s, count_s, counts) in zip(box_cases(),
+                                                                      box_times()):
+        points = 2 ** g
+        out.append({"layer": "box_count_series", "case": case, "generation": g,
+                    "points": points, "cells": points ** copies,
+                    "scales": [str(s) for s in scales], "counts": counts,
+                    "sample_s": sample_s, "count_s": count_s})
+    if parent is not None:
+        run = subprocess.run([sys.executable, "-c", PARENT_BOXES, str(ROOT / "bench")],
+                             env={**os.environ, "PYTHONPATH": str(parent)}, check=True,
+                             text=True, stdout=subprocess.PIPE)
+        for row, (sample_s, count_s, counts) in zip(out, json.loads(run.stdout)):
+            if counts != row["counts"]:
+                raise SystemExit(f"{row['case']}: parent counts {counts} != {row['counts']}")
+            row.update(parent_sample_s=sample_s, parent_count_s=count_s)
+    return out
 
 
 def net_row(case: str, generation: int, space, lo: int, hi: int) -> dict:
@@ -477,34 +522,51 @@ OP_MODULES = ("import sys; sys.path.insert(0, sys.argv[1]); import child; "
               "child.main(sys.argv[2:]); " + PRINT_MODULES)
 
 
+#: Runs argv[1:] as a child and prints its wall time and its own peak RSS in
+#: MiB (``os.wait4``).  A child's peak RSS counts the memory of the process
+#: that spawned it, and this harness holds hundreds of MiB by the time it
+#: reaches the commands, so each command is spawned from this small process
+#: instead, as perfbench's small harness spawns its own.
+SPAWN = ("import os, subprocess, sys, time; start = time.perf_counter(); "
+         "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+         "_, status, usage = os.wait4(proc.pid, 0); "
+         "print(time.perf_counter() - start, usage.ru_maxrss / 1024); "
+         "sys.exit(os.waitstatus_to_exitcode(status))")
+
+
 def cli_rows(parent: Path | None = None) -> list[dict]:
-    """Fresh-process wall times, the median of five, of ``import
-    fractarc.cli`` and of each perfbench command, with the engine modules
-    each loads.  With a ``parent`` src directory each repeat also runs the
-    command against it, in alternating order; ``parent_time_s`` is its
-    median and ``pairs_faster`` the repeats in which this tree was faster.
-    The models the workloads read are built first, as perfbench's set-up
-    does."""
+    """Fresh-process wall times and peak RSS, the median of five, of
+    ``import fractarc.cli`` and of each perfbench command, with the engine
+    modules each loads.  The peak RSS is the child's own, from ``os.wait4``
+    in ``SPAWN``, as perfbench reads it.  With a ``parent`` src directory each repeat also
+    runs the command against it, in alternating order; ``parent_time_s``
+    and ``parent_peak_rss_mib`` are its medians and ``pairs_faster`` the
+    repeats in which this tree was faster.  The models the workloads read
+    are built first, as perfbench's set-up does."""
     src = Path(fractarc.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
 
-    def fresh(tree: Path, *args: str) -> float:
-        start = perf_counter()
-        subprocess.run([sys.executable, *args], env={**env, "PYTHONPATH": str(tree)},
-                       check=True, stdout=subprocess.DEVNULL)
-        return perf_counter() - start
+    def fresh(tree: Path, *args: str) -> tuple[float, float]:
+        """(wall time, peak RSS in MiB) of one run."""
+        run = subprocess.run([sys.executable, "-c", SPAWN, sys.executable, *args],
+                             env={**env, "PYTHONPATH": str(tree)}, check=True, text=True,
+                             stdout=subprocess.PIPE)
+        wall, rss = run.stdout.split()
+        return float(wall), float(rss)
+
+    def medians(runs: list, prefix: str = "") -> dict:
+        return {f"{prefix}time_s": statistics.median(wall for wall, _ in runs),
+                f"{prefix}peak_rss_mib": statistics.median(rss for _, rss in runs)}
 
     def timed(*args: str) -> dict:
         if parent is None:
-            return {"time_s": statistics.median(fresh(src, *args)
-                                                for _ in range(CLI_REPEATS))}
-        times: dict = {src: [], parent: []}
+            return medians([fresh(src, *args) for _ in range(CLI_REPEATS)])
+        runs: dict = {src: [], parent: []}
         for repeat in range(CLI_REPEATS):
             for tree in (src, parent) if repeat % 2 == 0 else (parent, src):
-                times[tree].append(fresh(tree, *args))
-        return {"time_s": statistics.median(times[src]),
-                "parent_time_s": statistics.median(times[parent]),
-                "pairs_faster": sum(a < b for a, b in zip(times[src], times[parent]))}
+                runs[tree].append(fresh(tree, *args))
+        return {**medians(runs[src]), **medians(runs[parent], "parent_"),
+                "pairs_faster": sum(a[0] < b[0] for a, b in zip(runs[src], runs[parent]))}
 
     def loaded(*args: str) -> list[str]:
         run = subprocess.run([sys.executable, *args], env=env, check=True, text=True,
@@ -537,15 +599,7 @@ def rows(parent: Path | None = None) -> list[dict]:
     for case, ratio in (("cantor 1/3", THIRD), ("cantor 1/10", Fraction(1, 10))):
         for g in (16, 18, 20):
             out.append(lattice_row(case, ratio, g))
-    for g in (10, 12, 14):  # the cantor preset's window
-        out.append(box_row("cantor 1/3", g,
-                           lambda g=g: cantor_sample(SelfSimilarCantor(THIRD), g),
-                           power_scales(THIRD, 2, g - 2)))
-    for g in (6, 8, 10, 12):  # the product preset's window for two copies
-        hi = min(6, g - 2)
-        out.append(box_row("product 1/3 x2", g,
-                           lambda g=g: cantor_sample(SelfSimilarCantor(THIRD), g),
-                           power_scales(THIRD, max(1, min(2, hi - 2)), hi), copies=2))
+    out.extend(box_rows(parent))
     koch = SnowflakeMetric(VON_KOCH_EXPONENT)
     for g in (12, 14, 16):
         out.append(net_row("snowflake koch", g, koch, 2, 7))
@@ -618,10 +672,11 @@ def main(argv: list[str]) -> int:
         print(f"{'src_lines':17s} {side:15s} {counts}")
     for row in report["layers"]:
         if row["layer"] == "cli_process":
-            versus = (f" (parent {row['parent_time_s']:.4f} s, faster in "
+            versus = (f" (parent {row['parent_time_s']:.4f} s "
+                      f"{row['parent_peak_rss_mib']:.2f} MiB, faster in "
                       f"{row['pairs_faster']}/{CLI_REPEATS})" if "parent_time_s" in row else "")
-            print(f"{row['layer']:17s} {row['case']:28s} {row['time_s']:.4f} s{versus}  "
-                  f"{' '.join(row['modules'])}")
+            print(f"{row['layer']:17s} {row['case']:28s} {row['time_s']:.4f} s "
+                  f"{row['peak_rss_mib']:.2f} MiB{versus}  {' '.join(row['modules'])}")
             continue
         if "depth" in row:
             work = {k: v for k, v in row.items()
@@ -639,8 +694,10 @@ def main(argv: list[str]) -> int:
             print(f"{head} count {row['count_s']:.4f} s{versus}  full scan "
                   f"{row['oracle_s']:.4f} s  counts {row['counts']}")
         else:
+            versus = (f" (parent sample {row['parent_sample_s']:.4f} s count "
+                      f"{row['parent_count_s']:.4f} s)" if "parent_count_s" in row else "")
             print(f"{head} sample {row['sample_s']:.4f} s  "
-                  f"count {row['count_s']:.4f} s  counts {row['counts']}")
+                  f"count {row['count_s']:.4f} s{versus}  counts {row['counts']}")
             if "product_count_s" in row:
                 print(f"{'':17s} factor points {row['factor_points']}  product path: "
                       f"sample {row['product_sample_s']:.4f} s  "

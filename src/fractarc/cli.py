@@ -625,6 +625,27 @@ def arc_estimate(model, window: Optional[tuple[int, int]] = None
                                     sample_resolution=resolution)
 
 
+def arc_series(model, window: Optional[tuple[int, int]] = None
+               ) -> dim_mod.BoxCountSeries:
+    """The box counts ``estimate --preset arc`` fits and ``export --format
+    csv`` writes: ``arc_estimate`` of an arc model, or the dyadic grid of
+    generation 10 for ``UnitIntervalModel`` (default window 3..8).  A window
+    of fewer than three scales is refused, since no slope fits it."""
+    from . import dimension as dim_mod
+
+    if model is None:
+        raise ConfigError("arc estimation needs a model file")
+    if isinstance(model, UnitIntervalModel):
+        points, resolution = dim_mod.interval_sample(10)
+        lo, hi = window or (3, 8)
+        series = dim_mod.box_count_series([points], dim_mod.dyadic_scales(lo, hi),
+                                          sample_resolution=resolution)
+    else:
+        series = arc_estimate(model, window)
+    dim_mod.check_fit_window(series)
+    return series
+
+
 def _from_flags(make, *args):
     """``make(*args)``, with the constructor's own range error on a value
     that came from a flag raised as a ConfigError."""
@@ -709,16 +730,10 @@ def run_estimate(preset: str, config: RunConfig, model=None,
         radii = [0.5 ** i for i in range(lo, hi + 1)]
         series = dim_mod.net_count_series(factors, radii, sample_resolution=resolution)
     elif preset == "arc":
-        if model is None:
-            raise ConfigError("arc estimation needs a model file")
+        series = arc_series(model, window)
         if isinstance(model, UnitIntervalModel):
-            points, resolution = dim_mod.interval_sample(10)
-            lo, hi = window or (3, 8)
-            series = dim_mod.box_count_series([points], dim_mod.dyadic_scales(lo, hi),
-                                              sample_resolution=resolution)
             expected = dim_mod.expected_dimensions("interval")
         else:
-            series = arc_estimate(model, window)
             expected = dim_mod.expected_dimensions(
                 "arc", target_dimension=1.0 + model.product.dimension)
     else:
@@ -853,10 +868,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_VERIFICATION
 
 
-def _estimate_or_refuse(preset: str, config: RunConfig, model, **kwargs):
-    """run_estimate; a refused window or sample budget prints why and gives None."""
+def _estimate_or_refuse(estimate, *args, **kwargs):
+    """``estimate(*args, **kwargs)`` (``run_estimate`` or ``arc_series``); a
+    refused window or sample budget prints why and gives None."""
     try:
-        return run_estimate(preset, config, model, **kwargs)
+        return estimate(*args, **kwargs)
     except (ValueError, GenerationBudgetError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -895,7 +911,7 @@ def cmd_estimate(args) -> int:
             if value < 1:
                 raise ConfigError(f"--{key} must be at least 1, got {value}")
             kwargs[key] = value
-    result = _estimate_or_refuse(args.preset, config, model, **kwargs)
+    result = _estimate_or_refuse(run_estimate, args.preset, config, model, **kwargs)
     if result is None:
         return EXIT_CONSTRUCTION
     report, series = result
@@ -920,10 +936,11 @@ def cmd_export(args) -> int:
             raise ConfigError("svg export is only defined for planar (n=1) models")
         write_atomic(out, render_svg(model))
     elif args.format == "csv":
-        result = _estimate_or_refuse("arc", config, model)
-        if result is None:
+        # the arc preset's counts, unfitted: no numpy is loaded
+        series = _estimate_or_refuse(arc_series, model, config.scales)
+        if series is None:
             return EXIT_CONSTRUCTION
-        write_atomic(out, series_csv(result[1]))
+        write_atomic(out, series_csv(series))
     else:
         raise ConfigError(f"unknown export format {args.format!r}")
     print(f"wrote {out}")

@@ -7,12 +7,16 @@ counter is a greedy maximal r-separated net, whose size scales like a covering
 number.
 
 Box counting is exact and one-dimensional.  A ``LatticeSample`` holds
-points of [0, 1] as integer numerators over one denominator: a Cantor
-lattice of lower ends, the dyadic grid, or floats lifted exactly
-(``dyadic_sample``).  A box index is ``(num * dd) // (den * dn)`` for the
-scale ``dn/dd``, in int64 when ``den * max(dd, dn)`` fits in 63 bits and in
-Python ints otherwise, so no float rounding decides a box; for a lifted
-float x and the scale 2^-i it is floor(x * 2^i), as float division gives.
+points of [0, 1] as a sorted sequence of int numerators over one
+denominator: a Cantor lattice of lower ends, the dyadic grid, or floats
+lifted exactly (``dyadic_sample``).  The box of a numerator is
+``(num * dd) // (den * dn)`` for the scale ``dn/dd``, in Python ints, so no
+float rounding decides a box; for a lifted float x and the scale 2^-i it is
+floor(x * 2^i), as float division gives.  ``box_count`` walks the sorted
+numerators box by box: from a point in box b, the first point of a later
+box is the first numerator at or above ``ceil((b + 1) * den * dn / dd)``,
+one bisection away.  A count at N(delta) occupied boxes costs O(N(delta)
+log n) for n points, with no pass over the points.
 
 Every box-counted set is a Cartesian product of per-axis samples (the
 product preset's cell corners, an arc's vertex cloud), and a grid box is a
@@ -51,13 +55,19 @@ cutoff underflows to 0, and ``net_count_series`` refuses such a radius.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from itertools import islice
+from typing import TYPE_CHECKING, Sequence
 
 from .cantor import _BinaryCantorBase
+
+# numpy is imported by the fit and the nets that use it, so counting boxes
+# (``export --format csv``) loads none
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Box dimension equals Hausdorff dimension for the self-similar sets and
 #: products built here; estimates elsewhere carry this caveat.
@@ -105,12 +115,31 @@ class DimensionEstimate:
 
 @dataclass(frozen=True)
 class LatticeSample:
-    """Exact points of [0, 1]: a 1-D array of integer numerators over one
-    denominator, int64 when it fits in 63 bits and Python ints (dtype
-    object) otherwise."""
+    """Exact points of [0, 1]: a sequence of int numerators in increasing
+    order (repeats allowed), each from 0 to the denominator, over one
+    positive int denominator.  Anything else raises ValueError, checked in
+    one pass."""
 
-    numerators: np.ndarray
+    numerators: Sequence[int]
     denominator: int
+
+    def __post_init__(self):
+        nums, den = self.numerators, self.denominator
+        if type(den) is not int or den < 1:
+            raise ValueError(f"the denominator must be a positive int, got {den!r}")
+        try:
+            # ``int.__index__`` refuses every entry that is not an int: the
+            # map checks all but the last, which is checked after it
+            ordered = all(map(operator.le, map(int.__index__, nums), islice(nums, 1, None)))
+            if len(nums):
+                int.__index__(nums[-1])
+        except TypeError:
+            raise ValueError("a LatticeSample holds one axis: a sequence of int "
+                             "numerators") from None
+        if not ordered:
+            raise ValueError("the numerators must be in increasing order")
+        if len(nums) and (nums[0] < 0 or nums[-1] > den):
+            raise ValueError("points must lie in [0, 1]")
 
     def __len__(self) -> int:
         return len(self.numerators)
@@ -118,26 +147,26 @@ class LatticeSample:
 
 def box_count(points: LatticeSample, delta) -> int:
     """Number of intervals [i*delta, (i+1)*delta) meeting the sample, a
-    point at 1 counted in the last; exact for a rational delta.  The box
-    indices are sorted and the changes between neighbours counted."""
+    point at 1 counted in the last; exact for a rational delta.  One
+    bisection per occupied box finds the first point of the next one."""
     delta = Fraction(delta) if not isinstance(delta, Fraction) else delta
     if delta <= 0 or delta > 1:
         raise ValueError(f"box side must lie in (0, 1], got {float(delta)}")
-    if points.numerators.ndim != 1:
-        raise ValueError("a LatticeSample holds one axis: a 1-D array of numerators")
-    if len(points) == 0:
+    nums, den = points.numerators, points.denominator
+    n = len(points)
+    if n == 0:
         raise ValueError("cannot box-count an empty sample")
     dn, dd = delta.numerator, delta.denominator
-    n_boxes = -((-dd) // dn)  # ceil(1/delta)
-    nums, den = points.numerators, points.denominator
-    if nums.dtype == np.int64 and den * max(dd, dn) < 2 ** 63:
-        idx = nums * dd
-        idx //= den * dn
-    else:
-        idx = nums.astype(object) * dd // (den * dn)
-    np.minimum(idx, n_boxes - 1, out=idx)
-    idx.sort()
-    return int(np.count_nonzero(idx[1:] != idx[:-1])) + 1
+    width = den * dn  # a box's side, as numerators times dd
+    last = -((-dd) // dn) - 1  # the last box, ceil(1/delta) - 1, holds a point at 1
+    count, i = 0, 0
+    while i < n:
+        count += 1
+        box = nums[i] * dd // width
+        if box >= last:
+            break
+        i = bisect_left(nums, -((-(box + 1) * width) // dd), i + 1)
+    return count
 
 
 def dyadic_scales(coarse: int, fine: int) -> list[Fraction]:
@@ -173,10 +202,17 @@ def _refuse_finer(finest, resolution) -> None:
             f"{float(resolution)!r}; deepen the sample instead")
 
 
-def estimate_dimension(series: BoxCountSeries, kind: str) -> DimensionEstimate:
-    """Fit log N = slope * log(1/delta) + intercept by least squares."""
+def check_fit_window(series: BoxCountSeries) -> None:
+    """Refuse a series of fewer than three scales, which no slope fits."""
     if len(series.scales) < 3:
         raise ValueError(_TOO_FEW_SCALES)
+
+
+def estimate_dimension(series: BoxCountSeries, kind: str) -> DimensionEstimate:
+    """Fit log N = slope * log(1/delta) + intercept by least squares."""
+    import numpy as np
+
+    check_fit_window(series)
     xs = np.array([math.log(1.0 / float(d)) for d in series.scales])
     ys = np.array([math.log(n) for n in series.counts])
     if np.ptp(xs) == 0.0:
@@ -204,6 +240,8 @@ def ball_net_count(space, points: np.ndarray, r: float) -> int:
     the axis-0 slab of the module docstring; ``space.within`` decides them,
     once per net point.
     """
+    import numpy as np
+
     if not r > 0:
         raise ValueError(f"net radius must be positive, got {r}")
     points = np.asarray(points, dtype=float)
@@ -246,6 +284,8 @@ def net_count_series(factors, radii: Sequence[float],
     before anything is counted.  Every metric here decides its ball on
     ``p - c`` alone, so the origin shows it for every centre.
     """
+    import numpy as np
+
     _refuse_finer(min(float(r) for r in radii), float(sample_resolution))
     floats = [float(r) for r in radii]
     for space, _ in factors:
@@ -262,30 +302,27 @@ def net_count_series(factors, radii: Sequence[float],
 def cantor_sample(cantor_set: _BinaryCantorBase, generation: int) -> tuple[LatticeSample, Fraction]:
     """Left endpoints of the generation intervals (all provably in the set;
     right endpoints sit on aligned grid lines and would leak into gap boxes),
-    as the engine's lattice of lower ends: its ``array('q')`` buffer read in
-    place as int64, or its tuple of Python ints as an object array.
-    Returns (points, sample resolution)."""
+    as the engine's own lattice of lower ends, its read-only sequence taken
+    as it is.  Returns (points, sample resolution)."""
     lows, _, den = cantor_set.lattice(generation)
-    nums = np.frombuffer(lows, np.int64) if isinstance(lows, memoryview) else np.array(
-        lows, object)
-    return LatticeSample(nums, den), cantor_set.generation_length(generation)
+    return LatticeSample(lows, den), cantor_set.generation_length(generation)
 
 
 def interval_sample(generation: int) -> tuple[LatticeSample, Fraction]:
     """Uniform dyadic grid on [0, 1]: the degenerate target of dimension 1."""
     n = 2 ** generation
-    return LatticeSample(np.arange(n + 1, dtype=np.int64), n), Fraction(1, n)
+    return LatticeSample(range(n + 1), n), Fraction(1, n)
 
 
 def dyadic_sample(values: Sequence[float]) -> LatticeSample:
-    """Floats of [0, 1] lifted exactly onto one ``LatticeSample``: each is
-    m / 2^e (``as_integer_ratio``), over the largest 2^e."""
+    """Floats of [0, 1] lifted exactly onto one ``LatticeSample``, in
+    increasing order: each is m / 2^e (``as_integer_ratio``), over the
+    largest 2^e."""
     if not all(0.0 <= x <= 1.0 for x in values):
         raise ValueError("points must lie in [0, 1]")
     ratios = [float(x).as_integer_ratio() for x in values]
     den = max(d for _, d in ratios)
-    nums = [n * (den // d) for n, d in ratios]
-    return LatticeSample(np.array(nums, dtype=np.int64 if den < 2 ** 63 else object), den)
+    return LatticeSample(sorted(n * (den // d) for n, d in ratios), den)
 
 
 def expected_dimensions(kind: str, **params) -> dict:

@@ -42,13 +42,16 @@ in the list of every endpoint, and ``(x -+ r) * den`` as ``Fraction``s.
 
 ``generation_intervals``, ``endpoints`` and ``verify_generation_lengths``
 read a Cantor set's lattices as ``Fraction`` intervals and check their
-nesting; ``lattice_sample`` lifts a list of rational numbers onto the 1-D
-``LatticeSample`` that box counting takes, or a list of rational points onto
-the rows of one, and ``sample_points`` reads either back.
-``cloud_box_count`` is the multi-axis box count that the per-axis product
-replaced: it counts the distinct box rows of a whole cloud, float rows (the
-arc's ``vertex_cloud``) or exact ones (``lattice_sample`` of
-``min_corners``).  ``full_scan_net_count`` is the greedy net as
+nesting; ``lattice_sample`` lifts a list of rational numbers onto the sorted
+1-D ``LatticeSample`` that box counting takes, or a list of rational points
+onto the integer rows of a ``LatticeRows``, and ``sample_points`` reads
+either back.  ``numpy_box_count`` is the vectorised count that the bisection
+walk of ``box_count`` replaced: every point's box index in int64, or in
+Python ints (an object array) past 63 bits, then the sorted indices'
+changes counted.  ``cloud_box_count`` is the multi-axis box count that the
+per-axis product replaced: it counts the distinct box rows of a whole
+cloud, float rows (the arc's ``vertex_cloud``) or exact ones
+(``lattice_sample`` of ``min_corners``).  ``full_scan_net_count`` is the greedy net as
 ``ball_net_count`` was first written, every net point rescanning the whole
 sample.  ``connector_fields`` and ``param_intervals`` are the
 schema-v1 index fields of the connectors and the parameter tree, generated
@@ -203,10 +206,23 @@ def verify_generation_lengths(cantor_set, up_to):
     return True
 
 
+@dataclass(frozen=True)
+class LatticeRows:
+    """Exact points of the unit cube: one integer row of numerators per
+    point, over one denominator.  Box counting takes one axis at a time, so
+    only the cloud oracle reads these."""
+
+    numerators: np.ndarray
+    denominator: int
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+
 def lattice_sample(points):
-    """Rational numbers in [0, 1] lifted onto one 1-D ``LatticeSample``, or
-    rational points (tuples) in the unit cube onto one whose numerators are
-    (n, d) rows, as ``cloud_box_count`` reads them."""
+    """Rational numbers in [0, 1] lifted onto one sorted 1-D
+    ``LatticeSample``, or rational points (tuples) in the unit cube onto the
+    ``LatticeRows`` that ``cloud_box_count`` reads."""
     rows = [tuple(map(Fraction, p)) if isinstance(p, tuple) else (Fraction(p),)
             for p in points]
     if not rows:
@@ -217,22 +233,46 @@ def lattice_sample(points):
         raise ValueError("points must lie in the unit cube")
     den = math.lcm(*{c.denominator for row in rows for c in row})
     nums = [[c.numerator * (den // c.denominator) for c in row] for row in rows]
-    nums = np.array(nums, dtype=np.int64 if den < 2 ** 63 else object)
-    return LatticeSample(nums if isinstance(points[0], tuple) else nums[:, 0], den)
+    if not isinstance(points[0], tuple):
+        return LatticeSample(sorted(num for num, in nums), den)
+    return LatticeRows(np.array(nums, dtype=np.int64 if den < 2 ** 63 else object), den)
 
 
 def sample_points(sample):
-    """The exact points of a ``LatticeSample``: Fractions, or tuples of
-    them for rows."""
-    return [tuple(Fraction(v, sample.denominator) for v in row) if isinstance(row, list)
-            else Fraction(row, sample.denominator) for row in sample.numerators.tolist()]
+    """The exact points of a ``LatticeSample`` (Fractions) or of
+    ``LatticeRows`` (tuples of them)."""
+    if isinstance(sample, LatticeRows):
+        return [tuple(Fraction(v, sample.denominator) for v in row)
+                for row in sample.numerators.tolist()]
+    return [Fraction(num, sample.denominator) for num in sample.numerators]
+
+
+def numpy_box_count(points, delta):
+    """``box_count`` as it was vectorised: every numerator's box index
+    ``(num * dd) // (den * dn)`` in int64 when the denominator is below 2^63
+    and ``den * max(dd, dn)`` fits, in Python ints (an object array)
+    otherwise; each index clipped to the last box, the indices sorted and
+    the changes between neighbours counted."""
+    delta = Fraction(delta)
+    dn, dd = delta.numerator, delta.denominator
+    n_boxes = -((-dd) // dn)  # ceil(1/delta)
+    den = points.denominator
+    nums = np.array(list(points.numerators), dtype=np.int64 if den < 2 ** 63 else object)
+    if nums.dtype == np.int64 and den * max(dd, dn) < 2 ** 63:
+        idx = nums * dd
+        idx //= den * dn
+    else:
+        idx = nums.astype(object) * dd // (den * dn)
+    np.minimum(idx, n_boxes - 1, out=idx)
+    idx.sort()
+    return int(np.count_nonzero(idx[1:] != idx[:-1])) + 1
 
 
 def cloud_box_count(points, delta):
     """Grid boxes of side delta meeting a cloud in the unit cube, counted
     on whole rows, as ``box_count`` counted before it counted on axes: a
-    float array of rows is floored at ``float(delta)``, a ``LatticeSample``
-    (rows or 1-D) by exact floor division; each index is clipped to the
+    float array of rows is floored at ``float(delta)``, ``LatticeRows`` or a
+    ``LatticeSample`` by exact floor division; each index is clipped to the
     last box, and the distinct index rows are counted."""
     delta = Fraction(delta)
     n_boxes = math.ceil(1 / delta)
@@ -241,7 +281,8 @@ def cloud_box_count(points, delta):
             raise ValueError("points must lie in the unit cube")
         idx = np.floor(points.reshape(len(points), -1) / float(delta)).astype(np.int64)
     else:
-        nums = points.numerators.reshape(len(points), -1).astype(object)
+        nums = (points.numerators.astype(object) if isinstance(points, LatticeRows)
+                else np.array(list(points.numerators), dtype=object)).reshape(len(points), -1)
         idx = nums * delta.denominator // (points.denominator * delta.numerator)
     return len({tuple(min(max(i, 0), n_boxes - 1) for i in row) for row in idx.tolist()})
 

@@ -738,6 +738,38 @@ class TestExportCommand:
         assert lines[0].startswith("delta,")
         assert len(lines) > 3
 
+    @pytest.mark.parametrize("build,why", [
+        (["--c", repr(1 + LOG2_3), "--depth", "3", "--scales", "3:4"],
+         "need at least 3 scales to fit a slope"),
+        (["--c", repr(1 + LOG2_3), "--depth", "2", "--scales", "2:9"],
+         "scale 0.001953125 is finer than the sample resolution 0.1111111111111111; "
+         "deepen the sample instead"),
+        (["--c", "1.0", "--depth", "2", "--scales", "3:4"],
+         "need at least 3 scales to fit a slope"),
+        (["--c", "1.0", "--depth", "2", "--scales", "2:12"],
+         "scale 0.000244140625 is finer than the sample resolution 0.0009765625; "
+         "deepen the sample instead"),
+        (["--c", "2.5", "--depth", "2"], "need at least 3 scales to fit a slope"),
+    ], ids=["planar-two-scales", "planar-finer", "interval-two-scales", "interval-finer",
+            "spatial-default-two-scales"])
+    def test_csv_refuses_the_windows_estimate_refuses(self, build, why, tmp_path, capsys):
+        # the csv holds the arc preset's counts unfitted, but refuses every
+        # window the estimate refuses, with the same line and exit code
+        model = tmp_path / "model.json"
+        assert main(["build", *build, "--out", str(model)]) == EXIT_OK
+        window = build[build.index("--scales"):] if "--scales" in build else []
+        capsys.readouterr()
+        out = tmp_path / "counts.csv"
+        assert main(["export", "--model", str(model), "--format", "csv",
+                     "--out", str(out)]) == EXIT_CONSTRUCTION
+        exported = capsys.readouterr()
+        assert main(["estimate", "--preset", "arc", "--model", str(model), *window,
+                     "--out", str(tmp_path / "est.json")]) == EXIT_CONSTRUCTION
+        estimated = capsys.readouterr()
+        assert exported.err == estimated.err == f"estimation failed: {why}\n"
+        assert exported.out == estimated.out == ""
+        assert not out.exists() and not (tmp_path / "est.json").exists()
+
 
 class TestReproducibility:
     def test_identical_seeds_identical_bytes(self, tmp_path):

@@ -21,7 +21,7 @@ from fractarc.dimension import (_SLAB_MARGIN, BoxCountSeries, LatticeSample,
 from fractarc.metric import (VON_KOCH_EXPONENT, ArcFactor, EuclideanMetric,
                              RugSpace, SnowflakeMetric)
 from oracles import (cloud_box_count, full_scan_net_count, generation_intervals,
-                     lattice_sample, sample_points)
+                     lattice_sample, numpy_box_count, sample_points)
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
@@ -100,14 +100,38 @@ class TestBoxCount:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            box_count(LatticeSample(np.zeros(0, dtype=np.int64), 1), F(1, 2))
+            box_count(LatticeSample([], 1), F(1, 2))
 
     def test_rows_are_refused(self):
         # a cloud of points is counted on its axes, or by the cloud oracle
         rows = lattice_sample([(F(0), F(1, 2)), (F(1, 2), F(0))])
-        with pytest.raises(ValueError, match="1-D"):
-            box_count(rows, F(1, 2))
+        for numerators in (rows.numerators, rows.numerators.tolist(), [(0, 1), (1, 0)]):
+            with pytest.raises(ValueError, match="one axis"):
+                LatticeSample(numerators, rows.denominator)
         assert cloud_box_count(rows, F(1, 2)) == 2
+
+    @pytest.mark.parametrize("numerators,denominator,match", [
+        ([0, 2, 1], 2, "increasing"),
+        ([1, 1, 0], 4, "increasing"),
+        ([-1, 0, 1], 2, r"lie in \[0, 1\]"),
+        ([0, 1, 3], 2, r"lie in \[0, 1\]"),
+        ([5], 4, r"lie in \[0, 1\]"),
+        ([0, 0.5], 1, "int numerators"),
+        ([0.5], 1, "int numerators"),
+        ([0, F(1, 2), 1], 1, "int numerators"),
+        (np.array([0, 1], dtype=np.int64), 2, "int numerators"),
+        ([0, 1], 0, "positive int"),
+        ([0, 1], 2.0, "positive int"),
+    ], ids=["unsorted", "decreasing", "below-0", "above-1", "lone-above-1", "float",
+            "lone-float", "fraction", "numpy-ints", "zero-denominator", "float-denominator"])
+    def test_bad_samples_are_refused(self, numerators, denominator, match):
+        # a point beyond 1 is refused, not clipped into the last box
+        with pytest.raises(ValueError, match=match):
+            LatticeSample(numerators, denominator)
+
+    def test_sorted_sequences_are_taken_as_they_are(self):
+        for numerators in ([0, 0, 1, 2, 2], (3,), range(0, 9, 2), []):
+            assert LatticeSample(numerators, 8).numerators is numerators
 
     def test_out_of_cube_rejected(self):
         for value in (1.5, -0.25, math.nan):
@@ -122,8 +146,8 @@ class TestBoxCount:
         sample = dyadic_sample(values)
         den = sample.denominator
         assert den & (den - 1) == 0
-        floors = [min(math.floor(x / 2.0 ** -i), 2 ** i - 1) for x in values]
-        for x, num, floor in zip(values, sample.numerators.tolist(), floors):
+        floors = [min(math.floor(x / 2.0 ** -i), 2 ** i - 1) for x in sorted(values)]
+        for x, num, floor in zip(sorted(values), sample.numerators, floors, strict=True):
             assert F(num, den) == F(x)
             assert min(num * 2 ** i // den, 2 ** i - 1) == floor
         assert box_count(sample, F(1, 2 ** i)) == len(set(floors))
@@ -240,7 +264,7 @@ class TestNetCount:
         # on a Euclidean sample, net and box counts agree within 2^dim
         metric = EuclideanMetric(1)
         grid, _ = interval_sample(8)
-        pts = grid.numerators / grid.denominator
+        pts = np.array(grid.numerators) / grid.denominator
         for i in (1, 2, 3, 4):
             r = 0.5 ** i
             net = ball_net_count(metric, pts, r)
@@ -465,6 +489,31 @@ def box_cases(draw):
     return rows, delta
 
 
+@st.composite
+def sorted_lattices(draw):
+    """(sample, delta): a sorted lattice over a denominator below or above
+    2^63, with repeated points, points on and just below the scale's box
+    boundaries and often the point 1; the scale a power of 2/5 or 1/3, a
+    fraction whose inverse is not an integer, or one with 70-bit terms."""
+    den = draw(st.one_of(st.integers(1, 2 ** 20), st.integers(2 ** 62, 2 ** 90),
+                         st.sampled_from([2 ** 62, 2 ** 63, 3 ** 40, 10 ** 20])))
+    delta = draw(st.one_of(
+        st.integers(0, 40).map(lambda i: F(2, 5) ** i),
+        st.integers(0, 40).map(lambda i: F(1, 3) ** i),
+        st.fractions(0, 1, max_denominator=1000).filter(lambda d: d > 0),
+        st.tuples(st.integers(1, 2 ** 70), st.integers(1, 2 ** 70)).map(
+            lambda ab: F(min(ab), max(ab)))))
+    boxes = math.ceil(1 / delta)
+    edges = [min(den, -((-j * den * delta.numerator) // delta.denominator))
+             for j in draw(st.lists(st.integers(0, boxes), max_size=6))]
+    nums = draw(st.lists(st.integers(0, den), min_size=1, max_size=40))
+    nums += edges + [max(0, e - 1) for e in edges]
+    nums += draw(st.lists(st.sampled_from(nums), max_size=6))  # repeated points
+    if draw(st.booleans()):
+        nums.append(den)  # the point 1, in the last box
+    return LatticeSample(sorted(nums), den), delta
+
+
 def cantor_low(word):
     """Generation-len(word) lower end of the ratio-1/10 set, by its digits."""
     return sum((F(9, 10 ** (k + 1)) for k, bit in enumerate(word) if bit), F(0))
@@ -493,15 +542,26 @@ class TestIntegerBoxCount:
         # generation 20 of the ratio-1/10 set lives over 10^20 > 2^63
         points = [cantor_low(w) for w in words] + [cantor_low([True] * 20)]
         sample = lattice_sample(points)
-        assert sample.denominator == 10 ** 20 and sample.numerators.dtype == object
-        assert sample_points(sample) == points
+        assert sample.denominator == 10 ** 20
+        assert sample_points(sample) == sorted(points)
         for delta in (F(1, q ** k), F(q - 1, q), F(1, 10 ** k), F(1)):
             assert box_count(sample, delta) == fraction_box_count(points, delta)
+        # the engine's own lattice past 63 bits: ratio 1/1000 at generation
+        # 7 lives over 10^21, its tuple of Python ints sampled as it is
+        engine = SelfSimilarCantor(F(1, 1000))
+        lows, _, den = engine.lattice(7)
+        deep, _ = cantor_sample(engine, 7)
+        assert den == 10 ** 21 and isinstance(lows, tuple)
+        assert deep.numerators is lows and deep.denominator == den
+        engine_points = sample_points(deep)
+        for delta in (F(1, q ** k), F(q - 1, q), F(1, 10 ** k), F(1)):
+            assert box_count(deep, delta) == fraction_box_count(engine_points, delta)
 
     @given(st.integers(1, 8), st.integers(1, 30), st.sampled_from(SCALE_PRIMES))
     @settings(max_examples=60, deadline=None)
     def test_engine_samples_on_every_branch(self, g, k, q):
-        # int64, int64 numerators with an overflowing product, Python ints
+        # denominators below 2^63 with small and overflowing products with
+        # the scale, and past 2^63
         for ratio, copies in ((F(1, 3), 1), (F(2, 5), 2), (F(1, 1000), 1),
                               (F(1, 10 ** 7), 2)):
             product = ProductCantor(SelfSimilarCantor(ratio), copies)
@@ -514,17 +574,28 @@ class TestIntegerBoxCount:
                 assert (box_count_series([axes] * copies, [delta], 0).counts[0]
                         == fraction_box_count(corners, delta))
 
-    @pytest.mark.parametrize("g,dtype", [(9, np.int64), (10, object)])
-    def test_engine_lattice_is_sampled_as_int64_or_objects(self, g, dtype):
+    @pytest.mark.parametrize("g,storage", [(9, memoryview), (10, tuple)])
+    def test_engine_lattice_is_sampled_in_place(self, g, storage):
         # dyadic generation 9 lives over a 55-bit denominator, 10 over a
-        # 66-bit one: the array('q') buffer is read in place, the tuple of
-        # Python ints becomes an object array
+        # 66-bit one: the read-only array('q') view and the tuple of Python
+        # ints are both the sample's numerators, with no copy
         dyadic = RatioCantorSet(RatioSequence.dyadic())
         lows, _, den = dyadic.lattice(g)
         sample, _ = cantor_sample(dyadic, g)
-        assert sample.numerators.dtype == dtype and sample.denominator == den
-        assert sample.numerators.tolist() == list(lows)
-        assert sample.numerators.flags.writeable == (dtype is object)
+        assert isinstance(lows, storage)
+        assert sample.numerators is lows and sample.denominator == den
+        assert list(sample.numerators) == list(lows) == sorted(lows)
+        assert den.bit_length() == {9: 55, 10: 66}[g]
+
+    @given(sorted_lattices())
+    @settings(max_examples=400, deadline=None)
+    def test_walk_equals_the_numpy_count(self, case):
+        # the bisection walk against the vectorised count it replaced, and
+        # both against one Fraction per point
+        sample, delta = case
+        walked = box_count(sample, delta)
+        assert walked == numpy_box_count(sample, delta)
+        assert walked == fraction_box_count(sample_points(sample), delta)
 
     def test_engine_samples_are_the_exact_points(self):
         cantor = SelfSimilarCantor(F(1, 3))

@@ -113,24 +113,25 @@ def model(tmp_path_factory):
 
 
 class TestCommandModules:
-    # the estimate presets and the csv export box-count or net-count, so
-    # they may import numpy; no other command does
+    # the estimate presets fit a slope and net-count with numpy; the csv
+    # export only box-counts, on Python ints, and no other command imports it
     @pytest.mark.parametrize("argv,modules,numpy_free", [
         (["estimate", "--preset", "cantor", "--generation", "8"], ESTIMATE, False),
         (["estimate", "--preset", "product", "--generation", "6"], ESTIMATE, False),
         (["estimate", "--preset", "snowflake", "--generation", "10"], ESTIMATE + ["metric"],
          False),
         (["estimate", "--preset", "rug", "--generation", "7"], ESTIMATE + ["metric"], False),
+        (["estimate", "--preset", "arc", "--model", "{model}"], ARC + ["dimension"], False),
         (["build", *PLANAR, "--depth", "2", "--out", "{dir}/built.json"], ARC, True),
         (["export", "--model", "{model}", "--format", "svg", "--out", "{dir}/m.svg"], ARC,
          True),
         (["export", "--model", "{model}", "--format", "json", "--out", "{dir}/m.json"], ARC,
          True),
         (["export", "--model", "{model}", "--format", "csv", "--out", "{dir}/m.csv"],
-         ARC + ["dimension"], False),
+         ARC + ["dimension"], True),
         (["verify", "--model", "{model}", "--samples", "20"], ARC + ["measure"], True),
     ], ids=["estimate-cantor", "estimate-product", "estimate-snowflake", "estimate-rug",
-            "build", "export-svg", "export-json", "export-csv", "verify"])
+            "estimate-arc", "build", "export-svg", "export-json", "export-csv", "verify"])
     def test_command_loads_only_its_engine_modules(self, argv, modules, numpy_free, model,
                                                    tmp_path):
         argv = [arg.format(dir=tmp_path, model=model) for arg in argv]
@@ -138,8 +139,7 @@ class TestCommandModules:
         assert code == EXIT_OK
         assert loaded == sorted(modules)
         assert not numpy_ma
-        if numpy_free:
-            assert not numpy
+        assert numpy is not numpy_free
 
     def test_continuity_check_loads_no_numpy(self, model):
         violations, numpy = json.loads(fresh(CONTINUITY, str(model)))
