@@ -29,9 +29,9 @@ The arc layers on the planar (n = 1) arcs of depth 4 to 8 and the spatial
 (n = 2) arcs of depth 3 to 5 (``perfbench`` builds planar-4/5/6 and
 spatial-3/4): construction (``build_model``, which grows, routes and checks
 every generation in one loop), best of three, with its ``route_connectors``
-runs (one per distinct parent shape of each generation).  All but planar-4
+runs (one per distinct sub-cell order of each generation).  All but planar-4
 then time ``run_verification`` as ``verify`` runs it on the model's config,
-best of five, with the ``_parent_shapes``, ``corners`` and ``_path_legal``
+best of five, with the ``_order_shape``, ``corners`` and ``_path_legal``
 calls one run makes: construction decided every check, so the target is 0.
 Given a second ``src`` directory, the build and the verification of
 planar-5/6/8 and spatial-3/4/5 are timed in a fresh process against it as
@@ -364,7 +364,7 @@ PARENT_ARCS = ("import json, sys; sys.path.insert(0, sys.argv[1]); import run; "
 def build_row(case: str) -> dict:
     """Construction of one arc (``build_model``: every generation grown,
     routed and checked), with the ``route_connectors`` runs: one per
-    distinct parent shape of each generation."""
+    distinct sub-cell order of each generation."""
     with counting("route_connectors") as calls:
         time_s, arc = build_time(case)
     depth = arc.depth
@@ -379,12 +379,12 @@ def verify_rows(case: str) -> list[dict]:
     of the tests' row oracle."""
     arc = build_model(arc_config(case))
     depth = arc.depth
-    with (counting("_parent_shapes") as shapes, counting("_path_legal") as legal,
+    with (counting("_order_shape") as shapes, counting("_path_legal") as legal,
           counting("corners", arc_module.ArcApproximation) as corners):
         verify_s, report = verify_time(arc, case)
     out = [{"layer": "verify", "case": case, "depth": depth,
             "connectors": arc.branching ** depth - 1, "passed": report["passed"],
-            "parent_shapes_calls": shapes[0] // REPEATS,
+            "order_shape_calls": shapes[0] // REPEATS,
             "corners_calls": corners[0] // REPEATS,
             "path_legal_calls": legal[0] // REPEATS, "time_s": verify_s}]
     if case in SWEPT:

@@ -39,12 +39,12 @@ no object is kept per cell.  Everything else is derived from them:
 * connector j of a cell runs from the far corner of its sub-cell of rank
   j+1 to the near corner of rank j+2.
 
-The model text, the SVG, the vertex cloud, ``evaluate`` and the modulus of
-continuity read only these columns, the per-(axis, generation) tables of
+The model text, the SVG, ``evaluate`` and the modulus of continuity read
+only these columns and the per-(axis, generation) tables of
 ``interval_ends`` ("n/d" strings, and floats made by Python int / int,
-correctly rounded as ``float(Fraction)`` is) and the integer corners of
-``corners``: every cell corner as numerators over one common denominator,
-again one column per axis.
+correctly rounded as ``float(Fraction)`` is); the vertex cloud reads only
+the tables.  ``corners`` gives every cell corner as integer numerators over
+one common denominator, again one column per axis, for the traversal chain.
 
 Checks.  An arc is checked once, as it grows: the constructor decides every
 check of a generation as it grows it, and the first that fails raises
@@ -53,9 +53,12 @@ arc that exists has passed them all, so no verdict is kept.  The depth-k
 traversal runs through the generation-k cells' near-to-far diagonals in id
 order, joined by connectors; the checks are:
 
-(a) nesting: each distinct axis set's ``lattice(k)`` has closed intervals of
-    positive length, apart in index order, each inside its parent's interval
-    of ``lattice(k-1)`` (``_lattice_nests``);
+(a) nesting: each distinct axis set's ``lattice(k)`` is the outer children
+    of ``lattice(k-1)`` (``_lattice_nests``): with L and L' their lengths,
+    0 < 2L < L', and each parent [u, u+L'] has the children [u, u+L] and
+    [u+L'-L, u+L'], in order.  By induction from [0, 1], every generation's
+    intervals then have positive length, lie inside their parents and lie
+    apart in order;
 (c) clearance: a connector is one segment of positive length inside its
     parent cell that meets each closed sibling cell only at its own endpoint
     corner on that cell (no grazing, no face-sliding);
@@ -64,14 +67,16 @@ order, joined by connectors; the checks are:
     sub-cell its far corner.
 
 They are checked by exact geometry, not proved for the distance order in
-general.  (c)-(e) read a parent's integer shape (``_parent_shapes``): its
-far corner, then the near and far corner of each sub-cell in rank order,
-all minus its near corner, over one common denominator.  A connector's
-vertices are two points of that shape, so equal shapes mean the same
-geometry up to a translation, and the predicates are exact and unchanged
-under translation: ``route_connectors`` decides them once, on the first
-parent of each distinct shape, and the verdict holds for every parent with
-that shape.
+general.  (c)-(e) read a parent's integer shape (``_order_shape``): its far
+corner, then the near and far corner of each sub-cell in rank order, all
+minus its near corner, over one common denominator.  By (a) a sub-cell
+starts where its parent does on an axis where its bit pattern has a 0 and
+ends where its parent does where it has a 1, so the shape depends only on
+the generation and the parent's sub-cell order.  A connector's vertices are
+two points of that shape, so parents with one order hold the same geometry
+up to a translation, and the predicates are exact and unchanged under
+translation: ``route_connectors`` decides them once per order of a
+generation, on its first parent, and the verdict holds for all of them.
 ``_path_legal`` decides (c) by slab clipping in integer (numerator,
 denominator) pairs; ``polylines_disjoint`` decides (d) on the integer
 points.  (e) holds at every generation, so by induction every connector
@@ -121,8 +126,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product as iter_product, repeat
-from operator import sub
+from itertools import product as iter_product
 from typing import Iterator, Optional, Sequence
 
 from .cantor import GenerationBudgetError, ProductCantor, RatioCantorSet
@@ -247,7 +251,7 @@ def _clip(a: Sequence[int], b: Sequence[int], lo: Sequence[int], hi: Sequence[in
 def route_connectors(shape: Sequence[Sequence[int]], generation: int, parent_id: int
                      ) -> list[tuple[Sequence[int], Sequence[int]]]:
     """The straight connectors of a parent with integer ``shape`` (see
-    ``_parent_shapes``), as (source, target) pairs of shape points, after
+    ``_order_shape``), as (source, target) pairs of shape points, after
     checks (c)-(e) of the module docstring.
 
     Each connector must pass ``_path_legal`` (c) and miss every earlier
@@ -277,51 +281,31 @@ def route_connectors(shape: Sequence[Sequence[int]], generation: int, parent_id:
 
 def _lattice_nests(upper: tuple, lower: tuple) -> bool:
     """Check (a) of the module docstring on one Cantor set: whether the
-    intervals of the lattice ``lower`` (lows, length, denominator, as
-    ``lattice(k)`` gives it) have positive length, each starts after the
-    previous one ends, and each lies inside its parent's interval in
-    ``upper``, ``lattice(k-1)``.  Both are compared over their common
-    denominator."""
+    lattice ``lower`` (lows, length, denominator, as ``lattice(k)`` gives
+    it) is the outer children of ``upper``, ``lattice(k-1)``, compared over
+    their common denominator."""
     (up_lows, up_len, up_den), (lows, length, den) = upper, lower
     common = math.lcm(up_den, den)
     up = [a * (common // up_den) for a in up_lows]
     low = [a * (common // den) for a in lows]
     up_len, length = up_len * (common // up_den), length * (common // den)
-    return (length > 0 and len(low) == 2 * len(up)
-            and all(b - a > length for a, b in zip(low, low[1:]))
-            and all(a >= u for a, u in zip(low[::2], up))
-            and all(b + length <= u + up_len for b, u in zip(low[1::2], up)))
+    return (0 < 2 * length < up_len and low[::2] == up
+            and low[1::2] == [u + up_len - length for u in up])
 
 
-def _parent_shapes(cells: Corners, subs: Corners) -> dict[tuple, list[int]]:
-    """The distinct shapes of one generation's parents, in the order of
-    their first parent, each with the positions of its parents in their
-    generation.  ``cells`` and ``subs`` are the (near, far) corners of the
-    parents and of their sub-cells (``ArcApproximation.corners``, over one
-    denominator), so each generation's corners are made once and passed on.
-
-    A parent's shape is its far corner, then the near and far corner of
-    each sub-cell in rank order, all minus its near corner, as a tuple of
-    integer points over that denominator; connector s runs between shape
-    points 2s+2 and 2s+3.  The offsets are taken axis by axis over whole
-    columns, and the parents keyed by their per-axis offsets.
-    """
-    (near, far), (sub_near, sub_far) = cells, subs
-    n = len(near[0])
-    q = len(sub_near[0]) // n
-    w = 2 * q + 1  # points per shape
-    axes = []  # per axis, the w shape coordinates of each parent in turn
-    for low, high, sub_low, sub_high in zip(near, far, sub_near, sub_far):
-        points = [0] * (n * w)
-        points[::w] = high
-        for j in range(q):
-            points[1 + 2 * j::w] = sub_low[j::q]
-            points[2 + 2 * j::w] = sub_high[j::q]
-        axes.append(list(map(sub, points, chain.from_iterable(map(repeat, low, repeat(w))))))
-    parents: dict[tuple, list[int]] = {}
-    for c, key in enumerate(zip(*[zip(*[iter(axis)] * w) for axis in axes])):
-        parents.setdefault(key, []).append(c)
-    return {tuple(zip(*key)): positions for key, positions in parents.items()}
+def _order_shape(order: Sequence[int], sizes: Sequence[tuple[int, int]]) -> tuple:
+    """The integer shape of a parent whose sub-cells take the bit patterns
+    ``order`` (axis 0 the high bit), from each axis's (parent, sub-cell)
+    interval length over one denominator (``sizes``): by check (a) a
+    sub-cell starts at its parent's lower end where its bit is 0 and ends
+    at the upper end where it is 1."""
+    d = len(sizes)
+    shape = [tuple(parent for parent, _ in sizes)]
+    for b in order:
+        near = tuple(parent - sub if b >> (d - 1 - a) & 1 else 0
+                     for a, (parent, sub) in enumerate(sizes))
+        shape += [near, tuple(x + sub for x, (_, sub) in zip(near, sizes))]
+    return tuple(shape)
 
 
 def _integer_ratio(t) -> tuple[int, int]:
@@ -351,33 +335,35 @@ class ArcApproximation:
         The sub-cells of a parent with interval indices i take intervals
         2i + b on each axis, for the q bit patterns b (axis 0 the high bit).
         They are ranked by (|near corner|^2, near corner), computed exactly:
-        each axis's lower ends go over the lattices' common denominator, as
-        Python ints.  Within one parent the near corners order as the
-        patterns do, so the key is |near corner|^2 * q + pattern.
+        each axis's lower ends go over ``denominator(k)``, as Python ints.
+        Within one parent the near corners order as the patterns do, so the
+        key is |near corner|^2 * q + pattern.
 
-        Before a generation grows, each distinct axis set's lattice must
-        nest in its previous generation (check (a), ``_lattice_nests``).
-        Each grown generation is routed at once: ``route_connectors`` checks
-        (c)-(e) on the first parent of each distinct shape; the other
-        parents with that shape hold the same segments translated (see the
-        module docstring).  The connectors themselves stay implicit in the
-        columns.  A failed check raises RoutingFailed.
+        Before a generation grows, each distinct axis set's lattice must be
+        the outer children of its previous generation (check (a),
+        ``_lattice_nests``).  Each grown generation is routed at once:
+        ``route_connectors`` checks (c)-(e) on the first parent of each
+        distinct order, on the shape the order gives (``_order_shape``); the
+        other parents with that order hold the same segments translated.
+        The connectors themselves stay implicit in the columns.  A failed
+        check raises RoutingFailed.
         """
         if product.copies < 1:
             raise ValueError("product needs at least one factor axis")
         if depth < 0:
             raise ValueError("depth must be non-negative")
-        self.base_set = base_set
-        self.product = product
-        self.copies = product.copies
-        self.ambient_dimension = d = product.copies + 1
-        self.branching = q = 2 ** d  # sub-cells per cell
-        self.depth = depth
+        d = product.copies + 1
         # fail fast on the target depth before spending work on shallower
-        # ones; 2^e > budget exactly when e reaches the budget's bit length
+        # ones (or on 2^d); 2^e > budget exactly when e reaches its bit length
         if depth * d >= DEFAULT_CELL_BUDGET.bit_length():
             raise GenerationBudgetError(
                 f"depth {depth} needs 2^{depth * d} cells, over the budget {DEFAULT_CELL_BUDGET}")
+        self.base_set = base_set
+        self.product = product
+        self.copies = product.copies
+        self.ambient_dimension = d
+        self.branching = q = 2 ** d  # sub-cells per cell
+        self.depth = depth
         # the Cantor set each ambient axis reads its intervals from
         self._axis_sets = (base_set,) + (product.factor,) * product.copies
         self._columns = [(memoryview(array("q", [0])).toreadonly(),) * d]
@@ -386,8 +372,6 @@ class ArcApproximation:
         self._segments: dict[int, tuple] = {}
         # bits[a][b]: the bit of pattern b on axis a
         bits = [[b >> (d - 1 - a) & 1 for b in range(q)] for a in range(d)]
-        den = self.denominator(depth)
-        cells = self.corners(0, den)
         for k in range(1, depth + 1):
             lattices = [s.lattice(k) for s in self._axis_sets]
             # axis 0 reads the base set and every other axis the one factor
@@ -396,25 +380,29 @@ class ArcApproximation:
                     raise RoutingFailed(
                         f"check (a) fails at generation {k}: the lattice of axis {axis} "
                         f"does not nest in generation {k - 1}")
-            lcm = math.lcm(*(axis_den for _, _, axis_den in lattices))
-            squares = [[(a * (lcm // axis_den)) ** 2 for a in axis_lows]
+            den = self.denominator(k)
+            squares = [[(a * (den // axis_den)) ** 2 for a in axis_lows]
                        for axis_lows, _, axis_den in lattices]
             columns = [array("q") for _ in range(d)]
-            for row in zip(*self._columns[k - 1]):
+            classes: dict[tuple, int] = {}  # each order's first parent
+            for c, row in enumerate(zip(*self._columns[k - 1])):
                 sums = [0]  # |near corner|^2 of each pattern's sub-cell
                 for axis, i in zip(squares, row):
                     low, high = axis[2 * i], axis[2 * i + 1]
                     sums = [x + y for x in sums for y in (low, high)]
                 keys = [x * q + b for b, x in enumerate(sums)]
-                order = sorted(range(q), key=keys.__getitem__)
+                order = tuple(sorted(range(q), key=keys.__getitem__))
+                classes.setdefault(order, c)
                 for column, i, axis_bits in zip(columns, row, bits):
                     column.extend([2 * i + axis_bits[b] for b in order])
             self._columns.append(tuple(memoryview(column).toreadonly() for column in columns))
             first = self.first_id(k - 1)
-            subs = self.corners(k, den)
-            for shape, parents in _parent_shapes(cells, subs).items():
-                route_connectors(shape, k, first + parents[0])
-            cells = subs
+            # each axis's (parent, sub-cell) interval length over den
+            sizes = [tuple(ln * (den // axis_den)
+                           for _, ln, axis_den in (s.lattice(k - 1), lattice))
+                     for s, lattice in zip(self._axis_sets, lattices)]
+            for order, c in classes.items():
+                route_connectors(_order_shape(order, sizes), k, first + c)
 
     # -- lattice tables --------------------------------------------------------
 
@@ -430,7 +418,8 @@ class ArcApproximation:
 
     def denominator(self, k: int) -> int:
         """The lcm of every axis's lattice denominators up to generation k:
-        the common denominator of ``corners`` and ``traversal_chain``."""
+        the common denominator of the generation-k order shapes,
+        ``corners`` and ``traversal_chain``."""
         return math.lcm(*(s.lattice(g)[2] for s in self._axis_sets for g in range(k + 1)))
 
     def corners(self, k: int, den: int) -> Corners:
@@ -619,12 +608,10 @@ class ArcApproximation:
         finite stand-in for the depth-k curve.  Every connector end of
         generations up to k is among them, since a cell's near and far
         corners are those of its first and last sub-cells (see the
-        constructor)."""
+        constructor).  By (b) they are the product of each axis's distinct
+        float ends (two ends can round to one float), in its order."""
         self._require_depth(k)
-        points = set()
-        for corner in iter_product((0, 1), repeat=self.ambient_dimension):
-            points.update(self._float_corners(k, corner))
-        return sorted(points)
+        return list(iter_product(*[sorted(set(ends)) for ends in self.axis_ends(k)]))
 
 
 def build_arc(base_set: RatioCantorSet, product: ProductCantor, depth: int

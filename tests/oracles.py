@@ -13,7 +13,8 @@ index rows, as the library's views did.  The ``object_*`` readers and
 ``fraction_evaluate`` walk either as the library used to: the vertex cloud,
 the SVG, ``evaluate``, the containment distances and the counting summary;
 ``connector_vertex_cloud`` is the vertex cloud as the lattice arc first
-made it, with every connector end added to the cell corners;
+made it, with every connector end added to the cell corners, and
+``corner_vertex_cloud`` as it made it next, the set of every cell corner;
 ``reference_model_dict`` is the model object built from their rows, and
 ``view_verify_injectivity`` the injectivity check on them, which judges a
 replaced cell or connector as well as tampered rows, always by sweeping the
@@ -28,7 +29,10 @@ its constructor decides as it grows (and ``verify_injectivity`` and
 each of (a)-(e) of ``fractarc.arc``'s docstring at a depth, from
 ``lattices_nest`` (on ``Fraction`` intervals), ``rows_are_children``,
 ``connector_checks`` (once per distinct parent shape) and the arc's glue
-check; ``full_product`` is the row check behind containment.
+check.  ``_parent_shapes`` keys every parent of a generation by its shape,
+read off the corner columns, as the constructor did before it derived each
+shape from the sub-cell order; ``full_product`` is the row check behind
+containment.
 ``row_verify_injectivity`` is ``verify_injectivity`` as it ran on the rows:
 the class checks, and the traversal sweep when one fails.  Only an arc
 whose private rows or lattices a test has tampered with can fail them.
@@ -66,12 +70,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product as iter_product
+from itertools import chain, combinations, product as iter_product, repeat
+from operator import sub
 from typing import Optional
 
 import numpy as np
 
-from fractarc.arc import (ArcApproximation, InjectivityReport, _parent_shapes, _path_legal,
+from fractarc.arc import (ArcApproximation, Corners, InjectivityReport, _path_legal,
                           branch_word, param_rows)
 from fractarc.cantor import AnnulusWitness, PerfectnessReport, uniform_perfectness_constant
 from fractarc.cli import SCHEMA_VERSION, UnitIntervalModel, _arc_header, encode_rational
@@ -627,6 +632,16 @@ def connector_vertex_cloud(arc, k):
     return np.unique(np.array(points, dtype=float), axis=0)
 
 
+def corner_vertex_cloud(arc, k):
+    """The distinct float corners of a lattice arc's generation-k cells,
+    sorted: the set of every cell's corners as ``vertex_cloud`` first made
+    it, before it took the product of the axis ends."""
+    points = set()
+    for corner in iter_product((0, 1), repeat=arc.ambient_dimension):
+        points.update(arc._float_corners(k, corner))
+    return sorted(points)
+
+
 def fraction_evaluate(arc, t, k):
     """The Fraction digit loop and float(Fraction) point_at evaluate used to
     run: the oracle of the integer digits and the float tables."""
@@ -931,6 +946,37 @@ def connector_checks(arc, k):
             crossing = crossing or meet
             violations.extend((first + c) * (q - 1) + s for c in parents for s in failing)
     return sorted(violations), crossing, generations
+
+
+def _parent_shapes(cells: Corners, subs: Corners) -> dict[tuple, list[int]]:
+    """The distinct shapes of one generation's parents, in the order of
+    their first parent, each with the positions of its parents in their
+    generation.  ``cells`` and ``subs`` are the (near, far) corners of the
+    parents and of their sub-cells (``ArcApproximation.corners``, over one
+    denominator), so each generation's corners are made once and passed on.
+
+    A parent's shape is its far corner, then the near and far corner of
+    each sub-cell in rank order, all minus its near corner, as a tuple of
+    integer points over that denominator; connector s runs between shape
+    points 2s+2 and 2s+3.  The offsets are taken axis by axis over whole
+    columns, and the parents keyed by their per-axis offsets.
+    """
+    (near, far), (sub_near, sub_far) = cells, subs
+    n = len(near[0])
+    q = len(sub_near[0]) // n
+    w = 2 * q + 1  # points per shape
+    axes = []  # per axis, the w shape coordinates of each parent in turn
+    for low, high, sub_low, sub_high in zip(near, far, sub_near, sub_far):
+        points = [0] * (n * w)
+        points[::w] = high
+        for j in range(q):
+            points[1 + 2 * j::w] = sub_low[j::q]
+            points[2 + 2 * j::w] = sub_high[j::q]
+        axes.append(list(map(sub, points, chain.from_iterable(map(repeat, low, repeat(w))))))
+    parents: dict[tuple, list[int]] = {}
+    for c, key in enumerate(zip(*[zip(*[iter(axis)] * w) for axis in axes])):
+        parents.setdefault(key, []).append(c)
+    return {tuple(zip(*key)): positions for key, positions in parents.items()}
 
 
 def lattices_nest(arc, k):

@@ -24,8 +24,9 @@ from fractarc.cli import RunConfig, arc_estimate, build_model
 from fractarc.geometry import (boxes_disjoint, chain_self_intersection, lift, points_bbox,
                                polylines_disjoint, vlerp, vsub)
 import oracles
-from oracles import (Address, Connector, RowView, box_corners, class_checks, cloud_box_count,
-                     connector_vertex_cloud, fraction_evaluate, full_product, lattices_nest,
+from oracles import (Address, Connector, RowView, _parent_shapes, box_corners, class_checks,
+                     cloud_box_count, connector_vertex_cloud, corner_vertex_cloud,
+                     fraction_evaluate, full_product, lattices_nest,
                      param_intervals, path_legal as fraction_path_legal, row_verify_injectivity,
                      rows_are_children, rows_contain, sample_addresses, scan_containment,
                      shape_of, view_verify_injectivity)
@@ -392,6 +393,28 @@ class TestRouting:
         assert [parent for parent, _ in checked] == list(firsts.values())
         # each run returns the representative's q-1 segments
         assert all(n == arc.branching - 1 for _, n in checked)
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=run_configs())
+    def test_order_shapes_are_the_corner_shapes(self, config):
+        # the shape each class routes, built from its sub-cell order and the
+        # lengths, is the one its parents' corner columns give, on the same
+        # first parent and in the same order
+        real, routed = arc_module.route_connectors, []
+
+        def record(shape, generation, parent_id):
+            routed.append((generation, parent_id, shape))
+            return real(shape, generation, parent_id)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(arc_module, "route_connectors", record)
+            arc = build_model(config)
+        expected = []
+        for k in range(1, arc.depth + 1):
+            den, first = arc.denominator(k), arc.first_id(k - 1)
+            expected += [(k, first + parents[0], shape) for shape, parents
+                         in _parent_shapes(arc.corners(k - 1, den), arc.corners(k, den)).items()]
+        assert routed == expected
 
     @pytest.mark.parametrize("config, runs", [
         (RunConfig(depth=5), 9),  # of 341 parents
@@ -768,10 +791,12 @@ class TestInjectivity:
             ArcApproximation(tampered, product, 2)
 
     def test_a_lattice_short_of_its_parent_fails_glue_in_construction(self):
+        # the interval is no outer child of its parent, so construction
+        # refuses it by (a) at the generation where (e) would fail
         base, product = planar_sets()
         tampered = _TamperedLattice(base, _short_of_parent)
-        with pytest.raises(RoutingFailed, match=r"check \(e\) fails at generation 2 "
-                                                r"\(parent 1\)"):
+        with pytest.raises(RoutingFailed, match=r"check \(a\) fails at generation 2: "
+                                                r"the lattice of axis 0"):
             ArcApproximation(tampered, product, 2)
 
     def test_rows_under_a_foreign_parent_fail_the_children_check(self):
@@ -1118,6 +1143,17 @@ class TestVertexCloudConvergence:
         arc = build_model(config)
         for k in range(1, arc.depth + 1):
             assert np.array_equal(arc.vertex_cloud(k), connector_vertex_cloud(arc, k))
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=run_configs())
+    # at c = 1.05 the factor's distinct ends near 1 round to one float from
+    # generation 3, and the cloud must still list each corner once
+    @example(config=RunConfig(target_dimension=1.05, depth=3))
+    def test_cloud_is_the_set_of_cell_corners(self, config):
+        # the product of the axis ends is every cell's corners, sorted
+        arc = build_model(config)
+        for k in range(arc.depth + 1):
+            assert arc.vertex_cloud(k) == corner_vertex_cloud(arc, k)
 
 
 def estimate_matches_the_cloud(arc, window):

@@ -255,6 +255,31 @@ class TestBuildCommand:
             assert f"needs 2^{depth * 3} cells" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_a_huge_dimension_is_refused_before_its_branching(self, tmp_path):
+        # c = 1e12 has 10^12 axes: the budget refuses it before 2^d is made,
+        # at build (exit 3) and at the load of a file with that config (exit
+        # 2); the child's 1 GiB address space turns a 2^(10^12) into a
+        # MemoryError rather than a swamped machine
+        import resource
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+        model = tmp_path / "model.json"
+        assert main(["build", "--c", "1.5", "--depth", "1", "--out", str(model)]) == EXIT_OK
+        data = json.loads(model.read_text())
+        data["config"]["target_dimension"] = 1e12
+        model.write_text(json.dumps(data))
+        env = {**os.environ, "PYTHONPATH": str(Path(fractarc.__file__).parents[1])}
+        for argv, code in ((["build", "--c", "1e12", "--depth", "1",
+                             "--out", str(tmp_path / "huge.json")], EXIT_CONSTRUCTION),
+                           (["verify", "--model", str(model)], EXIT_CONFIG)):
+            run = subprocess.run([sys.executable, "-m", "fractarc.cli", *argv], env=env,
+                                 capture_output=True, text=True, timeout=60,
+                                 preexec_fn=limit_memory)
+            assert (run.returncode, "Traceback" in run.stderr) == (code, False), run.stderr
+            assert "needs 2^1000000000001 cells" in run.stderr
+
     def test_illegal_connector_exit_code(self, tmp_path, capsys, monkeypatch):
         def refuse(shape, generation, parent_id):
             raise arc_mod.RoutingFailed("the straight connector is not legal")
@@ -297,11 +322,11 @@ class TestVerifyCommand:
                                         RunConfig(target_dimension=2.5, depth=3, samples=20)],
                              ids=["planar-5", "spatial-3"])
     def test_verification_repeats_no_construction_work(self, config, monkeypatch):
-        # construction decided every check: verify keys no parent shape,
+        # construction decided every check: verify builds no parent shape,
         # makes no corner and runs no clearance test
         arc = build_model(config)
         calls = []
-        for owner, name in ((arc_mod, "_parent_shapes"), (arc_mod, "_path_legal"),
+        for owner, name in ((arc_mod, "_order_shape"), (arc_mod, "_path_legal"),
                             (arc_mod.ArcApproximation, "corners")):
             def counting(*args, inner=getattr(owner, name), name=name):
                 calls.append(name)

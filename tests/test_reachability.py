@@ -43,6 +43,7 @@ ALLOWED = {
     "geometry:_meeting_box_pairs": _TRACER + " (chain_self_intersection calls it)",
     "arc:ArcApproximation.traversal_chain": _TRACER,
     "arc:ArcApproximation._glued": _TRACER + " (traversal_chain calls it)",
+    "arc:ArcApproximation.corners": _TRACER + " (traversal_chain calls it)",
     "arc:build_arc": _API,
     "arc:ArcApproximation.evaluate": _API,
     "metric:SnowflakeMetric.distance": _METRIC,
