@@ -14,8 +14,8 @@ the product path (the whole product sample built, then counted) as the
 reference.  Each row keeps the point count (for a rug, the product's and
 each factor's; for a product, the axis sample's and the cells') beside the
 lattice's storage (``array('q')`` or tuple) or the counts per scale, so work and time are
-read together.  Given a second ``src`` directory, the box samples and
-counts are timed in a fresh process against it as well.
+read together.  Given a second ``src`` directory, the box and net samples
+and counts are timed in a fresh process against it as well.
 
 ``ball_net_count`` alone, best of five, beside one run of the full-scan
 oracle of the tests (``full_scan_net_count``), whose counts must be equal:
@@ -225,32 +225,79 @@ def box_rows(parent: Path | None = None) -> list[dict]:
     return out
 
 
-def net_row(case: str, generation: int, space, lo: int, hi: int) -> dict:
-    """Net counts as the CLI takes them: a snowflake on its own sample, a
-    rug on its two factor samples.  A rug row also times the product path
-    it replaced, the whole product sample built and then counted, as the
-    reference, and checks that both give the same counts."""
-    radii = [0.5 ** i for i in range(lo, hi + 1)]
+def net_cases():
+    """(case, generation, space, radii) of the net rows: the snowflake
+    preset's radii at three generations, the snowflake rug's at three, and
+    the rug over planar-4 at generation 6."""
+    koch = SnowflakeMetric(VON_KOCH_EXPONENT)
+    for g in (12, 14, 16):
+        yield "snowflake koch", g, koch, [0.5 ** i for i in range(2, 8)]
+    for g in (7, 8, 9):
+        yield "rug koch", g, RugSpace(koch), [0.5 ** i for i in range(2, 6)]
+    c, depth = ARCS["planar-4"]
+    planar_4 = build_model(RunConfig(target_dimension=c, depth=depth))
+    yield "rug planar-4", 6, RugSpace(ArcFactor(planar_4)), [0.5 ** i for i in range(2, 5)]
+
+
+def net_factors(space, generation: int) -> list:
+    """The ``(space, sample)`` factors the CLI counts: a snowflake on its
+    own sample, a rug on its two factor samples."""
     if isinstance(space, RugSpace):
-        sample_s, factors = best_of(lambda: space.factors(generation))
-    else:
-        sample_s, points = best_of(lambda: space.sample(generation))
-        factors = [(space, points)]
-    # resolution 0: the radii are the presets' own, which they admit
-    count_s, series = best_of(lambda: net_count_series(factors, radii, 0))
-    row = {"layer": "net_count_series", "case": case, "generation": generation,
-           "points": math.prod(len(points) for _, points in factors),
-           "factor_points": [len(points) for _, points in factors],
-           "scales": radii, "counts": list(series.counts),
-           "sample_s": sample_s, "count_s": count_s}
-    if isinstance(space, RugSpace):
-        product_sample_s, points = best_of(lambda: space.sample(generation))
-        product_count_s, counts = best_of(
-            lambda: [ball_net_count(space, points, r) for r in radii])
-        if counts != row["counts"]:
-            raise SystemExit(f"{case}: factor counts {row['counts']} != product {counts}")
-        row.update(product_sample_s=product_sample_s, product_count_s=product_count_s)
-    return row
+        return space.factors(generation)
+    return [(space, space.sample(generation))]
+
+
+def net_series_times() -> list:
+    """(best sample time, best count time, counts) of each of ``net_cases``:
+    ``net_factors``, then ``net_count_series`` on them."""
+    out = []
+    for _, g, space, radii in net_cases():
+        sample_s, factors = best_of(lambda: net_factors(space, g))
+        # resolution 0: the radii are the presets' own, which they admit
+        count_s, series = best_of(lambda: net_count_series(factors, radii, 0))
+        out.append((sample_s, count_s, list(series.counts)))
+    return out
+
+
+#: Prints ``net_series_times()`` of the ``fractarc`` on PYTHONPATH (argv:
+#: bench's directory) as JSON.
+PARENT_NET_SERIES = ("import json, sys; sys.path.insert(0, sys.argv[1]); import run; "
+                     "print(json.dumps(run.net_series_times()))")
+
+
+def net_rows(parent: Path | None = None) -> list[dict]:
+    """Net counts of each of ``net_cases`` as the CLI takes them.  A rug row
+    also times the product path it replaced, the whole product sample built
+    and then counted, as the reference, and checks that both give the same
+    counts.  With a ``parent`` src directory the same factors and counts are
+    timed in a fresh process against it (``parent_sample_s``,
+    ``parent_count_s``), and its counts must be equal."""
+    out = []
+    for (case, g, space, radii), (sample_s, count_s, counts) in zip(net_cases(),
+                                                                    net_series_times()):
+        factors = net_factors(space, g)
+        row = {"layer": "net_count_series", "case": case, "generation": g,
+               "points": math.prod(len(points) for _, points in factors),
+               "factor_points": [len(points) for _, points in factors],
+               "scales": radii, "counts": counts,
+               "sample_s": sample_s, "count_s": count_s}
+        if isinstance(space, RugSpace):
+            product_sample_s, points = best_of(lambda: space.sample(g))
+            product_count_s, product_counts = best_of(
+                lambda: [ball_net_count(space, points, r) for r in radii])
+            if product_counts != counts:
+                raise SystemExit(f"{case}: factor counts {counts} != product {product_counts}")
+            row.update(product_sample_s=product_sample_s, product_count_s=product_count_s)
+        out.append(row)
+    if parent is not None:
+        run = subprocess.run([sys.executable, "-c", PARENT_NET_SERIES, str(ROOT / "bench")],
+                             env={**os.environ, "PYTHONPATH": str(parent)}, check=True,
+                             text=True, stdout=subprocess.PIPE)
+        for row, (sample_s, count_s, counts) in zip(out, json.loads(run.stdout)):
+            if counts != row["counts"]:
+                raise SystemExit(f"{row['case']}: parent counts {counts} != {row['counts']}")
+            row.update(parent_sample_s=sample_s, parent_count_s=count_s)
+    return out
 
 
 def net_samples():
@@ -600,15 +647,8 @@ def rows(parent: Path | None = None) -> list[dict]:
         for g in (16, 18, 20):
             out.append(lattice_row(case, ratio, g))
     out.extend(box_rows(parent))
-    koch = SnowflakeMetric(VON_KOCH_EXPONENT)
-    for g in (12, 14, 16):
-        out.append(net_row("snowflake koch", g, koch, 2, 7))
-    for g in (7, 8, 9):
-        out.append(net_row("rug koch", g, RugSpace(koch), 2, 5))
+    out.extend(net_rows(parent))
     out.extend(net_oracle_rows(parent))
-    c, depth = ARCS["planar-4"]
-    planar_4 = build_model(RunConfig(target_dimension=c, depth=depth))
-    out.append(net_row("rug planar-4", 6, RugSpace(ArcFactor(planar_4)), 2, 4))
     for case in ARCS:
         out.append(build_row(case))
         if case != "planar-4":

@@ -354,10 +354,12 @@ class ArcApproximation:
             raise ValueError("depth must be non-negative")
         d = product.copies + 1
         # fail fast on the target depth before spending work on shallower
-        # ones (or on 2^d); 2^e > budget exactly when e reaches its bit length
-        if depth * d >= DEFAULT_CELL_BUDGET.bit_length():
+        # ones (or on 2^d, built at depth 0 too); 2^e > budget exactly when
+        # e reaches its bit length
+        e = max(depth, 1) * d
+        if e >= DEFAULT_CELL_BUDGET.bit_length():
             raise GenerationBudgetError(
-                f"depth {depth} needs 2^{depth * d} cells, over the budget {DEFAULT_CELL_BUDGET}")
+                f"depth {max(depth, 1)} needs 2^{e} cells, over the budget {DEFAULT_CELL_BUDGET}")
         self.base_set = base_set
         self.product = product
         self.copies = product.copies

@@ -24,18 +24,19 @@ product of per-axis intervals, so ``box_count_series`` multiplies the axes'
 counts.
 
 The greedy net visits the points in sample order, as a full rescan would, but
-looks only where a point can be near.  Each metric's ``reach(r)`` is one
-float, and ``within(p, c, r)`` implies that the float ``|p_0 - c_0|`` is
-below it, so the exact difference is below ``reach * (1 + 2^-52)``.  The
-points are sorted on axis 0 once per radius; a net point's candidates are
-the slab ``c_0 - w <= x_0 <= c_0 + w``, two binary searches away, with
-``w = reach * (1 + 2^-20)`` plus four ulps of ``max(|x_0|, 1)``.  Rounding
-moves each float bound by at most an ulp of the larger of ``w`` and
-``|c_0|``, which the relative margin or the four ulps cover with room to
-spare for the rounding of the difference: no point within reach falls
+looks only where a point can be near.  A snowflake's grid is walked
+(``UnitGrid.net_count``); an array is searched.  Each metric's ``reach(r)``
+is one float, and ``within(p, c, r)`` implies that the float ``|p_0 -
+c_0|`` is below it, so the exact difference is below ``reach * (1 +
+2^-52)``.  The points are sorted on axis 0 once per radius; a net point's
+candidates are the slab ``c_0 - w <= x_0 <= c_0 + w``, two binary searches
+away, with ``w = reach * (1 + 2^-20)`` plus four ulps of ``max(|x_0|, 1)``.
+Rounding moves each float bound by at most an ulp of the larger of ``w``
+and ``|c_0|``, which the relative margin or the four ulps cover with room
+to spare for the rounding of the difference: no point within reach falls
 outside the slab.  ``within`` still decides every candidate, with the same
 float comparison, so the counts are those of the full scan.  On a sorted
-1-D sample a point reaches ``within`` twice only if it lies in the hair
+1-D array a point reaches ``within`` twice only if it lies in the hair
 between a net point's reach and ``w``.
 
 A rug is counted on its factors, never on its product sample.  The product
@@ -60,14 +61,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .cantor import _BinaryCantorBase
-
-# numpy is imported by the fit and the nets that use it, so counting boxes
-# (``export --format csv``) loads none
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Box dimension equals Hausdorff dimension for the self-similar sets and
 #: products built here; estimates elsewhere carry this caveat.
@@ -231,19 +227,23 @@ def estimate_dimension(series: BoxCountSeries, kind: str) -> DimensionEstimate:
 _SLAB_MARGIN = 1.0 + 2.0 ** -20
 
 
-def ball_net_count(space, points: np.ndarray, r: float) -> int:
+def ball_net_count(space, points, r: float) -> int:
     """Size of the greedy maximal r-separated subset of a float array of
-    points, one per row, in sample order.
+    points, one per row, or a ``UnitGrid``, in sample order.
 
     The net size is sandwiched between covering numbers at radii r and r/2,
     so its log-log slope estimates the same exponent.  Candidates come from
     the axis-0 slab of the module docstring; ``space.within`` decides them,
-    once per net point.
+    once per net point.  A snowflake's grid is walked instead.
     """
-    import numpy as np
+    from .metric import SnowflakeMetric, UnitGrid
 
     if not r > 0:
         raise ValueError(f"net radius must be positive, got {r}")
+    if isinstance(points, UnitGrid) and isinstance(space, SnowflakeMetric):
+        return points.net_count(space.reach(r))
+    import numpy as np
+
     points = np.asarray(points, dtype=float)
     n = len(points)
     if n == 0:

@@ -6,15 +6,19 @@ a product of a first factor (snowflaked interval, or a curve model carrying
 its ambient Euclidean metric) with [0, 1], under the max metric.
 
 Every space gives ``within`` (the ball test the net counter decides with)
-and ``reach`` (how far along axis 0 that ball can reach, the half-width of
-the slab the net counter searches).  Grid samples hold 2^resolution values
-per axis and are refused before allocation when that exceeds
-``DEFAULT_SAMPLE_BUDGET``.
+and ``reach`` (how far along axis 0 that ball can reach).  A snowflake's
+ball on [0, 1] is the float test ``|v - c| < reach(r)`` itself, so the net
+counter walks its sample; only the ``ArcFactor``, Euclidean on several
+axes, is searched in the axis-0 slab of half-width ``reach``.  A grid sample
+is a ``UnitGrid``: 2^resolution values of [0, 1] computed on demand, no
+array.  Samples over ``DEFAULT_SAMPLE_BUDGET`` points are refused.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +30,53 @@ DEFAULT_SAMPLE_BUDGET = 2 ** 21
 
 
 def _check_budget(kind: str, resolution: int) -> None:
-    """Refuse a 2^resolution-point grid over the budget before allocating it."""
+    """Refuse a 2^resolution-point sample over the budget before building it."""
     if resolution >= DEFAULT_SAMPLE_BUDGET.bit_length():  # 2^resolution > budget
         raise ValueError(f"{kind} sample of 2^{resolution} points exceeds the budget "
                          f"{DEFAULT_SAMPLE_BUDGET}")
+
+
+class UnitGrid(Sequence):
+    """The n = 2^resolution evenly spaced floats of [0, 1], ends included,
+    computed on demand: item i is ``i * (1.0 / (n - 1))``.  That is numpy's
+    ``linspace(0.0, 1.0, n)`` bit for bit: numpy multiplies ``arange(n)`` by
+    the same step and then sets the last item to 1.0, which ``(2^g - 1) *
+    (1.0 / (2^g - 1))`` already is.  A grid materialises as ``np.array(grid)``.
+
+    A snowflake's ball about a grid point c holds exactly the v with
+    ``|v - c| < reach``, one float comparison, and float subtraction is
+    monotone.  So from a net point c the later points its ball covers come
+    first and the rest follow, and a point an earlier net point's ball
+    covers, c's covers too: the greedy net in grid order is a walk
+    (``net_count``)."""
+
+    __slots__ = ("_n", "_step")
+
+    def __init__(self, resolution: int):
+        if resolution < 0:
+            raise ValueError(f"grid resolution must be non-negative, got {resolution}")
+        self._n = n = 2 ** resolution
+        self._step = 1.0 / (n - 1) if n > 1 else 0.0
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i: int) -> float:
+        if not 0 <= i < self._n:
+            raise IndexError("grid index out of range")
+        return i * self._step
+
+    def net_count(self, reach: float) -> int:
+        """Size of the greedy net in grid order under the balls ``|v - c| <
+        reach``: from each net point c the next is the first later v with
+        ``v - c < reach`` false, one bisection away.  A count at N net
+        points costs O(N log n) and allocates nothing."""
+        count, i, n = 0, 0, self._n
+        while i < n:
+            count += 1
+            c = self[i]
+            i = bisect_left(self, True, i + 1, key=lambda v: not v - c < reach)
+        return count
 
 
 @dataclass(frozen=True)
@@ -61,12 +108,15 @@ class SnowflakeMetric:
     def reach(self, r: float) -> float:
         """The axis-0 half-width: ``within(p, c, r)`` implies that the float
         ``|p_0 - c_0|`` is below ``reach(r)``."""
-        return r ** (1.0 / self.exponent)
+        try:
+            return r ** (1.0 / self.exponent)
+        except OverflowError:  # r > 1 to a huge power: the ball holds [0, 1]
+            return math.inf
 
-    def sample(self, resolution: int) -> np.ndarray:
+    def sample(self, resolution: int) -> UnitGrid:
         """2^resolution evenly spaced points of [0, 1], ends included."""
         _check_budget("snowflake", resolution)
-        return np.linspace(0.0, 1.0, 2 ** resolution).reshape(-1, 1)
+        return UnitGrid(resolution)
 
 
 @dataclass(frozen=True)
@@ -110,7 +160,7 @@ class ArcFactor:
 
     def sample(self, resolution: int) -> np.ndarray:
         k = min(resolution, self.arc.depth)
-        return self.arc.vertex_cloud(k)
+        return np.array(self.arc.vertex_cloud(k), dtype=float)
 
 
 class RugSpace:
@@ -148,18 +198,20 @@ class RugSpace:
     def reach(self, r: float) -> float:
         return self.first.reach(r)
 
-    def factors(self, resolution: int) -> list[tuple[object, np.ndarray]]:
-        """``[(first, its sample), (SnowflakeMetric(1.0), 2^resolution grid
-        values)]``, the factors whose row-major product is
+    def factors(self, resolution: int) -> list[tuple[object, Sequence]]:
+        """``[(first, its sample), (SnowflakeMetric(1.0), its 2^resolution
+        grid)]``, the factors whose row-major product is
         ``sample(resolution)``, refused as ``sample`` refuses: the product
-        stays capped at the budget although it is never allocated."""
+        stays capped at the budget although it is never allocated.  A
+        snowflake's sample is its ``UnitGrid``, an ``ArcFactor``'s a float
+        array."""
         if resolution < 1:
             raise ValueError("resolution must be at least 1")
         _check_budget("rug", resolution)
-        first = np.asarray(self.first.sample(resolution), dtype=float)
+        first = self.first.sample(resolution)
         interval = SnowflakeMetric(1.0)
         second = interval.sample(resolution)
-        total = first.shape[0] * second.shape[0]
+        total = len(first) * len(second)
         if total > DEFAULT_SAMPLE_BUDGET:
             raise ValueError(f"rug sample of {total} points exceeds the budget "
                              f"{DEFAULT_SAMPLE_BUDGET}")
@@ -169,5 +221,7 @@ class RugSpace:
         """Deterministic product sample: factor sample times a uniform grid of
         2^resolution second-factor values."""
         (_, first), (_, second) = self.factors(resolution)
+        first = np.asarray(first, dtype=float).reshape(len(first), -1)
+        second = np.array(second).reshape(-1, 1)
         return np.hstack([np.repeat(first, len(second), axis=0),
                           np.tile(second, (len(first), 1))])

@@ -292,10 +292,16 @@ def cloud_box_count(points, delta):
     return len({tuple(min(max(i, 0), n_boxes - 1) for i in row) for row in idx.tolist()})
 
 
+def sample_rows(points):
+    """A net sample as a float array, one point per row: a ``UnitGrid``
+    materialised as a column, an array as it is."""
+    return np.asarray(points, dtype=float).reshape(len(points), -1)
+
+
 def full_scan_net_count(space, points, r):
     """Oracle: the greedy net with every net point rescanning the whole
     sample, as ``ball_net_count`` was first written."""
-    points = np.asarray(points, dtype=float)
+    points = sample_rows(points)
     covered = np.zeros(len(points), dtype=bool)
     count = 0
     for i in range(len(points)):

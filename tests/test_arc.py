@@ -507,6 +507,44 @@ class TestCountingInvariants:
         with pytest.raises(ValueError, match="depth must be non-negative"):
             ArcApproximation(base, product, -1)
 
+    def test_depth_zero_is_refused_before_its_branching(self, monkeypatch):
+        # depth 0 still builds 2^d, so it is budgeted as depth 1
+        monkeypatch.setattr(arc_module, "DEFAULT_CELL_BUDGET", 64)
+        base, product = planar_sets()
+        assert ArcApproximation(base, ProductCantor(product.factor, 5), 0).depth == 0
+        with pytest.raises(GenerationBudgetError, match="depth 1 needs 2\\^7 cells"):
+            ArcApproximation(base, ProductCantor(product.factor, 6), 0)
+
+    def test_a_huge_dimension_at_depth_zero_is_refused(self):
+        # 10^12 copies: without the refusal, 2^d and the axis-set tuple
+        # exhaust the child's 1 GiB address space (MemoryError, not a
+        # swamped machine)
+        import os
+        import resource
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import fractarc
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+        script = ("from fractions import Fraction\n"
+                  "from fractarc.arc import ArcApproximation\n"
+                  "from fractarc.cantor import (GenerationBudgetError, ProductCantor,\n"
+                  "                             RatioCantorSet, RatioSequence, SelfSimilarCantor)\n"
+                  "product = ProductCantor(SelfSimilarCantor(Fraction(1, 3)), 10 ** 12)\n"
+                  "try:\n"
+                  "    ArcApproximation(RatioCantorSet(RatioSequence.dyadic()), product, 0)\n"
+                  "except GenerationBudgetError as exc:\n"
+                  "    print(exc)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(fractarc.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=60, preexec_fn=limit_memory)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert "depth 1 needs 2^1000000000001 cells" in run.stdout
+
 
 class TestEvaluate:
     def test_midpoint_of_first_used_interval(self, figure_arc):

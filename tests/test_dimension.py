@@ -19,9 +19,9 @@ from fractarc.dimension import (_SLAB_MARGIN, BoxCountSeries, LatticeSample,
                                 expected_dimensions, interval_sample,
                                 net_count_series, power_scales)
 from fractarc.metric import (VON_KOCH_EXPONENT, ArcFactor, EuclideanMetric,
-                             RugSpace, SnowflakeMetric)
+                             RugSpace, SnowflakeMetric, UnitGrid)
 from oracles import (cloud_box_count, full_scan_net_count, generation_intervals,
-                     lattice_sample, numpy_box_count, sample_points)
+                     lattice_sample, numpy_box_count, sample_points, sample_rows)
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
@@ -247,7 +247,7 @@ class TestNetCount:
         # the rug compares its max-metric within with its distance
         rug = RugSpace(SnowflakeMetric(0.5))
         for space, pts in ((koch, koch.sample(7)), (rug, rug.sample(4))):
-            listed = [tuple(p) for p in pts.tolist()]
+            listed = [tuple(p) for p in sample_rows(pts).tolist()]
             for r in (0.5, 0.25, 0.125):
                 assert ball_net_count(space, pts, r) == brute_force_net(space, listed, r)
 
@@ -303,7 +303,7 @@ def net_cases(draw):
     rows shuffled, with lattice radii, a radius beyond the diameter, or any."""
     space = draw(NET_SPACES)
     if hasattr(space, "sample") and draw(st.booleans()):
-        points = space.sample(draw(st.integers(1, 3)))
+        points = sample_rows(space.sample(draw(st.integers(1, 3))))
     else:
         axis = st.integers(0, 8)
         rows = draw(st.lists(st.tuples(*[axis] * space.point_dimension),
@@ -373,12 +373,14 @@ class TestSlabNet:
         assert ball_net_count(space, points, 10.0) == 1
 
     @pytest.mark.parametrize("space, points", [
-        *((SnowflakeMetric(eps), SnowflakeMetric(eps).sample(16))
+        *((SnowflakeMetric(eps), sample_rows(SnowflakeMetric(eps).sample(16)))
           for eps in (VON_KOCH_EXPONENT, 0.5, 1.0)),
-        RugSpace(SnowflakeMetric(VON_KOCH_EXPONENT)).factors(10)[1],
+        (SnowflakeMetric(1.0), sample_rows(RugSpace(SnowflakeMetric(VON_KOCH_EXPONENT))
+                                           .factors(10)[1][1])),
     ], ids=["koch", "half", "one", "rug-grid"])
     def test_within_sees_each_point_once_on_a_sorted_axis(self, space, points, monkeypatch):
-        # counters, not timings: the full scan hands within n rows per net point
+        # counters, not timings: the full scan hands within n rows per net
+        # point; the grids themselves are walked, so these are their arrays
         rows = []
         within = type(space).within
         monkeypatch.setattr(type(space), "within",
@@ -399,6 +401,76 @@ class TestSlabNet:
                                   sample_resolution=resolution)
         assert series.counts == tuple(full_scan_net_count(space, points, 0.5 ** i)
                                       for i in range(1, 4))
+
+
+@st.composite
+def grid_cases(draw):
+    """(snowflake, g, r): an exponent in (0, 1], the von Koch one, 1/2 and 1
+    among them, a grid of 2^g points, g in 1..16, and a radius in
+    2^-12..2^1, often a power of two."""
+    eps = draw(st.one_of(st.sampled_from([VON_KOCH_EXPONENT, 0.5, 1.0]),
+                         st.floats(0.0, 1.0, exclude_min=True)))
+    g = draw(st.integers(1, 16))
+    r = draw(st.one_of(st.integers(-12, 1).map(lambda i: 2.0 ** i),
+                       st.floats(2.0 ** -12, 2.0)))
+    return SnowflakeMetric(eps), g, r
+
+
+class TestGridWalk:
+    @given(grid_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_walk_equals_the_slab_search_on_the_array(self, case):
+        space, g, r = case
+        grid = space.sample(g)
+        count = ball_net_count(space, grid, r)
+        assert count == ball_net_count(space, sample_rows(grid), r)
+        if g <= 8:
+            assert count == full_scan_net_count(space, grid, r)
+
+    def test_grid_is_linspace_bit_for_bit(self):
+        for g in range(1, 22):
+            grid = np.array(UnitGrid(g))
+            assert grid.dtype == np.float64
+            assert np.array_equal(grid.view(np.int64),
+                                  np.linspace(0.0, 1.0, 2 ** g).view(np.int64)), g
+
+    def test_grid_indexes_as_a_sequence(self):
+        grid = UnitGrid(3)
+        assert len(grid) == 8 and grid[0] == 0.0 and grid[7] == 1.0 and grid[1] == 1 / 7
+        for i in (8, -1):
+            with pytest.raises(IndexError):
+                grid[i]
+        assert list(UnitGrid(0)) == [0.0]
+        with pytest.raises(ValueError, match="non-negative"):
+            UnitGrid(-1)
+
+    def test_walk_makes_no_ball_test_and_no_array(self, monkeypatch):
+        # counters, not timings: within is never called, and the walk's
+        # peak allocation is far below the 512 KiB of the grid's array
+        import tracemalloc
+
+        space = SnowflakeMetric(VON_KOCH_EXPONENT)
+        grid = space.sample(16)
+        expected = [ball_net_count(space, sample_rows(grid), 2.0 ** -i) for i in range(2, 9)]
+
+        def refuse(*args):
+            raise AssertionError("the grid walk called within")
+        monkeypatch.setattr(SnowflakeMetric, "within", refuse)
+        tracemalloc.start()
+        try:
+            counts = [ball_net_count(space, grid, 2.0 ** -i) for i in range(2, 9)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == expected
+        assert peak < 2 ** 16
+
+    def test_other_spaces_search_the_grid_as_an_array(self):
+        # a Euclidean ball tests d * d < r * r, not the walk's |d| < r
+        space, grid = EuclideanMetric(1), UnitGrid(8)
+        for r in (2.0 ** -3, 1 / 255, 1e-200):
+            assert ball_net_count(space, grid, r) == full_scan_net_count(space, grid, r)
+        assert ball_net_count(space, grid, 1e-200) == 256
 
 
 #: Rug product samples above this many points make the full scan too slow.
@@ -437,7 +509,7 @@ class TestRugFactorCount:
         for rug in (RugSpace(SnowflakeMetric(0.5)), RugSpace(ArcFactor(depth_two_arc(2)))):
             (first, first_points), (interval, grid) = rug.factors(3)
             assert first is rug.first and interval == SnowflakeMetric(1.0)
-            product = [(*p, y) for p in first_points.tolist() for (y,) in grid.tolist()]
+            product = [(*p, y) for p in sample_rows(first_points).tolist() for y in grid]
             assert rug.sample(3).tolist() == [list(p) for p in product]
 
     def test_a_ball_that_misses_its_centre_is_refused(self):

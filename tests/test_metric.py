@@ -26,6 +26,12 @@ class TestSnowflake:
     def test_square_root_case(self):
         assert SnowflakeMetric(0.5).distance(0.0, 0.25) == pytest.approx(0.5)
 
+    def test_reach_past_the_float_range_is_infinite(self):
+        # 2 ** 1e12 overflows a float; the radius-2 ball holds all of [0, 1]
+        space = SnowflakeMetric(1e-12)
+        assert space.reach(2.0) == math.inf and space.reach(0.5) == 0.0
+        assert space.within(np.array([[0.0], [1.0]]), np.array([0.0]), 2.0).all()
+
     def test_rejects_bad_exponent(self):
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
